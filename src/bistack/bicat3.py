@@ -10,10 +10,8 @@ state the displayed axioms.  Local composition (vertical composition of
 normalization, recorded by the checkers, not an extra axiom.
 """
 
-from itertools import product as _product
-
 from .errors import BoundaryMismatch, MalformedTable
-from .report import Budget, CheckReport, failed, merge, passed
+from .report import Budget, failed, passed
 
 
 # --- pseudofunctors between strict 2-categories ---------------------------

@@ -5,7 +5,7 @@ check_* procedures, so tests can corrupt the output freely.
 """
 
 from .errors import MalformedTable
-from .fincat import FinCat, Functor, NatTrans, identity_functor
+from .fincat import NatTrans, identity_functor
 from .two_cat import Fin2Cat, PsFunctorToCat
 
 

@@ -12,11 +12,10 @@ import sys
 from .errors import ToolkitError
 from .fincat import check_category
 from .generate import PROFILES, generate
-from .report import Budget
 from .runner import report_text, replay, run_all, run_check
 from .sieves import check_bisieve, check_bitopology, groth
 from .two_cat import check_two_category
-from .workspace import SCHEMA, load, save
+from .workspace import SCHEMA, load
 from . import runner as _runner
 from . import workspace as _workspace
 

@@ -28,8 +28,6 @@ morphisms of the value at the sieve's target; f, f' members; g, h base
   class.
 """
 
-from itertools import product
-
 from .errors import MalformedTable
 from .fincat import FinCat, Functor, NatTrans, all_functors, all_nat_trans, \
     compose_functors, is_equivalence
@@ -40,7 +38,7 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
     compose_ps_two_functors, strict_trihom
-from .report import Budget, failed, inconclusive, merge, passed
+from .report import Budget, choices, failed, inconclusive, merge, passed
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -97,13 +95,21 @@ def _connector(s, f, g, h):
     return _compositor_cell(s, f, g, h)
 
 
+def _into(k, d):
+    """The base 1-cells into d with their sources, as (g, E), in id order."""
+    return [(g, e) for g, (e, d2) in sorted(k.onecells.items()) if d2 == d]
+
+
 def _cells_into(s):
     """Base 1-cells into each member's source: (D, f, E, g) quadruples."""
-    k = s.k
     for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 == d:
-                yield d, f, e, g
+        for g, e in _into(s.k, d):
+            yield d, f, e, g
+
+
+def _isos(val, src, tgt):
+    """The invertible 2-cells src => tgt of val, in id order."""
+    return [c for c in val.two_cells_between(src, tgt) if val.invertible2(c)]
 
 
 # --- matching families of 2-cells ------------------------------------------
@@ -294,35 +300,28 @@ def check_descent_datum_mor(dd, budget=None):
                           ["eta at the identity 2-cell of %r is not the "
                            "identity" % f], {"member": f})
     # cocycle over composable triples
-    for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            t1 = s.tilde[(f, g)]
-            for h, (l, e2) in sorted(k.onecells.items()):
-                if e2 != e:
-                    continue
-                budget.tick()
-                gh = k.c1(g, h)
-                theta = _connector(s, f, g, h)
-                val_l = F.ob[l]
-                hh = F.on1[h]
-                s1_x = F.on2[s.sigma[(f, g)]].comp[dd.X]
-                s2_x = F.on2[s.sigma[(t1, h)]].comp[dd.X]
-                s3_y = F.on2[s.sigma[(f, gh)]].comp[dd.Y]
-                th_x = F.on2[theta].comp[dd.X]
-                lhs = val_l.v(
-                    val_l.wl(hh.on1[F.on2[s.sigma[(f, g)]].comp[dd.Y]],
-                             dd.phi[(t1, h)]),
-                    val_l.wr(hh.on2[dd.phi[(f, g)]], s2_x))
-                rhs = val_l.v(val_l.wl(s3_y, dd.eta[theta]),
-                              val_l.wr(dd.phi[(f, gh)], th_x))
-                if lhs != rhs:
-                    return failed("check_descent_datum_mor",
-                                  ["cocycle fails at (%r, %r, %r)"
-                                   % (f, g, h)],
-                                  {"member": f, "pair": [g, h],
-                                   "lhs": lhs, "rhs": rhs})
+    for d, f, e, g in _cells_into(s):
+        t1 = s.tilde[(f, g)]
+        for h, l in _into(k, e):
+            budget.tick()
+            gh = k.c1(g, h)
+            theta = _connector(s, f, g, h)
+            val_l = F.ob[l]
+            hh = F.on1[h]
+            s2_x = F.on2[s.sigma[(t1, h)]].comp[dd.X]
+            s3_y = F.on2[s.sigma[(f, gh)]].comp[dd.Y]
+            th_x = F.on2[theta].comp[dd.X]
+            lhs = val_l.v(
+                val_l.wl(hh.on1[F.on2[s.sigma[(f, g)]].comp[dd.Y]],
+                         dd.phi[(t1, h)]),
+                val_l.wr(hh.on2[dd.phi[(f, g)]], s2_x))
+            rhs = val_l.v(val_l.wl(s3_y, dd.eta[theta]),
+                          val_l.wr(dd.phi[(f, gh)], th_x))
+            if lhs != rhs:
+                return failed("check_descent_datum_mor",
+                              ["cocycle fails at (%r, %r, %r)" % (f, g, h)],
+                              {"member": f, "pair": [g, h],
+                               "lhs": lhs, "rhs": rhs})
     # eta respects vertical composition
     for d, f, f2, gamma in _member_two_cells(s):
         val_d = F.ob[d]
@@ -343,9 +342,7 @@ def check_descent_datum_mor(dd, budget=None):
                                    "lhs": lhs, "rhs": rhs})
     # phi/eta compatibility along 2-cells of the member leg
     for d, f, f2, gamma in _member_two_cells(s):
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
+        for g, e in _into(k, d):
             budget.tick()
             val_e = F.ob[e]
             hg = F.on1[g]
@@ -545,23 +542,15 @@ def weak_datum_from_object(F, S, W0):
         val_d = F.ob[d]
         rho[f] = val_d.id2(val_d.id1(W[f]))
     beta, rho2, alpha = {}, {}, {}
-    for d, f in S.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            t1 = S.tilde[(f, g)]
-            for h, (l, e2) in sorted(k.onecells.items()):
-                if e2 != e:
-                    continue
-                val_l = F.ob[l]
-                theta = _connector(S, f, g, h)
-                beta[(f, g, h)] = val_l.id2(val_l.c1(
-                    F.on2[S.sigma[(f, k.c1(g, h))]].comp[W0],
-                    F.on2[theta].comp[W0]))
+    for d, f, e, g in _cells_into(S):
+        for h, l in _into(k, e):
+            val_l = F.ob[l]
+            theta = _connector(S, f, g, h)
+            beta[(f, g, h)] = val_l.id2(val_l.c1(
+                F.on2[S.sigma[(f, k.c1(g, h))]].comp[W0],
+                F.on2[theta].comp[W0]))
     for d, f, f2, gamma in _member_two_cells(S):
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
+        for g, e in _into(k, d):
             val_e = F.ob[e]
             gg = _restrict_member_cell(S, f, f2, gamma, g)
             rho2[(gamma, g)] = val_e.id2(val_e.c1(
@@ -650,26 +639,19 @@ def check_weak_descent_datum(wdd, budget=None):
     if bad is not None:
         return bad
     # remaining comparison cells: boundary + invertibility
-    for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            for h, (l, e2) in sorted(k.onecells.items()):
-                if e2 != e:
-                    continue
-                budget.tick()
-                _, _, _, val_l, src, tgt = _wdd_beta_key_data(wdd, f, g, h)
-                cell = wdd.beta.get((f, g, h))
-                if cell is None or val_l.twocells.get(cell) != (src, tgt) \
-                        or not val_l.invertible2(cell):
-                    return failed("check_weak_descent_datum",
-                                  ["beta at (%r, %r, %r) missing, mistyped "
-                                   "or not invertible" % (f, g, h)],
-                                  {"member": f, "pair": [g, h]})
+    for d, f, e, g in _cells_into(s):
+        for h, l in _into(k, e):
+            budget.tick()
+            _, _, _, val_l, src, tgt = _wdd_beta_key_data(wdd, f, g, h)
+            cell = wdd.beta.get((f, g, h))
+            if cell is None or val_l.twocells.get(cell) != (src, tgt) \
+                    or not val_l.invertible2(cell):
+                return failed("check_weak_descent_datum",
+                              ["beta at (%r, %r, %r) missing, mistyped or "
+                               "not invertible" % (f, g, h)],
+                              {"member": f, "pair": [g, h]})
     for d, f, f2, gamma in _member_two_cells(s):
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
+        for g, e in _into(k, d):
             budget.tick()
             val_e = F.ob[e]
             gg = _restrict_member_cell(s, f, f2, gamma, g)
@@ -715,9 +697,7 @@ def _unit_candidates(wdd):
     out = {}
     for d, f in s.all_members():
         val_d = F.ob[d]
-        out[f] = [c for c in val_d.two_cells_between(
-            wdd.eta[k.id2(f)], val_d.id1(wdd.W[f]))
-            if val_d.invertible2(c)]
+        out[f] = _isos(val_d, wdd.eta[k.id2(f)], val_d.id1(wdd.W[f]))
     return out
 
 
@@ -731,11 +711,9 @@ def _comp_candidates(wdd):
         val_d = F.ob[d]
         for f3 in s.member_list(d):
             for delta in k.two_cells_between(f2, f3):
-                out[(delta, gamma)] = [
-                    c for c in val_d.two_cells_between(
-                        wdd.eta[k.v(delta, gamma)],
-                        val_d.c1(wdd.eta[delta], wdd.eta[gamma]))
-                    if val_d.invertible2(c)]
+                out[(delta, gamma)] = _isos(
+                    val_d, wdd.eta[k.v(delta, gamma)],
+                    val_d.c1(wdd.eta[delta], wdd.eta[gamma]))
     return out
 
 
@@ -747,19 +725,16 @@ def _wdd_displays(wdd, u, cc, budget):
     F, s = wdd.F, wdd.S
     k = s.k
     # identity transition against rho2
-    for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            budget.tick()
-            t = s.tilde[(f, g)]
-            val_e = F.ob[e]
-            p = wdd.phi[(f, g)]
-            want = val_e.v(val_e.wl(p, val_e.inverse2(u[t])),
-                           val_e.wr(F.on1[g].on2[u[f]], p))
-            if wdd.rho2[(k.id2(f), g)] != want:
-                return ("identity display for rho2 fails at (%r, %r)"
-                        % (f, g), {"member": f, "onecell": g})
+    for d, f, e, g in _cells_into(s):
+        budget.tick()
+        t = s.tilde[(f, g)]
+        val_e = F.ob[e]
+        p = wdd.phi[(f, g)]
+        want = val_e.v(val_e.wl(p, val_e.inverse2(u[t])),
+                       val_e.wr(F.on1[g].on2[u[f]], p))
+        if wdd.rho2[(k.id2(f), g)] != want:
+            return ("identity display for rho2 fails at (%r, %r)" % (f, g),
+                    {"member": f, "onecell": g})
     # rho against rho2 over the identity restriction leg
     for d, f, f2, gamma in _member_two_cells(s):
         budget.tick()
@@ -770,25 +745,19 @@ def _wdd_displays(wdd, u, cc, budget):
         if lhs != rhs:
             return ("rho display fails at %r" % gamma, {"twocell": gamma})
     # alpha over the identity 2-cell of the restriction leg
-    for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            budget.tick()
-            t = s.tilde[(f, g)]
-            val_e = F.ob[e]
-            p = wdd.phi[(f, g)]
-            if wdd.alpha[(f, k.id2(g))] != \
-                    val_e.wl(p, val_e.inverse2(u[t])):
-                return ("identity display for alpha fails at (%r, %r)"
-                        % (f, g), {"member": f, "onecell": g})
+    for d, f, e, g in _cells_into(s):
+        budget.tick()
+        t = s.tilde[(f, g)]
+        val_e = F.ob[e]
+        p = wdd.phi[(f, g)]
+        if wdd.alpha[(f, k.id2(g))] != val_e.wl(p, val_e.inverse2(u[t])):
+            return ("identity display for alpha fails at (%r, %r)" % (f, g),
+                    {"member": f, "onecell": g})
     # rho2 against vertical composition of member 2-cells
     for d, f, f2, gamma in _member_two_cells(s):
         for f3 in s.member_list(d):
             for delta in k.two_cells_between(f2, f3):
-                for g, (e, d2) in sorted(k.onecells.items()):
-                    if d2 != d:
-                        continue
+                for g, e in _into(k, d):
                     budget.tick()
                     val_e = F.ob[e]
                     hg = F.on1[g]
@@ -836,15 +805,11 @@ def _wdd_displays(wdd, u, cc, budget):
                             {"pair": [eps, delta], "member": f})
     # naturality of beta against rho2
     for d, f, f2, gamma in _member_two_cells(s):
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
+        for g, e in _into(k, d):
             t1 = s.tilde[(f, g)]
             t1b = s.tilde[(f2, g)]
             gg = _restrict_member_cell(s, f, f2, gamma, g)
-            for h, (l, e2) in sorted(k.onecells.items()):
-                if e2 != e:
-                    continue
+            for h, l in _into(k, e):
                 budget.tick()
                 val_l = F.ob[l]
                 gh = k.c1(g, h)
@@ -874,68 +839,57 @@ def _wdd_displays(wdd, u, cc, budget):
                             % (gamma, g, h),
                             {"twocell": gamma, "pair": [g, h]})
     # four-fold cocycle coherence
-    for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            t1 = s.tilde[(f, g)]
-            for h, (l, e2) in sorted(k.onecells.items()):
-                if e2 != e:
-                    continue
-                t2 = s.tilde[(t1, h)]
-                for tt, (m0, l2) in sorted(k.onecells.items()):
-                    if l2 != l:
-                        continue
-                    budget.tick()
-                    val_m = F.ob[m0]
-                    ht = k.c1(h, tt)
-                    gh = k.c1(g, h)
-                    ght = k.c1(g, ht)
-                    theta_a = _connector(s, t1, h, tt)
-                    theta_b = _connector(s, f, g, ht)
-                    theta_c = _connector(s, f, g, h)
-                    theta_d = _connector(s, f, gh, tt)
-                    theta_e = _restrict_member_cell(
-                        s, t2, s.tilde[(f, gh)], theta_c, tt)
-                    side1 = val_m.v(
-                        val_m.wr(wdd.beta[(f, g, ht)], wdd.eta[theta_a]),
-                        val_m.wl(F.on1[ht].on1[wdd.phi[(f, g)]],
-                                 wdd.beta[(t1, h, tt)]))
-                    side2 = val_m.v_path([
-                        val_m.wr(wdd.beta[(f, gh, tt)], wdd.eta[theta_e]),
-                        val_m.wl(F.on1[tt].on1[wdd.phi[(f, gh)]],
-                                 wdd.rho2[(theta_c, tt)]),
-                        val_m.wr(F.on1[tt].on2[wdd.beta[(f, g, h)]],
-                                 wdd.phi[(t2, tt)]),
-                    ])
-                    e_cell = val_m.v(
-                        cc[(theta_d, theta_e)],
-                        val_m.inverse2(cc[(theta_b, theta_a)]))
-                    if val_m.v(val_m.wl(wdd.phi[(f, ght)], e_cell),
-                               side1) != side2:
-                        return ("four-fold cocycle fails at (%r, %r, %r, %r)"
-                                % (f, g, h, tt),
-                                {"member": f, "triple": [g, h, tt]})
+    for d, f, e, g in _cells_into(s):
+        t1 = s.tilde[(f, g)]
+        for h, l in _into(k, e):
+            t2 = s.tilde[(t1, h)]
+            for tt, m0 in _into(k, l):
+                budget.tick()
+                val_m = F.ob[m0]
+                ht = k.c1(h, tt)
+                gh = k.c1(g, h)
+                ght = k.c1(g, ht)
+                theta_a = _connector(s, t1, h, tt)
+                theta_b = _connector(s, f, g, ht)
+                theta_c = _connector(s, f, g, h)
+                theta_d = _connector(s, f, gh, tt)
+                theta_e = _restrict_member_cell(
+                    s, t2, s.tilde[(f, gh)], theta_c, tt)
+                side1 = val_m.v(
+                    val_m.wr(wdd.beta[(f, g, ht)], wdd.eta[theta_a]),
+                    val_m.wl(F.on1[ht].on1[wdd.phi[(f, g)]],
+                             wdd.beta[(t1, h, tt)]))
+                side2 = val_m.v_path([
+                    val_m.wr(wdd.beta[(f, gh, tt)], wdd.eta[theta_e]),
+                    val_m.wl(F.on1[tt].on1[wdd.phi[(f, gh)]],
+                             wdd.rho2[(theta_c, tt)]),
+                    val_m.wr(F.on1[tt].on2[wdd.beta[(f, g, h)]],
+                             wdd.phi[(t2, tt)]),
+                ])
+                e_cell = val_m.v(
+                    cc[(theta_d, theta_e)],
+                    val_m.inverse2(cc[(theta_b, theta_a)]))
+                if val_m.v(val_m.wl(wdd.phi[(f, ght)], e_cell),
+                           side1) != side2:
+                    return ("four-fold cocycle fails at (%r, %r, %r, %r)"
+                            % (f, g, h, tt),
+                            {"member": f, "triple": [g, h, tt]})
     # identity legs in the cocycle
-    for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            budget.tick()
-            t1 = s.tilde[(f, g)]
-            val_e = F.ob[e]
-            p = wdd.phi[(f, g)]
-            want = val_e.v(val_e.wl(p, val_e.inverse2(u[t1])),
-                           val_e.wl(p, wdd.rho[t1]))
-            if wdd.beta[(f, g, k.id1(e))] != want:
-                return ("cocycle identity display (inner) fails at (%r, %r)"
-                        % (f, g), {"member": f, "onecell": g})
-            t2 = s.tilde[(f, g)]
-            want = val_e.v(val_e.wl(p, val_e.inverse2(u[t2])),
-                           val_e.wr(F.on1[g].on2[wdd.rho[f]], p))
-            if wdd.beta[(f, k.id1(d), g)] != want:
-                return ("cocycle identity display (outer) fails at (%r, %r)"
-                        % (f, g), {"member": f, "onecell": g})
+    for d, f, e, g in _cells_into(s):
+        budget.tick()
+        t1 = s.tilde[(f, g)]
+        val_e = F.ob[e]
+        p = wdd.phi[(f, g)]
+        want = val_e.v(val_e.wl(p, val_e.inverse2(u[t1])),
+                       val_e.wl(p, wdd.rho[t1]))
+        if wdd.beta[(f, g, k.id1(e))] != want:
+            return ("cocycle identity display (inner) fails at (%r, %r)"
+                    % (f, g), {"member": f, "onecell": g})
+        want = val_e.v(val_e.wl(p, val_e.inverse2(u[t1])),
+                       val_e.wr(F.on1[g].on2[wdd.rho[f]], p))
+        if wdd.beta[(f, k.id1(d), g)] != want:
+            return ("cocycle identity display (outer) fails at (%r, %r)"
+                    % (f, g), {"member": f, "onecell": g})
     return None
 
 
@@ -952,18 +906,13 @@ def _wdd_coherences(wdd, budget):
             return False, ("no iso relating eta at the composite %r to the "
                            "composite of transitions" % (key,),
                            {"pair": list(key)})
-    ukeys = sorted(ucand)
-    ckeys = sorted(ccand)
     last = ("no connecting family admissible", {})
-    for uchoice in product(*(ucand[f] for f in ukeys)):
-        u = dict(zip(ukeys, uchoice))
-        for cchoice in product(*(ccand[kk] for kk in ckeys)):
-            budget.tick()
-            cc = dict(zip(ckeys, cchoice))
-            bad = _wdd_displays(wdd, u, cc, budget)
-            if bad is None:
-                return True, None
-            last = bad
+    for u, cc in choices(budget, sorted(ucand.items()),
+                         sorted(ccand.items())):
+        bad = _wdd_displays(wdd, u, cc, budget)
+        if bad is None:
+            return True, None
+        last = bad
     return False, last
 
 
@@ -983,37 +932,25 @@ def find_weak_effective_gluing(wdd, budget=None):
         return Refutation("find_weak_effective_gluing",
                           ["no connecting isos for the transitions"],
                           {"objects": len(val_c.objects)})
-    ukeys, ckeys = sorted(ucand), sorted(ccand)
+
+    def equivalences(W):
+        for f in members:
+            val_d = F.ob[k.onecells[f][0]]
+            yield f, [p for p in val_d.one_cells_between(
+                wdd.W[f], F.on1[f].ob[W])
+                if val_d.is_equivalence_1cell(p, budget)]
+
     tried = 0
     for W in sorted(val_c.objects):
         tried += 1
-        psi_space = []
-        ok = True
-        for f in members:
-            d = k.onecells[f][0]
-            val_d = F.ob[d]
-            cands = [p for p in val_d.one_cells_between(
-                wdd.W[f], F.on1[f].ob[W])
-                if val_d.is_equivalence_1cell(p, budget)]
-            if not cands:
-                ok = False
-                break
-            psi_space.append(cands)
-        if not ok:
-            continue
-        for psis in product(*psi_space):
-            budget.tick()
-            psi = dict(zip(members, psis))
-            for uchoice in product(*(ucand[f] for f in ukeys)):
-                u = dict(zip(ukeys, uchoice))
-                for cchoice in product(*(ccand[kk] for kk in ckeys)):
-                    budget.tick()
-                    cc = dict(zip(ckeys, cchoice))
-                    cells = _weak_gluing_cells(wdd, W, psi, u, cc, budget)
-                    if cells is not None:
-                        data = {"W": W, "psi": psi}
-                        data.update(cells)
-                        return EffectivenessWitness("gluing-object", data)
+        for psi, u, cc in choices(budget, equivalences(W),
+                                  sorted(ucand.items()),
+                                  sorted(ccand.items())):
+            cells = _weak_gluing_cells(wdd, W, psi, u, cc, budget)
+            if cells is not None:
+                data = {"W": W, "psi": psi}
+                data.update(cells)
+                return EffectivenessWitness("gluing-object", data)
     return Refutation("find_weak_effective_gluing",
                       ["no gluing object"],
                       {"objects": tried, "members": len(members)})
@@ -1023,38 +960,24 @@ def _weak_gluing_cells(wdd, W, psi, u, cc, budget):
     """Search the iso families of the weak-effectiveness displays for a
     fixed gluing object and equivalence family; None when none fit."""
     F, s = wdd.F, wdd.S
-    k = s.k
-    # candidate spaces
-    eps_keys, eps_cand = [], []
-    for d, f, e, g in _cells_into(s):
-        t = s.tilde[(f, g)]
-        val_e = F.ob[e]
-        src = val_e.c1(F.on1[g].on1[psi[f]], wdd.phi[(f, g)])
-        tgt = val_e.c1(F.on2[s.sigma[(f, g)]].comp[W], psi[t])
-        cands = [c for c in val_e.two_cells_between(src, tgt)
-                 if val_e.invertible2(c)]
-        if not cands:
-            return None
-        eps_keys.append((f, g))
-        eps_cand.append(cands)
-    pc_keys, pc_cand = [], []
-    for d, f, f2, gamma in _member_two_cells(s):
-        val_d = F.ob[d]
-        src = val_d.c1(F.on2[gamma].comp[W], psi[f])
-        tgt = val_d.c1(psi[f2], wdd.eta[gamma])
-        cands = [c for c in val_d.two_cells_between(src, tgt)
-                 if val_d.invertible2(c)]
-        if not cands:
-            return None
-        pc_keys.append(gamma)
-        pc_cand.append(cands)
-    for eps_choice in product(*eps_cand):
-        eps = dict(zip(eps_keys, eps_choice))
-        for pc_choice in product(*pc_cand):
-            budget.tick()
-            pc = dict(zip(pc_keys, pc_choice))
-            if _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
-                return {"epsilon": eps, "psi_cells": pc}
+
+    def epsilons():
+        for d, f, e, g in _cells_into(s):
+            val_e = F.ob[e]
+            yield (f, g), _isos(
+                val_e, val_e.c1(F.on1[g].on1[psi[f]], wdd.phi[(f, g)]),
+                val_e.c1(F.on2[s.sigma[(f, g)]].comp[W],
+                         psi[s.tilde[(f, g)]]))
+
+    def psi_cells():
+        for d, f, f2, gamma in _member_two_cells(s):
+            val_d = F.ob[d]
+            yield gamma, _isos(val_d, val_d.c1(F.on2[gamma].comp[W], psi[f]),
+                               val_d.c1(psi[f2], wdd.eta[gamma]))
+
+    for eps, pc in choices(budget, epsilons(), psi_cells()):
+        if _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
+            return {"epsilon": eps, "psi_cells": pc}
     return None
 
 
@@ -1103,31 +1026,26 @@ def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
             if lhs != rhs:
                 return False
     # compatibility over composable restriction legs
-    for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            t1 = s.tilde[(f, g)]
-            s1_w = F.on2[s.sigma[(f, g)]].comp[W]
-            for h, (l, e2) in sorted(k.onecells.items()):
-                if e2 != e:
-                    continue
-                budget.tick()
-                val_l = F.ob[l]
-                hh = F.on1[h]
-                gh = k.c1(g, h)
-                theta = _connector(s, f, g, h)
-                s3_w = F.on2[s.sigma[(f, gh)]].comp[W]
-                side1 = val_l.v(
-                    val_l.wl(hh.on1[s1_w], eps[(t1, h)]),
-                    val_l.wr(hh.on2[eps[(f, g)]], wdd.phi[(t1, h)]))
-                side2 = val_l.v_path([
-                    val_l.wl(s3_w, val_l.inverse2(pc[theta])),
-                    val_l.wr(eps[(f, gh)], wdd.eta[theta]),
-                    val_l.wl(F.on1[gh].on1[psi[f]], wdd.beta[(f, g, h)]),
-                ])
-                if side1 != side2:
-                    return False
+    for d, f, e, g in _cells_into(s):
+        t1 = s.tilde[(f, g)]
+        s1_w = F.on2[s.sigma[(f, g)]].comp[W]
+        for h, l in _into(k, e):
+            budget.tick()
+            val_l = F.ob[l]
+            hh = F.on1[h]
+            gh = k.c1(g, h)
+            theta = _connector(s, f, g, h)
+            s3_w = F.on2[s.sigma[(f, gh)]].comp[W]
+            side1 = val_l.v(
+                val_l.wl(hh.on1[s1_w], eps[(t1, h)]),
+                val_l.wr(hh.on2[eps[(f, g)]], wdd.phi[(t1, h)]))
+            side2 = val_l.v_path([
+                val_l.wl(s3_w, val_l.inverse2(pc[theta])),
+                val_l.wr(eps[(f, gh)], wdd.eta[theta]),
+                val_l.wl(F.on1[gh].on1[psi[f]], wdd.beta[(f, g, h)]),
+            ])
+            if side1 != side2:
+                return False
     return True
 
 
@@ -1161,26 +1079,18 @@ def descent_category(F, s, budget=None):
     R = sieve_presheaf(s)
     k = s.k
     obs = sorted(k.objects)
-    comp_pools = [all_functors(R.ob[d], F.ob[d], budget) for d in obs]
-    nats = []
-    for comps in product(*comp_pools):
-        comp = dict(zip(obs, comps))
-        cell_pools = []
-        ok = True
+
+    def iso_cells(comp):
         for g, (e, d) in sorted(k.onecells.items()):
             dom = compose_functors(comp[e], R.on1[g])
             cod = compose_functors(F.on1[g], comp[d])
-            pool = [t for t in all_nat_trans(dom, cod, budget)
-                    if all(F.ob[e].is_iso(m) for m in t.comp.values())]
-            if not pool:
-                ok = False
-                break
-            cell_pools.append((g, pool))
-        if not ok:
-            continue
-        for choice in product(*(pool for _, pool in cell_pools)):
-            budget.tick()
-            cells = {g: t for (g, _), t in zip(cell_pools, choice)}
+            yield g, [t for t in all_nat_trans(dom, cod, budget)
+                      if all(F.ob[e].is_iso(m) for m in t.comp.values())]
+
+    nats = []
+    functors = ((d, all_functors(R.ob[d], F.ob[d], budget)) for d in obs)
+    for (comp,) in choices(budget, functors):
+        for (cells,) in choices(budget, iso_cells(comp)):
             cand = PsNatTrans(R, F, comp, cells)
             if check_ps_nat(cand, budget).ok:
                 nats.append(cand)
@@ -1190,11 +1100,10 @@ def descent_category(F, s, budget=None):
     arrows, arrow_of = {}, {}
     for t in nats:
         for t2 in nats:
-            pools = [
-                all_nat_trans(t.comp[d], t2.comp[d], budget) for d in obs]
-            for choice in product(*pools):
-                budget.tick()
-                m = CatModification(t, t2, dict(zip(obs, choice)))
+            comps = ((d, all_nat_trans(t.comp[d], t2.comp[d], budget))
+                     for d in obs)
+            for (comp,) in choices(budget, comps):
+                m = CatModification(t, t2, comp)
                 if not check_modification(m, budget).ok:
                     continue
                 mid = "m%d" % len(arrows)
@@ -1290,15 +1199,12 @@ def is_subcanonical(k, tau, budget=None):
 # --- enumeration of descent packages and the 2-stack verdict ----------------
 
 def _all_matching_families(F, s, a, b, budget):
-    members = [f for _, f in s.all_members()]
-    pools = []
-    for f in members:
-        d = s.k.onecells[f][0]
-        hf = F.on1[f]
-        pools.append(F.ob[d].two_cells_between(hf.on1[a], hf.on1[b]))
-    for choice in product(*pools):
-        budget.tick()
-        mf = MatchingFamily2Cells(F, s, a, b, dict(zip(members, choice)))
+    k = s.k
+    cells = ((f, F.ob[k.onecells[f][0]].two_cells_between(F.on1[f].on1[a],
+                                                           F.on1[f].on1[b]))
+             for _, f in s.all_members())
+    for (w,) in choices(budget, cells):
+        mf = MatchingFamily2Cells(F, s, a, b, w)
         if check_matching_family(mf, budget).ok:
             yield mf
 
@@ -1306,184 +1212,112 @@ def _all_matching_families(F, s, a, b, budget):
 def _all_descent_data_mor(F, s, budget):
     k = s.k
     val_c = F.ob[s.target]
-    members = [f for _, f in s.all_members()]
+
+    def morphisms(X, Y):
+        for _, f in s.all_members():
+            hf = F.on1[f]
+            yield f, F.ob[k.onecells[f][0]].one_cells_between(hf.ob[X],
+                                                              hf.ob[Y])
+
+    def phis(X, Y, w):
+        for d, f, e, g in _cells_into(s):
+            val_e = F.ob[e]
+            sig = F.on2[s.sigma[(f, g)]]
+            yield (f, g), _isos(val_e,
+                                val_e.c1(F.on1[g].on1[w[f]], sig.comp[X]),
+                                val_e.c1(sig.comp[Y], w[s.tilde[(f, g)]]))
+
+    def etas(X, Y, w):
+        for d, f, f2, gamma in _member_two_cells(s):
+            val_d = F.ob[d]
+            yield gamma, _isos(val_d,
+                               val_d.c1(w[f2], F.on2[gamma].comp[X]),
+                               val_d.c1(F.on2[gamma].comp[Y], w[f]))
+
     for X in sorted(val_c.objects):
         for Y in sorted(val_c.objects):
-            w_pools = []
-            for f in members:
-                d = k.onecells[f][0]
-                hf = F.on1[f]
-                w_pools.append(F.ob[d].one_cells_between(hf.ob[X],
-                                                         hf.ob[Y]))
-            for w_choice in product(*w_pools):
-                budget.tick()
-                w = dict(zip(members, w_choice))
-                dd = DescentDatumMorphisms(F, s, X, Y, w, {}, {})
-                phi_keys, phi_pools = [], []
-                ok = True
-                for d, f, e, g in _cells_into(s):
-                    t = s.tilde[(f, g)]
-                    sig = s.sigma[(f, g)]
-                    val_e = F.ob[e]
-                    src = val_e.c1(F.on1[g].on1[w[f]],
-                                   F.on2[sig].comp[X])
-                    tgt = val_e.c1(F.on2[sig].comp[Y], w[t])
-                    pool = [c for c in val_e.two_cells_between(src, tgt)
-                            if val_e.invertible2(c)]
-                    if not pool:
-                        ok = False
-                        break
-                    phi_keys.append((f, g))
-                    phi_pools.append(pool)
-                if not ok:
-                    continue
-                eta_keys, eta_pools = [], []
-                for d, f, f2, gamma in _member_two_cells(s):
-                    val_d = F.ob[d]
-                    src = val_d.c1(w[f2], F.on2[gamma].comp[X])
-                    tgt = val_d.c1(F.on2[gamma].comp[Y], w[f])
-                    pool = [c for c in val_d.two_cells_between(src, tgt)
-                            if val_d.invertible2(c)]
-                    if not pool:
-                        ok = False
-                        break
-                    eta_keys.append(gamma)
-                    eta_pools.append(pool)
-                if not ok:
-                    continue
-                for phi_choice in product(*phi_pools):
-                    for eta_choice in product(*eta_pools):
-                        budget.tick()
-                        dd.phi = dict(zip(phi_keys, phi_choice))
-                        dd.eta = dict(zip(eta_keys, eta_choice))
-                        if check_descent_datum_mor(dd, budget).ok:
-                            yield DescentDatumMorphisms(
-                                F, s, X, Y, w, dd.phi, dd.eta)
+            for (w,) in choices(budget, morphisms(X, Y)):
+                for phi, eta in choices(budget, phis(X, Y, w),
+                                        etas(X, Y, w)):
+                    dd = DescentDatumMorphisms(F, s, X, Y, w, phi, eta)
+                    if check_descent_datum_mor(dd, budget).ok:
+                        yield dd
 
 
 def _all_weak_data(F, s, budget):
     k = s.k
-    members = [f for _, f in s.all_members()]
-    w_pools = [sorted(F.ob[k.onecells[f][0]].objects) for f in members]
-    for w_choice in product(*w_pools):
-        budget.tick()
-        W = dict(zip(members, w_choice))
-        eta_keys, eta_pools = [], []
-        ok = True
+
+    def transitions(W):
         for d, f, f2, gamma in _member_two_cells(s):
-            pool = F.ob[d].one_cells_between(W[f], W[f2])
-            if not pool:
-                ok = False
-                break
-            eta_keys.append(gamma)
-            eta_pools.append(pool)
-        if not ok:
-            continue
-        phi_keys, phi_pools = [], []
+            yield gamma, F.ob[d].one_cells_between(W[f], W[f2])
+
+    def equivalences(W):
+        """Each phi candidate with its recorded pseudo-inverse."""
         for d, f, e, g in _cells_into(s):
-            t = s.tilde[(f, g)]
             val_e = F.ob[e]
-            gw = F.on1[g].ob[W[f]]
             pool = []
-            for p in val_e.one_cells_between(W[t], gw):
+            for p in val_e.one_cells_between(W[s.tilde[(f, g)]],
+                                             F.on1[g].ob[W[f]]):
                 data = val_e.equivalence_data(p, budget)
                 if data is not None:
                     pool.append((p, data[0]))
-            if not pool:
-                ok = False
-                break
-            phi_keys.append((f, g))
-            phi_pools.append(pool)
-        if not ok:
-            continue
-        for eta_choice in product(*eta_pools):
-            eta = dict(zip(eta_keys, eta_choice))
-            for phi_choice in product(*phi_pools):
-                budget.tick()
-                phi = {kk: p for kk, (p, _) in zip(phi_keys, phi_choice)}
-                phi_inv = {kk: q for kk, (_, q)
-                           in zip(phi_keys, phi_choice)}
-                for cells in _weak_comparison_cells(
-                        F, s, W, eta, phi, budget):
-                    rho, beta, rho2, alpha = cells
-                    wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv,
-                                           rho, beta, rho2, alpha)
-                    if check_weak_descent_datum(wdd, budget).ok:
-                        yield wdd
+            yield (f, g), pool
+
+    objects = ((f, sorted(F.ob[k.onecells[f][0]].objects))
+               for _, f in s.all_members())
+    for (W,) in choices(budget, objects):
+        for eta, pairs in choices(budget, transitions(W), equivalences(W)):
+            phi = {key: p for key, (p, _) in pairs.items()}
+            phi_inv = {key: q for key, (_, q) in pairs.items()}
+            for rho, beta, rho2, alpha in _weak_comparison_cells(
+                    F, s, W, eta, phi, budget):
+                wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv,
+                                       rho, beta, rho2, alpha)
+                if check_weak_descent_datum(wdd, budget).ok:
+                    yield wdd
 
 
 def _weak_comparison_cells(F, s, W, eta, phi, budget):
     """All boundary-typed invertible comparison families for a weak datum
-    skeleton."""
+    skeleton, as (rho, beta, rho2, alpha) tables."""
     k = s.k
-    keys, pools, kinds = [], [], []
-    for d, f in s.all_members():
-        val_d = F.ob[d]
-        pool = [c for c in val_d.two_cells_between(
-            phi[(f, k.id1(d))], val_d.id1(W[f]))
-            if val_d.invertible2(c)]
-        if not pool:
-            return
-        keys.append(f)
-        pools.append(pool)
-        kinds.append("rho")
-    for d, f in s.all_members():
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
+
+    def rhos():
+        for d, f in s.all_members():
+            val_d = F.ob[d]
+            yield f, _isos(val_d, phi[(f, k.id1(d))], val_d.id1(W[f]))
+
+    def betas():
+        for d, f, e, g in _cells_into(s):
             t1 = s.tilde[(f, g)]
-            for h, (l, e2) in sorted(k.onecells.items()):
-                if e2 != e:
-                    continue
+            for h, l in _into(k, e):
                 val_l = F.ob[l]
                 theta = _connector(s, f, g, h)
-                src = val_l.c1(F.on1[h].on1[phi[(f, g)]], phi[(t1, h)])
-                tgt = val_l.c1(phi[(f, k.c1(g, h))], eta[theta])
-                pool = [c for c in val_l.two_cells_between(src, tgt)
-                        if val_l.invertible2(c)]
-                if not pool:
-                    return
-                keys.append((f, g, h))
-                pools.append(pool)
-                kinds.append("beta")
-    for d, f, f2, gamma in _member_two_cells(s):
-        for g, (e, d2) in sorted(k.onecells.items()):
-            if d2 != d:
-                continue
-            val_e = F.ob[e]
-            gg = _restrict_member_cell(s, f, f2, gamma, g)
-            src = val_e.c1(F.on1[g].on1[eta[gamma]], phi[(f, g)])
-            tgt = val_e.c1(phi[(f2, g)], eta[gg])
-            pool = [c for c in val_e.two_cells_between(src, tgt)
-                    if val_e.invertible2(c)]
-            if not pool:
-                return
-            keys.append((gamma, g))
-            pools.append(pool)
-            kinds.append("rho2")
-    for d, f in s.all_members():
-        for delta, (g, g2) in sorted(k.twocells.items()):
-            if k.onecells[g][1] != d:
-                continue
-            e = k.onecells[g][0]
-            val_e = F.ob[e]
-            df = _g_leg_cell(s, f, g, delta, g2)
-            src = val_e.c1(F.on2[delta].comp[W[f]], phi[(f, g)])
-            tgt = val_e.c1(phi[(f, g2)], eta[df])
-            pool = [c for c in val_e.two_cells_between(src, tgt)
-                    if val_e.invertible2(c)]
-            if not pool:
-                return
-            keys.append((f, delta))
-            pools.append(pool)
-            kinds.append("alpha")
-    for choice in product(*pools):
-        budget.tick()
-        rho, beta, rho2, alpha = {}, {}, {}, {}
-        for key, kind, cell in zip(keys, kinds, choice):
-            {"rho": rho, "beta": beta,
-             "rho2": rho2, "alpha": alpha}[kind][key] = cell
-        yield rho, beta, rho2, alpha
+                yield (f, g, h), _isos(
+                    val_l, val_l.c1(F.on1[h].on1[phi[(f, g)]], phi[(t1, h)]),
+                    val_l.c1(phi[(f, k.c1(g, h))], eta[theta]))
+
+    def rho2s():
+        for d, f, f2, gamma in _member_two_cells(s):
+            for g, e in _into(k, d):
+                val_e = F.ob[e]
+                gg = _restrict_member_cell(s, f, f2, gamma, g)
+                yield (gamma, g), _isos(
+                    val_e, val_e.c1(F.on1[g].on1[eta[gamma]], phi[(f, g)]),
+                    val_e.c1(phi[(f2, g)], eta[gg]))
+
+    def alphas():
+        for d, f in s.all_members():
+            for delta, (g, g2) in sorted(k.twocells.items()):
+                if k.onecells[g][1] != d:
+                    continue
+                val_e = F.ob[k.onecells[g][0]]
+                df = _g_leg_cell(s, f, g, delta, g2)
+                yield (f, delta), _isos(
+                    val_e, val_e.c1(F.on2[delta].comp[W[f]], phi[(f, g)]),
+                    val_e.c1(phi[(f, g2)], eta[df]))
+
+    return choices(budget, rhos(), betas(), rho2s(), alphas())
 
 
 def _parallel_pairs(val):
@@ -1645,105 +1479,60 @@ def restriction_pert(F, s, al0, m_a, m_b):
 
 def _all_ps_two_functors(dom, cod, budget):
     obs = sorted(dom.objects)
-    for ob_choice in product(*(sorted(cod.objects) for _ in obs)):
-        ob = dict(zip(obs, ob_choice))
-        one_keys = sorted(dom.onecells)
-        one_pools = [cod.one_cells_between(ob[dom.onecells[f][0]],
-                                           ob[dom.onecells[f][1]])
-                     for f in one_keys]
-        for one_choice in product(*one_pools):
-            budget.tick()
-            on1 = dict(zip(one_keys, one_choice))
-            two_keys = sorted(dom.twocells)
-            two_pools = [cod.two_cells_between(on1[dom.twocells[a][0]],
-                                               on1[dom.twocells[a][1]])
-                         for a in two_keys]
-            for two_choice in product(*two_pools):
-                budget.tick()
-                on2 = dict(zip(two_keys, two_choice))
-                chi_keys = sorted(dom.hcomp1)
-                chi_pools = [
-                    [x for x in cod.two_cells_between(
-                        cod.c1(on1[b], on1[a]), on1[dom.hcomp1[(b, a)]])
-                     if cod.invertible2(x)]
-                    for (b, a) in chi_keys]
-                unit_keys = obs
-                unit_pools = [
-                    [x for x in cod.two_cells_between(
-                        cod.id1(ob[o]), on1[dom.id1(o)])
-                     if cod.invertible2(x)]
-                    for o in unit_keys]
-                for chi_choice in product(*chi_pools):
-                    for unit_choice in product(*unit_pools):
-                        budget.tick()
-                        cand = PsTwoFunctor(
-                            dom, cod, ob, on1, on2,
-                            dict(zip(chi_keys, chi_choice)),
-                            dict(zip(unit_keys, unit_choice)))
-                        if check_ps_two_functor(cand, budget).ok:
-                            yield cand
+    targets = sorted(cod.objects)
+    for (ob,) in choices(budget, ((x, targets) for x in obs)):
+        ones = ((f, cod.one_cells_between(ob[x], ob[y]))
+                for f, (x, y) in sorted(dom.onecells.items()))
+        for (on1,) in choices(budget, ones):
+            twos = ((a, cod.two_cells_between(on1[f], on1[g]))
+                    for a, (f, g) in sorted(dom.twocells.items()))
+            for (on2,) in choices(budget, twos):
+                chis = ((pair, _isos(cod, cod.c1(on1[pair[0]], on1[pair[1]]),
+                                     on1[ba]))
+                        for pair, ba in sorted(dom.hcomp1.items()))
+                units = ((x, _isos(cod, cod.id1(ob[x]), on1[dom.id1(x)]))
+                         for x in obs)
+                for chi, unit in choices(budget, chis, units):
+                    cand = PsTwoFunctor(dom, cod, ob, on1, on2, chi, unit)
+                    if check_ps_two_functor(cand, budget).ok:
+                        yield cand
 
 
 def _all_ps_two_nats(g, h, budget, equivalences=False):
     cod = g.cod
-    obs = sorted(g.dom.objects)
-    comp_pools = []
-    for x in obs:
-        pool = cod.one_cells_between(g.ob[x], h.ob[x])
-        if equivalences:
-            pool = [p for p in pool
-                    if cod.is_equivalence_1cell(p, budget)]
-        comp_pools.append(pool)
-    one_keys = sorted(g.dom.onecells)
-    for comp_choice in product(*comp_pools):
-        budget.tick()
-        comp = dict(zip(obs, comp_choice))
-        cell_pools = []
-        ok = True
-        for a in one_keys:
-            x, y = g.dom.onecells[a]
-            pool = [c for c in cod.two_cells_between(
-                cod.c1(h.on1[a], comp[x]), cod.c1(comp[y], g.on1[a]))
-                if cod.invertible2(c)]
-            if not pool:
-                ok = False
-                break
-            cell_pools.append(pool)
-        if not ok:
-            continue
-        for cell_choice in product(*cell_pools):
-            budget.tick()
-            cand = PsTwoNatTrans(g, h, comp,
-                                 dict(zip(one_keys, cell_choice)))
+
+    def components():
+        for x in sorted(g.dom.objects):
+            pool = cod.one_cells_between(g.ob[x], h.ob[x])
+            if equivalences:
+                pool = [p for p in pool
+                        if cod.is_equivalence_1cell(p, budget)]
+            yield x, pool
+
+    for (comp,) in choices(budget, components()):
+        cells = ((a, _isos(cod, cod.c1(h.on1[a], comp[x]),
+                           cod.c1(comp[y], g.on1[a])))
+                 for a, (x, y) in sorted(g.dom.onecells.items()))
+        for (cell,) in choices(budget, cells):
+            cand = PsTwoNatTrans(g, h, comp, cell)
             if check_ps_two_nat(cand, budget).ok:
                 yield cand
 
 
 def _all_tritransformations(R, F, budget):
     k = R.base
-    obs = sorted(k.objects)
-    comp_pools = [list(_all_ps_two_functors(R.ob[c], F.ob[c], budget))
-                  for c in obs]
-    for comp_choice in product(*comp_pools):
-        comp = dict(zip(obs, comp_choice))
-        sq_keys = sorted(k.onecells)
-        sq_pools = []
-        ok = True
-        for f in sq_keys:
-            d, c = k.onecells[f]
+
+    def squares(comp):
+        for f, (d, c) in sorted(k.onecells.items()):
             dom = compose_ps_two_functors(comp[d], R.on1[f])
             cod = compose_ps_two_functors(F.on1[f], comp[c])
-            pool = list(_all_ps_two_nats(dom, cod, budget,
-                                         equivalences=True))
-            if not pool:
-                ok = False
-                break
-            sq_pools.append(pool)
-        if not ok:
-            continue
-        for sq_choice in product(*sq_pools):
-            budget.tick()
-            square = dict(zip(sq_keys, sq_choice))
+            yield f, list(_all_ps_two_nats(dom, cod, budget,
+                                           equivalences=True))
+
+    comps = ((c, list(_all_ps_two_functors(R.ob[c], F.ob[c], budget)))
+             for c in sorted(k.objects))
+    for (comp,) in choices(budget, comps):
+        for (square,) in choices(budget, squares(comp)):
             for beta, gamma in _tritrans_comparisons(R, F, comp, square,
                                                      budget):
                 cand = Tritransformation(R, F, comp, square, beta, gamma)
@@ -1752,113 +1541,74 @@ def _all_tritransformations(R, F, budget):
 
 
 def _tritrans_comparisons(R, F, comp, square, budget):
+    """All invertible comparison tables (beta, gamma): beta[(f, g)] and
+    gamma[C] each map the objects of a sieve value to a 2-cell."""
     k = R.base
-    keys, pools, kinds = [], [], []
-    for (f, g), comp1 in sorted(k.hcomp1.items()):
-        d, c = k.onecells[f]
-        e = k.onecells[g][0]
+    pairs = sorted(k.hcomp1)
+    objects = sorted(k.objects)
+
+    def betas(pair):
+        f, g = pair
+        c, e = k.onecells[f][1], k.onecells[g][0]
         val_e = F.ob[e]
         for x in R.ob[c].objects:
-            xc = comp[c].ob[x]
-            rf_x = R.on1[f].ob[x]
             src = val_e.c1_path([
-                F.chi[(f, g)].comp[xc],
+                F.chi[pair].comp[comp[c].ob[x]],
                 F.on1[g].on1[square[f].comp[x]],
-                square[g].comp[rf_x],
+                square[g].comp[R.on1[f].ob[x]],
             ])
-            tgt = val_e.c1(square[comp1].comp[x],
-                           comp[e].on1[R.chi[(f, g)].comp[x]])
-            pool = [cell for cell in val_e.two_cells_between(src, tgt)
-                    if val_e.invertible2(cell)]
-            if not pool:
-                return
-            keys.append(((f, g), x))
-            pools.append(pool)
-            kinds.append("beta")
-    for c in sorted(k.objects):
+            tgt = val_e.c1(square[k.hcomp1[pair]].comp[x],
+                           comp[e].on1[R.chi[pair].comp[x]])
+            yield x, _isos(val_e, src, tgt)
+
+    def gammas(c):
         val_c = F.ob[c]
         for x in R.ob[c].objects:
-            src = val_c.c1(square[k.id1(c)].comp[x],
-                           comp[c].on1[R.iota[c].comp[x]])
-            tgt = F.iota[c].comp[comp[c].ob[x]]
-            pool = [cell for cell in val_c.two_cells_between(src, tgt)
-                    if val_c.invertible2(cell)]
-            if not pool:
-                return
-            keys.append((c, x))
-            pools.append(pool)
-            kinds.append("gamma")
-    for choice in product(*pools):
-        budget.tick()
-        beta = {pair: {} for pair in k.hcomp1}
-        gamma = {c: {} for c in k.objects}
-        for key, kind, cell in zip(keys, kinds, choice):
-            if kind == "beta":
-                beta[key[0]][key[1]] = cell
-            else:
-                gamma[key[0]][key[1]] = cell
-        yield beta, gamma
+            yield x, _isos(val_c,
+                           val_c.c1(square[k.id1(c)].comp[x],
+                                    comp[c].on1[R.iota[c].comp[x]]),
+                           F.iota[c].comp[comp[c].ob[x]])
+
+    for tables in choices(budget, *map(betas, pairs), *map(gammas, objects)):
+        yield (dict(zip(pairs, tables)),
+               dict(zip(objects, tables[len(pairs):])))
 
 
 def _all_trimods(sx, sy, budget):
     R, F = sx.dom, sx.cod
     k = R.base
-    obs = sorted(k.objects)
-    comp_pools = [list(_all_ps_two_nats(sx.comp[c], sy.comp[c], budget))
-                  for c in obs]
-    for comp_choice in product(*comp_pools):
-        comp = dict(zip(obs, comp_choice))
-        keys, pools = [], []
-        ok = True
-        for g, (e, d) in sorted(k.onecells.items()):
-            val_e = F.ob[e]
-            for x in R.ob[d].objects:
-                src = val_e.c1(F.on1[g].on1[comp[d].comp[x]],
-                               sx.square[g].comp[x])
-                tgt = val_e.c1(sy.square[g].comp[x],
-                               comp[e].comp[R.on1[g].ob[x]])
-                pool = [c for c in val_e.two_cells_between(src, tgt)
-                        if val_e.invertible2(c)]
-                if not pool:
-                    ok = False
-                    break
-                keys.append((g, x))
-                pools.append(pool)
-            if not ok:
-                break
-        if not ok:
-            continue
-        for choice in product(*pools):
-            budget.tick()
-            cell = {g: {} for g in k.onecells}
-            for (g, x), c2 in zip(keys, choice):
-                cell[g][x] = c2
-            cand = Trimodification(sx, sy, comp, cell)
+    legs = sorted(k.onecells)
+
+    def cells(comp, g):
+        e, d = k.onecells[g]
+        val_e = F.ob[e]
+        for x in R.ob[d].objects:
+            yield x, _isos(val_e,
+                           val_e.c1(F.on1[g].on1[comp[d].comp[x]],
+                                    sx.square[g].comp[x]),
+                           val_e.c1(sy.square[g].comp[x],
+                                    comp[e].comp[R.on1[g].ob[x]]))
+
+    comps = ((c, list(_all_ps_two_nats(sx.comp[c], sy.comp[c], budget)))
+             for c in sorted(k.objects))
+    for (comp,) in choices(budget, comps):
+        for tables in choices(budget, *(cells(comp, g) for g in legs)):
+            cand = Trimodification(sx, sy, comp, dict(zip(legs, tables)))
             if check_trimodification(cand, budget).ok:
                 yield cand
 
 
 def _all_perturbations(ma, mb, budget):
-    th = ma.dom
-    R, F = th.dom, th.cod
-    k = R.base
-    obs = sorted(k.objects)
-    keys, pools = [], []
-    for d in obs:
-        val = F.ob[d]
+    R, F = ma.dom.dom, ma.dom.cod
+    obs = sorted(R.base.objects)
+
+    def cells(d):
         for x in R.ob[d].objects:
-            pool = val.two_cells_between(ma.comp[d].comp[x],
-                                         mb.comp[d].comp[x])
-            if not pool:
-                return
-            keys.append((d, x))
-            pools.append(pool)
-    for choice in product(*pools):
-        budget.tick()
-        comp = {d: {} for d in obs}
-        for (d, x), c2 in zip(keys, choice):
-            comp[d][x] = c2
-        cand = Perturbation(ma, mb, comp)
+            yield x, F.ob[d].two_cells_between(ma.comp[d].comp[x],
+                                               mb.comp[d].comp[x])
+
+    for tables in choices(budget, *map(cells, obs)):
+        cand = Perturbation(ma, mb, dict(zip(obs, tables)))
         if check_perturbation(cand, budget).ok:
             yield cand
 

@@ -5,11 +5,8 @@ on composable pairs; comp[(g, f)] is "g after f".  Nothing is generated or
 quotiented: what is in the tables is the whole category.
 """
 
-from dataclasses import dataclass, field
-from itertools import product
-
 from .errors import BoundaryMismatch, MalformedTable
-from .report import Budget, failed, inconclusive, passed
+from .report import Budget, choices, failed, inconclusive, passed
 
 
 class FinCat:
@@ -433,16 +430,11 @@ def all_functors(c, d, budget=None):
     """Enumerate every functor c -> d, in a deterministic order."""
     budget = budget or Budget()
     out = []
-    cobs = sorted(c.objects)
+    dobs = sorted(d.objects)
     nonid = [m for m in c.morphisms if not c.is_identity(m)]
-    for obs in product(*(sorted(d.objects) for _ in cobs)):
-        ob = dict(zip(cobs, obs))
-        pools = []
-        for f in nonid:
-            pools.append(d.hom(ob[c.src[f]], ob[c.tgt[f]]))
-        for choice in product(*pools):
-            budget.tick()
-            mor = dict(zip(nonid, choice))
+    for (ob,) in choices(budget, ((x, dobs) for x in sorted(c.objects))):
+        homs = ((f, d.hom(ob[c.src[f]], ob[c.tgt[f]])) for f in nonid)
+        for (mor,) in choices(budget, homs):
             for o in c.objects:
                 mor[c.id(o)] = d.id(ob[o])
             F = Functor(c, d, ob, mor)
@@ -454,12 +446,10 @@ def all_functors(c, d, budget=None):
 def all_nat_trans(F, G, budget=None):
     budget = budget or Budget()
     c, d = F.dom, F.cod
-    cobs = sorted(c.objects)
-    pools = [d.hom(F.o(x), G.o(x)) for x in cobs]
     out = []
-    for choice in product(*pools):
-        budget.tick()
-        t = NatTrans(F, G, dict(zip(cobs, choice)))
+    homs = ((x, d.hom(F.o(x), G.o(x))) for x in sorted(c.objects))
+    for (comp,) in choices(budget, homs):
+        t = NatTrans(F, G, comp)
         if check_nat(t).ok:
             out.append(t)
     return out

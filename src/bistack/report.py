@@ -6,6 +6,7 @@ exhaustion is an honest third verdict instead of a silent pass.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import SearchBudgetExceeded
 
@@ -30,9 +31,31 @@ class Budget:
         if self.limit is not None and self.steps > self.limit:
             raise SearchBudgetExceeded(steps=self.steps)
 
-    def sub(self):
-        """Share the same counter (budgets are global per call, not nested)."""
-        return self
+
+def choices(budget, *groups):
+    """Every way to pick one candidate for each cell, one budget tick each.
+
+    Each group is an iterable of (cell, pool) pairs, read lazily and in
+    order.  At the first empty pool nothing is yielded, and no later pair
+    or group is read.  Otherwise the choices come in ``itertools.product``
+    order over all the pools, the first pool varying slowest.  Each choice
+    is a tuple with one dict per group, mapping the group's cells to their
+    chosen candidates; the budget ticks once before each choice.
+    """
+    cells, pools = [], []
+    for group in groups:
+        keys = []
+        for cell, pool in group:
+            if not pool:
+                return
+            keys.append(cell)
+            pools.append(pool)
+        cells.append(keys)
+    for combo in product(*pools):
+        budget.tick()
+        # zip stops at the end of keys, so each group takes its own picks
+        picks = iter(combo)
+        yield tuple([dict(zip(keys, picks)) for keys in cells])
 
 
 @dataclass

@@ -6,54 +6,55 @@ except for the ``elapsed_s`` timing field.
 """
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .descent import is_2stack, is_2stack_direct, is_stack_catvalued, \
     is_subcanonical
-from .errors import UnknownCheck
+from .errors import ParseError, UnknownCheck
 from .fincat import check_category
 from .report import Budget, guarded
 from .sieves import check_bisieve, check_bitopology, check_T1, check_T2, \
     check_T3
 from .sigma_colim import is_sigma_bicolim_bisieve
 from .two_cat import check_two_category
-from .workspace import WorkspaceDoc, load_data
+from .workspace import CHECK_REFS
 
 REPORT_SCHEMA = "bistack-report/1"
 
 _TIMING_FIELDS = ("elapsed_s",)
 
 
-def _dispatch(doc, body, budget):
+def _dispatch(doc, name, body, budget):
     op = body["op"]
+
+    def ref(field):
+        if field not in body:
+            raise ParseError("check %r (op %r) has no %r field"
+                             % (name, op, field))
+        return getattr(doc, CHECK_REFS[field])[body[field]]
+
     if op == "category":
-        return check_category(doc.cats[body["cat"]], budget)
+        return check_category(ref("cat"), budget)
     if op == "two_category":
-        return check_two_category(doc.two_cats[body["two_cat"]], budget)
+        return check_two_category(ref("two_cat"), budget)
     if op == "bisieve":
-        return check_bisieve(doc.bisieves[body["bisieve"]], budget)
+        return check_bisieve(ref("bisieve"), budget)
     if op == "bitopology":
-        return check_bitopology(doc.bitopologies[body["bitopology"]], budget)
+        return check_bitopology(ref("bitopology"), budget)
     if op in ("T1", "T2", "T3"):
         fn = {"T1": check_T1, "T2": check_T2, "T3": check_T3}[op]
-        return fn(doc.bitopologies[body["bitopology"]], budget)
+        return fn(ref("bitopology"), budget)
     if op == "sigma_bicolim":
-        return is_sigma_bicolim_bisieve(doc.bisieves[body["bisieve"]], budget)
+        return is_sigma_bicolim_bisieve(ref("bisieve"), budget)
     if op == "subcanonical":
-        tau = doc.bitopologies[body["bitopology"]]
+        tau = ref("bitopology")
         return is_subcanonical(tau.k, tau, budget)
     if op == "stack":
-        return is_stack_catvalued(doc.presheaves[body["presheaf"]],
-                                  doc.bitopologies[body["bitopology"]],
-                                  budget)
+        return is_stack_catvalued(ref("presheaf"), ref("bitopology"), budget)
     if op == "2stack":
-        return is_2stack(doc.trihoms[body["trihom"]],
-                         doc.bitopologies[body["bitopology"]], budget)
+        return is_2stack(ref("trihom"), ref("bitopology"), budget)
     if op == "2stack_direct":
-        return is_2stack_direct(doc.trihoms[body["trihom"]],
-                                doc.bitopologies[body["bitopology"]], budget)
+        return is_2stack_direct(ref("trihom"), ref("bitopology"), budget)
     raise UnknownCheck("unknown check op %r" % op)
 
 
@@ -65,7 +66,7 @@ def run_check(doc, name, limit=None):
     body = doc.checks[name]
     budget = Budget(limit)
     start = time.monotonic()
-    report = guarded(name, budget, _dispatch, doc, body, budget)
+    report = guarded(name, budget, _dispatch, doc, name, body, budget)
     elapsed = time.monotonic() - start
     return {
         "schema": REPORT_SCHEMA,
@@ -81,17 +82,8 @@ def run_check(doc, name, limit=None):
 
 
 def run_all(doc, limit=None):
-    """Run every declared check; reports sorted by check name.
-
-    DKIT_THREADS caps worker parallelism (default 1, fully sequential).
-    """
-    names = sorted(doc.checks)
-    threads = max(1, int(os.environ.get("DKIT_THREADS", "1")))
-    if threads == 1 or len(names) <= 1:
-        return [run_check(doc, n, limit) for n in names]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {n: pool.submit(run_check, doc, n, limit) for n in names}
-        return [futures[n].result() for n in names]
+    """Run every declared check in turn; reports sorted by check name."""
+    return [run_check(doc, n, limit) for n in sorted(doc.checks)]
 
 
 def strip_timing(report):

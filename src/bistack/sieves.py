@@ -10,10 +10,10 @@ restriction along an identity is strict.
 """
 
 from .errors import BoundaryMismatch, MalformedTable
-from .fincat import FinCat, Functor, NatTrans, identity_functor
+from .fincat import Functor, NatTrans, identity_functor
 from .two_cat import Fin2Cat, PsFunctorToCat, PsNatTrans
 from .builders import identity_nat
-from .report import Budget, failed, inconclusive, passed
+from .report import Budget, failed, passed
 
 
 class Bisieve:

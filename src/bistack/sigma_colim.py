@@ -8,12 +8,11 @@ out of the apex and the category of cocones.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .errors import BoundaryMismatch, SearchBudgetExceeded
 from .fincat import FinCat, Functor, check_functor, is_equivalence
-from .report import (Budget, CheckReport, FAIL, INCONCLUSIVE, PASS, failed,
-                     passed)
+from .report import (Budget, CheckReport, FAIL, INCONCLUSIVE, PASS, choices,
+                     failed, passed)
 from .sieves import groth
 from .two_cat import find_iso_comma
 
@@ -186,21 +185,20 @@ def enumerate_sigma_cocones(d, u, budget=None):
     budget = budget or Budget()
     k, sh = d.k, d.shape
     sobs = sorted(sh.objects)
-    leg_pools = [k.one_cells_between(d.ob[s], u) for s in sobs]
     free = _free_generators(sh)
-    out = []
-    for leg_choice in product(*leg_pools):
-        legs = dict(zip(sobs, leg_choice))
-        pools = []
+
+    def structure_cells(legs):
         for m in free:
             s, t = sh.onecells[m]
             cand = k.two_cells_between(legs[s], k.c1(legs[t], d.on1[m]))
             if m in d.marked:
                 cand = tuple(c for c in cand if k.invertible2(c))
-            pools.append(cand)
-        for choice in product(*pools):
-            budget.tick()
-            cells = dict(zip(free, choice))
+            yield m, cand
+
+    out = []
+    legs_pools = ((s, k.one_cells_between(d.ob[s], u)) for s in sobs)
+    for (legs,) in choices(budget, legs_pools):
+        for (cells,) in choices(budget, structure_cells(legs)):
             for s in sobs:
                 cells[sh.id1(s)] = k.id2(legs[s])
             ok = _complete_cells(k, sh, d, legs, cells)
@@ -230,19 +228,12 @@ def cocone_morphisms(d, c1, c2, budget=None):
     k, sh = d.k, d.shape
     sobs = sorted(sh.objects)
     legs1, legs2 = dict(c1.legs), dict(c2.legs)
-    pools = [k.two_cells_between(legs1[s], legs2[s]) for s in sobs]
     out = []
-    for choice in product(*pools):
-        budget.tick()
-        mu = dict(zip(sobs, choice))
-        ok = True
-        for m, (s, t) in sh.onecells.items():
-            lhs = k.v(c2.cell(m), mu[s])
-            rhs = k.v(k.wr(mu[t], d.on1[m]), c1.cell(m))
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
+    pools = ((s, k.two_cells_between(legs1[s], legs2[s])) for s in sobs)
+    for (mu,) in choices(budget, pools):
+        if all(k.v(c2.cell(m), mu[s]) == k.v(k.wr(mu[t], d.on1[m]),
+                                              c1.cell(m))
+               for m, (s, t) in sh.onecells.items()):
             out.append(tuple(sorted(mu.items())))
     return out
 

@@ -11,12 +11,10 @@ their transformations and modifications.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BoundaryMismatch, MalformedTable
-from .fincat import (FinCat, Functor, NatTrans, check_functor, check_nat,
-                     discrete)
-from .report import Budget, failed, inconclusive, passed
+from .fincat import FinCat, check_functor, check_nat
+from .report import Budget, failed, passed
 
 
 class Fin2Cat:

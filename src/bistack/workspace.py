@@ -13,7 +13,7 @@ import json
 
 from .errors import DanglingReference, ParseError
 from .fincat import FinCat
-from .two_cat import Fin2Cat, from_fincat
+from .two_cat import Fin2Cat
 from .sieves import Bisieve, Bitopology, representable
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, representable_trihom, \
     strict_trihom
@@ -67,13 +67,6 @@ def _decode_cat(body, where):
                       _pairs_to_dict(body["comp"], 2, where + ".comp"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError("%s: %s" % (where, exc))
-
-
-def _encode_cat(c):
-    return {"objects": sorted(c.objects),
-            "morphisms": {m: [c.src[m], c.tgt[m]] for m in c.morphisms},
-            "identity": dict(sorted(c.identity.items())),
-            "comp": _dict_to_pairs(c.comp)}
 
 
 def _decode_two_cat(body, where):
@@ -217,14 +210,17 @@ def load_data(raw):
     return doc
 
 
+# reference field of a check body -> the WorkspaceDoc section it names
+CHECK_REFS = {"two_cat": "two_cats", "cat": "cats", "bisieve": "bisieves",
+              "bitopology": "bitopologies", "presheaf": "presheaves",
+              "trihom": "trihoms"}
+
+
 def _validate_check_refs(doc):
-    pools = {"two_cat": doc.two_cats, "cat": doc.cats,
-             "bisieve": doc.bisieves, "bitopology": doc.bitopologies,
-             "presheaf": doc.presheaves, "trihom": doc.trihoms}
     for name, body in doc.checks.items():
-        for field, pool in pools.items():
+        for field, section in CHECK_REFS.items():
             ref = body.get(field)
-            if ref is not None and ref not in pool:
+            if ref is not None and ref not in getattr(doc, section):
                 raise DanglingReference(
                     "checks.%s: unknown %s %r" % (name, field, ref))
 

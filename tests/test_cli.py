@@ -93,13 +93,12 @@ def test_reports_are_deterministic_modulo_timing(corpus_doc):
     assert strip_timing(a) == strip_timing(b)
 
 
-def test_run_all_is_sorted_and_thread_count_invariant(corpus_doc,
-                                                      monkeypatch):
-    seq = run_all(corpus_doc)
-    assert [r["check"] for r in seq] == sorted(corpus_doc.checks)
-    monkeypatch.setenv("DKIT_THREADS", "4")
-    par = run_all(corpus_doc)
-    assert [strip_timing(r) for r in seq] == [strip_timing(r) for r in par]
+def test_run_all_is_sorted_and_deterministic(corpus_doc):
+    first = run_all(corpus_doc)
+    assert [r["check"] for r in first] == sorted(corpus_doc.checks)
+    again = run_all(corpus_doc)
+    assert [strip_timing(r) for r in first] == \
+        [strip_timing(r) for r in again]
 
 
 def test_replay_reproduces_every_corpus_report(corpus_doc):
@@ -186,6 +185,17 @@ def test_cli_exit_codes_fail_inconclusive_input_error(tmp_path, capsys):
                      "--budget", "0"]) == 2
     assert cli.main(["run", good, "--check", "missing"]) == 3
     assert cli.main(["run", str(tmp_path / "absent.site")]) == 3
+
+
+def test_cli_check_without_reference_field_is_an_input_error(tmp_path,
+                                                            capsys):
+    path = tmp_path / "nocat.site"
+    path.write_text(json.dumps({"schema": SCHEMA,
+                                "checks": {"c": {"op": "category"}}}))
+    capsys.readouterr()
+    assert cli.main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "'c'" in err and "'cat'" in err
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):
