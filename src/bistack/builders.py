@@ -5,7 +5,7 @@ check_* procedures, so tests can corrupt the output freely.
 """
 
 from .errors import MalformedTable
-from .fincat import NatTrans, identity_functor
+from .fincat import FinCat, NatTrans, identity_functor
 from .two_cat import Fin2Cat, PsFunctorToCat
 
 
@@ -72,6 +72,20 @@ def suspension_two_cat(hom):
     hcomp2.update({("2id_id_Y", m): m for m in hom.morphisms})
     return Fin2Cat(["X", "Y"], onecells, twocells, identity1, identity2,
                    vcomp, hcomp1, hcomp2)
+
+
+def chain_suspension(n):
+    """suspension_two_cat of the chain poset f0 <= ... <= f(n-1), whose
+    arrows fi => fj (i <= j) are named ri_j."""
+    objs = ["f%d" % i for i in range(n)]
+    arrows = {"r%d_%d" % (i, j): (objs[i], objs[j])
+              for i in range(n) for j in range(i, n)}
+    comp = {("r%d_%d" % (j, m), "r%d_%d" % (i, j)): "r%d_%d" % (i, m)
+            for i in range(n) for j in range(i, n) for m in range(j, n)}
+    hom = FinCat(objs, {a: s for a, (s, _) in arrows.items()},
+                 {a: t for a, (_, t) in arrows.items()},
+                 {o: "r%d_%d" % (i, i) for i, o in enumerate(objs)}, comp)
+    return suspension_two_cat(hom)
 
 
 def identity_nat(F):

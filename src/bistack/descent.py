@@ -1246,9 +1246,10 @@ def _all_descent_data_mor(F, s, budget):
 
 def _all_weak_data(F, s, budget):
     k = s.k
+    member_cells = tuple(_member_two_cells(s))
 
     def transitions(W):
-        for d, f, f2, gamma in _member_two_cells(s):
+        for d, f, f2, gamma in member_cells:
             yield gamma, F.ob[d].one_cells_between(W[f], W[f2])
 
     def equivalences(W):

@@ -5,28 +5,34 @@ on composable pairs; comp[(g, f)] is "g after f".  Nothing is generated or
 quotiented: what is in the tables is the whole category.
 """
 
+from types import MappingProxyType
+
 from .errors import BoundaryMismatch, MalformedTable
 from .report import Budget, choices, failed, inconclusive, passed
 
 
 class FinCat:
-    """A finite category given by explicit tables."""
+    """A finite category given by explicit tables.
+
+    Immutable after construction: every table is a read-only mapping, so
+    a write raises TypeError.  The sorted morphisms and the hom-sets are
+    indexed once here; to change a table, build a new FinCat.
+    """
 
     def __init__(self, objects, src, tgt, identity, comp):
         self.objects = tuple(objects)
-        self.src = dict(src)
-        self.tgt = dict(tgt)
-        self.identity = dict(identity)
-        self.comp = dict(comp)
-
-    @property
-    def morphisms(self):
-        return tuple(sorted(self.src))
+        self.src = MappingProxyType(dict(src))
+        self.tgt = MappingProxyType(dict(tgt))
+        self.identity = MappingProxyType(dict(identity))
+        self.comp = MappingProxyType(dict(comp))
+        self.morphisms = tuple(sorted(self.src))
+        self._hom = by_boundary({m: (self.src[m], self.tgt.get(m))
+                                 for m in self.morphisms})
+        self._inverse = {}
+        self._key = None
 
     def hom(self, a, b):
-        return tuple(
-            m for m in self.morphisms if self.src[m] == a and self.tgt[m] == b
-        )
+        return self._hom.get((a, b), ())
 
     def id(self, x):
         try:
@@ -55,13 +61,13 @@ class FinCat:
         return self.identity.get(self.src.get(m)) == m
 
     def inverse(self, m):
-        for n in self.hom(self.tgt[m], self.src[m]):
-            if (
-                self.compose(n, m) == self.id(self.src[m])
-                and self.compose(m, n) == self.id(self.tgt[m])
-            ):
-                return n
-        return None
+        if m not in self._inverse:
+            a, b = self.src[m], self.tgt[m]
+            self._inverse[m] = next(
+                (n for n in self.hom(b, a)
+                 if self.compose(n, m) == self.id(a)
+                 and self.compose(m, n) == self.id(b)), None)
+        return self._inverse[m]
 
     def is_iso(self, m):
         return self.inverse(m) is not None
@@ -100,16 +106,19 @@ class FinCat:
         )
 
     def key(self):
-        return (
-            self.objects,
-            tuple(sorted(self.src.items())),
-            tuple(sorted(self.tgt.items())),
-            tuple(sorted(self.identity.items())),
-            tuple(sorted(self.comp.items())),
-        )
+        if self._key is None:
+            self._key = (
+                self.objects,
+                tuple(sorted(self.src.items())),
+                tuple(sorted(self.tgt.items())),
+                tuple(sorted(self.identity.items())),
+                tuple(sorted(self.comp.items())),
+            )
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, FinCat) and self.key() == other.key()
+        return self is other or (isinstance(other, FinCat)
+                                 and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -117,6 +126,14 @@ class FinCat:
     def __repr__(self):
         return "FinCat(%d objects, %d morphisms)" % (
             len(self.objects), len(self.morphisms))
+
+
+def by_boundary(boundary):
+    """Index cell ids by boundary: {(src, tgt): ids in sorted order}."""
+    index = {}
+    for x in sorted(boundary):
+        index.setdefault(boundary[x], []).append(x)
+    return {b: tuple(xs) for b, xs in index.items()}
 
 
 def discrete(objects):

@@ -19,6 +19,7 @@ import json
 import random
 from itertools import product
 
+from .errors import ToolkitError
 from .fincat import FinCat, discrete
 from .two_cat import check_two_category, from_fincat
 from .sieves import Bisieve, candidate_sieves, check_bitopology, \
@@ -97,11 +98,9 @@ def _literal_candidates(k, c, budget):
     for s in candidate_sieves(k, c, budget):
         if any(k.c1(f, g) != t for (f, g), t in s.tilde.items()):
             continue
-        key = tuple(sorted((d, tuple(sorted(ms)))
-                           for d, ms in s.members.items()))
-        if key in seen:
+        if s.key() in seen:
             continue
-        seen.add(key)
+        seen.add(s.key())
         out.append(s)
     return out
 
@@ -374,7 +373,7 @@ def _generate_mutant(rng):
     for mutated in _mutations(base):
         try:
             verdicts = _battery(mutated)
-        except Exception:
+        except ToolkitError:
             continue
         failing = sorted(n for n, v in verdicts.items() if v != "pass")
         if failing == [mutated["mutation"]["check"]]:
@@ -397,7 +396,13 @@ def generate(seed, profile):
     # self-validation: the declared base and topology must be well-formed
     doc = load_data(raw)
     for name, k in doc.two_cats.items():
-        assert check_two_category(k).ok, name
+        r = check_two_category(k)
+        if not r.ok:
+            raise AssertionError("generated two-category %r: %s"
+                                 % (name, r.details[0]))
     for name, tau in doc.bitopologies.items():
-        assert check_bitopology(tau).ok, name
+        r = check_bitopology(tau)
+        if not r.ok:
+            raise AssertionError("generated bitopology %r: %s"
+                                 % (name, r.details[0]))
     return raw

@@ -9,6 +9,8 @@ selection is deterministic (first in sorted order), and normalized so that
 restriction along an identity is strict.
 """
 
+from types import MappingProxyType
+
 from .errors import BoundaryMismatch, MalformedTable
 from .fincat import Functor, NatTrans, identity_functor
 from .two_cat import Fin2Cat, PsFunctorToCat, PsNatTrans
@@ -17,28 +19,39 @@ from .report import Budget, failed, passed
 
 
 class Bisieve:
+    """A sieve on ``target`` with its chosen restriction witnesses.
+
+    Immutable after construction: members, tilde and sigma are read-only
+    mappings, so a write raises TypeError.  The sorted member lists are
+    built once here; to change a table, build a new Bisieve.
+    """
+
     def __init__(self, k, target, members, tilde, sigma):
         self.k = k
         self.target = target
-        self.members = {d: frozenset(ms) for d, ms in members.items()}
-        self.tilde = dict(tilde)
-        self.sigma = dict(sigma)
+        self.members = MappingProxyType(
+            {d: frozenset(ms) for d, ms in members.items()})
+        self.tilde = MappingProxyType(dict(tilde))
+        self.sigma = MappingProxyType(dict(sigma))
+        self._member_lists = {d: tuple(sorted(ms))
+                              for d, ms in self.members.items()}
+        self._all_members = tuple((d, f) for d in sorted(self.members)
+                                  for f in self._member_lists[d])
+        self._key = (target, tuple(sorted(self._member_lists.items())))
 
     def member_list(self, d):
-        return tuple(sorted(self.members.get(d, ())))
+        return self._member_lists.get(d, ())
 
     def all_members(self):
-        return tuple((d, f) for d in sorted(self.members)
-                     for f in self.member_list(d))
+        return self._all_members
 
     def key(self):
-        return (self.target,
-                tuple(sorted((d, tuple(sorted(ms)))
-                             for d, ms in self.members.items())))
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Bisieve) and self.k == other.k \
-            and self.key() == other.key()
+        return self is other or (isinstance(other, Bisieve)
+                                 and self.key() == other.key()
+                                 and self.k == other.k)
 
     def __hash__(self):
         return hash(self.key())
@@ -160,7 +173,7 @@ def pullback_sieve(s, f, budget=None):
             continue
         budget.tick()
         fg = k.c1(f, g)
-        for m in sorted(s.members.get(e, ())):
+        for m in s.member_list(e):
             cell = k.invertible_2cell(m, fg)
             if cell is not None:
                 members.setdefault(e, set()).add(g)

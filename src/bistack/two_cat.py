@@ -11,9 +11,10 @@ their transformations and modifications.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .fincat import FinCat, check_functor, check_nat
+from .fincat import FinCat, by_boundary, check_functor, check_nat
 from .report import Budget, failed, passed
 
 
@@ -24,18 +25,26 @@ class Fin2Cat:
     twocells: id -> (src 1-cell, tgt 1-cell)
     identity1: object -> 1-cell, identity2: 1-cell -> 2-cell
     vcomp[(b, a)]: b after a (vertical); hcomp1[(g, f)] / hcomp2: g after f.
+
+    Immutable after construction: every table is a read-only mapping, so
+    a write raises TypeError.  The cells between each pair of boundaries
+    are indexed once here; to change a table, build a new Fin2Cat.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
                  vcomp, hcomp1, hcomp2):
         self.objects = tuple(objects)
-        self.onecells = dict(onecells)
-        self.twocells = dict(twocells)
-        self.identity1 = dict(identity1)
-        self.identity2 = dict(identity2)
-        self.vcomp = dict(vcomp)
-        self.hcomp1 = dict(hcomp1)
-        self.hcomp2 = dict(hcomp2)
+        self.onecells = _boundaries(onecells, "1-cell")
+        self.twocells = _boundaries(twocells, "2-cell")
+        self.identity1 = MappingProxyType(dict(identity1))
+        self.identity2 = MappingProxyType(dict(identity2))
+        self.vcomp = MappingProxyType(dict(vcomp))
+        self.hcomp1 = MappingProxyType(dict(hcomp1))
+        self.hcomp2 = MappingProxyType(dict(hcomp2))
+        self._ones = by_boundary(self.onecells)
+        self._twos = by_boundary(self.twocells)
+        self._inverse2 = {}
+        self._key = None
 
     # --- boundaries ---------------------------------------------------
     def src1(self, f):
@@ -51,12 +60,10 @@ class Fin2Cat:
         return self.twocells[a][1]
 
     def one_cells_between(self, a, b):
-        return tuple(sorted(f for f, (s, t) in self.onecells.items()
-                            if s == a and t == b))
+        return self._ones.get((a, b), ())
 
     def two_cells_between(self, f, g):
-        return tuple(sorted(x for x, (s, t) in self.twocells.items()
-                            if s == f and t == g))
+        return self._twos.get((f, g), ())
 
     # --- composition --------------------------------------------------
     def id1(self, x):
@@ -134,11 +141,13 @@ class Fin2Cat:
         return self.inverse2(a) is not None
 
     def inverse2(self, a):
-        f, g = self.twocells[a]
-        for b in self.two_cells_between(g, f):
-            if self.v(b, a) == self.id2(f) and self.v(a, b) == self.id2(g):
-                return b
-        return None
+        if a not in self._inverse2:
+            f, g = self.twocells[a]
+            self._inverse2[a] = next(
+                (b for b in self.two_cells_between(g, f)
+                 if self.v(b, a) == self.id2(f)
+                 and self.v(a, b) == self.id2(g)), None)
+        return self._inverse2[a]
 
     def iso_1cells(self, f, g):
         """Is there an invertible 2-cell f => g?"""
@@ -172,16 +181,19 @@ class Fin2Cat:
                    for f in self.one_cells_between(a, b))
 
     def key(self):
-        return (self.objects, tuple(sorted(self.onecells.items())),
-                tuple(sorted(self.twocells.items())),
-                tuple(sorted(self.identity1.items())),
-                tuple(sorted(self.identity2.items())),
-                tuple(sorted(self.vcomp.items())),
-                tuple(sorted(self.hcomp1.items())),
-                tuple(sorted(self.hcomp2.items())))
+        if self._key is None:
+            self._key = (self.objects, tuple(sorted(self.onecells.items())),
+                         tuple(sorted(self.twocells.items())),
+                         tuple(sorted(self.identity1.items())),
+                         tuple(sorted(self.identity2.items())),
+                         tuple(sorted(self.vcomp.items())),
+                         tuple(sorted(self.hcomp1.items())),
+                         tuple(sorted(self.hcomp2.items())))
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Fin2Cat) and self.key() == other.key()
+        return self is other or (isinstance(other, Fin2Cat)
+                                 and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -189,6 +201,21 @@ class Fin2Cat:
     def __repr__(self):
         return "Fin2Cat(%d objects, %d 1-cells, %d 2-cells)" % (
             len(self.objects), len(self.onecells), len(self.twocells))
+
+
+def _boundaries(table, kind):
+    """A read-only copy of a cell table whose every boundary is a pair
+    of ids."""
+    out = {}
+    for x, st in table.items():
+        try:
+            s, t = st
+            hash((s, t))
+        except (TypeError, ValueError):
+            raise MalformedTable("%s %r: boundary %r is not a pair of ids"
+                                 % (kind, x, st))
+        out[x] = (s, t)
+    return MappingProxyType(out)
 
 
 def from_fincat(c):

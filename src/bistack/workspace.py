@@ -4,16 +4,16 @@ A workspace declares finite categories, strict 2-categories, bisieves,
 bitopologies, category-valued presheaves, 2-category-valued homomorphism
 data, and named check requests.  Composition tables are explicit arrays of
 ``[argument ids..., result id]``; 2-cells carry explicit boundary fields.
-Loading validates cross-references (DanglingReference) and JSON shape
-(ParseError); structural validity is checked by the named validators when
-a check runs.
+Loading validates cross-references (DanglingReference), JSON shape and
+the base 2-category of each trihom (ParseError); other structural validity
+is checked by the named validators when a check runs.
 """
 
 import json
 
-from .errors import DanglingReference, ParseError
+from .errors import DanglingReference, MalformedTable, ParseError
 from .fincat import FinCat
-from .two_cat import Fin2Cat
+from .two_cat import Fin2Cat, check_two_category
 from .sieves import Bisieve, Bitopology, representable
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, representable_trihom, \
     strict_trihom
@@ -80,7 +80,7 @@ def _decode_two_cat(body, where):
                        _pairs_to_dict(body["vcomp"], 2, where + ".vcomp"),
                        _pairs_to_dict(body["hcomp1"], 2, where + ".hcomp1"),
                        _pairs_to_dict(body["hcomp2"], 2, where + ".hcomp2"))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, MalformedTable) as exc:
         raise ParseError("%s: %s" % (where, exc))
 
 
@@ -120,9 +120,24 @@ def _encode_bisieve(name_of_two_cat, s):
             "sigma": _dict_to_pairs(s.sigma)}
 
 
+def _checked_base(k, where):
+    """The base of a trihom, refused unless it is a strict 2-category:
+    a trihom is built by composing in its base."""
+    try:
+        r = check_two_category(k)
+    except (KeyError, TypeError) as exc:
+        raise ParseError("%s: base two-category is malformed (%s: %s)"
+                         % (where, type(exc).__name__, exc))
+    if not r.ok:
+        raise ParseError("%s: base two-category fails: %s"
+                         % (where, r.details[0]))
+    return k
+
+
 def _decode_trihom(body, two_cats, where):
     kind = body.get("kind")
-    k = _ref(two_cats, body.get("two_cat"), "two-category", where)
+    k = _checked_base(_ref(two_cats, body.get("two_cat"), "two-category",
+                           where), where)
     if kind == "representable":
         if body.get("at") not in k.objects:
             raise DanglingReference("%s: unknown object %r"

@@ -6,13 +6,14 @@ import copy
 import pytest
 
 from bistack import cli
+from bistack.builders import chain_suspension
 from bistack.errors import DanglingReference, ParseError, UnknownCheck
-from bistack.generate import PROFILES, generate
+from bistack.generate import PROFILES, _literalize, generate
 from bistack.runner import replay, run_all, run_check, strip_timing
-from bistack.sieves import check_bitopology
+from bistack.sieves import check_bitopology, maximal_bisieve
 from bistack.two_cat import check_two_category
-from bistack.workspace import SCHEMA, corpus_names, corpus_path, load, \
-    load_data, normalize, save
+from bistack.workspace import SCHEMA, _encode_bisieve, _encode_two_cat, \
+    corpus_names, corpus_path, load, load_data, normalize, save
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,60 @@ def test_cli_check_without_reference_field_is_an_input_error(tmp_path,
     assert cli.main(["run", str(path)]) == 3
     err = capsys.readouterr().err
     assert "'c'" in err and "'cat'" in err
+
+
+def _rung_doc(n=3):
+    """Ladder rung n: the chain suspension under its maximal sieves, with
+    the trihom represented at Y and a 2stack check."""
+    k = chain_suspension(n)
+    return {"schema": SCHEMA,
+            "two_cats": {"K": _encode_two_cat(k)},
+            "bisieves": {"max_%s" % c: _encode_bisieve(
+                "K", _literalize(maximal_bisieve(k, c))) for c in k.objects},
+            "bitopologies": {"tau": {"two_cat": "K", "covering": {
+                c: ["max_%s" % c] for c in k.objects}}},
+            "trihoms": {"F": {"kind": "representable", "two_cat": "K",
+                              "at": "Y"}},
+            "checks": {"2stack:F": {"op": "2stack", "trihom": "F",
+                                    "bitopology": "tau"}}}
+
+
+def _run_raw(tmp_path, raw):
+    path = tmp_path / "doc.site"
+    path.write_text(json.dumps(raw))
+    return cli.main(["run", str(path)])
+
+
+def test_cli_rung_document_passes(tmp_path, capsys):
+    assert _run_raw(tmp_path, _rung_doc()) == 0
+
+
+def _stray_onecell(k):
+    k["onecells"]["stray"] = ["X", "Z"]
+
+
+def _corrupt_vcomp(k):
+    row = next(r for r in k["vcomp"] if r[0] != r[1])
+    row[-1] = "2id_id_X"
+
+
+def _no_identity(k):
+    del k["identity1"]["X"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_stray_onecell, "'stray' has a dangling endpoint"),
+    (_corrupt_vcomp, "ill-typed composite"),
+    (_no_identity, "malformed (KeyError: 'X')"),
+], ids=["unknown-boundary", "vcomp-corrupt", "no-identity"])
+def test_cli_trihom_over_a_bad_base_is_an_input_error(tmp_path, capsys,
+                                                      corrupt, message):
+    raw = _rung_doc()
+    corrupt(raw["two_cats"]["K"])
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 3
+    err = capsys.readouterr().err
+    assert "trihoms.F: base two-category" in err and message in err
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):

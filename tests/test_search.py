@@ -4,10 +4,9 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from bistack.bicat3 import representable_trihom
-from bistack.builders import suspension_two_cat
+from bistack.builders import chain_suspension
 from bistack.descent import _all_descent_data_mor, _all_tritransformations, \
     _all_weak_data, sieve_trihom
-from bistack.fincat import FinCat
 from bistack.generate import _literalize
 from bistack.report import Budget, choices
 from bistack.sieves import maximal_bisieve
@@ -72,24 +71,12 @@ def _canon(x):
     return x
 
 
-def _chain_suspension(n):
-    objs = ["f%d" % i for i in range(n)]
-    arrows = {"r%d_%d" % (i, j): (objs[i], objs[j])
-              for i in range(n) for j in range(i, n)}
-    comp = {("r%d_%d" % (j, m), "r%d_%d" % (i, j)): "r%d_%d" % (i, m)
-            for i in range(n) for j in range(i, n) for m in range(j, n)}
-    hom = FinCat(objs, {a: s for a, (s, _) in arrows.items()},
-                 {a: t for a, (_, t) in arrows.items()},
-                 {o: "r%d_%d" % (i, i) for i, o in enumerate(objs)}, comp)
-    return suspension_two_cat(hom)
-
-
 def _instances():
     doc = load(corpus_path("walking_arrow.site"))
     tau = doc.bitopologies["tau"]
     yield doc.trihoms["F1"], [s for c in sorted(tau.k.objects)
                               for s in tau.sieves_on(c)]
-    k = _chain_suspension(3)
+    k = chain_suspension(3)
     yield representable_trihom(k, "Y"), [
         _literalize(maximal_bisieve(k, c)) for c in sorted(k.objects)]
 

@@ -1,0 +1,191 @@
+"""The frozen, boundary-indexed tables of FinCat, Fin2Cat and Bisieve.
+
+Every indexed lookup is compared with a brute-force scan of the raw
+tables, on the corpus, on generated sites and on ladder rungs.
+"""
+
+import json
+
+import pytest
+
+from bistack import cli
+from bistack.bicat3 import representable_trihom
+from bistack.builders import chain_suspension
+from bistack.errors import MalformedTable
+from bistack.generate import generate
+from bistack.sieves import maximal_bisieve
+from bistack.two_cat import Fin2Cat
+from bistack.workspace import SCHEMA, _encode_two_cat, corpus_names, \
+    corpus_path, load, load_data
+
+
+def _docs():
+    for name in corpus_names():
+        yield load(corpus_path(name))
+    for profile in ("locally-discrete-site", "tiny-2site"):
+        for seed in range(10):
+            yield load_data(generate(seed, profile))
+
+
+def _reversed(k):
+    """k with every table in reverse insertion order, so that an index
+    must sort rather than inherit the order of its input."""
+    def rev(table):
+        return dict(reversed(list(table.items())))
+    return Fin2Cat(k.objects[::-1], rev(k.onecells), rev(k.twocells),
+                   rev(k.identity1), rev(k.identity2), rev(k.vcomp),
+                   rev(k.hcomp1), rev(k.hcomp2))
+
+
+def _structures():
+    """(two-categories, categories, bisieves) from every instance."""
+    ks, cats, sieves = [], [], []
+    for doc in _docs():
+        ks += doc.two_cats.values()
+        cats += doc.cats.values()
+        sieves += doc.bisieves.values()
+        for F in doc.trihoms.values():
+            ks += F.ob.values()
+    for n in (3, 4, 5):
+        k = chain_suspension(n)
+        ks += [k, _reversed(k)]
+        ks += representable_trihom(k, "Y").ob.values()
+        sieves += [maximal_bisieve(k, c) for c in k.objects]
+    cats += [k.hom_cat(a, b) for k in ks for a in k.objects
+             for b in k.objects]
+    return ks, cats, sieves
+
+
+@pytest.fixture(scope="module")
+def structures():
+    return _structures()
+
+
+def _scan(table, s, t):
+    return tuple(sorted(x for x, st in table.items() if st == (s, t)))
+
+
+def test_fin2cat_lookups_match_brute_force(structures):
+    ks, _, _ = structures
+    for k in ks:
+        objs = k.objects + ("no-such-object",)
+        for a in objs:
+            for b in objs:
+                assert k.one_cells_between(a, b) == _scan(k.onecells, a, b)
+        for f in k.onecells:
+            for g in k.onecells:
+                assert k.two_cells_between(f, g) \
+                    == _scan(k.twocells, f, g)
+        for a, (f, g) in k.twocells.items():
+            want = next((b for b in _scan(k.twocells, g, f)
+                         if k.vcomp.get((b, a)) == k.identity2[f]
+                         and k.vcomp.get((a, b)) == k.identity2[g]), None)
+            assert k.inverse2(a) == want
+            assert k.inverse2(a) == want  # a second, memoised lookup
+        assert k.key() == (
+            k.objects, tuple(sorted(k.onecells.items())),
+            tuple(sorted(k.twocells.items())),
+            tuple(sorted(k.identity1.items())),
+            tuple(sorted(k.identity2.items())),
+            tuple(sorted(k.vcomp.items())), tuple(sorted(k.hcomp1.items())),
+            tuple(sorted(k.hcomp2.items())))
+
+
+def test_fincat_lookups_match_brute_force(structures):
+    _, cats, _ = structures
+    assert cats
+    for c in cats:
+        assert c.morphisms == tuple(sorted(c.src))
+        for a in c.objects:
+            for b in c.objects:
+                assert c.hom(a, b) == tuple(
+                    m for m in sorted(c.src)
+                    if c.src[m] == a and c.tgt[m] == b)
+        for m in c.morphisms:
+            s, t = c.src[m], c.tgt[m]
+            want = next((n for n in sorted(c.src)
+                         if c.src[n] == t and c.tgt[n] == s
+                         and c.comp.get((n, m)) == c.identity[s]
+                         and c.comp.get((m, n)) == c.identity[t]), None)
+            assert c.inverse(m) == want
+            assert c.inverse(m) == want
+        assert c.key() == (c.objects, tuple(sorted(c.src.items())),
+                           tuple(sorted(c.tgt.items())),
+                           tuple(sorted(c.identity.items())),
+                           tuple(sorted(c.comp.items())))
+
+
+def test_bisieve_lookups_match_brute_force(structures):
+    _, _, sieves = structures
+    for s in sieves:
+        for d in s.k.objects + ("no-such-object",):
+            assert s.member_list(d) == tuple(sorted(s.members.get(d, ())))
+        assert s.all_members() == tuple(
+            (d, f) for d in sorted(s.members)
+            for f in sorted(s.members[d]))
+        assert s.key() == (s.target, tuple(sorted(
+            (d, tuple(sorted(ms))) for d, ms in s.members.items())))
+
+
+def test_equal_tables_are_equal_structures():
+    k, k2 = chain_suspension(3), chain_suspension(3)
+    assert k is not k2 and k == k2 and hash(k) == hash(k2)
+    assert k != chain_suspension(4)
+    s, s2 = maximal_bisieve(k, "Y"), maximal_bisieve(k2, "Y")
+    assert s == s2 and hash(s) == hash(s2)
+    assert k.hom_cat("X", "Y") == k2.hom_cat("X", "Y")
+
+
+def test_writing_into_a_table_raises():
+    k = chain_suspension(3)
+    c = k.hom_cat("X", "Y")
+    s = maximal_bisieve(k, "Y")
+    tables = [k.onecells, k.twocells, k.identity1, k.identity2, k.vcomp,
+              k.hcomp1, k.hcomp2, c.src, c.tgt, c.identity, c.comp,
+              s.members, s.tilde, s.sigma]
+    for table in tables:
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            table["new"] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+        assert not hasattr(table, "update")
+    with pytest.raises(AttributeError):
+        c.morphisms.append("x")
+
+
+def test_tables_are_copied_at_construction():
+    k = chain_suspension(3)
+    onecells = dict(k.onecells)
+    k2 = Fin2Cat(k.objects, onecells, k.twocells, k.identity1,
+                 k.identity2, k.vcomp, k.hcomp1, k.hcomp2)
+    onecells["stray"] = ("X", "Y")
+    assert "stray" not in k2.onecells
+    assert k2.one_cells_between("X", "Y") == k.one_cells_between("X", "Y")
+
+
+@pytest.mark.parametrize("boundary", [["X"], ["X", "Y", "Y"], ["X", ["Y"]]])
+def test_non_pair_boundary_is_malformed(boundary):
+    k = chain_suspension(3)
+    with pytest.raises(MalformedTable):
+        Fin2Cat(k.objects, dict(k.onecells, f0=tuple(boundary)),
+                k.twocells, k.identity1, k.identity2, k.vcomp, k.hcomp1,
+                k.hcomp2)
+
+
+@pytest.mark.parametrize("cells", ["onecells", "twocells"])
+@pytest.mark.parametrize("boundary", [["X"], ["X", "Y", "Y"], ["X", ["Y"]]])
+def test_cli_non_pair_boundary_exits_3(tmp_path, capsys, cells, boundary):
+    body = _encode_two_cat(chain_suspension(3))
+    name = sorted(body[cells])[-1]
+    body[cells][name] = boundary
+    path = tmp_path / "bad.site"
+    path.write_text(json.dumps({
+        "schema": SCHEMA, "two_cats": {"K": body},
+        "checks": {"k": {"op": "two_category", "two_cat": "K"}}}))
+    capsys.readouterr()
+    assert cli.main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "two_cats.K" in err and repr(name) in err
