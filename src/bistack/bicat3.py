@@ -137,17 +137,14 @@ def check_ps_two_functor(h, budget=None):
                           ["compositor not natural at (%r, %r)" % (b2, b)],
                           {"pair": [b2, b]})
     # associativity and unit coherence of the compositor
-    for (b, a) in d.hcomp1:
-        for e in d.onecells:
-            if d.tgt1(b) != d.src1(e):
-                continue
-            budget.tick()
-            lhs = c.v(h.chi[(d.c1(e, b), a)], c.wr(h.chi[(e, b)], h.on1[a]))
-            rhs = c.v(h.chi[(e, d.c1(b, a))], c.wl(h.on1[e], h.chi[(b, a)]))
-            if lhs != rhs:
-                return failed("check_ps_two_functor",
-                              ["compositor not associative at (%r, %r, %r)"
-                               % (e, b, a)], {"triple": [e, b, a]})
+    for e, b, a in d.composable_triples():
+        budget.tick()
+        lhs = c.v(h.chi[(d.c1(e, b), a)], c.wr(h.chi[(e, b)], h.on1[a]))
+        rhs = c.v(h.chi[(e, d.c1(b, a))], c.wl(h.on1[e], h.chi[(b, a)]))
+        if lhs != rhs:
+            return failed("check_ps_two_functor",
+                          ["compositor not associative at (%r, %r, %r)"
+                           % (e, b, a)], {"triple": [e, b, a]})
     for f, (s, t) in d.onecells.items():
         budget.tick()
         left = c.v(h.chi[(d.id1(t), f)], c.wr(h.unit[t], h.on1[f]))

@@ -38,7 +38,8 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
     compose_ps_two_functors, strict_trihom
-from .report import Budget, choices, failed, inconclusive, merge, passed
+from .report import Budget, choices, failed, forward_choices, inconclusive, \
+    merge, passed
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -95,15 +96,10 @@ def _connector(s, f, g, h):
     return _compositor_cell(s, f, g, h)
 
 
-def _into(k, d):
-    """The base 1-cells into d with their sources, as (g, E), in id order."""
-    return [(g, e) for g, (e, d2) in sorted(k.onecells.items()) if d2 == d]
-
-
 def _cells_into(s):
     """Base 1-cells into each member's source: (D, f, E, g) quadruples."""
     for d, f in s.all_members():
-        for g, e in _into(s.k, d):
+        for g, e in s.k.one_cells_into(d):
             yield d, f, e, g
 
 
@@ -302,7 +298,7 @@ def check_descent_datum_mor(dd, budget=None):
     # cocycle over composable triples
     for d, f, e, g in _cells_into(s):
         t1 = s.tilde[(f, g)]
-        for h, l in _into(k, e):
+        for h, l in k.one_cells_into(e):
             budget.tick()
             gh = k.c1(g, h)
             theta = _connector(s, f, g, h)
@@ -342,7 +338,7 @@ def check_descent_datum_mor(dd, budget=None):
                                    "lhs": lhs, "rhs": rhs})
     # phi/eta compatibility along 2-cells of the member leg
     for d, f, f2, gamma in _member_two_cells(s):
-        for g, e in _into(k, d):
+        for g, e in k.one_cells_into(d):
             budget.tick()
             val_e = F.ob[e]
             hg = F.on1[g]
@@ -543,14 +539,14 @@ def weak_datum_from_object(F, S, W0):
         rho[f] = val_d.id2(val_d.id1(W[f]))
     beta, rho2, alpha = {}, {}, {}
     for d, f, e, g in _cells_into(S):
-        for h, l in _into(k, e):
+        for h, l in k.one_cells_into(e):
             val_l = F.ob[l]
             theta = _connector(S, f, g, h)
             beta[(f, g, h)] = val_l.id2(val_l.c1(
                 F.on2[S.sigma[(f, k.c1(g, h))]].comp[W0],
                 F.on2[theta].comp[W0]))
     for d, f, f2, gamma in _member_two_cells(S):
-        for g, e in _into(k, d):
+        for g, e in k.one_cells_into(d):
             val_e = F.ob[e]
             gg = _restrict_member_cell(S, f, f2, gamma, g)
             rho2[(gamma, g)] = val_e.id2(val_e.c1(
@@ -640,7 +636,7 @@ def check_weak_descent_datum(wdd, budget=None):
         return bad
     # remaining comparison cells: boundary + invertibility
     for d, f, e, g in _cells_into(s):
-        for h, l in _into(k, e):
+        for h, l in k.one_cells_into(e):
             budget.tick()
             _, _, _, val_l, src, tgt = _wdd_beta_key_data(wdd, f, g, h)
             cell = wdd.beta.get((f, g, h))
@@ -651,7 +647,7 @@ def check_weak_descent_datum(wdd, budget=None):
                                "not invertible" % (f, g, h)],
                               {"member": f, "pair": [g, h]})
     for d, f, f2, gamma in _member_two_cells(s):
-        for g, e in _into(k, d):
+        for g, e in k.one_cells_into(d):
             budget.tick()
             val_e = F.ob[e]
             gg = _restrict_member_cell(s, f, f2, gamma, g)
@@ -757,7 +753,7 @@ def _wdd_displays(wdd, u, cc, budget):
     for d, f, f2, gamma in _member_two_cells(s):
         for f3 in s.member_list(d):
             for delta in k.two_cells_between(f2, f3):
-                for g, e in _into(k, d):
+                for g, e in k.one_cells_into(d):
                     budget.tick()
                     val_e = F.ob[e]
                     hg = F.on1[g]
@@ -805,11 +801,11 @@ def _wdd_displays(wdd, u, cc, budget):
                             {"pair": [eps, delta], "member": f})
     # naturality of beta against rho2
     for d, f, f2, gamma in _member_two_cells(s):
-        for g, e in _into(k, d):
+        for g, e in k.one_cells_into(d):
             t1 = s.tilde[(f, g)]
             t1b = s.tilde[(f2, g)]
             gg = _restrict_member_cell(s, f, f2, gamma, g)
-            for h, l in _into(k, e):
+            for h, l in k.one_cells_into(e):
                 budget.tick()
                 val_l = F.ob[l]
                 gh = k.c1(g, h)
@@ -841,9 +837,9 @@ def _wdd_displays(wdd, u, cc, budget):
     # four-fold cocycle coherence
     for d, f, e, g in _cells_into(s):
         t1 = s.tilde[(f, g)]
-        for h, l in _into(k, e):
+        for h, l in k.one_cells_into(e):
             t2 = s.tilde[(t1, h)]
-            for tt, m0 in _into(k, l):
+            for tt, m0 in k.one_cells_into(l):
                 budget.tick()
                 val_m = F.ob[m0]
                 ht = k.c1(h, tt)
@@ -1029,7 +1025,7 @@ def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
     for d, f, e, g in _cells_into(s):
         t1 = s.tilde[(f, g)]
         s1_w = F.on2[s.sigma[(f, g)]].comp[W]
-        for h, l in _into(k, e):
+        for h, l in k.one_cells_into(e):
             budget.tick()
             val_l = F.ob[l]
             hh = F.on1[h]
@@ -1264,9 +1260,12 @@ def _all_weak_data(F, s, budget):
                     pool.append((p, data[0]))
             yield (f, g), pool
 
-    objects = ((f, sorted(F.ob[k.onecells[f][0]].objects))
-               for _, f in s.all_members())
-    for (W,) in choices(budget, objects):
+    objects = [(f, sorted(F.ob[k.onecells[f][0]].objects))
+               for _, f in s.all_members()]
+    # a W with no 1-cell W[f] -> W[f2] under some gamma has no transitions
+    linked = [(f, f2, F.ob[d].one_cells_between) for d, f, f2
+              in dict.fromkeys((d, f, f2) for d, f, f2, _ in member_cells)]
+    for W in forward_choices(budget, objects, linked):
         for eta, pairs in choices(budget, transitions(W), equivalences(W)):
             phi = {key: p for key, (p, _) in pairs.items()}
             phi_inv = {key: q for key, (_, q) in pairs.items()}
@@ -1291,7 +1290,7 @@ def _weak_comparison_cells(F, s, W, eta, phi, budget):
     def betas():
         for d, f, e, g in _cells_into(s):
             t1 = s.tilde[(f, g)]
-            for h, l in _into(k, e):
+            for h, l in k.one_cells_into(e):
                 val_l = F.ob[l]
                 theta = _connector(s, f, g, h)
                 yield (f, g, h), _isos(
@@ -1300,7 +1299,7 @@ def _weak_comparison_cells(F, s, W, eta, phi, budget):
 
     def rho2s():
         for d, f, f2, gamma in _member_two_cells(s):
-            for g, e in _into(k, d):
+            for g, e in k.one_cells_into(d):
                 val_e = F.ob[e]
                 gg = _restrict_member_cell(s, f, f2, gamma, g)
                 yield (gamma, g), _isos(
@@ -1481,7 +1480,10 @@ def restriction_pert(F, s, al0, m_a, m_b):
 def _all_ps_two_functors(dom, cod, budget):
     obs = sorted(dom.objects)
     targets = sorted(cod.objects)
-    for (ob,) in choices(budget, ((x, targets) for x in obs)):
+    # an object map with no 1-cell under some 1-cell of dom has no on1
+    linked = [(x, y, cod.one_cells_between)
+              for x, y in dict.fromkeys(dom.onecells.values())]
+    for ob in forward_choices(budget, [(x, targets) for x in obs], linked):
         ones = ((f, cod.one_cells_between(ob[x], ob[y]))
                 for f, (x, y) in sorted(dom.onecells.items()))
         for (on1,) in choices(budget, ones):

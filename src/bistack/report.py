@@ -31,6 +31,13 @@ class Budget:
         if self.limit is not None and self.steps > self.limit:
             raise SearchBudgetExceeded(steps=self.steps)
 
+    def tick_singly(self, n):
+        """Spend n steps as n calls of tick() would: an overrun stops at
+        the first step past the limit, not at the n-th."""
+        if self.limit is not None and self.steps + n > self.limit:
+            self.tick(max(1, self.limit + 1 - self.steps))
+        self.steps += n
+
 
 def choices(budget, *groups):
     """Every way to pick one candidate for each cell, one budget tick each.
@@ -56,6 +63,60 @@ def choices(budget, *groups):
         # zip stops at the end of keys, so each group takes its own picks
         picks = iter(combo)
         yield tuple([dict(zip(keys, picks)) for keys in cells])
+
+
+def forward_choices(budget, cells, edges):
+    """``choices(budget, cells)`` with its dead assignments pruned early.
+
+    cells is a sequence of (cell, pool) pairs, each pool a sequence, and
+    edges an iterable of (x, y, ok) constraints between two cells.  Yields,
+    as one dict, each assignment for which every ok(pick at x, pick at y)
+    is true, in ``itertools.product`` order.  Each constraint is tested as
+    soon as both its cells are assigned (forward checking), and a rejected
+    partial assignment ticks the budget once for every complete assignment
+    it stands for.  So the ticks, and where the budget runs out, are those
+    of ``choices`` followed by a filter.  The ok tests must not read the
+    budget.
+    """
+    keys = [cell for cell, _ in cells]
+    pools = [pool for _, pool in cells]
+    if not all(pools):
+        return
+    if not pools:
+        budget.tick()
+        yield {}
+        return
+    level = {cell: i for i, cell in enumerate(keys)}
+    checks = [[] for _ in pools]
+    for x, y, ok in edges:
+        i, j = level[x], level[y]
+        checks[max(i, j)].append((i, j, ok))
+    # below[i]: the complete assignments that one pick at level i leads to
+    below = [1] * len(pools)
+    for i in range(len(pools) - 2, -1, -1):
+        below[i] = below[i + 1] * len(pools[i + 1])
+    last = len(pools) - 1
+    picks = [None] * len(pools)
+    at = [0] * len(pools)
+    i = 0
+    while True:
+        if at[i] == len(pools[i]):
+            if i == 0:
+                return
+            at[i] = 0
+            i -= 1
+            at[i] += 1
+            continue
+        picks[i] = pools[i][at[i]]
+        if not all(ok(picks[a], picks[b]) for a, b, ok in checks[i]):
+            budget.tick_singly(below[i])
+            at[i] += 1
+        elif i < last:
+            i += 1
+        else:
+            budget.tick()
+            yield dict(zip(keys, picks))
+            at[i] += 1
 
 
 @dataclass

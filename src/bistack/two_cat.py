@@ -27,8 +27,9 @@ class Fin2Cat:
     vcomp[(b, a)]: b after a (vertical); hcomp1[(g, f)] / hcomp2: g after f.
 
     Immutable after construction: every table is a read-only mapping, so
-    a write raises TypeError.  The cells between each pair of boundaries
-    are indexed once here; to change a table, build a new Fin2Cat.
+    a write raises TypeError.  The cells between each pair of boundaries,
+    and the 1-cells into each object, are indexed once here; to change a
+    table, build a new Fin2Cat.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
@@ -43,6 +44,12 @@ class Fin2Cat:
         self.hcomp2 = MappingProxyType(dict(hcomp2))
         self._ones = by_boundary(self.onecells)
         self._twos = by_boundary(self.twocells)
+        into = {}
+        for g in sorted(self.onecells):
+            e, d = self.onecells[g]
+            into.setdefault(d, []).append((g, e))
+        self._into = {d: tuple(ge) for d, ge in into.items()}
+        self._triples = None
         self._inverse2 = {}
         self._key = None
 
@@ -64,6 +71,19 @@ class Fin2Cat:
 
     def two_cells_between(self, f, g):
         return self._twos.get((f, g), ())
+
+    def one_cells_into(self, d):
+        """The 1-cells into d with their sources, as (g, e), in id order."""
+        return self._into.get(d, ())
+
+    def composable_triples(self):
+        """Every (e, b, a) with (b, a) in hcomp1 and e a 1-cell out of the
+        target of b: hcomp1 order, then 1-cell order.  Memoised."""
+        if self._triples is None:
+            self._triples = tuple(
+                (e, b, a) for b, a in self.hcomp1 for e in self.onecells
+                if self.tgt1(b) == self.src1(e))
+        return self._triples
 
     # --- composition --------------------------------------------------
     def id1(self, x):
@@ -218,6 +238,14 @@ def _boundaries(table, kind):
     return MappingProxyType(out)
 
 
+def _is_cell(cells, x, boundary):
+    """Is x the id of a cell with this boundary?  False for a non-id."""
+    try:
+        return cells.get(x) == boundary
+    except TypeError:
+        return False
+
+
 def from_fincat(c):
     """A category viewed as a locally discrete 2-category."""
     onecells = {m: (c.src[m], c.tgt[m]) for m in c.morphisms}
@@ -245,6 +273,17 @@ def check_two_category(k, budget=None):
             return failed("check_two_category",
                           ["2-cell %r is not between parallel 1-cells" % x],
                           {"twocell": x})
+    # every later law composes with identities, so they must exist first
+    for x in k.objects:
+        if not _is_cell(k.onecells, k.identity1.get(x), (x, x)):
+            return failed("check_two_category",
+                          ["no identity 1-cell %r -> %r" % (x, x)],
+                          {"object": x})
+    for f in k.onecells:
+        if not _is_cell(k.twocells, k.identity2.get(f), (f, f)):
+            return failed("check_two_category",
+                          ["no identity 2-cell %r => %r" % (f, f)],
+                          {"onecell": f})
     for a in k.objects:
         for b in k.objects:
             r = check_category(k.hom_cat(a, b), budget)

@@ -241,7 +241,7 @@ def _no_identity(k):
 @pytest.mark.parametrize("corrupt, message", [
     (_stray_onecell, "'stray' has a dangling endpoint"),
     (_corrupt_vcomp, "ill-typed composite"),
-    (_no_identity, "malformed (KeyError: 'X')"),
+    (_no_identity, "fails: no identity 1-cell 'X' -> 'X'"),
 ], ids=["unknown-boundary", "vcomp-corrupt", "no-identity"])
 def test_cli_trihom_over_a_bad_base_is_an_input_error(tmp_path, capsys,
                                                       corrupt, message):
@@ -251,6 +251,33 @@ def test_cli_trihom_over_a_bad_base_is_an_input_error(tmp_path, capsys,
     assert _run_raw(tmp_path, raw) == 3
     err = capsys.readouterr().err
     assert "trihoms.F: base two-category" in err and message in err
+
+
+def _no_identity2(k):
+    del k["identity2"]["id_X"]
+
+
+def _listed_identity(k):
+    k["identity1"]["X"] = ["id_X"]
+
+
+@pytest.mark.parametrize("corrupt, witness", [
+    (_no_identity, {"object": "X"}),
+    (_no_identity2, {"onecell": "id_X"}),
+    (_listed_identity, {"object": "X"}),
+], ids=["no-identity", "no-identity2", "unhashable-identity"])
+def test_cli_two_category_without_identities_fails(tmp_path, capsys,
+                                                   corrupt, witness):
+    k = _encode_two_cat(chain_suspension(3))
+    corrupt(k)
+    raw = {"schema": SCHEMA, "two_cats": {"K": k},
+           "checks": {"two_cat:K": {"op": "two_category", "two_cat": "K"}}}
+    path = tmp_path / "doc.site"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail" and report["witness"] == witness
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):

@@ -1,15 +1,19 @@
 import hashlib
+import json
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bistack.bicat3 import representable_trihom
 from bistack.builders import chain_suspension
-from bistack.descent import _all_descent_data_mor, _all_tritransformations, \
-    _all_weak_data, sieve_trihom
+from bistack.descent import _all_descent_data_mor, _all_ps_two_functors, \
+    _all_tritransformations, _all_weak_data, is_2stack, is_2stack_direct, \
+    sieve_trihom
+from bistack.errors import SearchBudgetExceeded
 from bistack.generate import _literalize
-from bistack.report import Budget, choices
-from bistack.sieves import maximal_bisieve
+from bistack.report import Budget, choices, forward_choices, guarded
+from bistack.sieves import Bitopology, maximal_bisieve
 from bistack.workspace import corpus_path, load
 
 
@@ -61,6 +65,62 @@ def test_choices_ticks_before_each_choice():
     assert seen == [1, 2, 3]
 
 
+# --- forward_choices against choices and a filter ----------------------------
+
+def _filtered(budget, cells, edges):
+    """The oracle: every choice over the cells, then the constraints."""
+    for (pick,) in choices(budget, cells):
+        if all(ok(pick[x], pick[y]) for x, y, ok in edges):
+            yield pick
+
+
+def _drain(search, limit, cells, edges):
+    """What a search yields under a limit, its steps, and where it ran out."""
+    budget = Budget(limit)
+    got = []
+    try:
+        for pick in search(budget, cells, edges):
+            got.append((budget.steps, pick))
+    except SearchBudgetExceeded as exc:
+        return got, budget.steps, exc.steps
+    return got, budget.steps, None
+
+
+@st.composite
+def _problems(draw):
+    n = draw(st.integers(0, 5))
+    cells = [("c%d" % i, draw(st.lists(st.integers(0, 3), max_size=3)))
+             for i in range(n)]
+    edges = []
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        allowed = draw(st.frozensets(st.tuples(st.integers(0, 3),
+                                               st.integers(0, 3))))
+        edges.append(("c%d" % x, "c%d" % y,
+                      lambda a, b, allowed=allowed: (a, b) in allowed))
+    return cells, edges
+
+
+@given(_problems())
+@settings(max_examples=150, deadline=None)
+def test_forward_choices_is_choices_then_filter(problem):
+    cells, edges = problem
+    want = _drain(_filtered, None, cells, edges)
+    assert _drain(forward_choices, None, cells, edges) == want
+    # a bulk tick over a pruned branch runs out where single ticks would
+    for limit in range(want[1] + 1):
+        assert _drain(forward_choices, limit, cells, edges) \
+            == _drain(_filtered, limit, cells, edges)
+
+
+def test_bulk_tick_stops_one_past_the_limit():
+    budget = Budget(10)
+    budget.tick_singly(4)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        budget.tick_singly(100)
+    assert budget.steps == exc.value.steps == 11
+
+
 # --- the enumerators' candidate order -----------------------------------------
 
 def _canon(x):
@@ -108,3 +168,86 @@ def test_enumerator_candidate_order_is_pinned():
     assert all(seqs)
     digest = hashlib.sha256(repr(seqs).encode()).hexdigest()
     assert digest == _PINNED
+
+
+# recorded before forward checking was added
+_PS_PINNED = ("924925520e189c76520352d7a364c250"
+              "b5f020cc37d6f6883dc3fef0797b861d")
+
+
+def _ps_sequences(n):
+    """Every pseudofunctor candidate, and the steps, of rung n's direct
+    decider: from each sieve's value to the trihom's value at each object."""
+    k = chain_suspension(n)
+    F = representable_trihom(k, "Y")
+    out = []
+    for c0 in sorted(k.objects):
+        R = sieve_trihom(_literalize(maximal_bisieve(k, c0)))
+        for c in sorted(k.objects):
+            budget = Budget()
+            seq = [_canon((h.ob, h.on1, h.on2, h.chi, h.unit))
+                   for h in _all_ps_two_functors(R.ob[c], F.ob[c], budget)]
+            out.append((seq, budget.steps))
+    return out
+
+
+def test_ps_two_functor_candidates_are_pinned():
+    seqs = [_ps_sequences(3), _ps_sequences(4)]
+    assert all(seq for rung in seqs for seq, _ in rung)
+    digest = hashlib.sha256(repr(seqs).encode()).hexdigest()
+    assert digest == _PS_PINNED
+
+
+# --- the deciders' steps on ladder rungs ----------------------------------------
+
+def _rung(n):
+    """Ladder rung n: the chain suspension under its maximal sieves, with
+    the trihom represented at Y."""
+    k = chain_suspension(n)
+    tau = Bitopology(k, {c: [_literalize(maximal_bisieve(k, c))]
+                         for c in k.objects})
+    return representable_trihom(k, "Y"), tau
+
+
+_DECIDERS = {"2stack": is_2stack, "2stack_direct": is_2stack_direct}
+
+
+def _decide(op, n, limit=None):
+    F, tau = _rung(n)
+    budget = Budget(limit)
+    r = guarded(op, budget, _DECIDERS[op], F, tau, budget)
+    return r.verdict, r.witness, budget.steps
+
+
+# steps recorded before forward checking was added
+_STEPS = {("2stack", 3): 431, ("2stack", 4): 965, ("2stack", 5): 4608,
+          ("2stack_direct", 3): 1219, ("2stack_direct", 4): 4277,
+          ("2stack_direct", 5): 22757}
+
+
+@pytest.mark.parametrize("op, n", sorted(_STEPS))
+def test_decider_steps_are_pinned(op, n):
+    assert _decide(op, n) == ("pass", {}, _STEPS[op, n])
+
+
+def _budget_sweep():
+    """Both deciders on rung 4 under 20 limits from 0 to their full steps."""
+    rows = []
+    for op in sorted(_DECIDERS):
+        total = _STEPS[op, 4]
+        for i in range(20):
+            limit = total * i // 19
+            rows.append((op, limit) + _decide(op, 4, limit))
+    return rows
+
+
+# recorded before forward checking was added
+_SWEEP_PINNED = ("db8ce5c38e09c1c39d48548dab6ba461"
+                 "5b60053871e050e9e7afe670a9d25e27")
+
+
+def test_budget_sweep_is_pinned():
+    rows = _budget_sweep()
+    assert rows[-1][2] == "pass" and rows[0][2] == "inconclusive"
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _SWEEP_PINNED

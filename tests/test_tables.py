@@ -72,6 +72,11 @@ def test_fin2cat_lookups_match_brute_force(structures):
         for a in objs:
             for b in objs:
                 assert k.one_cells_between(a, b) == _scan(k.onecells, a, b)
+            assert k.one_cells_into(a) == tuple(
+                (g, e) for g, (e, d) in sorted(k.onecells.items()) if d == a)
+        assert k.composable_triples() == tuple(
+            (e, b, a) for b, a in k.hcomp1 for e in k.onecells
+            if k.onecells[b][1] == k.onecells[e][0])
         for f in k.onecells:
             for g in k.onecells:
                 assert k.two_cells_between(f, g) \
