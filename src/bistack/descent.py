@@ -26,6 +26,13 @@ morphisms of the value at the sieve's target; f, f' members; g, h base
                         phi[(f, g)]:  W_tilde -> g*W_f  (an equivalence)
   with comparison 2-cells rho, beta, rho2, alpha as documented on the
   class.
+
+Each datum's cell typing is declared once: ``_ddm_members`` and
+``_ddm_cells`` list the morphism datum's cells with their boundaries, and
+``_wdd_cells`` the weak datum's comparison 2-cells.  The checkers type the
+recorded cells against that declaration, the enumerators draw each cell
+from the invertible 2-cells of its boundary, and ``weak_datum_from_object``
+sets each comparison cell to the identity on its target.
 """
 
 from .errors import MalformedTable
@@ -33,7 +40,8 @@ from .fincat import FinCat, Functor, NatTrans, all_functors, all_nat_trans, \
     compose_functors, is_equivalence
 from .two_cat import PsNatTrans, CatModification, check_ps_nat, \
     check_modification, from_fincat
-from .sieves import sieve_presheaf, representable, _compositor_cell
+from .sieves import sieve_presheaf, representable, _compositor_cell, \
+    _restrict_cell
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
@@ -81,21 +89,6 @@ def _restrict_member_cell(s, f, f2, gamma, g):
     ])
 
 
-def _g_leg_cell(s, f, g, delta, g2):
-    """Restriction of a member along delta: g => g2, tilde(f,g)=>tilde(f,g2)."""
-    k = s.k
-    return k.v_path([
-        k.inverse2(s.sigma[(f, g2)]),
-        k.wl(f, delta),
-        s.sigma[(f, g)],
-    ])
-
-
-def _connector(s, f, g, h):
-    """tilde(tilde(f,g), h) => tilde(f, g.h)."""
-    return _compositor_cell(s, f, g, h)
-
-
 def _cells_into(s):
     """Base 1-cells into each member's source: (D, f, E, g) quadruples."""
     for d, f in s.all_members():
@@ -103,9 +96,45 @@ def _cells_into(s):
             yield d, f, e, g
 
 
+def _legs(s):
+    """Base 2-cells delta: g => g2 between 1-cells into each member's
+    source, as (D, f, E, g, delta, g2): members in order, delta in id
+    order."""
+    k = s.k
+    into = {}
+    for delta, (g, g2) in sorted(k.twocells.items()):
+        e, d = k.onecells[g]
+        into.setdefault(d, []).append((e, g, delta, g2))
+    for d, f in s.all_members():
+        for e, g, delta, g2 in into.get(d, ()):
+            yield d, f, e, g, delta, g2
+
+
 def _isos(val, src, tgt):
     """The invertible 2-cells src => tgt of val, in id order."""
     return [c for c in val.two_cells_between(src, tgt) if val.invertible2(c)]
+
+
+def _mistyped(val, cell, src, tgt):
+    """Is a recorded comparison cell missing, off src => tgt in val, or
+    not invertible?"""
+    return cell is None or val.twocells.get(cell) != (src, tgt) \
+        or not val.invertible2(cell)
+
+
+def _iso_pools(cells):
+    """The declared comparison cells as choices pairs: ((table, key),
+    the invertible 2-cells of the cell's boundary)."""
+    for table, key, _, val, src, tgt in cells:
+        yield (table, key), _isos(val, src, tgt)
+
+
+def _tables(cells, *names):
+    """Split a map keyed by (table, key) into one dict per table name."""
+    out = {name: {} for name in names}
+    for (table, key), cell in cells.items():
+        out[table][key] = cell
+    return [out[name] for name in names]
 
 
 # --- matching families of 2-cells ------------------------------------------
@@ -233,47 +262,45 @@ def descent_datum_from_morphism(F, S, w0):
     return DescentDatumMorphisms(F, S, X, Y, w, phi, eta)
 
 
+def _ddm_members(F, s, X, Y):
+    """The member 1-cells of a morphism datum: (f, value, src, tgt) for
+    every w[f]: f*X -> f*Y."""
+    for d, f in s.all_members():
+        yield f, F.ob[d], F.on1[f].ob[X], F.on1[f].ob[Y]
+
+
+def _ddm_cells(F, s, X, Y, w):
+    """The comparison 2-cells of a morphism datum over the 1-cells w, in
+    check order: (table, key, witness, value, src, tgt) for every phi,
+    then every eta."""
+    for d, f, e, g in _cells_into(s):
+        val_e = F.ob[e]
+        sig = F.on2[s.sigma[(f, g)]]
+        yield ("phi", (f, g), {"member": f, "onecell": g}, val_e,
+               val_e.c1(F.on1[g].on1[w[f]], sig.comp[X]),
+               val_e.c1(sig.comp[Y], w[s.tilde[(f, g)]]))
+    for d, f, f2, gamma in _member_two_cells(s):
+        val_d = F.ob[d]
+        yield ("eta", gamma, {"twocell": gamma}, val_d,
+               val_d.c1(w[f2], F.on2[gamma].comp[X]),
+               val_d.c1(F.on2[gamma].comp[Y], w[f]))
+
+
 def _ddm_boundaries(dd):
     """Typing of every recorded piece; None on success, report on failure."""
     F, s = dd.F, dd.S
-    k = s.k
-    for d, f in s.all_members():
-        hf = F.on1[f]
-        val_d = F.ob[d]
+    for f, val, src, tgt in _ddm_members(F, s, dd.X, dd.Y):
         cell = dd.w.get(f)
-        if cell is None or val_d.onecells.get(cell) != (hf.ob[dd.X],
-                                                        hf.ob[dd.Y]):
+        if cell is None or val.onecells.get(cell) != (src, tgt):
             return failed("check_descent_datum_mor",
                           ["member morphism at %r missing or mistyped" % f],
                           {"member": f})
-    for d, f, e, g in _cells_into(s):
-        t = s.tilde[(f, g)]
-        sig = s.sigma[(f, g)]
-        val_e = F.ob[e]
-        s_x = F.on2[sig].comp[dd.X]
-        s_y = F.on2[sig].comp[dd.Y]
-        src = val_e.c1(F.on1[g].on1[dd.w[f]], s_x)
-        tgt = val_e.c1(s_y, dd.w[t])
-        cell = dd.phi.get((f, g))
-        if cell is None or val_e.twocells.get(cell) != (src, tgt) \
-                or not val_e.invertible2(cell):
+    for table, key, witness, val, src, tgt in _ddm_cells(F, s, dd.X, dd.Y,
+                                                         dd.w):
+        if _mistyped(val, getattr(dd, table).get(key), src, tgt):
             return failed("check_descent_datum_mor",
-                          ["comparison phi at (%r, %r) missing, mistyped or "
-                           "not invertible" % (f, g)],
-                          {"member": f, "onecell": g})
-    for d, f, f2, gamma in _member_two_cells(s):
-        val_d = F.ob[d]
-        g_x = F.on2[gamma].comp[dd.X]
-        g_y = F.on2[gamma].comp[dd.Y]
-        src = val_d.c1(dd.w[f2], g_x)
-        tgt = val_d.c1(g_y, dd.w[f])
-        cell = dd.eta.get(gamma)
-        if cell is None or val_d.twocells.get(cell) != (src, tgt) \
-                or not val_d.invertible2(cell):
-            return failed("check_descent_datum_mor",
-                          ["comparison eta at %r missing, mistyped or not "
-                           "invertible" % gamma],
-                          {"twocell": gamma})
+                          ["comparison %s at %r missing, mistyped or not "
+                           "invertible" % (table, key)], witness)
     return None
 
 
@@ -301,7 +328,7 @@ def check_descent_datum_mor(dd, budget=None):
         for h, l in k.one_cells_into(e):
             budget.tick()
             gh = k.c1(g, h)
-            theta = _connector(s, f, g, h)
+            theta = _compositor_cell(s, f, g, h)
             val_l = F.ob[l]
             hh = F.on1[h]
             s2_x = F.on2[s.sigma[(t1, h)]].comp[dd.X]
@@ -358,28 +385,23 @@ def check_descent_datum_mor(dd, budget=None):
                               {"twocell": gamma, "onecell": g,
                                "lhs": lhs, "rhs": rhs})
     # phi/eta compatibility along 2-cells of the restriction leg
-    for d, f in s.all_members():
-        for delta, (g, g2) in sorted(k.twocells.items()):
-            if k.onecells[g][1] != d:
-                continue
-            budget.tick()
-            e = k.onecells[g][0]
-            val_e = F.ob[e]
-            df = _g_leg_cell(s, f, g, delta, g2)
-            s_x = F.on2[s.sigma[(f, g)]].comp[dd.X]
-            s2_y = F.on2[s.sigma[(f, g2)]].comp[dd.Y]
-            df_x = F.on2[df].comp[dd.X]
-            f_y = F.on1[f].ob[dd.Y]
-            lhs = val_e.v(val_e.wl(s2_y, dd.eta[df]),
-                          val_e.wr(dd.phi[(f, g2)], df_x))
-            rhs = val_e.v(val_e.wl(F.on2[delta].comp[f_y], dd.phi[(f, g)]),
-                          val_e.wr(F.on2[delta].cell[dd.w[f]], s_x))
-            if lhs != rhs:
-                return failed("check_descent_datum_mor",
-                              ["phi square over %r fails at %r"
-                               % (delta, f)],
-                              {"twocell": delta, "member": f,
-                               "lhs": lhs, "rhs": rhs})
+    for d, f, e, g, delta, g2 in _legs(s):
+        budget.tick()
+        val_e = F.ob[e]
+        df = _restrict_cell(s, f, g, delta, g2)
+        s_x = F.on2[s.sigma[(f, g)]].comp[dd.X]
+        s2_y = F.on2[s.sigma[(f, g2)]].comp[dd.Y]
+        df_x = F.on2[df].comp[dd.X]
+        f_y = F.on1[f].ob[dd.Y]
+        lhs = val_e.v(val_e.wl(s2_y, dd.eta[df]),
+                      val_e.wr(dd.phi[(f, g2)], df_x))
+        rhs = val_e.v(val_e.wl(F.on2[delta].comp[f_y], dd.phi[(f, g)]),
+                      val_e.wr(F.on2[delta].cell[dd.w[f]], s_x))
+        if lhs != rhs:
+            return failed("check_descent_datum_mor",
+                          ["phi square over %r fails at %r" % (delta, f)],
+                          {"twocell": delta, "member": f,
+                           "lhs": lhs, "rhs": rhs})
     return passed("check_descent_datum_mor",
                   ["%d member morphisms checked" % len(dd.w)])
 
@@ -528,45 +550,52 @@ def weak_datum_from_object(F, S, W0):
     eta = {}
     for d, f, f2, gamma in _member_two_cells(S):
         eta[gamma] = F.on2[gamma].comp[W0]
-    phi, phi_inv, rho = {}, {}, {}
+    phi, phi_inv = {}, {}
     for d, f, e, g in _cells_into(S):
         sig = S.sigma[(f, g)]
-        val_e = F.ob[e]
         phi[(f, g)] = F.on2[sig].comp[W0]
         phi_inv[(f, g)] = F.on2[k.inverse2(sig)].comp[W0]
-    for d, f in S.all_members():
-        val_d = F.ob[d]
-        rho[f] = val_d.id2(val_d.id1(W[f]))
-    beta, rho2, alpha = {}, {}, {}
-    for d, f, e, g in _cells_into(S):
-        for h, l in k.one_cells_into(e):
-            val_l = F.ob[l]
-            theta = _connector(S, f, g, h)
-            beta[(f, g, h)] = val_l.id2(val_l.c1(
-                F.on2[S.sigma[(f, k.c1(g, h))]].comp[W0],
-                F.on2[theta].comp[W0]))
-    for d, f, f2, gamma in _member_two_cells(S):
-        for g, e in k.one_cells_into(d):
-            val_e = F.ob[e]
-            gg = _restrict_member_cell(S, f, f2, gamma, g)
-            rho2[(gamma, g)] = val_e.id2(val_e.c1(
-                F.on2[S.sigma[(f2, g)]].comp[W0], F.on2[gg].comp[W0]))
-    for d, f in S.all_members():
-        for delta, (g, g2) in sorted(k.twocells.items()):
-            if k.onecells[g][1] != d:
-                continue
-            e = k.onecells[g][0]
-            val_e = F.ob[e]
-            df = _g_leg_cell(S, f, g, delta, g2)
-            alpha[(f, delta)] = val_e.id2(val_e.c1(
-                F.on2[S.sigma[(f, g2)]].comp[W0], F.on2[df].comp[W0]))
+    ids = {(table, key): val.id2(tgt) for table, key, _, val, _, tgt
+           in _wdd_cells(F, S, W, eta, phi)}
+    rho, beta, rho2, alpha = _tables(ids, "rho", "beta", "rho2", "alpha")
     return WeakDescentDatum(F, S, W, eta, phi, phi_inv, rho, beta,
                             rho2, alpha)
 
 
+def _wdd_cells(F, s, W, eta, phi):
+    """The comparison 2-cells of a weak datum over the objects W, the
+    transitions eta and the equivalences phi, in check order: (table, key,
+    witness, value, src, tgt) for every rho, beta, rho2, then alpha."""
+    k = s.k
+    for d, f in s.all_members():
+        val_d = F.ob[d]
+        yield ("rho", f, {"member": f}, val_d,
+               phi[(f, k.id1(d))], val_d.id1(W[f]))
+    for d, f, e, g in _cells_into(s):
+        t1 = s.tilde[(f, g)]
+        for h, l in k.one_cells_into(e):
+            val_l = F.ob[l]
+            theta = _compositor_cell(s, f, g, h)
+            yield ("beta", (f, g, h), {"member": f, "pair": [g, h]}, val_l,
+                   val_l.c1(F.on1[h].on1[phi[(f, g)]], phi[(t1, h)]),
+                   val_l.c1(phi[(f, k.c1(g, h))], eta[theta]))
+    for d, f, f2, gamma in _member_two_cells(s):
+        for g, e in k.one_cells_into(d):
+            val_e = F.ob[e]
+            gg = _restrict_member_cell(s, f, f2, gamma, g)
+            yield ("rho2", (gamma, g), {"twocell": gamma, "onecell": g},
+                   val_e, val_e.c1(F.on1[g].on1[eta[gamma]], phi[(f, g)]),
+                   val_e.c1(phi[(f2, g)], eta[gg]))
+    for d, f, e, g, delta, g2 in _legs(s):
+        val_e = F.ob[e]
+        df = _restrict_cell(s, f, g, delta, g2)
+        yield ("alpha", (f, delta), {"member": f, "twocell": delta}, val_e,
+               val_e.c1(F.on2[delta].comp[W[f]], phi[(f, g)]),
+               val_e.c1(phi[(f, g2)], eta[df]))
+
+
 def _wdd_boundaries(wdd, budget):
     F, s = wdd.F, wdd.S
-    k = s.k
     for d, f in s.all_members():
         val_d = F.ob[d]
         if wdd.W.get(f) not in val_d.objects:
@@ -601,82 +630,23 @@ def _wdd_boundaries(wdd, budget):
                           ["phi at (%r, %r) is not an equivalence via the "
                            "recorded pseudo-inverse" % (f, g)],
                           {"member": f, "onecell": g})
-    for d, f in s.all_members():
-        val_d = F.ob[d]
-        cell = wdd.rho.get(f)
-        want = (wdd.phi[(f, k.id1(d))], val_d.id1(wdd.W[f]))
-        if cell is None or val_d.twocells.get(cell) != want \
-                or not val_d.invertible2(cell):
+    for table, key, witness, val, src, tgt in _wdd_cells(F, s, wdd.W,
+                                                         wdd.eta, wdd.phi):
+        if table != "rho":  # typing rho spends no step, the others one
+            budget.tick()
+        if _mistyped(val, getattr(wdd, table).get(key), src, tgt):
             return failed("check_weak_descent_datum",
-                          ["rho at %r missing, mistyped or not invertible"
-                           % f], {"member": f})
+                          ["%s at %r missing, mistyped or not invertible"
+                           % (table, key)], witness)
     return None
-
-
-def _wdd_beta_key_data(wdd, f, g, h):
-    s, F = wdd.S, wdd.F
-    k = s.k
-    t1 = s.tilde[(f, g)]
-    gh = k.c1(g, h)
-    theta = _connector(s, f, g, h)
-    l = k.onecells[h][0]
-    val_l = F.ob[l]
-    src = val_l.c1(F.on1[h].on1[wdd.phi[(f, g)]], wdd.phi[(t1, h)])
-    tgt = val_l.c1(wdd.phi[(f, gh)], wdd.eta[theta])
-    return t1, gh, theta, val_l, src, tgt
 
 
 def check_weak_descent_datum(wdd, budget=None):
     budget = budget or Budget()
-    F, s = wdd.F, wdd.S
-    _ensure_strict_values(F)
-    k = s.k
+    _ensure_strict_values(wdd.F)
     bad = _wdd_boundaries(wdd, budget)
     if bad is not None:
         return bad
-    # remaining comparison cells: boundary + invertibility
-    for d, f, e, g in _cells_into(s):
-        for h, l in k.one_cells_into(e):
-            budget.tick()
-            _, _, _, val_l, src, tgt = _wdd_beta_key_data(wdd, f, g, h)
-            cell = wdd.beta.get((f, g, h))
-            if cell is None or val_l.twocells.get(cell) != (src, tgt) \
-                    or not val_l.invertible2(cell):
-                return failed("check_weak_descent_datum",
-                              ["beta at (%r, %r, %r) missing, mistyped or "
-                               "not invertible" % (f, g, h)],
-                              {"member": f, "pair": [g, h]})
-    for d, f, f2, gamma in _member_two_cells(s):
-        for g, e in k.one_cells_into(d):
-            budget.tick()
-            val_e = F.ob[e]
-            gg = _restrict_member_cell(s, f, f2, gamma, g)
-            src = val_e.c1(F.on1[g].on1[wdd.eta[gamma]], wdd.phi[(f, g)])
-            tgt = val_e.c1(wdd.phi[(f2, g)], wdd.eta[gg])
-            cell = wdd.rho2.get((gamma, g))
-            if cell is None or val_e.twocells.get(cell) != (src, tgt) \
-                    or not val_e.invertible2(cell):
-                return failed("check_weak_descent_datum",
-                              ["rho2 at (%r, %r) missing, mistyped or not "
-                               "invertible" % (gamma, g)],
-                              {"twocell": gamma, "onecell": g})
-    for d, f in s.all_members():
-        for delta, (g, g2) in sorted(k.twocells.items()):
-            if k.onecells[g][1] != d:
-                continue
-            budget.tick()
-            e = k.onecells[g][0]
-            val_e = F.ob[e]
-            df = _g_leg_cell(s, f, g, delta, g2)
-            src = val_e.c1(F.on2[delta].comp[wdd.W[f]], wdd.phi[(f, g)])
-            tgt = val_e.c1(wdd.phi[(f, g2)], wdd.eta[df])
-            cell = wdd.alpha.get((f, delta))
-            if cell is None or val_e.twocells.get(cell) != (src, tgt) \
-                    or not val_e.invertible2(cell):
-                return failed("check_weak_descent_datum",
-                              ["alpha at (%r, %r) missing, mistyped or not "
-                               "invertible" % (f, delta)],
-                              {"member": f, "twocell": delta})
     # the coherence displays, quantified over the connecting isos
     found, last = _wdd_coherences(wdd, budget)
     if not found:
@@ -776,29 +746,25 @@ def _wdd_displays(wdd, u, cc, budget):
                                 "(%r, %r, %r)" % (delta, gamma, g),
                                 {"pair": [delta, gamma], "onecell": g})
     # alpha against vertical composition of restriction 2-cells
-    for d, f in s.all_members():
-        for delta, (g, g2) in sorted(k.twocells.items()):
-            if k.onecells[g][1] != d:
-                continue
-            for eps, (g2b, g3) in sorted(k.twocells.items()):
-                if g2b != g2:
-                    continue
-                budget.tick()
-                e = k.onecells[g][0]
-                val_e = F.ob[e]
-                df = _g_leg_cell(s, f, g, delta, g2)
-                ef = _g_leg_cell(s, f, g2, eps, g3)
-                lhs = val_e.v(
-                    val_e.wl(wdd.phi[(f, g3)], cc[(ef, df)]),
-                    wdd.alpha[(f, k.v(eps, delta))])
-                rhs = val_e.v(
-                    val_e.wr(wdd.alpha[(f, eps)], wdd.eta[df]),
-                    val_e.wl(F.on2[eps].comp[wdd.W[f]],
-                             wdd.alpha[(f, delta)]))
-                if lhs != rhs:
-                    return ("composition display for alpha fails at "
-                            "(%r, %r, %r)" % (eps, delta, f),
-                            {"pair": [eps, delta], "member": f})
+    out_of = {}
+    for eps, (g2, g3) in sorted(k.twocells.items()):
+        out_of.setdefault(g2, []).append((eps, g3))
+    for d, f, e, g, delta, g2 in _legs(s):
+        for eps, g3 in out_of.get(g2, ()):
+            budget.tick()
+            val_e = F.ob[e]
+            df = _restrict_cell(s, f, g, delta, g2)
+            ef = _restrict_cell(s, f, g2, eps, g3)
+            lhs = val_e.v(
+                val_e.wl(wdd.phi[(f, g3)], cc[(ef, df)]),
+                wdd.alpha[(f, k.v(eps, delta))])
+            rhs = val_e.v(
+                val_e.wr(wdd.alpha[(f, eps)], wdd.eta[df]),
+                val_e.wl(F.on2[eps].comp[wdd.W[f]], wdd.alpha[(f, delta)]))
+            if lhs != rhs:
+                return ("composition display for alpha fails at "
+                        "(%r, %r, %r)" % (eps, delta, f),
+                        {"pair": [eps, delta], "member": f})
     # naturality of beta against rho2
     for d, f, f2, gamma in _member_two_cells(s):
         for g, e in k.one_cells_into(d):
@@ -810,8 +776,8 @@ def _wdd_displays(wdd, u, cc, budget):
                 val_l = F.ob[l]
                 gh = k.c1(g, h)
                 hh = F.on1[h]
-                theta = _connector(s, f, g, h)
-                theta2 = _connector(s, f2, g, h)
+                theta = _compositor_cell(s, f, g, h)
+                theta2 = _compositor_cell(s, f2, g, h)
                 ggh = _restrict_member_cell(s, t1, t1b, gg, h)
                 g_gh = _restrict_member_cell(s, f, f2, gamma, gh)
                 e_cell = val_l.v(
@@ -845,10 +811,10 @@ def _wdd_displays(wdd, u, cc, budget):
                 ht = k.c1(h, tt)
                 gh = k.c1(g, h)
                 ght = k.c1(g, ht)
-                theta_a = _connector(s, t1, h, tt)
-                theta_b = _connector(s, f, g, ht)
-                theta_c = _connector(s, f, g, h)
-                theta_d = _connector(s, f, gh, tt)
+                theta_a = _compositor_cell(s, t1, h, tt)
+                theta_b = _compositor_cell(s, f, g, ht)
+                theta_c = _compositor_cell(s, f, g, h)
+                theta_d = _compositor_cell(s, f, gh, tt)
                 theta_e = _restrict_member_cell(
                     s, t2, s.tilde[(f, gh)], theta_c, tt)
                 side1 = val_m.v(
@@ -999,28 +965,21 @@ def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
                 if lhs != rhs:
                     return False
     # compatibility over 2-cells of the restriction leg
-    for d, f in s.all_members():
-        for delta, (g, g2) in sorted(k.twocells.items()):
-            if k.onecells[g][1] != d:
-                continue
-            budget.tick()
-            e = k.onecells[g][0]
-            val_e = F.ob[e]
-            df = _g_leg_cell(s, f, g, delta, g2)
-            t2 = s.tilde[(f, g2)]
-            s2_w = F.on2[s.sigma[(f, g2)]].comp[W]
-            f_w = F.on1[f].ob[W]
-            side1 = val_e.v(
-                val_e.wl(s2_w, pc[df]),
-                val_e.wl(F.on2[delta].comp[f_w], eps[(f, g)]))
-            lhs = val_e.v(side1,
-                          val_e.wr(F.on2[delta].cell[psi[f]],
-                                   wdd.phi[(f, g)]))
-            rhs = val_e.v(val_e.wr(eps[(f, g2)], wdd.eta[df]),
-                          val_e.wl(F.on1[g2].on1[psi[f]],
-                                   wdd.alpha[(f, delta)]))
-            if lhs != rhs:
-                return False
+    for d, f, e, g, delta, g2 in _legs(s):
+        budget.tick()
+        val_e = F.ob[e]
+        df = _restrict_cell(s, f, g, delta, g2)
+        s2_w = F.on2[s.sigma[(f, g2)]].comp[W]
+        f_w = F.on1[f].ob[W]
+        side1 = val_e.v(
+            val_e.wl(s2_w, pc[df]),
+            val_e.wl(F.on2[delta].comp[f_w], eps[(f, g)]))
+        lhs = val_e.v(side1,
+                      val_e.wr(F.on2[delta].cell[psi[f]], wdd.phi[(f, g)]))
+        rhs = val_e.v(val_e.wr(eps[(f, g2)], wdd.eta[df]),
+                      val_e.wl(F.on1[g2].on1[psi[f]], wdd.alpha[(f, delta)]))
+        if lhs != rhs:
+            return False
     # compatibility over composable restriction legs
     for d, f, e, g in _cells_into(s):
         t1 = s.tilde[(f, g)]
@@ -1030,7 +989,7 @@ def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
             val_l = F.ob[l]
             hh = F.on1[h]
             gh = k.c1(g, h)
-            theta = _connector(s, f, g, h)
+            theta = _compositor_cell(s, f, g, h)
             s3_w = F.on2[s.sigma[(f, gh)]].comp[W]
             side1 = val_l.v(
                 val_l.wl(hh.on1[s1_w], eps[(t1, h)]),
@@ -1206,35 +1165,15 @@ def _all_matching_families(F, s, a, b, budget):
 
 
 def _all_descent_data_mor(F, s, budget):
-    k = s.k
     val_c = F.ob[s.target]
-
-    def morphisms(X, Y):
-        for _, f in s.all_members():
-            hf = F.on1[f]
-            yield f, F.ob[k.onecells[f][0]].one_cells_between(hf.ob[X],
-                                                              hf.ob[Y])
-
-    def phis(X, Y, w):
-        for d, f, e, g in _cells_into(s):
-            val_e = F.ob[e]
-            sig = F.on2[s.sigma[(f, g)]]
-            yield (f, g), _isos(val_e,
-                                val_e.c1(F.on1[g].on1[w[f]], sig.comp[X]),
-                                val_e.c1(sig.comp[Y], w[s.tilde[(f, g)]]))
-
-    def etas(X, Y, w):
-        for d, f, f2, gamma in _member_two_cells(s):
-            val_d = F.ob[d]
-            yield gamma, _isos(val_d,
-                               val_d.c1(w[f2], F.on2[gamma].comp[X]),
-                               val_d.c1(F.on2[gamma].comp[Y], w[f]))
-
     for X in sorted(val_c.objects):
         for Y in sorted(val_c.objects):
-            for (w,) in choices(budget, morphisms(X, Y)):
-                for phi, eta in choices(budget, phis(X, Y, w),
-                                        etas(X, Y, w)):
+            members = ((f, val.one_cells_between(src, tgt))
+                       for f, val, src, tgt in _ddm_members(F, s, X, Y))
+            for (w,) in choices(budget, members):
+                pools = _iso_pools(_ddm_cells(F, s, X, Y, w))
+                for (cells,) in choices(budget, pools):
+                    phi, eta = _tables(cells, "phi", "eta")
                     dd = DescentDatumMorphisms(F, s, X, Y, w, phi, eta)
                     if check_descent_datum_mor(dd, budget).ok:
                         yield dd
@@ -1269,55 +1208,14 @@ def _all_weak_data(F, s, budget):
         for eta, pairs in choices(budget, transitions(W), equivalences(W)):
             phi = {key: p for key, (p, _) in pairs.items()}
             phi_inv = {key: q for key, (_, q) in pairs.items()}
-            for rho, beta, rho2, alpha in _weak_comparison_cells(
-                    F, s, W, eta, phi, budget):
+            pools = _iso_pools(_wdd_cells(F, s, W, eta, phi))
+            for (cells,) in choices(budget, pools):
+                rho, beta, rho2, alpha = _tables(cells, "rho", "beta",
+                                                 "rho2", "alpha")
                 wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv,
                                        rho, beta, rho2, alpha)
                 if check_weak_descent_datum(wdd, budget).ok:
                     yield wdd
-
-
-def _weak_comparison_cells(F, s, W, eta, phi, budget):
-    """All boundary-typed invertible comparison families for a weak datum
-    skeleton, as (rho, beta, rho2, alpha) tables."""
-    k = s.k
-
-    def rhos():
-        for d, f in s.all_members():
-            val_d = F.ob[d]
-            yield f, _isos(val_d, phi[(f, k.id1(d))], val_d.id1(W[f]))
-
-    def betas():
-        for d, f, e, g in _cells_into(s):
-            t1 = s.tilde[(f, g)]
-            for h, l in k.one_cells_into(e):
-                val_l = F.ob[l]
-                theta = _connector(s, f, g, h)
-                yield (f, g, h), _isos(
-                    val_l, val_l.c1(F.on1[h].on1[phi[(f, g)]], phi[(t1, h)]),
-                    val_l.c1(phi[(f, k.c1(g, h))], eta[theta]))
-
-    def rho2s():
-        for d, f, f2, gamma in _member_two_cells(s):
-            for g, e in k.one_cells_into(d):
-                val_e = F.ob[e]
-                gg = _restrict_member_cell(s, f, f2, gamma, g)
-                yield (gamma, g), _isos(
-                    val_e, val_e.c1(F.on1[g].on1[eta[gamma]], phi[(f, g)]),
-                    val_e.c1(phi[(f2, g)], eta[gg]))
-
-    def alphas():
-        for d, f in s.all_members():
-            for delta, (g, g2) in sorted(k.twocells.items()):
-                if k.onecells[g][1] != d:
-                    continue
-                val_e = F.ob[k.onecells[g][0]]
-                df = _g_leg_cell(s, f, g, delta, g2)
-                yield (f, delta), _isos(
-                    val_e, val_e.c1(F.on2[delta].comp[W[f]], phi[(f, g)]),
-                    val_e.c1(phi[(f, g2)], eta[df]))
-
-    return choices(budget, rhos(), betas(), rho2s(), alphas())
 
 
 def _parallel_pairs(val):

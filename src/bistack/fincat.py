@@ -136,6 +136,14 @@ def by_boundary(boundary):
     return {b: tuple(xs) for b, xs in index.items()}
 
 
+def _is_cell(cells, x, boundary):
+    """Is x the id of a cell with this boundary?  False for a non-id."""
+    try:
+        return cells.get(x) == boundary
+    except TypeError:
+        return False
+
+
 def discrete(objects):
     objects = list(objects)
     ids = {o: "id_%s" % o for o in objects}
@@ -182,7 +190,8 @@ def check_category(c, budget=None):
                     return failed("check_category",
                                   ["missing composite (%r, %r)" % (g, f)],
                                   {"pair": [g, f]})
-                if c.src.get(h) != c.src[f] or c.tgt.get(h) != c.tgt[g]:
+                if not (_is_cell(c.src, h, c.src[f])
+                        and _is_cell(c.tgt, h, c.tgt[g])):
                     return failed("check_category",
                                   ["ill-typed composite (%r, %r)" % (g, f)],
                                   {"pair": [g, f], "composite": h})

@@ -27,15 +27,11 @@ class Budget:
         self.steps = 0
 
     def tick(self, n=1):
-        self.steps += n
-        if self.limit is not None and self.steps > self.limit:
-            raise SearchBudgetExceeded(steps=self.steps)
-
-    def tick_singly(self, n):
-        """Spend n steps as n calls of tick() would: an overrun stops at
+        """Spend n steps as n calls of tick(1) would: an overrun stops at
         the first step past the limit, not at the n-th."""
         if self.limit is not None and self.steps + n > self.limit:
-            self.tick(max(1, self.limit + 1 - self.steps))
+            self.steps = max(self.steps + 1, self.limit + 1)
+            raise SearchBudgetExceeded(steps=self.steps)
         self.steps += n
 
 
@@ -109,7 +105,7 @@ def forward_choices(budget, cells, edges):
             continue
         picks[i] = pools[i][at[i]]
         if not all(ok(picks[a], picks[b]) for a, b, ok in checks[i]):
-            budget.tick_singly(below[i])
+            budget.tick(below[i])
             at[i] += 1
         elif i < last:
             i += 1

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .fincat import FinCat, by_boundary, check_functor, check_nat
+from .fincat import FinCat, _is_cell, by_boundary, check_functor, \
+    check_nat
 from .report import Budget, failed, passed
 
 
@@ -238,14 +239,6 @@ def _boundaries(table, kind):
     return MappingProxyType(out)
 
 
-def _is_cell(cells, x, boundary):
-    """Is x the id of a cell with this boundary?  False for a non-id."""
-    try:
-        return cells.get(x) == boundary
-    except TypeError:
-        return False
-
-
 def from_fincat(c):
     """A category viewed as a locally discrete 2-category."""
     onecells = {m: (c.src[m], c.tgt[m]) for m in c.morphisms}
@@ -296,8 +289,8 @@ def check_two_category(k, budget=None):
         for f in k.onecells:
             budget.tick()
             if k.tgt1(f) == k.src1(g):
-                h = k.hcomp1.get((g, f))
-                if h is None or k.onecells.get(h) != (k.src1(f), k.tgt1(g)):
+                if not _is_cell(k.onecells, k.hcomp1.get((g, f)),
+                                (k.src1(f), k.tgt1(g))):
                     return failed("check_two_category",
                                   ["bad 1-composite (%r, %r)" % (g, f)],
                                   {"pair": [g, f]})
@@ -329,9 +322,8 @@ def check_two_category(k, budget=None):
                                    % (b, a)], {"pair": [b, a]})
                 continue
             budget.tick()
-            c = k.hcomp2.get((b, a))
             want = (k.c1(k.src2(b), k.src2(a)), k.c1(k.tgt2(b), k.tgt2(a)))
-            if c is None or k.twocells.get(c) != want:
+            if not _is_cell(k.twocells, k.hcomp2.get((b, a)), want):
                 return failed("check_two_category",
                               ["bad 2-composite (%r, %r)" % (b, a)],
                               {"pair": [b, a]})

@@ -261,11 +261,22 @@ def _listed_identity(k):
     k["identity1"]["X"] = ["id_X"]
 
 
+def _listed_composite(table):
+    def corrupt(k):
+        k[table][0][-1] = ["x"]
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, witness", [
     (_no_identity, {"object": "X"}),
     (_no_identity2, {"onecell": "id_X"}),
     (_listed_identity, {"object": "X"}),
-], ids=["no-identity", "no-identity2", "unhashable-identity"])
+    (_listed_composite("vcomp"),
+     {"pair": ["2id_id_X", "2id_id_X"], "composite": ["x"]}),
+    (_listed_composite("hcomp1"), {"pair": ["f0", "id_X"]}),
+    (_listed_composite("hcomp2"), {"pair": ["2id_id_X", "2id_id_X"]}),
+], ids=["no-identity", "no-identity2", "unhashable-identity",
+        "unhashable-vcomp", "unhashable-hcomp1", "unhashable-hcomp2"])
 def test_cli_two_category_without_identities_fails(tmp_path, capsys,
                                                    corrupt, witness):
     k = _encode_two_cat(chain_suspension(3))

@@ -150,6 +150,71 @@ def test_corrupted_transition_cell_is_flagged(ksplit, ksieve):
     assert not r.ok and "missing" in r.details[0]
 
 
+# (table, key, new cell or None to delete it, message, witness, steps)
+_COMPARISON_MUTANTS = [
+    ("phi", ("v", "u"), None,
+     "comparison phi at ('v', 'u') missing, mistyped or not invertible",
+     {"member": "v", "onecell": "u"}, 0),
+    ("phi", ("id_A", "e"), "2id_2id_e",
+     "comparison phi at ('id_A', 'e') missing, mistyped or not invertible",
+     {"member": "id_A", "onecell": "e"}, 0),
+    ("eta", "2id_v", None,
+     "comparison eta at '2id_v' missing, mistyped or not invertible",
+     {"twocell": "2id_v"}, 0),
+    ("eta", "2id_id_A", "2id_2id_e",
+     "comparison eta at '2id_id_A' missing, mistyped or not invertible",
+     {"twocell": "2id_id_A"}, 0),
+    ("rho", "v", None,
+     "rho at 'v' missing, mistyped or not invertible", {"member": "v"}, 5),
+    ("rho", "id_A", "2id_2id_e",
+     "rho at 'id_A' missing, mistyped or not invertible",
+     {"member": "id_A"}, 5),
+    ("beta", ("v", "u", "v"), None,
+     "beta at ('v', 'u', 'v') missing, mistyped or not invertible",
+     {"member": "v", "pair": ["u", "v"]}, 18),
+    ("beta", ("id_A", "e", "e"), "2id_2id_e",
+     "beta at ('id_A', 'e', 'e') missing, mistyped or not invertible",
+     {"member": "id_A", "pair": ["e", "e"]}, 6),
+    ("rho2", ("2id_v", "u"), None,
+     "rho2 at ('2id_v', 'u') missing, mistyped or not invertible",
+     {"twocell": "2id_v", "onecell": "u"}, 23),
+    ("rho2", ("2id_id_A", "e"), "2id_2id_e",
+     "rho2 at ('2id_id_A', 'e') missing, mistyped or not invertible",
+     {"twocell": "2id_id_A", "onecell": "e"}, 19),
+    ("alpha", ("v", "2id_u"), None,
+     "alpha at ('v', '2id_u') missing, mistyped or not invertible",
+     {"member": "v", "twocell": "2id_u"}, 30),
+    ("alpha", ("id_A", "2id_e"), "2id_2id_e",
+     "alpha at ('id_A', '2id_e') missing, mistyped or not invertible",
+     {"member": "id_A", "twocell": "2id_e"}, 24),
+]
+
+
+@pytest.mark.parametrize(
+    "table, key, cell, message, witness, steps", _COMPARISON_MUTANTS,
+    ids=["%s-%s" % (m[0], "retype" if m[2] else "delete")
+         for m in _COMPARISON_MUTANTS])
+def test_comparison_cell_mutants_are_located(ksplit, ksieve, table, key, cell,
+                                             message, witness, steps):
+    F = representable_trihom(ksplit, "A")
+    if table in ("phi", "eta"):
+        datum = descent_datum_from_morphism(F, ksieve, "c[id_A>e]")
+        check = check_descent_datum_mor
+    else:
+        datum = weak_datum_from_object(F, ksieve, "id_A")
+        check = check_weak_descent_datum
+    cells = getattr(datum, table)
+    if cell is None:
+        del cells[key]
+    else:
+        assert cells[key] != cell
+        cells[key] = cell
+    budget = Budget()
+    r = check(datum, budget)
+    assert (r.verdict, r.details[0], r.witness, budget.steps) \
+        == ("fail", message, witness, steps)
+
+
 def test_swapped_weak_transition_breaks_coherence(ksplit, ksieve):
     F = representable_trihom(ksplit, "A")
     wdd = weak_datum_from_object(F, ksieve, "id_A")

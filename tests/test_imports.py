@@ -1,6 +1,8 @@
-"""Every module under src/bistack uses each name it imports."""
+"""Every module under src/bistack uses each name it imports, and every
+private helper it defines."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import bistack
@@ -23,3 +25,23 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {p.name: _unused_imports(p) for p in sorted(SRC.glob("*.py"))
               if p.name != "__init__.py"}
     assert {m: names for m, names in unused.items() if names} == {}
+
+
+def _names(node):
+    """How often each name and attribute occurs under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_helper_is_used():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    dead = sorted("%s.%s" % (m, node.name)
+                  for m, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and used[node.name] == _names(node)[node.name])
+    assert dead == []
