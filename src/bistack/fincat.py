@@ -223,11 +223,15 @@ def check_category(c, budget=None):
 
 
 class Functor:
+    """Immutable after construction: ob and mor are read-only mappings,
+    and key() is memoised."""
+
     def __init__(self, dom, cod, ob, mor):
         self.dom = dom
         self.cod = cod
-        self.ob = dict(ob)
-        self.mor = dict(mor)
+        self.ob = MappingProxyType(dict(ob))
+        self.mor = MappingProxyType(dict(mor))
+        self._key = None
 
     def o(self, x):
         return self.ob[x]
@@ -236,7 +240,10 @@ class Functor:
         return self.mor[f]
 
     def key(self):
-        return (tuple(sorted(self.ob.items())), tuple(sorted(self.mor.items())))
+        if self._key is None:
+            self._key = (tuple(sorted(self.ob.items())),
+                         tuple(sorted(self.mor.items())))
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, Functor) and self.key() == other.key() \
@@ -289,16 +296,23 @@ def check_functor(F):
 
 
 class NatTrans:
+    """Immutable after construction: comp is a read-only mapping, and
+    key() is memoised."""
+
     def __init__(self, dom, cod, comp):
         self.dom = dom          # source functor
         self.cod = cod          # target functor
-        self.comp = dict(comp)  # object -> morphism of the target category
+        # object -> morphism of the target category
+        self.comp = MappingProxyType(dict(comp))
+        self._key = None
 
     def at(self, x):
         return self.comp[x]
 
     def key(self):
-        return tuple(sorted(self.comp.items()))
+        if self._key is None:
+            self._key = tuple(sorted(self.comp.items()))
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, NatTrans) and self.key() == other.key() \
@@ -449,7 +463,7 @@ def equivalent_categories(c, d, budget=None):
                       {"skeleton_sizes": [len(sc.objects), len(sd.objects)]})
     return passed("equivalent_categories",
                   ["skeleton isomorphism on %d objects" % len(sc.objects)],
-                  {"on_objects": iso.ob})
+                  {"on_objects": dict(iso.ob)})
 
 
 def all_functors(c, d, budget=None):

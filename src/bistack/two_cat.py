@@ -51,6 +51,7 @@ class Fin2Cat:
             into.setdefault(d, []).append((g, e))
         self._into = {d: tuple(ge) for d, ge in into.items()}
         self._triples = None
+        self._thin = None
         self._inverse2 = {}
         self._key = None
 
@@ -85,6 +86,12 @@ class Fin2Cat:
                 (e, b, a) for b, a in self.hcomp1 for e in self.onecells
                 if self.tgt1(b) == self.src1(e))
         return self._triples
+
+    def locally_thin(self):
+        """At most one 2-cell between any two 1-cells.  Memoised."""
+        if self._thin is None:
+            self._thin = all(len(xs) == 1 for xs in self._twos.values())
+        return self._thin
 
     # --- composition --------------------------------------------------
     def id1(self, x):

@@ -4,19 +4,21 @@ A workspace declares finite categories, strict 2-categories, bisieves,
 bitopologies, category-valued presheaves, 2-category-valued homomorphism
 data, and named check requests.  Composition tables are explicit arrays of
 ``[argument ids..., result id]``; 2-cells carry explicit boundary fields.
-Loading validates cross-references (DanglingReference), JSON shape and
-the base 2-category of each trihom (ParseError); other structural validity
-is checked by the named validators when a check runs.
+Loading validates cross-references (DanglingReference), JSON shape, and
+each trihom's base 2-category, and for a ``tables`` trihom its values and
+its action data (ParseError); other structural validity is checked by the
+named validators when a check runs.
 """
 
 import json
 
-from .errors import DanglingReference, MalformedTable, ParseError
+from .errors import BoundaryMismatch, DanglingReference, MalformedTable, \
+    ParseError
 from .fincat import FinCat
 from .two_cat import Fin2Cat, check_two_category
 from .sieves import Bisieve, Bitopology, representable
-from .bicat3 import PsTwoFunctor, PsTwoNatTrans, representable_trihom, \
-    strict_trihom
+from .bicat3 import PsTwoFunctor, PsTwoNatTrans, check_trihom_data, \
+    representable_trihom, strict_trihom
 
 SCHEMA = "bistack-workspace/1"
 
@@ -120,24 +122,26 @@ def _encode_bisieve(name_of_two_cat, s):
             "sigma": _dict_to_pairs(s.sigma)}
 
 
-def _checked_base(k, where):
-    """The base of a trihom, refused unless it is a strict 2-category:
-    a trihom is built by composing in its base."""
+def _checked(check, x, what, where):
+    """x, refused unless check passes on it.  A trihom is built by
+    composing in its base and its values, and the bicat3 checkers that
+    decide over it assume valid values and action data."""
     try:
-        r = check_two_category(k)
-    except (KeyError, TypeError) as exc:
-        raise ParseError("%s: base two-category is malformed (%s: %s)"
-                         % (where, type(exc).__name__, exc))
+        r = check(x)
+    except (KeyError, TypeError, MalformedTable, BoundaryMismatch) as exc:
+        raise ParseError("%s: %s is malformed (%s: %s)"
+                         % (where, what, type(exc).__name__, exc))
     if not r.ok:
-        raise ParseError("%s: base two-category fails: %s"
-                         % (where, r.details[0]))
-    return k
+        raise ParseError("%s: %s fails: %s"
+                         % (where, what, ": ".join(r.details)))
+    return x
 
 
 def _decode_trihom(body, two_cats, where):
     kind = body.get("kind")
-    k = _checked_base(_ref(two_cats, body.get("two_cat"), "two-category",
-                           where), where)
+    k = _checked(check_two_category,
+                 _ref(two_cats, body.get("two_cat"), "two-category", where),
+                 "base two-category", where)
     if kind == "representable":
         if body.get("at") not in k.objects:
             raise DanglingReference("%s: unknown object %r"
@@ -146,8 +150,11 @@ def _decode_trihom(body, two_cats, where):
     if kind != "tables":
         raise ParseError("%s: unknown trihom kind %r" % (where, kind))
     try:
-        values = {c: _decode_two_cat(v, "%s.values[%s]" % (where, c))
-                  for c, v in body["values"].items()}
+        values = {}
+        for c, v in body["values"].items():
+            at = "%s.values[%s]" % (where, c)
+            values[c] = _checked(check_two_category, _decode_two_cat(v, at),
+                                 "value", at)
         for c in k.objects:
             if c not in values:
                 raise DanglingReference("%s: no value at object %r"
@@ -170,9 +177,10 @@ def _decode_trihom(body, two_cats, where):
             g, g2 = k.twocells[x]
             on2[x] = PsTwoNatTrans(on1[g], on1[g2], tab["comp"],
                                    tab.get("cell"))
-        return strict_trihom(k, values, on1, on2)
-    except (KeyError, TypeError) as exc:
+        t = strict_trihom(k, values, on1, on2)
+    except (KeyError, TypeError, MalformedTable) as exc:
         raise ParseError("%s: %s" % (where, exc))
+    return _checked(check_trihom_data, t, "trihom data", where)
 
 
 def load_data(raw):

@@ -12,6 +12,7 @@ from bistack.bicat3 import (Perturbation, PsTwoFunctor, PsTwoNatTrans,
                             strict_trihom, yoneda_pert, yoneda_trimod,
                             yoneda_tritrans)
 from bistack.fincat import walking_arrow
+from bistack.report import Budget
 from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 
 from test_two_cat import split_idempotent_2cat
@@ -82,16 +83,18 @@ def test_collapse_pseudofunctor_passes_and_absorbs(ksplit):
     assert compose_ps_two_functors(c, c) == c
 
 
-def test_nonfunctorial_one_cell_table_is_flagged(ksplit):
-    # u, v kept but their composite e sent elsewhere: the default
-    # compositor at (v, u) cannot have the right boundary
-    on1 = {f: f for f in ksplit.onecells}
+def nonfunctorial_functor(k):
+    """u and v are kept but their composite e goes to id_A, so the kept
+    images of the 2-cells between id_A and e have the wrong boundary."""
+    on1 = {f: f for f in k.onecells}
     on1["e"] = "id_A"
-    on2 = {a: a for a in ksplit.twocells}
+    on2 = {a: a for a in k.twocells}
     on2["2id_e"] = "2id_id_A"
-    h = PsTwoFunctor(ksplit, ksplit, {x: x for x in ksplit.objects},
-                     on1, on2)
-    r = check_ps_two_functor(h)
+    return PsTwoFunctor(k, k, {x: x for x in k.objects}, on1, on2)
+
+
+def test_nonfunctorial_one_cell_table_is_flagged(ksplit):
+    r = check_ps_two_functor(nonfunctorial_functor(ksplit))
     assert not r.ok
 
 
@@ -103,21 +106,28 @@ def test_idempotent_component_transformation_passes(ksplit):
         identity_ps_two_nat(collapse_functor(ksplit))).ok
 
 
-def test_transformation_with_wrong_cell_is_flagged(ksplit):
-    t = e_transformation(ksplit)
+def wrong_cell_transformation(k):
+    t = e_transformation(k)
     t.cell["u"] = "2id_e"
-    r = check_ps_two_nat(t)
+    return t
+
+
+def test_transformation_with_wrong_cell_is_flagged(ksplit):
+    r = check_ps_two_nat(wrong_cell_transformation(ksplit))
     assert not r.ok
     assert r.witness["onecell"] == "u"
 
 
+def e_modification(k, at_a="c[id_A>e]"):
+    """Id => e_transformation, with the given component at A."""
+    s = identity_ps_two_nat(identity_ps_two_functor(k))
+    return TwoModification(s, e_transformation(k),
+                           {"A": at_a, "B": "2id_id_B"})
+
+
 def test_modification_between_parallel_transformations(ksplit):
-    s = identity_ps_two_nat(identity_ps_two_functor(ksplit))
-    t = e_transformation(ksplit)
-    m = TwoModification(s, t, {"A": "c[id_A>e]", "B": "2id_id_B"})
-    assert check_two_modification(m).ok
-    bad = TwoModification(s, t, {"A": "c[e>id_A]", "B": "2id_id_B"})
-    r = check_two_modification(bad)
+    assert check_two_modification(e_modification(ksplit)).ok
+    r = check_two_modification(e_modification(ksplit, "c[e>id_A]"))
     assert not r.ok and r.witness["object"] == "A"
 
 
@@ -266,3 +276,97 @@ def test_yoneda_perturbation_restricts_the_chosen_two_cell():
     for d in ("0", "1"):
         for g in p.dom.dom.dom.ob[d].objects:
             assert p.comp[d][g] == t.on1[g].on2["t"]
+
+
+# --- the locally thin shortcut -------------------------------------------------
+
+def identity_perturbation(t):
+    """The identity perturbation on t's identity trimodification."""
+    m = identity_trimodification(identity_tritransformation(t))
+    return Perturbation(m, m, {
+        c: {x: t.ob[c].id2(m.comp[c].comp[x]) for x in t.ob[c].objects}
+        for c in t.base.objects})
+
+
+def _identity_checks(t):
+    """(name, checker, structure): the identity cells over trihom t."""
+    tr = identity_tritransformation(t)
+    return [("tritrans", check_tritransformation, tr),
+            ("trimod", check_trimodification, identity_trimodification(tr)),
+            ("pert", check_perturbation, identity_perturbation(t)),
+            ("trihom", check_trihom_data, t)]
+
+
+def _ksplit_checks(k):
+    """Every bicat3 checker on valid structures over ksplit, and on ones
+    with one mistyped cell.  Built afresh on each call."""
+    t = trihom_over_arrow(k, collapse_functor(k))
+    bad_beta = identity_tritransformation(t)
+    bad_beta.beta[("a", "id_0")]["A"] = "c[id_A>e]"
+    bad_square = identity_trimodification(identity_tritransformation(t))
+    bad_square.cell["a"]["A"] = "c[id_A>e]"
+    bad_pert = identity_perturbation(t)
+    bad_pert.comp["0"]["A"] = "c[id_A>e]"
+    ids = ({x: x for x in k.objects}, {f: f for f in k.onecells},
+           {a: a for a in k.twocells})
+    chi = {pair: k.id2(c) for pair, c in k.hcomp1.items()}
+    chi[("v", "u")] = "c[id_A>e]"
+    rep = representable_trihom(k, "A")
+    return _identity_checks(t) + [
+        ("id", check_ps_two_functor, identity_ps_two_functor(k)),
+        ("collapse", check_ps_two_functor, collapse_functor(k)),
+        ("nonfunctorial", check_ps_two_functor, nonfunctorial_functor(k)),
+        ("bad-compositor", check_ps_two_functor,
+         PsTwoFunctor(k, k, *ids, chi=chi)),
+        ("bad-unitor", check_ps_two_functor, PsTwoFunctor(
+            k, k, *ids, unit={"A": "c[id_A>e]", "B": "2id_id_B"})),
+        ("e-nat", check_ps_two_nat, e_transformation(k)),
+        ("wrong-cell", check_ps_two_nat, wrong_cell_transformation(k)),
+        ("mod", check_two_modification, e_modification(k)),
+        ("bad-mod", check_two_modification,
+         e_modification(k, "c[e>id_A]")),
+        ("bad-beta", check_tritransformation, bad_beta),
+        ("bad-square-cell", check_trimodification, bad_square),
+        ("bad-pert", check_perturbation, bad_pert),
+        ("yoneda-tritrans", check_tritransformation,
+         yoneda_tritrans(rep, "A", "id_A")),
+        ("yoneda-trimod", check_trimodification,
+         yoneda_trimod(rep, "A", "c[id_A>e]")),
+    ]
+
+
+def _outcomes(cases):
+    out = {}
+    for name, check, x in cases:
+        budget = Budget()
+        r = check(x, budget)
+        out[name] = (r.verdict, r.details, r.witness, budget.steps)
+    return out
+
+
+def test_checkers_do_not_see_the_thin_shortcut(ksplit, monkeypatch):
+    assert ksplit.locally_thin()
+    fast = _outcomes(_ksplit_checks(ksplit))
+    monkeypatch.setattr(Fin2Cat, "locally_thin", lambda self: False)
+    general = _outcomes(_ksplit_checks(ksplit))
+    assert fast == general
+    verdicts = {name: o[0] for name, o in general.items()}
+    assert {verdicts[n] for n in verdicts if n.startswith("bad")
+            or n in ("nonfunctorial", "wrong-cell")} == {"fail"}
+    assert verdicts["id"] == verdicts["yoneda-trimod"] == "pass"
+
+
+def test_z2_value_never_takes_the_shortcut(monkeypatch):
+    z2 = one_object_z2()
+    real = Fin2Cat.locally_thin
+    seen = []
+
+    def spy(self):
+        seen.append((self, real(self)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(Fin2Cat, "locally_thin", spy)
+    outcomes = _outcomes(_identity_checks(trihom_over_arrow(z2)))
+    assert all(o[0] == "pass" for o in outcomes.values())
+    on_z2 = [thin for k, thin in seen if k == z2]
+    assert on_z2 and not any(on_z2)

@@ -253,6 +253,51 @@ def test_cli_trihom_over_a_bad_base_is_an_input_error(tmp_path, capsys,
     assert "trihoms.F: base two-category" in err and message in err
 
 
+def _site_doc():
+    """Generated site 0, whose trihom F1 has tables, with a 2stack_direct
+    check beside its 2stack check."""
+    raw = generate(0, "locally-discrete-site")
+    raw["checks"]["2stack_direct:F1"] = {"op": "2stack_direct",
+                                         "trihom": "F1", "bitopology": "tau"}
+    return raw
+
+
+def _drop_first_row(table):
+    def corrupt(F):
+        del F["values"]["O2"][table][0]
+    return corrupt
+
+
+def _mistyped_structure_cell(F):
+    # the action of the identity 2-cell on id_O2, whose structure cell at
+    # id_O2_e0 must be an invertible 2-cell id_O2_e0 => id_O2_e0
+    F["on2"]["2id_id_O2"] = {
+        "comp": {"O2_e0": "id_O2_e0", "O2_e1": "id_O2_e1"},
+        "cell": {"id_O2_e0": "2id_id_O2_e1", "id_O2_e1": "2id_id_O2_e1"}}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_first_row("hcomp1"),
+     "trihoms.F1.values[O2]: value fails: bad 1-composite "
+     "('id_O2_e0', 'id_O2_e0')"),
+    (_drop_first_row("hcomp2"),
+     "trihoms.F1.values[O2]: value fails: bad 2-composite "
+     "('2id_id_O2_e0', '2id_id_O2_e0')"),
+    (_mistyped_structure_cell,
+     "trihoms.F1: trihom data fails: value transformation at '2id_id_O2': "
+     "bad structure cell at 'id_O2_e0'"),
+], ids=["value-no-hcomp1-row", "value-no-hcomp2-row", "mistyped-action"])
+def test_cli_malformed_trihom_tables_are_located_input_errors(
+        tmp_path, capsys, corrupt, message):
+    raw = _site_doc()
+    assert _run_raw(tmp_path, raw) == 1  # loads; F1 is not a 2-stack
+    corrupt(raw["trihoms"]["F1"])
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 3
+    err = capsys.readouterr().err
+    assert message in err and "base two-category" not in err
+
+
 def _no_identity2(k):
     del k["identity2"]["id_X"]
 

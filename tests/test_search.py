@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections.abc import Mapping
 from itertools import product
 
 import pytest
@@ -11,10 +12,15 @@ from bistack.descent import _all_descent_data_mor, _all_ps_two_functors, \
     _all_tritransformations, _all_weak_data, is_2stack, is_2stack_direct, \
     sieve_trihom
 from bistack.errors import SearchBudgetExceeded
-from bistack.generate import _literalize
+from bistack.fincat import walking_arrow
+from bistack.generate import _literalize, generate
 from bistack.report import Budget, choices, forward_choices, guarded
-from bistack.sieves import Bitopology, maximal_bisieve
-from bistack.workspace import corpus_path, load
+from bistack.sieves import Bitopology, build_bisieve, maximal_bisieve
+from bistack.two_cat import Fin2Cat, from_fincat
+from bistack.workspace import corpus_names, corpus_path, load, load_data
+
+from test_descent import collapse_objects_trihom, \
+    collapse_twocells_trihom, unreachable_object_trihom
 
 
 # --- choices against itertools.product ---------------------------------------
@@ -124,7 +130,7 @@ def test_bulk_tick_stops_one_past_the_limit():
 # --- the enumerators' candidate order -----------------------------------------
 
 def _canon(x):
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return sorted((repr(k), _canon(v)) for k, v in x.items())
     if isinstance(x, (tuple, list)):
         return [_canon(v) for v in x]
@@ -255,3 +261,59 @@ def test_budget_sweep_is_pinned():
                if verdict == "inconclusive")
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _SWEEP_PINNED
+
+
+# --- the locally thin shortcut ------------------------------------------------
+
+def _no_shortcut(monkeypatch):
+    """Every value looks non-thin, so the bicat3 checkers take the general
+    path and compose both sides of every equation."""
+    monkeypatch.setattr(Fin2Cat, "locally_thin", lambda self: False)
+
+
+def _stack_instances():
+    """(trihom, bitopology): ladder rungs 3-5, the corpus, generated seeds
+    0-9 of both site profiles, and the walking-arrow mutants."""
+    out = [_rung(n) for n in (3, 4, 5)]
+    docs = [load(corpus_path(n)) for n in corpus_names()]
+    docs += [load_data(generate(seed, profile))
+             for profile in ("locally-discrete-site", "tiny-2site")
+             for seed in range(10)]
+    for doc in docs:
+        for body in doc.checks.values():
+            if body["op"] == "2stack":
+                out.append((doc.trihoms[body["trihom"]],
+                            doc.bitopologies[body["bitopology"]]))
+    wa = from_fincat(walking_arrow())
+    tau = Bitopology(wa, {"1": [build_bisieve(wa, "1", {"0": {"a"}})]})
+    for mutant in (collapse_objects_trihom, collapse_twocells_trihom,
+                   unreachable_object_trihom):
+        out.append((mutant()[1], tau))
+    return out
+
+
+def _verdicts(instances):
+    rows = []
+    for F, tau in instances:
+        for op in sorted(_DECIDERS):
+            budget = Budget()
+            r = guarded(op, budget, _DECIDERS[op], F, tau, budget)
+            rows.append((op, r.verdict, r.details, r.witness, budget.steps))
+    return rows
+
+
+def test_deciders_do_not_see_the_thin_shortcut(monkeypatch):
+    instances = _stack_instances()
+    values = [v for F, _ in instances for v in F.ob.values()]
+    assert any(v.locally_thin() for v in values)
+    assert not all(v.locally_thin() for v in values)
+    fast = _verdicts(instances)
+    assert {row[1] for row in fast} == {"pass", "fail"}
+    _no_shortcut(monkeypatch)
+    assert _verdicts(instances) == fast
+
+
+def test_budget_sweep_does_not_see_the_thin_shortcut(monkeypatch):
+    fast = _budget_sweep()
+    _no_shortcut(monkeypatch)
+    assert _budget_sweep() == fast

@@ -10,13 +10,18 @@ import pytest
 
 from bistack import cli
 from bistack.bicat3 import representable_trihom
-from bistack.builders import chain_suspension
+from bistack.builders import chain_suspension, thin_two_cat
 from bistack.errors import MalformedTable
-from bistack.generate import generate
+from bistack.fincat import all_functors, all_nat_trans, walking_arrow
+from bistack.generate import _parallel_iso_base, _split_idempotent_base, \
+    generate
 from bistack.sieves import maximal_bisieve
 from bistack.two_cat import Fin2Cat
 from bistack.workspace import SCHEMA, _encode_two_cat, corpus_names, \
     corpus_path, load, load_data
+
+from test_bicat3 import one_object_z2
+from test_two_cat import split_idempotent_2cat
 
 
 def _docs():
@@ -37,6 +42,24 @@ def _reversed(k):
                    rev(k.hcomp1), rev(k.hcomp2))
 
 
+def _one_way_2cat():
+    """Two parallel 1-cells f, g with a single 2-cell f => g."""
+    return thin_two_cat(
+        ["A", "B"], {"id_A": ("A", "A"), "id_B": ("B", "B"),
+                     "f": ("A", "B"), "g": ("A", "B")},
+        {"A": "id_A", "B": "id_B"},
+        {("id_A", "id_A"): "id_A", ("id_B", "id_B"): "id_B",
+         ("f", "id_A"): "f", ("id_B", "f"): "f",
+         ("g", "id_A"): "g", ("id_B", "g"): "g"},
+        [("f", "g")])
+
+
+def _thin_builds():
+    """What thin_two_cat builds for the generator and the tests."""
+    return [_split_idempotent_base(), _parallel_iso_base(),
+            split_idempotent_2cat(), _one_way_2cat()]
+
+
 def _structures():
     """(two-categories, categories, bisieves) from every instance."""
     ks, cats, sieves = [], [], []
@@ -51,6 +74,7 @@ def _structures():
         ks += [k, _reversed(k)]
         ks += representable_trihom(k, "Y").ob.values()
         sieves += [maximal_bisieve(k, c) for c in k.objects]
+    ks += _thin_builds() + [one_object_z2()]
     cats += [k.hom_cat(a, b) for k in ks for a in k.objects
              for b in k.objects]
     return ks, cats, sieves
@@ -94,6 +118,12 @@ def test_fin2cat_lookups_match_brute_force(structures):
             tuple(sorted(k.identity2.items())),
             tuple(sorted(k.vcomp.items())), tuple(sorted(k.hcomp1.items())),
             tuple(sorted(k.hcomp2.items())))
+        # at most one 2-cell between two 1-cells: no boundary repeats
+        boundaries = list(k.twocells.values())
+        assert k.locally_thin() == (len(set(boundaries)) == len(boundaries))
+    assert all(k.locally_thin() for k in _thin_builds())
+    assert not one_object_z2().locally_thin()
+    assert not all(k.locally_thin() for k in ks)
 
 
 def test_fincat_lookups_match_brute_force(structures):
@@ -159,6 +189,43 @@ def test_writing_into_a_table_raises():
         assert not hasattr(table, "update")
     with pytest.raises(AttributeError):
         c.morphisms.append("x")
+
+
+def _functor_like():
+    """(structure, its tables, a brute-force key) for functors, natural
+    transformations and pseudofunctors."""
+    wa = walking_arrow()
+    for c in (wa, chain_suspension(3).hom_cat("X", "Y")):
+        functors = all_functors(wa, c)
+        for F in functors:
+            yield F, (F.ob, F.mor), (tuple(sorted(F.ob.items())),
+                                     tuple(sorted(F.mor.items())))
+        for F in functors:
+            for G in functors:
+                for t in all_nat_trans(F, G):
+                    yield t, (t.comp,), tuple(sorted(t.comp.items()))
+    trihoms = [F for doc in _docs() for F in doc.trihoms.values()]
+    trihoms += [representable_trihom(chain_suspension(n), "Y")
+                for n in (3, 4)]
+    for F in trihoms:
+        for h in F.on1.values():
+            tables = (h.ob, h.on1, h.on2, h.chi, h.unit)
+            yield h, tables, tuple(tuple(sorted(t.items())) for t in tables)
+
+
+def test_functor_tables_are_read_only_and_keys_memoised():
+    seen = 0
+    for x, tables, key in _functor_like():
+        seen += 1
+        for table in tables:
+            k = next(iter(table))
+            with pytest.raises(TypeError):
+                table[k] = table[k]
+            with pytest.raises(TypeError):
+                table["new"] = table[k]
+        assert x.key() == key
+        assert x.key() is x.key()
+    assert seen > 100
 
 
 def test_tables_are_copied_at_construction():
