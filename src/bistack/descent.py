@@ -33,7 +33,22 @@ Each datum's cell typing is declared once: ``_ddm_members`` and
 recorded cells against that declaration, the enumerators draw each cell
 from the invertible 2-cells of its boundary, and ``weak_datum_from_object``
 sets each comparison cell to the identity on its target.
+
+When every value of the homomorphism data is locally thin (at most one
+2-cell between two 1-cells), any two parallel 2-cells are equal, so every
+display between well-typed cells holds (Johnson & Yau, *2-Dimensional
+Categories*, 2021).  The checkers then still type every recorded cell
+first (``_ddm_boundaries``, ``_wdd_boundaries``, the member cells of a
+matching family, normality and the identity etas), but skip the
+compatibility loops of ``check_matching_family``, the cocycle and phi/eta
+loops of ``check_descent_datum_mor``, ``_wdd_displays``,
+``_weak_gluing_displays`` and ``_gluing_mor_conditions``.  Each skipped
+checker spends the ticks its loops would, at once (``_display_ticks``,
+memoised per sieve).  This rests on valid values: a ``tables`` trihom's
+values and action data are checked when a workspace is loaded.
 """
+
+from collections import Counter
 
 from .errors import MalformedTable
 from .fincat import FinCat, Functor, NatTrans, all_functors, all_nat_trans, \
@@ -110,11 +125,6 @@ def _legs(s):
             yield d, f, e, g, delta, g2
 
 
-def _isos(val, src, tgt):
-    """The invertible 2-cells src => tgt of val, in id order."""
-    return [c for c in val.two_cells_between(src, tgt) if val.invertible2(c)]
-
-
 def _mistyped(val, cell, src, tgt):
     """Is a recorded comparison cell missing, off src => tgt in val, or
     not invertible?"""
@@ -126,7 +136,7 @@ def _iso_pools(cells):
     """The declared comparison cells as choices pairs: ((table, key),
     the invertible 2-cells of the cell's boundary)."""
     for table, key, _, val, src, tgt in cells:
-        yield (table, key), _isos(val, src, tgt)
+        yield (table, key), val.isos_between(src, tgt)
 
 
 def _tables(cells, *names):
@@ -135,6 +145,53 @@ def _tables(cells, *names):
     for (table, key), cell in cells.items():
         out[table][key] = cell
     return [out[name] for name in names]
+
+
+def _display_ticks(s):
+    """The ticks that the display loops of each checker spend over the
+    sieve s when every display holds, by checker.  They depend on s
+    alone; read them through ``s.memo``."""
+    k = s.k
+
+    def into(d):
+        return len(k.one_cells_into(d))
+
+    cells = tuple(_cells_into(s))
+    legs = tuple(_legs(s))
+    # (D, number of (f3, delta) after gamma) per member 2-cell gamma
+    later = [(d, sum(len(k.two_cells_between(f2, f3))
+                     for f3 in s.member_list(d)))
+             for d, _, f2, _ in _member_two_cells(s)]
+    out_of = Counter(g for g, _ in k.twocells.values())
+    composable = sum(into(e) for _, _, e, _ in cells)
+    vertical = sum(n for _, n in later)
+    return {
+        "matching": len(cells) + len(later),
+        "mor": composable + vertical + sum(into(d) for d, _ in later)
+        + len(legs),
+        "weak": 3 * len(cells) + len(later)
+        + sum(n * into(d) for d, n in later)
+        + sum(out_of[g2] for *_, g2 in legs)
+        + sum(into(e) for d, _ in later for _, e in k.one_cells_into(d))
+        + sum(into(l) for _, _, e, _ in cells
+              for _, l in k.one_cells_into(e)),
+        "gluing": len(s.all_members()) + vertical + len(legs) + composable,
+    }
+
+
+def _thin(F):
+    """Is every value of F locally thin?  Then any two parallel 2-cells
+    are equal, and every display between well-typed cells holds."""
+    return all(val.locally_thin() for val in F.ob.values())
+
+
+def _skipped(F, s, checker, budget):
+    """On locally thin values, spend the ticks of the checker's display
+    loops at once and report True: the loops would find no failure."""
+    if not _thin(F):
+        return False
+    budget.tick(s.memo(_display_ticks)[checker])
+    return True
 
 
 # --- matching families of 2-cells ------------------------------------------
@@ -165,14 +222,12 @@ def check_matching_family(mf, budget=None):
     budget = budget or Budget()
     F, s = mf.F, mf.S
     _ensure_strict_values(F)
-    k = s.k
     val_c = F.ob[s.target]
     if val_c.onecells.get(mf.a) is None or \
             val_c.onecells.get(mf.b) != val_c.onecells[mf.a]:
         return failed("check_matching_family",
                       ["endpoints %r, %r are not parallel" % (mf.a, mf.b)],
                       {"endpoints": [mf.a, mf.b]})
-    x0, y0 = val_c.onecells[mf.a]
     for d, f in s.all_members():
         hf = F.on1[f]
         val_d = F.ob[d]
@@ -182,6 +237,19 @@ def check_matching_family(mf, budget=None):
             return failed("check_matching_family",
                           ["member 2-cell at %r missing or mistyped" % f],
                           {"member": f})
+    if not _skipped(F, s, "matching", budget):
+        bad = _matching_displays(mf, budget)
+        if bad is not None:
+            return bad
+    return passed("check_matching_family",
+                  ["%d members checked" % len(mf.w)])
+
+
+def _matching_displays(mf, budget):
+    """The compatibility displays of a typed family; None when all hold,
+    else the failure report."""
+    F, s = mf.F, mf.S
+    x0, y0 = F.ob[s.target].onecells[mf.a]
     # restriction compatibility along every base 1-cell
     for d, f, e, g in _cells_into(s):
         budget.tick()
@@ -211,8 +279,7 @@ def check_matching_family(mf, budget=None):
             return failed("check_matching_family",
                           ["2-cell compatibility fails at %r" % gamma],
                           {"twocell": gamma, "lhs": lhs, "rhs": rhs})
-    return passed("check_matching_family",
-                  ["%d members checked" % len(mf.w)])
+    return None
 
 
 def find_amalgamations(mf, budget=None):
@@ -322,6 +389,19 @@ def check_descent_datum_mor(dd, budget=None):
             return failed("check_descent_datum_mor",
                           ["eta at the identity 2-cell of %r is not the "
                            "identity" % f], {"member": f})
+    if not _skipped(F, s, "mor", budget):
+        bad = _ddm_displays(dd, budget)
+        if bad is not None:
+            return bad
+    return passed("check_descent_datum_mor",
+                  ["%d member morphisms checked" % len(dd.w)])
+
+
+def _ddm_displays(dd, budget):
+    """The cocycle and phi/eta displays of a typed, normal datum; None
+    when all hold, else the failure report."""
+    F, s = dd.F, dd.S
+    k = s.k
     # cocycle over composable triples
     for d, f, e, g in _cells_into(s):
         t1 = s.tilde[(f, g)]
@@ -402,8 +482,7 @@ def check_descent_datum_mor(dd, budget=None):
                           ["phi square over %r fails at %r" % (delta, f)],
                           {"twocell": delta, "member": f,
                            "lhs": lhs, "rhs": rhs})
-    return passed("check_descent_datum_mor",
-                  ["%d member morphisms checked" % len(dd.w)])
+    return None
 
 
 class EffectivenessWitness:
@@ -441,6 +520,8 @@ def _gluing_mor_conditions(dd, w, psi, members):
     checked, so this can prune a backtracking search.
     """
     F, s = dd.F, dd.S
+    if _thin(F):
+        return True
     k = s.k
     assigned = set(psi)
     for d, f, f2, gamma in _member_two_cells(s):
@@ -663,7 +744,8 @@ def _unit_candidates(wdd):
     out = {}
     for d, f in s.all_members():
         val_d = F.ob[d]
-        out[f] = _isos(val_d, wdd.eta[k.id2(f)], val_d.id1(wdd.W[f]))
+        out[f] = val_d.isos_between(wdd.eta[k.id2(f)],
+                                    val_d.id1(wdd.W[f]))
     return out
 
 
@@ -677,8 +759,8 @@ def _comp_candidates(wdd):
         val_d = F.ob[d]
         for f3 in s.member_list(d):
             for delta in k.two_cells_between(f2, f3):
-                out[(delta, gamma)] = _isos(
-                    val_d, wdd.eta[k.v(delta, gamma)],
+                out[(delta, gamma)] = val_d.isos_between(
+                    wdd.eta[k.v(delta, gamma)],
                     val_d.c1(wdd.eta[delta], wdd.eta[gamma]))
     return out
 
@@ -689,6 +771,8 @@ def _wdd_displays(wdd, u, cc, budget):
     Returns None on success or (message, witness) on the first failure.
     """
     F, s = wdd.F, wdd.S
+    if _skipped(F, s, "weak", budget):
+        return None
     k = s.k
     # identity transition against rho2
     for d, f, e, g in _cells_into(s):
@@ -926,16 +1010,17 @@ def _weak_gluing_cells(wdd, W, psi, u, cc, budget):
     def epsilons():
         for d, f, e, g in _cells_into(s):
             val_e = F.ob[e]
-            yield (f, g), _isos(
-                val_e, val_e.c1(F.on1[g].on1[psi[f]], wdd.phi[(f, g)]),
+            yield (f, g), val_e.isos_between(
+                val_e.c1(F.on1[g].on1[psi[f]], wdd.phi[(f, g)]),
                 val_e.c1(F.on2[s.sigma[(f, g)]].comp[W],
                          psi[s.tilde[(f, g)]]))
 
     def psi_cells():
         for d, f, f2, gamma in _member_two_cells(s):
             val_d = F.ob[d]
-            yield gamma, _isos(val_d, val_d.c1(F.on2[gamma].comp[W], psi[f]),
-                               val_d.c1(psi[f2], wdd.eta[gamma]))
+            yield gamma, val_d.isos_between(
+                val_d.c1(F.on2[gamma].comp[W], psi[f]),
+                val_d.c1(psi[f2], wdd.eta[gamma]))
 
     for eps, pc in choices(budget, epsilons(), psi_cells()):
         if _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
@@ -945,6 +1030,8 @@ def _weak_gluing_cells(wdd, W, psi, u, cc, budget):
 
 def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
     F, s = wdd.F, wdd.S
+    if _skipped(F, s, "gluing", budget):
+        return True
     k = s.k
     # identity transitions
     for d, f in s.all_members():
@@ -1387,12 +1474,12 @@ def _all_ps_two_functors(dom, cod, budget):
         for (on1,) in choices(budget, ones):
             twos = ((a, cod.two_cells_between(on1[f], on1[g]))
                     for a, (f, g) in sorted(dom.twocells.items()))
+            chis = [(pair, cod.isos_between(
+                cod.c1(on1[pair[0]], on1[pair[1]]), on1[ba]))
+                for pair, ba in sorted(dom.hcomp1.items())]
+            units = [(x, cod.isos_between(cod.id1(ob[x]), on1[dom.id1(x)]))
+                     for x in obs]
             for (on2,) in choices(budget, twos):
-                chis = ((pair, _isos(cod, cod.c1(on1[pair[0]], on1[pair[1]]),
-                                     on1[ba]))
-                        for pair, ba in sorted(dom.hcomp1.items()))
-                units = ((x, _isos(cod, cod.id1(ob[x]), on1[dom.id1(x)]))
-                         for x in obs)
                 for chi, unit in choices(budget, chis, units):
                     cand = PsTwoFunctor(dom, cod, ob, on1, on2, chi, unit)
                     if check_ps_two_functor(cand, budget).ok:
@@ -1411,8 +1498,8 @@ def _all_ps_two_nats(g, h, budget, equivalences=False):
             yield x, pool
 
     for (comp,) in choices(budget, components()):
-        cells = ((a, _isos(cod, cod.c1(h.on1[a], comp[x]),
-                           cod.c1(comp[y], g.on1[a])))
+        cells = ((a, cod.isos_between(cod.c1(h.on1[a], comp[x]),
+                                      cod.c1(comp[y], g.on1[a])))
                  for a, (x, y) in sorted(g.dom.onecells.items()))
         for (cell,) in choices(budget, cells):
             cand = PsTwoNatTrans(g, h, comp, cell)
@@ -1460,15 +1547,15 @@ def _tritrans_comparisons(R, F, comp, square, budget):
             ])
             tgt = val_e.c1(square[k.hcomp1[pair]].comp[x],
                            comp[e].on1[R.chi[pair].comp[x]])
-            yield x, _isos(val_e, src, tgt)
+            yield x, val_e.isos_between(src, tgt)
 
     def gammas(c):
         val_c = F.ob[c]
         for x in R.ob[c].objects:
-            yield x, _isos(val_c,
-                           val_c.c1(square[k.id1(c)].comp[x],
-                                    comp[c].on1[R.iota[c].comp[x]]),
-                           F.iota[c].comp[comp[c].ob[x]])
+            yield x, val_c.isos_between(
+                val_c.c1(square[k.id1(c)].comp[x],
+                         comp[c].on1[R.iota[c].comp[x]]),
+                F.iota[c].comp[comp[c].ob[x]])
 
     for tables in choices(budget, *map(betas, pairs), *map(gammas, objects)):
         yield (dict(zip(pairs, tables)),
@@ -1484,11 +1571,11 @@ def _all_trimods(sx, sy, budget):
         e, d = k.onecells[g]
         val_e = F.ob[e]
         for x in R.ob[d].objects:
-            yield x, _isos(val_e,
-                           val_e.c1(F.on1[g].on1[comp[d].comp[x]],
-                                    sx.square[g].comp[x]),
-                           val_e.c1(sy.square[g].comp[x],
-                                    comp[e].comp[R.on1[g].ob[x]]))
+            yield x, val_e.isos_between(
+                val_e.c1(F.on1[g].on1[comp[d].comp[x]],
+                         sx.square[g].comp[x]),
+                val_e.c1(sy.square[g].comp[x],
+                         comp[e].comp[R.on1[g].ob[x]]))
 
     comps = ((c, list(_all_ps_two_nats(sx.comp[c], sy.comp[c], budget)))
              for c in sorted(k.objects))

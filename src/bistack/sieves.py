@@ -23,7 +23,8 @@ class Bisieve:
 
     Immutable after construction: members, tilde and sigma are read-only
     mappings, so a write raises TypeError.  The sorted member lists are
-    built once here; to change a table, build a new Bisieve.
+    built once here, and ``memo`` keeps what is derived from them; to
+    change a table, build a new Bisieve.
     """
 
     def __init__(self, k, target, members, tilde, sigma):
@@ -38,6 +39,7 @@ class Bisieve:
         self._all_members = tuple((d, f) for d in sorted(self.members)
                                   for f in self._member_lists[d])
         self._key = (target, tuple(sorted(self._member_lists.items())))
+        self._memo = {}
 
     def member_list(self, d):
         return self._member_lists.get(d, ())
@@ -47,6 +49,13 @@ class Bisieve:
 
     def key(self):
         return self._key
+
+    def memo(self, fn):
+        """fn(self), computed once: for figures derived from the sieve
+        alone."""
+        if fn not in self._memo:
+            self._memo[fn] = fn(self)
+        return self._memo[fn]
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Bisieve)

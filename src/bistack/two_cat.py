@@ -29,8 +29,12 @@ class Fin2Cat:
 
     Immutable after construction: every table is a read-only mapping, so
     a write raises TypeError.  The cells between each pair of boundaries,
-    and the 1-cells into each object, are indexed once here; to change a
-    table, build a new Fin2Cat.
+    the 1-cells into each object, and the composites of the composable
+    pairs that ``c1`` and ``v`` read are indexed once here; to change a
+    table, build a new Fin2Cat.  Memoised on first use:
+    ``composable_triples``, ``locally_thin``, ``inverse2``,
+    ``isos_between`` (which ``invertible_2cell`` reads) and
+    ``equivalence_data`` (with the ticks it spent, replayed on a repeat).
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
@@ -50,9 +54,13 @@ class Fin2Cat:
             e, d = self.onecells[g]
             into.setdefault(d, []).append((g, e))
         self._into = {d: tuple(ge) for d, ge in into.items()}
+        self._c1 = _composable(self.hcomp1, self.onecells)
+        self._v = _composable(self.vcomp, self.twocells)
         self._triples = None
         self._thin = None
         self._inverse2 = {}
+        self._isos = {}
+        self._equivalences = {}
         self._key = None
 
     # --- boundaries ---------------------------------------------------
@@ -102,6 +110,10 @@ class Fin2Cat:
 
     def c1(self, g, f):
         """1-cell composite, g after f."""
+        try:
+            return self._c1[(g, f)]
+        except (KeyError, TypeError):
+            pass
         if self.tgt1(f) != self.src1(g):
             raise BoundaryMismatch("1-cells %r after %r" % (g, f))
         try:
@@ -121,6 +133,10 @@ class Fin2Cat:
 
     def v(self, b, a):
         """Vertical composite, b after a."""
+        try:
+            return self._v[(b, a)]
+        except (KeyError, TypeError):
+            pass
         if self.tgt2(a) != self.src2(b):
             raise BoundaryMismatch("2-cells %r after %r" % (b, a))
         try:
@@ -181,25 +197,42 @@ class Fin2Cat:
         """Is there an invertible 2-cell f => g?"""
         return self.invertible_2cell(f, g) is not None
 
+    def isos_between(self, f, g):
+        """The invertible 2-cells f => g, in id order.  Memoised."""
+        isos = self._isos.get((f, g))
+        if isos is None:
+            isos = self._isos[(f, g)] = tuple(
+                a for a in self.two_cells_between(f, g) if self.invertible2(a))
+        return isos
+
     def invertible_2cell(self, f, g):
         """First invertible 2-cell f => g in canonical order, or None."""
-        for a in self.two_cells_between(f, g):
-            if self.invertible2(a):
-                return a
-        return None
+        isos = self.isos_between(f, g)
+        return isos[0] if isos else None
 
     def equivalence_data(self, f, budget=None):
         """(g, unit, counit) with invertible unit: id => g.f and
-        counit: f.g => id, or None."""
+        counit: f.g => id, or None.
+
+        Memoised with the ticks the search spent: a repeat call spends
+        them as one tick(n), which stops where n single ticks would."""
         budget = budget or Budget()
+        if f in self._equivalences:
+            data, ticks = self._equivalences[f]
+            budget.tick(ticks)
+            return data
         a, b = self.onecells[f]
+        data, ticks = None, 0
         for g in self.one_cells_between(b, a):
             budget.tick()
+            ticks += 1
             unit = self.invertible_2cell(self.id1(a), self.c1(g, f))
             counit = self.invertible_2cell(self.c1(f, g), self.id1(b))
             if unit is not None and counit is not None:
-                return (g, unit, counit)
-        return None
+                data = (g, unit, counit)
+                break
+        self._equivalences[f] = data, ticks
+        return data
 
     def is_equivalence_1cell(self, f, budget=None):
         return self.equivalence_data(f, budget) is not None
@@ -244,6 +277,17 @@ def _boundaries(table, kind):
                                  % (kind, x, st))
         out[x] = (s, t)
     return MappingProxyType(out)
+
+
+def _composable(table, cells):
+    """The entries (later, earlier) -> composite of a composition table
+    whose cells compose: what ``c1`` and ``v`` return without a check."""
+    out = {}
+    for pair, x in table.items():
+        b, a = pair
+        if a in cells and b in cells and cells[a][1] == cells[b][0]:
+            out[pair] = x  # the table's own key, not a copy
+    return out
 
 
 def from_fincat(c):

@@ -41,6 +41,19 @@ class WorkspaceDoc:
         self.checks = checks
 
 
+def _object(x, where):
+    """x, refused unless it is a JSON object."""
+    if not isinstance(x, dict):
+        raise ParseError("%s: expected an object, got %s"
+                         % (where, type(x).__name__))
+    return x
+
+
+def _field(body, name, where):
+    """The object body[name]; a missing field is a KeyError."""
+    return _object(body[name], "%s.%s" % (where, name))
+
+
 def _pairs_to_dict(rows, arity, where):
     out = {}
     for row in rows:
@@ -60,25 +73,28 @@ def _dict_to_pairs(table):
 
 
 def _decode_cat(body, where):
+    _object(body, where)
     try:
-        morphisms = body["morphisms"]
+        morphisms = _field(body, "morphisms", where)
         return FinCat(body["objects"],
                       {m: st[0] for m, st in morphisms.items()},
                       {m: st[1] for m, st in morphisms.items()},
-                      body["identity"],
+                      _field(body, "identity", where),
                       _pairs_to_dict(body["comp"], 2, where + ".comp"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError("%s: %s" % (where, exc))
 
 
 def _decode_two_cat(body, where):
+    _object(body, where)
     try:
-        ones = body["onecells"]
-        twos = body["twocells"]
+        ones = _field(body, "onecells", where)
+        twos = _field(body, "twocells", where)
         return Fin2Cat(body["objects"],
                        {f: tuple(st) for f, st in ones.items()},
                        {a: tuple(st) for a, st in twos.items()},
-                       body["identity1"], body["identity2"],
+                       _field(body, "identity1", where),
+                       _field(body, "identity2", where),
                        _pairs_to_dict(body["vcomp"], 2, where + ".vcomp"),
                        _pairs_to_dict(body["hcomp1"], 2, where + ".hcomp1"),
                        _pairs_to_dict(body["hcomp2"], 2, where + ".hcomp2"))
@@ -98,16 +114,18 @@ def _encode_two_cat(k):
 
 
 def _ref(pool, name, kind, where):
-    if name not in pool:
+    if not isinstance(name, str) or name not in pool:
         raise DanglingReference("%s: unknown %s %r" % (where, kind, name))
     return pool[name]
 
 
 def _decode_bisieve(body, two_cats, where):
-    k = _ref(two_cats, body.get("two_cat"), "two-category", where)
+    k = _ref(two_cats, _object(body, where).get("two_cat"), "two-category",
+             where)
     try:
+        members = _field(body, "members", where)
         return Bisieve(k, body["target"],
-                       {d: set(fs) for d, fs in body["members"].items()},
+                       {d: set(fs) for d, fs in members.items()},
                        _pairs_to_dict(body["tilde"], 2, where + ".tilde"),
                        _pairs_to_dict(body["sigma"], 2, where + ".sigma"))
     except (KeyError, TypeError) as exc:
@@ -138,7 +156,7 @@ def _checked(check, x, what, where):
 
 
 def _decode_trihom(body, two_cats, where):
-    kind = body.get("kind")
+    kind = _object(body, where).get("kind")
     k = _checked(check_two_category,
                  _ref(two_cats, body.get("two_cat"), "two-category", where),
                  "base two-category", where)
@@ -151,7 +169,7 @@ def _decode_trihom(body, two_cats, where):
         raise ParseError("%s: unknown trihom kind %r" % (where, kind))
     try:
         values = {}
-        for c, v in body["values"].items():
+        for c, v in _field(body, "values", where).items():
             at = "%s.values[%s]" % (where, c)
             values[c] = _checked(check_two_category, _decode_two_cat(v, at),
                                  "value", at)
@@ -160,23 +178,31 @@ def _decode_trihom(body, two_cats, where):
                 raise DanglingReference("%s: no value at object %r"
                                         % (where, c))
         on1 = {}
-        for f, tab in body["on1"].items():
+        for f, tab in _field(body, "on1", where).items():
             if f not in k.onecells:
                 raise DanglingReference("%s: unknown 1-cell %r" % (where, f))
             e, d = k.onecells[f]
-            on1[f] = PsTwoFunctor(values[d], values[e], tab["ob"],
-                                  tab["on1"], tab["on2"])
+            at = "%s.on1[%s]" % (where, f)
+            _object(tab, at)
+            on1[f] = PsTwoFunctor(values[d], values[e],
+                                  _field(tab, "ob", at),
+                                  _field(tab, "on1", at),
+                                  _field(tab, "on2", at))
         for f in k.onecells:
             if f not in on1:
                 raise DanglingReference("%s: no action at 1-cell %r"
                                         % (where, f))
         on2 = {}
-        for x, tab in body.get("on2", {}).items():
+        for x, tab in _object(body.get("on2", {}), where + ".on2").items():
             if x not in k.twocells:
                 raise DanglingReference("%s: unknown 2-cell %r" % (where, x))
             g, g2 = k.twocells[x]
-            on2[x] = PsTwoNatTrans(on1[g], on1[g2], tab["comp"],
-                                   tab.get("cell"))
+            at = "%s.on2[%s]" % (where, x)
+            cell = _object(tab, at).get("cell")
+            if cell is not None:
+                _object(cell, at + ".cell")
+            on2[x] = PsTwoNatTrans(on1[g], on1[g2], _field(tab, "comp", at),
+                                   cell)
         t = strict_trihom(k, values, on1, on2)
     except (KeyError, TypeError, MalformedTable) as exc:
         raise ParseError("%s: %s" % (where, exc))
@@ -194,25 +220,32 @@ def load_data(raw):
         if section not in _SECTIONS and section not in ("schema",
                                                         "mutation"):
             raise ParseError("unknown section %r" % section)
+    sections = {name: _object(raw.get(name, {}), name)
+                for name in _SECTIONS}
     cats = {n: _decode_cat(b, "cats.%s" % n)
-            for n, b in raw.get("cats", {}).items()}
+            for n, b in sections["cats"].items()}
     two_cats = {n: _decode_two_cat(b, "two_cats.%s" % n)
-                for n, b in raw.get("two_cats", {}).items()}
+                for n, b in sections["two_cats"].items()}
     bisieves = {n: _decode_bisieve(b, two_cats, "bisieves.%s" % n)
-                for n, b in raw.get("bisieves", {}).items()}
+                for n, b in sections["bisieves"].items()}
     bitopologies = {}
-    for n, b in raw.get("bitopologies", {}).items():
+    for n, b in sections["bitopologies"].items():
         where = "bitopologies.%s" % n
-        k = _ref(two_cats, b.get("two_cat"), "two-category", where)
+        k = _ref(two_cats, _object(b, where).get("two_cat"), "two-category",
+                 where)
         covering = {}
-        for c, names in b.get("covering", {}).items():
-            covering[c] = [ _ref(bisieves, sn, "bisieve", where)
-                            for sn in names ]
+        for c, names in _object(b.get("covering", {}),
+                                where + ".covering").items():
+            if not isinstance(names, list):
+                raise ParseError("%s.covering[%s]: expected a list, got %s"
+                                 % (where, c, type(names).__name__))
+            covering[c] = [_ref(bisieves, sn, "bisieve", where)
+                           for sn in names]
         bitopologies[n] = Bitopology(k, covering)
     presheaves = {}
-    for n, b in raw.get("presheaves", {}).items():
+    for n, b in sections["presheaves"].items():
         where = "presheaves.%s" % n
-        if b.get("kind") != "representable":
+        if _object(b, where).get("kind") != "representable":
             raise ParseError("%s: unknown presheaf kind %r"
                              % (where, b.get("kind")))
         k = _ref(two_cats, b.get("two_cat"), "two-category", where)
@@ -221,9 +254,9 @@ def load_data(raw):
                                     % (where, b.get("at")))
         presheaves[n] = representable(k, b["at"])
     trihoms = {n: _decode_trihom(b, two_cats, "trihoms.%s" % n)
-               for n, b in raw.get("trihoms", {}).items()}
+               for n, b in sections["trihoms"].items()}
     checks = {}
-    for n, b in raw.get("checks", {}).items():
+    for n, b in sections["checks"].items():
         if not isinstance(b, dict) or "op" not in b:
             raise ParseError("checks.%s: missing op" % n)
         checks[n] = dict(b)
@@ -242,10 +275,9 @@ CHECK_REFS = {"two_cat": "two_cats", "cat": "cats", "bisieve": "bisieves",
 def _validate_check_refs(doc):
     for name, body in doc.checks.items():
         for field, section in CHECK_REFS.items():
-            ref = body.get(field)
-            if ref is not None and ref not in getattr(doc, section):
-                raise DanglingReference(
-                    "checks.%s: unknown %s %r" % (name, field, ref))
+            if body.get(field) is not None:
+                _ref(getattr(doc, section), body[field], field,
+                     "checks.%s" % name)
 
 
 def load(path):

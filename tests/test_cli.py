@@ -298,6 +298,36 @@ def test_cli_malformed_trihom_tables_are_located_input_errors(
     assert message in err and "base two-category" not in err
 
 
+def _listed(*path):
+    def corrupt(raw):
+        table = raw
+        for key in path[:-1]:
+            table = table[key]
+        table[path[-1]] = []
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_listed("trihoms", "F1", "values"),
+     "trihoms.F1.values: expected an object, got list"),
+    (_listed("two_cats", "K", "onecells"),
+     "two_cats.K.onecells: expected an object, got list"),
+    (_listed("bitopologies", "tau", "covering"),
+     "bitopologies.tau.covering: expected an object, got list"),
+    (_listed("checks"), "checks: expected an object, got list"),
+    (_listed("checks", "2stack_direct:F1", "trihom"),
+     "checks.2stack_direct:F1: unknown trihom []"),
+], ids=["trihom-values", "onecells", "covering", "checks", "check-ref"])
+def test_cli_list_in_place_of_an_object_is_a_located_input_error(
+        tmp_path, capsys, corrupt, message):
+    raw = _site_doc()
+    corrupt(raw)
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def _no_identity2(k):
     del k["identity2"]["id_X"]
 

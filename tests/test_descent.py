@@ -1,5 +1,6 @@
 import pytest
 
+from bistack import descent
 from bistack.bicat3 import (PsTwoFunctor, identity_ps_two_functor,
                             representable_trihom, strict_trihom)
 from bistack.descent import (EffectivenessWitness, Refutation,
@@ -11,12 +12,12 @@ from bistack.descent import (EffectivenessWitness, Refutation,
                              is_2stack_direct, is_stack_catvalued,
                              is_subcanonical, matching_family_from_cell,
                              weak_datum_from_object)
-from bistack.errors import MalformedTable
+from bistack.errors import MalformedTable, SearchBudgetExceeded
 from bistack.fincat import discrete, walking_arrow
 from bistack.report import Budget, guarded
 from bistack.sieves import Bitopology, build_bisieve, maximal_bisieve, \
     representable
-from bistack.two_cat import from_fincat
+from bistack.two_cat import Fin2Cat, from_fincat
 
 from test_bicat3 import one_object_z2
 from test_two_cat import split_idempotent_2cat
@@ -190,18 +191,18 @@ _COMPARISON_MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "table, key, cell, message, witness, steps", _COMPARISON_MUTANTS,
-    ids=["%s-%s" % (m[0], "retype" if m[2] else "delete")
-         for m in _COMPARISON_MUTANTS])
-def test_comparison_cell_mutants_are_located(ksplit, ksieve, table, key, cell,
-                                             message, witness, steps):
-    F = representable_trihom(ksplit, "A")
+_MUTANT_IDS = ["%s-%s" % (m[0], "retype" if m[2] else "delete")
+               for m in _COMPARISON_MUTANTS]
+
+
+def comparison_mutant(F, s, table, key, cell):
+    """(checker, datum): the restriction of c[id_A>e] (phi, eta) or of
+    id_A (the others) with one comparison cell deleted or retyped."""
     if table in ("phi", "eta"):
-        datum = descent_datum_from_morphism(F, ksieve, "c[id_A>e]")
+        datum = descent_datum_from_morphism(F, s, "c[id_A>e]")
         check = check_descent_datum_mor
     else:
-        datum = weak_datum_from_object(F, ksieve, "id_A")
+        datum = weak_datum_from_object(F, s, "id_A")
         check = check_weak_descent_datum
     cells = getattr(datum, table)
     if cell is None:
@@ -209,6 +210,16 @@ def test_comparison_cell_mutants_are_located(ksplit, ksieve, table, key, cell,
     else:
         assert cells[key] != cell
         cells[key] = cell
+    return check, datum
+
+
+@pytest.mark.parametrize(
+    "table, key, cell, message, witness, steps", _COMPARISON_MUTANTS,
+    ids=_MUTANT_IDS)
+def test_comparison_cell_mutants_are_located(ksplit, ksieve, table, key, cell,
+                                             message, witness, steps):
+    F = representable_trihom(ksplit, "A")
+    check, datum = comparison_mutant(F, ksieve, table, key, cell)
     budget = Budget()
     r = check(datum, budget)
     assert (r.verdict, r.details[0], r.witness, budget.steps) \
@@ -398,3 +409,112 @@ def test_classical_degeneration_matches_sheaf_condition(wa2, wa_sieve):
                                   "id_1": {"P": "P", "Q": "Q"},
                                   "id_0": {"Z": "Z"}})
     assert not is_2stack(bad, tau).ok
+
+
+# --- the locally thin shortcut of the descent displays -----------------------
+
+def _descent_cases(k, s):
+    """(name, checker or gluing search, datum) over the thin k: the
+    restriction of every global cell, 1-cell and object, and the twelve
+    comparison cell mutants.  Built afresh on each call."""
+    F = representable_trihom(k, "A")
+    val = F.ob["A"]
+    cases = []
+    for w0 in sorted(val.twocells):
+        cases.append(("family-" + w0, check_matching_family,
+                      matching_family_from_cell(F, s, w0)))
+    for w0 in sorted(val.onecells):
+        dd = descent_datum_from_morphism(F, s, w0)
+        cases += [("mor-" + w0, check_descent_datum_mor, dd),
+                  ("glue-mor-" + w0, find_effective_gluing_mor, dd)]
+    for x0 in sorted(val.objects):
+        wdd = weak_datum_from_object(F, s, x0)
+        cases += [("weak-" + x0, check_weak_descent_datum, wdd),
+                  ("glue-weak-" + x0, find_weak_effective_gluing, wdd)]
+    for name, m in zip(_MUTANT_IDS, _COMPARISON_MUTANTS):
+        cases.append(("mutant-%s-%r" % (name, m[1]),)
+                     + comparison_mutant(F, s, *m[:3]))
+    return cases
+
+
+def _outcome(check, datum, limit=None):
+    """What check returns on datum under a budget of limit, with steps."""
+    budget = Budget(limit)
+    try:
+        out = check(datum, budget)
+    except SearchBudgetExceeded:
+        return ("inconclusive", budget.steps)
+    if isinstance(out, EffectivenessWitness):
+        return (out.variant, out.data, budget.steps)
+    if isinstance(out, Refutation):
+        return (out.name, out.details, out.space, budget.steps)
+    return (out.verdict, out.details, out.witness, budget.steps)
+
+
+def _descent_outcomes(k, s):
+    """Each case's outcome without a limit, then under every limit from 0
+    to its full steps."""
+    out = {}
+    for name, check, datum in _descent_cases(k, s):
+        full = _outcome(check, datum)
+        out[name] = [full] + [_outcome(check, datum, limit)
+                              for limit in range(full[-1] + 1)]
+    return out
+
+
+def test_descent_checkers_do_not_see_the_thin_shortcut(ksplit, ksieve,
+                                                      monkeypatch):
+    assert all(v.locally_thin()
+               for v in representable_trihom(ksplit, "A").ob.values())
+    counted = []
+
+    def spy(s):
+        counted.append(s)
+        return real(s)
+
+    real = descent._display_ticks
+    monkeypatch.setattr(descent, "_display_ticks", spy)
+    fast = _descent_outcomes(ksplit, ksieve)
+    assert counted == [ksieve]  # the shortcut was taken, and memoised
+    monkeypatch.setattr(Fin2Cat, "locally_thin", lambda self: False)
+    assert _descent_outcomes(ksplit, ksieve) == fast
+    assert counted == [ksieve]
+    verdicts = {name: o[0][0] for name, o in fast.items()}
+    assert {v for name, v in verdicts.items()
+            if name.startswith("mutant")} == {"fail"}
+    assert {v for name, v in verdicts.items()
+            if not name.startswith(("mutant", "glue"))} == {"pass"}
+    assert {v for name, v in verdicts.items() if name.startswith("glue")} \
+        == {"gluing-morphism", "gluing-object"}
+
+
+def test_z2_mutant_never_takes_the_descent_shortcut(wa2, wa_sieve,
+                                                   monkeypatch):
+    _, F = collapse_twocells_trihom()
+    real = Fin2Cat.locally_thin
+    seen = []
+
+    def spy(self):
+        seen.append(real(self))
+        return seen[-1]
+
+    def never(s):
+        raise AssertionError("display ticks counted on a non-thin value")
+
+    monkeypatch.setattr(Fin2Cat, "locally_thin", spy)
+    monkeypatch.setattr(descent, "_display_ticks", never)
+    val = F.ob["1"]
+    for w0 in sorted(val.twocells):
+        assert check_matching_family(
+            matching_family_from_cell(F, wa_sieve, w0)).ok
+    for w0 in sorted(val.onecells):
+        dd = descent_datum_from_morphism(F, wa_sieve, w0)
+        assert check_descent_datum_mor(dd).ok
+        find_effective_gluing_mor(dd)
+    for x0 in sorted(val.objects):
+        wdd = weak_datum_from_object(F, wa_sieve, x0)
+        assert check_weak_descent_datum(wdd).ok
+        find_weak_effective_gluing(wdd)
+    a, _ = stack_pair(F, Bitopology(wa2, {"1": [wa_sieve]}))
+    assert not a.ok and a.witness["condition"] == "2C"
+    assert seen and not any(seen)

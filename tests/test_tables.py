@@ -11,10 +11,12 @@ import pytest
 from bistack import cli
 from bistack.bicat3 import representable_trihom
 from bistack.builders import chain_suspension, thin_two_cat
-from bistack.errors import MalformedTable
+from bistack.errors import BoundaryMismatch, MalformedTable, \
+    SearchBudgetExceeded
 from bistack.fincat import all_functors, all_nat_trans, walking_arrow
 from bistack.generate import _parallel_iso_base, _split_idempotent_base, \
     generate
+from bistack.report import Budget
 from bistack.sieves import maximal_bisieve
 from bistack.two_cat import Fin2Cat
 from bistack.workspace import SCHEMA, _encode_two_cat, corpus_names, \
@@ -60,6 +62,19 @@ def _thin_builds():
             split_idempotent_2cat(), _one_way_2cat()]
 
 
+def _malformed(k):
+    """k with the first row of hcomp1 and of vcomp dropped, and a row
+    added to each for a pair that does not compose."""
+    def corrupt(table, cells):
+        ids = sorted(cells)
+        later, earlier = next((b, a) for b in ids for a in ids
+                              if cells[a][1] != cells[b][0])
+        return dict(list(table.items())[1:] + [((later, earlier), later)])
+    return Fin2Cat(k.objects, k.onecells, k.twocells, k.identity1,
+                   k.identity2, corrupt(k.vcomp, k.twocells),
+                   corrupt(k.hcomp1, k.onecells), k.hcomp2)
+
+
 def _structures():
     """(two-categories, categories, bisieves) from every instance."""
     ks, cats, sieves = [], [], []
@@ -89,8 +104,74 @@ def _scan(table, s, t):
     return tuple(sorted(x for x, st in table.items() if st == (s, t)))
 
 
+def _raw_compose(cells, table, later, earlier):
+    """c1 or v read off the raw tables: KeyError for an unknown id, then
+    BoundaryMismatch, then MalformedTable for a missing composite."""
+    if cells[earlier][1] != cells[later][0]:
+        raise BoundaryMismatch
+    if (later, earlier) not in table:
+        raise MalformedTable
+    return table[(later, earlier)]
+
+
+def _result(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the type is what is compared
+        return "raises", type(exc)
+
+
+def _raw_isos(k, f, g):
+    return tuple(a for a in _scan(k.twocells, f, g)
+                 if any(k.vcomp.get((b, a)) == k.identity2[f]
+                        and k.vcomp.get((a, b)) == k.identity2[g]
+                        for b in _scan(k.twocells, g, f)))
+
+
+def _fresh(k):
+    return Fin2Cat(k.objects, k.onecells, k.twocells, k.identity1,
+                   k.identity2, k.vcomp, k.hcomp1, k.hcomp2)
+
+
+def _equivalence(k, f, limit):
+    """(result or the exception type, steps) of equivalence_data."""
+    budget = Budget(limit)
+    return _result(k.equivalence_data, f, budget), budget.steps
+
+
 def test_fin2cat_lookups_match_brute_force(structures):
     ks, _, _ = structures
+    strays = ("no-such-cell", ["not an id"])
+    seen = set()
+    for k in ks + [_malformed(chain_suspension(3))]:
+        ones = list(k.onecells) + list(strays)
+        for g in ones:
+            for f in ones:
+                assert _result(k.c1, g, f) \
+                    == _result(_raw_compose, k.onecells, k.hcomp1, g, f)
+                seen.add(_result(k.c1, g, f)[-1])
+        twos = list(k.twocells) + list(strays)
+        for b in twos:
+            for a in twos:
+                assert _result(k.v, b, a) \
+                    == _result(_raw_compose, k.twocells, k.vcomp, b, a)
+                seen.add(_result(k.v, b, a)[-1])
+    assert {BoundaryMismatch, MalformedTable, KeyError, TypeError} <= seen
+    for k in ks:
+        for g in k.onecells:
+            for f in k.onecells:
+                assert k.isos_between(g, f) == _raw_isos(k, g, f)
+                assert k.invertible_2cell(g, f) \
+                    == (k.isos_between(g, f) or (None,))[0]
+        for f in k.onecells:
+            k.equivalence_data(f)  # memoise, spending no limit
+            full = _equivalence(_fresh(k), f, None)
+            for limit in range(full[1] + 2):
+                got = _equivalence(k, f, limit)
+                assert got == _equivalence(_fresh(k), f, limit)
+                seen.add(got[0][-1])
+            assert _equivalence(k, f, None) == full
+    assert SearchBudgetExceeded in seen
     for k in ks:
         objs = k.objects + ("no-such-object",)
         for a in objs:
