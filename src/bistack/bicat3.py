@@ -385,24 +385,6 @@ class TrihomData:
     def value(self, c):
         return self.ob[c]
 
-    def is_strictly_compositional(self):
-        """True when every compositor/unitor datum is an identity."""
-        for (f, g), t in self.chi.items():
-            cod = self.on1[g].cod
-            for x, r in t.comp.items():
-                if r != cod.id1(cod.src1(r)):
-                    return False
-            for a, cell in t.cell.items():
-                if not cod.twocells[cell][0] == cod.twocells[cell][1] \
-                        or cell != cod.id2(cod.twocells[cell][0]):
-                    return False
-        for c, t in self.iota.items():
-            cod = self.ob[c]
-            for x, r in t.comp.items():
-                if r != cod.id1(cod.src1(r)):
-                    return False
-        return True
-
 
 def strict_trihom(k, ob, on1, on2):
     """Assemble homomorphism data with identity compositors and unitors.
@@ -476,11 +458,9 @@ def strict_trihom(k, ob, on1, on2):
                       gamma_hat)
 
 
-def representable_trihom(k, c0):
-    """The homomorphism represented by an object: values are hom
-    2-categories (locally discrete), action by precomposition."""
-    from .two_cat import from_fincat
-    ob = {d: from_fincat(k.hom_cat(d, c0)) for d in k.objects}
+def _precomposition_trihom(k, ob):
+    """Homomorphism data acting by precomposition, with value at D the
+    locally discrete full sub-2-category ob[D] of K(D, c) for a fixed c."""
     on1 = {}
     for g, (e, d) in k.onecells.items():
         src_v, tgt_v = ob[d], ob[e]
@@ -499,6 +479,33 @@ def representable_trihom(k, c0):
             {x: ob[e].id2(k.v(k.wl(k.tgt2(x), delta), k.wr(x, g)))
              for x in ob[d].onecells})
     return strict_trihom(k, ob, on1, on2)
+
+
+def representable_trihom(k, c0):
+    """The homomorphism represented by an object: values are hom
+    2-categories (locally discrete), action by precomposition.  This is
+    the trihom of the maximal sieve on c0."""
+    from .two_cat import from_fincat
+    return _precomposition_trihom(
+        k, {d: from_fincat(k.hom_cat(d, c0)) for d in k.objects})
+
+
+def sieve_trihom(s):
+    """The sieve as 2-category-valued homomorphism data: the full
+    sub-homomorphism of the representable on its members.
+
+    Requires the sieve to be literally closed under precomposition
+    (tilde(f, g) == f.g with identity witnesses); otherwise the values
+    fail to be strictly compositional and MalformedTable is raised."""
+    from .two_cat import from_fincat
+    k = s.k
+    for key, t in s.tilde.items():
+        if t != k.c1(*key) or s.sigma[key] != k.id2(t):
+            raise MalformedTable(
+                "sieve is not literally closed under precomposition")
+    return _precomposition_trihom(k, {
+        d: from_fincat(k.hom_cat(d, s.target).full_subcategory(
+            s.member_list(d))) for d in k.objects})
 
 
 def check_trihom_data(t, budget=None):
@@ -1110,90 +1117,117 @@ def check_perturbation(p, budget=None):
     return passed("check_perturbation")
 
 
-# --- the Yoneda actions -----------------------------------------------------
+# --- cells induced by restriction -------------------------------------------
 
-def _require_strict(f):
-    if not f.is_strictly_compositional():
-        raise MalformedTable(
-            "Yoneda actions are implemented for strictly-compositional "
-            "homomorphism data (identity compositors and unitors)")
+_LAX = ("restriction and descent are implemented for strictly-"
+        "compositional homomorphism data (identity compositors and unitors)")
 
+
+def ensure_strict(F):
+    """Raise MalformedTable unless F has identity compositors and unitors
+    and acts by strict 2-functors, as restriction and descent assume."""
+    units = [(F.on1[g].cod, t.comp, t.cell) for (f, g), t in F.chi.items()]
+    units += [(F.ob[c], t.comp, {}) for c, t in F.iota.items()]
+    for val, comp, cell in units:
+        for r in comp.values():
+            if r != val.id1(val.src1(r)):
+                raise MalformedTable(_LAX)
+        for a in cell.values():
+            if a != val.id2(val.twocells[a][0]):
+                raise MalformedTable(_LAX)
+    for f, h in F.on1.items():
+        cod = h.cod
+        for cell in (*h.chi.values(), *h.unit.values()):
+            if cell != cod.id2(cod.twocells[cell][0]):
+                raise MalformedTable(
+                    "value at 1-cell %r is not a strict 2-functor" % f)
+
+
+def induced_tritrans(F, R, X):
+    """The transformation R => F induced by an object X of F(c), for R the
+    trihom of a literal sieve on c: its component at D sends a member
+    f: D -> c to the restriction of X along f.  F passes ensure_strict."""
+    k = F.base
+    comp, square, beta, gamma = {}, {}, {}, {}
+    for d in k.objects:
+        val_r = R.ob[d]
+        ob = {f: F.on1[f].ob[X] for f in val_r.objects}
+        # every 1-cell of the locally discrete value is a 2-cell of the
+        # base (identity 1-cells included)
+        on1 = {gm: F.on2[gm].comp[X] for gm in val_r.onecells}
+        on2 = {a: F.ob[d].id2(on1[val_r.twocells[a][0]])
+               for a in val_r.twocells}
+        comp[d] = PsTwoFunctor(val_r, F.ob[d], ob, on1, on2)
+    for g, (e, d) in k.onecells.items():
+        dom = compose_ps_two_functors(comp[e], R.on1[g])
+        cod = compose_ps_two_functors(F.on1[g], comp[d])
+        val_e = F.ob[e]
+        square[g] = PsTwoNatTrans(
+            dom, cod, {f: val_e.id1(dom.ob[f]) for f in R.ob[d].objects},
+            {a: val_e.id2(dom.on1[a]) for a in R.ob[d].onecells})
+    for (f, g), fg in k.hcomp1.items():
+        c = k.onecells[f][1]
+        val_e = F.ob[k.onecells[g][0]]
+        beta[(f, g)] = {r: val_e.id2(val_e.id1(
+            F.on1[k.c1(k.c1(r, f), g)].ob[X])) for r in R.ob[c].objects}
+    for c in k.objects:
+        gamma[c] = {r: F.ob[c].id2(F.ob[c].id1(comp[c].ob[r]))
+                    for r in R.ob[c].objects}
+    return Tritransformation(R, F, comp, square, beta, gamma)
+
+
+def induced_trimod(F, a0, sig_x, sig_y):
+    """The modification sig_x => sig_y induced by a 1-cell a0: X -> Y of
+    F(c): its component at a member f is the restriction of a0 along f."""
+    k = F.base
+    R = sig_x.dom
+    comp, cell = {}, {}
+    for d in k.objects:
+        cps = {f: F.on1[f].on1[a0] for f in R.ob[d].objects}
+        cls = {gm: F.ob[d].inverse2(F.on2[gm].cell[a0])
+               for gm in R.ob[d].onecells}
+        comp[d] = PsTwoNatTrans(sig_x.comp[d], sig_y.comp[d], cps, cls)
+    for g, (e, d) in k.onecells.items():
+        cell[g] = {f: F.ob[e].id2(F.on1[k.c1(f, g)].on1[a0])
+                   for f in R.ob[d].objects}
+    return Trimodification(sig_x, sig_y, comp, cell)
+
+
+def induced_pert(F, al0, m_a, m_b):
+    """The perturbation m_a => m_b induced by a 2-cell al0: a => b of F(c):
+    its component at a member f is the restriction of al0 along f."""
+    R = m_a.dom.dom
+    return Perturbation(m_a, m_b, {
+        d: {f: F.on1[f].on2[al0] for f in R.ob[d].objects}
+        for d in F.base.objects})
+
+
+# --- the Yoneda actions: restriction along the maximal sieve -----------------
 
 def yoneda_tritrans(f_hom, c0, x0):
     """The transformation induced by an object of the value at c0: its
     component at D sends a 1-cell f: D -> c0 to the restriction of x0
     along f."""
-    _require_strict(f_hom)
-    k = f_hom.base
-    rep = representable_trihom(k, c0)
-    comp, square, beta, gamma = {}, {}, {}, {}
-    for d in k.objects:
-        val_rep = rep.ob[d]
-        val = f_hom.ob[d]
-        ob = {f: f_hom.on1[f].ob[x0] for f in val_rep.objects}
-        # every 1-cell of the locally discrete value is a 2-cell of the
-        # base (identity 1-cells included)
-        on1 = {gam: f_hom.on2[gam].comp[x0] for gam in val_rep.onecells}
-        on2 = {a: val.id2(on1[val_rep.twocells[a][0]])
-               for a in val_rep.twocells}
-        comp[d] = PsTwoFunctor(val_rep, val, ob, on1, on2)
-    for g, (e, d) in k.onecells.items():
-        dom = compose_ps_two_functors(comp[e], rep.on1[g])
-        cod = compose_ps_two_functors(f_hom.on1[g], comp[d])
-        val_e = f_hom.ob[e]
-        sq_comp = {f: val_e.id1(dom.ob[f]) for f in rep.ob[d].objects}
-        sq_cell = {a: val_e.id2(dom.on1[a]) for a in rep.ob[d].onecells}
-        square[g] = PsTwoNatTrans(dom, cod, sq_comp, sq_cell)
-    for (f, g), fg in k.hcomp1.items():
-        d, c = k.onecells[f]
-        e = k.onecells[g][0]
-        val_e = f_hom.ob[e]
-        beta[(f, g)] = {r: val_e.id2(val_e.id1(
-            comp[e].ob[k.c1(k.c1(r, f), g)]))
-            for r in rep.ob[c].objects}
-    for c in k.objects:
-        val_c = f_hom.ob[c]
-        gamma[c] = {r: val_c.id2(val_c.id1(comp[c].ob[r]))
-                    for r in rep.ob[c].objects}
-    return Tritransformation(rep, f_hom, comp, square, beta, gamma)
+    ensure_strict(f_hom)
+    return induced_tritrans(f_hom, representable_trihom(f_hom.base, c0), x0)
 
 
 def yoneda_trimod(f_hom, c0, a0, sigma_x=None, sigma_y=None):
     """The modification induced by a 1-cell a0: X -> Y of the value at c0:
     its component at a member f is the restriction of a0 along f."""
-    _require_strict(f_hom)
-    k = f_hom.base
-    val_c0 = f_hom.ob[c0]
-    x0, y0 = val_c0.onecells[a0]
-    sx = sigma_x or yoneda_tritrans(f_hom, c0, x0)
-    sy = sigma_y or yoneda_tritrans(f_hom, c0, y0)
-    rep = sx.dom
-    comp, cell = {}, {}
-    for d in k.objects:
-        val = f_hom.ob[d]
-        cps = {f: f_hom.on1[f].on1[a0] for f in rep.ob[d].objects}
-        cls = {gam: val.inverse2(f_hom.on2[gam].cell[a0])
-               for gam in rep.ob[d].onecells}
-        comp[d] = PsTwoNatTrans(sx.comp[d], sy.comp[d], cps, cls)
-    for g, (e, d) in k.onecells.items():
-        val_e = f_hom.ob[e]
-        cell[g] = {f: val_e.id2(f_hom.on1[k.c1(f, g)].on1[a0])
-                   for f in rep.ob[d].objects}
-    return Trimodification(sx, sy, comp, cell)
+    ensure_strict(f_hom)
+    x0, y0 = f_hom.ob[c0].onecells[a0]
+    return induced_trimod(f_hom, a0,
+                          sigma_x or yoneda_tritrans(f_hom, c0, x0),
+                          sigma_y or yoneda_tritrans(f_hom, c0, y0))
 
 
 def yoneda_pert(f_hom, c0, al0, m_a=None, m_b=None):
     """The perturbation induced by a 2-cell al0: a => b of the value at
     c0: its component at f is the restriction of al0 along f."""
-    _require_strict(f_hom)
-    k = f_hom.base
-    val_c0 = f_hom.ob[c0]
-    a0, b0 = val_c0.twocells[al0]
+    ensure_strict(f_hom)
+    a0, b0 = f_hom.ob[c0].twocells[al0]
     ma = m_a or yoneda_trimod(f_hom, c0, a0)
     mb = m_b or yoneda_trimod(f_hom, c0, b0,
                               sigma_x=ma.dom, sigma_y=ma.cod)
-    rep = ma.dom.dom
-    comp = {}
-    for d in k.objects:
-        comp[d] = {f: f_hom.on1[f].on2[al0] for f in rep.ob[d].objects}
-    return Perturbation(ma, mb, comp)
+    return induced_pert(f_hom, al0, ma, mb)

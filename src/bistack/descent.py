@@ -7,9 +7,10 @@ morphisms, and weak descent data on objects.  Each comes with an exhaustive
 checker for its displayed compatibility conditions and a budgeted search
 that either produces a gluing witness or a replayable refutation.
 
-All checkers in this module require the homomorphism data to be strictly
-compositional (identity compositors and unitors, as produced by
-``strict_trihom`` and ``representable_trihom``).  Under that normalization
+All checkers in this module require the homomorphism data to pass
+``bicat3.ensure_strict``: identity compositors and unitors, and an action
+by strict 2-functors, as ``representable_trihom``, ``sieve_trihom`` and
+the workspace loader produce it.  Under that normalization
 the canonical comparison 1-cells between iterated restrictions are
 identities, and the only non-trivial transition witnesses left are the
 sieve's restriction 2-cells, which stay explicit throughout.
@@ -54,35 +55,19 @@ from .errors import MalformedTable
 from .fincat import FinCat, Functor, NatTrans, all_functors, all_nat_trans, \
     compose_functors, is_equivalence
 from .two_cat import PsNatTrans, CatModification, check_ps_nat, \
-    check_modification, from_fincat
+    check_modification
 from .sieves import sieve_presheaf, representable, _compositor_cell, \
-    _restrict_cell
+    _restrict_cell, _restrict_member_cell
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
-    compose_ps_two_functors, strict_trihom
+    compose_ps_two_functors, ensure_strict, induced_pert, induced_trimod, \
+    induced_tritrans, sieve_trihom
 from .report import Budget, choices, failed, forward_choices, inconclusive, \
     merge, passed
 
 
 # --- shared helpers ---------------------------------------------------------
-
-def _ensure_strict_values(F):
-    if not F.is_strictly_compositional():
-        raise MalformedTable(
-            "descent checkers are implemented for strictly-compositional "
-            "homomorphism data (identity compositors and unitors)")
-    for f, h in F.on1.items():
-        cod = h.cod
-        for pair, cell in h.chi.items():
-            if cell != cod.id2(cod.twocells[cell][0]):
-                raise MalformedTable(
-                    "value at 1-cell %r is not a strict 2-functor" % f)
-        for x, cell in h.unit.items():
-            if cell != cod.id2(cod.twocells[cell][0]):
-                raise MalformedTable(
-                    "value at 1-cell %r is not a strict 2-functor" % f)
-
 
 def _member_two_cells(s):
     """All base 2-cells between members of the sieve, as (D, f, f2, gamma)."""
@@ -92,16 +77,6 @@ def _member_two_cells(s):
             for f2 in s.member_list(d):
                 for gamma in k.two_cells_between(f, f2):
                     yield d, f, f2, gamma
-
-
-def _restrict_member_cell(s, f, f2, gamma, g):
-    """Restriction of gamma: f => f2 along g, as tilde(f,g) => tilde(f2,g)."""
-    k = s.k
-    return k.v_path([
-        k.inverse2(s.sigma[(f2, g)]),
-        k.wr(gamma, g),
-        s.sigma[(f, g)],
-    ])
 
 
 def _cells_into(s):
@@ -211,7 +186,7 @@ class MatchingFamily2Cells:
 
 def matching_family_from_cell(F, S, w0):
     """The family obtained by restricting a single global 2-cell."""
-    _ensure_strict_values(F)
+    ensure_strict(F)
     val = F.ob[S.target]
     a, b = val.twocells[w0]
     w = {f: F.on1[f].on2[w0] for _, f in S.all_members()}
@@ -221,7 +196,7 @@ def matching_family_from_cell(F, S, w0):
 def check_matching_family(mf, budget=None):
     budget = budget or Budget()
     F, s = mf.F, mf.S
-    _ensure_strict_values(F)
+    ensure_strict(F)
     val_c = F.ob[s.target]
     if val_c.onecells.get(mf.a) is None or \
             val_c.onecells.get(mf.b) != val_c.onecells[mf.a]:
@@ -316,7 +291,7 @@ class DescentDatumMorphisms:
 def descent_datum_from_morphism(F, S, w0):
     """The datum obtained by restricting a global morphism, with the
     canonical comparison cells given by the structure of the values."""
-    _ensure_strict_values(F)
+    ensure_strict(F)
     val = F.ob[S.target]
     X, Y = val.onecells[w0]
     w = {f: F.on1[f].on1[w0] for _, f in S.all_members()}
@@ -374,7 +349,7 @@ def _ddm_boundaries(dd):
 def check_descent_datum_mor(dd, budget=None):
     budget = budget or Budget()
     F, s = dd.F, dd.S
-    _ensure_strict_values(F)
+    ensure_strict(F)
     k = s.k
     bad = _ddm_boundaries(dd)
     if bad is not None:
@@ -554,7 +529,7 @@ def find_effective_gluing_mor(dd, budget=None):
     reproducing the datum; Refutation when the space is exhausted."""
     budget = budget or Budget()
     F, s = dd.F, dd.S
-    _ensure_strict_values(F)
+    ensure_strict(F)
     val_c = F.ob[s.target]
     members = [f for _, f in s.all_members()]
     tried = 0
@@ -625,7 +600,7 @@ class WeakDescentDatum:
 def weak_datum_from_object(F, S, W0):
     """The weak datum obtained by restricting a global object; every
     comparison cell is the identity under the strict normalization."""
-    _ensure_strict_values(F)
+    ensure_strict(F)
     k = S.k
     W = {f: F.on1[f].ob[W0] for _, f in S.all_members()}
     eta = {}
@@ -724,7 +699,7 @@ def _wdd_boundaries(wdd, budget):
 
 def check_weak_descent_datum(wdd, budget=None):
     budget = budget or Budget()
-    _ensure_strict_values(wdd.F)
+    ensure_strict(wdd.F)
     bad = _wdd_boundaries(wdd, budget)
     if bad is not None:
         return bad
@@ -967,7 +942,7 @@ def find_weak_effective_gluing(wdd, budget=None):
     the comparison isos of the weak-effectiveness displays."""
     budget = budget or Budget()
     F, s = wdd.F, wdd.S
-    _ensure_strict_values(F)
+    ensure_strict(F)
     k = s.k
     val_c = F.ob[s.target]
     members = [f for _, f in s.all_members()]
@@ -1317,7 +1292,7 @@ def is_2stack(F, tau, budget=None):
     """Decide the three descent conditions over every covering sieve by
     exhaustive package enumeration (the characterization-side checker)."""
     budget = budget or Budget()
-    _ensure_strict_values(F)
+    ensure_strict(F)
     k = F.base
     reports = []
     for c in sorted(k.objects):
@@ -1364,103 +1339,6 @@ def is_2stack(F, tau, budget=None):
 
 
 # --- the direct biequivalence cross-check ------------------------------------
-
-def sieve_trihom(s):
-    """The sieve as 2-category-valued homomorphism data.
-
-    Requires the sieve to be literally closed under precomposition
-    (tilde(f, g) == f.g with identity witnesses); otherwise the values
-    fail to be strictly compositional and MalformedTable is raised.
-    """
-    k = s.k
-    for key, t in s.tilde.items():
-        if t != k.c1(*key) or s.sigma[key] != k.id2(t):
-            raise MalformedTable(
-                "sieve is not literally closed under precomposition")
-    ob = {}
-    for d in k.objects:
-        full = k.hom_cat(d, s.target)
-        ob[d] = from_fincat(full.full_subcategory(s.member_list(d)))
-    on1 = {}
-    for g, (e, d) in k.onecells.items():
-        src_v, tgt_v = ob[d], ob[e]
-        on1[g] = PsTwoFunctor(
-            src_v, tgt_v,
-            {f: k.c1(f, g) for f in src_v.objects},
-            {x: k.wr(x, g) for x in src_v.onecells},
-            {a: tgt_v.id2(k.wr(src_v.twocells[a][0], g))
-             for a in src_v.twocells})
-    on2 = {}
-    for delta, (g, g2) in k.twocells.items():
-        e, d = k.onecells[g]
-        on2[delta] = PsTwoNatTrans(
-            on1[g], on1[g2],
-            {f: k.wl(f, delta) for f in ob[d].objects},
-            {x: ob[e].id2(k.v(k.wl(k.tgt2(x), delta), k.wr(x, g)))
-             for x in ob[d].onecells})
-    return strict_trihom(k, ob, on1, on2)
-
-
-def restriction_tritrans(F, s, R, X):
-    """The transformation sending a member f to the restriction of X."""
-    k = s.k
-    comp, square, beta, gamma = {}, {}, {}, {}
-    for d in k.objects:
-        val_r = R.ob[d]
-        val = F.ob[d]
-        ob = {f: F.on1[f].ob[X] for f in val_r.objects}
-        on1 = {gm: F.on2[gm].comp[X] for gm in val_r.onecells}
-        on2 = {a: val.id2(on1[val_r.twocells[a][0]])
-               for a in val_r.twocells}
-        comp[d] = PsTwoFunctor(val_r, val, ob, on1, on2)
-    for g, (e, d) in k.onecells.items():
-        dom = compose_ps_two_functors(comp[e], R.on1[g])
-        cod = compose_ps_two_functors(F.on1[g], comp[d])
-        val_e = F.ob[e]
-        square[g] = PsTwoNatTrans(
-            dom, cod, {f: val_e.id1(dom.ob[f]) for f in R.ob[d].objects},
-            {a: val_e.id2(dom.on1[a]) for a in R.ob[d].onecells})
-    for (f, g), fg in k.hcomp1.items():
-        d, c = k.onecells[f]
-        e = k.onecells[g][0]
-        val_e = F.ob[e]
-        beta[(f, g)] = {r: val_e.id2(val_e.id1(
-            F.on1[k.c1(k.c1(r, f), g)].ob[X]))
-            for r in R.ob[c].objects}
-    for c in k.objects:
-        val_c = F.ob[c]
-        gamma[c] = {r: val_c.id2(val_c.id1(comp[c].ob[r]))
-                    for r in R.ob[c].objects}
-    return Tritransformation(R, F, comp, square, beta, gamma)
-
-
-def restriction_trimod(F, s, w0, sig_x, sig_y):
-    """The modification between restriction transformations induced by a
-    morphism of the value at the sieve's target."""
-    k = s.k
-    R = sig_x.dom
-    comp, cell = {}, {}
-    for d in k.objects:
-        val = F.ob[d]
-        cps = {f: F.on1[f].on1[w0] for f in R.ob[d].objects}
-        cls = {gm: val.inverse2(F.on2[gm].cell[w0])
-               for gm in R.ob[d].onecells}
-        comp[d] = PsTwoNatTrans(sig_x.comp[d], sig_y.comp[d], cps, cls)
-    for g, (e, d) in k.onecells.items():
-        val_e = F.ob[e]
-        cell[g] = {f: val_e.id2(F.on1[k.c1(f, g)].on1[w0])
-                   for f in R.ob[d].objects}
-    return Trimodification(sig_x, sig_y, comp, cell)
-
-
-def restriction_pert(F, s, al0, m_a, m_b):
-    k = s.k
-    R = m_a.dom.dom
-    comp = {}
-    for d in k.objects:
-        comp[d] = {f: F.on1[f].on2[al0] for f in R.ob[d].objects}
-    return Perturbation(m_a, m_b, comp)
-
 
 def _all_ps_two_functors(dom, cod, budget):
     obs = sorted(dom.objects)
@@ -1624,7 +1502,7 @@ def is_2stack_direct(F, tau, budget=None):
     decided through a modification with equivalence components.
     """
     budget = budget or Budget()
-    _ensure_strict_values(F)
+    ensure_strict(F)
     k = F.base
     reports = []
     for c in sorted(k.objects):
@@ -1637,7 +1515,7 @@ def is_2stack_direct(F, tau, budget=None):
                 return inconclusive(
                     "is_2stack_direct",
                     ["%s: %s" % (tag, exc)], {"object": c, "sieve": i})
-            sigma = {X: restriction_tritrans(F, s, R, X)
+            sigma = {X: induced_tritrans(F, R, X)
                      for X in sorted(val_c.objects)}
             # full faithfulness on 2-cells
             for X in sorted(val_c.objects):
@@ -1645,15 +1523,13 @@ def is_2stack_direct(F, tau, budget=None):
                     for w in val_c.one_cells_between(X, Y):
                         for w2 in val_c.one_cells_between(X, Y):
                             budget.tick()
-                            ma = restriction_trimod(F, s, w,
-                                                    sigma[X], sigma[Y])
-                            mb = restriction_trimod(F, s, w2,
-                                                    sigma[X], sigma[Y])
+                            ma = induced_trimod(F, w, sigma[X], sigma[Y])
+                            mb = induced_trimod(F, w2, sigma[X], sigma[Y])
                             perts = list(_all_perturbations(ma, mb,
                                                             budget))
-                            images = [restriction_pert(
-                                F, s, al, ma, mb).comp
-                                for al in val_c.two_cells_between(w, w2)]
+                            images = [induced_pert(F, al, ma, mb).comp
+                                      for al in val_c.two_cells_between(
+                                          w, w2)]
                             for q in perts:
                                 hits = [al for al, im in zip(
                                     val_c.two_cells_between(w, w2), images)
@@ -1676,8 +1552,7 @@ def is_2stack_direct(F, tau, budget=None):
                     for m in _all_trimods(sigma[X], sigma[Y], budget):
                         found = False
                         for w in val_c.one_cells_between(X, Y):
-                            mw = restriction_trimod(F, s, w,
-                                                    sigma[X], sigma[Y])
+                            mw = induced_trimod(F, w, sigma[X], sigma[Y])
                             for q in _all_perturbations(mw, m, budget):
                                 if all(F.ob[d].invertible2(cq)
                                        for d, tab in q.comp.items()

@@ -22,7 +22,7 @@ from itertools import product
 from .errors import ToolkitError
 from .fincat import FinCat, discrete
 from .two_cat import check_two_category, from_fincat
-from .sieves import Bisieve, candidate_sieves, check_bitopology, \
+from .sieves import _literalize, candidate_sieves, check_bitopology, \
     maximal_bisieve, pullback_sieve, sieve_equivalence
 from .builders import thin_two_cat
 from .report import Budget
@@ -73,20 +73,6 @@ def _random_poset_cat(rng, max_objects=4, max_morphisms=12):
 
 def _covered(existing, s, budget):
     return any(sieve_equivalence(s, t, budget).ok for t in existing)
-
-
-def _literalize(s):
-    """The same member family with literal closure witnesses: tilde is
-    base composition and every sigma is an identity.  Only valid for
-    member sets literally closed under precomposition (maximal sieves and
-    pullbacks of literal sieves are)."""
-    k = s.k
-    tilde, sigma = {}, {}
-    for (f, g) in s.tilde:
-        t = k.c1(f, g)
-        tilde[(f, g)] = t
-        sigma[(f, g)] = k.id2(t)
-    return Bisieve(k, s.target, s.members, tilde, sigma)
 
 
 def _literal_candidates(k, c, budget):

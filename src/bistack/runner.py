@@ -17,11 +17,21 @@ from .sieves import check_bisieve, check_bitopology, check_T1, check_T2, \
     check_T3
 from .sigma_colim import is_sigma_bicolim_bisieve
 from .two_cat import check_two_category
-from .workspace import CHECK_REFS
+from .workspace import CHECK_REFS, _checked
 
 REPORT_SCHEMA = "bistack-report/1"
 
 _TIMING_FIELDS = ("elapsed_s",)
+
+
+def _covering(doc, tau):
+    """tau, once each covering sieve passes check_bisieve on a budget of
+    its own (a ParseError names the first that does not): the 2-stack
+    deciders index a sieve's tables without typing them."""
+    for n, s in sorted(doc.bisieves.items()):
+        if any(s is t for ts in tau.covering.values() for t in ts):
+            _checked(check_bisieve, s, "bisieve", "bisieves." + n)
+    return tau
 
 
 def _dispatch(doc, name, body, budget):
@@ -52,9 +62,11 @@ def _dispatch(doc, name, body, budget):
     if op == "stack":
         return is_stack_catvalued(ref("presheaf"), ref("bitopology"), budget)
     if op == "2stack":
-        return is_2stack(ref("trihom"), ref("bitopology"), budget)
+        return is_2stack(ref("trihom"), _covering(doc, ref("bitopology")),
+                         budget)
     if op == "2stack_direct":
-        return is_2stack_direct(ref("trihom"), ref("bitopology"), budget)
+        return is_2stack_direct(ref("trihom"),
+                                _covering(doc, ref("bitopology")), budget)
     raise UnknownCheck("unknown check op %r" % op)
 
 

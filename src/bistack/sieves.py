@@ -12,7 +12,7 @@ restriction along an identity is strict.
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .fincat import Functor, NatTrans, identity_functor
+from .fincat import Functor, NatTrans, compose_functors, identity_functor
 from .two_cat import Fin2Cat, PsFunctorToCat, PsNatTrans
 from .builders import identity_nat
 from .report import Budget, failed, passed
@@ -114,6 +114,20 @@ def maximal_bisieve(k, target):
     return build_bisieve(k, target, members)
 
 
+def _literalize(s):
+    """The same member family with literal closure witnesses: tilde is
+    base composition and every sigma is an identity.  Only valid for
+    member sets literally closed under precomposition (maximal sieves and
+    pullbacks of literal sieves are)."""
+    k = s.k
+    tilde, sigma = {}, {}
+    for (f, g) in s.tilde:
+        t = k.c1(f, g)
+        tilde[(f, g)] = t
+        sigma[(f, g)] = k.id2(t)
+    return Bisieve(k, s.target, s.members, tilde, sigma)
+
+
 def check_bisieve(s, budget=None):
     """Typing, closure, normality and invertibility of the witnesses."""
     budget = budget or Budget()
@@ -201,6 +215,16 @@ def _restrict_cell(s, f, g, delta, g2):
     return k.v_path([
         k.inverse2(s.sigma[(f, g2)]),
         k.wl(f, delta),
+        s.sigma[(f, g)],
+    ])
+
+
+def _restrict_member_cell(s, f, f2, gamma, g):
+    """Restriction of gamma: f => f2 along g, as tilde(f,g) => tilde(f2,g)."""
+    k = s.k
+    return k.v_path([
+        k.inverse2(s.sigma[(f2, g)]),
+        k.wr(gamma, g),
         s.sigma[(f, g)],
     ])
 
@@ -347,19 +371,9 @@ def factor_groth_morphism(gt, name):
 # --- presheaves attached to a sieve --------------------------------------
 
 def representable(k, c):
-    """The 2-functor represented by an object, as a PsFunctorToCat."""
-    ob = {d: k.hom_cat(d, c) for d in k.objects}
-    on1, on2 = {}, {}
-    for g, (e, d) in k.onecells.items():
-        on1[g] = Functor(ob[d], ob[e],
-                         {f: k.c1(f, g) for f in ob[d].objects},
-                         {x: k.wr(x, g) for x in ob[d].morphisms})
-    for delta, (g, g2) in k.twocells.items():
-        e, d = k.onecells[g]
-        on2[delta] = NatTrans(on1[g], on1[g2],
-                              {f: k.wl(f, delta) for f in ob[d].objects})
-    from .builders import strict_ps_functor
-    return strict_ps_functor(k, ob, on1, on2)
+    """The 2-functor represented by an object, as a PsFunctorToCat: the
+    presheaf of the literal maximal sieve on c."""
+    return sieve_presheaf(_literalize(maximal_bisieve(k, c)))
 
 
 def sieve_presheaf(s):
@@ -374,17 +388,13 @@ def sieve_presheaf(s):
         on1[g] = Functor(
             ob[d], ob[e],
             {f: s.tilde[(f, g)] for f in ob[d].objects},
-            {x: k.v_path([
-                k.inverse2(s.sigma[(k.tgt2(x), g)]),
-                k.wr(x, g),
-                s.sigma[(k.src2(x), g)],
-            ]) for x in ob[d].morphisms})
+            {x: _restrict_member_cell(s, k.src2(x), k.tgt2(x), x, g)
+             for x in ob[d].morphisms})
     for delta, (g, g2) in k.twocells.items():
         e, d = k.onecells[g]
         on2[delta] = NatTrans(on1[g], on1[g2],
                               {f: _restrict_cell(s, f, g, delta, g2)
                                for f in ob[d].objects})
-    from .fincat import compose_functors
     for f1, (d1, c1) in k.onecells.items():
         for g1 in k.onecells:
             if k.tgt1(g1) != d1:
@@ -402,7 +412,6 @@ def inclusion_transformation(s):
     k = s.k
     R = sieve_presheaf(s)
     Y = representable(k, s.target)
-    from .fincat import compose_functors
     comp = {d: Functor(R.ob[d], Y.ob[d],
                        {f: f for f in R.ob[d].objects},
                        {x: x for x in R.ob[d].morphisms})

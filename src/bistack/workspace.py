@@ -4,17 +4,18 @@ A workspace declares finite categories, strict 2-categories, bisieves,
 bitopologies, category-valued presheaves, 2-category-valued homomorphism
 data, and named check requests.  Composition tables are explicit arrays of
 ``[argument ids..., result id]``; 2-cells carry explicit boundary fields.
-Loading validates cross-references (DanglingReference), JSON shape, and
-each trihom's base 2-category, and for a ``tables`` trihom its values and
-its action data (ParseError); other structural validity is checked by the
-named validators when a check runs.
+Loading validates cross-references (DanglingReference), JSON shape, the
+typing of each bisieve's target and members, and each trihom's base
+2-category, and for a ``tables`` trihom its values and its action data
+(ParseError); other structural validity is checked by the named
+validators when a check runs.
 """
 
 import json
 
 from .errors import BoundaryMismatch, DanglingReference, MalformedTable, \
     ParseError
-from .fincat import FinCat
+from .fincat import FinCat, _is_cell
 from .two_cat import Fin2Cat, check_two_category
 from .sieves import Bisieve, Bitopology, representable
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, check_trihom_data, \
@@ -122,10 +123,19 @@ def _ref(pool, name, kind, where):
 def _decode_bisieve(body, two_cats, where):
     k = _ref(two_cats, _object(body, where).get("two_cat"), "two-category",
              where)
+    target = body.get("target")
+    if target not in k.objects:
+        raise DanglingReference("%s: unknown target object %r"
+                                % (where, target))
     try:
-        members = _field(body, "members", where)
-        return Bisieve(k, body["target"],
-                       {d: set(fs) for d, fs in members.items()},
+        members = {d: set(fs)
+                   for d, fs in _field(body, "members", where).items()}
+        for d, fs in members.items():
+            for f in sorted(fs):
+                if not _is_cell(k.onecells, f, (d, target)):
+                    raise ParseError("%s.members[%s]: %r is not a 1-cell "
+                                     "%r -> %r" % (where, d, f, d, target))
+        return Bisieve(k, target, members,
                        _pairs_to_dict(body["tilde"], 2, where + ".tilde"),
                        _pairs_to_dict(body["sigma"], 2, where + ".sigma"))
     except (KeyError, TypeError) as exc:

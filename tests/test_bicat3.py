@@ -11,9 +11,12 @@ from bistack.bicat3 import (Perturbation, PsTwoFunctor, PsTwoNatTrans,
                             identity_tritransformation, representable_trihom,
                             strict_trihom, yoneda_pert, yoneda_trimod,
                             yoneda_tritrans)
+from bistack.builders import chain_suspension
 from bistack.fincat import walking_arrow
+from bistack.generate import generate
 from bistack.report import Budget
 from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
+from bistack.workspace import load_data
 
 from test_two_cat import split_idempotent_2cat
 
@@ -140,12 +143,22 @@ def test_strict_trihom_data_passes(ksplit):
     assert any("not checked" in d for d in r.details)
 
 
+def _generated_bases():
+    return [k for profile in ("locally-discrete-site", "tiny-2site")
+            for seed in range(10)
+            for k in load_data(generate(seed, profile)).two_cats.values()]
+
+
 def test_representable_trihom_data_passes(ksplit):
     t = representable_trihom(ksplit, "A")
     assert check_trihom_data(t).ok
     # values are the morphisms into A; the action is precomposition
     assert sorted(t.ob["B"].objects) == ["v"]
     assert t.on1["u"].ob["v"] == "e"
+    bases = [chain_suspension(n) for n in (2, 3, 4)] + _generated_bases()
+    for k in bases:
+        for c in sorted(k.objects):
+            assert check_trihom_data(representable_trihom(k, c)).ok, c
 
 
 def test_nonequivalence_compositor_component_is_flagged():

@@ -328,6 +328,36 @@ def test_cli_list_in_place_of_an_object_is_a_located_input_error(
     assert message in err and "Traceback" not in err
 
 
+def _set(field, value):
+    def corrupt(s):
+        s[field] = value
+    return corrupt
+
+
+def _unknown_member(s):
+    s["members"]["O0"].append("nope")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set("tilde", []), "bisieves.S_O0_0: bisieve fails: no member "
+                        "restriction for ('id_O0', 'id_O0')"),
+    (_set("sigma", []), "bisieves.S_O0_0: bisieve fails: bad restriction "
+                        "witness at ('id_O0', 'id_O0')"),
+    (_set("target", ["O0"]), "bisieves.S_O0_0: unknown target object "
+                             "['O0']"),
+    (_unknown_member, "bisieves.S_O0_0.members[O0]: 'nope' is not a 1-cell "
+                      "'O0' -> 'O0'"),
+], ids=["tilde-empty", "sigma-empty", "target-list", "unknown-member"])
+def test_cli_malformed_covering_bisieve_is_a_located_input_error(
+        tmp_path, capsys, corrupt, message):
+    raw = _site_doc()
+    corrupt(raw["bisieves"]["S_O0_0"])
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def _no_identity2(k):
     del k["identity2"]["id_X"]
 

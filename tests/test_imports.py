@@ -1,5 +1,6 @@
-"""Every module under src/bistack uses each name it imports, and every
-private helper it defines."""
+"""Every module under src/bistack uses each name it imports and every
+private helper it defines, and every public function it defines is
+referenced from src/bistack or the tests."""
 
 import ast
 from collections import Counter
@@ -34,14 +35,31 @@ def _names(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def test_every_private_helper_is_used():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py"))}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
-    dead = sorted("%s.%s" % (m, node.name)
+def _trees(folder):
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(folder.glob("*.py"))}
+
+
+def _unreferenced(trees, used, private):
+    """module.function for each module-level function, private or public
+    by its name, whose name occurs in used only inside its own body."""
+    return sorted("%s.%s" % (m, node.name)
                   for m, tree in trees.items() for node in tree.body
                   if isinstance(node, ast.FunctionDef)
-                  and node.name.startswith("_")
+                  and node.name.startswith("_") == private
                   and not node.name.startswith("__")
                   and used[node.name] == _names(node)[node.name])
-    assert dead == []
+
+
+def test_every_private_helper_is_used():
+    trees = _trees(SRC)
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    assert _unreferenced(trees, used, private=True) == []
+
+
+def test_every_public_function_is_referenced():
+    trees = _trees(SRC)
+    tests = _trees(Path(__file__).parent)
+    used = sum((_names(tree) for tree in [*trees.values(), *tests.values()]),
+               Counter())
+    assert _unreferenced(trees, used, private=False) == []

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistack.bicat3 import representable_trihom
+from bistack.bicat3 import representable_trihom, yoneda_pert, yoneda_trimod, \
+    yoneda_tritrans
 from bistack.builders import chain_suspension
 from bistack.descent import _all_descent_data_mor, _all_ps_two_functors, \
     _all_tritransformations, _all_weak_data, is_2stack, is_2stack_direct, \
@@ -21,6 +22,7 @@ from bistack.workspace import corpus_names, corpus_path, load, load_data
 
 from test_descent import collapse_objects_trihom, \
     collapse_twocells_trihom, unreachable_object_trihom
+from test_two_cat import split_idempotent_2cat
 
 
 # --- choices against itertools.product ---------------------------------------
@@ -202,6 +204,68 @@ def test_ps_two_functor_candidates_are_pinned():
     assert all(seq for rung in seqs for seq, _ in rung)
     digest = hashlib.sha256(repr(seqs).encode()).hexdigest()
     assert digest == _PS_PINNED
+
+
+# --- the representable, sieve and Yoneda constructions ---------------------------
+
+def _trihom_tables(t):
+    return {"ob": {c: v.key() for c, v in t.ob.items()},
+            **{name: {x: h.key() for x, h in getattr(t, name).items()}
+               for name in ("on1", "on2", "chi", "iota")},
+            "omega": t.omega, "delta_hat": t.delta_hat,
+            "gamma_hat": t.gamma_hat}
+
+
+def _tritrans_tables(s):
+    return {"dom": _trihom_tables(s.dom), "beta": s.beta, "gamma": s.gamma,
+            "comp": {c: h.key() for c, h in s.comp.items()},
+            "square": {g: (q.dom.key(), q.cod.key(), q.key())
+                       for g, q in s.square.items()}}
+
+
+def _trimod_tables(m):
+    return {"dom": _tritrans_tables(m.dom), "cod": _tritrans_tables(m.cod),
+            "comp": {c: q.key() for c, q in m.comp.items()},
+            "cell": m.cell}
+
+
+def _constructions():
+    """Every representable trihom of ksplit, chain_suspension(3) and the
+    corpus base; every Yoneda cell of every representable trihom of
+    chain_suspension(3); and the trihom of each literal maximal sieve
+    there."""
+    k3 = chain_suspension(3)
+    bases = [split_idempotent_2cat(), k3,
+             load(corpus_path("walking_arrow.site")).two_cats["K"]]
+    out = [_trihom_tables(representable_trihom(k, c0))
+           for k in bases for c0 in sorted(k.objects)]
+    for c in sorted(k3.objects):
+        F = representable_trihom(k3, c)
+        for c0 in sorted(k3.objects):
+            val = F.ob[c0]
+            out += [_tritrans_tables(yoneda_tritrans(F, c0, x0))
+                    for x0 in sorted(val.objects)]
+            out += [_trimod_tables(yoneda_trimod(F, c0, a0))
+                    for a0 in sorted(val.onecells)]
+            for al0 in sorted(val.twocells):
+                p = yoneda_pert(F, c0, al0)
+                out.append({"dom": _trimod_tables(p.dom),
+                            "cod": _trimod_tables(p.cod), "comp": p.comp})
+    out += [_trihom_tables(sieve_trihom(_literalize(maximal_bisieve(k3, c))))
+            for c in sorted(k3.objects)]
+    return out
+
+
+# recorded before the representable and Yoneda constructions were built
+# from sieve restriction
+_CONSTRUCTIONS_PINNED = ("e482712bc8cf254fa3e155b2101286c3"
+                         "4489255a83c44bd0d2b6d7a3caea5644")
+
+
+def test_representable_and_yoneda_constructions_are_pinned():
+    digest = hashlib.sha256(
+        repr(_canon(_constructions())).encode()).hexdigest()
+    assert digest == _CONSTRUCTIONS_PINNED
 
 
 # --- the deciders' steps on ladder rungs ----------------------------------------
