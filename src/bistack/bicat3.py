@@ -30,6 +30,7 @@ from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
 from .report import Budget, failed, passed
+from .two_cat import from_fincat
 
 
 # --- pseudofunctors between strict 2-categories ---------------------------
@@ -485,7 +486,6 @@ def representable_trihom(k, c0):
     """The homomorphism represented by an object: values are hom
     2-categories (locally discrete), action by precomposition.  This is
     the trihom of the maximal sieve on c0."""
-    from .two_cat import from_fincat
     return _precomposition_trihom(
         k, {d: from_fincat(k.hom_cat(d, c0)) for d in k.objects})
 
@@ -497,7 +497,6 @@ def sieve_trihom(s):
     Requires the sieve to be literally closed under precomposition
     (tilde(f, g) == f.g with identity witnesses); otherwise the values
     fail to be strictly compositional and MalformedTable is raised."""
-    from .two_cat import from_fincat
     k = s.k
     for key, t in s.tilde.items():
         if t != k.c1(*key) or s.sigma[key] != k.id2(t):

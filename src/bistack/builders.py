@@ -5,7 +5,7 @@ check_* procedures, so tests can corrupt the output freely.
 """
 
 from .errors import MalformedTable
-from .fincat import FinCat, NatTrans, identity_functor
+from .fincat import FinCat, NatTrans, compose_functors, identity_functor
 from .two_cat import Fin2Cat, PsFunctorToCat
 
 
@@ -98,7 +98,6 @@ def strict_ps_functor(base, ob, on1, on2=None):
     on1 must already be strictly functorial against base composition.
     on2 defaults to identity cells only (fine for locally discrete bases).
     """
-    from .fincat import compose_functors
     on2 = dict(on2 or {})
     for f in base.onecells:
         x = base.id2(f)

@@ -52,12 +52,13 @@ values and action data are checked when a workspace is loaded.
 from collections import Counter
 
 from .errors import MalformedTable
-from .fincat import FinCat, Functor, NatTrans, all_functors, all_nat_trans, \
-    compose_functors, is_equivalence
+from .fincat import Functor, NatTrans, all_functors, all_nat_trans, \
+    compose_functors, is_equivalence, tabulate, vcomp_key
 from .two_cat import PsNatTrans, CatModification, check_ps_nat, \
     check_modification
 from .sieves import sieve_presheaf, representable, _compositor_cell, \
     _restrict_cell, _restrict_member_cell
+from .builders import identity_nat
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
@@ -1091,9 +1092,10 @@ def _sieve_restriction_nat(R, F, s, X):
 
 def descent_category(F, s, budget=None):
     """The category of pseudonatural transformations out of the sieve and
-    modifications between them, materialized as explicit tables."""
+    modifications between them, materialized as explicit tables; with the
+    name of each object by its key, and the arrow index."""
     budget = budget or Budget()
-    R = sieve_presheaf(s)
+    R = s.memo(sieve_presheaf)
     k = s.k
     obs = sorted(k.objects)
 
@@ -1111,46 +1113,28 @@ def descent_category(F, s, budget=None):
             cand = PsNatTrans(R, F, comp, cells)
             if check_ps_nat(cand, budget).ok:
                 nats.append(cand)
-    names = {t.key(): "a%d" % i for i, t in enumerate(nats)}
-    objects = [names[t.key()] for t in nats]
-    src, tgt, identity, comp_tab = {}, {}, {}, {}
-    arrows, arrow_of = {}, {}
-    for t in nats:
-        for t2 in nats:
+    objects = {"a%d" % i: t for i, t in enumerate(nats)}
+    arrows = {}
+    for a, t in objects.items():
+        for b, t2 in objects.items():
             comps = ((d, all_nat_trans(t.comp[d], t2.comp[d], budget))
                      for d in obs)
             for (comp,) in choices(budget, comps):
                 m = CatModification(t, t2, comp)
-                if not check_modification(m, budget).ok:
-                    continue
-                mid = "m%d" % len(arrows)
-                arrows[mid] = m
-                src[mid] = names[t.key()]
-                tgt[mid] = names[t2.key()]
-                arrow_of[(names[t.key()], names[t2.key()], m.key())] = mid
-    for t in nats:
-        ident = CatModification(t, t, {
-            d: NatTrans(t.comp[d], t.comp[d],
-                        {x: F.ob[d].id(t.comp[d].o(x))
-                         for x in R.ob[d].objects}) for d in obs})
-        identity[names[t.key()]] = arrow_of[(names[t.key()],
-                                             names[t.key()], ident.key())]
-    for m2, mod2 in arrows.items():
-        for m1, mod1 in arrows.items():
-            if src[m2] != tgt[m1]:
-                continue
-            budget.tick()
-            m = CatModification(mod1.dom, mod2.cod, {
-                d: NatTrans(mod1.dom.comp[d], mod2.cod.comp[d],
-                            {x: F.ob[d].compose(mod2.comp[d].at(x),
-                                                mod1.comp[d].at(x))
-                             for x in R.ob[d].objects}) for d in obs})
-            comp_tab[(m2, m1)] = arrow_of[(src[m1], tgt[m2], m.key())]
-    cat = FinCat(objects, src, tgt, identity, comp_tab)
-    cat.decode = {"nats": {names[t.key()]: t for t in nats},
-                  "mods": arrows, "names": names, "arrow_of": arrow_of,
-                  "presheaf": R}
-    return cat
+                if check_modification(m, budget).ok:
+                    arrows["m%d" % len(arrows)] = (a, b, m.key())
+
+    def identity(t):
+        return CatModification(t, t, {d: identity_nat(t.comp[d])
+                                      for d in obs}).key()
+
+    def compose(later, earlier):
+        budget.tick()
+        return tuple((d, vcomp_key(F.ob[d], x, y))
+                     for (d, x), (_, y) in zip(later, earlier))
+
+    cat, index = tabulate(objects, arrows, identity, compose)
+    return cat, {t.key(): a for a, t in objects.items()}, index
 
 
 def is_stack_catvalued(F, tau, budget=None):
@@ -1158,32 +1142,28 @@ def is_stack_catvalued(F, tau, budget=None):
     into the descent category must be an equivalence of categories."""
     budget = budget or Budget()
     k = F.base
-    for c in sorted(k.objects):
+    obs = sorted(k.objects)
+    for c in obs:
         for i, s in enumerate(tau.sieves_on(c)):
-            desc = descent_category(F, s, budget)
-            R = desc.decode["presheaf"]
-            names = desc.decode["names"]
-            arrow_of = desc.decode["arrow_of"]
-            obs = sorted(k.objects)
+            desc, names, index = descent_category(F, s, budget)
+            R = s.memo(sieve_presheaf)
             val_c = F.ob[c]
-            ob_map, mor_map = {}, {}
+            restricted, ob_map, mor_map = {}, {}, {}
             try:
                 for X in val_c.objects:
                     budget.tick()
-                    t = _sieve_restriction_nat(R, F, s, X)
+                    t = restricted[X] = _sieve_restriction_nat(R, F, s, X)
                     ob_map[X] = names[t.key()]
                 for m0 in val_c.morphisms:
                     budget.tick()
                     X, Y = val_c.src[m0], val_c.tgt[m0]
-                    tX = _sieve_restriction_nat(R, F, s, X)
-                    tY = _sieve_restriction_nat(R, F, s, Y)
+                    tX, tY = restricted[X], restricted[Y]
                     mod = CatModification(tX, tY, {
                         d: NatTrans(tX.comp[d], tY.comp[d],
                                     {f: F.on1[f].m(m0)
                                      for f in R.ob[d].objects})
                         for d in obs})
-                    mor_map[m0] = arrow_of[(ob_map[X], ob_map[Y],
-                                            mod.key())]
+                    mor_map[m0] = index[(ob_map[X], ob_map[Y], mod.key())]
             except KeyError as exc:
                 return failed("is_stack_catvalued",
                               ["restriction of %r is not a valid descent "

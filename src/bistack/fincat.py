@@ -7,7 +7,7 @@ quotiented: what is in the tables is the whole category.
 
 from types import MappingProxyType
 
-from .errors import BoundaryMismatch, MalformedTable
+from .errors import BoundaryMismatch, MalformedTable, SearchBudgetExceeded
 from .report import Budget, choices, failed, inconclusive, passed
 
 
@@ -449,7 +449,6 @@ def equivalent_categories(c, d, budget=None):
     the isomorphism search is budgeted, so the verdict may be inconclusive.
     """
     budget = budget or Budget()
-    from .errors import SearchBudgetExceeded
     sc, sd = c.skeleton(), d.skeleton()
     try:
         iso = _iso_search(sc, sd, budget)
@@ -495,37 +494,50 @@ def all_nat_trans(F, G, budget=None):
     return out
 
 
+def vcomp_key(d, later, earlier):
+    """The key of later . earlier, for natural transformations into d
+    given by their keys."""
+    return tuple((x, d.compose(g, f))
+                 for (x, g), (_, f) in zip(later, earlier))
+
+
+def tabulate(objects, arrows, identity, compose):
+    """The category on named objects ({name: value}) and named arrows
+    ({name: (src, tgt, value)}), with its arrow index
+    {(src, tgt, value): name}.
+
+    identity(value) and compose(later, earlier) return arrow values, each
+    of which must name an arrow with that boundary.  Composites are formed
+    in arrows order, the later factor varying slowest.
+    """
+    index = {arrow: name for name, arrow in arrows.items()}
+    into = {}
+    for m, (s, t, v) in arrows.items():
+        into.setdefault(t, []).append((m, s, v))
+    ids = {x: index[(x, x, identity(v))] for x, v in objects.items()}
+    comp = {(m2, m1): index[(s1, t2, compose(v2, v1))]
+            for m2, (s2, t2, v2) in arrows.items()
+            for m1, s1, v1 in into.get(s2, ())}
+    return FinCat(objects, {m: s for m, (s, _, _) in arrows.items()},
+                  {m: t for m, (_, t, _) in arrows.items()}, ids, comp), index
+
+
 def functor_category(c, d, budget=None):
     """The category of all functors c -> d and natural transformations."""
     budget = budget or Budget()
-    functors = all_functors(c, d, budget)
-    names = {F.key(): "F%d" % i for i, F in enumerate(functors)}
-    objects, src, tgt, identity, comp = [], {}, {}, {}, {}
-    mor_of = {}
-    for F in functors:
-        objects.append(names[F.key()])
+    functors = {"F%d" % i: F for i, F in enumerate(all_functors(c, d, budget))}
     arrows = {}
-    for F in functors:
-        for G in functors:
+    for a, F in functors.items():
+        for b, G in functors.items():
             for t in all_nat_trans(F, G, budget):
-                mid = "t%d" % len(arrows)
-                arrows[mid] = t
-                src[mid] = names[F.key()]
-                tgt[mid] = names[G.key()]
-                mor_of[(names[F.key()], names[G.key()], t.key())] = mid
-    for F in functors:
-        ident = NatTrans(F, F, {x: d.id(F.o(x)) for x in c.objects})
-        identity[names[F.key()]] = mor_of[(names[F.key()], names[F.key()],
-                                           ident.key())]
-    for m2, t2 in arrows.items():
-        for m1, t1 in arrows.items():
-            if src[m2] == tgt[m1]:
-                budget.tick()
-                t = NatTrans(t1.dom, t2.cod,
-                             {x: d.compose(t2.at(x), t1.at(x))
-                              for x in c.objects})
-                comp[(m2, m1)] = mor_of[(src[m1], tgt[m2], t.key())]
-    cat = FinCat(objects, src, tgt, identity, comp)
-    cat.decode = {"functors": {names[F.key()]: F for F in functors},
-                  "nats": arrows}
+                arrows["t%d" % len(arrows)] = (a, b, t.key())
+
+    def identity(F):
+        return NatTrans(F, F, {x: d.id(F.o(x)) for x in c.objects}).key()
+
+    def compose(later, earlier):
+        budget.tick()
+        return vcomp_key(d, later, earlier)
+
+    cat, _ = tabulate(functors, arrows, identity, compose)
     return cat

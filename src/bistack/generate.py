@@ -21,11 +21,12 @@ from itertools import product
 
 from .errors import ToolkitError
 from .fincat import FinCat, discrete
-from .two_cat import check_two_category, from_fincat
-from .sieves import _literalize, candidate_sieves, check_bitopology, \
-    maximal_bisieve, pullback_sieve, sieve_equivalence
+from .two_cat import Fin2Cat, check_two_category, from_fincat
+from .sieves import _covers, candidate_sieves, check_bitopology, \
+    literal_maximal_bisieve, pullback_sieve, sieve_equivalence
 from .builders import thin_two_cat
 from .report import Budget
+from .runner import run_check
 from .workspace import SCHEMA, load_data, _encode_two_cat, _encode_bisieve
 
 PROFILES = ("locally-discrete-site", "tiny-2site", "mutant")
@@ -71,10 +72,6 @@ def _random_poset_cat(rng, max_objects=4, max_morphisms=12):
         return FinCat(objs, src, tgt, identity, comp)
 
 
-def _covered(existing, s, budget):
-    return any(sieve_equivalence(s, t, budget).ok for t in existing)
-
-
 def _literal_candidates(k, c, budget):
     """Candidate sieves whose closure witnesses are literal composites
     (tilde agrees with base composition), one per member set.  These are
@@ -102,10 +99,10 @@ def _saturate_topology(k, chosen, budget):
                 return t
         return s
 
-    cov = {c: [_literalize(maximal_bisieve(k, c))] for c in k.objects}
+    cov = {c: [literal_maximal_bisieve(k, c)] for c in k.objects}
     for c, extra in chosen.items():
         for s in extra:
-            if not _covered(cov[c], s, budget):
+            if not _covers(cov[c], s, budget):
                 cov[c].append(s)
     changed = True
     while changed:
@@ -116,16 +113,16 @@ def _saturate_topology(k, chosen, budget):
                     if c2 != c:
                         continue
                     p = pullback_sieve(s, f, budget)
-                    if not _covered(cov[d], p, budget):
+                    if not _covers(cov[d], p, budget):
                         cov[d].append(canonical(d, p))
                         changed = True
         for c in k.objects:
             for s in cands[c]:
-                if _covered(cov[c], s, budget):
+                if _covers(cov[c], s, budget):
                     continue
                 for r in cov[c]:
-                    if all(_covered(cov[k.onecells[f][0]],
-                                    pullback_sieve(s, f, budget), budget)
+                    if all(_covers(cov[k.onecells[f][0]],
+                                   pullback_sieve(s, f, budget), budget)
                            for _, f in r.all_members()):
                         cov[c].append(s)
                         changed = True
@@ -233,7 +230,6 @@ def _z2_base():
     """One object with an order-two 2-cell on the identity."""
     z2 = {("2id_id_P", "2id_id_P"): "2id_id_P", ("2id_id_P", "t"): "t",
           ("t", "2id_id_P"): "t", ("t", "t"): "2id_id_P"}
-    from .two_cat import Fin2Cat
     return Fin2Cat(["P"], {"id_P": ("P", "P")},
                    {"2id_id_P": ("id_P", "id_P"), "t": ("id_P", "id_P")},
                    {"P": "id_P"}, {"id_P": "2id_id_P"},
@@ -344,7 +340,6 @@ def _mutations(raw):
 
 def _battery(raw):
     """Run every check of a raw document; {name: verdict}."""
-    from .runner import run_check
     doc = load_data(raw)
     return {name: run_check(doc, name)["verdict"]
             for name in sorted(doc.checks)}

@@ -15,7 +15,7 @@ from .errors import BoundaryMismatch, MalformedTable
 from .fincat import Functor, NatTrans, compose_functors, identity_functor
 from .two_cat import Fin2Cat, PsFunctorToCat, PsNatTrans
 from .builders import identity_nat
-from .report import Budget, failed, passed
+from .report import Budget, failed, merge, passed
 
 
 class Bisieve:
@@ -106,26 +106,27 @@ def build_bisieve(k, target, members):
     return Bisieve(k, target, members, tilde, sigma)
 
 
-def maximal_bisieve(k, target):
+def _maximal_members(k, target):
     members = {}
     for f, (d, c) in k.onecells.items():
         if c == target:
             members.setdefault(d, set()).add(f)
-    return build_bisieve(k, target, members)
+    return members
 
 
-def _literalize(s):
-    """The same member family with literal closure witnesses: tilde is
-    base composition and every sigma is an identity.  Only valid for
-    member sets literally closed under precomposition (maximal sieves and
-    pullbacks of literal sieves are)."""
-    k = s.k
-    tilde, sigma = {}, {}
-    for (f, g) in s.tilde:
-        t = k.c1(f, g)
-        tilde[(f, g)] = t
-        sigma[(f, g)] = k.id2(t)
-    return Bisieve(k, s.target, s.members, tilde, sigma)
+def maximal_bisieve(k, target):
+    return build_bisieve(k, target, _maximal_members(k, target))
+
+
+def literal_maximal_bisieve(k, target):
+    """The maximal sieve with literal closure witnesses: tilde is base
+    composition and every sigma an identity."""
+    members = _maximal_members(k, target)
+    tilde = {(f, g): k.c1(f, g) for d, ms in members.items()
+             for f in sorted(ms)
+             for g, (_, d2) in sorted(k.onecells.items()) if d2 == d}
+    return Bisieve(k, target, members, tilde,
+                   {fg: k.id2(t) for fg, t in tilde.items()})
 
 
 def check_bisieve(s, budget=None):
@@ -190,21 +191,15 @@ def pullback_sieve(s, f, budget=None):
     if c != s.target:
         raise BoundaryMismatch("%r does not land in %r" % (f, s.target))
     members = {}
-    witnesses = {}
     for g, (e, d2) in sorted(k.onecells.items()):
         if d2 != d:
             continue
         budget.tick()
         fg = k.c1(f, g)
-        for m in s.member_list(e):
-            cell = k.invertible_2cell(m, fg)
-            if cell is not None:
-                members.setdefault(e, set()).add(g)
-                witnesses[g] = (m, cell)
-                break
-    out = build_bisieve(k, d, members)
-    out.pullback_witnesses = witnesses
-    return out
+        if any(k.invertible_2cell(m, fg) is not None
+               for m in s.member_list(e)):
+            members.setdefault(e, set()).add(g)
+    return build_bisieve(k, d, members)
 
 
 # --- the 2-category of elements -----------------------------------------
@@ -373,7 +368,7 @@ def factor_groth_morphism(gt, name):
 def representable(k, c):
     """The 2-functor represented by an object, as a PsFunctorToCat: the
     presheaf of the literal maximal sieve on c."""
-    return sieve_presheaf(_literalize(maximal_bisieve(k, c)))
+    return sieve_presheaf(literal_maximal_bisieve(k, c))
 
 
 def sieve_presheaf(s):
@@ -436,9 +431,9 @@ class Bitopology:
         return self.covering.get(c, ())
 
 
-def _covers(tau, s, budget):
-    return any(sieve_equivalence(s, t, budget).ok
-               for t in tau.sieves_on(s.target))
+def _covers(sieves, s, budget):
+    """Is s equivalent to one of the sieves?"""
+    return any(sieve_equivalence(s, t, budget).ok for t in sieves)
 
 
 def check_T1(tau, budget=None):
@@ -446,7 +441,7 @@ def check_T1(tau, budget=None):
     budget = budget or Budget()
     for c in tau.k.objects:
         budget.tick()
-        if not _covers(tau, maximal_bisieve(tau.k, c), budget):
+        if not _covers(tau.sieves_on(c), maximal_bisieve(tau.k, c), budget):
             return failed("check_T1", ["maximal sieve on %r not covering" % c],
                           {"object": c})
     return passed("check_T1")
@@ -461,7 +456,8 @@ def check_T2(tau, budget=None):
                 if c2 != c:
                     continue
                 budget.tick()
-                if not _covers(tau, pullback_sieve(s, f, budget), budget):
+                if not _covers(tau.sieves_on(d),
+                               pullback_sieve(s, f, budget), budget):
                     return failed(
                         "check_T2",
                         ["T2 via f*S: pullback of sieve #%d on %r along %r "
@@ -513,11 +509,12 @@ def check_T3(tau, budget=None):
         for s in candidate_sieves(k, c, budget):
             locally_covering = False
             for t in tau.sieves_on(c):
-                if all(_covers(tau, pullback_sieve(s, f, budget), budget)
+                if all(_covers(tau.sieves_on(d),
+                               pullback_sieve(s, f, budget), budget)
                        for d, f in t.all_members()):
                     locally_covering = True
                     break
-            if locally_covering and not _covers(tau, s, budget):
+            if locally_covering and not _covers(tau.sieves_on(c), s, budget):
                 return failed(
                     "check_T3",
                     ["sieve on %r is locally covering but not covering" % c],
@@ -541,13 +538,12 @@ def check_bitopology(tau, budget=None):
             if not r.ok:
                 r.details.insert(0, "sieve #%d on %r" % (i, c))
                 return r
-    from .report import merge
     out = merge("check_bitopology",
                 [check_T1(tau, budget), check_T2(tau, budget),
                  check_T3(tau, budget)])
     for c in tau.k.objects:
         for s in candidate_sieves(tau.k, c, budget):
-            if _covers(tau, s, budget) \
+            if _covers(tau.sieves_on(c), s, budget) \
                     and not any(s == t for t in tau.sieves_on(c)):
                 out.details.append(
                     "note: covering-equivalent sieve on %r not literally "

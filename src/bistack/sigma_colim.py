@@ -10,7 +10,7 @@ out of the apex and the category of cocones.
 from dataclasses import dataclass, field
 
 from .errors import BoundaryMismatch, SearchBudgetExceeded
-from .fincat import FinCat, Functor, check_functor, is_equivalence
+from .fincat import Functor, check_functor, is_equivalence, tabulate
 from .report import (Budget, CheckReport, FAIL, INCONCLUSIVE, PASS, choices,
                      failed, passed)
 from .sieves import groth
@@ -239,33 +239,26 @@ def cocone_morphisms(d, c1, c2, budget=None):
 
 
 def sigma_cocone_category(d, u, budget=None):
-    """The category of sigma-bicocones on u and their modifications."""
+    """The category of sigma-bicocones on u and their modifications, the
+    name of each cocone, and the arrow index."""
     budget = budget or Budget()
     k = d.k
-    cocones = enumerate_sigma_cocones(d, u, budget)
-    names = {cc: "cc%d" % i for i, cc in enumerate(cocones)}
-    src, tgt, identity, comp = {}, {}, {}, {}
-    mor_names = {}
-    for a in cocones:
-        for b in cocones:
-            for mu in cocone_morphisms(d, a, b, budget):
-                mid = "md%d" % len(mor_names)
-                mor_names[(names[a], names[b], mu)] = mid
-                src[mid], tgt[mid] = names[a], names[b]
-    decode_m = {v: key for key, v in mor_names.items()}
-    for a in cocones:
-        ident = tuple(sorted((s, k.id2(r)) for s, r in a.legs))
-        identity[names[a]] = mor_names[(names[a], names[a], ident)]
-    for m2, (sa2, sb2, mu2) in decode_m.items():
-        for m1, (sa1, sb1, mu1) in decode_m.items():
-            if sb1 == sa2:
-                mu = tuple(sorted(
-                    (s, k.v(dict(mu2)[s], dict(mu1)[s])) for s, _ in mu1))
-                comp[(m2, m1)] = mor_names[(sa1, sb2, mu)]
-    cat = FinCat([names[c] for c in cocones], src, tgt, identity, comp)
-    cat.decode = {"cocones": {names[c]: c for c in cocones},
-                  "morphisms": decode_m}
-    return cat
+    cocones = {"cc%d" % i: cc
+               for i, cc in enumerate(enumerate_sigma_cocones(d, u, budget))}
+    arrows = {}
+    for a, ca in cocones.items():
+        for b, cb in cocones.items():
+            for mu in cocone_morphisms(d, ca, cb, budget):
+                arrows["md%d" % len(arrows)] = (a, b, mu)
+
+    def identity(cc):
+        return tuple(sorted((s, k.id2(r)) for s, r in cc.legs))
+
+    def compose(later, earlier):
+        return tuple((s, k.v(x, y)) for (s, x), (_, y) in zip(later, earlier))
+
+    cat, index = tabulate(cocones, arrows, identity, compose)
+    return cat, {cc: a for a, cc in cocones.items()}, index
 
 
 def whisker_cocone(d, cc, r):
@@ -280,30 +273,27 @@ def comparison_functor(d, mu, u, budget=None):
     """Whiskering Hom(apex, u) into the cocone category on u."""
     budget = budget or Budget()
     k = d.k
-    cc_cat = sigma_cocone_category(d, u, budget)
+    cc_cat, names, index = sigma_cocone_category(d, u, budget)
     hom = k.hom_cat(mu.apex, u)
-    by_cocone = {cc: name for name, cc in cc_cat.decode["cocones"].items()}
-    mor_index = {key: name for name, key in cc_cat.decode["morphisms"].items()}
     ob, mor = {}, {}
     for r in hom.objects:
         img = whisker_cocone(d, mu, r)
-        if img not in by_cocone:
+        if img not in names:
             return None, cc_cat, failed(
                 "comparison_functor",
                 ["whiskering %r does not yield a valid cocone" % r],
                 {"onecell": r})
-    for r in hom.objects:
-        ob[r] = by_cocone[whisker_cocone(d, mu, r)]
+        ob[r] = names[img]
     for gam in hom.morphisms:
         r1, r2 = hom.src[gam], hom.tgt[gam]
         comps = tuple(sorted((s, k.wr(gam, leg)) for s, leg in mu.legs))
         key = (ob[r1], ob[r2], comps)
-        if key not in mor_index:
+        if key not in index:
             return None, cc_cat, failed(
                 "comparison_functor",
                 ["whiskered 2-cell %r is not a modification" % gam],
                 {"twocell": gam})
-        mor[gam] = mor_index[key]
+        mor[gam] = index[key]
     fun = Functor(hom, cc_cat, ob, mor)
     r = check_functor(fun)
     if not r.ok:

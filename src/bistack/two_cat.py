@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .fincat import FinCat, _is_cell, by_boundary, check_functor, \
-    check_nat
+from .fincat import FinCat, _is_cell, by_boundary, check_category, \
+    check_functor, check_nat, compose_functors, identity_functor, tabulate
 from .report import Budget, failed, passed
 
 
@@ -305,7 +305,6 @@ def from_fincat(c):
 def check_two_category(k, budget=None):
     """Decide whether the tables form a strict 2-category."""
     budget = budget or Budget()
-    from .fincat import check_category
     for f, (s, t) in k.onecells.items():
         if s not in k.objects or t not in k.objects:
             return failed("check_two_category",
@@ -570,38 +569,20 @@ def iso_comma_in_cat(F, G):
     morphism ids encode the triples/pairs canonically.
     """
     A, B, C = F.dom, G.dom, F.cod
-    objs = []
-    data = {}
-    for a in sorted(A.objects):
-        for b in sorted(B.objects):
-            for j in C.hom(F.o(a), G.o(b)):
-                if C.is_iso(j):
-                    name = "(%s|%s|%s)" % (a, b, j)
-                    objs.append(name)
-                    data[name] = (a, b, j)
-    src, tgt, identity, comp = {}, {}, {}, {}
-    mdata = {}
-    for x in objs:
-        a, b, j = data[x]
-        for y in objs:
-            a2, b2, j2 = data[y]
+    objects = {"(%s|%s|%s)" % (a, b, j): (a, b, j)
+               for a in sorted(A.objects) for b in sorted(B.objects)
+               for j in C.hom(F.o(a), G.o(b)) if C.is_iso(j)}
+    arrows = {}
+    for x, (a, b, j) in objects.items():
+        for y, (a2, b2, j2) in objects.items():
             for r in A.hom(a, a2):
                 for s in B.hom(b, b2):
                     if C.compose(j2, F.m(r)) == C.compose(G.m(s), j):
-                        name = "(%s|%s)@%s>%s" % (r, s, x, y)
-                        src[name], tgt[name] = x, y
-                        mdata[name] = (r, s)
-    for x in objs:
-        a, b, _ = data[x]
-        identity[x] = "(%s|%s)@%s>%s" % (A.id(a), B.id(b), x, x)
-    for m2 in src:
-        for m1 in src:
-            if tgt[m1] == src[m2]:
-                r = A.compose(mdata[m2][0], mdata[m1][0])
-                s = B.compose(mdata[m2][1], mdata[m1][1])
-                comp[(m2, m1)] = "(%s|%s)@%s>%s" % (r, s, src[m1], tgt[m2])
-    cat = FinCat(objs, src, tgt, identity, comp)
-    cat.decode = {"objects": data, "morphisms": mdata}
+                        arrows["(%s|%s)@%s>%s" % (r, s, x, y)] = (x, y, (r, s))
+    cat, _ = tabulate(
+        objects, arrows, lambda x: (A.id(x[0]), B.id(x[1])),
+        lambda later, earlier: (A.compose(later[0], earlier[0]),
+                                B.compose(later[1], earlier[1])))
     return cat
 
 
@@ -686,7 +667,6 @@ def check_ps_functor(F, budget=None):
             e = k.src1(g)
             budget.tick()
             chi = F.compositor.get((f, g))
-            from .fincat import compose_functors
             if chi is None \
                     or chi.dom != compose_functors(F.on1[g], F.on1[f]) \
                     or chi.cod != F.on1[k.c1(f, g)] \
@@ -729,7 +709,6 @@ def check_ps_functor(F, budget=None):
                                    "(%r, %r, %r)" % (y, f, X)],
                                   {"witness": [y, f, X]})
     # unitor: typed, invertible; triangle coherences
-    from .fincat import identity_functor
     for c in k.objects:
         u = F.unitor.get(c)
         if u is None or u.dom != identity_functor(F.ob[c]) \
@@ -806,7 +785,6 @@ def check_ps_nat(t, budget=None):
     budget = budget or Budget()
     F, G = t.dom, t.cod
     k = F.base
-    from .fincat import compose_functors
     for c in k.objects:
         fun = t.comp.get(c)
         if fun is None or fun.dom != F.ob[c] or fun.cod != G.ob[c] \

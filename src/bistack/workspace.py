@@ -12,6 +12,7 @@ validators when a check runs.
 """
 
 import json
+from importlib import resources
 
 from .errors import BoundaryMismatch, DanglingReference, MalformedTable, \
     ParseError
@@ -313,12 +314,10 @@ def normalize(raw):
 
 def corpus_path(name):
     """Filesystem path of a bundled corpus document."""
-    from importlib import resources
     return str(resources.files("bistack") / "corpus" / name)
 
 
 def corpus_names():
-    from importlib import resources
     folder = resources.files("bistack") / "corpus"
     return sorted(p.name for p in folder.iterdir()
                   if p.name.endswith(".site"))

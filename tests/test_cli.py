@@ -8,9 +8,9 @@ import pytest
 from bistack import cli
 from bistack.builders import chain_suspension
 from bistack.errors import DanglingReference, ParseError, UnknownCheck
-from bistack.generate import PROFILES, _literalize, generate
+from bistack.generate import PROFILES, generate
 from bistack.runner import replay, run_all, run_check, strip_timing
-from bistack.sieves import check_bitopology, maximal_bisieve
+from bistack.sieves import check_bitopology, literal_maximal_bisieve
 from bistack.two_cat import check_two_category
 from bistack.workspace import SCHEMA, _encode_bisieve, _encode_two_cat, \
     corpus_names, corpus_path, load, load_data, normalize, save
@@ -206,7 +206,7 @@ def _rung_doc(n=3):
     return {"schema": SCHEMA,
             "two_cats": {"K": _encode_two_cat(k)},
             "bisieves": {"max_%s" % c: _encode_bisieve(
-                "K", _literalize(maximal_bisieve(k, c))) for c in k.objects},
+                "K", literal_maximal_bisieve(k, c)) for c in k.objects},
             "bitopologies": {"tau": {"two_cat": "K", "covering": {
                 c: ["max_%s" % c] for c in k.objects}}},
             "trihoms": {"F": {"kind": "representable", "two_cat": "K",

@@ -288,7 +288,7 @@ def test_non_subcanonical_topology_is_refuted(wa2, wa_sieve):
 
 def test_descent_category_over_singleton_cover(wa2, wa_sieve):
     F = representable(wa2, "1")
-    desc = descent_category(F, wa_sieve)
+    desc, _, _ = descent_category(F, wa_sieve)
     # a single member with only identity legs: descent data are just
     # objects of the value at the member's source
     assert len(desc.objects) == len(F.ob["0"].objects)

@@ -1,6 +1,7 @@
-"""Every module under src/bistack uses each name it imports and every
-private helper it defines, and every public function it defines is
-referenced from src/bistack or the tests."""
+"""Every module under src/bistack imports at module level only, uses
+each name it imports and every private helper it defines, and every
+public function it defines is referenced from src/bistack or the
+tests."""
 
 import ast
 from collections import Counter
@@ -26,6 +27,20 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {p.name: _unused_imports(p) for p in sorted(SRC.glob("*.py"))
               if p.name != "__init__.py"}
     assert {m: names for m, names in unused.items() if names} == {}
+
+
+def _local_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted("%s:%d" % (fn.name, node.lineno)
+                  for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def test_no_function_body_imports():
+    local = {p.name: _local_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert {m: where for m, where in local.items() if where} == {}
 
 
 def _names(node):

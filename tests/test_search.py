@@ -14,9 +14,9 @@ from bistack.descent import _all_descent_data_mor, _all_ps_two_functors, \
     sieve_trihom
 from bistack.errors import SearchBudgetExceeded
 from bistack.fincat import walking_arrow
-from bistack.generate import _literalize, generate
+from bistack.generate import generate
 from bistack.report import Budget, choices, forward_choices, guarded
-from bistack.sieves import Bitopology, build_bisieve, maximal_bisieve
+from bistack.sieves import Bitopology, build_bisieve, literal_maximal_bisieve
 from bistack.two_cat import Fin2Cat, from_fincat
 from bistack.workspace import corpus_names, corpus_path, load, load_data
 
@@ -146,7 +146,7 @@ def _instances():
                               for s in tau.sieves_on(c)]
     k = chain_suspension(3)
     yield representable_trihom(k, "Y"), [
-        _literalize(maximal_bisieve(k, c)) for c in sorted(k.objects)]
+        literal_maximal_bisieve(k, c) for c in sorted(k.objects)]
 
 
 def _sequences():
@@ -190,7 +190,7 @@ def _ps_sequences(n):
     F = representable_trihom(k, "Y")
     out = []
     for c0 in sorted(k.objects):
-        R = sieve_trihom(_literalize(maximal_bisieve(k, c0)))
+        R = sieve_trihom(literal_maximal_bisieve(k, c0))
         for c in sorted(k.objects):
             budget = Budget()
             seq = [_canon((h.ob, h.on1, h.on2, h.chi, h.unit))
@@ -251,7 +251,7 @@ def _constructions():
                 p = yoneda_pert(F, c0, al0)
                 out.append({"dom": _trimod_tables(p.dom),
                             "cod": _trimod_tables(p.cod), "comp": p.comp})
-    out += [_trihom_tables(sieve_trihom(_literalize(maximal_bisieve(k3, c))))
+    out += [_trihom_tables(sieve_trihom(literal_maximal_bisieve(k3, c)))
             for c in sorted(k3.objects)]
     return out
 
@@ -274,7 +274,7 @@ def _rung(n):
     """Ladder rung n: the chain suspension under its maximal sieves, with
     the trihom represented at Y."""
     k = chain_suspension(n)
-    tau = Bitopology(k, {c: [_literalize(maximal_bisieve(k, c))]
+    tau = Bitopology(k, {c: [literal_maximal_bisieve(k, c)]
                          for c in k.objects})
     return representable_trihom(k, "Y"), tau
 

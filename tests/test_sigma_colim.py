@@ -46,14 +46,14 @@ def test_projection_of_elements_is_a_diagram(wa2, ksplit):
 
 def test_empty_diagram_has_terminal_cocone_category(wa2):
     d = Diagram(empty_2cat(), wa2, {}, {}, {})
-    cat = sigma_cocone_category(d, "1")
+    cat, _, _ = sigma_cocone_category(d, "1")
     assert len(cat.objects) == 1
     assert len(cat.morphisms) == 1
 
 
 def test_one_object_diagram_cocones_match_hom(ksplit):
     d = one_object_diagram(ksplit, "A")
-    cat = sigma_cocone_category(d, "A")
+    cat, _, _ = sigma_cocone_category(d, "A")
     hom = ksplit.hom_cat("A", "A")
     assert len(cat.objects) == len(hom.objects)
     assert len(cat.morphisms) == len(hom.morphisms)

@@ -1,0 +1,182 @@
+"""The enumerated categories built by ``fincat.tabulate``: the functor,
+descent, sigma-cocone and iso-comma categories.
+
+Their tables and steps, and the reports of the checks that decide
+through them, are pinned to digests recorded before the four builders
+shared one tabulation routine.
+"""
+
+import hashlib
+import random
+
+from bistack.builders import chain_suspension
+from bistack.descent import descent_category, is_stack_catvalued, \
+    is_subcanonical
+from bistack.fincat import FinCat, Functor, all_functors, discrete, \
+    functor_category, tabulate, walking_arrow
+from bistack.generate import _random_poset_cat, generate
+from bistack.report import Budget
+from bistack.sieves import Bisieve, build_bisieve, maximal_bisieve, \
+    pullback_sieve, representable
+from bistack.sigma_colim import is_sigma_bicolim_bisieve, \
+    sigma_cocone_category, universal_cocone
+from bistack.two_cat import from_fincat, iso_comma_in_cat
+from bistack.workspace import corpus_names, corpus_path, load, load_data
+
+from test_two_cat import split_idempotent_2cat
+
+
+def _digest(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+# --- tabulate itself ---------------------------------------------------------
+
+_Z3 = {"g%d" % i: ("*", "*", i) for i in range(3)}
+
+
+def test_tabulate_names_identities_and_composites():
+    """Z/3 as a one-object category, tabulated from its elements."""
+    cat, index = tabulate({"*": None}, _Z3, lambda _: 0,
+                          lambda later, earlier: (later + earlier) % 3)
+    assert cat.objects == ("*",)
+    assert cat.id("*") == "g0"
+    assert cat.compose("g2", "g1") == "g0"
+    assert index == {("*", "*", i): "g%d" % i for i in range(3)}
+
+
+def test_tabulate_forms_composites_later_factor_slowest():
+    calls = []
+    tabulate({"*": None}, _Z3, lambda _: 0,
+             lambda later, earlier: calls.append((later, earlier)) or 0)
+    assert calls == [(a, b) for a in range(3) for b in range(3)]
+
+
+# --- fixed inputs of the four builders ---------------------------------------
+
+def _sieves():
+    """Sieves on the walking arrow and on the split idempotent, with
+    literal and with non-identity closure witnesses."""
+    wa2, ksplit = from_fincat(walking_arrow()), split_idempotent_2cat()
+    return [build_bisieve(wa2, "1", {"0": {"a"}}),
+            maximal_bisieve(wa2, "1"), maximal_bisieve(wa2, "0"),
+            build_bisieve(ksplit, "A", {"A": {"id_A"}, "B": {"v"}}),
+            maximal_bisieve(ksplit, "B")]
+
+
+def _cospans():
+    rng = random.Random("tabulate-cospans")
+    out = []
+    while len(out) < 6:
+        A = _random_poset_cat(rng, max_objects=3, max_morphisms=8)
+        B = _random_poset_cat(rng, max_objects=3, max_morphisms=8)
+        C = _random_poset_cat(rng, max_objects=4, max_morphisms=10)
+        fs, gs = all_functors(A, C), all_functors(B, C)
+        if fs and gs:
+            out.append((fs[rng.randrange(len(fs))],
+                        gs[rng.randrange(len(gs))]))
+    iso = FinCat(["x", "y"],
+                 {"id_x": "x", "id_y": "y", "u": "x", "v": "y"},
+                 {"id_x": "x", "id_y": "y", "u": "y", "v": "x"},
+                 {"x": "id_x", "y": "id_y"},
+                 {("id_x", "id_x"): "id_x", ("id_y", "id_y"): "id_y",
+                  ("u", "id_x"): "u", ("id_y", "u"): "u",
+                  ("v", "id_y"): "v", ("id_x", "v"): "v",
+                  ("v", "u"): "id_x", ("u", "v"): "id_y"})
+    out.append((Functor(discrete(["a"]), iso, {"a": "x"}, {"id_a": "id_x"}),
+                Functor(discrete(["b"]), iso, {"b": "y"}, {"id_b": "id_y"})))
+    return out
+
+
+def _built():
+    """(builder, category, steps) for every fixed input."""
+    wa, chain = walking_arrow(), chain_suspension(3).hom_cat("X", "Y")
+    for c, d in ((wa, wa), (wa, discrete(["p"])), (wa, chain),
+                 (discrete(["a", "b"]), wa)):
+        budget = Budget()
+        yield "functor", functor_category(c, d, budget), budget.steps
+    for s in _sieves():
+        for x in sorted(s.k.objects):
+            budget = Budget()
+            cat, _, _ = descent_category(representable(s.k, x), s, budget)
+            yield "descent", cat, budget.steps
+        d, _ = universal_cocone(s)
+        for u in sorted(s.k.objects):
+            budget = Budget()
+            cat, _, _ = sigma_cocone_category(d, u, budget)
+            yield "sigma", cat, budget.steps
+    for F, G in _cospans():
+        yield "iso_comma", iso_comma_in_cat(F, G), 0
+
+
+# recorded before the four builders were rebuilt on tabulate
+_BUILT_PINNED = ("37540bba5c2bba13d6809e5628330911"
+                 "343b1b568baccff378cbd8cc487b85bd")
+
+
+def test_builder_tables_and_steps_are_pinned():
+    rows = [(name, cat.key(), steps) for name, cat, steps in _built()]
+    assert {name for name, _, _ in rows} == {
+        "functor", "descent", "sigma", "iso_comma"}
+    assert _digest(rows) == _BUILT_PINNED
+
+
+def test_builders_set_only_constructor_attributes():
+    """No builder decorates its FinCat with extra tables."""
+    for _, cat, _ in _built():
+        plain = FinCat(cat.objects, cat.src, cat.tgt, cat.identity, cat.comp)
+        assert set(vars(cat)) == set(vars(plain))
+
+
+def test_pullback_sieves_set_only_constructor_attributes():
+    for s in _sieves():
+        k = s.k
+        for f in sorted(k.onecells):
+            if k.onecells[f][1] != s.target:
+                continue
+            p = pullback_sieve(s, f)
+            plain = Bisieve(k, p.target, p.members, p.tilde, p.sigma)
+            assert set(vars(p)) == set(vars(plain))
+
+
+# --- the checks that decide through them ---------------------------------------
+
+def _docs():
+    for name in corpus_names():
+        yield load(corpus_path(name))
+    for profile in ("locally-discrete-site", "tiny-2site"):
+        for seed in range(10):
+            yield load_data(generate(seed, profile))
+
+
+def _reported(fn, *args):
+    budget = Budget()
+    r = fn(*args, budget)
+    return r.verdict, r.details, r.witness, budget.steps
+
+
+def _reports():
+    out = []
+    for doc in _docs():
+        for _, tau in sorted(doc.bitopologies.items()):
+            k = tau.k
+            out.append(_reported(is_subcanonical, k, tau))
+            presheaves = [representable(k, c) for c in sorted(k.objects)]
+            presheaves += [F for _, F in sorted(doc.presheaves.items())
+                           if F.base is k]
+            out += [_reported(is_stack_catvalued, F, tau)
+                    for F in presheaves]
+        out += [_reported(is_sigma_bicolim_bisieve, s)
+                for _, s in sorted(doc.bisieves.items())]
+    return out
+
+
+# recorded before the four builders were rebuilt on tabulate
+_REPORTS_PINNED = ("5808c2a9bc8451e3e0ea665e013d33e8"
+                   "3eb0f77a45293dc2e385d33d3972a9e8")
+
+
+def test_subcanonical_stack_and_sigma_reports_are_pinned():
+    rows = _reports()
+    assert {v for v, _, _, _ in rows} == {"pass", "fail"}
+    assert _digest(rows) == _REPORTS_PINNED
