@@ -24,13 +24,85 @@ associativity and unit displays of ``check_tritransformation``, the
 composition and unit axioms of ``check_trimodification`` and the square
 axiom of ``check_perturbation``.  The budget is spent exactly as the
 skipped loops would spend it, so ``steps`` do not depend on the shortcut.
+
+Each structure declares its comparison 2-cells once, with their
+boundaries: ``_ps_two_functor_cells`` (chi, unit), ``_ps_two_nat_cells``
+(cell), ``_trihom_cells`` (omega, delta_hat, gamma_hat), ``_tritrans_cells``
+(beta, gamma) and ``_trimod_cells`` (cell).  A declaration lists families
+((table, key), cells), recorded as the whole table when key is None and as
+the table's entry at key otherwise; each cell (x, value, src, tgt) is
+recorded at x and typed src => tgt in value.  Families and cells come in
+the enumerators' order, sorted; the pseudofunctor's come in table order and
+its enumerator sorts them, so that its checker sorts nothing.  Checkers
+type the recorded cells against a declaration (``_first_mistyped``), the
+enumerators of ``descent`` draw each cell from the invertible 2-cells of
+its boundary (``_comparisons``), and constructors (the identity defaults of
+``PsTwoFunctor`` and ``PsTwoNatTrans``, ``strict_trihom``, the identity and
+induced cells) set it to the identity on its target (``_identities``).
 """
 
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .report import Budget, failed, passed
+from .report import Budget, choices, failed, passed
 from .two_cat import from_fincat
+
+
+# --- declared comparison cells ----------------------------------------------
+
+def _first_mistyped(obj, families, budget=None, ticked=()):
+    """The first declared cell that obj records missing, off its boundary
+    or not invertible, as (table, key, x), with x None when the whole
+    family at (table, key) is missing; None when every cell is typed.  A
+    cell of a table named in ticked spends one step before it is typed."""
+    for (table, key), cells in families:
+        recorded = getattr(obj, table)
+        if key is not None:
+            recorded = recorded.get(key)
+            if recorded is None:
+                return table, key, None
+        tick = table in ticked
+        for x, val, src, tgt in cells:
+            if tick:
+                budget.tick()
+            if recorded.get(x) not in val.isos_between(src, tgt):
+                return table, key, x
+    return None
+
+
+def _iso_pools(families):
+    """The declared families as choices groups: each slot with the pairs
+    (x, the invertible 2-cells of x's boundary)."""
+    for slot, cells in families:
+        yield slot, ((x, val.isos_between(src, tgt))
+                     for x, val, src, tgt in cells)
+
+
+def _tables(families):
+    """The keyword tables of a structure from (slot, {x: cell}) pairs: the
+    table itself for a slot (table, None), else its entry at key."""
+    out = {}
+    for (table, key), cells in families:
+        if key is None:
+            out[table] = cells
+        else:
+            out.setdefault(table, {})[key] = cells
+    return out
+
+
+def _comparisons(budget, families):
+    """Every choice of an invertible 2-cell for each declared cell, in
+    choices order, as the keyword tables of the structure."""
+    slots, groups = zip(*_iso_pools(families))
+    for picks in choices(budget, *groups):
+        yield _tables(zip(slots, picks))
+
+
+def _identities(families):
+    """Each declared cell set to the identity 2-cell on its target, as the
+    keyword tables of the structure."""
+    return _tables((slot, {x: val.id2(tgt) for x, val, _, tgt in cells})
+                   for slot, cells in families)
 
 
 # --- pseudofunctors between strict 2-categories ---------------------------
@@ -48,23 +120,13 @@ class PsTwoFunctor:
         self.ob = MappingProxyType(dict(ob))
         self.on1 = MappingProxyType(dict(on1))
         self.on2 = MappingProxyType(dict(on2))
-        if chi is None:
-            chi = {(b, a): cod.id2(on1[c])
-                   for (b, a), c in dom.hcomp1.items()}
-        if unit is None:
-            unit = {x: cod.id2(on1[dom.id1(x)]) for x in dom.objects}
+        if chi is None or unit is None:
+            ids = _identities(_ps_two_functor_cells(dom, cod, ob, on1))
+            chi = ids["chi"] if chi is None else chi
+            unit = ids["unit"] if unit is None else unit
         self.chi = MappingProxyType(dict(chi))
         self.unit = MappingProxyType(dict(unit))
         self._key = None
-
-    def o(self, x):
-        return self.ob[x]
-
-    def m1(self, f):
-        return self.on1[f]
-
-    def m2(self, a):
-        return self.on2[a]
 
     def key(self):
         if self._key is None:
@@ -80,6 +142,16 @@ class PsTwoFunctor:
 
     def __hash__(self):
         return hash(self.key())
+
+
+def _ps_two_functor_cells(dom, cod, ob, on1):
+    """The comparison cells of a pseudofunctor H: dom -> cod with object
+    map ob and 1-cell map on1: every compositor chi[(b, a)]:
+    H(b).H(a) => H(b.a), then every unitor unit[x]: id_{H(x)} => H(id_x)."""
+    return [(("chi", None), [(pair, cod, cod.c1(on1[pair[0]], on1[pair[1]]),
+                              on1[ba]) for pair, ba in dom.hcomp1.items()]),
+            (("unit", None), [(x, cod, cod.id1(ob[x]), on1[dom.id1(x)])
+                              for x in dom.objects])]
 
 
 def identity_ps_two_functor(c):
@@ -139,21 +211,15 @@ def check_ps_two_functor(h, budget=None):
                 return failed("check_ps_two_functor",
                               ["vertical composition not preserved at "
                                "(%r, %r)" % (b, a)], {"pair": [b, a]})
-    for (b, a), comp in d.hcomp1.items():
-        cell = h.chi.get((b, a))
-        want = (c.c1(h.on1[b], h.on1[a]), h.on1[comp])
-        if cell is None or c.twocells.get(cell) != want \
-                or not c.invertible2(cell):
+    bad = _first_mistyped(h, _ps_two_functor_cells(d, c, h.ob, h.on1))
+    if bad is not None:
+        table, _, x = bad
+        if table == "chi":
             return failed("check_ps_two_functor",
-                          ["bad compositor at (%r, %r)" % (b, a)],
-                          {"pair": [b, a]})
-    for x in d.objects:
-        cell = h.unit.get(x)
-        want = (c.id1(h.ob[x]), h.on1[d.id1(x)])
-        if cell is None or c.twocells.get(cell) != want \
-                or not c.invertible2(cell):
-            return failed("check_ps_two_functor", ["bad unitor at %r" % x],
-                          {"object": x})
+                          ["bad compositor at (%r, %r)" % x],
+                          {"pair": list(x)})
+        return failed("check_ps_two_functor", ["bad unitor at %r" % x],
+                      {"object": x})
     if thin:
         budget.tick(len(d.hcomp2) + len(d.composable_triples())
                     + len(d.onecells))
@@ -192,27 +258,16 @@ def check_ps_two_functor(h, budget=None):
 
 class PsTwoNatTrans:
     """comp[x]: 1-cell G(x) -> H(x); cell[a: x -> y]: invertible 2-cell
-    H(a) . comp[x] => comp[y] . G(a)."""
+    H(a) . comp[x] => comp[y] . G(a), by default the identity on its
+    target, which is typed only where both sides coincide."""
 
     def __init__(self, dom, cod, comp, cell=None):
         self.dom = dom
         self.cod = cod
         self.comp = dict(comp)
         if cell is None:
-            # strict default: both sides must coincide literally
-            c = dom.cod
-            cell = {}
-            for a, (x, y) in dom.dom.onecells.items():
-                lhs = c.c1(cod.on1[a], comp[x])
-                rhs = c.c1(comp[y], dom.on1[a])
-                if lhs != rhs:
-                    raise MalformedTable(
-                        "no strict default cell at %r" % a)
-                cell[a] = c.id2(lhs)
+            cell = _identities(_ps_two_nat_cells(dom, cod, self.comp))["cell"]
         self.cell = dict(cell)
-
-    def at(self, x):
-        return self.comp[x]
 
     def key(self):
         return (tuple(sorted(self.comp.items())),
@@ -223,6 +278,15 @@ class PsTwoNatTrans:
 
     def __hash__(self):
         return hash(self.key())
+
+
+def _ps_two_nat_cells(g, h, comp):
+    """The structure cells of a transformation G => H with components
+    comp: every cell[a]: H(a).comp[x] => comp[y].G(a) for a: x -> y."""
+    c = g.cod
+    yield ("cell", None), ((a, c, c.c1(h.on1[a], comp[x]),
+                            c.c1(comp[y], g.on1[a]))
+                           for a, (x, y) in sorted(g.dom.onecells.items()))
 
 
 def identity_ps_two_nat(h):
@@ -240,13 +304,11 @@ def check_ps_two_nat(t, budget=None):
         if r is None or c.onecells.get(r) != (g.ob[x], h.ob[x]):
             return failed("check_ps_two_nat", ["bad component at %r" % x],
                           {"object": x})
-    for a, (x, y) in g.dom.onecells.items():
-        cell = t.cell.get(a)
-        want = (c.c1(h.on1[a], t.comp[x]), c.c1(t.comp[y], g.on1[a]))
-        if cell is None or c.twocells.get(cell) != want \
-                or not c.invertible2(cell):
-            return failed("check_ps_two_nat",
-                          ["bad structure cell at %r" % a], {"onecell": a})
+    bad = _first_mistyped(t, _ps_two_nat_cells(g, h, t.comp))
+    if bad is not None:
+        return failed("check_ps_two_nat",
+                      ["bad structure cell at %r" % bad[2]],
+                      {"onecell": bad[2]})
     if c.locally_thin():
         budget.tick(len(g.dom.twocells) + len(g.dom.hcomp1)
                     + len(g.dom.objects))
@@ -383,8 +445,47 @@ class TrihomData:
         self.delta_hat = dict(delta_hat or {})
         self.gamma_hat = dict(gamma_hat or {})
 
-    def value(self, c):
-        return self.ob[c]
+
+def _trihom_cells(t):
+    """The comparison families of homomorphism data, each with a cell per
+    object z of the value at f's target: every omega[(f, g, h)][z], then
+    every delta_hat[f][z], then every gamma_hat[f][z]."""
+    k = t.base
+
+    def omega(f, g, h):
+        c, l = k.onecells[f][1], k.onecells[h][0]
+        val_l = t.ob[l]
+        gh, fg = k.c1(g, h), k.c1(f, g)
+        for z in t.ob[c].objects:
+            yield z, val_l, \
+                val_l.c1(t.chi[(f, gh)].comp[z],
+                         t.chi[(g, h)].comp[t.on1[f].ob[z]]), \
+                val_l.c1(t.chi[(fg, h)].comp[z],
+                         t.on1[h].on1[t.chi[(f, g)].comp[z]])
+
+    def delta_hat(f):
+        d, c = k.onecells[f]
+        val_d = t.ob[d]
+        for z in t.ob[c].objects:
+            fz = t.on1[f].ob[z]
+            yield z, val_d, val_d.c1(t.chi[(f, k.id1(d))].comp[z],
+                                     t.iota[d].comp[fz]), val_d.id1(fz)
+
+    def gamma_hat(f):
+        d, c = k.onecells[f]
+        val_d = t.ob[d]
+        for z in t.ob[c].objects:
+            yield z, val_d, \
+                val_d.c1(t.chi[(k.id1(c), f)].comp[z],
+                         t.on1[f].on1[t.iota[c].comp[z]]), \
+                val_d.id1(t.on1[f].ob[z])
+
+    for triple in sorted(k.composable_triples()):
+        yield ("omega", triple), omega(*triple)
+    for f in sorted(k.onecells):
+        yield ("delta_hat", f), delta_hat(f)
+    for f in sorted(k.onecells):
+        yield ("gamma_hat", f), gamma_hat(f)
 
 
 def strict_trihom(k, ob, on1, on2):
@@ -401,11 +502,9 @@ def strict_trihom(k, ob, on1, on2):
         if compose_ps_two_functors(on1[g], on1[f]) != on1[comp]:
             raise MalformedTable(
                 "values not strictly functorial at (%r, %r)" % (f, g))
-    for f in k.onecells:
-        x = k.id2(f)
-        if x not in on2:
-            on2 = dict(on2)
-            on2[x] = identity_ps_two_nat(on1[f])
+    # identity 2-cells act by identities unless on2 says otherwise
+    on2 = {**{k.id2(f): identity_ps_two_nat(on1[f]) for f in k.onecells
+              if k.id2(f) not in on2}, **on2}
     for (b, a), v in k.vcomp.items():
         f = k.twocells[a][0]
         c = k.onecells[f][1]
@@ -417,9 +516,7 @@ def strict_trihom(k, ob, on1, on2):
                     "local composition not strict at (%r, %r)" % (b, a))
     for al, (f, f2) in k.twocells.items():
         d, c = k.onecells[f]
-        for g, (e, d2) in k.onecells.items():
-            if d2 != d:
-                continue
+        for g, _ in k.one_cells_into(d):
             w = k.h(al, k.id2(g))
             for z in ob[c].objects:
                 if on2[w].comp[z] != on1[g].on1[on2[al].comp[z]]:
@@ -433,30 +530,12 @@ def strict_trihom(k, ob, on1, on2):
                 if on2[w].comp[z] != on2[al].comp[on1[g].ob[z]]:
                     raise MalformedTable(
                         "whiskering not componentwise at (%r, %r)" % (g, al))
-    chi = {}
-    for (f, g), comp in k.hcomp1.items():
-        chi[(f, g)] = identity_ps_two_nat(on1[comp])
+    chi = {pair: identity_ps_two_nat(on1[comp])
+           for pair, comp in k.hcomp1.items()}
     iota = {c: identity_ps_two_nat(on1[k.id1(c)]) for c in k.objects}
-    omega, delta_hat, gamma_hat = {}, {}, {}
-    for f, (d, c) in k.onecells.items():
-        val = ob[c]
-        tgt = on1[f]
-        delta_hat[f] = {z: tgt.cod.id2(tgt.cod.id1(tgt.ob[z]))
-                        for z in val.objects}
-        gamma_hat[f] = {z: tgt.cod.id2(tgt.cod.id1(tgt.ob[z]))
-                        for z in val.objects}
-        for g, (e, d2) in k.onecells.items():
-            if d2 != d:
-                continue
-            for h, (l, e2) in k.onecells.items():
-                if e2 != e:
-                    continue
-                val_l = ob[l]
-                omega[(f, g, h)] = {
-                    z: val_l.id2(val_l.id1(on1[k.c1(k.c1(f, g), h)].ob[z]))
-                    for z in val.objects}
-    return TrihomData(k, ob, on1, on2, chi, iota, omega, delta_hat,
-                      gamma_hat)
+    t = TrihomData(k, ob, on1, on2, chi, iota)
+    return TrihomData(k, ob, on1, on2, chi, iota,
+                      **_identities(_trihom_cells(t)))
 
 
 def _precomposition_trihom(k, ob):
@@ -510,7 +589,6 @@ def sieve_trihom(s):
 def check_trihom_data(t, budget=None):
     budget = budget or Budget()
     k = t.base
-    reports = []
     for f in k.onecells:
         d, c = k.onecells[f]
         h = t.on1.get(f)
@@ -582,65 +660,21 @@ def check_trihom_data(t, budget=None):
                                "equivalence" % (c, z)],
                               {"object": c, "component": comp1})
     # comparison families: completeness, boundaries and invertibility
-    for f, (d, c) in k.onecells.items():
-        if f not in t.delta_hat or f not in t.gamma_hat:
-            return failed("check_trihom_data",
-                          ["missing unit comparison family at %r" % f],
-                          {"onecell": f})
-        for g, (e, d2) in k.onecells.items():
-            if d2 != d:
-                continue
-            for h2, (l, e2) in k.onecells.items():
-                if e2 == e and (f, g, h2) not in t.omega:
-                    return failed(
-                        "check_trihom_data",
-                        ["missing associativity comparison family at "
-                         "(%r, %r, %r)" % (f, g, h2)],
-                        {"triple": [f, g, h2]})
-    for (f, g, h), table in t.omega.items():
-        d, c = k.onecells[f]
-        l = k.onecells[h][0]
-        val_l, val_c = t.ob[l], t.ob[c]
-        gh, fg = k.c1(g, h), k.c1(f, g)
-        for z in val_c.objects:
-            budget.tick()
-            src = val_l.c1(t.chi[(f, gh)].comp[z],
-                           t.chi[(g, h)].comp[t.on1[f].ob[z]])
-            tgt = val_l.c1(t.chi[(fg, h)].comp[z],
-                           t.on1[h].on1[t.chi[(f, g)].comp[z]])
-            cell = table.get(z)
-            if cell is None or val_l.twocells.get(cell) != (src, tgt) \
-                    or not val_l.invertible2(cell):
-                return failed("check_trihom_data",
-                              ["bad associativity comparison at "
-                               "(%r, %r, %r, %r)" % (f, g, h, z)],
-                              {"triple": [f, g, h], "object": z})
-    for f, table in t.delta_hat.items():
-        d, c = k.onecells[f]
-        val_d, val_c = t.ob[d], t.ob[c]
-        for z in val_c.objects:
-            src = val_d.c1(t.chi[(f, k.id1(d))].comp[z],
-                           t.iota[d].comp[t.on1[f].ob[z]])
-            cell = table.get(z)
-            want = (src, val_d.id1(t.on1[f].ob[z]))
-            if cell is None or val_d.twocells.get(cell) != want \
-                    or not val_d.invertible2(cell):
-                return failed("check_trihom_data",
-                              ["bad right unit comparison at (%r, %r)"
-                               % (f, z)], {"onecell": f, "object": z})
-    for f, table in t.gamma_hat.items():
-        d, c = k.onecells[f]
-        val_d, val_c = t.ob[d], t.ob[c]
-        for z in val_c.objects:
-            src = val_d.c1(t.chi[(k.id1(c), f)].comp[z],
-                           t.on1[f].on1[t.iota[c].comp[z]])
-            cell = table.get(z)
-            want = (src, val_d.id1(t.on1[f].ob[z]))
-            if cell is None or val_d.twocells.get(cell) != want \
-                    or not val_d.invertible2(cell):
-                return failed("check_trihom_data",
-                              ["bad left unit comparison at (%r, %r)"
-                               % (f, z)], {"onecell": f, "object": z})
+    bad = _first_mistyped(t, _trihom_cells(t), budget, ("omega",))
+    if bad is not None:
+        table, key, z = bad
+        omega = table == "omega"
+        witness = {"triple": list(key)} if omega else {"onecell": key}
+        if z is None:
+            detail = "missing %s comparison family at %r" % (
+                "associativity" if omega else "unit", key)
+            return failed("check_trihom_data", [detail], witness)
+        what = {"omega": "associativity", "delta_hat": "right unit",
+                "gamma_hat": "left unit"}[table]
+        at = (*key, z) if omega else (key, z)
+        return failed("check_trihom_data",
+                      ["bad %s comparison at %r" % (what, at)],
+                      {**witness, "object": z})
     return passed(
         "check_trihom_data",
         ["data-level invariants verified; coherence axioms beyond the "
@@ -663,28 +697,44 @@ class Tritransformation:
         self.gamma = dict(gamma)
 
 
+def _tritrans_cells(R, F, comp, square):
+    """The comparison families of a transformation R => F with components
+    comp and squares square, each with a cell per object x of R at C:
+    every beta[(f, g)][x] for f: D -> C, g: E -> D, then every
+    gamma[C][x]."""
+    k = R.base
+
+    def beta(f, g):
+        c, e = k.onecells[f][1], k.onecells[g][0]
+        val_e = F.ob[e]
+        for x in R.ob[c].objects:
+            yield x, val_e, val_e.c1_path([
+                F.chi[(f, g)].comp[comp[c].ob[x]],
+                F.on1[g].on1[square[f].comp[x]],
+                square[g].comp[R.on1[f].ob[x]],
+            ]), val_e.c1(square[k.c1(f, g)].comp[x],
+                         comp[e].on1[R.chi[(f, g)].comp[x]])
+
+    def gamma(c):
+        val_c = F.ob[c]
+        for x in R.ob[c].objects:
+            yield x, val_c, val_c.c1(square[k.id1(c)].comp[x],
+                                     comp[c].on1[R.iota[c].comp[x]]), \
+                F.iota[c].comp[comp[c].ob[x]]
+
+    for pair in sorted(k.hcomp1):
+        yield ("beta", pair), beta(*pair)
+    for c in sorted(k.objects):
+        yield ("gamma", c), gamma(c)
+
+
 def identity_tritransformation(t):
     k = t.base
     comp = {c: identity_ps_two_functor(t.ob[c]) for c in k.objects}
-    square, beta, gamma = {}, {}, {}
-    for f in k.onecells:
-        h = t.on1[f]
-        square[f] = PsTwoNatTrans(
-            h, h, {x: h.cod.id1(h.ob[x]) for x in h.dom.objects},
-            {a: h.cod.id2(h.on1[a]) for a in h.dom.onecells})
-    for (f, g), comp1 in k.hcomp1.items():
-        d, c = k.onecells[f]
-        e = k.onecells[g][0]
-        val_e, val_c = t.ob[e], t.ob[c]
-        # with identity squares both pasted sides reduce to the
-        # compositor component, provided the value pseudofunctors
-        # preserve identity 1-cells on the nose
-        beta[(f, g)] = {x: val_e.id2(t.chi[(f, g)].comp[x])
-                        for x in val_c.objects}
-    for c in k.objects:
-        val = t.ob[c]
-        gamma[c] = {x: val.id2(t.iota[c].comp[x]) for x in val.objects}
-    return Tritransformation(t, t, comp, square, beta, gamma)
+    square = {f: identity_ps_two_nat(t.on1[f]) for f in k.onecells}
+    return Tritransformation(t, t, comp, square,
+                             **_identities(_tritrans_cells(t, t, comp,
+                                                           square)))
 
 
 def check_tritransformation(t, budget=None):
@@ -736,49 +786,22 @@ def check_tritransformation(t, budget=None):
                                % (delta, x)],
                               {"twocell": delta, "object": x})
     # comparison 2-cell boundaries
-    for (f, g), comp1 in k.hcomp1.items():
-        d, c = k.onecells[f]
-        e = k.onecells[g][0]
-        val_e = F.ob[e]
-        table = t.beta.get((f, g))
-        if table is None:
+    bad = _first_mistyped(t, _tritrans_cells(R, F, t.comp, t.square),
+                          budget, ("beta",))
+    if bad is not None:
+        table, key, x = bad
+        beta = table == "beta"
+        what = "composition" if beta else "unit"
+        witness = {"pair": list(key)} if beta else {"object": key}
+        if x is None:
             return failed("check_tritransformation",
-                          ["missing composition comparison at (%r, %r)"
-                           % (f, g)], {"pair": [f, g]})
-        for x in R.ob[c].objects:
-            budget.tick()
-            xc = t.comp[c].ob[x]
-            rf_x = R.on1[f].ob[x]
-            src = val_e.c1_path([
-                F.chi[(f, g)].comp[xc],
-                F.on1[g].on1[t.square[f].comp[x]],
-                t.square[g].comp[rf_x],
-            ])
-            tgt = val_e.c1(t.square[comp1].comp[x],
-                           t.comp[e].on1[R.chi[(f, g)].comp[x]])
-            cell = table.get(x)
-            if cell is None or val_e.twocells.get(cell) != (src, tgt) \
-                    or not val_e.invertible2(cell):
-                return failed("check_tritransformation",
-                              ["bad composition comparison at (%r, %r, %r)"
-                               % (f, g, x)], {"pair": [f, g], "object": x})
-    for c in k.objects:
-        val_c = F.ob[c]
-        table = t.gamma.get(c)
-        if table is None:
-            return failed("check_tritransformation",
-                          ["missing unit comparison at %r" % c],
-                          {"object": c})
-        for x in R.ob[c].objects:
-            src = val_c.c1(t.square[k.id1(c)].comp[x],
-                           t.comp[c].on1[R.iota[c].comp[x]])
-            tgt = F.iota[c].comp[t.comp[c].ob[x]]
-            cell = table.get(x)
-            if cell is None or val_c.twocells.get(cell) != (src, tgt) \
-                    or not val_c.invertible2(cell):
-                return failed("check_tritransformation",
-                              ["bad unit comparison at (%r, %r)" % (c, x)],
-                              {"object": c, "twocell": cell})
+                          ["missing %s comparison at %r" % (what, key)],
+                          witness)
+        return failed("check_tritransformation",
+                      ["bad %s comparison at %r" % (
+                          what, (*key, x) if beta else (key, x))],
+                      {**witness, "object": x} if beta else
+                      {**witness, "twocell": t.gamma[key].get(x)})
     r = _tritrans_assoc_axiom(t, budget)
     if not r.ok:
         return r
@@ -804,8 +827,7 @@ def _tritrans_assoc_axiom(t, budget):
                 if val_l.locally_thin():
                     budget.tick(4 * len(R.ob[c].objects))
                     continue
-                thC, thD = t.comp[c], t.comp[d]
-                thE, thL = t.comp[e], t.comp[l]
+                thC, thE, thL = t.comp[c], t.comp[e], t.comp[l]
                 for x in R.ob[c].objects:
                     budget.tick(4)
                     xc = thC.ob[x]
@@ -817,7 +839,6 @@ def _tritrans_assoc_axiom(t, budget):
                     a_fg_x = t.square[fg].comp[x]
                     a_fgh_x = t.square[fgh].comp[x]
                     chiF_f_gh = F.chi[(f, gh)].comp[xc]
-                    chiF_g_h_dd = F.chi[(g, h)].comp[thD.ob[rf_x]]
                     chiF_fg_h = F.chi[(fg, h)].comp[xc]
                     chiF_f_g = F.chi[(f, g)].comp[xc]
                     chiR_f_g = R.chi[(f, g)].comp[x]
@@ -954,16 +975,32 @@ class Trimodification:
         self.cell = dict(cell)
 
 
-def identity_trimodification(t):
-    R, F = t.dom, t.cod
+def _trimod_cells(th, ph, comp):
+    """The square comparisons of a modification theta => phi with
+    components comp, each family with a cell per object x of R at D: every
+    cell[g][x]: F(g)(comp[D](x)).theta_g(x) => phi_g(x).comp[E](g*x) for
+    g: E -> D."""
+    R, F = th.dom, th.cod
     k = R.base
-    comp = {c: identity_ps_two_nat(t.comp[c]) for c in k.objects}
-    cell = {}
-    for g, (e, d) in k.onecells.items():
+
+    def cell(g):
+        e, d = k.onecells[g]
         val_e = F.ob[e]
-        cell[g] = {x: val_e.id2(t.square[g].comp[x])
-                   for x in R.ob[d].objects}
-    return Trimodification(t, t, comp, cell)
+        for x in R.ob[d].objects:
+            yield x, val_e, \
+                val_e.c1(F.on1[g].on1[comp[d].comp[x]],
+                         th.square[g].comp[x]), \
+                val_e.c1(ph.square[g].comp[x],
+                         comp[e].comp[R.on1[g].ob[x]])
+
+    for g in sorted(k.onecells):
+        yield ("cell", g), cell(g)
+
+
+def identity_trimodification(t):
+    comp = {c: identity_ps_two_nat(t.comp[c]) for c in t.dom.base.objects}
+    return Trimodification(t, t, comp,
+                           **_identities(_trimod_cells(t, t, comp)))
 
 
 def check_trimodification(m, budget=None):
@@ -980,25 +1017,17 @@ def check_trimodification(m, budget=None):
         if not r.ok:
             r.details.insert(0, "component at %r" % c)
             return r
-    for g, (e, d) in k.onecells.items():
-        val_e = F.ob[e]
-        table = m.cell.get(g)
-        if table is None:
+    bad = _first_mistyped(m, _trimod_cells(th, ph, m.comp), budget,
+                          ("cell",))
+    if bad is not None:
+        _, g, x = bad
+        if x is None:
             return failed("check_trimodification",
                           ["missing square comparison at %r" % g],
                           {"onecell": g})
-        for x in R.ob[d].objects:
-            budget.tick()
-            src = val_e.c1(F.on1[g].on1[m.comp[d].comp[x]],
-                           th.square[g].comp[x])
-            tgt = val_e.c1(ph.square[g].comp[x],
-                           m.comp[e].comp[R.on1[g].ob[x]])
-            cell = table.get(x)
-            if cell is None or val_e.twocells.get(cell) != (src, tgt) \
-                    or not val_e.invertible2(cell):
-                return failed("check_trimodification",
-                              ["bad square comparison at (%r, %r)" % (g, x)],
-                              {"onecell": g, "object": x})
+        return failed("check_trimodification",
+                      ["bad square comparison at (%r, %r)" % (g, x)],
+                      {"onecell": g, "object": x})
     # composition axiom
     for (f, g), fg in k.hcomp1.items():
         d, c = k.onecells[f]
@@ -1147,7 +1176,7 @@ def induced_tritrans(F, R, X):
     trihom of a literal sieve on c: its component at D sends a member
     f: D -> c to the restriction of X along f.  F passes ensure_strict."""
     k = F.base
-    comp, square, beta, gamma = {}, {}, {}, {}
+    comp, square = {}, {}
     for d in k.objects:
         val_r = R.ob[d]
         ob = {f: F.on1[f].ob[X] for f in val_r.objects}
@@ -1160,36 +1189,26 @@ def induced_tritrans(F, R, X):
     for g, (e, d) in k.onecells.items():
         dom = compose_ps_two_functors(comp[e], R.on1[g])
         cod = compose_ps_two_functors(F.on1[g], comp[d])
-        val_e = F.ob[e]
+        ids = {f: F.ob[e].id1(dom.ob[f]) for f in R.ob[d].objects}
         square[g] = PsTwoNatTrans(
-            dom, cod, {f: val_e.id1(dom.ob[f]) for f in R.ob[d].objects},
-            {a: val_e.id2(dom.on1[a]) for a in R.ob[d].onecells})
-    for (f, g), fg in k.hcomp1.items():
-        c = k.onecells[f][1]
-        val_e = F.ob[k.onecells[g][0]]
-        beta[(f, g)] = {r: val_e.id2(val_e.id1(
-            F.on1[k.c1(k.c1(r, f), g)].ob[X])) for r in R.ob[c].objects}
-    for c in k.objects:
-        gamma[c] = {r: F.ob[c].id2(F.ob[c].id1(comp[c].ob[r]))
-                    for r in R.ob[c].objects}
-    return Tritransformation(R, F, comp, square, beta, gamma)
+            dom, cod, ids, **_identities(_ps_two_nat_cells(dom, cod, ids)))
+    return Tritransformation(R, F, comp, square,
+                             **_identities(_tritrans_cells(R, F, comp,
+                                                           square)))
 
 
 def induced_trimod(F, a0, sig_x, sig_y):
     """The modification sig_x => sig_y induced by a 1-cell a0: X -> Y of
     F(c): its component at a member f is the restriction of a0 along f."""
-    k = F.base
     R = sig_x.dom
-    comp, cell = {}, {}
-    for d in k.objects:
+    comp = {}
+    for d in F.base.objects:
         cps = {f: F.on1[f].on1[a0] for f in R.ob[d].objects}
         cls = {gm: F.ob[d].inverse2(F.on2[gm].cell[a0])
                for gm in R.ob[d].onecells}
         comp[d] = PsTwoNatTrans(sig_x.comp[d], sig_y.comp[d], cps, cls)
-    for g, (e, d) in k.onecells.items():
-        cell[g] = {f: F.ob[e].id2(F.on1[k.c1(f, g)].on1[a0])
-                   for f in R.ob[d].objects}
-    return Trimodification(sig_x, sig_y, comp, cell)
+    return Trimodification(sig_x, sig_y, comp,
+                           **_identities(_trimod_cells(sig_x, sig_y, comp)))
 
 
 def induced_pert(F, al0, m_a, m_b):

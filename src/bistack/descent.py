@@ -10,10 +10,13 @@ that either produces a gluing witness or a replayable refutation.
 All checkers in this module require the homomorphism data to pass
 ``bicat3.ensure_strict``: identity compositors and unitors, and an action
 by strict 2-functors, as ``representable_trihom``, ``sieve_trihom`` and
-the workspace loader produce it.  Under that normalization
-the canonical comparison 1-cells between iterated restrictions are
-identities, and the only non-trivial transition witnesses left are the
-sieve's restriction 2-cells, which stay explicit throughout.
+the workspace loader produce it.  The datum checkers and the gluing
+searches assume it without checking: ``is_2stack``, ``is_2stack_direct``
+and the three ``*_from_*`` constructors check it once, on entry.  Under
+that normalization the canonical comparison 1-cells between iterated
+restrictions are identities, and the only non-trivial transition
+witnesses left are the sieve's restriction 2-cells, which stay explicit
+throughout.
 
 Orientation conventions for the recorded cells (X, Y objects, a, b
 morphisms of the value at the sieve's target; f, f' members; g, h base
@@ -30,8 +33,9 @@ morphisms of the value at the sieve's target; f, f' members; g, h base
 
 Each datum's cell typing is declared once: ``_ddm_members`` and
 ``_ddm_cells`` list the morphism datum's cells with their boundaries, and
-``_wdd_cells`` the weak datum's comparison 2-cells.  The checkers type the
-recorded cells against that declaration, the enumerators draw each cell
+``_wdd_cells`` the weak datum's comparison 2-cells, in the shape of the
+``bicat3`` declarations, which are read the same way.  The checkers type
+the recorded cells against a declaration, the enumerators draw each cell
 from the invertible 2-cells of its boundary, and ``weak_datum_from_object``
 sets each comparison cell to the identity on its target.
 
@@ -63,7 +67,9 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
     compose_ps_two_functors, ensure_strict, induced_pert, induced_trimod, \
-    induced_tritrans, sieve_trihom
+    induced_tritrans, sieve_trihom, _comparisons, _first_mistyped, \
+    _identities, _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, \
+    _tritrans_cells
 from .report import Budget, choices, failed, forward_choices, inconclusive, \
     merge, passed
 
@@ -101,26 +107,15 @@ def _legs(s):
             yield d, f, e, g, delta, g2
 
 
-def _mistyped(val, cell, src, tgt):
-    """Is a recorded comparison cell missing, off src => tgt in val, or
-    not invertible?"""
-    return cell is None or val.twocells.get(cell) != (src, tgt) \
-        or not val.invertible2(cell)
-
-
-def _iso_pools(cells):
-    """The declared comparison cells as choices pairs: ((table, key),
-    the invertible 2-cells of the cell's boundary)."""
-    for table, key, _, val, src, tgt in cells:
-        yield (table, key), val.isos_between(src, tgt)
-
-
-def _tables(cells, *names):
-    """Split a map keyed by (table, key) into one dict per table name."""
-    out = {name: {} for name in names}
-    for (table, key), cell in cells.items():
-        out[table][key] = cell
-    return [out[name] for name in names]
+# the witness that names each comparison cell of a descent datum by its key
+_WITNESS = {
+    "phi": lambda key: {"member": key[0], "onecell": key[1]},
+    "eta": lambda gamma: {"twocell": gamma},
+    "rho": lambda f: {"member": f},
+    "beta": lambda key: {"member": key[0], "pair": list(key[1:])},
+    "rho2": lambda key: {"twocell": key[0], "onecell": key[1]},
+    "alpha": lambda key: {"member": key[0], "twocell": key[1]},
+}
 
 
 def _display_ticks(s):
@@ -197,7 +192,6 @@ def matching_family_from_cell(F, S, w0):
 def check_matching_family(mf, budget=None):
     budget = budget or Budget()
     F, s = mf.F, mf.S
-    ensure_strict(F)
     val_c = F.ob[s.target]
     if val_c.onecells.get(mf.a) is None or \
             val_c.onecells.get(mf.b) != val_c.onecells[mf.a]:
@@ -313,20 +307,26 @@ def _ddm_members(F, s, X, Y):
 
 
 def _ddm_cells(F, s, X, Y, w):
-    """The comparison 2-cells of a morphism datum over the 1-cells w, in
-    check order: (table, key, witness, value, src, tgt) for every phi,
-    then every eta."""
-    for d, f, e, g in _cells_into(s):
-        val_e = F.ob[e]
-        sig = F.on2[s.sigma[(f, g)]]
-        yield ("phi", (f, g), {"member": f, "onecell": g}, val_e,
-               val_e.c1(F.on1[g].on1[w[f]], sig.comp[X]),
-               val_e.c1(sig.comp[Y], w[s.tilde[(f, g)]]))
-    for d, f, f2, gamma in _member_two_cells(s):
-        val_d = F.ob[d]
-        yield ("eta", gamma, {"twocell": gamma}, val_d,
-               val_d.c1(w[f2], F.on2[gamma].comp[X]),
-               val_d.c1(F.on2[gamma].comp[Y], w[f]))
+    """The comparison 2-cells of a morphism datum over the 1-cells w, as
+    families in the shape of the ``bicat3`` declarations: every phi, then
+    every eta."""
+
+    def phi():
+        for d, f, e, g in _cells_into(s):
+            val_e = F.ob[e]
+            sig = F.on2[s.sigma[(f, g)]]
+            yield (f, g), val_e, \
+                val_e.c1(F.on1[g].on1[w[f]], sig.comp[X]), \
+                val_e.c1(sig.comp[Y], w[s.tilde[(f, g)]])
+
+    def eta():
+        for d, f, f2, gamma in _member_two_cells(s):
+            val_d = F.ob[d]
+            yield gamma, val_d, val_d.c1(w[f2], F.on2[gamma].comp[X]), \
+                val_d.c1(F.on2[gamma].comp[Y], w[f])
+
+    yield ("phi", None), phi()
+    yield ("eta", None), eta()
 
 
 def _ddm_boundaries(dd):
@@ -338,19 +338,18 @@ def _ddm_boundaries(dd):
             return failed("check_descent_datum_mor",
                           ["member morphism at %r missing or mistyped" % f],
                           {"member": f})
-    for table, key, witness, val, src, tgt in _ddm_cells(F, s, dd.X, dd.Y,
-                                                         dd.w):
-        if _mistyped(val, getattr(dd, table).get(key), src, tgt):
-            return failed("check_descent_datum_mor",
-                          ["comparison %s at %r missing, mistyped or not "
-                           "invertible" % (table, key)], witness)
+    bad = _first_mistyped(dd, _ddm_cells(F, s, dd.X, dd.Y, dd.w))
+    if bad is not None:
+        table, _, key = bad
+        return failed("check_descent_datum_mor",
+                      ["comparison %s at %r missing, mistyped or not "
+                       "invertible" % (table, key)], _WITNESS[table](key))
     return None
 
 
 def check_descent_datum_mor(dd, budget=None):
     budget = budget or Budget()
     F, s = dd.F, dd.S
-    ensure_strict(F)
     k = s.k
     bad = _ddm_boundaries(dd)
     if bad is not None:
@@ -407,7 +406,6 @@ def _ddm_displays(dd, budget):
         for f3 in s.member_list(d):
             for delta in k.two_cells_between(f2, f3):
                 budget.tick()
-                d_x = F.on2[delta].comp[dd.X]
                 g_x = F.on2[gamma].comp[dd.X]
                 d_y = F.on2[delta].comp[dd.Y]
                 lhs = dd.eta[k.v(delta, gamma)]
@@ -498,7 +496,6 @@ def _gluing_mor_conditions(dd, w, psi, members):
     F, s = dd.F, dd.S
     if _thin(F):
         return True
-    k = s.k
     assigned = set(psi)
     for d, f, f2, gamma in _member_two_cells(s):
         if f not in assigned or f2 not in assigned:
@@ -530,7 +527,6 @@ def find_effective_gluing_mor(dd, budget=None):
     reproducing the datum; Refutation when the space is exhausted."""
     budget = budget or Budget()
     F, s = dd.F, dd.S
-    ensure_strict(F)
     val_c = F.ob[s.target]
     members = [f for _, f in s.all_members()]
     tried = 0
@@ -612,43 +608,52 @@ def weak_datum_from_object(F, S, W0):
         sig = S.sigma[(f, g)]
         phi[(f, g)] = F.on2[sig].comp[W0]
         phi_inv[(f, g)] = F.on2[k.inverse2(sig)].comp[W0]
-    ids = {(table, key): val.id2(tgt) for table, key, _, val, _, tgt
-           in _wdd_cells(F, S, W, eta, phi)}
-    rho, beta, rho2, alpha = _tables(ids, "rho", "beta", "rho2", "alpha")
-    return WeakDescentDatum(F, S, W, eta, phi, phi_inv, rho, beta,
-                            rho2, alpha)
+    return WeakDescentDatum(F, S, W, eta, phi, phi_inv,
+                            **_identities(_wdd_cells(F, S, W, eta, phi)))
 
 
 def _wdd_cells(F, s, W, eta, phi):
     """The comparison 2-cells of a weak datum over the objects W, the
-    transitions eta and the equivalences phi, in check order: (table, key,
-    witness, value, src, tgt) for every rho, beta, rho2, then alpha."""
+    transitions eta and the equivalences phi, as families in the shape of
+    the ``bicat3`` declarations: every rho, beta, rho2, then alpha."""
     k = s.k
-    for d, f in s.all_members():
-        val_d = F.ob[d]
-        yield ("rho", f, {"member": f}, val_d,
-               phi[(f, k.id1(d))], val_d.id1(W[f]))
-    for d, f, e, g in _cells_into(s):
-        t1 = s.tilde[(f, g)]
-        for h, l in k.one_cells_into(e):
-            val_l = F.ob[l]
-            theta = _compositor_cell(s, f, g, h)
-            yield ("beta", (f, g, h), {"member": f, "pair": [g, h]}, val_l,
-                   val_l.c1(F.on1[h].on1[phi[(f, g)]], phi[(t1, h)]),
-                   val_l.c1(phi[(f, k.c1(g, h))], eta[theta]))
-    for d, f, f2, gamma in _member_two_cells(s):
-        for g, e in k.one_cells_into(d):
+
+    def rho():
+        for d, f in s.all_members():
+            val_d = F.ob[d]
+            yield f, val_d, phi[(f, k.id1(d))], val_d.id1(W[f])
+
+    def beta():
+        for d, f, e, g in _cells_into(s):
+            t1 = s.tilde[(f, g)]
+            for h, l in k.one_cells_into(e):
+                val_l = F.ob[l]
+                theta = _compositor_cell(s, f, g, h)
+                yield (f, g, h), val_l, \
+                    val_l.c1(F.on1[h].on1[phi[(f, g)]], phi[(t1, h)]), \
+                    val_l.c1(phi[(f, k.c1(g, h))], eta[theta])
+
+    def rho2():
+        for d, f, f2, gamma in _member_two_cells(s):
+            for g, e in k.one_cells_into(d):
+                val_e = F.ob[e]
+                gg = _restrict_member_cell(s, f, f2, gamma, g)
+                yield (gamma, g), val_e, \
+                    val_e.c1(F.on1[g].on1[eta[gamma]], phi[(f, g)]), \
+                    val_e.c1(phi[(f2, g)], eta[gg])
+
+    def alpha():
+        for d, f, e, g, delta, g2 in _legs(s):
             val_e = F.ob[e]
-            gg = _restrict_member_cell(s, f, f2, gamma, g)
-            yield ("rho2", (gamma, g), {"twocell": gamma, "onecell": g},
-                   val_e, val_e.c1(F.on1[g].on1[eta[gamma]], phi[(f, g)]),
-                   val_e.c1(phi[(f2, g)], eta[gg]))
-    for d, f, e, g, delta, g2 in _legs(s):
-        val_e = F.ob[e]
-        df = _restrict_cell(s, f, g, delta, g2)
-        yield ("alpha", (f, delta), {"member": f, "twocell": delta}, val_e,
-               val_e.c1(F.on2[delta].comp[W[f]], phi[(f, g)]),
-               val_e.c1(phi[(f, g2)], eta[df]))
+            df = _restrict_cell(s, f, g, delta, g2)
+            yield (f, delta), val_e, \
+                val_e.c1(F.on2[delta].comp[W[f]], phi[(f, g)]), \
+                val_e.c1(phi[(f, g2)], eta[df])
+
+    yield ("rho", None), rho()
+    yield ("beta", None), beta()
+    yield ("rho2", None), rho2()
+    yield ("alpha", None), alpha()
 
 
 def _wdd_boundaries(wdd, budget):
@@ -687,20 +692,19 @@ def _wdd_boundaries(wdd, budget):
                           ["phi at (%r, %r) is not an equivalence via the "
                            "recorded pseudo-inverse" % (f, g)],
                           {"member": f, "onecell": g})
-    for table, key, witness, val, src, tgt in _wdd_cells(F, s, wdd.W,
-                                                         wdd.eta, wdd.phi):
-        if table != "rho":  # typing rho spends no step, the others one
-            budget.tick()
-        if _mistyped(val, getattr(wdd, table).get(key), src, tgt):
-            return failed("check_weak_descent_datum",
-                          ["%s at %r missing, mistyped or not invertible"
-                           % (table, key)], witness)
+    # typing rho spends no step, the others one
+    bad = _first_mistyped(wdd, _wdd_cells(F, s, wdd.W, wdd.eta, wdd.phi),
+                          budget, ("beta", "rho2", "alpha"))
+    if bad is not None:
+        table, _, key = bad
+        return failed("check_weak_descent_datum",
+                      ["%s at %r missing, mistyped or not invertible"
+                       % (table, key)], _WITNESS[table](key))
     return None
 
 
 def check_weak_descent_datum(wdd, budget=None):
     budget = budget or Budget()
-    ensure_strict(wdd.F)
     bad = _wdd_boundaries(wdd, budget)
     if bad is not None:
         return bad
@@ -943,7 +947,6 @@ def find_weak_effective_gluing(wdd, budget=None):
     the comparison isos of the weak-effectiveness displays."""
     budget = budget or Budget()
     F, s = wdd.F, wdd.S
-    ensure_strict(F)
     k = s.k
     val_c = F.ob[s.target]
     members = [f for _, f in s.all_members()]
@@ -1213,10 +1216,8 @@ def _all_descent_data_mor(F, s, budget):
             members = ((f, val.one_cells_between(src, tgt))
                        for f, val, src, tgt in _ddm_members(F, s, X, Y))
             for (w,) in choices(budget, members):
-                pools = _iso_pools(_ddm_cells(F, s, X, Y, w))
-                for (cells,) in choices(budget, pools):
-                    phi, eta = _tables(cells, "phi", "eta")
-                    dd = DescentDatumMorphisms(F, s, X, Y, w, phi, eta)
+                for cells in _comparisons(budget, _ddm_cells(F, s, X, Y, w)):
+                    dd = DescentDatumMorphisms(F, s, X, Y, w, **cells)
                     if check_descent_datum_mor(dd, budget).ok:
                         yield dd
 
@@ -1250,12 +1251,8 @@ def _all_weak_data(F, s, budget):
         for eta, pairs in choices(budget, transitions(W), equivalences(W)):
             phi = {key: p for key, (p, _) in pairs.items()}
             phi_inv = {key: q for key, (_, q) in pairs.items()}
-            pools = _iso_pools(_wdd_cells(F, s, W, eta, phi))
-            for (cells,) in choices(budget, pools):
-                rho, beta, rho2, alpha = _tables(cells, "rho", "beta",
-                                                 "rho2", "alpha")
-                wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv,
-                                       rho, beta, rho2, alpha)
+            for cells in _comparisons(budget, _wdd_cells(F, s, W, eta, phi)):
+                wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv, **cells)
                 if check_weak_descent_datum(wdd, budget).ok:
                     yield wdd
 
@@ -1332,14 +1329,11 @@ def _all_ps_two_functors(dom, cod, budget):
         for (on1,) in choices(budget, ones):
             twos = ((a, cod.two_cells_between(on1[f], on1[g]))
                     for a, (f, g) in sorted(dom.twocells.items()))
-            chis = [(pair, cod.isos_between(
-                cod.c1(on1[pair[0]], on1[pair[1]]), on1[ba]))
-                for pair, ba in sorted(dom.hcomp1.items())]
-            units = [(x, cod.isos_between(cod.id1(ob[x]), on1[dom.id1(x)]))
-                     for x in obs]
+            families = [(slot, sorted(cells)) for slot, cells
+                        in _ps_two_functor_cells(dom, cod, ob, on1)]
             for (on2,) in choices(budget, twos):
-                for chi, unit in choices(budget, chis, units):
-                    cand = PsTwoFunctor(dom, cod, ob, on1, on2, chi, unit)
+                for cells in _comparisons(budget, families):
+                    cand = PsTwoFunctor(dom, cod, ob, on1, on2, **cells)
                     if check_ps_two_functor(cand, budget).ok:
                         yield cand
 
@@ -1356,11 +1350,8 @@ def _all_ps_two_nats(g, h, budget, equivalences=False):
             yield x, pool
 
     for (comp,) in choices(budget, components()):
-        cells = ((a, cod.isos_between(cod.c1(h.on1[a], comp[x]),
-                                      cod.c1(comp[y], g.on1[a])))
-                 for a, (x, y) in sorted(g.dom.onecells.items()))
-        for (cell,) in choices(budget, cells):
-            cand = PsTwoNatTrans(g, h, comp, cell)
+        for cells in _comparisons(budget, _ps_two_nat_cells(g, h, comp)):
+            cand = PsTwoNatTrans(g, h, comp, **cells)
             if check_ps_two_nat(cand, budget).ok:
                 yield cand
 
@@ -1379,67 +1370,19 @@ def _all_tritransformations(R, F, budget):
              for c in sorted(k.objects))
     for (comp,) in choices(budget, comps):
         for (square,) in choices(budget, squares(comp)):
-            for beta, gamma in _tritrans_comparisons(R, F, comp, square,
-                                                     budget):
-                cand = Tritransformation(R, F, comp, square, beta, gamma)
+            for cells in _comparisons(
+                    budget, _tritrans_cells(R, F, comp, square)):
+                cand = Tritransformation(R, F, comp, square, **cells)
                 if check_tritransformation(cand, budget).ok:
                     yield cand
 
 
-def _tritrans_comparisons(R, F, comp, square, budget):
-    """All invertible comparison tables (beta, gamma): beta[(f, g)] and
-    gamma[C] each map the objects of a sieve value to a 2-cell."""
-    k = R.base
-    pairs = sorted(k.hcomp1)
-    objects = sorted(k.objects)
-
-    def betas(pair):
-        f, g = pair
-        c, e = k.onecells[f][1], k.onecells[g][0]
-        val_e = F.ob[e]
-        for x in R.ob[c].objects:
-            src = val_e.c1_path([
-                F.chi[pair].comp[comp[c].ob[x]],
-                F.on1[g].on1[square[f].comp[x]],
-                square[g].comp[R.on1[f].ob[x]],
-            ])
-            tgt = val_e.c1(square[k.hcomp1[pair]].comp[x],
-                           comp[e].on1[R.chi[pair].comp[x]])
-            yield x, val_e.isos_between(src, tgt)
-
-    def gammas(c):
-        val_c = F.ob[c]
-        for x in R.ob[c].objects:
-            yield x, val_c.isos_between(
-                val_c.c1(square[k.id1(c)].comp[x],
-                         comp[c].on1[R.iota[c].comp[x]]),
-                F.iota[c].comp[comp[c].ob[x]])
-
-    for tables in choices(budget, *map(betas, pairs), *map(gammas, objects)):
-        yield (dict(zip(pairs, tables)),
-               dict(zip(objects, tables[len(pairs):])))
-
-
 def _all_trimods(sx, sy, budget):
-    R, F = sx.dom, sx.cod
-    k = R.base
-    legs = sorted(k.onecells)
-
-    def cells(comp, g):
-        e, d = k.onecells[g]
-        val_e = F.ob[e]
-        for x in R.ob[d].objects:
-            yield x, val_e.isos_between(
-                val_e.c1(F.on1[g].on1[comp[d].comp[x]],
-                         sx.square[g].comp[x]),
-                val_e.c1(sy.square[g].comp[x],
-                         comp[e].comp[R.on1[g].ob[x]]))
-
     comps = ((c, list(_all_ps_two_nats(sx.comp[c], sy.comp[c], budget)))
-             for c in sorted(k.objects))
+             for c in sorted(sx.dom.base.objects))
     for (comp,) in choices(budget, comps):
-        for tables in choices(budget, *(cells(comp, g) for g in legs)):
-            cand = Trimodification(sx, sy, comp, dict(zip(legs, tables)))
+        for cells in _comparisons(budget, _trimod_cells(sx, sy, comp)):
+            cand = Trimodification(sx, sy, comp, **cells)
             if check_trimodification(cand, budget).ok:
                 yield cand
 
@@ -1457,6 +1400,13 @@ def _all_perturbations(ma, mb, budget):
         cand = Perturbation(ma, mb, dict(zip(obs, tables)))
         if check_perturbation(cand, budget).ok:
             yield cand
+
+
+def _pointwise_invertible(q):
+    """All component 2-cells of the perturbation are invertible."""
+    F = q.dom.dom.cod
+    return all(F.ob[d].invertible2(cell)
+               for d, tab in q.comp.items() for cell in tab.values())
 
 
 def _pointwise_equivalent(m, budget):
@@ -1497,23 +1447,22 @@ def is_2stack_direct(F, tau, budget=None):
                     ["%s: %s" % (tag, exc)], {"object": c, "sieve": i})
             sigma = {X: induced_tritrans(F, R, X)
                      for X in sorted(val_c.objects)}
+            restricted = {w: induced_trimod(F, w, sigma[X], sigma[Y])
+                          for w, (X, Y) in val_c.onecells.items()}
             # full faithfulness on 2-cells
             for X in sorted(val_c.objects):
                 for Y in sorted(val_c.objects):
                     for w in val_c.one_cells_between(X, Y):
                         for w2 in val_c.one_cells_between(X, Y):
                             budget.tick()
-                            ma = induced_trimod(F, w, sigma[X], sigma[Y])
-                            mb = induced_trimod(F, w2, sigma[X], sigma[Y])
-                            perts = list(_all_perturbations(ma, mb,
-                                                            budget))
-                            images = [induced_pert(F, al, ma, mb).comp
+                            ma, mb = restricted[w], restricted[w2]
+                            perts = list(_all_perturbations(ma, mb, budget))
+                            images = {al: induced_pert(F, al, ma, mb).comp
                                       for al in val_c.two_cells_between(
-                                          w, w2)]
+                                          w, w2)}
                             for q in perts:
-                                hits = [al for al, im in zip(
-                                    val_c.two_cells_between(w, w2), images)
-                                    if im == q.comp]
+                                hits = [al for al, im in images.items()
+                                        if im == q.comp]
                                 if len(hits) != 1:
                                     return failed(
                                         "is_2stack_direct",
@@ -1530,18 +1479,10 @@ def is_2stack_direct(F, tau, budget=None):
             for X in sorted(val_c.objects):
                 for Y in sorted(val_c.objects):
                     for m in _all_trimods(sigma[X], sigma[Y], budget):
-                        found = False
-                        for w in val_c.one_cells_between(X, Y):
-                            mw = induced_trimod(F, w, sigma[X], sigma[Y])
-                            for q in _all_perturbations(mw, m, budget):
-                                if all(F.ob[d].invertible2(cq)
-                                       for d, tab in q.comp.items()
-                                       for cq in tab.values()):
-                                    found = True
-                                    break
-                            if found:
-                                break
-                        if not found:
+                        if not any(_pointwise_invertible(q)
+                                   for w in val_c.one_cells_between(X, Y)
+                                   for q in _all_perturbations(
+                                       restricted[w], m, budget)):
                             return failed(
                                 "is_2stack_direct",
                                 ["%s: a modification on (%r, %r) has no "
@@ -1553,15 +1494,9 @@ def is_2stack_direct(F, tau, budget=None):
                                   ["%s: (M) holds" % tag]))
             # surjectivity on objects up to componentwise equivalence
             for alpha in _all_tritransformations(R, F, budget):
-                found = False
-                for X in sorted(val_c.objects):
-                    for m in _all_trimods(alpha, sigma[X], budget):
-                        if _pointwise_equivalent(m, budget):
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
+                if not any(_pointwise_equivalent(m, budget)
+                           for X in sorted(val_c.objects)
+                           for m in _all_trimods(alpha, sigma[X], budget)):
                     return failed(
                         "is_2stack_direct",
                         ["%s: a transformation out of the sieve is not "

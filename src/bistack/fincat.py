@@ -49,14 +49,6 @@ class FinCat:
         except KeyError:
             raise MalformedTable("missing composite (%r, %r)" % (g, f))
 
-    def compose_path(self, path):
-        """Compose a tgt-to-src ordered tuple of morphisms; () not allowed."""
-        it = list(path)
-        m = it.pop()
-        while it:
-            m = self.compose(it.pop(), m)
-        return m
-
     def is_identity(self, m):
         return self.identity.get(self.src.get(m)) == m
 

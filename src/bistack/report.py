@@ -132,14 +132,6 @@ class CheckReport:
     def ok(self):
         return self.verdict == PASS
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "details": list(self.details),
-            "witness": self.witness,
-        }
-
 
 def passed(name, details=(), witness=None):
     return CheckReport(name, PASS, list(details), witness or {})

@@ -55,7 +55,10 @@ def _dispatch(doc, name, body, budget):
         fn = {"T1": check_T1, "T2": check_T2, "T3": check_T3}[op]
         return fn(ref("bitopology"), budget)
     if op == "sigma_bicolim":
-        return is_sigma_bicolim_bisieve(ref("bisieve"), budget)
+        # validated on a budget of its own, as _covering does
+        s = _checked(check_bisieve, ref("bisieve"), "bisieve",
+                     "bisieves.%s" % body["bisieve"])
+        return is_sigma_bicolim_bisieve(s, budget)
     if op == "subcanonical":
         tau = ref("bitopology")
         return is_subcanonical(tau.k, tau, budget)

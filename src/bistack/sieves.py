@@ -245,9 +245,6 @@ class GrothTwoCat:
         self.one_of = dict(one_of)  # 1-cell id -> (g, alpha)
         self.two_of = dict(two_of)  # 2-cell id -> delta
 
-    def ob_name(self, d, f):
-        return "(%s|%s)" % (d, f)
-
 
 def groth(s, budget=None):
     """Build the 2-category of elements of a sieve as explicit tables."""
@@ -531,7 +528,6 @@ def check_bitopology(tau, budget=None):
     is not literally closed under sieve equivalence.
     """
     budget = budget or Budget()
-    reports = []
     for c in tau.k.objects:
         for i, s in enumerate(tau.sieves_on(c)):
             r = check_bisieve(s, budget)

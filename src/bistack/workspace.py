@@ -215,7 +215,7 @@ def _decode_trihom(body, two_cats, where):
             on2[x] = PsTwoNatTrans(on1[g], on1[g2], _field(tab, "comp", at),
                                    cell)
         t = strict_trihom(k, values, on1, on2)
-    except (KeyError, TypeError, MalformedTable) as exc:
+    except (KeyError, TypeError, MalformedTable, BoundaryMismatch) as exc:
         raise ParseError("%s: %s" % (where, exc))
     return _checked(check_trihom_data, t, "trihom data", where)
 

@@ -358,6 +358,18 @@ def test_cli_malformed_covering_bisieve_is_a_located_input_error(
     assert message in err and "Traceback" not in err
 
 
+def test_cli_sigma_bicolim_on_a_malformed_bisieve_is_a_located_input_error(
+        tmp_path, capsys):
+    raw = generate(3, "mutant")
+    raw["checks"]["sigma:S_O0_0"] = {"op": "sigma_bicolim",
+                                     "bisieve": "S_O0_0"}
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 3
+    err = capsys.readouterr().err
+    assert "bisieves.S_O0_0: bisieve fails: " in err
+    assert "Traceback" not in err
+
+
 def _no_identity2(k):
     del k["identity2"]["id_X"]
 

@@ -1,9 +1,11 @@
 """Every module under src/bistack imports at module level only, uses
 each name it imports and every private helper it defines, and every
-public function it defines is referenced from src/bistack or the
-tests."""
+public function and class method it defines is referenced from
+src/bistack or the tests.  Every boundary that the traced benchmark run
+wraps names an attribute of the toolkit."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -78,3 +80,38 @@ def test_every_public_function_is_referenced():
     used = sum((_names(tree) for tree in [*trees.values(), *tests.values()]),
                Counter())
     assert _unreferenced(trees, used, private=False) == []
+
+
+def _attributes(node):
+    """How often each name occurs as an attribute under node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute))
+
+
+def test_every_method_is_referenced():
+    trees = _trees(SRC)
+    tests = _trees(Path(__file__).parent)
+    used = sum((_attributes(tree)
+                for tree in [*trees.values(), *tests.values()]), Counter())
+    unused = sorted("%s.%s.%s" % (m, cls.name, fn.name)
+                    for m, tree in trees.items() for cls in tree.body
+                    if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("__")
+                    and used[fn.name] == _attributes(fn)[fn.name])
+    assert unused == []
+
+
+def test_every_benchmark_boundary_names_a_toolkit_attribute(monkeypatch):
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).parent.parent / "perfbench"))
+    layers = importlib.import_module("layers")
+    missing = []
+    for module, cls, attr, *_ in (layers.RUN_BOUNDARIES
+                                  + layers.SETUP_BOUNDARIES):
+        owner = importlib.import_module("bistack." + module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        if attr not in vars(owner):
+            missing.append((module, cls, attr))
+    assert missing == []

@@ -6,12 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistack.bicat3 import representable_trihom, yoneda_pert, yoneda_trimod, \
-    yoneda_tritrans
+from bistack.bicat3 import induced_tritrans, representable_trihom, \
+    yoneda_pert, yoneda_trimod, yoneda_tritrans
+from bistack import descent
 from bistack.builders import chain_suspension
 from bistack.descent import _all_descent_data_mor, _all_ps_two_functors, \
-    _all_tritransformations, _all_weak_data, is_2stack, is_2stack_direct, \
-    sieve_trihom
+    _all_trimods, _all_tritransformations, _all_weak_data, is_2stack, \
+    is_2stack_direct, sieve_trihom
 from bistack.errors import SearchBudgetExceeded
 from bistack.fincat import walking_arrow
 from bistack.generate import generate
@@ -206,6 +207,53 @@ def test_ps_two_functor_candidates_are_pinned():
     assert digest == _PS_PINNED
 
 
+def _comparison_sequences(monkeypatch):
+    """The comparison tables of every candidate that the tritransformation
+    and trimodification enumerators hand to their checkers, in order, with
+    the steps, per sieve: on ladder rung 3, and on the walking arrow with
+    B(Z/2) values, where a pool holds more than one invertible 2-cell.
+    The trimodifications run between induced transformations."""
+    seen = []
+    for name, tables in (("check_tritransformation",
+                          lambda t: (t.beta, t.gamma)),
+                         ("check_trimodification", lambda m: m.cell)):
+        check = getattr(descent, name)
+        monkeypatch.setattr(
+            descent, name, lambda x, budget=None, check=check, tables=tables:
+            seen.append(_canon(tables(x))) or check(x, budget))
+    k = chain_suspension(3)
+    F = representable_trihom(k, "Y")
+    instances = [(F, literal_maximal_bisieve(k, c))
+                 for c in sorted(k.objects)]
+    wa, F2 = collapse_twocells_trihom()
+    instances.append((F2, build_bisieve(wa, "1", {"0": {"a"}})))
+    out = []
+    for F, s in instances:
+        R = sieve_trihom(s)
+        budget = Budget()
+        list(_all_tritransformations(R, F, budget))
+        sigma = {X: induced_tritrans(F, R, X)
+                 for X in sorted(F.ob[s.target].objects)}
+        for X in sorted(sigma):
+            for Y in sorted(sigma):
+                list(_all_trimods(sigma[X], sigma[Y], budget))
+        out.append((list(seen), budget.steps))
+        seen.clear()
+    return out
+
+
+# recorded before the comparison cells were declared in one place
+_COMPARISONS_PINNED = ("614216936dead2e322dbdcbfb4e0f746"
+                       "f69026ad0c38bb897a532f972a42224a")
+
+
+def test_comparison_cell_candidates_are_pinned(monkeypatch):
+    seqs = _comparison_sequences(monkeypatch)
+    assert all(seq for seq, _ in seqs)
+    digest = hashlib.sha256(repr(seqs).encode()).hexdigest()
+    assert digest == _COMPARISONS_PINNED
+
+
 # --- the representable, sieve and Yoneda constructions ---------------------------
 
 def _trihom_tables(t):
@@ -298,6 +346,17 @@ _STEPS = {("2stack", 3): 431, ("2stack", 4): 965, ("2stack", 5): 4608,
 @pytest.mark.parametrize("op, n", sorted(_STEPS))
 def test_decider_steps_are_pinned(op, n):
     assert _decide(op, n) == ("pass", {}, _STEPS[op, n])
+
+
+def test_each_decider_checks_strictness_once(monkeypatch):
+    calls = []
+    ensure_strict = descent.ensure_strict
+    monkeypatch.setattr(descent, "ensure_strict",
+                        lambda F: calls.append(F) or ensure_strict(F))
+    for op in sorted(_DECIDERS):
+        calls.clear()
+        assert _decide(op, 3)[0] == "pass"
+        assert len(calls) == 1, op
 
 
 def _budget_sweep():
