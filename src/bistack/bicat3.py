@@ -31,7 +31,8 @@ boundaries: ``_ps_two_functor_cells`` (chi, unit), ``_ps_two_nat_cells``
 (beta, gamma) and ``_trimod_cells`` (cell).  A declaration lists families
 ((table, key), cells), recorded as the whole table when key is None and as
 the table's entry at key otherwise; each cell (x, value, src, tgt) is
-recorded at x and typed src => tgt in value.  Families and cells come in
+recorded at x and typed src() => tgt in value: the source is a thunk, so
+that only the typing and the pools compose it.  Families and cells come in
 the enumerators' order, sorted; the pseudofunctor's come in table order and
 its enumerator sorts them, so that its checker sorts nothing.  Checkers
 type the recorded cells against a declaration (``_first_mistyped``), the
@@ -41,6 +42,7 @@ its boundary (``_comparisons``), and constructors (the identity defaults of
 induced cells) set it to the identity on its target (``_identities``).
 """
 
+from functools import partial
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
@@ -65,7 +67,7 @@ def _first_mistyped(obj, families, budget=None, ticked=()):
         for x, val, src, tgt in cells:
             if tick:
                 budget.tick()
-            if recorded.get(x) not in val.isos_between(src, tgt):
+            if recorded.get(x) not in val.isos_between(src(), tgt):
                 return table, key, x
     return None
 
@@ -74,7 +76,7 @@ def _iso_pools(families):
     """The declared families as choices groups: each slot with the pairs
     (x, the invertible 2-cells of x's boundary)."""
     for slot, cells in families:
-        yield slot, ((x, val.isos_between(src, tgt))
+        yield slot, ((x, val.isos_between(src(), tgt))
                      for x, val, src, tgt in cells)
 
 
@@ -100,7 +102,7 @@ def _comparisons(budget, families):
 
 def _identities(families):
     """Each declared cell set to the identity 2-cell on its target, as the
-    keyword tables of the structure."""
+    keyword tables of the structure; no source is composed."""
     return _tables((slot, {x: val.id2(tgt) for x, val, _, tgt in cells})
                    for slot, cells in families)
 
@@ -148,10 +150,11 @@ def _ps_two_functor_cells(dom, cod, ob, on1):
     """The comparison cells of a pseudofunctor H: dom -> cod with object
     map ob and 1-cell map on1: every compositor chi[(b, a)]:
     H(b).H(a) => H(b.a), then every unitor unit[x]: id_{H(x)} => H(id_x)."""
-    return [(("chi", None), [(pair, cod, cod.c1(on1[pair[0]], on1[pair[1]]),
+    return [(("chi", None), [(pair, cod,
+                              partial(cod.c1, on1[pair[0]], on1[pair[1]]),
                               on1[ba]) for pair, ba in dom.hcomp1.items()]),
-            (("unit", None), [(x, cod, cod.id1(ob[x]), on1[dom.id1(x)])
-                              for x in dom.objects])]
+            (("unit", None), [(x, cod, partial(cod.id1, ob[x]),
+                               on1[dom.id1(x)]) for x in dom.objects])]
 
 
 def identity_ps_two_functor(c):
@@ -273,18 +276,12 @@ class PsTwoNatTrans:
         return (tuple(sorted(self.comp.items())),
                 tuple(sorted(self.cell.items())))
 
-    def __eq__(self, other):
-        return isinstance(other, PsTwoNatTrans) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
 
 def _ps_two_nat_cells(g, h, comp):
     """The structure cells of a transformation G => H with components
     comp: every cell[a]: H(a).comp[x] => comp[y].G(a) for a: x -> y."""
     c = g.cod
-    yield ("cell", None), ((a, c, c.c1(h.on1[a], comp[x]),
+    yield ("cell", None), ((a, c, partial(c.c1, h.on1[a], comp[x]),
                             c.c1(comp[y], g.on1[a]))
                            for a, (x, y) in sorted(g.dom.onecells.items()))
 
@@ -351,13 +348,6 @@ class TwoModification:
         self.dom = dom
         self.cod = cod
         self.comp = dict(comp)
-
-    def key(self):
-        return tuple(sorted(self.comp.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, TwoModification) \
-            and self.key() == other.key()
 
 
 def check_two_modification(m, budget=None):
@@ -458,8 +448,8 @@ def _trihom_cells(t):
         gh, fg = k.c1(g, h), k.c1(f, g)
         for z in t.ob[c].objects:
             yield z, val_l, \
-                val_l.c1(t.chi[(f, gh)].comp[z],
-                         t.chi[(g, h)].comp[t.on1[f].ob[z]]), \
+                partial(val_l.c1, t.chi[(f, gh)].comp[z],
+                        t.chi[(g, h)].comp[t.on1[f].ob[z]]), \
                 val_l.c1(t.chi[(fg, h)].comp[z],
                          t.on1[h].on1[t.chi[(f, g)].comp[z]])
 
@@ -468,16 +458,16 @@ def _trihom_cells(t):
         val_d = t.ob[d]
         for z in t.ob[c].objects:
             fz = t.on1[f].ob[z]
-            yield z, val_d, val_d.c1(t.chi[(f, k.id1(d))].comp[z],
-                                     t.iota[d].comp[fz]), val_d.id1(fz)
+            yield z, val_d, partial(val_d.c1, t.chi[(f, k.id1(d))].comp[z],
+                                    t.iota[d].comp[fz]), val_d.id1(fz)
 
     def gamma_hat(f):
         d, c = k.onecells[f]
         val_d = t.ob[d]
         for z in t.ob[c].objects:
             yield z, val_d, \
-                val_d.c1(t.chi[(k.id1(c), f)].comp[z],
-                         t.on1[f].on1[t.iota[c].comp[z]]), \
+                partial(val_d.c1, t.chi[(k.id1(c), f)].comp[z],
+                        t.on1[f].on1[t.iota[c].comp[z]]), \
                 val_d.id1(t.on1[f].ob[z])
 
     for triple in sorted(k.composable_triples()):
@@ -708,7 +698,7 @@ def _tritrans_cells(R, F, comp, square):
         c, e = k.onecells[f][1], k.onecells[g][0]
         val_e = F.ob[e]
         for x in R.ob[c].objects:
-            yield x, val_e, val_e.c1_path([
+            yield x, val_e, partial(val_e.c1_path, [
                 F.chi[(f, g)].comp[comp[c].ob[x]],
                 F.on1[g].on1[square[f].comp[x]],
                 square[g].comp[R.on1[f].ob[x]],
@@ -718,8 +708,8 @@ def _tritrans_cells(R, F, comp, square):
     def gamma(c):
         val_c = F.ob[c]
         for x in R.ob[c].objects:
-            yield x, val_c, val_c.c1(square[k.id1(c)].comp[x],
-                                     comp[c].on1[R.iota[c].comp[x]]), \
+            yield x, val_c, partial(val_c.c1, square[k.id1(c)].comp[x],
+                                    comp[c].on1[R.iota[c].comp[x]]), \
                 F.iota[c].comp[comp[c].ob[x]]
 
     for pair in sorted(k.hcomp1):
@@ -988,8 +978,8 @@ def _trimod_cells(th, ph, comp):
         val_e = F.ob[e]
         for x in R.ob[d].objects:
             yield x, val_e, \
-                val_e.c1(F.on1[g].on1[comp[d].comp[x]],
-                         th.square[g].comp[x]), \
+                partial(val_e.c1, F.on1[g].on1[comp[d].comp[x]],
+                        th.square[g].comp[x]), \
                 val_e.c1(ph.square[g].comp[x],
                          comp[e].comp[R.on1[g].ob[x]])
 

@@ -80,7 +80,7 @@ def _cmd_replay(args):
     with open(args.report, "r", encoding="utf-8") as fh:
         recorded = json.load(fh)
     doc = load(args.file)
-    same, fresh = replay(recorded, doc)
+    same, fresh = replay(recorded, doc, args.report)
     if same:
         print("replay: reproduced (%s: %s)"
               % (fresh["check"], fresh["verdict"]))

@@ -51,9 +51,24 @@ loops of ``check_descent_datum_mor``, ``_wdd_displays``,
 checker spends the ticks its loops would, at once (``_display_ticks``,
 memoised per sieve).  This rests on valid values: a ``tables`` trihom's
 values and action data are checked when a workspace is loaded.
+
+Both 2-stack searches narrow their object pools by arc consistency
+(``report.narrow``) before they enumerate.  ``is_2stack`` narrows the
+objects W[f] of a weak datum: each base 2-cell f => f2 needs a 1-cell
+W[f] -> W[f2] for its transition, and each phi needs an equivalence
+W[tilde(f, g)] -> g*W[f].  ``is_2stack_direct`` narrows, for each object
+c of the base and x of the sieve's value at c, the object that a
+tritransformation's component at c sends x to: each 1-cell of that value
+needs a 1-cell under the component, and each square f: d -> c an
+equivalence at x.  Narrowing removes only values that are in no
+solution, since each test is one that every yielded candidate passes, so
+the candidates, witnesses and verdicts are those of the unnarrowed search,
+in the same order.  A step is counted as before, over the narrowed pools;
+narrowing itself spends none.
 """
 
 from collections import Counter
+from functools import partial
 
 from .errors import MalformedTable
 from .fincat import Functor, NatTrans, all_functors, all_nat_trans, \
@@ -71,7 +86,7 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     _identities, _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, \
     _tritrans_cells
 from .report import Budget, choices, failed, forward_choices, inconclusive, \
-    merge, passed
+    merge, narrow, passed
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -316,13 +331,14 @@ def _ddm_cells(F, s, X, Y, w):
             val_e = F.ob[e]
             sig = F.on2[s.sigma[(f, g)]]
             yield (f, g), val_e, \
-                val_e.c1(F.on1[g].on1[w[f]], sig.comp[X]), \
+                partial(val_e.c1, F.on1[g].on1[w[f]], sig.comp[X]), \
                 val_e.c1(sig.comp[Y], w[s.tilde[(f, g)]])
 
     def eta():
         for d, f, f2, gamma in _member_two_cells(s):
             val_d = F.ob[d]
-            yield gamma, val_d, val_d.c1(w[f2], F.on2[gamma].comp[X]), \
+            yield gamma, val_d, partial(val_d.c1, w[f2],
+                                        F.on2[gamma].comp[X]), \
                 val_d.c1(F.on2[gamma].comp[Y], w[f])
 
     yield ("phi", None), phi()
@@ -621,7 +637,8 @@ def _wdd_cells(F, s, W, eta, phi):
     def rho():
         for d, f in s.all_members():
             val_d = F.ob[d]
-            yield f, val_d, phi[(f, k.id1(d))], val_d.id1(W[f])
+            yield f, val_d, partial(phi.__getitem__, (f, k.id1(d))), \
+                val_d.id1(W[f])
 
     def beta():
         for d, f, e, g in _cells_into(s):
@@ -630,7 +647,8 @@ def _wdd_cells(F, s, W, eta, phi):
                 val_l = F.ob[l]
                 theta = _compositor_cell(s, f, g, h)
                 yield (f, g, h), val_l, \
-                    val_l.c1(F.on1[h].on1[phi[(f, g)]], phi[(t1, h)]), \
+                    partial(val_l.c1, F.on1[h].on1[phi[(f, g)]],
+                            phi[(t1, h)]), \
                     val_l.c1(phi[(f, k.c1(g, h))], eta[theta])
 
     def rho2():
@@ -639,7 +657,8 @@ def _wdd_cells(F, s, W, eta, phi):
                 val_e = F.ob[e]
                 gg = _restrict_member_cell(s, f, f2, gamma, g)
                 yield (gamma, g), val_e, \
-                    val_e.c1(F.on1[g].on1[eta[gamma]], phi[(f, g)]), \
+                    partial(val_e.c1, F.on1[g].on1[eta[gamma]],
+                            phi[(f, g)]), \
                     val_e.c1(phi[(f2, g)], eta[gg])
 
     def alpha():
@@ -647,7 +666,7 @@ def _wdd_cells(F, s, W, eta, phi):
             val_e = F.ob[e]
             df = _restrict_cell(s, f, g, delta, g2)
             yield (f, delta), val_e, \
-                val_e.c1(F.on2[delta].comp[W[f]], phi[(f, g)]), \
+                partial(val_e.c1, F.on2[delta].comp[W[f]], phi[(f, g)]), \
                 val_e.c1(phi[(f, g2)], eta[df])
 
     yield ("rho", None), rho()
@@ -1222,6 +1241,11 @@ def _all_descent_data_mor(F, s, budget):
                         yield dd
 
 
+def _equivalent_image(val, h):
+    """The narrowing test that a is equivalent in val to h(b)."""
+    return lambda a, b: val.equivalent_objects(a, h.ob[b])
+
+
 def _all_weak_data(F, s, budget):
     k = s.k
     member_cells = tuple(_member_two_cells(s))
@@ -1244,10 +1268,13 @@ def _all_weak_data(F, s, budget):
 
     objects = [(f, sorted(F.ob[k.onecells[f][0]].objects))
                for _, f in s.all_members()]
-    # a W with no 1-cell W[f] -> W[f2] under some gamma has no transitions
-    linked = [(f, f2, F.ob[d].one_cells_between) for d, f, f2
-              in dict.fromkeys((d, f, f2) for d, f, f2, _ in member_cells)]
-    for W in forward_choices(budget, objects, linked):
+    # a W with no 1-cell W[f] -> W[f2] under some gamma has no transitions,
+    edges = [(f, f2, F.ob[d].one_cells_between) for d, f, f2
+             in dict.fromkeys((d, f, f2) for d, f, f2, _ in member_cells)]
+    # and one with no equivalence W[tilde] -> g*W[f] has no phi
+    edges += [(s.tilde[(f, g)], f, _equivalent_image(F.ob[e], F.on1[g]))
+              for d, f, e, g in _cells_into(s)]
+    for W in forward_choices(budget, narrow(objects, edges), edges):
         for eta, pairs in choices(budget, transitions(W), equivalences(W)):
             phi = {key: p for key, (p, _) in pairs.items()}
             phi_inv = {key: q for key, (_, q) in pairs.items()}
@@ -1317,13 +1344,14 @@ def is_2stack(F, tau, budget=None):
 
 # --- the direct biequivalence cross-check ------------------------------------
 
-def _all_ps_two_functors(dom, cod, budget):
+def _all_ps_two_functors(dom, cod, pools, budget):
+    """Every pseudofunctor dom -> cod whose object map takes each object x
+    into pools[x]."""
     obs = sorted(dom.objects)
-    targets = sorted(cod.objects)
     # an object map with no 1-cell under some 1-cell of dom has no on1
     linked = [(x, y, cod.one_cells_between)
               for x, y in dict.fromkeys(dom.onecells.values())]
-    for ob in forward_choices(budget, [(x, targets) for x in obs], linked):
+    for ob in forward_choices(budget, [(x, pools[x]) for x in obs], linked):
         ones = ((f, cod.one_cells_between(ob[x], ob[y]))
                 for f, (x, y) in sorted(dom.onecells.items()))
         for (on1,) in choices(budget, ones):
@@ -1366,8 +1394,22 @@ def _all_tritransformations(R, F, budget):
             yield f, list(_all_ps_two_nats(dom, cod, budget,
                                            equivalences=True))
 
-    comps = ((c, list(_all_ps_two_functors(R.ob[c], F.ob[c], budget)))
-             for c in sorted(k.objects))
+    obs = sorted(k.objects)
+    # one variable (c, x), the object comp[c] sends x to, per object x of
+    # R at c: each 1-cell of R at c needs a 1-cell under comp[c], and each
+    # square f: d -> c an equivalence comp[d](f*x) -> f*comp[c](x)
+    objects = [((c, x), sorted(F.ob[c].objects))
+               for c in obs for x in sorted(R.ob[c].objects)]
+    edges = [((c, x), (c, y), F.ob[c].one_cells_between) for c in obs
+             for x, y in dict.fromkeys(R.ob[c].onecells.values())]
+    edges += [((d, R.on1[f].ob[x]), (c, x),
+               _equivalent_image(F.ob[d], F.on1[f]))
+              for f, (d, c) in sorted(k.onecells.items())
+              for x in sorted(R.ob[c].objects)]
+    pools = dict(narrow(objects, edges))
+    comps = ((c, list(_all_ps_two_functors(
+        R.ob[c], F.ob[c], {x: pools[c, x] for x in R.ob[c].objects},
+        budget))) for c in obs)
     for (comp,) in choices(budget, comps):
         for (square,) in choices(budget, squares(comp)):
             for cells in _comparisons(

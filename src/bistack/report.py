@@ -5,6 +5,7 @@ bare bool, so that failures always carry a finite witness and budget
 exhaustion is an honest third verdict instead of a silent pass.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -113,6 +114,53 @@ def forward_choices(budget, cells, edges):
             budget.tick()
             yield dict(zip(keys, picks))
             at[i] += 1
+
+
+def narrow(cells, edges):
+    """The pools of ``forward_choices(budget, cells, edges)`` made arc
+    consistent (AC-3; Mackworth, "Consistency in networks of relations",
+    1977).
+
+    Takes the same (cell, pool) pairs and (x, y, ok) edges, and returns the
+    pairs with each pool, in its original order, reduced to the values that
+    have a support on every edge: for a at x, some b left at y with
+    ok(a, b), and likewise from y's side.  An edge from a cell to itself is
+    the unary test ok(a, a).  A value without support is in no assignment
+    that passes every edge, so ``forward_choices`` over the narrowed pools
+    yields the same assignments in the same order; only the ticks of its
+    pruned branches shrink.  Once some pool is empty no assignment passes,
+    and every pool comes back empty.  Like the ok tests of
+    ``forward_choices``, narrowing reads no budget.
+    """
+    pools = {cell: list(pool) for cell, pool in cells}
+    # arcs[i] = (x, y, test): revise x against y, test(pick at x, at y)
+    arcs = []
+    for x, y, ok in edges:
+        if x == y:
+            pools[x] = [a for a in pools[x] if ok(a, a)]
+        else:
+            arcs.append((x, y, ok))
+            arcs.append((y, x, lambda b, a, ok=ok: ok(a, b)))
+    into = {}
+    for i, (_, y, _) in enumerate(arcs):
+        into.setdefault(y, []).append(i)
+    queue = deque(range(len(arcs)))
+    queued = set(queue)
+    while queue:
+        i = queue.popleft()
+        queued.discard(i)
+        x, y, test = arcs[i]
+        kept = [a for a in pools[x] if any(test(a, b) for b in pools[y])]
+        if len(kept) < len(pools[x]):
+            pools[x] = kept
+            # arc i ^ 1, the same edge seen from y, keeps its supports
+            for j in into[x]:
+                if j != i ^ 1 and j not in queued:
+                    queue.append(j)
+                    queued.add(j)
+    if not all(pools.values()):
+        return [(cell, []) for cell in pools]
+    return list(pools.items())
 
 
 @dataclass

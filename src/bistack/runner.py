@@ -19,7 +19,7 @@ from .sigma_colim import is_sigma_bicolim_bisieve
 from .two_cat import check_two_category
 from .workspace import CHECK_REFS, _checked
 
-REPORT_SCHEMA = "bistack-report/1"
+REPORT_SCHEMA = "bistack-report/2"
 
 _TIMING_FIELDS = ("elapsed_s",)
 
@@ -105,12 +105,35 @@ def strip_timing(report):
     return {k: v for k, v in report.items() if k not in _TIMING_FIELDS}
 
 
-def replay(report, doc):
+def _recorded(report, where):
+    """report, refused with a ParseError located at where unless it is one
+    report of this schema, with a check name and an integer or null
+    budget limit."""
+    if not isinstance(report, dict):
+        raise ParseError("%s: a report must be an object (one check's "
+                         "report), not %s" % (where, type(report).__name__))
+    if report.get("schema") != REPORT_SCHEMA:
+        raise ParseError("%s: report schema %r is not %r: steps are not "
+                         "comparable across schemas"
+                         % (where, report.get("schema"), REPORT_SCHEMA))
+    if not isinstance(report.get("check"), str):
+        raise ParseError("%s: report has no check name" % where)
+    limit = report.get("budget_limit")
+    if limit is not None and type(limit) is not int:
+        raise ParseError("%s: budget_limit %r is not an integer or null"
+                         % (where, limit))
+    return report
+
+
+def replay(report, doc, where="report"):
     """Re-run the check recorded in a report against a document.
 
     Returns (reproduced, fresh_report); reproduced is True when the fresh
-    report equals the recorded one in every field except timing.
+    report equals the recorded one in every field except timing.  A report
+    that is not one report of this schema is a ParseError located at
+    where.
     """
+    report = _recorded(report, where)
     fresh = run_check(doc, report["check"], report.get("budget_limit"))
     same = strip_timing(fresh) == strip_timing(report)
     return same, fresh

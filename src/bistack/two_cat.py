@@ -33,8 +33,9 @@ class Fin2Cat:
     pairs that ``c1`` and ``v`` read are indexed once here; to change a
     table, build a new Fin2Cat.  Memoised on first use:
     ``composable_triples``, ``locally_thin``, ``inverse2``,
-    ``isos_between`` (which ``invertible_2cell`` reads) and
-    ``equivalence_data`` (with the ticks it spent, replayed on a repeat).
+    ``isos_between`` (which ``invertible_2cell`` reads),
+    ``equivalence_data`` (with the ticks it spent, replayed on a repeat)
+    and ``equivalent_objects``.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
@@ -61,6 +62,7 @@ class Fin2Cat:
         self._inverse2 = {}
         self._isos = {}
         self._equivalences = {}
+        self._equivalent = {}
         self._key = None
 
     # --- boundaries ---------------------------------------------------
@@ -238,8 +240,13 @@ class Fin2Cat:
         return self.equivalence_data(f, budget) is not None
 
     def equivalent_objects(self, a, b):
-        return any(self.is_equivalence_1cell(f)
-                   for f in self.one_cells_between(a, b))
+        """Is some 1-cell a -> b an equivalence?  Memoised."""
+        known = self._equivalent.get((a, b))
+        if known is None:
+            known = self._equivalent[(a, b)] = any(
+                self.is_equivalence_1cell(f)
+                for f in self.one_cells_between(a, b))
+        return known
 
     def key(self):
         if self._key is None:
@@ -608,20 +615,6 @@ class PsFunctorToCat:
     def chi(self, f, g):
         return self.compositor[(f, g)]
 
-    def key(self):
-        return (tuple(sorted((c, v.key()) for c, v in self.ob.items())),
-                tuple(sorted((f, v.key()) for f, v in self.on1.items())),
-                tuple(sorted((x, v.key()) for x, v in self.on2.items())),
-                tuple(sorted((p, v.key())
-                             for p, v in self.compositor.items())),
-                tuple(sorted((c, v.key()) for c, v in self.unitor.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, PsFunctorToCat) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
 
 def check_ps_functor(F, budget=None):
     """Typing, strict vertical functoriality, naturality and coherence."""
@@ -774,12 +767,6 @@ class PsNatTrans:
         return (tuple(sorted((c, v.key()) for c, v in self.comp.items())),
                 tuple(sorted((f, v.key()) for f, v in self.cells.items())))
 
-    def __eq__(self, other):
-        return isinstance(other, PsNatTrans) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
 
 def check_ps_nat(t, budget=None):
     budget = budget or Budget()
@@ -852,13 +839,6 @@ class CatModification:
 
     def key(self):
         return tuple(sorted((c, v.key()) for c, v in self.comp.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, CatModification) \
-            and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 def check_modification(m, budget=None):

@@ -422,6 +422,37 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
     assert cli.main(["replay", str(rep), path]) == 1
 
 
+def _schema_1(report):
+    return {**report, "schema": "bistack-report/1"}
+
+
+def _no_limit(report):
+    return {**report, "budget_limit": "many"}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda r: {}, "bistack-report/2"),
+    (lambda r: [1], "must be an object"),
+    (lambda r: [r], "must be an object"),
+    (lambda r: {k: v for k, v in r.items() if k != "check"},
+     "no check name"),
+    (_schema_1, "'bistack-report/1' is not 'bistack-report/2'"),
+    (_no_limit, "budget_limit 'many'"),
+], ids=["empty", "list", "report-list", "no-check", "schema-1",
+        "text-limit"])
+def test_cli_replay_of_a_malformed_report_is_a_located_input_error(
+        tmp_path, capsys, corrupt, message):
+    path = _site(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["run", path, "--check", "2stack:F1",
+                     "--format", "json"]) == 0
+    rep = tmp_path / "report.json"
+    rep.write_text(json.dumps(corrupt(json.loads(capsys.readouterr().out))))
+    assert cli.main(["replay", str(rep), path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % rep) and message in err
+
+
 def test_cli_groth_exports_a_valid_two_category(tmp_path, capsys):
     path = _site(tmp_path)
     doc = load(path)

@@ -13,10 +13,11 @@ from bistack.builders import chain_suspension
 from bistack.descent import _all_descent_data_mor, _all_ps_two_functors, \
     _all_trimods, _all_tritransformations, _all_weak_data, is_2stack, \
     is_2stack_direct, sieve_trihom
-from bistack.errors import SearchBudgetExceeded
+from bistack.errors import MalformedTable, SearchBudgetExceeded
 from bistack.fincat import walking_arrow
 from bistack.generate import generate
-from bistack.report import Budget, choices, forward_choices, guarded
+from bistack.report import Budget, choices, forward_choices, guarded, \
+    narrow
 from bistack.sieves import Bitopology, build_bisieve, literal_maximal_bisieve
 from bistack.two_cat import Fin2Cat, from_fincat
 from bistack.workspace import corpus_names, corpus_path, load, load_data
@@ -122,6 +123,50 @@ def test_forward_choices_is_choices_then_filter(problem):
             == _drain(_filtered, limit, cells, edges)
 
 
+@st.composite
+def _self_edged(draw):
+    """A problem with a unary test ok(a, a) on some of its cells."""
+    cells, edges = draw(_problems())
+    for cell, _ in cells:
+        if draw(st.booleans()):
+            allowed = draw(st.frozensets(st.integers(0, 3)))
+            edges.append((cell, cell,
+                          lambda a, b, allowed=allowed: a in allowed))
+    return cells, edges
+
+
+@given(_self_edged())
+@settings(max_examples=300, deadline=None)
+def test_narrowing_keeps_every_assignment_in_order(problem):
+    cells, edges = problem
+    narrowed = narrow(cells, edges)
+    assert [cell for cell, _ in narrowed] == [cell for cell, _ in cells]
+    for (_, pool), (_, kept) in zip(cells, narrowed):
+        it = iter(pool)
+        assert all(a in it for a in kept)  # a subsequence of the pool
+    want = list(forward_choices(Budget(), cells, edges))
+    assert list(forward_choices(Budget(), narrowed, edges)) == want
+    # arc consistent: every value left has a support on every edge
+    pools = dict(narrowed)
+    for x, y, ok in edges:
+        if x == y:
+            assert all(ok(a, a) for a in pools[x])
+        else:
+            assert all(any(ok(a, b) for b in pools[y]) for a in pools[x])
+            assert all(any(ok(a, b) for a in pools[x]) for b in pools[y])
+
+
+def test_narrowing_revisits_a_pair_joined_by_two_edges():
+    """x loses 1 on the second edge, so y must then lose 1, whose only
+    support on the first edge was x = 1."""
+    first = {(0, 0), (1, 1)}
+    second = {(0, 0), (0, 1)}
+    edges = [("x", "y", lambda a, b: (a, b) in first),
+             ("x", "y", lambda a, b: (a, b) in second)]
+    assert narrow([("x", [0, 1]), ("y", [0, 1, 2])], edges) \
+        == [("x", [0]), ("y", [0])]
+
+
 def test_bulk_tick_stops_one_past_the_limit():
     budget = Budget(10)
     budget.tick(4)
@@ -194,8 +239,10 @@ def _ps_sequences(n):
         R = sieve_trihom(literal_maximal_bisieve(k, c0))
         for c in sorted(k.objects):
             budget = Budget()
+            pools = {x: sorted(F.ob[c].objects) for x in R.ob[c].objects}
             seq = [_canon((h.ob, h.on1, h.on2, h.chi, h.unit))
-                   for h in _all_ps_two_functors(R.ob[c], F.ob[c], budget)]
+                   for h in _all_ps_two_functors(R.ob[c], F.ob[c], pools,
+                                                 budget)]
             out.append((seq, budget.steps))
     return out
 
@@ -242,16 +289,22 @@ def _comparison_sequences(monkeypatch):
     return out
 
 
-# recorded before the comparison cells were declared in one place
-_COMPARISONS_PINNED = ("614216936dead2e322dbdcbfb4e0f746"
-                       "f69026ad0c38bb897a532f972a42224a")
+# recorded before the object pools were narrowed by arc consistency
+_COMPARISONS_PINNED = ("46ca3a631089c232334da213b25ed846"
+                       "591efd645444a8bb1de57adaa8a9cf44")
+
+# recorded with the candidates, and re-recorded when the object pools were
+# narrowed: steps are counted over the narrowed pools, so the maximal sieve
+# on Y of rung 3 fell from 784
+_COMPARISON_STEPS = [226, 353, 232]
 
 
 def test_comparison_cell_candidates_are_pinned(monkeypatch):
     seqs = _comparison_sequences(monkeypatch)
     assert all(seq for seq, _ in seqs)
-    digest = hashlib.sha256(repr(seqs).encode()).hexdigest()
-    assert digest == _COMPARISONS_PINNED
+    digest = hashlib.sha256(repr([seq for seq, _ in seqs]).encode())
+    assert digest.hexdigest() == _COMPARISONS_PINNED
+    assert [steps for _, steps in seqs] == _COMPARISON_STEPS
 
 
 # --- the representable, sieve and Yoneda constructions ---------------------------
@@ -337,10 +390,13 @@ def _decide(op, n, limit=None):
     return r.verdict, r.witness, budget.steps
 
 
-# steps recorded before forward checking was added
-_STEPS = {("2stack", 3): 431, ("2stack", 4): 965, ("2stack", 5): 4608,
-          ("2stack_direct", 3): 1219, ("2stack_direct", 4): 4277,
-          ("2stack_direct", 5): 22757}
+# steps recorded before forward checking was added, and re-recorded when
+# the object pools were narrowed by arc consistency: steps are counted over
+# the narrowed pools (2stack 431, 965, 4608 and 2stack_direct 1219, 4277,
+# 22757 before)
+_STEPS = {("2stack", 3): 372, ("2stack", 4): 549, ("2stack", 5): 765,
+          ("2stack_direct", 3): 788, ("2stack_direct", 4): 1186,
+          ("2stack_direct", 5): 1694}
 
 
 @pytest.mark.parametrize("op, n", sorted(_STEPS))
@@ -371,9 +427,11 @@ def _budget_sweep():
 
 
 # recorded before forward checking was added; re-recorded when a bulk
-# tick stopped overshooting, which changed only the row at limit 4051
-_SWEEP_PINNED = ("620a30b6bf2f887d1033f63590a97f75"
-                 "93ea2fb38e1e6d8fa04b40a74a9c774f")
+# tick stopped overshooting, which changed only the row at limit 4051, and
+# when the object pools were narrowed, which changed the steps and so the
+# limits of every row
+_SWEEP_PINNED = ("3e34a2628afec3c5815bc4448a2b380f"
+                 "6994b3bba2f063bb6589f1f560d90e7b")
 
 
 def test_budget_sweep_is_pinned():
@@ -434,6 +492,54 @@ def test_deciders_do_not_see_the_thin_shortcut(monkeypatch):
     assert {row[1] for row in fast} == {"pass", "fail"}
     _no_shortcut(monkeypatch)
     assert _verdicts(instances) == fast
+
+
+def _searched(instances):
+    """The weak data and tritransformations that the two deciders draw
+    from each covering sieve, in order, and the steps.  A sieve that is not
+    literally closed has no sieve trihom, and no tritransformations."""
+    out = []
+    for F, tau in instances:
+        for c in sorted(tau.k.objects):
+            for s in tau.sieves_on(c):
+                budget = Budget()
+                weak = [_canon((w.W, w.eta, w.phi))
+                        for w in _all_weak_data(F, s, budget)]
+                try:
+                    R = sieve_trihom(s)
+                except MalformedTable:
+                    out.append((weak, budget.steps))
+                    continue
+                out.append((weak, [_canon({d: h.ob for d, h
+                                           in t.comp.items()})
+                                   for t in _all_tritransformations(
+                                       R, F, budget)], budget.steps))
+    return out
+
+
+def test_deciders_do_not_see_the_narrowing(monkeypatch):
+    """Narrowing and forward checking remove only values in no solution:
+    with both off, so that no edge is tested, both deciders give the same
+    verdicts, details and witnesses, draw the same candidates in the same
+    order, and spend at least as many steps.  The split site adds phis and
+    squares that are equivalences between distinct objects."""
+    k = split_idempotent_2cat()
+    split = Bitopology(k, {"A": [literal_maximal_bisieve(k, "A"),
+                                 build_bisieve(k, "A", {"A": {"id_A"},
+                                                        "B": {"v"}})],
+                           "B": [literal_maximal_bisieve(k, "B")]})
+    instances = _stack_instances() + [(representable_trihom(k, c), split)
+                                      for c in sorted(k.objects)]
+    narrowed = _verdicts(instances), _searched(instances)
+    monkeypatch.setattr(descent, "narrow", lambda cells, edges: cells)
+    monkeypatch.setattr(descent, "forward_choices",
+                        lambda budget, cells, edges:
+                        (pick for (pick,) in choices(budget, cells)))
+    full = _verdicts(instances), _searched(instances)
+    for got, want in zip(full, narrowed):
+        assert [row[:-1] for row in got] == [row[:-1] for row in want]
+        assert all(a[-1] >= b[-1] for a, b in zip(got, want))
+        assert sum(row[-1] for row in got) > sum(row[-1] for row in want)
 
 
 def test_budget_sweep_does_not_see_the_thin_shortcut(monkeypatch):
