@@ -142,9 +142,6 @@ class PsTwoFunctor:
     def __eq__(self, other):
         return isinstance(other, PsTwoFunctor) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
-
 
 def _ps_two_functor_cells(dom, cod, ob, on1):
     """The comparison cells of a pseudofunctor H: dom -> cod with object

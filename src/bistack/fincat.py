@@ -112,9 +112,6 @@ class FinCat:
         return self is other or (isinstance(other, FinCat)
                                  and self.key() == other.key())
 
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return "FinCat(%d objects, %d morphisms)" % (
             len(self.objects), len(self.morphisms))
@@ -241,9 +238,6 @@ class Functor:
         return isinstance(other, Functor) and self.key() == other.key() \
             and self.dom == other.dom and self.cod == other.cod
 
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return "Functor(%s)" % (sorted(self.ob.items()),)
 
@@ -305,13 +299,6 @@ class NatTrans:
         if self._key is None:
             self._key = tuple(sorted(self.comp.items()))
         return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, NatTrans) and self.key() == other.key() \
-            and self.dom == other.dom and self.cod == other.cod
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return "NatTrans(%s)" % (sorted(self.comp.items()),)

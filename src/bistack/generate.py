@@ -7,15 +7,14 @@ Three profiles:
   random discrete-valued homomorphism.
 * ``tiny-2site``: a genuinely 2-categorical base drawn from a small family
   of shapes, with a saturated covering family and a representable value.
-* ``mutant``: a valid document with exactly one labeled table corruption;
-  generation re-runs the document's own check battery and keeps only
-  mutations that fail exactly the labeled check.
+* ``mutant``: a valid document with exactly one labeled table corruption:
+  the first candidate corruption whose labeled check is its only failing
+  check, built and checked one candidate at a time.
 
 All profiles self-validate before returning, so a generated document is a
 usable fixture by construction.
 """
 
-import json
 import random
 from itertools import product
 
@@ -300,64 +299,76 @@ def _generate_tiny_2site(rng):
 
 # --- mutants -------------------------------------------------------------------
 
+def _with(raw, path, value):
+    """raw with value at path, copying only the containers along path."""
+    if not path:
+        return value
+    out = raw.copy()
+    out[path[0]] = _with(raw[path[0]], path[1:], value)
+    return out
+
+
 def _mutations(raw):
-    """Candidate (label, failing-check, mutated-doc) triples, in a
-    deterministic order."""
-    out = []
+    """Candidate mutated documents, labeled by their ``mutation`` key,
+    yielded lazily in a deterministic order.  A candidate copies only the
+    path to its corrupted cell and shares its unchanged sections with raw,
+    so a caller must copy a candidate before editing it in place."""
     for kname in sorted(raw.get("two_cats", {})):
         body = raw["two_cats"][kname]
         twos = sorted(body["twocells"])
         for i, row in enumerate(body["vcomp"]):
             for wrong in twos:
-                if wrong == row[-1]:
-                    continue
-                mutated = json.loads(json.dumps(raw))
-                mutated["two_cats"][kname]["vcomp"][i][-1] = wrong
-                mutated["mutation"] = {"label": "vcomp-corrupt",
-                                       "check": "two_cat:%s" % kname}
-                out.append(mutated)
+                if wrong != row[-1]:
+                    yield dict(_with(raw, ("two_cats", kname, "vcomp", i, -1),
+                                     wrong),
+                               mutation={"label": "vcomp-corrupt",
+                                         "check": "two_cat:%s" % kname})
     for sname in sorted(raw.get("bisieves", {})):
         body = raw["bisieves"][sname]
         for i, row in enumerate(body["sigma"]):
             k = raw["two_cats"][body["two_cat"]]
             for wrong in sorted(k["twocells"]):
-                if wrong == row[-1]:
-                    continue
-                mutated = json.loads(json.dumps(raw))
-                mutated["bisieves"][sname]["sigma"][i][-1] = wrong
-                mutated["mutation"] = {"label": "sigma-corrupt",
-                                       "check": "bisieve:%s" % sname}
-                out.append(mutated)
+                if wrong != row[-1]:
+                    yield dict(_with(raw, ("bisieves", sname, "sigma", i, -1),
+                                     wrong),
+                               mutation={"label": "sigma-corrupt",
+                                         "check": "bisieve:%s" % sname})
     for tname in sorted(raw.get("bitopologies", {})):
-        body = raw["bitopologies"][tname]
-        for c in sorted(body["covering"]):
-            mutated = json.loads(json.dumps(raw))
-            del mutated["bitopologies"][tname]["covering"][c]
-            mutated["mutation"] = {"label": "T1-missing", "check": "T1"}
-            out.append(mutated)
-    return out
+        covering = raw["bitopologies"][tname]["covering"]
+        for c in sorted(covering):
+            yield dict(_with(raw, ("bitopologies", tname, "covering"),
+                             {d: v for d, v in covering.items() if d != c}),
+                       mutation={"label": "T1-missing", "check": "T1"})
 
 
-def _battery(raw):
-    """Run every check of a raw document; {name: verdict}."""
-    doc = load_data(raw)
-    return {name: run_check(doc, name)["verdict"]
-            for name in sorted(doc.checks)}
+def _fails_exactly_its_label(mutated):
+    """Whether the labeled check is the only check of mutated that does
+    not pass.  The labeled check runs first, then the others in name
+    order up to the first that does not pass: under an unlimited budget
+    no verdict depends on the order the checks run in."""
+    label = mutated["mutation"]["check"]
+    try:
+        doc = load_data(mutated)
+        return run_check(doc, label)["verdict"] != "pass" and all(
+            run_check(doc, name)["verdict"] == "pass"
+            for name in sorted(doc.checks) if name != label)
+    except ToolkitError:
+        return False
 
 
-def _generate_mutant(rng):
+def _mutant_base(rng):
+    """The valid site document a mutant corrupts, without trihoms."""
     base = _generate_tiny_2site(rng) if rng.random() < 0.5 \
         else _generate_locally_discrete(rng)
     base.pop("trihoms", None)
     base["checks"] = {n: b for n, b in base["checks"].items()
                       if not n.startswith("2stack")}
-    for mutated in _mutations(base):
-        try:
-            verdicts = _battery(mutated)
-        except ToolkitError:
-            continue
-        failing = sorted(n for n, v in verdicts.items() if v != "pass")
-        if failing == [mutated["mutation"]["check"]]:
+    return base
+
+
+def _generate_mutant(rng):
+    for mutated in _mutations(_mutant_base(rng)):
+        if _fails_exactly_its_label(mutated):
             return mutated
     raise AssertionError("no single-failure mutation found")
 

@@ -1,14 +1,17 @@
 """Workspace documents, the check runner, generators, and the CLI."""
 
-import json
 import copy
+import hashlib
+import json
+import random
 
 import pytest
 
 from bistack import cli
 from bistack.builders import chain_suspension
 from bistack.errors import DanglingReference, ParseError, UnknownCheck
-from bistack.generate import PROFILES, generate
+from bistack.generate import PROFILES, _fails_exactly_its_label, \
+    _mutant_base, _mutations, generate
 from bistack.runner import replay, run_all, run_check, strip_timing
 from bistack.sieves import check_bitopology, literal_maximal_bisieve
 from bistack.two_cat import check_two_category
@@ -140,13 +143,107 @@ def test_generated_sites_self_validate(profile):
 
 
 def test_mutant_fails_exactly_the_labeled_check():
-    for seed in range(3):
+    for seed in range(20):
         raw = generate(seed, "mutant")
         label = raw["mutation"]
         doc = load_data(raw)
         failing = [r["check"] for r in run_all(doc)
                    if r["verdict"] != "pass"]
         assert failing == [label["check"]], (seed, label, failing)
+
+
+# sha256 of normalize(generate(s, profile)) for s = 0 .. count - 1, in
+# seed order: every pool seed of the benchmark.  Recorded before mutant
+# generation became lazy, which must leave every document byte-identical.
+_GENERATED_PINNED = {
+    ("mutant", 120):
+        "5250d720f7a2e0bed6379eaf4dfc9b86c11ee23273b262a37cf5e27f627c161c",
+    ("locally-discrete-site", 80):
+        "b06733045dfdfe25c3337164ce3a8dbe8de2029f6be71ee0900b0361ef607ffb",
+    ("tiny-2site", 80):
+        "2a3664872f2fcc34e2042d46aea4fd52cd630ed688ef511355f107d6479d7c47",
+}
+
+
+@pytest.mark.parametrize("profile,count", sorted(_GENERATED_PINNED))
+def test_generated_pool_documents_are_pinned(profile, count):
+    digest = hashlib.sha256()
+    for seed in range(count):
+        digest.update(normalize(generate(seed, profile)).encode())
+    assert digest.hexdigest() == _GENERATED_PINNED[profile, count]
+
+
+# seed -> (candidates, sha256 of the first candidate's normalized form,
+# sha256 of every candidate's in order), for the mutant base at that seed:
+# the eager candidate list as it was before it became a generator.
+_MUTATIONS_PINNED = {
+    0: (146,
+        "4138de03b82db3c594bcbf3b13abffaa5bcc6fc078a57a6b769190198d3ff58d",
+        "ace2aac38af515adbc0c392693271fb205c3aab5db8d71869dd5deef5438635f"),
+    3: (30,
+        "844936fecef9224e7622a42cf028db73b1f16e342400bbe8912de77aebacae4a",
+        "4ebc144df4f4790be874b77597a9c31560579504c4571ca5d85353151564975d"),
+    4: (6,
+        "fae17220697f33e7be02b985e0c73f5e1205031ca698833828a750678bc5d250",
+        "95fc33f3d4657c17c7a02baeebb4aac0fdf446aa19226b4cc8966f0d2156f3da"),
+}
+
+
+def _differences(a, b, path=()):
+    """The paths at which two JSON values differ; a key missing on one
+    side is a difference at that key."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(a.keys() | b.keys())
+                for p in (_differences(a[key], b[key], path + (key,))
+                          if key in a and key in b else [path + (key,)])]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in _differences(x, y, path + (i,))]
+    return [] if a == b else [path]
+
+
+@pytest.mark.parametrize("seed", sorted(_MUTATIONS_PINNED))
+def test_mutations_are_lazy_and_never_edit_the_base(seed):
+    count, first_pin, all_pin = _MUTATIONS_PINNED[seed]
+    base = _mutant_base(random.Random(repr(("bistack", "mutant", seed))))
+    before = copy.deepcopy(base)
+    candidates = _mutations(base)
+    first = next(candidates)
+    assert hashlib.sha256(normalize(first).encode()).hexdigest() == first_pin
+    candidates = [first] + list(candidates)
+    assert base == before
+    digest = hashlib.sha256()
+    for mutated in candidates:
+        digest.update(normalize(mutated).encode())
+    assert (len(candidates), digest.hexdigest()) == (count, all_pin)
+    cells = {"vcomp-corrupt": ("two_cats", "vcomp", "two_cat:%s"),
+             "sigma-corrupt": ("bisieves", "sigma", "bisieve:%s")}
+    for mutated in candidates:
+        label = mutated["mutation"]
+        edits = _differences(base, mutated)
+        assert len(edits) == 2 and ("mutation",) in edits, (label, edits)
+        cell = next(p for p in edits if p != ("mutation",))
+        if label["label"] == "T1-missing":
+            assert label["check"] == "T1" and len(cell) == 4
+            assert cell[0] == "bitopologies" and cell[2] == "covering"
+            assert cell[3] not in mutated[cell[0]][cell[1]]["covering"]
+        else:
+            section, table, check = cells[label["label"]]
+            assert label["check"] == check % cell[1]
+            assert (cell[0], cell[2], len(cell)) == (section, table, 5)
+            assert cell[4] == len(base[section][cell[1]][table][cell[3]]) - 1
+
+
+def test_a_mutant_fails_its_labeled_check_and_no_other():
+    raw = generate(0, "mutant")
+    assert raw["mutation"]["check"] == "two_cat:K"
+    assert _fails_exactly_its_label(raw)
+    base = _mutant_base(random.Random(repr(("bistack", "mutant", 0))))
+    assert not _fails_exactly_its_label(dict(base, mutation=raw["mutation"]))
+    twice = copy.deepcopy(raw)
+    twice["bitopologies"]["tau"]["covering"].popitem()
+    assert not _fails_exactly_its_label(twice)
+    assert not _fails_exactly_its_label(dict(raw, schema=None))
 
 
 # --- command line ------------------------------------------------------------------
