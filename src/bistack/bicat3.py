@@ -40,6 +40,21 @@ enumerators of ``descent`` draw each cell from the invertible 2-cells of
 its boundary (``_comparisons``), and constructors (the identity defaults of
 ``PsTwoFunctor`` and ``PsTwoNatTrans``, ``strict_trihom``, the identity and
 induced cells) set it to the identity on its target (``_identities``).
+
+Each checker that the enumerators of ``descent`` call on the candidates
+they draw has a typing part and a display part.  The typing checks each
+image, component, sub-structure and declared cell against its boundary;
+the displays are every test that a candidate drawn from typed pools can
+still fail: identity 2-cells preserved, naturality of the squares in base
+2-cells, the coherence and square axioms.  Called with ``drawn=True``, a
+checker runs its displays alone.  Its typing would spend steps only where
+it checks a sub-structure in full or ticks per comparison cell (the
+components and squares of a transformation, the components of a
+modification, their comparison cells); a drawn candidate spends those as
+bulk ticks at the same places, counted once per trihom (``_tritrans_ticks``
+and ``_trimod_ticks`` through ``TrihomData.memo``), with the equivalence
+searches on a transformation's square components replayed from the
+values' memo.  So ``steps`` do not depend on ``drawn`` either.
 """
 
 from functools import partial
@@ -140,7 +155,10 @@ class PsTwoFunctor:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, PsTwoFunctor) and self.key() == other.key()
+        return self is other or (
+            isinstance(other, PsTwoFunctor) and self.ob == other.ob
+            and self.on1 == other.on1 and self.on2 == other.on2
+            and self.chi == other.chi and self.unit == other.unit)
 
 
 def _ps_two_functor_cells(dom, cod, ob, on1):
@@ -179,8 +197,9 @@ def compose_ps_two_functors(k2, h):
                         chi, unit)
 
 
-def check_ps_two_functor(h, budget=None):
-    budget = budget or Budget()
+def _ps_two_functor_images(h):
+    """Typing of every object, 1-cell and 2-cell image; None on success,
+    report on failure."""
     d, c = h.dom, h.cod
     for x in d.objects:
         if h.ob.get(x) not in c.objects:
@@ -196,6 +215,25 @@ def check_ps_two_functor(h, budget=None):
         if b is None or c.twocells.get(b) != (h.on1[f], h.on1[f2]):
             return failed("check_ps_two_functor",
                           ["bad 2-cell image at %r" % a], {"twocell": a})
+    return None
+
+
+def _ps_two_functor_ticks(d):
+    """The steps that checking a valid pseudofunctor out of d spends."""
+    return (len(d.vcomp) + len(d.hcomp2) + len(d.composable_triples())
+            + len(d.onecells))
+
+
+def check_ps_two_functor(h, budget=None, drawn=False):
+    """Typing: the images, then (after the first two displays) the
+    compositor and unitor cells.  Displays: identity 2-cells and vertical
+    composition preserved, then the compositor natural, associative and
+    unital.  A drawn candidate is tested on its displays alone."""
+    budget = budget or Budget()
+    d, c = h.dom, h.cod
+    bad = None if drawn else _ps_two_functor_images(h)
+    if bad is not None:
+        return bad
     for f in d.onecells:
         if h.on2[d.id2(f)] != c.id2(h.on1[f]):
             return failed("check_ps_two_functor",
@@ -211,7 +249,8 @@ def check_ps_two_functor(h, budget=None):
                 return failed("check_ps_two_functor",
                               ["vertical composition not preserved at "
                                "(%r, %r)" % (b, a)], {"pair": [b, a]})
-    bad = _first_mistyped(h, _ps_two_functor_cells(d, c, h.ob, h.on1))
+    bad = None if drawn else \
+        _first_mistyped(h, _ps_two_functor_cells(d, c, h.ob, h.on1))
     if bad is not None:
         table, _, x = bad
         if table == "chi":
@@ -289,8 +328,9 @@ def identity_ps_two_nat(h):
                          {a: c.id2(h.on1[a]) for a in h.dom.onecells})
 
 
-def check_ps_two_nat(t, budget=None):
-    budget = budget or Budget()
+def _ps_two_nat_typing(t):
+    """Typing of every component and structure cell; None on success,
+    report on failure."""
     g, h = t.dom, t.cod
     c = g.cod
     for x in g.dom.objects:
@@ -303,9 +343,27 @@ def check_ps_two_nat(t, budget=None):
         return failed("check_ps_two_nat",
                       ["bad structure cell at %r" % bad[2]],
                       {"onecell": bad[2]})
+    return None
+
+
+def _ps_two_nat_ticks(d):
+    """The steps that checking a valid transformation between
+    pseudofunctors out of d spends."""
+    return len(d.twocells) + len(d.hcomp1) + len(d.objects)
+
+
+def check_ps_two_nat(t, budget=None, drawn=False):
+    """Typing: the components and structure cells.  Displays: 2-cell
+    naturality, composition and unit coherence.  A drawn candidate is
+    tested on its displays alone."""
+    budget = budget or Budget()
+    g, h = t.dom, t.cod
+    c = g.cod
+    bad = None if drawn else _ps_two_nat_typing(t)
+    if bad is not None:
+        return bad
     if c.locally_thin():
-        budget.tick(len(g.dom.twocells) + len(g.dom.hcomp1)
-                    + len(g.dom.objects))
+        budget.tick(_ps_two_nat_ticks(g.dom))
         return passed("check_ps_two_nat")
     for al, (a, a2) in g.dom.twocells.items():
         x, y = g.dom.onecells[a]
@@ -347,12 +405,14 @@ class TwoModification:
         self.comp = dict(comp)
 
 
-def check_two_modification(m, budget=None):
+def check_two_modification(m, budget=None, drawn=False):
+    """Typing: the components.  Display: the square at each 1-cell.  A
+    drawn candidate is tested on its display alone."""
     budget = budget or Budget()
     s, t = m.dom, m.cod
     g, h = s.dom, s.cod
     c = g.cod
-    for x in g.dom.objects:
+    for x in () if drawn else g.dom.objects:
         cell = m.comp.get(x)
         if cell is None or c.twocells.get(cell) != (s.comp[x], t.comp[x]):
             return failed("check_two_modification",
@@ -431,6 +491,14 @@ class TrihomData:
         self.omega = dict(omega or {})
         self.delta_hat = dict(delta_hat or {})
         self.gamma_hat = dict(gamma_hat or {})
+        self._memo = {}
+
+    def memo(self, fn):
+        """fn(self), computed once: for figures derived from the base and
+        the values alone."""
+        if fn not in self._memo:
+            self._memo[fn] = fn(self)
+        return self._memo[fn]
 
 
 def _trihom_cells(t):
@@ -724,8 +792,9 @@ def identity_tritransformation(t):
                                                            square)))
 
 
-def check_tritransformation(t, budget=None):
-    budget = budget or Budget()
+def _tritrans_typing(t, budget):
+    """Typing of the components and squares, each checked in full; None
+    on success, report on failure."""
     R, F = t.dom, t.cod
     k = R.base
     for c in k.objects:
@@ -756,6 +825,48 @@ def check_tritransformation(t, budget=None):
                               ["square component at (%r, %r) is not an "
                                "equivalence" % (f, x)],
                               {"onecell": f, "object": x, "component": comp1})
+    return None
+
+
+def _tritrans_ticks(R):
+    """The steps that typing a valid transformation out of R spends, but
+    for its square components' equivalence searches: on the components and
+    squares, and on the composition comparisons.  Read through R.memo."""
+    k = R.base
+    squares = sum(_ps_two_nat_ticks(R.ob[c]) + len(R.ob[c].objects)
+                  for _, c in k.onecells.values())
+    return (sum(_ps_two_functor_ticks(R.ob[c]) for c in k.objects)
+            + squares,
+            sum(len(R.ob[k.tgt1(f)].objects) for f, _ in k.hcomp1))
+
+
+def _equivalence_ticks(t):
+    """The steps of the equivalence searches on t's square components,
+    replayed from the values' memo."""
+    k = t.dom.base
+    spent = Budget()
+    for f, (d, _) in k.onecells.items():
+        for comp1 in t.square[f].comp.values():
+            t.cod.ob[d].equivalence_data(comp1, spent)
+    return spent.steps
+
+
+def check_tritransformation(t, budget=None, drawn=False):
+    """Typing: the components and squares, then (after the squares'
+    naturality in base 2-cells) the comparison cells.  Displays: that
+    naturality, then the associativity and unit axioms.  A drawn candidate
+    is tested on its displays alone, and spends the typing's steps in two
+    bulk ticks at the places where the typing would spend them."""
+    budget = budget or Budget()
+    R, F = t.dom, t.cod
+    k = R.base
+    if drawn:
+        squares, betas = R.memo(_tritrans_ticks)
+        budget.tick(squares + _equivalence_ticks(t))
+    else:
+        bad = _tritrans_typing(t, budget)
+        if bad is not None:
+            return bad
     # squares are natural in base 2-cells: the two whiskered composites
     # around each delta: f => g agree componentwise (strict setting)
     for delta, (f, g) in k.twocells.items():
@@ -773,8 +884,12 @@ def check_tritransformation(t, budget=None):
                                % (delta, x)],
                               {"twocell": delta, "object": x})
     # comparison 2-cell boundaries
-    bad = _first_mistyped(t, _tritrans_cells(R, F, t.comp, t.square),
-                          budget, ("beta",))
+    if drawn:
+        budget.tick(betas)
+        bad = None
+    else:
+        bad = _first_mistyped(t, _tritrans_cells(R, F, t.comp, t.square),
+                              budget, ("beta",))
     if bad is not None:
         table, key, x = bad
         beta = table == "beta"
@@ -990,11 +1105,11 @@ def identity_trimodification(t):
                            **_identities(_trimod_cells(t, t, comp)))
 
 
-def check_trimodification(m, budget=None):
-    budget = budget or Budget()
+def _trimod_typing(m, budget):
+    """Typing of the components, each checked in full, and of the square
+    comparisons; None on success, report on failure."""
     th, ph = m.dom, m.cod
-    R, F = th.dom, th.cod
-    k = R.base
+    k = th.dom.base
     for c in k.objects:
         tr = m.comp.get(c)
         if tr is None or tr.dom != th.comp[c] or tr.cod != ph.comp[c]:
@@ -1015,6 +1130,31 @@ def check_trimodification(m, budget=None):
         return failed("check_trimodification",
                       ["bad square comparison at (%r, %r)" % (g, x)],
                       {"onecell": g, "object": x})
+    return None
+
+
+def _trimod_ticks(R):
+    """The steps that typing a valid modification between transformations
+    out of R spends.  Read through R.memo."""
+    k = R.base
+    return (sum(_ps_two_nat_ticks(R.ob[c]) for c in k.objects)
+            + sum(len(R.ob[c].objects) for _, c in k.onecells.values()))
+
+
+def check_trimodification(m, budget=None, drawn=False):
+    """Typing: the components and square comparisons.  Displays: the
+    composition and unit axioms.  A drawn candidate is tested on its
+    displays alone, and spends the typing's steps in one bulk tick."""
+    budget = budget or Budget()
+    th, ph = m.dom, m.cod
+    R, F = th.dom, th.cod
+    k = R.base
+    if drawn:
+        budget.tick(R.memo(_trimod_ticks))
+    else:
+        bad = _trimod_typing(m, budget)
+        if bad is not None:
+            return bad
     # composition axiom
     for (f, g), fg in k.hcomp1.items():
         d, c = k.onecells[f]
@@ -1095,7 +1235,10 @@ class Perturbation:
         self.comp = {c: dict(v) for c, v in comp.items()}
 
 
-def check_perturbation(p, budget=None):
+def check_perturbation(p, budget=None, drawn=False):
+    """Typing: the components.  Displays: each component's modification
+    square, and the square axiom.  A drawn candidate is tested on its
+    displays alone."""
     budget = budget or Budget()
     m, n = p.dom, p.cod
     th, ph = m.dom, m.cod
@@ -1107,7 +1250,7 @@ def check_perturbation(p, budget=None):
             return failed("check_perturbation",
                           ["missing component at %r" % c], {"object": c})
         mod = TwoModification(m.comp[c], n.comp[c], table)
-        r = check_two_modification(mod, budget)
+        r = check_two_modification(mod, budget, drawn)
         if not r.ok:
             r.details.insert(0, "component at %r" % c)
             return r

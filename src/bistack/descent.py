@@ -65,6 +65,17 @@ solution, since each test is one that every yielded candidate passes, so
 the candidates, witnesses and verdicts are those of the unnarrowed search,
 in the same order.  A step is counted as before, over the narrowed pools;
 narrowing itself spends none.
+
+The enumerators draw each piece of a candidate from a typed pool, so
+they call its checker with ``drawn=True``: the checker skips the typing
+(``_matching_typing``, ``_ddm_boundaries``, ``_wdd_boundaries`` and the
+``bicat3`` typing) and tests only the displays.  For a matching family
+those are the compatibility displays, for a morphism datum normality,
+the identity etas, the cocycle and the phi/eta squares, and for a weak
+datum the coherence displays with their connecting isos.  Only the weak
+datum's typing spends steps, one per phi and per beta, rho2 and alpha
+cell; a drawn weak datum spends them as one bulk tick
+(``_weak_typing_ticks``, memoised per sieve).
 """
 
 from collections import Counter
@@ -204,8 +215,9 @@ def matching_family_from_cell(F, S, w0):
     return MatchingFamily2Cells(F, S, a, b, w)
 
 
-def check_matching_family(mf, budget=None):
-    budget = budget or Budget()
+def _matching_typing(mf):
+    """Typing of the endpoints and of every member 2-cell; None on
+    success, report on failure."""
     F, s = mf.F, mf.S
     val_c = F.ob[s.target]
     if val_c.onecells.get(mf.a) is None or \
@@ -222,6 +234,18 @@ def check_matching_family(mf, budget=None):
             return failed("check_matching_family",
                           ["member 2-cell at %r missing or mistyped" % f],
                           {"member": f})
+    return None
+
+
+def check_matching_family(mf, budget=None, drawn=False):
+    """Typing: the endpoints and member 2-cells.  Displays: restriction
+    and conjugation compatibility.  A drawn family is tested on its
+    displays alone."""
+    budget = budget or Budget()
+    F, s = mf.F, mf.S
+    bad = None if drawn else _matching_typing(mf)
+    if bad is not None:
+        return bad
     if not _skipped(F, s, "matching", budget):
         bad = _matching_displays(mf, budget)
         if bad is not None:
@@ -363,11 +387,14 @@ def _ddm_boundaries(dd):
     return None
 
 
-def check_descent_datum_mor(dd, budget=None):
+def check_descent_datum_mor(dd, budget=None, drawn=False):
+    """Typing: the member 1-cells and comparison cells.  Displays:
+    normality, the identity etas, the cocycle and the phi/eta squares.  A
+    drawn datum is tested on its displays alone."""
     budget = budget or Budget()
     F, s = dd.F, dd.S
     k = s.k
-    bad = _ddm_boundaries(dd)
+    bad = None if drawn else _ddm_boundaries(dd)
     if bad is not None:
         return bad
     # normality: phi over an identity leg is the identity comparison
@@ -722,11 +749,30 @@ def _wdd_boundaries(wdd, budget):
     return None
 
 
-def check_weak_descent_datum(wdd, budget=None):
+def _weak_typing_ticks(s):
+    """The ticks that typing a valid weak datum over the sieve s spends:
+    one per phi, and one per beta, rho2 and alpha cell.  Read through
+    ``s.memo``."""
+    k = s.k
+    cells = tuple(_cells_into(s))
+    return (len(cells)
+            + sum(len(k.one_cells_into(e)) for _, _, e, _ in cells)
+            + sum(len(k.one_cells_into(d)) for d, *_ in _member_two_cells(s))
+            + len(tuple(_legs(s))))
+
+
+def check_weak_descent_datum(wdd, budget=None, drawn=False):
+    """Typing: the objects, transitions, phis with their pseudo-inverses,
+    and comparison cells.  Displays: the coherence displays, quantified
+    over the connecting isos.  A drawn datum is tested on its displays
+    alone, and spends the typing's steps in one bulk tick."""
     budget = budget or Budget()
-    bad = _wdd_boundaries(wdd, budget)
-    if bad is not None:
-        return bad
+    if drawn:
+        budget.tick(wdd.S.memo(_weak_typing_ticks))
+    else:
+        bad = _wdd_boundaries(wdd, budget)
+        if bad is not None:
+            return bad
     # the coherence displays, quantified over the connecting isos
     found, last = _wdd_coherences(wdd, budget)
     if not found:
@@ -1224,7 +1270,7 @@ def _all_matching_families(F, s, a, b, budget):
              for _, f in s.all_members())
     for (w,) in choices(budget, cells):
         mf = MatchingFamily2Cells(F, s, a, b, w)
-        if check_matching_family(mf, budget).ok:
+        if check_matching_family(mf, budget, drawn=True).ok:
             yield mf
 
 
@@ -1237,7 +1283,7 @@ def _all_descent_data_mor(F, s, budget):
             for (w,) in choices(budget, members):
                 for cells in _comparisons(budget, _ddm_cells(F, s, X, Y, w)):
                     dd = DescentDatumMorphisms(F, s, X, Y, w, **cells)
-                    if check_descent_datum_mor(dd, budget).ok:
+                    if check_descent_datum_mor(dd, budget, drawn=True).ok:
                         yield dd
 
 
@@ -1280,7 +1326,7 @@ def _all_weak_data(F, s, budget):
             phi_inv = {key: q for key, (_, q) in pairs.items()}
             for cells in _comparisons(budget, _wdd_cells(F, s, W, eta, phi)):
                 wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv, **cells)
-                if check_weak_descent_datum(wdd, budget).ok:
+                if check_weak_descent_datum(wdd, budget, drawn=True).ok:
                     yield wdd
 
 
@@ -1362,7 +1408,7 @@ def _all_ps_two_functors(dom, cod, pools, budget):
             for (on2,) in choices(budget, twos):
                 for cells in _comparisons(budget, families):
                     cand = PsTwoFunctor(dom, cod, ob, on1, on2, **cells)
-                    if check_ps_two_functor(cand, budget).ok:
+                    if check_ps_two_functor(cand, budget, drawn=True).ok:
                         yield cand
 
 
@@ -1380,7 +1426,7 @@ def _all_ps_two_nats(g, h, budget, equivalences=False):
     for (comp,) in choices(budget, components()):
         for cells in _comparisons(budget, _ps_two_nat_cells(g, h, comp)):
             cand = PsTwoNatTrans(g, h, comp, **cells)
-            if check_ps_two_nat(cand, budget).ok:
+            if check_ps_two_nat(cand, budget, drawn=True).ok:
                 yield cand
 
 
@@ -1415,7 +1461,7 @@ def _all_tritransformations(R, F, budget):
             for cells in _comparisons(
                     budget, _tritrans_cells(R, F, comp, square)):
                 cand = Tritransformation(R, F, comp, square, **cells)
-                if check_tritransformation(cand, budget).ok:
+                if check_tritransformation(cand, budget, drawn=True).ok:
                     yield cand
 
 
@@ -1425,7 +1471,7 @@ def _all_trimods(sx, sy, budget):
     for (comp,) in choices(budget, comps):
         for cells in _comparisons(budget, _trimod_cells(sx, sy, comp)):
             cand = Trimodification(sx, sy, comp, **cells)
-            if check_trimodification(cand, budget).ok:
+            if check_trimodification(cand, budget, drawn=True).ok:
                 yield cand
 
 
@@ -1440,7 +1486,7 @@ def _all_perturbations(ma, mb, budget):
 
     for tables in choices(budget, *map(cells, obs)):
         cand = Perturbation(ma, mb, dict(zip(obs, tables)))
-        if check_perturbation(cand, budget).ok:
+        if check_perturbation(cand, budget, drawn=True).ok:
             yield cand
 
 

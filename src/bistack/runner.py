@@ -24,13 +24,19 @@ REPORT_SCHEMA = "bistack-report/2"
 _TIMING_FIELDS = ("elapsed_s",)
 
 
+def _bisieve_report(s):
+    """check_bisieve's report on s, on a budget of its own, computed once
+    per sieve: a Bisieve is frozen."""
+    return s.memo(check_bisieve)
+
+
 def _covering(doc, tau):
-    """tau, once each covering sieve passes check_bisieve on a budget of
-    its own (a ParseError names the first that does not): the 2-stack
-    deciders index a sieve's tables without typing them."""
+    """tau, once each covering sieve passes check_bisieve (a ParseError
+    names the first that does not): the 2-stack deciders index a sieve's
+    tables without typing them."""
     for n, s in sorted(doc.bisieves.items()):
         if any(s is t for ts in tau.covering.values() for t in ts):
-            _checked(check_bisieve, s, "bisieve", "bisieves." + n)
+            _checked(_bisieve_report, s, "bisieve", "bisieves." + n)
     return tau
 
 
@@ -55,8 +61,8 @@ def _dispatch(doc, name, body, budget):
         fn = {"T1": check_T1, "T2": check_T2, "T3": check_T3}[op]
         return fn(ref("bitopology"), budget)
     if op == "sigma_bicolim":
-        # validated on a budget of its own, as _covering does
-        s = _checked(check_bisieve, ref("bisieve"), "bisieve",
+        # validated once per sieve, as _covering does
+        s = _checked(_bisieve_report, ref("bisieve"), "bisieve",
                      "bisieves.%s" % body["bisieve"])
         return is_sigma_bicolim_bisieve(s, budget)
     if op == "subcanonical":

@@ -6,13 +6,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistack.bicat3 import induced_tritrans, representable_trihom, \
+from bistack.bicat3 import identity_ps_two_functor, identity_ps_two_nat, \
+    induced_trimod, induced_tritrans, representable_trihom, strict_trihom, \
     yoneda_pert, yoneda_trimod, yoneda_tritrans
 from bistack import descent
 from bistack.builders import chain_suspension
-from bistack.descent import _all_descent_data_mor, _all_ps_two_functors, \
-    _all_trimods, _all_tritransformations, _all_weak_data, is_2stack, \
-    is_2stack_direct, sieve_trihom
+from bistack.descent import _all_descent_data_mor, \
+    _all_matching_families, _all_perturbations, _all_ps_two_functors, \
+    _all_trimods, _all_tritransformations, _all_weak_data, _parallel_pairs, \
+    is_2stack, is_2stack_direct, sieve_trihom
 from bistack.errors import MalformedTable, SearchBudgetExceeded
 from bistack.fincat import walking_arrow
 from bistack.generate import generate
@@ -22,6 +24,7 @@ from bistack.sieves import Bitopology, build_bisieve, literal_maximal_bisieve
 from bistack.two_cat import Fin2Cat, from_fincat
 from bistack.workspace import corpus_names, corpus_path, load, load_data
 
+from test_bicat3 import one_object_z2
 from test_descent import collapse_objects_trihom, \
     collapse_twocells_trihom, unreachable_object_trihom
 from test_two_cat import split_idempotent_2cat
@@ -266,8 +269,9 @@ def _comparison_sequences(monkeypatch):
                          ("check_trimodification", lambda m: m.cell)):
         check = getattr(descent, name)
         monkeypatch.setattr(
-            descent, name, lambda x, budget=None, check=check, tables=tables:
-            seen.append(_canon(tables(x))) or check(x, budget))
+            descent, name, lambda x, budget=None, drawn=False, check=check,
+            tables=tables: seen.append(_canon(tables(x)))
+            or check(x, budget, drawn=drawn))
     k = chain_suspension(3)
     F = representable_trihom(k, "Y")
     instances = [(F, literal_maximal_bisieve(k, c))
@@ -517,19 +521,25 @@ def _searched(instances):
     return out
 
 
+def _split_instances():
+    """The representables of the split-idempotent 2-category under two
+    sieves on A, one of them with non-identity restriction witnesses, and
+    the maximal sieve on B."""
+    k = split_idempotent_2cat()
+    split = Bitopology(k, {"A": [literal_maximal_bisieve(k, "A"),
+                                 build_bisieve(k, "A", {"A": {"id_A"},
+                                                        "B": {"v"}})],
+                           "B": [literal_maximal_bisieve(k, "B")]})
+    return [(representable_trihom(k, c), split) for c in sorted(k.objects)]
+
+
 def test_deciders_do_not_see_the_narrowing(monkeypatch):
     """Narrowing and forward checking remove only values in no solution:
     with both off, so that no edge is tested, both deciders give the same
     verdicts, details and witnesses, draw the same candidates in the same
     order, and spend at least as many steps.  The split site adds phis and
     squares that are equivalences between distinct objects."""
-    k = split_idempotent_2cat()
-    split = Bitopology(k, {"A": [literal_maximal_bisieve(k, "A"),
-                                 build_bisieve(k, "A", {"A": {"id_A"},
-                                                        "B": {"v"}})],
-                           "B": [literal_maximal_bisieve(k, "B")]})
-    instances = _stack_instances() + [(representable_trihom(k, c), split)
-                                      for c in sorted(k.objects)]
+    instances = _stack_instances() + _split_instances()
     narrowed = _verdicts(instances), _searched(instances)
     monkeypatch.setattr(descent, "narrow", lambda cells, edges: cells)
     monkeypatch.setattr(descent, "forward_choices",
@@ -546,3 +556,133 @@ def test_budget_sweep_does_not_see_the_thin_shortcut(monkeypatch):
     fast = _budget_sweep()
     _no_shortcut(monkeypatch)
     assert _budget_sweep() == fast
+
+
+# --- drawn candidates -------------------------------------------------------
+
+# each checker that an enumerator calls on the candidates it draws, with the
+# tables that name a candidate
+_DRAWN = {
+    "check_ps_two_functor": lambda h: h.key(),
+    "check_ps_two_nat": lambda t: t.key(),
+    "check_tritransformation": lambda t: (
+        {c: h.key() for c, h in t.comp.items()},
+        {f: q.key() for f, q in t.square.items()}, t.beta, t.gamma),
+    "check_trimodification": lambda m: (
+        {c: q.key() for c, q in m.comp.items()}, m.cell),
+    "check_perturbation": lambda p: p.comp,
+    "check_matching_family": lambda mf: (mf.a, mf.b, mf.w),
+    "check_descent_datum_mor": lambda dd: (dd.X, dd.Y, dd.w, dd.phi,
+                                           dd.eta),
+    "check_weak_descent_datum": lambda w: (w.W, w.eta, w.phi, w.phi_inv,
+                                           w.rho, w.beta, w.rho2, w.alpha),
+}
+
+
+def _recorded_checks(monkeypatch, mode):
+    """Wrap each checker of _DRAWN where the enumerators call it, so that
+    it records the candidate, how it was called and the verdict.  While
+    mode["drawn"] is false, every candidate is typed in full."""
+    seen = []
+    for name, tables in _DRAWN.items():
+        def hook(x, budget=None, drawn=False, name=name,
+                 check=getattr(descent, name), tables=tables):
+            r = check(x, budget, drawn=drawn and mode["drawn"])
+            seen.append((name, drawn, _canon(tables(x)), r.verdict))
+            return r
+        monkeypatch.setattr(descent, name, hook)
+    return seen
+
+
+def _constant_z2_trihom(k):
+    """B(Z/2) at every object of k, acted on by the identity."""
+    z2 = one_object_z2()
+    ident = identity_ps_two_functor(z2)
+    return strict_trihom(k, {c: z2 for c in k.objects},
+                         {f: ident for f in k.onecells},
+                         {a: identity_ps_two_nat(ident) for a in k.twocells})
+
+
+def _wa_z2_instances():
+    """The walking arrow with B(Z/2) values under the sieve on 1 that a
+    generates: acted on by the identity, and by the collapse that kills the
+    order-two 2-cell.  A pool of comparison cells there holds two
+    invertible 2-cells, and a pool of 2-cell images two 2-cells."""
+    wa, kill = collapse_twocells_trihom()
+    s = build_bisieve(wa, "1", {"0": {"a"}})
+    return [(_constant_z2_trihom(wa), s), (kill, s)]
+
+
+def _enumerated(F, s, objects=True):
+    """Run each enumerator of the two deciders to its end over the sieve s
+    (the perturbations and the modifications out of the drawn
+    transformations as the direct decider draws them); the steps.  Without
+    objects, the weak data and the transformations out of the sieve are
+    left out, and the modifications run between restrictions only."""
+    budget = Budget()
+    val = F.ob[s.target]
+    for a, b in _parallel_pairs(val):
+        list(_all_matching_families(F, s, a, b, budget))
+    list(_all_descent_data_mor(F, s, budget))
+    if objects:
+        list(_all_weak_data(F, s, budget))
+    R = sieve_trihom(s)
+    sigma = {X: induced_tritrans(F, R, X) for X in sorted(val.objects)}
+    restricted = {w: induced_trimod(F, w, sigma[X], sigma[Y])
+                  for w, (X, Y) in sorted(val.onecells.items())}
+    for w, ma in restricted.items():
+        for w2, mb in restricted.items():
+            if val.onecells[w] == val.onecells[w2]:
+                list(_all_perturbations(ma, mb, budget))
+    drawn = _all_tritransformations(R, F, budget) if objects else ()
+    for alpha in [*sigma.values(), *drawn]:
+        for X in sorted(sigma):
+            list(_all_trimods(alpha, sigma[X], budget))
+    return budget.steps
+
+
+@pytest.mark.parametrize("thin", [True, False])
+def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
+    """A drawn candidate skips the typing that its pools guarantee and
+    spends the typing's steps in bulk.  With every candidate typed in
+    full, both deciders give the same verdicts, details, witnesses and
+    steps, and every enumerator, run to its end on values with more than
+    one 2-cell in a pool, hands its checker the same candidates in the
+    same order, with the same verdicts and steps.  Locally thin values are
+    taken as they are and, in a second run, as non-thin.  The constant
+    B(Z/2) on chain_suspension(2), whose weak data and transformations out
+    of the maximal sieve are too many to enumerate here, adds 2-cells
+    between members, so that the modification and perturbation squares can
+    fail."""
+    if not thin:
+        _no_shortcut(monkeypatch)
+    instances = _stack_instances() + _split_instances()
+    k2 = chain_suspension(2)
+    repro = _constant_z2_trihom(k2)
+    mode = {"drawn": True}
+    seen = _recorded_checks(monkeypatch, mode)
+
+    def run():
+        seen.clear()
+        budget = Budget()
+        r = is_2stack_direct(repro, Bitopology(k2, {"Y": [
+            literal_maximal_bisieve(k2, "Y")]}), budget)
+        return (_verdicts(instances), (r.witness, budget.steps),
+                [_enumerated(F, s) for F, s in _wa_z2_instances()],
+                _enumerated(repro, literal_maximal_bisieve(k2, "Y"),
+                            objects=False),
+                list(seen))
+
+    drawn = run()
+    # every enumerator calls its checker on the drawn path, and some drawn
+    # candidates fail it
+    assert {name for name, was_drawn, *_ in drawn[-1] if was_drawn} \
+        == set(_DRAWN)
+    assert {"pass", "fail"} <= {row[1] for row in drawn[0]}
+    assert {"pass", "fail"} <= {verdict for *_, verdict in drawn[-1]}
+    # the direct decider still fails the constant B(Z/2) at (M): the
+    # modification axioms at base 2-cells are not checked
+    assert drawn[1] == ({"object": "Y", "sieve": 0, "condition": "M",
+                         "endpoints": ["P", "P"]}, 393)
+    mode["drawn"] = False
+    assert run() == drawn
