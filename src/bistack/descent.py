@@ -635,6 +635,8 @@ class WeakDescentDatum:
         self.beta = dict(beta)
         self.rho2 = dict(rho2)
         self.alpha = dict(alpha)
+        # (W, eta) -> the connecting iso pools; see _connecting_isos
+        self._isos = {}
 
 
 def weak_datum_from_object(F, S, W0):
@@ -808,6 +810,16 @@ def _comp_candidates(wdd):
                     wdd.eta[k.v(delta, gamma)],
                     val_d.c1(wdd.eta[delta], wdd.eta[gamma]))
     return out
+
+
+def _connecting_isos(wdd):
+    """(_unit_candidates(wdd), _comp_candidates(wdd)).  Both read W and
+    eta alone, so they are kept in ``wdd._isos`` under (W, eta), which
+    the data that _all_weak_data draws for one W share."""
+    key = (tuple(wdd.W.items()), tuple(wdd.eta.items()))
+    if key not in wdd._isos:
+        wdd._isos[key] = _unit_candidates(wdd), _comp_candidates(wdd)
+    return wdd._isos[key]
 
 
 def _wdd_displays(wdd, u, cc, budget):
@@ -986,8 +998,7 @@ def _wdd_displays(wdd, u, cc, budget):
 
 def _wdd_coherences(wdd, budget):
     """Quantify the displays over the connecting iso families."""
-    ucand = _unit_candidates(wdd)
-    ccand = _comp_candidates(wdd)
+    ucand, ccand = _connecting_isos(wdd)
     for f, cands in ucand.items():
         if not cands:
             return False, ("no iso from eta at the identity of %r to the "
@@ -1015,8 +1026,7 @@ def find_weak_effective_gluing(wdd, budget=None):
     k = s.k
     val_c = F.ob[s.target]
     members = [f for _, f in s.all_members()]
-    ucand = _unit_candidates(wdd)
-    ccand = _comp_candidates(wdd)
+    ucand, ccand = _connecting_isos(wdd)
     if any(not v for v in ucand.values()) or \
             any(not v for v in ccand.values()):
         return Refutation("find_weak_effective_gluing",
@@ -1321,11 +1331,13 @@ def _all_weak_data(F, s, budget):
     edges += [(s.tilde[(f, g)], f, _equivalent_image(F.ob[e], F.on1[g]))
               for d, f, e, g in _cells_into(s)]
     for W in forward_choices(budget, narrow(objects, edges), edges):
+        isos = {}
         for eta, pairs in choices(budget, transitions(W), equivalences(W)):
             phi = {key: p for key, (p, _) in pairs.items()}
             phi_inv = {key: q for key, (_, q) in pairs.items()}
             for cells in _comparisons(budget, _wdd_cells(F, s, W, eta, phi)):
                 wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv, **cells)
+                wdd._isos = isos
                 if check_weak_descent_datum(wdd, budget, drawn=True).ok:
                     yield wdd
 

@@ -7,6 +7,14 @@ restriction: tilde(f, g) is the selected member isomorphic to f.g, and
 sigma[(f, g)] the selected invertible 2-cell tilde(f, g) => f.g.  The
 selection is deterministic (first in sorted order), and normalized so that
 restriction along an identity is strict.
+
+The constructions and the coverage axioms walk the 1-cells into an object
+from ``Fin2Cat.one_cells_into``, and find the members isomorphic to a
+1-cell by intersecting a member set with the iso-neighbour sets
+``Fin2Cat.isos_from`` and ``isos_into``.  Each loop visits its cells in the
+order of a scan over every 1-cell (id order, or table order where that
+scan read the table), because the order decides which failure is
+reported, which error is raised and where a budget runs out.
 """
 
 from types import MappingProxyType
@@ -85,32 +93,37 @@ def build_bisieve(k, target, members):
     tilde, sigma = {}, {}
     for d, ms in members.items():
         for f in sorted(ms):
-            for g, (e, d2) in sorted(k.onecells.items()):
-                if d2 != d:
-                    continue
+            for g, e in k.one_cells_into(d):
                 if g == k.id1(d):
                     tilde[(f, g)] = f
                     sigma[(f, g)] = k.id2(f)
                     continue
                 fg = k.c1(f, g)
-                found = None
-                for m in sorted(members.get(e, ())):
-                    cell = k.invertible_2cell(m, fg)
-                    if cell is not None:
-                        found = (m, cell)
-                        break
-                if found is None:
+                m = _first_iso(k, members.get(e), fg)
+                if m is None:
                     raise MalformedTable(
                         "not closed: no member isomorphic to %r . %r" % (f, g))
-                tilde[(f, g)], sigma[(f, g)] = found
+                tilde[(f, g)] = m
+                sigma[(f, g)] = k.invertible_2cell(m, fg)
     return Bisieve(k, target, members, tilde, sigma)
+
+
+def _first_iso(k, ms, g):
+    """The least m of the set ms with an invertible 2-cell m => g, or
+    None.  Read from ``k.isos_into(g)``; where that is None, decided pair
+    by pair in sorted order."""
+    if not ms:
+        return None
+    isos = k.isos_into(g)
+    if isos is None:
+        return next((m for m in sorted(ms) if k.iso_1cells(m, g)), None)
+    return min(isos.intersection(ms), default=None)
 
 
 def _maximal_members(k, target):
     members = {}
-    for f, (d, c) in k.onecells.items():
-        if c == target:
-            members.setdefault(d, set()).add(f)
+    for f, d in k.one_cells_into(target, table_order=True):
+        members.setdefault(d, set()).add(f)
     return members
 
 
@@ -123,8 +136,7 @@ def literal_maximal_bisieve(k, target):
     composition and every sigma an identity."""
     members = _maximal_members(k, target)
     tilde = {(f, g): k.c1(f, g) for d, ms in members.items()
-             for f in sorted(ms)
-             for g, (_, d2) in sorted(k.onecells.items()) if d2 == d}
+             for f in sorted(ms) for g, _ in k.one_cells_into(d)}
     return Bisieve(k, target, members, tilde,
                    {fg: k.id2(t) for fg, t in tilde.items()})
 
@@ -142,9 +154,7 @@ def check_bisieve(s, budget=None):
                               ["member %r is not %r -> %r"
                                % (f, d, s.target)], {"member": f})
     for d, f in s.all_members():
-        for g, (e, d2) in k.onecells.items():
-            if d2 != d:
-                continue
+        for g, e in k.one_cells_into(d, table_order=True):
             budget.tick()
             t = s.tilde.get((f, g))
             cell = s.sigma.get((f, g))
@@ -175,7 +185,12 @@ def sieve_equivalence(s1, s2, budget=None):
     for a, b, tag in ((s1, s2, "first"), (s2, s1, "second")):
         for d, f in a.all_members():
             budget.tick()
-            if not any(k.iso_1cells(f, m) for m in b.member_list(d)):
+            isos = k.isos_from(f)
+            if isos is None:
+                found = any(k.iso_1cells(f, m) for m in b.member_list(d))
+            else:
+                found = not isos.isdisjoint(b.members.get(d, ()))
+            if not found:
                 return failed(
                     "sieve_equivalence",
                     ["member %r of the %s sieve has no isomorph" % (f, tag)],
@@ -191,13 +206,9 @@ def pullback_sieve(s, f, budget=None):
     if c != s.target:
         raise BoundaryMismatch("%r does not land in %r" % (f, s.target))
     members = {}
-    for g, (e, d2) in sorted(k.onecells.items()):
-        if d2 != d:
-            continue
+    for g, e in k.one_cells_into(d):
         budget.tick()
-        fg = k.c1(f, g)
-        if any(k.invertible_2cell(m, fg) is not None
-               for m in s.member_list(e)):
+        if _first_iso(k, s.members.get(e), k.c1(f, g)) is not None:
             members.setdefault(e, set()).add(g)
     return build_bisieve(k, d, members)
 
@@ -388,9 +399,7 @@ def sieve_presheaf(s):
                               {f: _restrict_cell(s, f, g, delta, g2)
                                for f in ob[d].objects})
     for f1, (d1, c1) in k.onecells.items():
-        for g1 in k.onecells:
-            if k.tgt1(g1) != d1:
-                continue
+        for g1, _ in k.one_cells_into(d1, table_order=True):
             dom = compose_functors(on1[g1], on1[f1])
             compositor[(f1, g1)] = NatTrans(
                 dom, on1[k.c1(f1, g1)],
@@ -449,9 +458,7 @@ def check_T2(tau, budget=None):
     budget = budget or Budget()
     for c in tau.k.objects:
         for i, s in enumerate(tau.sieves_on(c)):
-            for f, (d, c2) in tau.k.onecells.items():
-                if c2 != c:
-                    continue
+            for f, d in tau.k.one_cells_into(c, table_order=True):
                 budget.tick()
                 if not _covers(tau.sieves_on(d),
                                pullback_sieve(s, f, budget), budget):
@@ -466,24 +473,22 @@ def check_T2(tau, budget=None):
 def candidate_sieves(k, c, budget=None):
     """All sieves on c that are unions of closed sets of iso-classes."""
     budget = budget or Budget()
-    into = sorted(f for f, (d, t) in k.onecells.items() if t == c)
     classes = []
-    rest = list(into)
+    rest = [f for f, _ in k.one_cells_into(c)]
     while rest:
         f = rest.pop(0)
+        isos = k.isos_from(f)
         cls = [f] + [g for g in rest
-                     if k.onecells[f] == k.onecells[g] and k.iso_1cells(f, g)]
+                     if k.onecells[f] == k.onecells[g]
+                     and (k.iso_1cells(f, g) if isos is None else g in isos)]
         rest = [g for g in rest if g not in cls]
         classes.append(tuple(cls))
     idx = {f: i for i, cls in enumerate(classes) for f in cls}
     succ = {}
     for i, cls in enumerate(classes):
         f = cls[0]
-        need = set()
-        for g, (e, d) in k.onecells.items():
-            if d == k.onecells[f][0]:
-                need.add(idx[k.c1(f, g)])
-        succ[i] = need
+        succ[i] = {idx[k.c1(f, g)] for g, _ in
+                   k.one_cells_into(k.src1(f), table_order=True)}
     out = []
     n = len(classes)
     for mask in range(0, 1 << n):

@@ -162,14 +162,17 @@ def _free_generators(sh):
     identities = {sh.id1(s) for s in sh.objects}
     known = set(identities)
     remaining = [m for m in sorted(sh.onecells) if m not in identities]
+    factors = {}
+    for pair, c in sh.hcomp1.items():
+        factors.setdefault(c, []).append(pair)
     free = []
     while remaining:
         progressed = True
         while progressed:
             progressed = False
             for m in list(remaining):
-                if any(c == m and b in known and a in known
-                       for (b, a), c in sh.hcomp1.items()):
+                if any(b in known and a in known
+                       for b, a in factors.get(m, ())):
                     known.add(m)
                     remaining.remove(m)
                     progressed = True

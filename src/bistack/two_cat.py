@@ -29,13 +29,16 @@ class Fin2Cat:
 
     Immutable after construction: every table is a read-only mapping, so
     a write raises TypeError.  The cells between each pair of boundaries,
-    the 1-cells into each object, and the composites of the composable
-    pairs that ``c1`` and ``v`` read are indexed once here; to change a
-    table, build a new Fin2Cat.  Memoised on first use:
-    ``composable_triples``, ``locally_thin``, ``inverse2``,
-    ``isos_between`` (which ``invertible_2cell`` reads),
-    ``equivalence_data`` (with the ticks it spent, replayed on a repeat)
-    and ``equivalent_objects``.
+    the 1-cells into each object in id order, and the composites of the
+    composable pairs that ``c1`` and ``v`` read are indexed once here; to
+    change a table, build a new Fin2Cat.  Memoised on first use: the
+    1-cells into each object in table order, ``composable_triples``,
+    ``locally_thin``, ``inverse2``, ``isos_between`` (which
+    ``invertible_2cell`` reads), the iso-neighbour sets ``isos_from`` and
+    ``isos_into`` (decided for every pair of 1-cells in the 2-cell
+    boundary index, so exact also on tables that fail
+    check_two_category), ``equivalence_data`` (with the ticks it spent,
+    replayed on a repeat) and ``equivalent_objects``.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
@@ -50,17 +53,15 @@ class Fin2Cat:
         self.hcomp2 = MappingProxyType(dict(hcomp2))
         self._ones = by_boundary(self.onecells)
         self._twos = by_boundary(self.twocells)
-        into = {}
-        for g in sorted(self.onecells):
-            e, d = self.onecells[g]
-            into.setdefault(d, []).append((g, e))
-        self._into = {d: tuple(ge) for d, ge in into.items()}
+        self._into = _by_target(sorted(self.onecells.items()))
+        self._into_table = None
         self._c1 = _composable(self.hcomp1, self.onecells)
         self._v = _composable(self.vcomp, self.twocells)
         self._triples = None
         self._thin = None
         self._inverse2 = {}
         self._isos = {}
+        self._neighbours = None
         self._equivalences = {}
         self._equivalent = {}
         self._key = None
@@ -84,9 +85,14 @@ class Fin2Cat:
     def two_cells_between(self, f, g):
         return self._twos.get((f, g), ())
 
-    def one_cells_into(self, d):
-        """The 1-cells into d with their sources, as (g, e), in id order."""
-        return self._into.get(d, ())
+    def one_cells_into(self, d, table_order=False):
+        """The 1-cells into d with their sources, as (g, e): in id order,
+        or in the order of the onecells table."""
+        if not table_order:
+            return self._into.get(d, ())
+        if self._into_table is None:
+            self._into_table = _by_target(self.onecells.items())
+        return self._into_table.get(d, ())
 
     def composable_triples(self):
         """Every (e, b, a) with (b, a) in hcomp1 and e a 1-cell out of the
@@ -199,6 +205,40 @@ class Fin2Cat:
         """Is there an invertible 2-cell f => g?"""
         return self.invertible_2cell(f, g) is not None
 
+    def isos_from(self, f):
+        """The 1-cells g with an invertible 2-cell f => g, as a frozenset,
+        or None; see ``_iso_neighbours``."""
+        out = self._iso_neighbours()[0]
+        return None if out is None else out.get(f, frozenset())
+
+    def isos_into(self, g):
+        """The 1-cells f with an invertible 2-cell f => g, as a frozenset,
+        or None; see ``_iso_neighbours``."""
+        into = self._iso_neighbours()[1]
+        return None if into is None else into.get(g, frozenset())
+
+    def _iso_neighbours(self):
+        """({f: the g}, {g: the f}) over the 1-cells with an invertible
+        2-cell f => g, decided once for each pair in the 2-cell boundary
+        index.  (None, None) if deciding a pair raises, as it does on a
+        table that lacks a vertical composite or an identity 2-cell: a
+        caller then decides its own pairs in the order of its scan, and
+        so raises where that scan does.  Memoised."""
+        if self._neighbours is None:
+            out, into = {}, {}
+            try:
+                for f, g in self._twos:
+                    if self.isos_between(f, g):
+                        out.setdefault(f, set()).add(g)
+                        into.setdefault(g, set()).add(f)
+            except (KeyError, MalformedTable):
+                self._neighbours = None, None
+            else:
+                self._neighbours = tuple(
+                    {x: frozenset(ys) for x, ys in side.items()}
+                    for side in (out, into))
+        return self._neighbours
+
     def isos_between(self, f, g):
         """The invertible 2-cells f => g, in id order.  Memoised."""
         isos = self._isos.get((f, g))
@@ -286,6 +326,15 @@ def _boundaries(table, kind):
     return MappingProxyType(out)
 
 
+def _by_target(cells):
+    """{target: ((id, source), ...)} over (id, (source, target)) items,
+    in their order."""
+    out = {}
+    for x, (s, t) in cells:
+        out.setdefault(t, []).append((x, s))
+    return {t: tuple(xs) for t, xs in out.items()}
+
+
 def _composable(table, cells):
     """The entries (later, earlier) -> composite of a composition table
     whose cells compose: what ``c1`` and ``v`` return without a check."""
@@ -341,67 +390,75 @@ def check_two_category(k, budget=None):
                 return failed("check_two_category",
                               ["hom(%r, %r): %s" % (a, b, r.details[0])],
                               r.witness)
-    # 1-cell composition: total, typed, unital, associative
+    # 1-cell composition: total, typed, unital, associative.  The scan
+    # of every pair (g, f) ticks once per pair: each row ticks in bulk up
+    # to each composable f, and for the rest at its end
+    place = {f: i for i, f in enumerate(k.onecells)}
     for g in k.onecells:
-        for f in k.onecells:
-            budget.tick()
-            if k.tgt1(f) == k.src1(g):
-                if not _is_cell(k.onecells, k.hcomp1.get((g, f)),
-                                (k.src1(f), k.tgt1(g))):
-                    return failed("check_two_category",
-                                  ["bad 1-composite (%r, %r)" % (g, f)],
-                                  {"pair": [g, f]})
+        ticked = 0
+        for f, _ in k.one_cells_into(k.src1(g), table_order=True):
+            budget.tick(place[f] + 1 - ticked)
+            ticked = place[f] + 1
+            if not _is_cell(k.onecells, k.hcomp1.get((g, f)),
+                            (k.src1(f), k.tgt1(g))):
+                return failed("check_two_category",
+                              ["bad 1-composite (%r, %r)" % (g, f)],
+                              {"pair": [g, f]})
+        budget.tick(len(place) - ticked)
     for f in k.onecells:
         if k.c1(f, k.id1(k.src1(f))) != f or k.c1(k.id1(k.tgt1(f)), f) != f:
             return failed("check_two_category",
                           ["1-cell unit law fails at %r" % f], {"onecell": f})
     ones = sorted(k.onecells)
     for h in ones:
-        for g in ones:
-            if k.tgt1(g) != k.src1(h):
-                continue
-            for f in ones:
-                if k.tgt1(f) != k.src1(g):
-                    continue
+        for g, _ in k.one_cells_into(k.src1(h)):
+            for f, _ in k.one_cells_into(k.src1(g)):
                 budget.tick()
                 if k.c1(k.c1(h, g), f) != k.c1(h, k.c1(g, f)):
                     return failed("check_two_category",
                                   ["1-cell associativity fails at (%r,%r,%r)"
                                    % (h, g, f)], {"triple": [h, g, f]})
-    # 2-cell horizontal composition: typed, functorial, associative, unital
+    # 2-cell horizontal composition: typed, functorial, associative,
+    # unital.  into[f]: the 2-cells into the 1-cell f; ending[x]: the
+    # 2-cells between 1-cells into the object x, those that compose
+    # before a 2-cell out of x.  Both in id order.
     twos = sorted(k.twocells)
-    for b in twos:
-        for a in twos:
-            if k.tgt1(k.src2(a)) != k.src1(k.src2(b)):
-                if (b, a) in k.hcomp2:
-                    return failed("check_two_category",
-                                  ["2-composite of non-composable (%r, %r)"
-                                   % (b, a)], {"pair": [b, a]})
-                continue
-            budget.tick()
-            want = (k.c1(k.src2(b), k.src2(a)), k.c1(k.tgt2(b), k.tgt2(a)))
-            if not _is_cell(k.twocells, k.hcomp2.get((b, a)), want):
-                return failed("check_two_category",
-                              ["bad 2-composite (%r, %r)" % (b, a)],
-                              {"pair": [b, a]})
+    into, ending = {}, {}
+    for a in twos:
+        into.setdefault(k.tgt2(a), []).append(a)
+        ending.setdefault(k.tgt1(k.src2(a)), []).append(a)
+    # the first 2-composite of a non-composable pair of 2-cells, in the
+    # order of a scan of every pair
+    stray = min((key for key in k.hcomp2
+                 if isinstance(key, tuple) and len(key) == 2
+                 and key[0] in k.twocells and key[1] in k.twocells
+                 and k.tgt1(k.src2(key[1])) != k.src1(k.src2(key[0]))),
+                default=None)
+    for b, a in ((b, a) for b in twos
+                 for a in ending.get(k.src1(k.src2(b)), ())):
+        if stray is not None and stray < (b, a):
+            break
+        budget.tick()
+        want = (k.c1(k.src2(b), k.src2(a)), k.c1(k.tgt2(b), k.tgt2(a)))
+        if not _is_cell(k.twocells, k.hcomp2.get((b, a)), want):
+            return failed("check_two_category",
+                          ["bad 2-composite (%r, %r)" % (b, a)],
+                          {"pair": [b, a]})
+    if stray is not None:
+        return failed("check_two_category",
+                      ["2-composite of non-composable (%r, %r)" % stray],
+                      {"pair": list(stray)})
     for g in ones:
-        for f in ones:
-            if k.tgt1(f) == k.src1(g):
-                if k.h(k.id2(g), k.id2(f)) != k.id2(k.c1(g, f)):
-                    return failed("check_two_category",
-                                  ["horizontal identity fails at (%r, %r)"
-                                   % (g, f)], {"pair": [g, f]})
+        for f, _ in k.one_cells_into(k.src1(g)):
+            if k.h(k.id2(g), k.id2(f)) != k.id2(k.c1(g, f)):
+                return failed("check_two_category",
+                              ["horizontal identity fails at (%r, %r)"
+                               % (g, f)], {"pair": [g, f]})
     # interchange: h(b'.b, a'.a) = h(b', a') . h(b, a)
     for b2 in twos:
-        for b1 in twos:
-            if k.tgt2(b1) != k.src2(b2):
-                continue
-            for a2 in twos:
-                if k.tgt1(k.src2(a2)) != k.src1(k.src2(b2)):
-                    continue
-                for a1 in twos:
-                    if k.tgt2(a1) != k.src2(a2):
-                        continue
+        for b1 in into.get(k.src2(b2), ()):
+            for a2 in ending.get(k.src1(k.src2(b2)), ()):
+                for a1 in into.get(k.src2(a2), ()):
                     budget.tick()
                     lhs = k.h(k.v(b2, b1), k.v(a2, a1))
                     rhs = k.v(k.h(b2, a2), k.h(b1, a1))
@@ -411,12 +468,8 @@ def check_two_category(k, budget=None):
                                        % (b2, b1, a2, a1)],
                                       {"quad": [b2, b1, a2, a1]})
     for c in twos:
-        for b in twos:
-            if k.tgt1(k.src2(b)) != k.src1(k.src2(c)):
-                continue
-            for a in twos:
-                if k.tgt1(k.src2(a)) != k.src1(k.src2(b)):
-                    continue
+        for b in ending.get(k.src1(k.src2(c)), ()):
+            for a in ending.get(k.src1(k.src2(b)), ()):
                 budget.tick()
                 if k.h(c, k.h(b, a)) != k.h(k.h(c, b), a):
                     return failed("check_two_category",

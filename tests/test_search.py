@@ -686,3 +686,37 @@ def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
                          "endpoints": ["P", "P"]}, 393)
     mode["drawn"] = False
     assert run() == drawn
+
+
+def test_connecting_iso_pools_are_computed_once_per_objects_and_transitions(
+        monkeypatch):
+    """The unit and composition iso pools of a weak datum read only its
+    objects W and transitions eta: the data that is_2stack draws for one
+    (W, eta), and their gluing searches, compute them once between them,
+    with the same verdicts and steps."""
+    before = [(r.verdict, r.details, r.witness, budget.steps)
+              for F, s in _wa_z2_instances()
+              for budget in [Budget()]
+              for r in [is_2stack(F, Bitopology(s.k, {s.target: [s]}),
+                                  budget)]]
+    checked, pools = [], []
+    check, units = descent.check_weak_descent_datum, descent._unit_candidates
+
+    def counted_check(wdd, *args, **kwargs):
+        checked.append(repr((wdd.W, wdd.eta)))
+        return check(wdd, *args, **kwargs)
+
+    def counted_units(wdd):
+        pools.append(repr((wdd.W, wdd.eta)))
+        return units(wdd)
+
+    monkeypatch.setattr(descent, "check_weak_descent_datum", counted_check)
+    monkeypatch.setattr(descent, "_unit_candidates", counted_units)
+    after = [(r.verdict, r.details, r.witness, budget.steps)
+             for F, s in _wa_z2_instances()
+             for budget in [Budget()]
+             for r in [is_2stack(F, Bitopology(s.k, {s.target: [s]}),
+                                 budget)]]
+    assert after == before
+    assert sorted(pools) == sorted(set(checked))
+    assert len(pools) < len(checked)
