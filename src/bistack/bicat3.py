@@ -37,9 +37,11 @@ the enumerators' order, sorted; the pseudofunctor's come in table order and
 its enumerator sorts them, so that its checker sorts nothing.  Checkers
 type the recorded cells against a declaration (``_first_mistyped``), the
 enumerators of ``descent`` draw each cell from the invertible 2-cells of
-its boundary (``_comparisons``), and constructors (the identity defaults of
-``PsTwoFunctor`` and ``PsTwoNatTrans``, ``strict_trihom``, the identity and
-induced cells) set it to the identity on its target (``_identities``).
+its boundary (``_comparisons``, which fixes each singleton pool and runs
+the product over the others alone), and constructors (the identity
+defaults of ``PsTwoFunctor`` and ``PsTwoNatTrans``, ``strict_trihom``, the
+identity and induced cells) set it to the identity on its target
+(``_identities``).
 
 Each checker that the enumerators of ``descent`` call on the candidates
 they draw has a typing part and a display part.  The typing checks each
@@ -58,11 +60,12 @@ values' memo.  So ``steps`` do not depend on ``drawn`` either.
 """
 
 from functools import partial
+from itertools import product
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .report import Budget, choices, failed, passed
-from .two_cat import from_fincat
+from .report import Budget, failed, passed
+from .two_cat import check_two_category, from_fincat
 
 
 # --- declared comparison cells ----------------------------------------------
@@ -87,14 +90,6 @@ def _first_mistyped(obj, families, budget=None, ticked=()):
     return None
 
 
-def _iso_pools(families):
-    """The declared families as choices groups: each slot with the pairs
-    (x, the invertible 2-cells of x's boundary)."""
-    for slot, cells in families:
-        yield slot, ((x, val.isos_between(src(), tgt))
-                     for x, val, src, tgt in cells)
-
-
 def _tables(families):
     """The keyword tables of a structure from (slot, {x: cell}) pairs: the
     table itself for a slot (table, None), else its entry at key."""
@@ -109,10 +104,26 @@ def _tables(families):
 
 def _comparisons(budget, families):
     """Every choice of an invertible 2-cell for each declared cell, in
-    choices order, as the keyword tables of the structure."""
-    slots, groups = zip(*_iso_pools(families))
-    for picks in choices(budget, *groups):
-        yield _tables(zip(slots, picks))
+    ``choices`` order, as the keyword tables of the structure.  Reads the
+    families, then each cell's pool in order, and ends at the first empty
+    pool with no tick.  A singleton pool is fixed, so the product, one
+    tick per candidate, runs over the larger pools alone."""
+    slots, groups = zip(*families)
+    tables, free = [], []
+    for cells in groups:
+        tables.append({})
+        for x, val, src, tgt in cells:
+            pool = val.isos_between(src(), tgt)
+            if not pool:
+                return
+            tables[-1][x] = pool[0]
+            if len(pool) > 1:
+                free.append((tables[-1], x, pool))
+    for combo in product(*(pool for _, _, pool in free)):
+        budget.tick()
+        for (table, x, _), pick in zip(free, combo):
+            table[x] = pick
+        yield _tables(zip(slots, map(dict, tables) if free else tables))
 
 
 def _identities(families):
@@ -547,8 +558,8 @@ def strict_trihom(k, ob, on1, on2):
     """Assemble homomorphism data with identity compositors and unitors.
 
     Validates that on1 is strictly functorial, that on2 preserves vertical
-    composition strictly, and that whiskered 2-cells act componentwise.
-    """
+    composition strictly, and that whiskered 2-cells act componentwise;
+    ``_assembled`` is the assembly alone, for a checked precomposition."""
     for c in k.objects:
         if on1[k.id1(c)] != identity_ps_two_functor(ob[c]):
             raise MalformedTable("value at id_%r is not the identity" % c)
@@ -585,6 +596,12 @@ def strict_trihom(k, ob, on1, on2):
                 if on2[w].comp[z] != on2[al].comp[on1[g].ob[z]]:
                     raise MalformedTable(
                         "whiskering not componentwise at (%r, %r)" % (g, al))
+    return _assembled(k, ob, on1, on2)
+
+
+def _assembled(k, ob, on1, on2):
+    """``strict_trihom`` without its checks, for an on2 defined on every
+    2-cell of k and action data known to be strict."""
     chi = {pair: identity_ps_two_nat(on1[comp])
            for pair, comp in k.hcomp1.items()}
     iota = {c: identity_ps_two_nat(on1[k.id1(c)]) for c in k.objects}
@@ -595,7 +612,9 @@ def strict_trihom(k, ob, on1, on2):
 
 def _precomposition_trihom(k, ob):
     """Homomorphism data acting by precomposition, with value at D the
-    locally discrete full sub-2-category ob[D] of K(D, c) for a fixed c."""
+    locally discrete full sub-2-category ob[D] of K(D, c) for a fixed c.
+    It is strict if k passes ``check_two_category``: a base whose memo
+    says so (as the loader's does) skips ``strict_trihom``'s checks."""
     on1 = {}
     for g, (e, d) in k.onecells.items():
         src_v, tgt_v = ob[d], ob[e]
@@ -613,6 +632,9 @@ def _precomposition_trihom(k, ob):
             {f: k.wl(f, delta) for f in ob[d].objects},
             {x: ob[e].id2(k.v(k.wl(k.tgt2(x), delta), k.wr(x, g)))
              for x in ob[d].onecells})
+    checked = k.memo(check_two_category, compute=False)
+    if checked and checked.ok:
+        return _assembled(k, ob, on1, on2)
     return strict_trihom(k, ob, on1, on2)
 
 

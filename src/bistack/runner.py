@@ -24,19 +24,16 @@ REPORT_SCHEMA = "bistack-report/2"
 _TIMING_FIELDS = ("elapsed_s",)
 
 
-def _bisieve_report(s):
-    """check_bisieve's report on s, on a budget of its own, computed once
-    per sieve: a Bisieve is frozen."""
-    return s.memo(check_bisieve)
-
-
-def _covering(doc, tau):
-    """tau, once each covering sieve passes check_bisieve (a ParseError
-    names the first that does not): the 2-stack deciders index a sieve's
-    tables without typing them."""
+def _covering(doc, name, F, tau):
+    """tau, once it lies on F's base and each covering sieve passes
+    check_bisieve (a ParseError names the first that does not): the 2-stack
+    deciders index the base's and a sieve's tables without typing them."""
+    if tau.k != F.base:
+        raise ParseError("checks.%s: the bitopology is not on the trihom's "
+                         "base 2-category" % name)
     for n, s in sorted(doc.bisieves.items()):
         if any(s is t for ts in tau.covering.values() for t in ts):
-            _checked(_bisieve_report, s, "bisieve", "bisieves." + n)
+            _checked(check_bisieve, s, "bisieve", "bisieves." + n)
     return tau
 
 
@@ -62,7 +59,7 @@ def _dispatch(doc, name, body, budget):
         return fn(ref("bitopology"), budget)
     if op == "sigma_bicolim":
         # validated once per sieve, as _covering does
-        s = _checked(_bisieve_report, ref("bisieve"), "bisieve",
+        s = _checked(check_bisieve, ref("bisieve"), "bisieve",
                      "bisieves.%s" % body["bisieve"])
         return is_sigma_bicolim_bisieve(s, budget)
     if op == "subcanonical":
@@ -70,12 +67,10 @@ def _dispatch(doc, name, body, budget):
         return is_subcanonical(tau.k, tau, budget)
     if op == "stack":
         return is_stack_catvalued(ref("presheaf"), ref("bitopology"), budget)
-    if op == "2stack":
-        return is_2stack(ref("trihom"), _covering(doc, ref("bitopology")),
-                         budget)
-    if op == "2stack_direct":
-        return is_2stack_direct(ref("trihom"),
-                                _covering(doc, ref("bitopology")), budget)
+    if op in ("2stack", "2stack_direct"):
+        decide = is_2stack if op == "2stack" else is_2stack_direct
+        F = ref("trihom")
+        return decide(F, _covering(doc, name, F, ref("bitopology")), budget)
     raise UnknownCheck("unknown check op %r" % op)
 
 

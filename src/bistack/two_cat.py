@@ -38,7 +38,8 @@ class Fin2Cat:
     ``isos_into`` (decided for every pair of 1-cells in the 2-cell
     boundary index, so exact also on tables that fail
     check_two_category), ``equivalence_data`` (with the ticks it spent,
-    replayed on a repeat) and ``equivalent_objects``.
+    replayed on a repeat), ``equivalent_objects`` and ``hom_cat``; and
+    through ``memo``, figures such as a ``check_two_category`` report.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
@@ -64,6 +65,8 @@ class Fin2Cat:
         self._neighbours = None
         self._equivalences = {}
         self._equivalent = {}
+        self._homs = {}
+        self._memo = {}
         self._key = None
 
     # --- boundaries ---------------------------------------------------
@@ -177,17 +180,21 @@ class Fin2Cat:
 
     # --- derived structure ---------------------------------------------
     def hom_cat(self, a, b):
-        objs = self.one_cells_between(a, b)
-        cells = {x for f in objs for g in objs
-                 for x in self.two_cells_between(f, g)}
-        return FinCat(
-            objs,
-            {x: self.src2(x) for x in cells},
-            {x: self.tgt2(x) for x in cells},
-            {f: self.id2(f) for f in objs},
-            {k: v for k, v in self.vcomp.items()
-             if k[0] in cells and k[1] in cells},
-        )
+        """The hom category K(a, b).  Memoised: a FinCat is frozen."""
+        hom = self._homs.get((a, b))
+        if hom is None:
+            objs = self.one_cells_between(a, b)
+            cells = {x for f in objs for g in objs
+                     for x in self.two_cells_between(f, g)}
+            hom = self._homs[(a, b)] = FinCat(
+                objs,
+                {x: self.src2(x) for x in cells},
+                {x: self.tgt2(x) for x in cells},
+                {f: self.id2(f) for f in objs},
+                {k: v for k, v in self.vcomp.items()
+                 if k[0] in cells and k[1] in cells},
+            )
+        return hom
 
     def invertible2(self, a):
         return self.inverse2(a) is not None
@@ -287,6 +294,13 @@ class Fin2Cat:
                 self.is_equivalence_1cell(f)
                 for f in self.one_cells_between(a, b))
         return known
+
+    def memo(self, fn, compute=True):
+        """fn(self), computed once: for figures derived from the tables
+        alone.  With compute false, None unless computed before."""
+        if compute and fn not in self._memo:
+            self._memo[fn] = fn(self)
+        return self._memo.get(fn)
 
     def key(self):
         if self._key is None:

@@ -5,10 +5,10 @@ bitopologies, category-valued presheaves, 2-category-valued homomorphism
 data, and named check requests.  Composition tables are explicit arrays of
 ``[argument ids..., result id]``; 2-cells carry explicit boundary fields.
 Loading validates cross-references (DanglingReference), JSON shape, the
-typing of each bisieve's target and members, and each trihom's base
-2-category, and for a ``tables`` trihom its values and its action data
-(ParseError); other structural validity is checked by the named
-validators when a check runs.
+typing of each bisieve's target, members and witnesses and of each
+covering sieve, and each trihom's base 2-category, and for a ``tables``
+trihom its values and its action data (ParseError); other structural
+validity is checked by the named validators when a check runs.
 """
 
 import json
@@ -136,9 +136,12 @@ def _decode_bisieve(body, two_cats, where):
                 if not _is_cell(k.onecells, f, (d, target)):
                     raise ParseError("%s.members[%s]: %r is not a 1-cell "
                                      "%r -> %r" % (where, d, f, d, target))
-        return Bisieve(k, target, members,
-                       _pairs_to_dict(body["tilde"], 2, where + ".tilde"),
-                       _pairs_to_dict(body["sigma"], 2, where + ".sigma"))
+        tilde, sigma = (_pairs_to_dict(body[t], 2, "%s.%s" % (where, t))
+                        for t in ("tilde", "sigma"))
+        for x in (*tilde.values(), *sigma.values()):
+            if isinstance(x, (list, dict)):
+                raise ParseError("%s: witness %r is not an id" % (where, x))
+        return Bisieve(k, target, members, tilde, sigma)
     except (KeyError, TypeError) as exc:
         raise ParseError("%s: %s" % (where, exc))
 
@@ -152,11 +155,11 @@ def _encode_bisieve(name_of_two_cat, s):
 
 
 def _checked(check, x, what, where):
-    """x, refused unless check passes on it.  A trihom is built by
-    composing in its base and its values, and the bicat3 checkers that
-    decide over it assume valid values and action data."""
+    """x, refused unless check passes on it, once: x.memo keeps the report.
+    A trihom is built by composing in its base and its values, and the
+    bicat3 checkers that decide over it assume valid values and data."""
     try:
-        r = check(x)
+        r = x.memo(check)
     except (KeyError, TypeError, MalformedTable, BoundaryMismatch) as exc:
         raise ParseError("%s: %s is malformed (%s: %s)"
                          % (where, what, type(exc).__name__, exc))
@@ -252,6 +255,11 @@ def load_data(raw):
                                  % (where, c, type(names).__name__))
             covering[c] = [_ref(bisieves, sn, "bisieve", where)
                            for sn in names]
+            for sn, s in zip(names, covering[c]):
+                if s.k != k or s.target != c:
+                    raise ParseError("%s.covering[%s]: bisieve %r is not a "
+                                     "sieve on %r in %r"
+                                     % (where, c, sn, c, b["two_cat"]))
         bitopologies[n] = Bitopology(k, covering)
     presheaves = {}
     for n, b in sections["presheaves"].items():
@@ -286,7 +294,7 @@ CHECK_REFS = {"two_cat": "two_cats", "cat": "cats", "bisieve": "bisieves",
 def _validate_check_refs(doc):
     for name, body in doc.checks.items():
         for field, section in CHECK_REFS.items():
-            if body.get(field) is not None:
+            if field in body:
                 _ref(getattr(doc, section), body[field], field,
                      "checks.%s" % name)
 

@@ -238,6 +238,25 @@ def test_trimodification_with_wrong_square_cell_fails():
     assert not r.ok
 
 
+def test_trimodification_unit_axiom_fails_on_a_z2_value():
+    """On this trihom the checker accepts 32 tritransformations, and every
+    candidate trimodification between two of them that passes the
+    composition axiom passes the unit axiom too.  So the unit axiom is
+    reached failing between transformations that differ in gamma alone,
+    which the composition axiom never reads; one of them breaks its own
+    unit axiom."""
+    t = trihom_over_arrow(one_object_z2())
+    th, ph = identity_tritransformation(t), identity_tritransformation(t)
+    th.gamma["0"]["P"] = "t"
+    m = identity_trimodification(ph)
+    m = Trimodification(th, ph, m.comp, m.cell)
+    for drawn in (False, True):
+        r = check_trimodification(m, Budget(), drawn=drawn)
+        assert not r.ok
+        assert r.details == ["unit axiom fails at ('0', 'P')"]
+        assert r.witness == {"object": "0", "lhs": "t", "rhs": "2id_id_P"}
+
+
 def test_identity_perturbation_passes_and_mutant_fails():
     t = trihom_over_arrow(one_object_z2())
     tr = identity_tritransformation(t)

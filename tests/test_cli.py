@@ -455,6 +455,61 @@ def test_cli_malformed_covering_bisieve_is_a_located_input_error(
     assert message in err and "Traceback" not in err
 
 
+def _foreign_covering_sieve(raw):
+    """A sieve on O1 listed as covering O0."""
+    raw["bitopologies"]["tau"]["covering"]["O0"].append("S_O1_0")
+
+
+def _null_reference(raw):
+    raw["checks"]["bisieve:null"] = {"op": "bisieve", "bisieve": None}
+
+
+def _listed_witness(raw):
+    raw["bisieves"]["S_O0_0"]["sigma"][0][2] = ["x"]
+
+
+@pytest.mark.parametrize("corrupt, check, message", [
+    (_foreign_covering_sieve, "2stack:F1",
+     "bitopologies.tau.covering[O0]: bisieve 'S_O1_0' is not a sieve on "
+     "'O0' in 'K'"),
+    (_null_reference, "bisieve:null", "checks.bisieve:null: unknown "
+                                      "bisieve None"),
+    (_listed_witness, "bisieve:S_O0_0",
+     "bisieves.S_O0_0: witness ['x'] is not an id"),
+], ids=["covering-other-target", "null-reference", "listed-witness"])
+def test_cli_ill_fitting_references_are_located_input_errors(
+        tmp_path, capsys, corrupt, check, message):
+    raw = _site_doc()
+    corrupt(raw)
+    path = tmp_path / "doc.site"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--check", check]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("check", ["2stack:F1", "2stack_direct:F1"])
+def test_cli_2stack_ops_refuse_a_bitopology_off_the_trihom_base(
+        tmp_path, capsys, check):
+    """tau and its sieves moved onto K2, the base of site 3: the trihom F1
+    stays on K, whose ids the deciders would look up in K2's sieves."""
+    raw, other = _site_doc(), generate(3, "locally-discrete-site")
+    raw["two_cats"]["K2"] = other["two_cats"]["K"]
+    raw["bisieves"] = other["bisieves"]
+    raw["bitopologies"] = other["bitopologies"]
+    raw["checks"] = {check: raw["checks"][check]}
+    for body in (*raw["bisieves"].values(), raw["bitopologies"]["tau"]):
+        body["two_cat"] = "K2"
+    path = tmp_path / "doc.site"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--check", check]) == 3
+    err = capsys.readouterr().err
+    assert "checks.%s: the bitopology is not on the trihom's base " \
+        "2-category" % check in err and "Traceback" not in err
+
+
 def test_cli_sigma_bicolim_on_a_malformed_bisieve_is_a_located_input_error(
         tmp_path, capsys):
     raw = generate(3, "mutant")

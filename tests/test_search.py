@@ -1,30 +1,35 @@
 import hashlib
 import json
+from collections import Counter
 from collections.abc import Mapping
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistack.bicat3 import identity_ps_two_functor, identity_ps_two_nat, \
-    induced_trimod, induced_tritrans, representable_trihom, strict_trihom, \
-    yoneda_pert, yoneda_trimod, yoneda_tritrans
-from bistack import descent
+from bistack.bicat3 import _comparisons, _tables, identity_ps_two_functor, \
+    identity_ps_two_nat, induced_trimod, induced_tritrans, \
+    representable_trihom, strict_trihom, yoneda_pert, yoneda_trimod, \
+    yoneda_tritrans
+from bistack import bicat3, descent
 from bistack.builders import chain_suspension
 from bistack.descent import _all_descent_data_mor, \
     _all_matching_families, _all_perturbations, _all_ps_two_functors, \
     _all_trimods, _all_tritransformations, _all_weak_data, _parallel_pairs, \
     is_2stack, is_2stack_direct, sieve_trihom
-from bistack.errors import MalformedTable, SearchBudgetExceeded
+from bistack.errors import MalformedTable, ParseError, \
+    SearchBudgetExceeded, ToolkitError
 from bistack.fincat import walking_arrow
 from bistack.generate import generate
 from bistack.report import Budget, choices, forward_choices, guarded, \
     narrow
 from bistack.sieves import Bitopology, build_bisieve, literal_maximal_bisieve
-from bistack.two_cat import Fin2Cat, from_fincat
-from bistack.workspace import corpus_names, corpus_path, load, load_data
+from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
+from bistack.workspace import _decode_two_cat, corpus_names, corpus_path, \
+    load, load_data
 
 from test_bicat3 import one_object_z2
+from test_coverage_indexes import _pool_documents
 from test_descent import collapse_objects_trihom, \
     collapse_twocells_trihom, unreachable_object_trihom
 from test_two_cat import split_idempotent_2cat
@@ -76,6 +81,66 @@ def test_choices_ticks_before_each_choice():
     budget = Budget()
     seen = [budget.steps for _ in choices(budget, [("a", (1, 2, 3))])]
     assert seen == [1, 2, 3]
+
+
+# --- _comparisons against the draw over every pool -------------------------
+
+def _comparisons_oracle(budget, families):
+    """The draw before singleton pools were fixed: every declared cell's
+    pool is a ``choices`` group, so the product runs over all of them."""
+    pools = ((slot, ((x, val.isos_between(src(), tgt))
+                     for x, val, src, tgt in cells))
+             for slot, cells in families)
+    slots, groups = zip(*pools)
+    for picks in choices(budget, *groups):
+        yield _tables(zip(slots, picks))
+
+
+_THIN, _Z2 = chain_suspension(3), one_object_z2()
+# boundaries whose pools of invertible 2-cells are empty (r0_1 is not
+# invertible), singletons on the thin value, and both cells of B(Z/2)
+_BOUNDARIES = [(_THIN, "f0", "f1"), (_THIN, "f0", "f0"),
+               (_THIN, "id_Y", "id_Y"), (_Z2, "id_P", "id_P")]
+
+
+def _declared(spec, reads):
+    """Families in the shape of the bicat3 declarations, keyed or whole
+    tables, that log in reads each family and each source they read."""
+    def cells(i, boundaries):
+        for j, b in enumerate(boundaries):
+            val, src, tgt = _BOUNDARIES[b]
+            yield "x%d" % j, val, \
+                lambda i=i, j=j, src=src: reads.append((i, j)) or src, tgt
+
+    for i, (keyed, boundaries) in enumerate(spec):
+        reads.append(i)
+        yield ("keyed", i) if keyed else ("t%d" % i, None), \
+            cells(i, boundaries)
+
+
+def _drained(draw, spec, limit):
+    """What a draw yields under a limit, in order and with the steps at
+    each yield, what it read, and where it ran out or what it raised."""
+    budget, reads, got = Budget(limit), [], []
+    try:
+        for tables in draw(budget, _declared(spec, reads)):
+            got.append((budget.steps, repr(tables)))
+    except SearchBudgetExceeded as exc:
+        return got, reads, budget.steps, exc.steps
+    except ValueError as exc:
+        return got, reads, budget.steps, repr(exc)
+    return got, reads, budget.steps, None
+
+
+@given(st.lists(st.tuples(st.booleans(), st.lists(
+    st.integers(0, len(_BOUNDARIES) - 1), max_size=4)), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_comparisons_fix_singletons_without_changing_the_draw(spec):
+    want = _drained(_comparisons_oracle, spec, None)
+    assert _drained(_comparisons, spec, None) == want
+    for limit in range(want[2] + 1):
+        assert _drained(_comparisons, spec, limit) \
+            == _drained(_comparisons_oracle, spec, limit)
 
 
 # --- forward_choices against choices and a filter ----------------------------
@@ -371,6 +436,59 @@ def test_representable_and_yoneda_constructions_are_pinned():
     digest = hashlib.sha256(
         repr(_canon(_constructions())).encode()).hexdigest()
     assert digest == _CONSTRUCTIONS_PINNED
+
+
+def _pool_bases():
+    """The tables of each distinct 2-category of the coverage pool
+    documents, corrupt ones included."""
+    seen = {}
+    for raw in _pool_documents():
+        for body in raw.get("two_cats", {}).values():
+            seen.setdefault(json.dumps(body, sort_keys=True), body)
+    return list(seen.values())
+
+
+def _representables(k):
+    """The representable trihom at each object of k, or the type and
+    message of what building it raised."""
+    out = []
+    for c in sorted(k.objects):
+        try:
+            out.append(_trihom_tables(representable_trihom(k, c)))
+        except (ToolkitError, KeyError, TypeError) as exc:
+            out.append([type(exc).__name__, str(exc)])
+    return out
+
+
+def test_checked_bases_skip_revalidation_with_the_same_trihom(monkeypatch):
+    """A base whose memo holds a passing check_two_category report builds
+    its precomposition trihoms without strict_trihom's checks, and gets
+    the trihoms that a fresh, unchecked copy of it gets with them; on a
+    corrupt base both raise the same error."""
+    validated = []
+    strict = bicat3.strict_trihom
+    monkeypatch.setattr(bicat3, "strict_trihom",
+                        lambda *args: validated.append(args[0])
+                        or strict(*args))
+    counts = Counter()
+    for body in _pool_bases():
+        try:
+            k, fresh = (_decode_two_cat(body, "K") for _ in range(2))
+        except ParseError:
+            continue
+        try:
+            ok = k.memo(check_two_category).ok
+        except (ToolkitError, KeyError, TypeError):
+            ok = False
+        validated.clear()
+        got, want = _representables(k), _representables(fresh)
+        assert got == want
+        if ok:
+            assert [x is fresh for x in validated] == [True] * len(k.objects)
+        counts[ok, any(isinstance(t, list) for t in got)] += 1
+    # passing bases, and corrupt ones where building raises
+    assert counts[True, False] and counts[False, True]
+    assert not counts[True, True]
 
 
 # --- the deciders' steps on ladder rungs ----------------------------------------
