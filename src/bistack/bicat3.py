@@ -38,10 +38,13 @@ its enumerator sorts them, so that its checker sorts nothing.  Checkers
 type the recorded cells against a declaration (``_first_mistyped``), the
 enumerators of ``descent`` draw each cell from the invertible 2-cells of
 its boundary (``_comparisons``, which fixes each singleton pool and runs
-the product over the others alone), and constructors (the identity
-defaults of ``PsTwoFunctor`` and ``PsTwoNatTrans``, ``strict_trihom``, the
-identity and induced cells) set it to the identity on its target
-(``_identities``).
+the product over the others alone), and a structure built without its
+comparison cells (the strict, identity and induced constructors) gets
+the identity on each cell's target (``_identities``).  ``PsTwoFunctor``
+and ``PsTwoNatTrans`` fill their defaults at construction, since every
+composite reads them.  ``TrihomData``, ``Tritransformation`` and
+``Trimodification`` fill each table on its first read (``_FirstRead``),
+so that a table that no check reads is never built.
 
 Each checker that the enumerators of ``descent`` call on the candidates
 they draw has a typing part and a display part.  The typing checks each
@@ -131,6 +134,28 @@ def _identities(families):
     keyword tables of the structure; no source is composed."""
     return _tables((slot, {x: val.id2(tgt) for x, val, _, tgt in cells})
                    for slot, cells in families)
+
+
+class _FirstRead:
+    """A comparison table that the constructor was not given.  On its
+    first read it is filled with ``_identities`` of the families that
+    declare(structure) lists for it, and kept as the structure's own
+    attribute, which later reads and writes then reach directly."""
+
+    def __init__(self, declare):
+        self.declare = declare
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        families = (family for family in self.declare(obj)
+                    if family[0][0] == self.name)
+        table = _identities(families).get(self.name, {})
+        setattr(obj, self.name, table)
+        return table
 
 
 # --- pseudofunctors between strict 2-categories ---------------------------
@@ -488,20 +513,21 @@ class TrihomData:
     strictly); chi[(f, g)]: PsTwoNatTrans on1[g] . on1[f] => on1[f.g] with
     equivalence components; iota[C]: Id => on1[id_C]; omega[(f, g, h)],
     delta_hat[f], gamma_hat[f]: per-object comparison 2-cells for the
-    associativity and unit displays.
+    associativity and unit displays, the identities on their targets,
+    built on first read (``_trihom_cells``).
     """
 
-    def __init__(self, base, ob, on1, on2, chi, iota,
-                 omega=None, delta_hat=None, gamma_hat=None):
+    omega = _FirstRead(lambda t: _trihom_cells(t))
+    delta_hat = _FirstRead(lambda t: _trihom_cells(t))
+    gamma_hat = _FirstRead(lambda t: _trihom_cells(t))
+
+    def __init__(self, base, ob, on1, on2, chi, iota):
         self.base = base
         self.ob = dict(ob)
         self.on1 = dict(on1)
         self.on2 = dict(on2)
         self.chi = dict(chi)
         self.iota = dict(iota)
-        self.omega = dict(omega or {})
-        self.delta_hat = dict(delta_hat or {})
-        self.gamma_hat = dict(gamma_hat or {})
         self._memo = {}
 
     def memo(self, fn):
@@ -605,9 +631,7 @@ def _assembled(k, ob, on1, on2):
     chi = {pair: identity_ps_two_nat(on1[comp])
            for pair, comp in k.hcomp1.items()}
     iota = {c: identity_ps_two_nat(on1[k.id1(c)]) for c in k.objects}
-    t = TrihomData(k, ob, on1, on2, chi, iota)
-    return TrihomData(k, ob, on1, on2, chi, iota,
-                      **_identities(_trihom_cells(t)))
+    return TrihomData(k, ob, on1, on2, chi, iota)
 
 
 def _precomposition_trihom(k, ob):
@@ -763,15 +787,23 @@ def check_trihom_data(t, budget=None):
 class Tritransformation:
     """comp[C]: PsTwoFunctor R(C) -> F(C); square[f]: PsTwoNatTrans
     comp[D].R(f) => F(f).comp[C] with equivalence components; beta[(f, g)]
-    and gamma[C]: per-object comparison 2-cells."""
+    and gamma[C]: per-object comparison 2-cells, by default the identities
+    on their targets, built on first read (``_tritrans_cells``)."""
 
-    def __init__(self, dom, cod, comp, square, beta, gamma):
+    beta = _FirstRead(lambda t: _tritrans_cells(t.dom, t.cod, t.comp,
+                                                t.square))
+    gamma = _FirstRead(lambda t: _tritrans_cells(t.dom, t.cod, t.comp,
+                                                 t.square))
+
+    def __init__(self, dom, cod, comp, square, beta=None, gamma=None):
         self.dom = dom
         self.cod = cod
         self.comp = dict(comp)
         self.square = dict(square)
-        self.beta = dict(beta)
-        self.gamma = dict(gamma)
+        if beta is not None:
+            self.beta = dict(beta)
+        if gamma is not None:
+            self.gamma = dict(gamma)
 
 
 def _tritrans_cells(R, F, comp, square):
@@ -809,9 +841,7 @@ def identity_tritransformation(t):
     k = t.base
     comp = {c: identity_ps_two_functor(t.ob[c]) for c in k.objects}
     square = {f: identity_ps_two_nat(t.on1[f]) for f in k.onecells}
-    return Tritransformation(t, t, comp, square,
-                             **_identities(_tritrans_cells(t, t, comp,
-                                                           square)))
+    return Tritransformation(t, t, comp, square)
 
 
 def _tritrans_typing(t, budget):
@@ -1090,13 +1120,17 @@ def _tritrans_unit_axioms(t, budget):
 
 class Trimodification:
     """comp[D]: PsTwoNatTrans theta_D => phi_D; cell[g]: per-object
-    comparison 2-cells for the square displays."""
+    comparison 2-cells for the square displays, by default the identities
+    on their targets, built on first read (``_trimod_cells``)."""
 
-    def __init__(self, dom, cod, comp, cell):
+    cell = _FirstRead(lambda m: _trimod_cells(m.dom, m.cod, m.comp))
+
+    def __init__(self, dom, cod, comp, cell=None):
         self.dom = dom
         self.cod = cod
         self.comp = dict(comp)
-        self.cell = dict(cell)
+        if cell is not None:
+            self.cell = dict(cell)
 
 
 def _trimod_cells(th, ph, comp):
@@ -1123,8 +1157,7 @@ def _trimod_cells(th, ph, comp):
 
 def identity_trimodification(t):
     comp = {c: identity_ps_two_nat(t.comp[c]) for c in t.dom.base.objects}
-    return Trimodification(t, t, comp,
-                           **_identities(_trimod_cells(t, t, comp)))
+    return Trimodification(t, t, comp)
 
 
 def _trimod_typing(m, budget):
@@ -1341,12 +1374,9 @@ def induced_tritrans(F, R, X):
     for g, (e, d) in k.onecells.items():
         dom = compose_ps_two_functors(comp[e], R.on1[g])
         cod = compose_ps_two_functors(F.on1[g], comp[d])
-        ids = {f: F.ob[e].id1(dom.ob[f]) for f in R.ob[d].objects}
         square[g] = PsTwoNatTrans(
-            dom, cod, ids, **_identities(_ps_two_nat_cells(dom, cod, ids)))
-    return Tritransformation(R, F, comp, square,
-                             **_identities(_tritrans_cells(R, F, comp,
-                                                           square)))
+            dom, cod, {f: F.ob[e].id1(dom.ob[f]) for f in R.ob[d].objects})
+    return Tritransformation(R, F, comp, square)
 
 
 def induced_trimod(F, a0, sig_x, sig_y):
@@ -1359,8 +1389,7 @@ def induced_trimod(F, a0, sig_x, sig_y):
         cls = {gm: F.ob[d].inverse2(F.on2[gm].cell[a0])
                for gm in R.ob[d].onecells}
         comp[d] = PsTwoNatTrans(sig_x.comp[d], sig_y.comp[d], cps, cls)
-    return Trimodification(sig_x, sig_y, comp,
-                           **_identities(_trimod_cells(sig_x, sig_y, comp)))
+    return Trimodification(sig_x, sig_y, comp)
 
 
 def induced_pert(F, al0, m_a, m_b):

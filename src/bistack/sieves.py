@@ -301,24 +301,31 @@ def groth(s, budget=None):
     for n, (src_name, tgt_name) in onecells.items():
         g, a = one_of[n]
         identity2[n] = "[%s]:%s=>%s" % (k.id2(g), n, n)
+    # the composable partners of each cell, in table order: the 1-cells
+    # into each object, the 2-cells into each 1-cell, and the 2-cells
+    # between the 1-cells into each object
+    into1, into2, over = {}, {}, {}
+    for n, (src_name, tgt_name) in onecells.items():
+        into1.setdefault(tgt_name, []).append(n)
+    for name, (n1, n2) in twocells.items():
+        into2.setdefault(n2, []).append(name)
+        over.setdefault(onecells[n1][1], []).append(name)
     # vertical composition: compose the underlying base 2-cells
     index2 = {}
     for name, (n1, n2) in twocells.items():
         index2[(n1, n2, two_of[name])] = name
     vcomp = {}
     for nb, (nb1, nb2) in twocells.items():
-        for na, (na1, na2) in twocells.items():
-            if na2 == nb1:
-                vcomp[(nb, na)] = index2[(na1, nb2,
-                                          k.v(two_of[nb], two_of[na]))]
+        for na in into2.get(nb1, ()):
+            vcomp[(nb, na)] = index2[(twocells[na][0], nb2,
+                                      k.v(two_of[nb], two_of[na]))]
     index1 = {}
     for n, (src_name, tgt_name) in onecells.items():
         index1[(src_name, tgt_name) + one_of[n]] = n
     hcomp1 = {}
     for nb, (eb, db) in onecells.items():        # later factor
-        for na, (ea, eb2) in onecells.items():   # earlier factor
-            if eb2 != eb:
-                continue
+        for na in into1.get(eb, ()):             # earlier factor
+            ea = onecells[na][0]
             budget.tick()
             g2, a2 = one_of[nb]
             g1, a1 = one_of[na]
@@ -336,10 +343,8 @@ def groth(s, budget=None):
             hcomp1[(nb, na)] = index1[(ea, db, k.c1(g2, g1), alpha)]
     hcomp2 = {}
     for nb, (nb1, nb2) in twocells.items():
-        sb = onecells[nb1][0]
-        for na, (na1, na2) in twocells.items():
-            if onecells[na1][1] != sb:
-                continue
+        for na in over.get(onecells[nb1][0], ()):
+            na1, na2 = twocells[na]
             budget.tick()
             m1 = hcomp1[(nb1, na1)]
             m2 = hcomp1[(nb2, na2)]

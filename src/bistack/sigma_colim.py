@@ -5,12 +5,25 @@ every marked shape morphism (those whose 2-cell component is invertible).
 An object is the sigma-bicolimit of a diagram when, for every test object,
 whiskering the universal cocone is an equivalence between the hom-category
 out of the apex and the category of cocones.
+
+That equivalence is decided without tabulating the category of cocones.
+The cocones on a test object are enumerated and named ``cc%d`` in sorted
+order, and the modifications between two of them (``cocone_morphisms``)
+are built on first read, only for the pairs that the tests of
+``fincat.is_equivalence`` read in its order: a cocone outside the image
+against the images, for essential surjectivity (a cocone in the image is
+reached by an identity), and the images of every two 1-cells, for
+fullness and faithfulness.  The modifications of the other pairs are
+counted only when a fullness failure needs the name ``md%d`` that the
+tabulated category would give its witness.  So verdicts, details and
+witnesses are those of ``is_equivalence`` over the tabulated category;
+the steps are those of the modifications built.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BoundaryMismatch, SearchBudgetExceeded
-from .fincat import Functor, check_functor, is_equivalence, tabulate
 from .report import (Budget, CheckReport, FAIL, INCONCLUSIVE, PASS, choices,
                      failed, passed)
 from .sieves import groth
@@ -31,6 +44,12 @@ class Diagram:
         self.on1 = dict(on1)
         self.on2 = dict(on2)
         self.marked = frozenset(marked)
+
+    @cached_property
+    def free(self):
+        """The shape 1-cells that a cocone's structure cells are drawn on
+        (``_free_generators``), chosen once per diagram."""
+        return _free_generators(self.shape)
 
 
 def check_diagram(d, budget=None):
@@ -188,10 +207,9 @@ def enumerate_sigma_cocones(d, u, budget=None):
     budget = budget or Budget()
     k, sh = d.k, d.shape
     sobs = sorted(sh.objects)
-    free = _free_generators(sh)
 
     def structure_cells(legs):
-        for m in free:
+        for m in d.free:
             s, t = sh.onecells[m]
             cand = k.two_cells_between(legs[s], k.c1(legs[t], d.on1[m]))
             if m in d.marked:
@@ -228,40 +246,21 @@ def _complete_cells(k, sh, d, legs, cells):
 def cocone_morphisms(d, c1, c2, budget=None):
     """Modifications between two cocones: compatible component families."""
     budget = budget or Budget()
-    k, sh = d.k, d.shape
-    sobs = sorted(sh.objects)
+    cells1, cells2 = dict(c1.cells), dict(c2.cells)
     legs1, legs2 = dict(c1.legs), dict(c2.legs)
-    out = []
-    pools = ((s, k.two_cells_between(legs1[s], legs2[s])) for s in sobs)
-    for (mu,) in choices(budget, pools):
-        if all(k.v(c2.cell(m), mu[s]) == k.v(k.wr(mu[t], d.on1[m]),
-                                              c1.cell(m))
-               for m, (s, t) in sh.onecells.items()):
-            out.append(tuple(sorted(mu.items())))
-    return out
+    pools = ((s, d.k.two_cells_between(legs1[s], legs2[s]))
+             for s in sorted(d.shape.objects))
+    return [tuple(sorted(mu.items()))
+            for (mu,) in choices(budget, pools)
+            if _commutes(d, cells1, cells2, mu)]
 
 
-def sigma_cocone_category(d, u, budget=None):
-    """The category of sigma-bicocones on u and their modifications, the
-    name of each cocone, and the arrow index."""
-    budget = budget or Budget()
+def _commutes(d, cells1, cells2, mu):
+    """Do the components mu (shape object -> 2-cell) commute with the
+    structure cells of two cocones at every shape 1-cell?"""
     k = d.k
-    cocones = {"cc%d" % i: cc
-               for i, cc in enumerate(enumerate_sigma_cocones(d, u, budget))}
-    arrows = {}
-    for a, ca in cocones.items():
-        for b, cb in cocones.items():
-            for mu in cocone_morphisms(d, ca, cb, budget):
-                arrows["md%d" % len(arrows)] = (a, b, mu)
-
-    def identity(cc):
-        return tuple(sorted((s, k.id2(r)) for s, r in cc.legs))
-
-    def compose(later, earlier):
-        return tuple((s, k.v(x, y)) for (s, x), (_, y) in zip(later, earlier))
-
-    cat, index = tabulate(cocones, arrows, identity, compose)
-    return cat, {cc: a for a, cc in cocones.items()}, index
+    return all(k.v(cells2[m], mu[s]) == k.v(k.wr(mu[t], d.on1[m]), cells1[m])
+               for m, (s, t) in d.shape.onecells.items())
 
 
 def whisker_cocone(d, cc, r):
@@ -272,36 +271,123 @@ def whisker_cocone(d, cc, r):
     return SigmaCocone.make(k.tgt1(r), legs, cells)
 
 
-def comparison_functor(d, mu, u, budget=None):
-    """Whiskering Hom(apex, u) into the cocone category on u."""
-    budget = budget or Budget()
+def _whiskering(d, mu, hom, cocones):
+    """Whiskering mu as a functor from hom = Hom(apex, u) into the cocones
+    on u: (failure, ob, mor), with ob mapping each 1-cell to the index of
+    its cocone and mor each 2-cell to its modification's components; the
+    failure is the report of ``comparison_functor`` or ``check_functor``
+    over the tabulated category, or None."""
     k = d.k
-    cc_cat, names, index = sigma_cocone_category(d, u, budget)
-    hom = k.hom_cat(mu.apex, u)
+    index = {cc: i for i, cc in enumerate(cocones)}
     ob, mor = {}, {}
     for r in hom.objects:
         img = whisker_cocone(d, mu, r)
-        if img not in names:
-            return None, cc_cat, failed(
-                "comparison_functor",
-                ["whiskering %r does not yield a valid cocone" % r],
-                {"onecell": r})
-        ob[r] = names[img]
+        if img not in index:
+            return failed("comparison_functor",
+                          ["whiskering %r does not yield a valid cocone" % r],
+                          {"onecell": r}), ob, mor
+        ob[r] = index[img]
     for gam in hom.morphisms:
-        r1, r2 = hom.src[gam], hom.tgt[gam]
-        comps = tuple(sorted((s, k.wr(gam, leg)) for s, leg in mu.legs))
-        key = (ob[r1], ob[r2], comps)
-        if key not in index:
-            return None, cc_cat, failed(
-                "comparison_functor",
-                ["whiskered 2-cell %r is not a modification" % gam],
-                {"twocell": gam})
-        mor[gam] = index[key]
-    fun = Functor(hom, cc_cat, ob, mor)
-    r = check_functor(fun)
-    if not r.ok:
-        return None, cc_cat, r
-    return fun, cc_cat, passed("comparison_functor")
+        c1, c2 = (cocones[ob[r]] for r in (hom.src[gam], hom.tgt[gam]))
+        comps = {s: k.wr(gam, leg) for s, leg in mu.legs}
+        legs1, legs2 = dict(c1.legs), dict(c2.legs)
+        if not all(k.twocells.get(x) == (legs1[s], legs2[s])
+                   for s, x in comps.items()) \
+                or not _commutes(d, dict(c1.cells), dict(c2.cells), comps):
+            return failed("comparison_functor",
+                          ["whiskered 2-cell %r is not a modification" % gam],
+                          {"twocell": gam}), ob, mor
+        mor[gam] = tuple(sorted(comps.items()))
+    for r in hom.objects:
+        if mor[hom.id(r)] != _identity(k, cocones[ob[r]]):
+            return failed("check_functor",
+                          ["identity at %r not preserved" % r],
+                          {"object": r}), ob, mor
+    for g in hom.morphisms:
+        for f in hom.morphisms:
+            if hom.tgt[f] == hom.src[g] and \
+                    mor[hom.comp[(g, f)]] != _vcompose(k, mor[g], mor[f]):
+                return failed("check_functor",
+                              ["composition not preserved at (%r, %r)"
+                               % (g, f)], {"pair": [g, f]}), ob, mor
+    return None, ob, mor
+
+
+def _comparison(d, mu, u, budget):
+    """Decide whether whiskering mu is an equivalence from Hom(apex, u)
+    onto the category of sigma-cocones on u, with the report of
+    ``fincat.is_equivalence`` over the tabulated category.  Returns
+    (report, number of cocones); the number is None when whiskering is
+    not even a functor into the cocones."""
+    k = d.k
+    cocones = enumerate_sigma_cocones(d, u, budget)
+    hom = k.hom_cat(mu.apex, u)
+    bad, ob, mor = _whiskering(d, mu, hom, cocones)
+    if bad is not None:
+        return bad, None
+    n = len(cocones)
+    morphisms = {}
+
+    def between(i, j):
+        if (i, j) not in morphisms:
+            morphisms[i, j] = cocone_morphisms(d, cocones[i], cocones[j],
+                                               budget)
+        return morphisms[i, j]
+
+    def isomorphic(i, j):
+        ids = _identity(k, cocones[i]), _identity(k, cocones[j])
+        return any(_vcompose(k, b, a) == ids[0]
+                   and _vcompose(k, a, b) == ids[1]
+                   for a in between(i, j) for b in between(j, i))
+
+    # an image is reached by its identity, an iso
+    images = dict.fromkeys(ob.values())
+    for j in range(n):
+        budget.tick()
+        if j not in images and not any(isomorphic(i, j) for i in images):
+            return failed("is_equivalence",
+                          ["object 'cc%d' not in the essential image" % j],
+                          {"object": "cc%d" % j,
+                           "reason": "essential surjectivity"}), n
+    for a in hom.objects:
+        for b in hom.objects:
+            budget.tick()
+            fs = hom.hom(a, b)
+            image = [mor[f] for f in fs]
+            pair = ob[a], ob[b]
+            missing = [i for i, m in enumerate(between(*pair))
+                       if m not in image]
+            if missing:
+                # the tabulated category names the modifications md0, ...
+                # pair by pair, and lists a hom-set in name order
+                first = sum(len(between(i, j)) for i in range(n)
+                            for j in range(n) if (i, j) < pair)
+                g = min("md%d" % (first + i) for i in missing)
+                return failed("is_equivalence",
+                              ["%r has no preimage in hom(%r, %r)"
+                               % (g, a, b)],
+                              {"pair": [a, b], "morphism": g,
+                               "reason": "fullness"}), n
+            seen = {}
+            for f, m in zip(fs, image):
+                if m in seen:
+                    return failed("is_equivalence",
+                                  ["%r and %r collapse" % (seen[m], f)],
+                                  {"pair": [seen[m], f],
+                                   "reason": "faithfulness"}), n
+                seen[m] = f
+    return passed("is_equivalence"), n
+
+
+def _identity(k, cc):
+    """The identity modification on a cocone, as sorted components."""
+    return tuple(sorted((s, k.id2(r)) for s, r in cc.legs))
+
+
+def _vcompose(k, later, earlier):
+    """The vertical composite of two modifications given as sorted
+    components."""
+    return tuple((s, k.v(x, y)) for (s, x), (_, y) in zip(later, earlier))
 
 
 @dataclass
@@ -339,21 +425,16 @@ def verify_sigma_bicolim(c, d, mu, budget=None):
                                                    % r0.details], r0.witness)
     try:
         for u in sorted(k.objects):
-            fun, cc_cat, rep = comparison_functor(d, mu, u, budget)
-            if fun is None:
-                per_object[u] = rep
+            rep, count = _comparison(d, mu, u, budget)
+            per_object[u] = rep
+            if not rep.ok:
                 verdict = FAIL
                 witness = dict(rep.witness, test_object=u)
-                break
-            req = is_equivalence(fun, budget)
-            per_object[u] = req
-            if not req.ok:
-                verdict = FAIL
-                witness = dict(req.witness, test_object=u)
-                details.append("comparison at %r: %s" % (u, req.details))
+                if count is not None:
+                    details.append("comparison at %r: %s" % (u, rep.details))
                 break
             details.append("comparison at %r: equivalence onto %d cocones"
-                           % (u, len(cc_cat.objects)))
+                           % (u, count))
         else:
             # pseudonaturality in the test object (strict by construction;
             # failures are reported distinctly from objectwise failures)

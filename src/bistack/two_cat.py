@@ -835,17 +835,22 @@ class PsNatTrans:
                 tuple(sorted((f, v.key()) for f, v in self.cells.items())))
 
 
-def check_ps_nat(t, budget=None):
+def check_ps_nat(t, budget=None, drawn=False):
+    """Typing: the components and structure cells.  Displays: 2-cell
+    naturality, composition and unit coherence.  A drawn candidate, whose
+    components are functors and whose structure cells invertible natural
+    transformations of the right boundaries, is tested on its displays
+    alone; the typing spends no steps."""
     budget = budget or Budget()
     F, G = t.dom, t.cod
     k = F.base
-    for c in k.objects:
+    for c in () if drawn else k.objects:
         fun = t.comp.get(c)
         if fun is None or fun.dom != F.ob[c] or fun.cod != G.ob[c] \
                 or not check_functor(fun).ok:
             return failed("check_ps_nat", ["bad component at %r" % c],
                           {"object": c})
-    for f, (d, c) in k.onecells.items():
+    for f, (d, c) in () if drawn else k.onecells.items():
         cell = t.cells.get(f)
         if cell is None \
                 or cell.dom != compose_functors(t.comp[d], F.on1[f]) \
@@ -908,12 +913,16 @@ class CatModification:
         return tuple(sorted((c, v.key()) for c, v in self.comp.items()))
 
 
-def check_modification(m, budget=None):
+def check_modification(m, budget=None, drawn=False):
+    """Typing: the components.  Display: the square at each 1-cell and
+    object.  A drawn candidate, whose components are natural
+    transformations of the right boundaries, is tested on its display
+    alone."""
     budget = budget or Budget()
     t, s = m.dom, m.cod
     F, G = t.dom, t.cod
     k = F.base
-    for c in k.objects:
+    for c in () if drawn else k.objects:
         nt = m.comp.get(c)
         if nt is None or nt.dom != t.comp[c] or nt.cod != s.comp[c] \
                 or not check_nat(nt).ok:

@@ -10,7 +10,8 @@ from bistack.bicat3 import (Perturbation, PsTwoFunctor, PsTwoNatTrans,
                             identity_ps_two_nat, identity_trimodification,
                             identity_tritransformation, representable_trihom,
                             strict_trihom, yoneda_pert, yoneda_trimod,
-                            yoneda_tritrans)
+                            yoneda_tritrans, _identities, _trihom_cells,
+                            _trimod_cells, _tritrans_cells)
 from bistack.builders import chain_suspension
 from bistack.fincat import walking_arrow
 from bistack.generate import generate
@@ -402,3 +403,62 @@ def test_z2_value_never_takes_the_shortcut(monkeypatch):
     assert all(o[0] == "pass" for o in outcomes.values())
     on_z2 = [thin for k, thin in seen if k == z2]
     assert on_z2 and not any(on_z2)
+
+
+# --- comparison tables built on first read ---------------------------------------
+
+def _first_read_trihoms():
+    """The representable trihoms of ladder rungs N=3..6; the trihoms of
+    site seeds 0-79 of both generator profiles, which loading has checked
+    and so read, and the representables of their bases; and B(Z/2) values
+    over the walking arrow, acted on by the identity.  Each with whether
+    it is fresh, no table of it read yet."""
+    out = []
+    for n in range(3, 7):
+        k = chain_suspension(n)
+        out += [(representable_trihom(k, c), True) for c in sorted(k.objects)]
+    for profile in ("locally-discrete-site", "tiny-2site"):
+        for seed in range(80):
+            doc = load_data(generate(seed, profile))
+            k = doc.two_cats["K"]
+            out += [(doc.trihoms[name], False) for name in sorted(doc.trihoms)]
+            out += [(representable_trihom(k, c), True)
+                    for c in sorted(k.objects)]
+    return out + [(trihom_over_arrow(one_object_z2()), True)]
+
+
+def _built_on_first_read(x, families, names, fresh=True):
+    """Each table of x in names is absent until read, if x is fresh, and
+    then the eager identity table of the declared families."""
+    eager = _identities(families)
+    assert not fresh or not set(names) & set(vars(x))
+    for name in names:
+        assert getattr(x, name) == eager.get(name, {})
+        assert name in vars(x)
+
+
+def test_comparison_tables_built_on_first_read_are_the_eager_identities():
+    """The identity comparison tables of a trihom, and of the identity and
+    Yoneda transformations and modifications over it, are built on first
+    read; each equals the table that ``_identities`` builds eagerly from
+    the structure's declaration."""
+    count = 0
+    for t, fresh in _first_read_trihoms():
+        _built_on_first_read(t, _trihom_cells(t),
+                             ("omega", "delta_hat", "gamma_hat"), fresh)
+        tr = identity_tritransformation(t)
+        trimods = [identity_trimodification(tr)]
+        c = sorted(t.base.objects)[-1]
+        val = t.ob[c]
+        sigma = {x: yoneda_tritrans(t, c, x) for x in sorted(val.objects)}
+        trimods += [yoneda_trimod(t, c, a, sigma[x], sigma[y])
+                    for a, (x, y) in sorted(val.onecells.items())]
+        for tr in [tr, *sigma.values()]:
+            _built_on_first_read(tr, _tritrans_cells(tr.dom, tr.cod, tr.comp,
+                                                     tr.square),
+                                 ("beta", "gamma"))
+        for m in trimods:
+            _built_on_first_read(m, _trimod_cells(m.dom, m.cod, m.comp),
+                                 ("cell",))
+        count += len(sigma) + len(trimods)
+    assert count > 500

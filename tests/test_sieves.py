@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
 from bistack.errors import MalformedTable
 from bistack.fincat import walking_arrow
+from bistack.generate import generate
+from bistack.report import Budget
 from bistack.sieves import (Bitopology, build_bisieve, candidate_sieves,
                             check_bisieve, check_bitopology, check_T1,
                             check_T2, check_T3, factor_groth_morphism, groth,
@@ -10,6 +14,7 @@ from bistack.sieves import (Bitopology, build_bisieve, candidate_sieves,
                             sieve_presheaf)
 from bistack.two_cat import (check_ps_functor, check_ps_nat,
                              check_two_category, from_fincat)
+from bistack.workspace import corpus_names, corpus_path, load, load_data
 
 from test_two_cat import cospan_with_pullback, split_idempotent_2cat
 
@@ -165,3 +170,46 @@ def test_T3_violation():
     gen_a = build_bisieve(wa2, "1", {"0": {"a"}})
     tau = Bitopology(wa2, {"0": [max0], "1": [gen_a]})
     assert not check_T3(tau).ok
+
+
+# --- the 2-category of elements over the pool sieves ---------------------------
+
+_GROTH_TABLES = ("onecells", "twocells", "identity1", "identity2", "vcomp",
+                 "hcomp1", "hcomp2")
+
+
+def _pool_sieves():
+    """Every bisieve of the bundled corpus and of site seeds 0-79 of both
+    generator profiles, in name order."""
+    docs = [load(corpus_path(name)) for name in corpus_names()]
+    docs += [load_data(generate(seed, profile))
+             for profile in ("locally-discrete-site", "tiny-2site")
+             for seed in range(80)]
+    return [doc.bisieves[n] for doc in docs for n in sorted(doc.bisieves)]
+
+
+def _groth_rows():
+    """Each pool sieve's 2-category of elements, every table in insertion
+    order, its decoding tables and the steps of building it."""
+    rows = []
+    for s in _pool_sieves():
+        budget = Budget()
+        gt = groth(s, budget)
+        cat = gt.two_cat
+        rows.append((cat.objects,
+                     [list(getattr(cat, t).items()) for t in _GROTH_TABLES],
+                     list(gt.ob_of.items()), list(gt.one_of.items()),
+                     list(gt.two_of.items()), budget.steps))
+    return rows
+
+
+# (sieves, sha256 of their rows), recorded with the all-pairs scans, before
+# the composition tables were built from per-target indexes
+_GROTH_PINNED = (
+    748, "b6b0500a9a81af9142d232767e64533163d9338a137a984f7f30a0e8bc4c6afd")
+
+
+def test_groth_tables_and_steps_over_the_pool_sieves_are_pinned():
+    rows = _groth_rows()
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (len(rows), digest) == _GROTH_PINNED

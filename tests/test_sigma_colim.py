@@ -1,20 +1,29 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bistack.builders import thin_two_cat
+from bistack import sigma_colim
+from bistack.builders import suspension_two_cat, thin_two_cat
+from bistack.descent import is_subcanonical
 from bistack.fincat import FinCat, discrete, walking_arrow
+from bistack.generate import generate
+from bistack.report import Budget, guarded
 from bistack.sieves import (build_bisieve, groth, inclusion_transformation,
                             maximal_bisieve)
 from bistack.sigma_colim import (Diagram, SigmaCocone, check_diagram,
                                  check_sigma_cocone, cocone_morphisms,
                                  conicalize, enumerate_sigma_cocones,
                                  is_sigma_bicolim_bisieve,
-                                 projection_diagram, sigma_cocone_category,
-                                 universal_cocone, verify_coconofstar,
-                                 verify_sigma_bicolim, whisker_cocone)
+                                 projection_diagram, universal_cocone,
+                                 verify_coconofstar, verify_sigma_bicolim,
+                                 whisker_cocone)
 from bistack.two_cat import Fin2Cat, from_fincat
+from bistack.workspace import load_data
 
+from sigma_oracles import materialised_comparison, sigma_cocone_category
+from test_sieves import _pool_sieves
+from test_tabulate import _sieves as _tabulated_sieves
 from test_two_cat import split_idempotent_2cat
 
 
@@ -254,3 +263,155 @@ def test_certificate_report_shape(wa2):
     assert rep.verdict == "pass"
     assert set(rep.witness["per_object"]) == {"0", "1"}
     assert all(v == "pass" for v in rep.witness["per_object"].values())
+
+
+# --- the direct decision against the tabulated category -----------------------
+
+def _groupoid(objects, order):
+    """The connected groupoid on objects o0, o1, ... with the cyclic group
+    of the given order as every hom-set: g<i><j>_<n> is the arrow from oi
+    to oj of index n, and indexes add under composition."""
+    obs = ["o%d" % i for i in range(objects)]
+    arrows = {"g%d%d_%d" % (i, j, n): (i, j, n) for i in range(objects)
+              for j in range(objects) for n in range(order)}
+    return FinCat(obs, {a: obs[i] for a, (i, _, _) in arrows.items()},
+                  {a: obs[j] for a, (_, j, _) in arrows.items()},
+                  {o: "g%d%d_0" % (i, i) for i, o in enumerate(obs)},
+                  {(b, a): "g%d%d_%d" % (i, l, (n + m) % order)
+                   for a, (i, j, n) in arrows.items()
+                   for b, (j2, l, m) in arrows.items() if j2 == j})
+
+
+def _suspensions():
+    """Suspensions of hom categories with parallel 2-cells, so that a
+    comparison can fail fullness and faithfulness as well as essential
+    surjectivity."""
+    return [suspension_two_cat(_groupoid(n, order))
+            for n, order in ((1, 2), (1, 4), (2, 1), (2, 3))] + [
+        suspension_two_cat(walking_arrow())]
+
+
+def _discrete_diagrams(k):
+    """(diagram, apex, cocone): the empty diagram and the discrete
+    diagrams of one or two copies of X, under every apex and every choice
+    of legs."""
+    for names in ((), ("p",), ("p", "q")):
+        shape = from_fincat(discrete(names))
+        d = Diagram(shape, k, {p: "X" for p in names},
+                    {"id_%s" % p: "id_X" for p in names},
+                    {"2id_id_%s" % p: "2id_id_X" for p in names})
+        for apex in sorted(k.objects):
+            for legs in product(*(k.one_cells_between("X", apex)
+                                  for _ in names)):
+                legs = dict(zip(names, legs))
+                yield d, apex, SigmaCocone.make(
+                    apex, legs, {"id_%s" % p: k.id2(legs[p]) for p in names})
+
+
+def _cocone_cases():
+    """(diagram, apex, cocone): the discrete diagrams into the
+    suspensions, and every sigma-cocone on every object over the elements
+    of the fixed sieves of test_tabulate and of the maximal sieves on the
+    suspensions with at most eight 2-cells (on the largest one, they take
+    seconds)."""
+    for k in _suspensions():
+        yield from _discrete_diagrams(k)
+    sieves = _tabulated_sieves() + [maximal_bisieve(k, c)
+                                    for k in _suspensions()
+                                    if len(k.twocells) <= 8
+                                    for c in sorted(k.objects)]
+    for s in sieves:
+        d, _ = universal_cocone(s)
+        for apex in sorted(s.k.objects):
+            for mu in enumerate_sigma_cocones(d, apex):
+                yield d, apex, mu
+
+
+def _comparisons(cases):
+    """The comparison at every test object of each (diagram, apex,
+    cocone) case, with its steps."""
+    out = []
+    for d, apex, mu in cases:
+        for u in sorted(d.k.objects):
+            budget = Budget()
+            r, count = sigma_colim._comparison(d, mu, u, budget)
+            out.append(((r.name, r.verdict, r.details, r.witness, count),
+                        budget.steps))
+    return out
+
+
+def _sieve_reports(sieves, limit=None):
+    """Each sieve's sigma report and steps, as the runner takes them."""
+    out = []
+    for s in sieves:
+        budget = Budget(limit)
+        r = guarded("sigma", budget, is_sigma_bicolim_bisieve, s, budget)
+        out.append(((r.verdict, r.details, r.witness), budget.steps))
+    return out
+
+
+def test_sigma_decision_matches_the_tabulated_category(monkeypatch):
+    """Deciding each comparison directly gives the verdicts, details,
+    witnesses and per-object reports of is_equivalence over the tabulated
+    cocone category, in at most its steps: on every bisieve of the corpus
+    and of site seeds 0-79, on the fixed sieves of test_tabulate (two of
+    them with non-identity restriction witnesses on the non-thin split
+    idempotent); and at every test object, on cocones that fail fullness
+    and faithfulness."""
+    sieves = _pool_sieves() + _tabulated_sieves()
+    cases = list(_cocone_cases())
+    direct = _sieve_reports(sieves), _comparisons(cases)
+    monkeypatch.setattr(sigma_colim, "_comparison", materialised_comparison)
+    oracle = _sieve_reports(sieves), _comparisons(cases)
+    for got, want in zip(direct, oracle):
+        assert [r for r, _ in got] == [r for r, _ in want]
+        assert all(a <= b for (_, a), (_, b) in zip(got, want))
+    witnesses = [r[2] for r, _ in direct[0]] + [r[3] for r, _ in direct[1]]
+    assert {"essential surjectivity", "fullness", "faithfulness"} \
+        <= {w.get("reason") for w in witnesses}
+    # a fullness witness named past the first pair of cocones
+    assert any(w.get("reason") == "fullness" and len(w["morphism"]) > 3
+               for w in witnesses)
+
+
+def test_sigma_budget_limits_are_deterministic_and_inconclusive(monkeypatch):
+    """Under every limit below the steps that the direct decision spends,
+    it is inconclusive, stops at the first step past the limit and gives
+    the same report on a rerun, and so does the tabulated category, which
+    spends at least as many steps; from that limit on, it reports what it
+    reports unlimited."""
+    sieves = _tabulated_sieves()
+    unlimited = _sieve_reports(sieves)
+    rows = []
+    for s, (report, steps) in zip(sieves, unlimited):
+        for limit in range(steps + 2):
+            got = _sieve_reports([s], limit) * 2
+            rows.append((s, limit))
+            if limit >= steps:
+                assert got == [(report, steps)] * 2
+                continue
+            assert got[0] == got[1]
+            (verdict, details, witness), spent = got[0]
+            assert verdict == "inconclusive" and spent == limit + 1
+            assert witness["steps"] == limit + 1
+    assert len(rows) > 100
+    monkeypatch.setattr(sigma_colim, "_comparison", materialised_comparison)
+    for s, limit in rows:
+        if limit < _sieve_reports([s])[0][1]:
+            assert _sieve_reports([s], limit)[0][0][0] == "inconclusive"
+
+
+@given(st.sampled_from(("locally-discrete-site", "tiny-2site")),
+       st.integers(min_value=0, max_value=999))
+@settings(max_examples=150, deadline=None)
+def test_covering_sieves_of_subcanonical_sites_are_sigma_bicolimits(
+        profile, seed):
+    """The paper's main theorem on generated sites: every covering sieve
+    of a subcanonical bitopology presents its target as the
+    sigma-bicolimit of its elements."""
+    tau = load_data(generate(seed, profile)).bitopologies["tau"]
+    assume(is_subcanonical(tau.k, tau, Budget()).ok)
+    for c in sorted(tau.k.objects):
+        for s in tau.sieves_on(c):
+            r = is_sigma_bicolim_bisieve(s, Budget())
+            assert r.ok, (c, r.details, r.witness)

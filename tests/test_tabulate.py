@@ -9,6 +9,7 @@ shared one tabulation routine.
 import hashlib
 import random
 
+from bistack import descent
 from bistack.builders import chain_suspension
 from bistack.descent import descent_category, is_stack_catvalued, \
     is_subcanonical
@@ -18,11 +19,11 @@ from bistack.generate import _random_poset_cat, generate
 from bistack.report import Budget
 from bistack.sieves import Bisieve, build_bisieve, maximal_bisieve, \
     pullback_sieve, representable
-from bistack.sigma_colim import is_sigma_bicolim_bisieve, \
-    sigma_cocone_category, universal_cocone
+from bistack.sigma_colim import is_sigma_bicolim_bisieve, universal_cocone
 from bistack.two_cat import from_fincat, iso_comma_in_cat
 from bistack.workspace import corpus_names, corpus_path, load, load_data
 
+from sigma_oracles import sigma_cocone_category
 from test_two_cat import split_idempotent_2cat
 
 
@@ -171,12 +172,53 @@ def _reports():
     return out
 
 
-# recorded before the four builders were rebuilt on tabulate
-_REPORTS_PINNED = ("5808c2a9bc8451e3e0ea665e013d33e8"
-                   "3eb0f77a45293dc2e385d33d3972a9e8")
+# (verdict, details, witness) of each report, recorded while the sigma
+# check still tabulated the whole cocone category
+_REPORTS_PINNED = ("8f04d9343f4ac83dfae0dfe9e7842d66"
+                   "8d36f05c29e2bcd97a1187c4d3bfbb12")
+
+# the steps of each report, re-recorded when the sigma check stopped
+# building the cocone morphisms that its equivalence test never reads
+_STEPS_PINNED = ("eebf8550753248f36248d66b1f9ef5dd"
+                 "be90e42bf07ad8773f7cf9186d895cad")
 
 
 def test_subcanonical_stack_and_sigma_reports_are_pinned():
     rows = _reports()
     assert {v for v, _, _, _ in rows} == {"pass", "fail"}
-    assert _digest(rows) == _REPORTS_PINNED
+    assert _digest([row[:3] for row in rows]) == _REPORTS_PINNED
+
+
+def test_subcanonical_stack_and_sigma_steps_are_pinned():
+    assert _digest([row[3] for row in _reports()]) == _STEPS_PINNED
+
+
+def test_catvalued_checks_do_not_see_the_drawn_path(monkeypatch):
+    """descent_category draws its pseudonatural transformations and their
+    modifications from typed pools (all_functors, all_nat_trans), so it
+    checks them with drawn=True, skipping typing that spends no steps.
+    With every candidate typed in full, the reports and steps of the
+    Cat-valued checks and the descent categories stay the same, and each
+    checker sees the same candidates with the same verdicts."""
+    mode = {"drawn": True}
+    seen = []
+    for name in ("check_ps_nat", "check_modification"):
+        def hook(x, budget=None, drawn=False, name=name,
+                 check=getattr(descent, name)):
+            r = check(x, budget, drawn=drawn and mode["drawn"])
+            seen.append((name, drawn, x.key(), r.verdict))
+            return r
+        monkeypatch.setattr(descent, name, hook)
+
+    def run():
+        seen.clear()
+        return (_reports(), [(cat.key(), steps) for name, cat, steps
+                             in _built() if name == "descent"], list(seen))
+
+    drawn = run()
+    assert {name for name, *_ in drawn[-1]} == {"check_ps_nat",
+                                                 "check_modification"}
+    assert {was_drawn for _, was_drawn, _, _ in drawn[-1]} == {True}
+    assert {verdict for *_, verdict in drawn[-1]} == {"pass", "fail"}
+    mode["drawn"] = False
+    assert run() == drawn
