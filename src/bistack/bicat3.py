@@ -43,7 +43,7 @@ comparison cells (the strict, identity and induced constructors) gets
 the identity on each cell's target (``_identities``).  ``PsTwoFunctor``
 and ``PsTwoNatTrans`` fill their defaults at construction, since every
 composite reads them.  ``TrihomData``, ``Tritransformation`` and
-``Trimodification`` fill each table on its first read (``_FirstRead``),
+``Trimodification`` fill each table on its first read (``_first_read``),
 so that a table that no check reads is never built.
 
 Each checker that the enumerators of ``descent`` call on the candidates
@@ -62,7 +62,7 @@ searches on a transformation's square components replayed from the
 values' memo.  So ``steps`` do not depend on ``drawn`` either.
 """
 
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from types import MappingProxyType
 
@@ -136,26 +136,15 @@ def _identities(families):
                    for slot, cells in families)
 
 
-class _FirstRead:
-    """A comparison table that the constructor was not given.  On its
-    first read it is filled with ``_identities`` of the families that
-    declare(structure) lists for it, and kept as the structure's own
-    attribute, which later reads and writes then reach directly."""
-
-    def __init__(self, declare):
-        self.declare = declare
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        families = (family for family in self.declare(obj)
-                    if family[0][0] == self.name)
-        table = _identities(families).get(self.name, {})
-        setattr(obj, self.name, table)
-        return table
+def _first_read(name, declare):
+    """A comparison table that the constructor was not given, as a
+    ``cached_property``: its first read fills it with ``_identities`` of
+    the families that declare(structure) lists for it and keeps it as the
+    structure's own attribute, which a constructor may also set."""
+    def table(obj):
+        return _identities(family for family in declare(obj)
+                           if family[0][0] == name).get(name, {})
+    return cached_property(table)
 
 
 # --- pseudofunctors between strict 2-categories ---------------------------
@@ -517,9 +506,9 @@ class TrihomData:
     built on first read (``_trihom_cells``).
     """
 
-    omega = _FirstRead(lambda t: _trihom_cells(t))
-    delta_hat = _FirstRead(lambda t: _trihom_cells(t))
-    gamma_hat = _FirstRead(lambda t: _trihom_cells(t))
+    omega = _first_read("omega", lambda t: _trihom_cells(t))
+    delta_hat = _first_read("delta_hat", lambda t: _trihom_cells(t))
+    gamma_hat = _first_read("gamma_hat", lambda t: _trihom_cells(t))
 
     def __init__(self, base, ob, on1, on2, chi, iota):
         self.base = base
@@ -790,10 +779,10 @@ class Tritransformation:
     and gamma[C]: per-object comparison 2-cells, by default the identities
     on their targets, built on first read (``_tritrans_cells``)."""
 
-    beta = _FirstRead(lambda t: _tritrans_cells(t.dom, t.cod, t.comp,
-                                                t.square))
-    gamma = _FirstRead(lambda t: _tritrans_cells(t.dom, t.cod, t.comp,
-                                                 t.square))
+    beta = _first_read("beta", lambda t: _tritrans_cells(t.dom, t.cod,
+                                                         t.comp, t.square))
+    gamma = _first_read("gamma", lambda t: _tritrans_cells(t.dom, t.cod,
+                                                           t.comp, t.square))
 
     def __init__(self, dom, cod, comp, square, beta=None, gamma=None):
         self.dom = dom
@@ -1123,7 +1112,7 @@ class Trimodification:
     comparison 2-cells for the square displays, by default the identities
     on their targets, built on first read (``_trimod_cells``)."""
 
-    cell = _FirstRead(lambda m: _trimod_cells(m.dom, m.cod, m.comp))
+    cell = _first_read("cell", lambda m: _trimod_cells(m.dom, m.cod, m.comp))
 
     def __init__(self, dom, cod, comp, cell=None):
         self.dom = dom

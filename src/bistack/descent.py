@@ -77,9 +77,8 @@ datum's typing spends steps, one per phi and per beta, rho2 and alpha
 cell; a drawn weak datum spends them as one bulk tick
 (``_weak_typing_ticks``, memoised per sieve).  ``descent_category`` draws
 its pseudonatural transformations and modifications from
-``fincat.all_functors`` and ``all_nat_trans``, so it calls
-``two_cat.check_ps_nat`` and ``check_modification`` with ``drawn=True``
-too; their typing spends no steps.
+``fincat.all_functors`` and ``all_nat_trans``, and ``two_cat.check_ps_nat``
+and ``check_modification`` test only their displays.
 """
 
 from collections import Counter
@@ -1193,7 +1192,7 @@ def descent_category(F, s, budget=None):
     for (comp,) in choices(budget, functors):
         for (cells,) in choices(budget, iso_cells(comp)):
             cand = PsNatTrans(R, F, comp, cells)
-            if check_ps_nat(cand, budget, drawn=True).ok:
+            if check_ps_nat(cand, budget).ok:
                 nats.append(cand)
     objects = {"a%d" % i: t for i, t in enumerate(nats)}
     arrows = {}
@@ -1203,7 +1202,7 @@ def descent_category(F, s, budget=None):
                      for d in obs)
             for (comp,) in choices(budget, comps):
                 m = CatModification(t, t2, comp)
-                if check_modification(m, budget, drawn=True).ok:
+                if check_modification(m, budget).ok:
                     arrows["m%d" % len(arrows)] = (a, b, m.key())
 
     def identity(t):

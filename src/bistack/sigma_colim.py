@@ -8,14 +8,15 @@ out of the apex and the category of cocones.
 
 That equivalence is decided without tabulating the category of cocones.
 The cocones on a test object are enumerated and named ``cc%d`` in sorted
-order, and the modifications between two of them (``cocone_morphisms``)
+order (``_cocone_name``), and the modifications between two of them (``cocone_morphisms``)
 are built on first read, only for the pairs that the tests of
 ``fincat.is_equivalence`` read in its order: a cocone outside the image
 against the images, for essential surjectivity (a cocone in the image is
 reached by an identity), and the images of every two 1-cells, for
 fullness and faithfulness.  The modifications of the other pairs are
 counted only when a fullness failure needs the name ``md%d`` that the
-tabulated category would give its witness.  So verdicts, details and
+tabulated category would give its witness (``_modification_name``, which
+the tabulating test oracle names its arrows with too).  So verdicts, details and
 witnesses are those of ``is_equivalence`` over the tabulated category;
 the steps are those of the modifications built.
 """
@@ -346,8 +347,9 @@ def _comparison(d, mu, u, budget):
         budget.tick()
         if j not in images and not any(isomorphic(i, j) for i in images):
             return failed("is_equivalence",
-                          ["object 'cc%d' not in the essential image" % j],
-                          {"object": "cc%d" % j,
+                          ["object %r not in the essential image"
+                           % _cocone_name(j)],
+                          {"object": _cocone_name(j),
                            "reason": "essential surjectivity"}), n
     for a in hom.objects:
         for b in hom.objects:
@@ -358,11 +360,10 @@ def _comparison(d, mu, u, budget):
             missing = [i for i, m in enumerate(between(*pair))
                        if m not in image]
             if missing:
-                # the tabulated category names the modifications md0, ...
-                # pair by pair, and lists a hom-set in name order
+                # FinCat.hom lists a hom-set in name order
                 first = sum(len(between(i, j)) for i in range(n)
                             for j in range(n) if (i, j) < pair)
-                g = min("md%d" % (first + i) for i in missing)
+                g = min(_modification_name(first, i) for i in missing)
                 return failed("is_equivalence",
                               ["%r has no preimage in hom(%r, %r)"
                                % (g, a, b)],
@@ -377,6 +378,19 @@ def _comparison(d, mu, u, budget):
                                    "reason": "faithfulness"}), n
                 seen[m] = f
     return passed("is_equivalence"), n
+
+
+def _cocone_name(i):
+    """The name of the i-th cocone on a test object, in sorted order."""
+    return "cc%d" % i
+
+
+def _modification_name(first, i):
+    """The name of the i-th modification between a pair of cocones, when
+    the pairs before it, in the order of their names, have first
+    modifications in all: the category of cocones numbers them pair by
+    pair."""
+    return "md%d" % (first + i)
 
 
 def _identity(k, cc):

@@ -835,30 +835,16 @@ class PsNatTrans:
                 tuple(sorted((f, v.key()) for f, v in self.cells.items())))
 
 
-def check_ps_nat(t, budget=None, drawn=False):
-    """Typing: the components and structure cells.  Displays: 2-cell
-    naturality, composition and unit coherence.  A drawn candidate, whose
-    components are functors and whose structure cells invertible natural
-    transformations of the right boundaries, is tested on its displays
-    alone; the typing spends no steps."""
+def check_ps_nat(t, budget=None):
+    """The displays of a pseudonatural transformation: 2-cell naturality,
+    composition and unit coherence.  The transformation is taken as
+    typed, its components functors F(C) -> G(C) and its structure cells
+    invertible natural transformations of the right boundaries, as
+    ``descent.descent_category`` draws them from ``fincat.all_functors``
+    and ``all_nat_trans``; the typing is not checked."""
     budget = budget or Budget()
     F, G = t.dom, t.cod
     k = F.base
-    for c in () if drawn else k.objects:
-        fun = t.comp.get(c)
-        if fun is None or fun.dom != F.ob[c] or fun.cod != G.ob[c] \
-                or not check_functor(fun).ok:
-            return failed("check_ps_nat", ["bad component at %r" % c],
-                          {"object": c})
-    for f, (d, c) in () if drawn else k.onecells.items():
-        cell = t.cells.get(f)
-        if cell is None \
-                or cell.dom != compose_functors(t.comp[d], F.on1[f]) \
-                or cell.cod != compose_functors(G.on1[f], t.comp[c]) \
-                or not check_nat(cell).ok \
-                or not all(G.ob[d].is_iso(m) for m in cell.comp.values()):
-            return failed("check_ps_nat", ["bad structure cell at %r" % f],
-                          {"onecell": f})
     for x, (f, f2) in k.twocells.items():
         d, c = k.onecells[f]
         for X in F.ob[c].objects:
@@ -913,21 +899,16 @@ class CatModification:
         return tuple(sorted((c, v.key()) for c, v in self.comp.items()))
 
 
-def check_modification(m, budget=None, drawn=False):
-    """Typing: the components.  Display: the square at each 1-cell and
-    object.  A drawn candidate, whose components are natural
-    transformations of the right boundaries, is tested on its display
-    alone."""
+def check_modification(m, budget=None):
+    """The display of a modification: the square at each 1-cell and
+    object.  The modification is taken as typed, its components natural
+    transformations of the right boundaries, as
+    ``descent.descent_category`` draws them from ``fincat.all_nat_trans``;
+    the typing is not checked."""
     budget = budget or Budget()
     t, s = m.dom, m.cod
     F, G = t.dom, t.cod
     k = F.base
-    for c in () if drawn else k.objects:
-        nt = m.comp.get(c)
-        if nt is None or nt.dom != t.comp[c] or nt.cod != s.comp[c] \
-                or not check_nat(nt).ok:
-            return failed("check_modification", ["bad component at %r" % c],
-                          {"object": c})
     for f, (d, c) in k.onecells.items():
         for X in F.ob[c].objects:
             budget.tick()

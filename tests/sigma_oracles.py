@@ -10,8 +10,8 @@ whiskered cocones and 2-cells through its arrow index, and
 
 from bistack.fincat import Functor, check_functor, is_equivalence, tabulate
 from bistack.report import Budget, failed, passed
-from bistack.sigma_colim import cocone_morphisms, enumerate_sigma_cocones, \
-    whisker_cocone
+from bistack.sigma_colim import _cocone_name, _modification_name, \
+    cocone_morphisms, enumerate_sigma_cocones, whisker_cocone
 
 
 def sigma_cocone_category(d, u, budget=None):
@@ -19,13 +19,14 @@ def sigma_cocone_category(d, u, budget=None):
     name of each cocone, and the arrow index."""
     budget = budget or Budget()
     k = d.k
-    cocones = {"cc%d" % i: cc
+    cocones = {_cocone_name(i): cc
                for i, cc in enumerate(enumerate_sigma_cocones(d, u, budget))}
     arrows = {}
     for a, ca in cocones.items():
         for b, cb in cocones.items():
-            for mu in cocone_morphisms(d, ca, cb, budget):
-                arrows["md%d" % len(arrows)] = (a, b, mu)
+            first = len(arrows)
+            for i, mu in enumerate(cocone_morphisms(d, ca, cb, budget)):
+                arrows[_modification_name(first, i)] = (a, b, mu)
 
     def identity(cc):
         return tuple(sorted((s, k.id2(r)) for s, r in cc.legs))

@@ -12,11 +12,12 @@ from bistack.sieves import (Bitopology, build_bisieve, candidate_sieves,
                             inclusion_transformation, maximal_bisieve,
                             pullback_sieve, representable, sieve_equivalence,
                             sieve_presheaf)
-from bistack.two_cat import (check_ps_functor, check_ps_nat,
-                             check_two_category, from_fincat)
+from bistack.two_cat import check_ps_functor, check_two_category, \
+    from_fincat
 from bistack.workspace import corpus_names, corpus_path, load, load_data
 
-from test_two_cat import cospan_with_pullback, split_idempotent_2cat
+from test_two_cat import cospan_with_pullback, split_idempotent_2cat, \
+    typed_check_ps_nat
 
 
 @pytest.fixture
@@ -121,7 +122,7 @@ def test_representable_and_sieve_presheaf_are_pseudofunctors(ksplit):
 
 def test_inclusion_transformation_is_pseudonatural(ksplit):
     s = build_bisieve(ksplit, "A", {"A": {"id_A"}, "B": {"v"}})
-    assert check_ps_nat(inclusion_transformation(s)).ok
+    assert typed_check_ps_nat(inclusion_transformation(s)).ok
 
 
 def test_candidate_sieves_on_walking_arrow(wa2):

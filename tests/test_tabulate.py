@@ -20,11 +20,13 @@ from bistack.report import Budget
 from bistack.sieves import Bisieve, build_bisieve, maximal_bisieve, \
     pullback_sieve, representable
 from bistack.sigma_colim import is_sigma_bicolim_bisieve, universal_cocone
-from bistack.two_cat import from_fincat, iso_comma_in_cat
+from bistack.two_cat import check_modification, check_ps_nat, \
+    from_fincat, iso_comma_in_cat
 from bistack.workspace import corpus_names, corpus_path, load, load_data
 
 from sigma_oracles import sigma_cocone_category
-from test_two_cat import split_idempotent_2cat
+from test_two_cat import split_idempotent_2cat, typed_check_modification, \
+    typed_check_ps_nat
 
 
 def _digest(x):
@@ -150,10 +152,10 @@ def _docs():
             yield load_data(generate(seed, profile))
 
 
-def _reported(fn, *args):
+def _reported(kind, fn, *args):
     budget = Budget()
     r = fn(*args, budget)
-    return r.verdict, r.details, r.witness, budget.steps
+    return kind, r.verdict, r.details, r.witness, budget.steps
 
 
 def _reports():
@@ -161,13 +163,13 @@ def _reports():
     for doc in _docs():
         for _, tau in sorted(doc.bitopologies.items()):
             k = tau.k
-            out.append(_reported(is_subcanonical, k, tau))
+            out.append(_reported("subcanonical", is_subcanonical, k, tau))
             presheaves = [representable(k, c) for c in sorted(k.objects)]
             presheaves += [F for _, F in sorted(doc.presheaves.items())
                            if F.base is k]
-            out += [_reported(is_stack_catvalued, F, tau)
+            out += [_reported("stack", is_stack_catvalued, F, tau)
                     for F in presheaves]
-        out += [_reported(is_sigma_bicolim_bisieve, s)
+        out += [_reported("sigma", is_sigma_bicolim_bisieve, s)
                 for _, s in sorted(doc.bisieves.items())]
     return out
 
@@ -177,36 +179,49 @@ def _reports():
 _REPORTS_PINNED = ("8f04d9343f4ac83dfae0dfe9e7842d66"
                    "8d36f05c29e2bcd97a1187c4d3bfbb12")
 
-# the steps of each report, re-recorded when the sigma check stopped
+# the steps of each subcanonical and stack report, recorded at the same
+# time
+_CATVALUED_STEPS_PINNED = ("e4eebd2270af8b2521b3568634dc3dad"
+                           "3ffaacb1dd9ef98c277a076979e69be4")
+
+# the steps of each sigma report, re-recorded when the sigma check stopped
 # building the cocone morphisms that its equivalence test never reads
-_STEPS_PINNED = ("eebf8550753248f36248d66b1f9ef5dd"
-                 "be90e42bf07ad8773f7cf9186d895cad")
+_SIGMA_STEPS_PINNED = ("f879c3ff7f5cca422abc0270eab58b32"
+                       "7375516e2ff9178fe2cf98295b77e10d")
 
 
 def test_subcanonical_stack_and_sigma_reports_are_pinned():
     rows = _reports()
-    assert {v for v, _, _, _ in rows} == {"pass", "fail"}
-    assert _digest([row[:3] for row in rows]) == _REPORTS_PINNED
+    assert {row[1] for row in rows} == {"pass", "fail"}
+    assert _digest([row[1:4] for row in rows]) == _REPORTS_PINNED
 
 
-def test_subcanonical_stack_and_sigma_steps_are_pinned():
-    assert _digest([row[3] for row in _reports()]) == _STEPS_PINNED
+def test_subcanonical_and_stack_steps_are_pinned():
+    assert _digest([row[4] for row in _reports()
+                    if row[0] != "sigma"]) == _CATVALUED_STEPS_PINNED
+
+
+def test_sigma_steps_are_pinned():
+    assert _digest([row[4] for row in _reports()
+                    if row[0] == "sigma"]) == _SIGMA_STEPS_PINNED
 
 
 def test_catvalued_checks_do_not_see_the_drawn_path(monkeypatch):
     """descent_category draws its pseudonatural transformations and their
-    modifications from typed pools (all_functors, all_nat_trans), so it
-    checks them with drawn=True, skipping typing that spends no steps.
-    With every candidate typed in full, the reports and steps of the
-    Cat-valued checks and the descent categories stay the same, and each
-    checker sees the same candidates with the same verdicts."""
-    mode = {"drawn": True}
+    modifications from typed pools (all_functors, all_nat_trans), and
+    check_ps_nat and check_modification test only their displays.  With
+    every candidate typed first (the typed oracles), the reports and steps
+    of the Cat-valued checks and the descent categories stay the same, and
+    each check sees the same candidates with the same verdicts."""
+    checks = {"check_ps_nat": [check_ps_nat, typed_check_ps_nat],
+              "check_modification": [check_modification,
+                                     typed_check_modification]}
+    typed = {"on": False}
     seen = []
-    for name in ("check_ps_nat", "check_modification"):
-        def hook(x, budget=None, drawn=False, name=name,
-                 check=getattr(descent, name)):
-            r = check(x, budget, drawn=drawn and mode["drawn"])
-            seen.append((name, drawn, x.key(), r.verdict))
+    for name, pair in checks.items():
+        def hook(x, budget=None, name=name, pair=pair):
+            r = pair[typed["on"]](x, budget)
+            seen.append((name, x.key(), r.verdict))
             return r
         monkeypatch.setattr(descent, name, hook)
 
@@ -216,9 +231,7 @@ def test_catvalued_checks_do_not_see_the_drawn_path(monkeypatch):
                              in _built() if name == "descent"], list(seen))
 
     drawn = run()
-    assert {name for name, *_ in drawn[-1]} == {"check_ps_nat",
-                                                 "check_modification"}
-    assert {was_drawn for _, was_drawn, _, _ in drawn[-1]} == {True}
-    assert {verdict for *_, verdict in drawn[-1]} == {"pass", "fail"}
-    mode["drawn"] = False
+    assert {name for name, _, _ in drawn[-1]} == set(checks)
+    assert {verdict for _, _, verdict in drawn[-1]} == {"pass", "fail"}
+    typed["on"] = True
     assert run() == drawn

@@ -3,14 +3,56 @@ import pytest
 from bistack.builders import (strict_ps_functor, suspension_two_cat,
                               thin_two_cat)
 from bistack.errors import MalformedTable
-from bistack.fincat import (FinCat, Functor, discrete, identity_functor,
+from bistack.fincat import (FinCat, Functor, check_functor, check_nat,
+                            compose_functors, discrete, identity_functor,
                             walking_arrow)
+from bistack.report import failed
 from bistack.two_cat import (Fin2Cat, PastingScheme, PsNatTrans,
                              CatModification, check_bi_iso_comma,
                              check_modification, check_ps_functor,
                              check_ps_nat, check_two_category, find_iso_comma,
                              from_fincat, iso_comma_in_cat, paste)
 from bistack.fincat import NatTrans
+
+
+# --- typed oracles of the display checks --------------------------------------
+
+def typed_check_ps_nat(t, budget=None):
+    """``check_ps_nat`` after typing the components and structure cells,
+    which ``descent_category``'s candidates have by construction; the
+    typing spends no steps."""
+    F, G = t.dom, t.cod
+    k = F.base
+    for c in k.objects:
+        fun = t.comp.get(c)
+        if fun is None or fun.dom != F.ob[c] or fun.cod != G.ob[c] \
+                or not check_functor(fun).ok:
+            return failed("check_ps_nat", ["bad component at %r" % c],
+                          {"object": c})
+    for f, (d, c) in k.onecells.items():
+        cell = t.cells.get(f)
+        if cell is None \
+                or cell.dom != compose_functors(t.comp[d], F.on1[f]) \
+                or cell.cod != compose_functors(G.on1[f], t.comp[c]) \
+                or not check_nat(cell).ok \
+                or not all(G.ob[d].is_iso(m) for m in cell.comp.values()):
+            return failed("check_ps_nat", ["bad structure cell at %r" % f],
+                          {"onecell": f})
+    return check_ps_nat(t, budget)
+
+
+def typed_check_modification(m, budget=None):
+    """``check_modification`` after typing the components, which
+    ``descent_category``'s candidates have by construction; the typing
+    spends no steps."""
+    t, s = m.dom, m.cod
+    for c in t.dom.base.objects:
+        nt = m.comp.get(c)
+        if nt is None or nt.dom != t.comp[c] or nt.cod != s.comp[c] \
+                or not check_nat(nt).ok:
+            return failed("check_modification", ["bad component at %r" % c],
+                          {"object": c})
+    return check_modification(m, budget)
 
 
 def split_idempotent_2cat():
@@ -222,14 +264,14 @@ def test_ps_nat_and_modification_roundtrip():
                                               F.on1[f]))
              for f, (d, c) in F.base.onecells.items()}
     t = PsNatTrans(F, F, comp, cells)
-    assert check_ps_nat(t).ok
+    assert typed_check_ps_nat(t).ok
     m = CatModification(t, t, {c: identity_nat(comp[c])
                                for c in F.base.objects})
-    assert check_modification(m).ok
+    assert typed_check_modification(m).ok
     # corrupt a structure cell: swap a component for a non-commuting one
     wa = F.ob["1"]
     bad_cells = dict(cells)
     bad_cells["id_1"] = NatTrans(cells["id_1"].dom, cells["id_1"].cod,
                                  {"0": "id_0", "1": "a"})
     t2 = PsNatTrans(F, F, comp, bad_cells)
-    assert not check_ps_nat(t2).ok
+    assert not typed_check_ps_nat(t2).ok
