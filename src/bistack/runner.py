@@ -5,6 +5,7 @@ document's declared structures.  Reports are plain dicts, deterministic
 except for the ``elapsed_s`` timing field.
 """
 
+import copy
 import json
 import time
 
@@ -12,7 +13,7 @@ from .descent import is_2stack, is_2stack_direct, is_stack_catvalued, \
     is_subcanonical
 from .errors import ParseError, UnknownCheck
 from .fincat import check_category
-from .report import Budget, guarded
+from .report import Budget, CheckReport, guarded
 from .sieves import check_bisieve, check_bitopology, check_T1, check_T2, \
     check_T3
 from .sigma_colim import is_sigma_bicolim_bisieve
@@ -49,7 +50,13 @@ def _dispatch(doc, name, body, budget):
     if op == "category":
         return check_category(ref("cat"), budget)
     if op == "two_category":
-        return check_two_category(ref("two_cat"), budget)
+        # the report that the loader kept if it checked this 2-category,
+        # under the key that Fin2Cat.memo gives it, with its steps spent
+        # again; a copy, since the memo's report is shared
+        k = ref("two_cat")
+        r = k.recorded("check_two_category", budget, check_two_category, k)
+        return CheckReport(r.name, r.verdict, list(r.details),
+                           copy.deepcopy(r.witness))
     if op == "bisieve":
         return check_bisieve(ref("bisieve"), budget)
     if op == "bitopology":

@@ -15,6 +15,18 @@ from ``Fin2Cat.one_cells_into``, and find the members isomorphic to a
 order of a scan over every 1-cell (id order, or table order where that
 scan read the table), because the order decides which failure is
 reported, which error is raised and where a budget runs out.
+
+Each distinct figure is decided once per 2-category, in the keyed memo
+``Fin2Cat.recorded``, which keeps the steps it spent and spends them again
+on a repeat as one ``tick(n)``, stopping where n single ticks would; a run
+that exhausts its budget records nothing.  ``build_bisieve`` interns its
+sieve by the target and the member sets, in the caller's order of objects
+(the order of the witness tables); ``pullback_sieve`` keeps f*S by
+(``s.key()``, f); and ``sieve_equivalence`` keeps its verdict by
+(``s1.key()``, ``s2.key()``).  The memo keeps its sieves on no 2-category
+and hands out each bound to k (``Bisieve.on``): a sieve refers to its
+2-category, and a memo that held such a sieve would make a cycle that only
+the garbage collector frees.
 """
 
 from types import MappingProxyType
@@ -58,6 +70,17 @@ class Bisieve:
     def key(self):
         return self._key
 
+    def on(self, k):
+        """This sieve on k: a Bisieve that shares the tables, member lists
+        and key, with a memo of its own.  The sieves that k's memo records
+        are on no 2-category (k None), so that the memo holds no reference
+        back to k, and are handed out through this."""
+        s = object.__new__(Bisieve)
+        tables = self.__dict__.copy()
+        tables.update(k=k, _memo={})
+        s.__dict__ = tables
+        return s
+
     def memo(self, fn):
         """fn(self), computed once: for figures derived from the sieve
         alone."""
@@ -81,10 +104,22 @@ class Bisieve:
 def build_bisieve(k, target, members):
     """Assemble a sieve with canonical restriction witnesses.
 
-    Raises MalformedTable when the member family is not closed under
+    Interned in ``k.recorded`` by the target and the member sets in the
+    order of members, which the witness tables follow.  Raises
+    MalformedTable when the member family is not closed under
     precomposition up to invertible 2-cells.
     """
+    return _interned(k, target, members).on(k)
+
+
+def _interned(k, target, members):
+    """build_bisieve's sieve as k's memo keeps it, on no 2-category."""
     members = {d: frozenset(ms) for d, ms in members.items() if ms}
+    return k.recorded(("bisieve", target, tuple(members.items())), Budget(),
+                      _closed_bisieve, k, target, members)
+
+
+def _closed_bisieve(k, target, members, budget):
     for d, ms in members.items():
         for f in ms:
             if k.onecells.get(f) != (d, target):
@@ -105,7 +140,7 @@ def build_bisieve(k, target, members):
                         "not closed: no member isomorphic to %r . %r" % (f, g))
                 tilde[(f, g)] = m
                 sigma[(f, g)] = k.invertible_2cell(m, fg)
-    return Bisieve(k, target, members, tilde, sigma)
+    return Bisieve(None, target, members, tilde, sigma)
 
 
 def _first_iso(k, ms, g):
@@ -177,10 +212,24 @@ def check_bisieve(s, budget=None):
 
 
 def sieve_equivalence(s1, s2, budget=None):
-    """Mutual domination up to invertible 2-cells."""
+    """Mutual domination up to invertible 2-cells.  Recorded in
+    ``s1.k.recorded`` by the two sieves' keys."""
     budget = budget or Budget()
     if s1.k != s2.k or s1.target != s2.target:
         return failed("sieve_equivalence", ["different ambient data"], {})
+    missing = s1.k.recorded(("equivalence", s1.key(), s2.key()), budget,
+                            _unmatched, s1, s2)
+    if missing is None:
+        return passed("sieve_equivalence")
+    f, tag = missing
+    return failed("sieve_equivalence",
+                  ["member %r of the %s sieve has no isomorph" % (f, tag)],
+                  {"member": f, "side": tag})
+
+
+def _unmatched(s1, s2, budget):
+    """The first (member, side) of either sieve with no isomorph in the
+    other, or None."""
     k = s1.k
     for a, b, tag in ((s1, s2, "first"), (s2, s1, "second")):
         for d, f in a.all_members():
@@ -191,16 +240,18 @@ def sieve_equivalence(s1, s2, budget=None):
             else:
                 found = not isos.isdisjoint(b.members.get(d, ()))
             if not found:
-                return failed(
-                    "sieve_equivalence",
-                    ["member %r of the %s sieve has no isomorph" % (f, tag)],
-                    {"member": f, "side": tag})
-    return passed("sieve_equivalence")
+                return f, tag
+    return None
 
 
 def pullback_sieve(s, f, budget=None):
-    """The sieve f*S: 1-cells g with f.g isomorphic to a member."""
-    budget = budget or Budget()
+    """The sieve f*S: 1-cells g with f.g isomorphic to a member.
+    Recorded in ``s.k.recorded`` by the sieve's key and f."""
+    return s.k.recorded(("pullback", s.key(), f), budget or Budget(),
+                        _pullback, s, f).on(s.k)
+
+
+def _pullback(s, f, budget):
     k = s.k
     d, c = k.onecells[f]
     if c != s.target:
@@ -210,7 +261,7 @@ def pullback_sieve(s, f, budget=None):
         budget.tick()
         if _first_iso(k, s.members.get(e), k.c1(f, g)) is not None:
             members.setdefault(e, set()).add(g)
-    return build_bisieve(k, d, members)
+    return _interned(k, d, members)
 
 
 # --- the 2-category of elements -----------------------------------------

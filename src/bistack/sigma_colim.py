@@ -433,11 +433,12 @@ def verify_sigma_bicolim(c, d, mu, budget=None):
     details = []
     witness = {}
     verdict = PASS
-    r0 = check_sigma_cocone(d, mu, budget)
-    if not r0.ok:
-        return SigmaColimCertificate(c, FAIL, {}, ["cocone invalid: %s"
-                                                   % r0.details], r0.witness)
     try:
+        r0 = check_sigma_cocone(d, mu, budget)
+        if not r0.ok:
+            return SigmaColimCertificate(c, FAIL, {}, ["cocone invalid: %s"
+                                                       % r0.details],
+                                         r0.witness)
         for u in sorted(k.objects):
             rep, count = _comparison(d, mu, u, budget)
             per_object[u] = rep

@@ -37,9 +37,15 @@ class Fin2Cat:
     ``invertible_2cell`` reads), the iso-neighbour sets ``isos_from`` and
     ``isos_into`` (decided for every pair of 1-cells in the 2-cell
     boundary index, so exact also on tables that fail
-    check_two_category), ``equivalence_data`` (with the ticks it spent,
-    replayed on a repeat), ``equivalent_objects`` and ``hom_cat``; and
-    through ``memo``, figures such as a ``check_two_category`` report.
+    check_two_category), ``equivalent_objects`` and ``hom_cat``.
+
+    ``recorded`` keeps the figures that spend steps, each under a key that
+    names it and whatever it reads besides the tables, with the steps its
+    first computation spent; a repeat spends them again as one
+    ``tick(n)``, which stops where n single ticks would.  Kept there:
+    ``equivalence_data`` (by the 1-cell), the ``check_two_category``
+    report (by the name ``memo`` gives it), and the sieve constructions of
+    ``sieves``: interned sieves, pullbacks and sieve equivalences.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
@@ -63,10 +69,9 @@ class Fin2Cat:
         self._inverse2 = {}
         self._isos = {}
         self._neighbours = None
-        self._equivalences = {}
         self._equivalent = {}
         self._homs = {}
-        self._memo = {}
+        self._recorded = {}
         self._key = None
 
     # --- boundaries ---------------------------------------------------
@@ -261,27 +266,19 @@ class Fin2Cat:
 
     def equivalence_data(self, f, budget=None):
         """(g, unit, counit) with invertible unit: id => g.f and
-        counit: f.g => id, or None.
+        counit: f.g => id, or None.  Recorded per 1-cell."""
+        return self.recorded(("equivalence_data", f), budget or Budget(),
+                             self._equivalence_search, f)
 
-        Memoised with the ticks the search spent: a repeat call spends
-        them as one tick(n), which stops where n single ticks would."""
-        budget = budget or Budget()
-        if f in self._equivalences:
-            data, ticks = self._equivalences[f]
-            budget.tick(ticks)
-            return data
+    def _equivalence_search(self, f, budget):
         a, b = self.onecells[f]
-        data, ticks = None, 0
         for g in self.one_cells_between(b, a):
             budget.tick()
-            ticks += 1
             unit = self.invertible_2cell(self.id1(a), self.c1(g, f))
             counit = self.invertible_2cell(self.c1(f, g), self.id1(b))
             if unit is not None and counit is not None:
-                data = (g, unit, counit)
-                break
-        self._equivalences[f] = data, ticks
-        return data
+                return g, unit, counit
+        return None
 
     def is_equivalence_1cell(self, f, budget=None):
         return self.equivalence_data(f, budget) is not None
@@ -295,12 +292,31 @@ class Fin2Cat:
                 for f in self.one_cells_between(a, b))
         return known
 
+    def recorded(self, key, budget, fn, *args):
+        """fn(*args, budget), computed once per key with the steps it
+        spent: a repeat spends them as one ``budget.tick(n)``, which stops
+        where n single ticks would.  A call that raises, budget exhaustion
+        included, records nothing.  The key must name the figure and
+        everything fn reads besides these tables, and the value must not
+        be changed by a caller."""
+        hit = self._recorded.get(key)
+        if hit is None:
+            start = budget.steps
+            value = fn(*args, budget)
+            self._recorded[key] = value, budget.steps - start
+            return value
+        budget.tick(hit[1])
+        return hit[0]
+
     def memo(self, fn, compute=True):
-        """fn(self), computed once: for figures derived from the tables
-        alone.  With compute false, None unless computed before."""
-        if compute and fn not in self._memo:
-            self._memo[fn] = fn(self)
-        return self._memo.get(fn)
+        """fn(self, budget) under an unlimited budget, recorded under fn's
+        name: for figures derived from the tables alone, such as a
+        ``check_two_category`` report.  With compute false, None unless
+        recorded before."""
+        if compute:
+            return self.recorded(fn.__name__, Budget(), fn, self)
+        hit = self._recorded.get(fn.__name__)
+        return None if hit is None else hit[0]
 
     def key(self):
         if self._key is None:

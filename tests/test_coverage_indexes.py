@@ -212,7 +212,11 @@ def _run(fn, args, limit):
 def test_indexed_checks_match_the_nested_loop_oracles(data):
     """The same verdict, details, witness and steps, or the same exception
     type and message, on generated sites with shuffled tables, at most one
-    corrupted cell, spoiled sieves and budget limits."""
+    corrupted cell, spoiled sieves and budget limits.  Each case runs twice
+    on one instance, so that the second call reads what the 2-category's
+    memo recorded in the first; and once more on a third instance after an
+    unlimited run, under a smaller limit than that run spent, where a
+    recorded figure must stop at the oracle's step."""
     site = _site(data.draw(st.sampled_from(_PROFILES)),
                  data.draw(st.integers(0, 79)))
     objects, tables, sieves, covering = site
@@ -222,6 +226,8 @@ def test_indexed_checks_match_the_nested_loop_oracles(data):
     spoil = {n: _draw_spoiling(data, objects, s) for n, s in sieves.items()}
     limit = data.draw(st.one_of(st.none(), st.integers(0, 50),
                                 st.integers(0, 2000)))
+    # the smaller limit, as a share of the steps of the unlimited run
+    share = data.draw(st.sampled_from((0.0, 0.3, 0.7, 0.99)))
 
     def instance():
         """Built afresh for each side, so that no memo is shared."""
@@ -232,9 +238,14 @@ def test_indexed_checks_match_the_nested_loop_oracles(data):
         return k, built, Bitopology(k, {c: [built[n] for n in ns]
                                         for c, ns in covering.items()})
 
-    oracle, indexed = instance(), instance()
+    oracle, indexed, warmed = instance(), instance(), instance()
     for name, args in _cases(objects, tables["onecells"], sieves):
         fn = getattr(sieves_module if hasattr(sieves_module, name)
                      else two_cat, name)
-        want = _run(getattr(coverage_oracles, name), args(*oracle), limit)
+        check = getattr(coverage_oracles, name)
+        want = _run(check, args(*oracle), limit)
         assert _run(fn, args(*indexed), limit) == want, name
+        assert _run(fn, args(*indexed), limit) == want, (name, "repeat")
+        smaller = int(_run(fn, args(*warmed), None)[-1] * share)
+        assert _run(fn, args(*warmed), smaller) \
+            == _run(check, args(*oracle), smaller), (name, smaller)

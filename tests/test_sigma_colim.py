@@ -265,6 +265,18 @@ def test_certificate_report_shape(wa2):
     assert all(v == "pass" for v in rep.witness["per_object"].values())
 
 
+
+@pytest.mark.parametrize("limit", [0, 1, 3])
+def test_budget_exhausted_while_checking_the_cocone_is_inconclusive(
+        wa2, limit):
+    """A budget that runs out in the cocone check, before any comparison,
+    gives an inconclusive certificate, as one that runs out later does."""
+    rep = is_sigma_bicolim_bisieve(maximal_bisieve(wa2, "1"), Budget(limit))
+    assert rep.verdict == "inconclusive"
+    assert rep.details == ["budget exhausted after %d steps" % (limit + 1)]
+    assert rep.witness == {"steps": limit + 1, "per_object": {}}
+
+
 # --- the direct decision against the tabulated category -----------------------
 
 def _groupoid(objects, order):
