@@ -22,8 +22,8 @@ vertical-composition, naturality, associativity and unit equations of
 equations of ``check_ps_two_nat``, the square of ``check_two_modification``, the
 associativity and unit displays of ``check_tritransformation``, the
 composition and unit axioms of ``check_trimodification`` and the square
-axiom of ``check_perturbation``.  The budget is spent exactly as the
-skipped loops would spend it, so ``steps`` do not depend on the shortcut.
+axiom of ``check_perturbation``.  A skipped equation spends no step, since
+a step is work done (see ``report.Budget``).
 
 Each structure declares its comparison 2-cells once, with their
 boundaries: ``_ps_two_functor_cells`` (chi, unit), ``_ps_two_nat_cells``
@@ -52,14 +52,7 @@ image, component, sub-structure and declared cell against its boundary;
 the displays are every test that a candidate drawn from typed pools can
 still fail: identity 2-cells preserved, naturality of the squares in base
 2-cells, the coherence and square axioms.  Called with ``drawn=True``, a
-checker runs its displays alone.  Its typing would spend steps only where
-it checks a sub-structure in full or ticks per comparison cell (the
-components and squares of a transformation, the components of a
-modification, their comparison cells); a drawn candidate spends those as
-bulk ticks at the same places, counted once per trihom (``_tritrans_ticks``
-and ``_trimod_ticks`` through ``TrihomData.memo``), with the equivalence
-searches on a transformation's square components replayed from the
-values' memo.  So ``steps`` do not depend on ``drawn`` either.
+checker runs its displays alone, and the typing it skips spends no step.
 """
 
 from functools import cached_property, partial
@@ -243,12 +236,6 @@ def _ps_two_functor_images(h):
     return None
 
 
-def _ps_two_functor_ticks(d):
-    """The steps that checking a valid pseudofunctor out of d spends."""
-    return (len(d.vcomp) + len(d.hcomp2) + len(d.composable_triples())
-            + len(d.onecells))
-
-
 def check_ps_two_functor(h, budget=None, drawn=False):
     """Typing: the images, then (after the first two displays) the
     compositor and unitor cells.  Displays: identity 2-cells and vertical
@@ -265,15 +252,12 @@ def check_ps_two_functor(h, budget=None, drawn=False):
                           ["identity 2-cell not preserved at %r" % f],
                           {"onecell": f})
     thin = c.locally_thin()
-    if thin:
-        budget.tick(len(d.vcomp))
-    else:
-        for (b, a), v in d.vcomp.items():
-            budget.tick()
-            if h.on2[v] != c.v(h.on2[b], h.on2[a]):
-                return failed("check_ps_two_functor",
-                              ["vertical composition not preserved at "
-                               "(%r, %r)" % (b, a)], {"pair": [b, a]})
+    for (b, a), v in () if thin else d.vcomp.items():
+        budget.tick()
+        if h.on2[v] != c.v(h.on2[b], h.on2[a]):
+            return failed("check_ps_two_functor",
+                          ["vertical composition not preserved at "
+                           "(%r, %r)" % (b, a)], {"pair": [b, a]})
     bad = None if drawn else \
         _first_mistyped(h, _ps_two_functor_cells(d, c, h.ob, h.on1))
     if bad is not None:
@@ -285,8 +269,6 @@ def check_ps_two_functor(h, budget=None, drawn=False):
         return failed("check_ps_two_functor", ["bad unitor at %r" % x],
                       {"object": x})
     if thin:
-        budget.tick(len(d.hcomp2) + len(d.composable_triples())
-                    + len(d.onecells))
         return passed("check_ps_two_functor")
     # naturality of the compositor in both arguments
     for (b2, b), vb in d.hcomp2.items():
@@ -371,12 +353,6 @@ def _ps_two_nat_typing(t):
     return None
 
 
-def _ps_two_nat_ticks(d):
-    """The steps that checking a valid transformation between
-    pseudofunctors out of d spends."""
-    return len(d.twocells) + len(d.hcomp1) + len(d.objects)
-
-
 def check_ps_two_nat(t, budget=None, drawn=False):
     """Typing: the components and structure cells.  Displays: 2-cell
     naturality, composition and unit coherence.  A drawn candidate is
@@ -388,7 +364,6 @@ def check_ps_two_nat(t, budget=None, drawn=False):
     if bad is not None:
         return bad
     if c.locally_thin():
-        budget.tick(_ps_two_nat_ticks(g.dom))
         return passed("check_ps_two_nat")
     for al, (a, a2) in g.dom.twocells.items():
         x, y = g.dom.onecells[a]
@@ -443,7 +418,6 @@ def check_two_modification(m, budget=None, drawn=False):
             return failed("check_two_modification",
                           ["bad component at %r" % x], {"object": x})
     if c.locally_thin():
-        budget.tick(len(g.dom.onecells))
         return passed("check_two_modification")
     for a, (x, y) in g.dom.onecells.items():
         budget.tick()
@@ -869,45 +843,17 @@ def _tritrans_typing(t, budget):
     return None
 
 
-def _tritrans_ticks(R):
-    """The steps that typing a valid transformation out of R spends, but
-    for its square components' equivalence searches: on the components and
-    squares, and on the composition comparisons.  Read through R.memo."""
-    k = R.base
-    squares = sum(_ps_two_nat_ticks(R.ob[c]) + len(R.ob[c].objects)
-                  for _, c in k.onecells.values())
-    return (sum(_ps_two_functor_ticks(R.ob[c]) for c in k.objects)
-            + squares,
-            sum(len(R.ob[k.tgt1(f)].objects) for f, _ in k.hcomp1))
-
-
-def _equivalence_ticks(t):
-    """The steps of the equivalence searches on t's square components,
-    replayed from the values' memo."""
-    k = t.dom.base
-    spent = Budget()
-    for f, (d, _) in k.onecells.items():
-        for comp1 in t.square[f].comp.values():
-            t.cod.ob[d].equivalence_data(comp1, spent)
-    return spent.steps
-
-
 def check_tritransformation(t, budget=None, drawn=False):
     """Typing: the components and squares, then (after the squares'
     naturality in base 2-cells) the comparison cells.  Displays: that
     naturality, then the associativity and unit axioms.  A drawn candidate
-    is tested on its displays alone, and spends the typing's steps in two
-    bulk ticks at the places where the typing would spend them."""
+    is tested on its displays alone."""
     budget = budget or Budget()
     R, F = t.dom, t.cod
     k = R.base
-    if drawn:
-        squares, betas = R.memo(_tritrans_ticks)
-        budget.tick(squares + _equivalence_ticks(t))
-    else:
-        bad = _tritrans_typing(t, budget)
-        if bad is not None:
-            return bad
+    bad = None if drawn else _tritrans_typing(t, budget)
+    if bad is not None:
+        return bad
     # squares are natural in base 2-cells: the two whiskered composites
     # around each delta: f => g agree componentwise (strict setting)
     for delta, (f, g) in k.twocells.items():
@@ -925,12 +871,9 @@ def check_tritransformation(t, budget=None, drawn=False):
                                % (delta, x)],
                               {"twocell": delta, "object": x})
     # comparison 2-cell boundaries
-    if drawn:
-        budget.tick(betas)
-        bad = None
-    else:
-        bad = _first_mistyped(t, _tritrans_cells(R, F, t.comp, t.square),
-                              budget, ("beta",))
+    bad = None if drawn else \
+        _first_mistyped(t, _tritrans_cells(R, F, t.comp, t.square), budget,
+                        ("beta",))
     if bad is not None:
         table, key, x = bad
         beta = table == "beta"
@@ -968,7 +911,6 @@ def _tritrans_assoc_axiom(t, budget):
                 fgh = k.c1(f, gh)
                 val_l = F.ob[l]
                 if val_l.locally_thin():
-                    budget.tick(4 * len(R.ob[c].objects))
                     continue
                 thC, thE, thL = t.comp[c], t.comp[e], t.comp[l]
                 for x in R.ob[c].objects:
@@ -1044,7 +986,6 @@ def _tritrans_unit_axioms(t, budget):
         id_d, id_c = k.id1(d), k.id1(c)
         val_d = F.ob[d]
         if val_d.locally_thin():
-            budget.tick(2 * len(R.ob[c].objects))
             continue
         thC, thD = t.comp[c], t.comp[d]
         for x in R.ob[c].objects:
@@ -1177,35 +1118,23 @@ def _trimod_typing(m, budget):
     return None
 
 
-def _trimod_ticks(R):
-    """The steps that typing a valid modification between transformations
-    out of R spends.  Read through R.memo."""
-    k = R.base
-    return (sum(_ps_two_nat_ticks(R.ob[c]) for c in k.objects)
-            + sum(len(R.ob[c].objects) for _, c in k.onecells.values()))
-
-
 def check_trimodification(m, budget=None, drawn=False):
     """Typing: the components and square comparisons.  Displays: the
     composition and unit axioms.  A drawn candidate is tested on its
-    displays alone, and spends the typing's steps in one bulk tick."""
+    displays alone."""
     budget = budget or Budget()
     th, ph = m.dom, m.cod
     R, F = th.dom, th.cod
     k = R.base
-    if drawn:
-        budget.tick(R.memo(_trimod_ticks))
-    else:
-        bad = _trimod_typing(m, budget)
-        if bad is not None:
-            return bad
+    bad = None if drawn else _trimod_typing(m, budget)
+    if bad is not None:
+        return bad
     # composition axiom
     for (f, g), fg in k.hcomp1.items():
         d, c = k.onecells[f]
         e = k.onecells[g][0]
         val_e = F.ob[e]
         if val_e.locally_thin():
-            budget.tick(2 * len(R.ob[c].objects))
             continue
         for x in R.ob[c].objects:
             budget.tick(2)
@@ -1247,7 +1176,6 @@ def check_trimodification(m, budget=None, drawn=False):
         id_c = k.id1(c)
         val_c = F.ob[c]
         if val_c.locally_thin():
-            budget.tick(len(R.ob[c].objects))
             continue
         for x in R.ob[c].objects:
             budget.tick()
@@ -1301,7 +1229,6 @@ def check_perturbation(p, budget=None, drawn=False):
     for g, (e, d) in k.onecells.items():
         val_e = F.ob[e]
         if val_e.locally_thin():
-            budget.tick(len(R.ob[d].objects))
             continue
         for x in R.ob[d].objects:
             budget.tick()

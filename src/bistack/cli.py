@@ -15,7 +15,7 @@ from .generate import PROFILES, generate
 from .runner import report_text, replay, run_all, run_check
 from .sieves import check_bisieve, check_bitopology, groth
 from .two_cat import check_two_category
-from .workspace import SCHEMA, load
+from .workspace import SCHEMA, load, located
 from . import runner as _runner
 from . import workspace as _workspace
 
@@ -35,19 +35,19 @@ def _emit(reports, fmt):
             print(report_text(r))
 
 
+_VALIDATED = (("category", "cats", check_category),
+              ("two_category", "two_cats", check_two_category),
+              ("bisieve", "bisieves", check_bisieve),
+              ("bitopology", "bitopologies", check_bitopology))
+
+
 def _cmd_validate(args):
     doc = load(args.file)
     reports = []
-    for n in sorted(doc.cats):
-        reports.append(("category:%s" % n, check_category(doc.cats[n])))
-    for n in sorted(doc.two_cats):
-        reports.append(("two_category:%s" % n,
-                        check_two_category(doc.two_cats[n])))
-    for n in sorted(doc.bisieves):
-        reports.append(("bisieve:%s" % n, check_bisieve(doc.bisieves[n])))
-    for n in sorted(doc.bitopologies):
-        reports.append(("bitopology:%s" % n,
-                        check_bitopology(doc.bitopologies[n])))
+    for label, section, check in _VALIDATED:
+        for n, x in sorted(getattr(doc, section).items()):
+            r = located("%s.%s" % (section, n), label, check, x)
+            reports.append(("%s:%s" % (label, n), r))
     for label, r in reports:
         print("%s: %s" % (label, r.verdict))
         for d in r.details:

@@ -47,10 +47,10 @@ first (``_ddm_boundaries``, ``_wdd_boundaries``, the member cells of a
 matching family, normality and the identity etas), but skip the
 compatibility loops of ``check_matching_family``, the cocycle and phi/eta
 loops of ``check_descent_datum_mor``, ``_wdd_displays``,
-``_weak_gluing_displays`` and ``_gluing_mor_conditions``.  Each skipped
-checker spends the ticks its loops would, at once (``_display_ticks``,
-memoised per sieve).  This rests on valid values: a ``tables`` trihom's
-values and action data are checked when a workspace is loaded.
+``_weak_gluing_displays`` and ``_gluing_mor_conditions``.  A skipped
+loop spends no step, since a step is work done (see ``report.Budget``).
+This rests on valid values: a ``tables`` trihom's values and action data
+are checked when a workspace is loaded.
 
 Both 2-stack searches narrow their object pools by arc consistency
 (``report.narrow``) before they enumerate.  ``is_2stack`` narrows the
@@ -63,8 +63,8 @@ needs a 1-cell under the component, and each square f: d -> c an
 equivalence at x.  Narrowing removes only values that are in no
 solution, since each test is one that every yielded candidate passes, so
 the candidates, witnesses and verdicts are those of the unnarrowed search,
-in the same order.  A step is counted as before, over the narrowed pools;
-narrowing itself spends none.
+in the same order.  Narrowing itself spends no step, and forward checking
+ticks once for each pick of an object that it rejects.
 
 The enumerators draw each piece of a candidate from a typed pool, so
 they call its checker with ``drawn=True``: the checker skips the typing
@@ -72,16 +72,13 @@ they call its checker with ``drawn=True``: the checker skips the typing
 ``bicat3`` typing) and tests only the displays.  For a matching family
 those are the compatibility displays, for a morphism datum normality,
 the identity etas, the cocycle and the phi/eta squares, and for a weak
-datum the coherence displays with their connecting isos.  Only the weak
-datum's typing spends steps, one per phi and per beta, rho2 and alpha
-cell; a drawn weak datum spends them as one bulk tick
-(``_weak_typing_ticks``, memoised per sieve).  ``descent_category`` draws
+datum the coherence displays with their connecting isos.  The typing
+that a drawn candidate skips spends no step.  ``descent_category`` draws
 its pseudonatural transformations and modifications from
 ``fincat.all_functors`` and ``all_nat_trans``, and ``two_cat.check_ps_nat``
 and ``check_modification`` test only their displays.
 """
 
-from collections import Counter
 from functools import partial
 
 from .errors import MalformedTable
@@ -147,51 +144,10 @@ _WITNESS = {
 }
 
 
-def _display_ticks(s):
-    """The ticks that the display loops of each checker spend over the
-    sieve s when every display holds, by checker.  They depend on s
-    alone; read them through ``s.memo``."""
-    k = s.k
-
-    def into(d):
-        return len(k.one_cells_into(d))
-
-    cells = tuple(_cells_into(s))
-    legs = tuple(_legs(s))
-    # (D, number of (f3, delta) after gamma) per member 2-cell gamma
-    later = [(d, sum(len(k.two_cells_between(f2, f3))
-                     for f3 in s.member_list(d)))
-             for d, _, f2, _ in _member_two_cells(s)]
-    out_of = Counter(g for g, _ in k.twocells.values())
-    composable = sum(into(e) for _, _, e, _ in cells)
-    vertical = sum(n for _, n in later)
-    return {
-        "matching": len(cells) + len(later),
-        "mor": composable + vertical + sum(into(d) for d, _ in later)
-        + len(legs),
-        "weak": 3 * len(cells) + len(later)
-        + sum(n * into(d) for d, n in later)
-        + sum(out_of[g2] for *_, g2 in legs)
-        + sum(into(e) for d, _ in later for _, e in k.one_cells_into(d))
-        + sum(into(l) for _, _, e, _ in cells
-              for _, l in k.one_cells_into(e)),
-        "gluing": len(s.all_members()) + vertical + len(legs) + composable,
-    }
-
-
 def _thin(F):
     """Is every value of F locally thin?  Then any two parallel 2-cells
     are equal, and every display between well-typed cells holds."""
     return all(val.locally_thin() for val in F.ob.values())
-
-
-def _skipped(F, s, checker, budget):
-    """On locally thin values, spend the ticks of the checker's display
-    loops at once and report True: the loops would find no failure."""
-    if not _thin(F):
-        return False
-    budget.tick(s.memo(_display_ticks)[checker])
-    return True
 
 
 # --- matching families of 2-cells ------------------------------------------
@@ -245,11 +201,10 @@ def check_matching_family(mf, budget=None, drawn=False):
     and conjugation compatibility.  A drawn family is tested on its
     displays alone."""
     budget = budget or Budget()
-    F, s = mf.F, mf.S
     bad = None if drawn else _matching_typing(mf)
     if bad is not None:
         return bad
-    if not _skipped(F, s, "matching", budget):
+    if not _thin(mf.F):
         bad = _matching_displays(mf, budget)
         if bad is not None:
             return bad
@@ -410,7 +365,7 @@ def check_descent_datum_mor(dd, budget=None, drawn=False):
             return failed("check_descent_datum_mor",
                           ["eta at the identity 2-cell of %r is not the "
                            "identity" % f], {"member": f})
-    if not _skipped(F, s, "mor", budget):
+    if not _thin(F):
         bad = _ddm_displays(dd, budget)
         if bad is not None:
             return bad
@@ -754,30 +709,15 @@ def _wdd_boundaries(wdd, budget):
     return None
 
 
-def _weak_typing_ticks(s):
-    """The ticks that typing a valid weak datum over the sieve s spends:
-    one per phi, and one per beta, rho2 and alpha cell.  Read through
-    ``s.memo``."""
-    k = s.k
-    cells = tuple(_cells_into(s))
-    return (len(cells)
-            + sum(len(k.one_cells_into(e)) for _, _, e, _ in cells)
-            + sum(len(k.one_cells_into(d)) for d, *_ in _member_two_cells(s))
-            + len(tuple(_legs(s))))
-
-
 def check_weak_descent_datum(wdd, budget=None, drawn=False):
     """Typing: the objects, transitions, phis with their pseudo-inverses,
     and comparison cells.  Displays: the coherence displays, quantified
     over the connecting isos.  A drawn datum is tested on its displays
-    alone, and spends the typing's steps in one bulk tick."""
+    alone."""
     budget = budget or Budget()
-    if drawn:
-        budget.tick(wdd.S.memo(_weak_typing_ticks))
-    else:
-        bad = _wdd_boundaries(wdd, budget)
-        if bad is not None:
-            return bad
+    bad = None if drawn else _wdd_boundaries(wdd, budget)
+    if bad is not None:
+        return bad
     # the coherence displays, quantified over the connecting isos
     found, last = _wdd_coherences(wdd, budget)
     if not found:
@@ -831,7 +771,7 @@ def _wdd_displays(wdd, u, cc, budget):
     Returns None on success or (message, witness) on the first failure.
     """
     F, s = wdd.F, wdd.S
-    if _skipped(F, s, "weak", budget):
+    if _thin(F):
         return None
     k = s.k
     # identity transition against rho2
@@ -1087,7 +1027,7 @@ def _weak_gluing_cells(wdd, W, psi, u, cc, budget):
 
 def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
     F, s = wdd.F, wdd.S
-    if _skipped(F, s, "gluing", budget):
+    if _thin(F):
         return True
     k = s.k
     # identity transitions

@@ -19,8 +19,11 @@ INCONCLUSIVE = "inconclusive"
 class Budget:
     """A ticking step counter for exhaustive searches.
 
-    tick() raises SearchBudgetExceeded once `limit` steps have been spent.
-    A limit of None never exhausts.
+    A step is work done: one tick per candidate yielded, per constraint
+    test that rejects a partial pick, and per display (a displayed
+    equation or axiom instance) evaluated.  Work that a search skips
+    spends nothing.  tick() raises SearchBudgetExceeded once `limit` steps
+    have been spent.  A limit of None never exhausts.
     """
 
     def __init__(self, limit=None):
@@ -69,11 +72,10 @@ def forward_choices(budget, cells, edges):
     edges an iterable of (x, y, ok) constraints between two cells.  Yields,
     as one dict, each assignment for which every ok(pick at x, pick at y)
     is true, in ``itertools.product`` order.  Each constraint is tested as
-    soon as both its cells are assigned (forward checking), and a rejected
-    partial assignment ticks the budget once for every complete assignment
-    it stands for.  So the ticks, and where the budget runs out, are those
-    of ``choices`` followed by a filter.  The ok tests must not read the
-    budget.
+    soon as both its cells are assigned (forward checking).  The budget
+    ticks once for each pick that some constraint rejects, and once before
+    each assignment yielded, so this never spends more than ``choices``
+    followed by a filter.  The ok tests must not read the budget.
     """
     keys = [cell for cell, _ in cells]
     pools = [pool for _, pool in cells]
@@ -88,10 +90,6 @@ def forward_choices(budget, cells, edges):
     for x, y, ok in edges:
         i, j = level[x], level[y]
         checks[max(i, j)].append((i, j, ok))
-    # below[i]: the complete assignments that one pick at level i leads to
-    below = [1] * len(pools)
-    for i in range(len(pools) - 2, -1, -1):
-        below[i] = below[i + 1] * len(pools[i + 1])
     last = len(pools) - 1
     picks = [None] * len(pools)
     at = [0] * len(pools)
@@ -106,7 +104,7 @@ def forward_choices(budget, cells, edges):
             continue
         picks[i] = pools[i][at[i]]
         if not all(ok(picks[a], picks[b]) for a, b, ok in checks[i]):
-            budget.tick(below[i])
+            budget.tick()
             at[i] += 1
         elif i < last:
             i += 1

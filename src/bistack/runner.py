@@ -18,7 +18,7 @@ from .sieves import check_bisieve, check_bitopology, check_T1, check_T2, \
     check_T3
 from .sigma_colim import is_sigma_bicolim_bisieve
 from .two_cat import check_two_category
-from .workspace import CHECK_REFS, _checked
+from .workspace import CHECK_REFS, _checked, located
 
 REPORT_SCHEMA = "bistack-report/2"
 
@@ -82,14 +82,16 @@ def _dispatch(doc, name, body, budget):
 
 
 def run_check(doc, name, limit=None):
-    """Run one named check; a report dict."""
+    """Run one named check; a report dict.  A check that meets a malformed
+    table is a ParseError located at the check."""
     if name not in doc.checks:
         raise UnknownCheck("no check named %r (have: %s)"
                            % (name, ", ".join(sorted(doc.checks)) or "none"))
     body = doc.checks[name]
     budget = Budget(limit)
     start = time.monotonic()
-    report = guarded(name, budget, _dispatch, doc, name, body, budget)
+    report = located("checks." + name, "an input of op %r" % body["op"],
+                     guarded, name, budget, _dispatch, doc, name, body, budget)
     elapsed = time.monotonic() - start
     return {
         "schema": REPORT_SCHEMA,

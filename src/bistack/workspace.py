@@ -154,15 +154,26 @@ def _encode_bisieve(name_of_two_cat, s):
             "sigma": _dict_to_pairs(s.sigma)}
 
 
+# what a check or a constructor raises on a table that it indexes without
+# typing it, when the table is malformed
+_MALFORMED = (KeyError, TypeError, MalformedTable, BoundaryMismatch)
+
+
+def located(where, what, fn, *args):
+    """fn(*args), with what it raises on a malformed table turned into a
+    ParseError that names where and what."""
+    try:
+        return fn(*args)
+    except _MALFORMED as exc:
+        raise ParseError("%s: %s is malformed (%s: %s)"
+                         % (where, what, type(exc).__name__, exc))
+
+
 def _checked(check, x, what, where):
     """x, refused unless check passes on it, once: x.memo keeps the report.
     A trihom is built by composing in its base and its values, and the
     bicat3 checkers that decide over it assume valid values and data."""
-    try:
-        r = x.memo(check)
-    except (KeyError, TypeError, MalformedTable, BoundaryMismatch) as exc:
-        raise ParseError("%s: %s is malformed (%s: %s)"
-                         % (where, what, type(exc).__name__, exc))
+    r = located(where, what, x.memo, check)
     if not r.ok:
         raise ParseError("%s: %s fails: %s"
                          % (where, what, ": ".join(r.details)))
@@ -218,7 +229,7 @@ def _decode_trihom(body, two_cats, where):
             on2[x] = PsTwoNatTrans(on1[g], on1[g2], _field(tab, "comp", at),
                                    cell)
         t = strict_trihom(k, values, on1, on2)
-    except (KeyError, TypeError, MalformedTable, BoundaryMismatch) as exc:
+    except _MALFORMED as exc:
         raise ParseError("%s: %s" % (where, exc))
     return _checked(check_trihom_data, t, "trihom data", where)
 

@@ -382,7 +382,12 @@ def test_checkers_do_not_see_the_thin_shortcut(ksplit, monkeypatch):
     fast = _outcomes(_ksplit_checks(ksplit))
     monkeypatch.setattr(Fin2Cat, "locally_thin", lambda self: False)
     general = _outcomes(_ksplit_checks(ksplit))
-    assert fast == general
+    # the same reports, for no more steps on any check and fewer in all
+    assert {name: o[:-1] for name, o in fast.items()} \
+        == {name: o[:-1] for name, o in general.items()}
+    assert all(fast[name][-1] <= o[-1] for name, o in general.items())
+    assert sum(o[-1] for o in fast.values()) \
+        < sum(o[-1] for o in general.values())
     verdicts = {name: o[0] for name, o in general.items()}
     assert {verdicts[n] for n in verdicts if n.startswith("bad")
             or n in ("nonfunctorial", "wrong-cell")} == {"fail"}

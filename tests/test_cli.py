@@ -4,8 +4,10 @@ import copy
 import hashlib
 import json
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bistack import cli
 from bistack.builders import chain_suspension
@@ -522,6 +524,40 @@ def test_cli_sigma_bicolim_on_a_malformed_bisieve_is_a_located_input_error(
     assert "Traceback" not in err
 
 
+def _mutant_without_identity2(k):
+    del k["identity2"]["id_B"]
+
+
+def _mutant_with_int_composite(k):
+    k["hcomp1"][4][2] = 0
+
+
+@pytest.mark.parametrize("corrupt, command, code, message", [
+    (_mutant_without_identity2, "run", 3,
+     "checks.T1: an input of op 'T1' is malformed (KeyError: 'id_B')"),
+    (_mutant_without_identity2, "validate", 3,
+     "bisieves.S_B_0: bisieve is malformed (KeyError: 'id_B')"),
+    (_mutant_with_int_composite, "run", 3,
+     "checks.T3: an input of op 'T3' is malformed (KeyError: 0)"),
+    # the composite is ill-typed, which check_two_category reports
+    (_mutant_with_int_composite, "validate", 1, ""),
+], ids=["no-identity2-run", "no-identity2-validate", "int-composite-run",
+        "int-composite-validate"])
+def test_cli_check_on_a_malformed_two_category_never_crashes(
+        tmp_path, capsys, corrupt, command, code, message):
+    """Checks that index a 2-category's tables without typing them:
+    what they raise on a malformed one is a located input error, never a
+    crash that exits 1."""
+    raw = generate(1, "mutant")
+    corrupt(raw["two_cats"]["K"])
+    path = tmp_path / "doc.site"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main([command, str(path)]) == code
+    err = capsys.readouterr().err
+    assert err == ("error: %s\n" % message if message else "")
+
+
 def _no_identity2(k):
     del k["identity2"]["id_X"]
 
@@ -615,3 +651,71 @@ def test_cli_groth_exports_a_valid_two_category(tmp_path, capsys):
     gd = load(str(out))
     (k,) = gd.two_cats.values()
     assert check_two_category(k).ok
+
+
+# --- the exit-code contract on edited documents ------------------------------
+
+_JUNK = [None, 0, -1, 1.5, True, "", "junk", [], {}, [[]], ["x"], {"x": 1}]
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases():
+    """The first mutation candidates of three mutant bases, and generated
+    site documents of both profiles."""
+    out = []
+    for seed in range(3):
+        base = _mutant_base(random.Random(repr(("bistack", "mutant", seed))))
+        out += islice(_mutations(base), 5)
+    return out + [generate(seed, profile) for seed in range(4)
+                  for profile in ("locally-discrete-site", "tiny-2site")]
+
+
+def _names(x):
+    """Every key and string value in a JSON value."""
+    if isinstance(x, dict):
+        return set(x).union(*map(_names, x.values()))
+    if isinstance(x, list):
+        return set().union(*map(_names, x))
+    return {x} if isinstance(x, str) else set()
+
+
+@st.composite
+def _edited(draw, bases):
+    """A deep copy of a base with one edit at a random place in it: a key
+    or an item deleted, or its value set to junk or to another name from
+    the document."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node if isinstance(node, dict)
+                                        else range(len(node)))))
+        value = node[key]
+        if not isinstance(value, (dict, list)) or not value \
+                or draw(st.integers(0, 3)) == 0:
+            break
+        node = value
+    edit = draw(st.sampled_from(["delete", "junk", "name"]))
+    if edit == "delete":
+        del node[key]
+    elif edit == "junk":
+        node[key] = draw(st.sampled_from(_JUNK))
+    else:
+        node[key] = draw(st.sampled_from(sorted(_names(doc))))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.site"
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_exit_codes_hold_on_edited_documents(fuzz_bases, fuzz_path,
+                                                 data):
+    """0 pass, 1 fail, 2 inconclusive, 3 input error, and nothing raised,
+    whatever one edit does to a valid or mutant document."""
+    fuzz_path.write_text(json.dumps(data.draw(_edited(fuzz_bases))))
+    assert cli.main(["run", str(fuzz_path), "--budget", "20000"]) \
+        in (0, 1, 2, 3)
+    assert cli.main(["validate", str(fuzz_path)]) in (0, 1, 2, 3)

@@ -1,6 +1,5 @@
 import pytest
 
-from bistack import descent
 from bistack.bicat3 import (PsTwoFunctor, identity_ps_two_functor,
                             representable_trihom, strict_trihom)
 from bistack.descent import (EffectivenessWitness, Refutation,
@@ -451,34 +450,43 @@ def _outcome(check, datum, limit=None):
     return (out.verdict, out.details, out.witness, budget.steps)
 
 
-def _descent_outcomes(k, s):
+def _descent_outcomes(k, s, totals=None):
     """Each case's outcome without a limit, then under every limit from 0
-    to its full steps."""
+    to totals[name], by default to its full steps."""
     out = {}
     for name, check, datum in _descent_cases(k, s):
         full = _outcome(check, datum)
+        total = full[-1] if totals is None else totals[name]
         out[name] = [full] + [_outcome(check, datum, limit)
-                              for limit in range(full[-1] + 1)]
+                              for limit in range(total + 1)]
     return out
 
 
 def test_descent_checkers_do_not_see_the_thin_shortcut(ksplit, ksieve,
                                                       monkeypatch):
+    """With the shortcut, each case gives the general path's outcome for
+    no more steps, and fewer in all.  Under each limit up to the general
+    path's steps, a run that the general path finishes finishes with the
+    shortcut too, with the same outcome, and a run that runs out stops
+    one past its limit."""
     assert all(v.locally_thin()
                for v in representable_trihom(ksplit, "A").ob.values())
-    counted = []
-
-    def spy(s):
-        counted.append(s)
-        return real(s)
-
-    real = descent._display_ticks
-    monkeypatch.setattr(descent, "_display_ticks", spy)
-    fast = _descent_outcomes(ksplit, ksieve)
-    assert counted == [ksieve]  # the shortcut was taken, and memoised
     monkeypatch.setattr(Fin2Cat, "locally_thin", lambda self: False)
-    assert _descent_outcomes(ksplit, ksieve) == fast
-    assert counted == [ksieve]
+    slow = _descent_outcomes(ksplit, ksieve)
+    monkeypatch.undo()
+    fast = _descent_outcomes(ksplit, ksieve,
+                             {name: runs[0][-1] for name, runs
+                              in slow.items()})
+    assert fast.keys() == slow.keys()
+    for name, runs in slow.items():
+        for a, b in zip(fast[name], runs):
+            if b[0] != "inconclusive":
+                assert a[:-1] == b[:-1] and a[-1] <= b[-1]
+        for sweep in (fast[name][1:], runs[1:]):
+            assert all(out[-1] == limit + 1 for limit, out
+                       in enumerate(sweep) if out[0] == "inconclusive")
+    assert sum(runs[0][-1] for runs in fast.values()) \
+        < sum(runs[0][-1] for runs in slow.values())
     verdicts = {name: o[0][0] for name, o in fast.items()}
     assert {v for name, v in verdicts.items()
             if name.startswith("mutant")} == {"fail"}
@@ -498,11 +506,7 @@ def test_z2_mutant_never_takes_the_descent_shortcut(wa2, wa_sieve,
         seen.append(real(self))
         return seen[-1]
 
-    def never(s):
-        raise AssertionError("display ticks counted on a non-thin value")
-
     monkeypatch.setattr(Fin2Cat, "locally_thin", spy)
-    monkeypatch.setattr(descent, "_display_ticks", never)
     val = F.ob["1"]
     for w0 in sorted(val.twocells):
         assert check_matching_family(

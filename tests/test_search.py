@@ -143,13 +143,36 @@ def test_comparisons_fix_singletons_without_changing_the_draw(spec):
             == _drained(_comparisons_oracle, spec, limit)
 
 
-# --- forward_choices against choices and a filter ----------------------------
+# --- forward_choices against a recursive search and a filter -----------------
 
 def _filtered(budget, cells, edges):
-    """The oracle: every choice over the cells, then the constraints."""
+    """Every choice over the cells, then the constraints."""
     for (pick,) in choices(budget, cells):
         if all(ok(pick[x], pick[y]) for x, y, ok in edges):
             yield pick
+
+
+def _recursive_search(budget, cells, edges):
+    """The step oracle: assign the cells in order, test each constraint
+    once both its cells are assigned, and tick once for each pick that a
+    constraint rejects and once before each assignment yielded."""
+    def extend(pick):
+        if len(pick) == len(cells):
+            budget.tick()
+            yield dict(pick)
+            return
+        cell, pool = cells[len(pick)]
+        for a in pool:
+            pick[cell] = a
+            if all(ok(pick[x], pick[y]) for x, y, ok in edges
+                   if cell in (x, y) and x in pick and y in pick):
+                yield from extend(pick)
+            else:
+                budget.tick()
+            del pick[cell]
+
+    if all(pool for _, pool in cells):
+        yield from extend({})
 
 
 def _drain(search, limit, cells, edges):
@@ -183,12 +206,19 @@ def _problems(draw):
 @settings(max_examples=150, deadline=None)
 def test_forward_choices_is_choices_then_filter(problem):
     cells, edges = problem
-    want = _drain(_filtered, None, cells, edges)
+    want = _drain(_recursive_search, None, cells, edges)
     assert _drain(forward_choices, None, cells, edges) == want
-    # a bulk tick over a pruned branch runs out where single ticks would
     for limit in range(want[1] + 1):
         assert _drain(forward_choices, limit, cells, edges) \
-            == _drain(_filtered, limit, cells, edges)
+            == _drain(_recursive_search, limit, cells, edges)
+    # the assignments of choices and a filter, for no more steps at each
+    # yield and in all, and for as many when nothing is pruned
+    filtered = _drain(_filtered, None, cells, edges)
+    assert [pick for _, pick in want[0]] == [pick for _, pick in filtered[0]]
+    assert all(a <= b for (a, _), (b, _) in zip(want[0], filtered[0]))
+    assert want[1] <= filtered[1]
+    if not edges:
+        assert want == filtered
 
 
 @st.composite
@@ -292,9 +322,14 @@ def test_enumerator_candidate_order_is_pinned():
     assert digest == _PINNED
 
 
-# recorded before forward checking was added
-_PS_PINNED = ("924925520e189c76520352d7a364c250"
-              "b5f020cc37d6f6883dc3fef0797b861d")
+# the candidates, recorded before forward checking was added (with the
+# steps then) and hashed apart from the steps when a step became work done
+_PS_PINNED = ("82db5239535ec0f268f7aa31dc23319c"
+              "d3ce7c0f9c6c41281991ccd718ecf315")
+
+# re-recorded when a step became work done, from [[24, 4, 427, 8],
+# [32, 4, 2986, 8]]
+_PS_STEPS = [[12, 4, 51, 4], [16, 4, 211, 4]]
 
 
 def _ps_sequences(n):
@@ -318,8 +353,10 @@ def _ps_sequences(n):
 def test_ps_two_functor_candidates_are_pinned():
     seqs = [_ps_sequences(3), _ps_sequences(4)]
     assert all(seq for rung in seqs for seq, _ in rung)
-    digest = hashlib.sha256(repr(seqs).encode()).hexdigest()
+    candidates = [[seq for seq, _ in rung] for rung in seqs]
+    digest = hashlib.sha256(repr(candidates).encode()).hexdigest()
     assert digest == _PS_PINNED
+    assert [[steps for _, steps in rung] for rung in seqs] == _PS_STEPS
 
 
 def _comparison_sequences(monkeypatch):
@@ -362,10 +399,10 @@ def _comparison_sequences(monkeypatch):
 _COMPARISONS_PINNED = ("46ca3a631089c232334da213b25ed846"
                        "591efd645444a8bb1de57adaa8a9cf44")
 
-# recorded with the candidates, and re-recorded when the object pools were
-# narrowed: steps are counted over the narrowed pools, so the maximal sieve
-# on Y of rung 3 fell from 784
-_COMPARISON_STEPS = [226, 353, 232]
+# recorded with the candidates, re-recorded when the object pools were
+# narrowed (the maximal sieve on Y of rung 3 fell from 784), and again
+# when a step became work done (from 226, 353 and 232)
+_COMPARISON_STEPS = [97, 44, 144]
 
 
 def test_comparison_cell_candidates_are_pinned(monkeypatch):
@@ -512,13 +549,13 @@ def _decide(op, n, limit=None):
     return r.verdict, r.witness, budget.steps
 
 
-# steps recorded before forward checking was added, and re-recorded when
-# the object pools were narrowed by arc consistency: steps are counted over
-# the narrowed pools (2stack 431, 965, 4608 and 2stack_direct 1219, 4277,
-# 22757 before)
-_STEPS = {("2stack", 3): 372, ("2stack", 4): 549, ("2stack", 5): 765,
-          ("2stack_direct", 3): 788, ("2stack_direct", 4): 1186,
-          ("2stack_direct", 5): 1694}
+# steps recorded before forward checking was added, re-recorded when the
+# object pools were narrowed by arc consistency (2stack 431, 965, 4608 and
+# 2stack_direct 1219, 4277, 22757 before), and again when a step became
+# work done (2stack 372, 549, 765 and 2stack_direct 788, 1186, 1694 before)
+_STEPS = {("2stack", 3): 79, ("2stack", 4): 111, ("2stack", 5): 148,
+          ("2stack_direct", 3): 193, ("2stack_direct", 4): 273,
+          ("2stack_direct", 5): 367}
 
 
 @pytest.mark.parametrize("op, n", sorted(_STEPS))
@@ -537,11 +574,12 @@ def test_each_decider_checks_strictness_once(monkeypatch):
         assert len(calls) == 1, op
 
 
-def _budget_sweep():
-    """Both deciders on rung 4 under 20 limits from 0 to their full steps."""
+def _budget_sweep(totals=_STEPS):
+    """Both deciders on rung 4 under 20 limits from 0 to their steps in
+    totals, by default their full steps."""
     rows = []
     for op in sorted(_DECIDERS):
-        total = _STEPS[op, 4]
+        total = totals[op, 4]
         for i in range(20):
             limit = total * i // 19
             rows.append((op, limit) + _decide(op, 4, limit))
@@ -550,10 +588,20 @@ def _budget_sweep():
 
 # recorded before forward checking was added; re-recorded when a bulk
 # tick stopped overshooting, which changed only the row at limit 4051, and
-# when the object pools were narrowed, which changed the steps and so the
-# limits of every row
-_SWEEP_PINNED = ("3e34a2628afec3c5815bc4448a2b380f"
-                 "6994b3bba2f063bb6589f1f560d90e7b")
+# when the object pools were narrowed or a step became work done, each of
+# which changed the steps and so the limits of every row
+_SWEEP_PINNED = ("14a6ff52b5d7a3054469b34797ae028c"
+                 "44a729d037553102ebb547a537bb8e55")
+
+# the rows without their limits and steps, recorded before a step became
+# work done
+_SWEEP_VERDICTS_PINNED = ("2f4466fd0698dc28d5bcecbf3405810e"
+                          "0e653be3566f2048fd29ba49632de087")
+
+
+def _without_steps(rows):
+    return [(op, verdict, {k: v for k, v in witness.items() if k != "steps"})
+            for op, _, verdict, witness, _ in rows]
 
 
 def test_budget_sweep_is_pinned():
@@ -564,6 +612,8 @@ def test_budget_sweep_is_pinned():
                if verdict == "inconclusive")
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _SWEEP_PINNED
+    digest = hashlib.sha256(json.dumps(_without_steps(rows)).encode())
+    assert digest.hexdigest() == _SWEEP_VERDICTS_PINNED
 
 
 # --- the locally thin shortcut ------------------------------------------------
@@ -605,6 +655,14 @@ def _verdicts(instances):
     return rows
 
 
+def _spends_less(fast, slow):
+    """fast has slow's rows but for their last field, the steps, which is
+    no larger on any row and smaller in total."""
+    assert [row[:-1] for row in fast] == [row[:-1] for row in slow]
+    assert all(a[-1] <= b[-1] for a, b in zip(fast, slow))
+    assert sum(row[-1] for row in fast) < sum(row[-1] for row in slow)
+
+
 def test_deciders_do_not_see_the_thin_shortcut(monkeypatch):
     instances = _stack_instances()
     values = [v for F, _ in instances for v in F.ob.values()]
@@ -613,7 +671,7 @@ def test_deciders_do_not_see_the_thin_shortcut(monkeypatch):
     fast = _verdicts(instances)
     assert {row[1] for row in fast} == {"pass", "fail"}
     _no_shortcut(monkeypatch)
-    assert _verdicts(instances) == fast
+    _spends_less(fast, _verdicts(instances))
 
 
 def _searched(instances):
@@ -665,15 +723,26 @@ def test_deciders_do_not_see_the_narrowing(monkeypatch):
                         (pick for (pick,) in choices(budget, cells)))
     full = _verdicts(instances), _searched(instances)
     for got, want in zip(full, narrowed):
-        assert [row[:-1] for row in got] == [row[:-1] for row in want]
-        assert all(a[-1] >= b[-1] for a, b in zip(got, want))
-        assert sum(row[-1] for row in got) > sum(row[-1] for row in want)
+        _spends_less(want, got)
 
 
 def test_budget_sweep_does_not_see_the_thin_shortcut(monkeypatch):
-    fast = _budget_sweep()
+    """Under limits up to the general path's steps, each run that the
+    general path finishes finishes with the shortcut too, with the same
+    verdict and witness, and each run that runs out stops one past its
+    limit."""
     _no_shortcut(monkeypatch)
-    assert _budget_sweep() == fast
+    totals = {(op, 4): _decide(op, 4)[2] for op in _DECIDERS}
+    slow = _budget_sweep(totals)
+    monkeypatch.undo()
+    fast = _budget_sweep(totals)
+    assert slow[-1][2] == "pass"
+    for a, b in zip(fast, slow):
+        assert a[:2] == b[:2]
+        if b[2] != "inconclusive":
+            assert a[2:4] == b[2:4] and a[4] <= b[4]
+    assert all(steps == limit + 1 for _, limit, verdict, _, steps
+               in fast + slow if verdict == "inconclusive")
 
 
 # --- drawn candidates -------------------------------------------------------
@@ -761,12 +830,12 @@ def _enumerated(F, s, objects=True):
 
 @pytest.mark.parametrize("thin", [True, False])
 def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
-    """A drawn candidate skips the typing that its pools guarantee and
-    spends the typing's steps in bulk.  With every candidate typed in
-    full, both deciders give the same verdicts, details, witnesses and
-    steps, and every enumerator, run to its end on values with more than
-    one 2-cell in a pool, hands its checker the same candidates in the
-    same order, with the same verdicts and steps.  Locally thin values are
+    """A drawn candidate skips the typing that its pools guarantee.  With
+    every candidate typed in full, both deciders give the same verdicts,
+    details and witnesses, and every enumerator, run to its end on values
+    with more than one 2-cell in a pool, hands its checker the same
+    candidates in the same order, with the same verdicts; the drawn path
+    spends no more steps on any run, and fewer in all.  Locally thin values are
     taken as they are and, in a second run, as non-thin.  The constant
     B(Z/2) on chain_suspension(2), whose weak data and transformations out
     of the maximal sieve are too many to enumerate here, adds 2-cells
@@ -781,29 +850,36 @@ def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
     seen = _recorded_checks(monkeypatch, mode)
 
     def run():
+        """Rows whose last field is the steps, and the checked candidates."""
         seen.clear()
         budget = Budget()
         r = is_2stack_direct(repro, Bitopology(k2, {"Y": [
             literal_maximal_bisieve(k2, "Y")]}), budget)
-        return (_verdicts(instances), (r.witness, budget.steps),
-                [_enumerated(F, s) for F, s in _wa_z2_instances()],
-                _enumerated(repro, literal_maximal_bisieve(k2, "Y"),
-                            objects=False),
-                list(seen))
+        rows = [("repro", r.verdict, r.witness, budget.steps)]
+        rows += _verdicts(instances)
+        rows += [("enumerated", _enumerated(F, s))
+                 for F, s in _wa_z2_instances()]
+        rows.append(("enumerated", _enumerated(
+            repro, literal_maximal_bisieve(k2, "Y"), objects=False)))
+        return rows, list(seen)
 
-    drawn = run()
+    drawn, checked = run()
     # every enumerator calls its checker on the drawn path, and some drawn
     # candidates fail it
-    assert {name for name, was_drawn, *_ in drawn[-1] if was_drawn} \
+    assert {name for name, was_drawn, *_ in checked if was_drawn} \
         == set(_DRAWN)
-    assert {"pass", "fail"} <= {row[1] for row in drawn[0]}
-    assert {"pass", "fail"} <= {verdict for *_, verdict in drawn[-1]}
+    assert {"pass", "fail"} <= {row[1] for row in drawn}
+    assert {"pass", "fail"} <= {verdict for *_, verdict in checked}
     # the direct decider still fails the constant B(Z/2) at (M): the
-    # modification axioms at base 2-cells are not checked
-    assert drawn[1] == ({"object": "Y", "sieve": 0, "condition": "M",
-                         "endpoints": ["P", "P"]}, 393)
+    # modification axioms at base 2-cells are not checked (393 steps before
+    # a step became work done)
+    assert drawn[0] == ("repro", "fail", {"object": "Y", "sieve": 0,
+                                          "condition": "M",
+                                          "endpoints": ["P", "P"]}, 240)
     mode["drawn"] = False
-    assert run() == drawn
+    typed, typed_checked = run()
+    assert typed_checked == checked
+    _spends_less(drawn, typed)
 
 
 def test_connecting_iso_pools_are_computed_once_per_objects_and_transitions(
