@@ -60,7 +60,7 @@ from itertools import product
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .report import Budget, failed, passed
+from .report import Budget, Recorded, failed, passed
 from .two_cat import check_two_category, from_fincat
 
 
@@ -468,7 +468,7 @@ def _transport_to_id(h, gamma, us, at):
 
 # --- homomorphisms of the base into 2-categories ---------------------------
 
-class TrihomData:
+class TrihomData(Recorded):
     """Contravariant 2-category-valued homomorphism data on a base.
 
     ob[C]: value 2-category; on1[f]: PsTwoFunctor ob[C] -> ob[D] for
@@ -491,14 +491,7 @@ class TrihomData:
         self.on2 = dict(on2)
         self.chi = dict(chi)
         self.iota = dict(iota)
-        self._memo = {}
-
-    def memo(self, fn):
-        """fn(self), computed once: for figures derived from the base and
-        the values alone."""
-        if fn not in self._memo:
-            self._memo[fn] = fn(self)
-        return self._memo[fn]
+        self._recorded = {}
 
 
 def _trihom_cells(t):

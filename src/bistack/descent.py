@@ -1116,7 +1116,7 @@ def descent_category(F, s, budget=None):
     modifications between them, materialized as explicit tables; with the
     name of each object by its key, and the arrow index."""
     budget = budget or Budget()
-    R = s.memo(sieve_presheaf)
+    R = s.derived(sieve_presheaf)
     k = s.k
     obs = sorted(k.objects)
 
@@ -1167,7 +1167,7 @@ def is_stack_catvalued(F, tau, budget=None):
     for c in obs:
         for i, s in enumerate(tau.sieves_on(c)):
             desc, names, index = descent_category(F, s, budget)
-            R = s.memo(sieve_presheaf)
+            R = s.derived(sieve_presheaf)
             val_c = F.ob[c]
             restricted, ob_map, mor_map = {}, {}, {}
             try:

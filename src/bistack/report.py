@@ -39,6 +39,37 @@ class Budget:
         self.steps += n
 
 
+class Recorded:
+    """What an immutable object decides about its own tables, each figure
+    computed once and kept with the steps it spent.  A subclass sets
+    ``self._recorded = {}`` in its constructor."""
+
+    def recorded(self, key, budget, fn, *args):
+        """fn(*args, budget), computed once per key with the steps it
+        spent: a repeat spends them as one ``budget.tick(n)``, which stops
+        where n single ticks would.  A call that raises, budget exhaustion
+        included, records nothing.  The key must name the figure and
+        everything fn reads besides these tables, and the value must not
+        be changed by a caller."""
+        hit = self._recorded.get(key)
+        if hit is None:
+            start = budget.steps
+            value = fn(*args, budget)
+            self._recorded[key] = value, budget.steps - start
+            return value
+        budget.tick(hit[1])
+        return hit[0]
+
+    def memo(self, fn, compute=True):
+        """fn(self, budget) under an unlimited budget, recorded under fn's
+        name: for figures derived from the tables alone, such as a check's
+        report.  With compute false, None unless recorded before."""
+        if compute:
+            return self.recorded(fn.__name__, Budget(), fn, self)
+        hit = self._recorded.get(fn.__name__)
+        return None if hit is None else hit[0]
+
+
 def choices(budget, *groups):
     """Every way to pick one candidate for each cell, one budget tick each.
 

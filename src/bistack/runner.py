@@ -20,7 +20,7 @@ from .sigma_colim import is_sigma_bicolim_bisieve
 from .two_cat import check_two_category
 from .workspace import CHECK_REFS, _checked, located
 
-REPORT_SCHEMA = "bistack-report/2"
+REPORT_SCHEMA = "bistack-report/3"
 
 _TIMING_FIELDS = ("elapsed_s",)
 
@@ -38,6 +38,14 @@ def _covering(doc, name, F, tau):
     return tau
 
 
+def _kept(x, key, check, budget):
+    """check(x, budget), or the report x.memo kept under key with its steps
+    spent again; a copy, since the kept report is shared."""
+    r = x.recorded(key, budget, check, x)
+    return CheckReport(r.name, r.verdict, list(r.details),
+                       copy.deepcopy(r.witness))
+
+
 def _dispatch(doc, name, body, budget):
     op = body["op"]
 
@@ -50,15 +58,13 @@ def _dispatch(doc, name, body, budget):
     if op == "category":
         return check_category(ref("cat"), budget)
     if op == "two_category":
-        # the report that the loader kept if it checked this 2-category,
-        # under the key that Fin2Cat.memo gives it, with its steps spent
-        # again; a copy, since the memo's report is shared
-        k = ref("two_cat")
-        r = k.recorded("check_two_category", budget, check_two_category, k)
-        return CheckReport(r.name, r.verdict, list(r.details),
-                           copy.deepcopy(r.witness))
+        # the report that the loader kept if it checked this 2-category
+        return _kept(ref("two_cat"), "check_two_category", check_two_category,
+                     budget)
     if op == "bisieve":
-        return check_bisieve(ref("bisieve"), budget)
+        # the report that _covering or the sigma op kept if they checked
+        # this sieve
+        return _kept(ref("bisieve"), "check_bisieve", check_bisieve, budget)
     if op == "bitopology":
         return check_bitopology(ref("bitopology"), budget)
     if op in ("T1", "T2", "T3"):

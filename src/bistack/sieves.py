@@ -35,16 +35,18 @@ from .errors import BoundaryMismatch, MalformedTable
 from .fincat import Functor, NatTrans, compose_functors, identity_functor
 from .two_cat import Fin2Cat, PsFunctorToCat, PsNatTrans
 from .builders import identity_nat
-from .report import Budget, failed, merge, passed
+from .report import Budget, Recorded, failed, merge, passed
 
 
-class Bisieve:
+class Bisieve(Recorded):
     """A sieve on ``target`` with its chosen restriction witnesses.
 
     Immutable after construction: members, tilde and sigma are read-only
     mappings, so a write raises TypeError.  The sorted member lists are
-    built once here, and ``memo`` keeps what is derived from them; to
-    change a table, build a new Bisieve.
+    built once here, and one table keeps what is decided or built from
+    them: ``memo`` the ``check_bisieve`` report with the steps it spent,
+    ``derived`` the figures that spend none; to change a table, build a
+    new Bisieve.
     """
 
     def __init__(self, k, target, members, tilde, sigma):
@@ -59,7 +61,7 @@ class Bisieve:
         self._all_members = tuple((d, f) for d in sorted(self.members)
                                   for f in self._member_lists[d])
         self._key = (target, tuple(sorted(self._member_lists.items())))
-        self._memo = {}
+        self._recorded = {}
 
     def member_list(self, d):
         return self._member_lists.get(d, ())
@@ -77,16 +79,18 @@ class Bisieve:
         back to k, and are handed out through this."""
         s = object.__new__(Bisieve)
         tables = self.__dict__.copy()
-        tables.update(k=k, _memo={})
+        tables.update(k=k, _recorded={})
         s.__dict__ = tables
         return s
 
-    def memo(self, fn):
-        """fn(self), computed once: for figures derived from the sieve
-        alone."""
-        if fn not in self._memo:
-            self._memo[fn] = fn(self)
-        return self._memo[fn]
+    def derived(self, fn):
+        """fn(self), computed once and recorded under fn itself as
+        spending no steps: for figures built from the sieve alone, such as
+        its presheaf."""
+        hit = self._recorded.get(fn)
+        if hit is None:
+            hit = self._recorded[fn] = fn(self), 0
+        return hit[0]
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Bisieve)

@@ -16,10 +16,10 @@ from types import MappingProxyType
 from .errors import BoundaryMismatch, MalformedTable
 from .fincat import FinCat, _is_cell, by_boundary, check_category, \
     check_functor, check_nat, compose_functors, identity_functor, tabulate
-from .report import Budget, failed, passed
+from .report import Budget, Recorded, failed, passed
 
 
-class Fin2Cat:
+class Fin2Cat(Recorded):
     """A finite strict 2-category given by explicit tables.
 
     onecells: id -> (src object, tgt object)
@@ -291,32 +291,6 @@ class Fin2Cat:
                 self.is_equivalence_1cell(f)
                 for f in self.one_cells_between(a, b))
         return known
-
-    def recorded(self, key, budget, fn, *args):
-        """fn(*args, budget), computed once per key with the steps it
-        spent: a repeat spends them as one ``budget.tick(n)``, which stops
-        where n single ticks would.  A call that raises, budget exhaustion
-        included, records nothing.  The key must name the figure and
-        everything fn reads besides these tables, and the value must not
-        be changed by a caller."""
-        hit = self._recorded.get(key)
-        if hit is None:
-            start = budget.steps
-            value = fn(*args, budget)
-            self._recorded[key] = value, budget.steps - start
-            return value
-        budget.tick(hit[1])
-        return hit[0]
-
-    def memo(self, fn, compute=True):
-        """fn(self, budget) under an unlimited budget, recorded under fn's
-        name: for figures derived from the tables alone, such as a
-        ``check_two_category`` report.  With compute false, None unless
-        recorded before."""
-        if compute:
-            return self.recorded(fn.__name__, Budget(), fn, self)
-        hit = self._recorded.get(fn.__name__)
-        return None if hit is None else hit[0]
 
     def key(self):
         if self._key is None:

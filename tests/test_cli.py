@@ -19,6 +19,7 @@ from bistack.sieves import check_bitopology, literal_maximal_bisieve
 from bistack.two_cat import check_two_category
 from bistack.workspace import SCHEMA, _encode_bisieve, _encode_two_cat, \
     corpus_names, corpus_path, load, load_data, normalize, save
+from mutant_oracles import fails_exactly_its_label_by_name
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +247,21 @@ def test_a_mutant_fails_its_labeled_check_and_no_other():
     twice["bitopologies"]["tau"]["covering"].popitem()
     assert not _fails_exactly_its_label(twice)
     assert not _fails_exactly_its_label(dict(raw, schema=None))
+
+
+def test_cheapest_first_checks_answer_as_the_name_order_does():
+    """Every candidate of the mutant bases at seeds 120-139, outside the
+    benchmark's pool, is accepted or rejected as the name-order oracle
+    does."""
+    answers = set()
+    for seed in range(120, 140):
+        base = _mutant_base(random.Random(repr(("bistack", "mutant", seed))))
+        for mutated in _mutations(base):
+            answer = _fails_exactly_its_label(mutated)
+            assert answer == fails_exactly_its_label_by_name(mutated), \
+                (seed, mutated["mutation"])
+            answers.add(answer)
+    assert answers == {True, False}
 
 
 # --- command line ------------------------------------------------------------------
@@ -614,19 +630,25 @@ def _schema_1(report):
     return {**report, "schema": "bistack-report/1"}
 
 
+def _schema_2(report):
+    """A report recorded before a decider step counted work done."""
+    return {**report, "schema": "bistack-report/2"}
+
+
 def _no_limit(report):
     return {**report, "budget_limit": "many"}
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda r: {}, "bistack-report/2"),
+    (lambda r: {}, "bistack-report/3"),
     (lambda r: [1], "must be an object"),
     (lambda r: [r], "must be an object"),
     (lambda r: {k: v for k, v in r.items() if k != "check"},
      "no check name"),
-    (_schema_1, "'bistack-report/1' is not 'bistack-report/2'"),
+    (_schema_1, "'bistack-report/1' is not 'bistack-report/3'"),
+    (_schema_2, "'bistack-report/2' is not 'bistack-report/3'"),
     (_no_limit, "budget_limit 'many'"),
-], ids=["empty", "list", "report-list", "no-check", "schema-1",
+], ids=["empty", "list", "report-list", "no-check", "schema-1", "schema-2",
         "text-limit"])
 def test_cli_replay_of_a_malformed_report_is_a_located_input_error(
         tmp_path, capsys, corrupt, message):
