@@ -14,16 +14,15 @@ The checkers assume a valid codomain, a strict 2-category that passes
 (the pseudofunctors a transformation runs between, and so on).  When the
 value that a displayed equation lives in is locally thin, with at most one
 2-cell between two 1-cells, any two parallel 2-cells there are equal, so
-every equation between well-typed pastings holds.  The checkers then still
-check every image, component and structure cell with its boundary and its
-invertibility, but skip the equations that this typing forces: the
-vertical-composition, naturality, associativity and unit equations of
-``check_ps_two_functor``, the 2-cell naturality, composition and unit
-equations of ``check_ps_two_nat``, the square of ``check_two_modification``, the
-associativity and unit displays of ``check_tritransformation``, the
-composition and unit axioms of ``check_trimodification`` and the square
-axiom of ``check_perturbation``.  A skipped equation spends no step, since
-a step is work done (see ``report.Budget``).
+every equation between well-typed pastings holds.  The checkers then skip
+the equations that typing forces: the vertical-composition, naturality,
+associativity and unit equations of ``check_ps_two_functor``, the 2-cell
+naturality, composition and unit equations of ``check_ps_two_nat``, the
+square of ``check_two_modification``, the associativity and unit displays
+of ``check_tritransformation``, the composition and unit axioms of
+``check_trimodification`` and the square axiom of ``check_perturbation``.
+A skipped equation spends no step, since a step is work done (see
+``report.Budget``).
 
 Each structure declares its comparison 2-cells once, with their
 boundaries: ``_ps_two_functor_cells`` (chi, unit), ``_ps_two_nat_cells``
@@ -34,8 +33,9 @@ the table's entry at key otherwise; each cell (x, value, src, tgt) is
 recorded at x and typed src() => tgt in value: the source is a thunk, so
 that only the typing and the pools compose it.  Families and cells come in
 the enumerators' order, sorted; the pseudofunctor's come in table order and
-its enumerator sorts them, so that its checker sorts nothing.  Checkers
-type the recorded cells against a declaration (``_first_mistyped``), the
+its enumerator sorts them, so that its checker sorts nothing.  The
+pseudofunctor, transformation and homomorphism-data checkers type the
+recorded cells against a declaration (``_first_mistyped``), the
 enumerators of ``descent`` draw each cell from the invertible 2-cells of
 its boundary (``_comparisons``, which fixes each singleton pool and runs
 the product over the others alone), and a structure built without its
@@ -46,13 +46,15 @@ composite reads them.  ``TrihomData``, ``Tritransformation`` and
 ``Trimodification`` fill each table on its first read (``_first_read``),
 so that a table that no check reads is never built.
 
-Each checker that the enumerators of ``descent`` call on the candidates
-they draw has a typing part and a display part.  The typing checks each
-image, component, sub-structure and declared cell against its boundary;
-the displays are every test that a candidate drawn from typed pools can
-still fail: identity 2-cells preserved, naturality of the squares in base
-2-cells, the coherence and square axioms.  Called with ``drawn=True``, a
-checker runs its displays alone, and the typing it skips spends no step.
+The enumerators of ``descent`` draw every candidate from typed pools, so
+a candidate can fail only its displays: identity 2-cells preserved,
+naturality of the squares in base 2-cells, the coherence and square
+axioms.  The checkers of modifications, tritransformations,
+trimodifications and perturbations test those alone: each takes a
+well-typed candidate, as the enumerators draw it.  The pseudofunctor and
+transformation checkers also type the tables of loaded homomorphism data
+(``check_trihom_data``), so they keep their typing, which the
+enumerators skip with ``drawn=True``; the typing skipped spends no step.
 """
 
 from functools import cached_property, partial
@@ -61,7 +63,7 @@ from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
 from .report import Budget, Recorded, failed, passed
-from .two_cat import check_two_category, from_fincat
+from .two_cat import from_fincat
 
 
 # --- declared comparison cells ----------------------------------------------
@@ -405,18 +407,13 @@ class TwoModification:
         self.comp = dict(comp)
 
 
-def check_two_modification(m, budget=None, drawn=False):
-    """Typing: the components.  Display: the square at each 1-cell.  A
-    drawn candidate is tested on its display alone."""
+def check_two_modification(m, budget=None):
+    """The square at each 1-cell of a modification whose components are
+    2-cells s(x) => t(x)."""
     budget = budget or Budget()
     s, t = m.dom, m.cod
     g, h = s.dom, s.cod
     c = g.cod
-    for x in () if drawn else g.dom.objects:
-        cell = m.comp.get(x)
-        if cell is None or c.twocells.get(cell) != (s.comp[x], t.comp[x]):
-            return failed("check_two_modification",
-                          ["bad component at %r" % x], {"object": x})
     if c.locally_thin():
         return passed("check_two_modification")
     for a, (x, y) in g.dom.onecells.items():
@@ -612,7 +609,7 @@ def _precomposition_trihom(k, ob):
             {f: k.wl(f, delta) for f in ob[d].objects},
             {x: ob[e].id2(k.v(k.wl(k.tgt2(x), delta), k.wr(x, g)))
              for x in ob[d].onecells})
-    checked = k.memo(check_two_category, compute=False)
+    checked = k.memo("two_category")
     if checked and checked.ok:
         return _assembled(k, ob, on1, on2)
     return strict_trihom(k, ob, on1, on2)
@@ -800,53 +797,14 @@ def identity_tritransformation(t):
     return Tritransformation(t, t, comp, square)
 
 
-def _tritrans_typing(t, budget):
-    """Typing of the components and squares, each checked in full; None
-    on success, report on failure."""
-    R, F = t.dom, t.cod
-    k = R.base
-    for c in k.objects:
-        h = t.comp.get(c)
-        if h is None or h.dom != R.ob[c] or h.cod != F.ob[c]:
-            return failed("check_tritransformation",
-                          ["bad component at %r" % c], {"object": c})
-        r = check_ps_two_functor(h, budget)
-        if not r.ok:
-            r.details.insert(0, "component at %r" % c)
-            return r
-    for f, (d, c) in k.onecells.items():
-        sq = t.square.get(f)
-        want_dom = compose_ps_two_functors(t.comp[d], R.on1[f])
-        want_cod = compose_ps_two_functors(F.on1[f], t.comp[c])
-        if sq is None or sq.dom != want_dom or sq.cod != want_cod:
-            return failed("check_tritransformation",
-                          ["bad square boundary at %r" % f], {"onecell": f})
-        r = check_ps_two_nat(sq, budget)
-        if not r.ok:
-            r.details.insert(0, "square at %r" % f)
-            return r
-        val_d = F.ob[d]
-        for x, comp1 in sq.comp.items():
-            budget.tick()
-            if val_d.equivalence_data(comp1, budget) is None:
-                return failed("check_tritransformation",
-                              ["square component at (%r, %r) is not an "
-                               "equivalence" % (f, x)],
-                              {"onecell": f, "object": x, "component": comp1})
-    return None
-
-
-def check_tritransformation(t, budget=None, drawn=False):
-    """Typing: the components and squares, then (after the squares'
-    naturality in base 2-cells) the comparison cells.  Displays: that
-    naturality, then the associativity and unit axioms.  A drawn candidate
-    is tested on its displays alone."""
+def check_tritransformation(t, budget=None):
+    """The squares' naturality in base 2-cells, then the associativity and
+    unit axioms, of a well-typed transformation, as the enumerator draws
+    it: pseudofunctor components, squares with equivalence components, and
+    each comparison cell of ``_tritrans_cells`` on its boundary."""
     budget = budget or Budget()
     R, F = t.dom, t.cod
     k = R.base
-    bad = None if drawn else _tritrans_typing(t, budget)
-    if bad is not None:
-        return bad
     # squares are natural in base 2-cells: the two whiskered composites
     # around each delta: f => g agree componentwise (strict setting)
     for delta, (f, g) in k.twocells.items():
@@ -863,24 +821,6 @@ def check_tritransformation(t, budget=None, drawn=False):
                               ["square not natural in 2-cell %r at %r"
                                % (delta, x)],
                               {"twocell": delta, "object": x})
-    # comparison 2-cell boundaries
-    bad = None if drawn else \
-        _first_mistyped(t, _tritrans_cells(R, F, t.comp, t.square), budget,
-                        ("beta",))
-    if bad is not None:
-        table, key, x = bad
-        beta = table == "beta"
-        what = "composition" if beta else "unit"
-        witness = {"pair": list(key)} if beta else {"object": key}
-        if x is None:
-            return failed("check_tritransformation",
-                          ["missing %s comparison at %r" % (what, key)],
-                          witness)
-        return failed("check_tritransformation",
-                      ["bad %s comparison at %r" % (
-                          what, (*key, x) if beta else (key, x))],
-                      {**witness, "object": x} if beta else
-                      {**witness, "twocell": t.gamma[key].get(x)})
     r = _tritrans_assoc_axiom(t, budget)
     if not r.ok:
         return r
@@ -1083,45 +1023,14 @@ def identity_trimodification(t):
     return Trimodification(t, t, comp)
 
 
-def _trimod_typing(m, budget):
-    """Typing of the components, each checked in full, and of the square
-    comparisons; None on success, report on failure."""
-    th, ph = m.dom, m.cod
-    k = th.dom.base
-    for c in k.objects:
-        tr = m.comp.get(c)
-        if tr is None or tr.dom != th.comp[c] or tr.cod != ph.comp[c]:
-            return failed("check_trimodification",
-                          ["bad component at %r" % c], {"object": c})
-        r = check_ps_two_nat(tr, budget)
-        if not r.ok:
-            r.details.insert(0, "component at %r" % c)
-            return r
-    bad = _first_mistyped(m, _trimod_cells(th, ph, m.comp), budget,
-                          ("cell",))
-    if bad is not None:
-        _, g, x = bad
-        if x is None:
-            return failed("check_trimodification",
-                          ["missing square comparison at %r" % g],
-                          {"onecell": g})
-        return failed("check_trimodification",
-                      ["bad square comparison at (%r, %r)" % (g, x)],
-                      {"onecell": g, "object": x})
-    return None
-
-
-def check_trimodification(m, budget=None, drawn=False):
-    """Typing: the components and square comparisons.  Displays: the
-    composition and unit axioms.  A drawn candidate is tested on its
-    displays alone."""
+def check_trimodification(m, budget=None):
+    """The composition and unit axioms of a well-typed modification, as
+    the enumerator draws it: transformation components, and each square
+    comparison of ``_trimod_cells`` on its boundary."""
     budget = budget or Budget()
     th, ph = m.dom, m.cod
     R, F = th.dom, th.cod
     k = R.base
-    bad = None if drawn else _trimod_typing(m, budget)
-    if bad is not None:
-        return bad
     # composition axiom
     for (f, g), fg in k.hcomp1.items():
         d, c = k.onecells[f]
@@ -1200,22 +1109,18 @@ class Perturbation:
         self.comp = {c: dict(v) for c, v in comp.items()}
 
 
-def check_perturbation(p, budget=None, drawn=False):
-    """Typing: the components.  Displays: each component's modification
-    square, and the square axiom.  A drawn candidate is tested on its
-    displays alone."""
+def check_perturbation(p, budget=None):
+    """Each component's modification square, then the square axiom, of a
+    well-typed perturbation, as the enumerator draws it: a component
+    2-cell m_D(x) => n_D(x) at each object D and x."""
     budget = budget or Budget()
     m, n = p.dom, p.cod
     th, ph = m.dom, m.cod
     R, F = th.dom, th.cod
     k = R.base
     for c in k.objects:
-        table = p.comp.get(c)
-        if table is None:
-            return failed("check_perturbation",
-                          ["missing component at %r" % c], {"object": c})
-        mod = TwoModification(m.comp[c], n.comp[c], table)
-        r = check_two_modification(mod, budget, drawn)
+        mod = TwoModification(m.comp[c], n.comp[c], p.comp[c])
+        r = check_two_modification(mod, budget)
         if not r.ok:
             r.details.insert(0, "component at %r" % c)
             return r

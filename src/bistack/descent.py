@@ -34,19 +34,18 @@ morphisms of the value at the sieve's target; f, f' members; g, h base
 Each datum's cell typing is declared once: ``_ddm_members`` and
 ``_ddm_cells`` list the morphism datum's cells with their boundaries, and
 ``_wdd_cells`` the weak datum's comparison 2-cells, in the shape of the
-``bicat3`` declarations, which are read the same way.  The checkers type
-the recorded cells against a declaration, the enumerators draw each cell
-from the invertible 2-cells of its boundary, and ``weak_datum_from_object``
-sets each comparison cell to the identity on its target.
+``bicat3`` declarations, which are read the same way.  The enumerators
+draw each cell from the invertible 2-cells of its boundary, and
+``weak_datum_from_object`` sets each comparison cell to the identity on
+its target.
 
 When every value of the homomorphism data is locally thin (at most one
 2-cell between two 1-cells), any two parallel 2-cells are equal, so every
 display between well-typed cells holds (Johnson & Yau, *2-Dimensional
-Categories*, 2021).  The checkers then still type every recorded cell
-first (``_ddm_boundaries``, ``_wdd_boundaries``, the member cells of a
-matching family, normality and the identity etas), but skip the
-compatibility loops of ``check_matching_family``, the cocycle and phi/eta
-loops of ``check_descent_datum_mor``, ``_wdd_displays``,
+Categories*, 2021).  The checkers then still test normality and the
+identity etas, but skip the compatibility loops of
+``check_matching_family``, the cocycle and phi/eta loops of
+``check_descent_datum_mor``, ``_wdd_displays``,
 ``_weak_gluing_displays`` and ``_gluing_mor_conditions``.  A skipped
 loop spends no step, since a step is work done (see ``report.Budget``).
 This rests on valid values: a ``tables`` trihom's values and action data
@@ -66,17 +65,20 @@ the candidates, witnesses and verdicts are those of the unnarrowed search,
 in the same order.  Narrowing itself spends no step, and forward checking
 ticks once for each pick of an object that it rejects.
 
-The enumerators draw each piece of a candidate from a typed pool, so
-they call its checker with ``drawn=True``: the checker skips the typing
-(``_matching_typing``, ``_ddm_boundaries``, ``_wdd_boundaries`` and the
-``bicat3`` typing) and tests only the displays.  For a matching family
-those are the compatibility displays, for a morphism datum normality,
-the identity etas, the cocycle and the phi/eta squares, and for a weak
-datum the coherence displays with their connecting isos.  The typing
-that a drawn candidate skips spends no step.  ``descent_category`` draws
-its pseudonatural transformations and modifications from
-``fincat.all_functors`` and ``all_nat_trans``, and ``two_cat.check_ps_nat``
-and ``check_modification`` test only their displays.
+The enumerators draw each piece of a candidate from a typed pool, so a
+candidate can fail only its displays, and the datum checkers test those
+alone: each takes a well-typed datum, as the enumerators draw it.  For a
+matching family the displays are the compatibility displays, for a
+morphism datum normality, the identity etas, the cocycle and the phi/eta
+squares, and for a weak datum the coherence displays with their
+connecting isos.  The ``bicat3`` checkers of tritransformations,
+trimodifications and perturbations are display-only too.  The
+pseudofunctor and transformation checkers, which also type the tables
+of loaded trihoms, are called with ``drawn=True`` to skip their typing.
+``descent_category`` draws its pseudonatural transformations and
+modifications from ``fincat.all_functors`` and ``all_nat_trans``, and
+``two_cat.check_ps_nat`` and ``check_modification`` test only their
+displays.
 """
 
 from functools import partial
@@ -93,9 +95,8 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
     compose_ps_two_functors, ensure_strict, induced_pert, induced_trimod, \
-    induced_tritrans, sieve_trihom, _comparisons, _first_mistyped, \
-    _identities, _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, \
-    _tritrans_cells
+    induced_tritrans, sieve_trihom, _comparisons, _identities, \
+    _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, _tritrans_cells
 from .report import Budget, choices, failed, forward_choices, inconclusive, \
     merge, narrow, passed
 
@@ -133,17 +134,6 @@ def _legs(s):
             yield d, f, e, g, delta, g2
 
 
-# the witness that names each comparison cell of a descent datum by its key
-_WITNESS = {
-    "phi": lambda key: {"member": key[0], "onecell": key[1]},
-    "eta": lambda gamma: {"twocell": gamma},
-    "rho": lambda f: {"member": f},
-    "beta": lambda key: {"member": key[0], "pair": list(key[1:])},
-    "rho2": lambda key: {"twocell": key[0], "onecell": key[1]},
-    "alpha": lambda key: {"member": key[0], "twocell": key[1]},
-}
-
-
 def _thin(F):
     """Is every value of F locally thin?  Then any two parallel 2-cells
     are equal, and every display between well-typed cells holds."""
@@ -174,36 +164,11 @@ def matching_family_from_cell(F, S, w0):
     return MatchingFamily2Cells(F, S, a, b, w)
 
 
-def _matching_typing(mf):
-    """Typing of the endpoints and of every member 2-cell; None on
-    success, report on failure."""
-    F, s = mf.F, mf.S
-    val_c = F.ob[s.target]
-    if val_c.onecells.get(mf.a) is None or \
-            val_c.onecells.get(mf.b) != val_c.onecells[mf.a]:
-        return failed("check_matching_family",
-                      ["endpoints %r, %r are not parallel" % (mf.a, mf.b)],
-                      {"endpoints": [mf.a, mf.b]})
-    for d, f in s.all_members():
-        hf = F.on1[f]
-        val_d = F.ob[d]
-        cell = mf.w.get(f)
-        want = (hf.on1[mf.a], hf.on1[mf.b])
-        if cell is None or val_d.twocells.get(cell) != want:
-            return failed("check_matching_family",
-                          ["member 2-cell at %r missing or mistyped" % f],
-                          {"member": f})
-    return None
-
-
-def check_matching_family(mf, budget=None, drawn=False):
-    """Typing: the endpoints and member 2-cells.  Displays: restriction
-    and conjugation compatibility.  A drawn family is tested on its
-    displays alone."""
+def check_matching_family(mf, budget=None):
+    """The restriction and conjugation compatibility displays of a
+    well-typed family, as ``_all_matching_families`` draws it: parallel
+    endpoints, and each member 2-cell f*a => f*b."""
     budget = budget or Budget()
-    bad = None if drawn else _matching_typing(mf)
-    if bad is not None:
-        return bad
     if not _thin(mf.F):
         bad = _matching_displays(mf, budget)
         if bad is not None:
@@ -327,34 +292,13 @@ def _ddm_cells(F, s, X, Y, w):
     yield ("eta", None), eta()
 
 
-def _ddm_boundaries(dd):
-    """Typing of every recorded piece; None on success, report on failure."""
-    F, s = dd.F, dd.S
-    for f, val, src, tgt in _ddm_members(F, s, dd.X, dd.Y):
-        cell = dd.w.get(f)
-        if cell is None or val.onecells.get(cell) != (src, tgt):
-            return failed("check_descent_datum_mor",
-                          ["member morphism at %r missing or mistyped" % f],
-                          {"member": f})
-    bad = _first_mistyped(dd, _ddm_cells(F, s, dd.X, dd.Y, dd.w))
-    if bad is not None:
-        table, _, key = bad
-        return failed("check_descent_datum_mor",
-                      ["comparison %s at %r missing, mistyped or not "
-                       "invertible" % (table, key)], _WITNESS[table](key))
-    return None
-
-
-def check_descent_datum_mor(dd, budget=None, drawn=False):
-    """Typing: the member 1-cells and comparison cells.  Displays:
-    normality, the identity etas, the cocycle and the phi/eta squares.  A
-    drawn datum is tested on its displays alone."""
+def check_descent_datum_mor(dd, budget=None):
+    """Normality, the identity etas, the cocycle and the phi/eta squares of
+    a well-typed datum, as ``_all_descent_data_mor`` draws it: each member
+    1-cell and each comparison cell of ``_ddm_cells`` on its boundary."""
     budget = budget or Budget()
     F, s = dd.F, dd.S
     k = s.k
-    bad = None if drawn else _ddm_boundaries(dd)
-    if bad is not None:
-        return bad
     # normality: phi over an identity leg is the identity comparison
     for d, f in s.all_members():
         val_d = F.ob[d]
@@ -662,63 +606,12 @@ def _wdd_cells(F, s, W, eta, phi):
     yield ("alpha", None), alpha()
 
 
-def _wdd_boundaries(wdd, budget):
-    F, s = wdd.F, wdd.S
-    for d, f in s.all_members():
-        val_d = F.ob[d]
-        if wdd.W.get(f) not in val_d.objects:
-            return failed("check_weak_descent_datum",
-                          ["object at member %r missing" % f],
-                          {"member": f})
-    for d, f, f2, gamma in _member_two_cells(s):
-        val_d = F.ob[d]
-        cell = wdd.eta.get(gamma)
-        if cell is None or val_d.onecells.get(cell) != (wdd.W[f],
-                                                        wdd.W[f2]):
-            return failed("check_weak_descent_datum",
-                          ["transition at %r missing or mistyped" % gamma],
-                          {"twocell": gamma})
-    for d, f, e, g in _cells_into(s):
-        budget.tick()
-        t = s.tilde[(f, g)]
-        val_e = F.ob[e]
-        p = wdd.phi.get((f, g))
-        q = wdd.phi_inv.get((f, g))
-        gw = F.on1[g].ob[wdd.W[f]]
-        if p is None or val_e.onecells.get(p) != (wdd.W[t], gw):
-            return failed("check_weak_descent_datum",
-                          ["phi at (%r, %r) missing or mistyped" % (f, g)],
-                          {"member": f, "onecell": g})
-        if q is None or val_e.onecells.get(q) != (gw, wdd.W[t]) \
-                or val_e.invertible_2cell(val_e.c1(q, p),
-                                          val_e.id1(wdd.W[t])) is None \
-                or val_e.invertible_2cell(val_e.c1(p, q),
-                                          val_e.id1(gw)) is None:
-            return failed("check_weak_descent_datum",
-                          ["phi at (%r, %r) is not an equivalence via the "
-                           "recorded pseudo-inverse" % (f, g)],
-                          {"member": f, "onecell": g})
-    # typing rho spends no step, the others one
-    bad = _first_mistyped(wdd, _wdd_cells(F, s, wdd.W, wdd.eta, wdd.phi),
-                          budget, ("beta", "rho2", "alpha"))
-    if bad is not None:
-        table, _, key = bad
-        return failed("check_weak_descent_datum",
-                      ["%s at %r missing, mistyped or not invertible"
-                       % (table, key)], _WITNESS[table](key))
-    return None
-
-
-def check_weak_descent_datum(wdd, budget=None, drawn=False):
-    """Typing: the objects, transitions, phis with their pseudo-inverses,
-    and comparison cells.  Displays: the coherence displays, quantified
-    over the connecting isos.  A drawn datum is tested on its displays
-    alone."""
+def check_weak_descent_datum(wdd, budget=None):
+    """The coherence displays of a well-typed datum, quantified over the
+    connecting isos, as ``_all_weak_data`` draws it: objects, transitions,
+    each phi an equivalence via its recorded pseudo-inverse, and each
+    comparison cell of ``_wdd_cells`` on its boundary."""
     budget = budget or Budget()
-    bad = None if drawn else _wdd_boundaries(wdd, budget)
-    if bad is not None:
-        return bad
-    # the coherence displays, quantified over the connecting isos
     found, last = _wdd_coherences(wdd, budget)
     if not found:
         return failed("check_weak_descent_datum",
@@ -1223,7 +1116,7 @@ def _all_matching_families(F, s, a, b, budget):
              for _, f in s.all_members())
     for (w,) in choices(budget, cells):
         mf = MatchingFamily2Cells(F, s, a, b, w)
-        if check_matching_family(mf, budget, drawn=True).ok:
+        if check_matching_family(mf, budget).ok:
             yield mf
 
 
@@ -1236,7 +1129,7 @@ def _all_descent_data_mor(F, s, budget):
             for (w,) in choices(budget, members):
                 for cells in _comparisons(budget, _ddm_cells(F, s, X, Y, w)):
                     dd = DescentDatumMorphisms(F, s, X, Y, w, **cells)
-                    if check_descent_datum_mor(dd, budget, drawn=True).ok:
+                    if check_descent_datum_mor(dd, budget).ok:
                         yield dd
 
 
@@ -1281,7 +1174,7 @@ def _all_weak_data(F, s, budget):
             for cells in _comparisons(budget, _wdd_cells(F, s, W, eta, phi)):
                 wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv, **cells)
                 wdd._isos = isos
-                if check_weak_descent_datum(wdd, budget, drawn=True).ok:
+                if check_weak_descent_datum(wdd, budget).ok:
                     yield wdd
 
 
@@ -1416,7 +1309,7 @@ def _all_tritransformations(R, F, budget):
             for cells in _comparisons(
                     budget, _tritrans_cells(R, F, comp, square)):
                 cand = Tritransformation(R, F, comp, square, **cells)
-                if check_tritransformation(cand, budget, drawn=True).ok:
+                if check_tritransformation(cand, budget).ok:
                     yield cand
 
 
@@ -1426,7 +1319,7 @@ def _all_trimods(sx, sy, budget):
     for (comp,) in choices(budget, comps):
         for cells in _comparisons(budget, _trimod_cells(sx, sy, comp)):
             cand = Trimodification(sx, sy, comp, **cells)
-            if check_trimodification(cand, budget, drawn=True).ok:
+            if check_trimodification(cand, budget).ok:
                 yield cand
 
 
@@ -1441,7 +1334,7 @@ def _all_perturbations(ma, mb, budget):
 
     for tables in choices(budget, *map(cells, obs)):
         cand = Perturbation(ma, mb, dict(zip(obs, tables)))
-        if check_perturbation(cand, budget, drawn=True).ok:
+        if check_perturbation(cand, budget).ok:
             yield cand
 
 

@@ -7,8 +7,8 @@ quotiented: what is in the tables is the whole category.
 
 from types import MappingProxyType
 
-from .errors import BoundaryMismatch, MalformedTable, SearchBudgetExceeded
-from .report import Budget, choices, failed, inconclusive, passed
+from .errors import BoundaryMismatch, MalformedTable
+from .report import Budget, choices, failed, passed
 
 
 class FinCat:
@@ -66,22 +66,6 @@ class FinCat:
 
     def isomorphic_objects(self, a, b):
         return any(self.is_iso(m) for m in self.hom(a, b))
-
-    def iso_classes(self):
-        """Partition of objects into isomorphism classes, canonically sorted."""
-        rest = sorted(self.objects)
-        classes = []
-        while rest:
-            a = rest.pop(0)
-            cls = [a] + [b for b in rest if self.isomorphic_objects(a, b)]
-            rest = [b for b in rest if b not in cls]
-            classes.append(tuple(cls))
-        return classes
-
-    def skeleton(self):
-        """Full subcategory on the first representative of each iso class."""
-        reps = [cls[0] for cls in self.iso_classes()]
-        return self.full_subcategory(reps)
 
     def full_subcategory(self, objs):
         objs = [o for o in self.objects if o in set(objs)]
@@ -351,97 +335,6 @@ def is_equivalence(F, budget=None):
                             {"pair": [seen[F.m(f)], f], "reason": "faithfulness"})
                     seen[F.m(f)] = f
     return passed("is_equivalence")
-
-
-def _iso_search(c, d, budget):
-    """Search for an isomorphism of categories c -> d by backtracking."""
-    if len(c.objects) != len(d.objects) or len(c.morphisms) != len(d.morphisms):
-        return None
-    cobs = sorted(c.objects)
-
-    def extend_obs(i, ob):
-        if i == len(cobs):
-            yield dict(ob)
-            return
-        a = cobs[i]
-        for b in d.objects:
-            budget.tick()
-            if b in ob.values():
-                continue
-            ok = True
-            for a2, b2 in ob.items():
-                if len(c.hom(a, a2)) != len(d.hom(b, b2)) \
-                        or len(c.hom(a2, a)) != len(d.hom(b2, b)):
-                    ok = False
-                    break
-            if ok and len(c.hom(a, a)) == len(d.hom(b, b)):
-                ob[a] = b
-                yield from extend_obs(i + 1, ob)
-                del ob[a]
-
-    cmors = sorted(c.morphisms, key=lambda m: (c.is_identity(m), m))
-
-    def extend_mors(ob, i, mm):
-        if i == len(cmors):
-            return dict(mm)
-        f = cmors[i]
-        if c.is_identity(f):
-            cand = [d.id(ob[c.src[f]])]
-        else:
-            cand = [g for g in d.hom(ob[c.src[f]], ob[c.tgt[f]])
-                    if not d.is_identity(g)]
-        for g in cand:
-            budget.tick()
-            if g in mm.values():
-                continue
-            mm[f] = g
-            ok = True
-            for f2, g2 in list(mm.items()):
-                if c.tgt[f2] == c.src[f]:
-                    h = c.comp[(f, f2)]
-                    if h in mm and mm[h] != d.compose(g, g2):
-                        ok = False
-                        break
-                if c.tgt[f] == c.src[f2]:
-                    h = c.comp[(f2, f)]
-                    if h in mm and mm[h] != d.compose(g2, g):
-                        ok = False
-                        break
-            if ok:
-                out = extend_mors(ob, i + 1, mm)
-                if out is not None:
-                    return out
-            del mm[f]
-        return None
-
-    for ob in extend_obs(0, {}):
-        mm = extend_mors(ob, 0, {})
-        if mm is not None:
-            return Functor(c, d, ob, mm)
-    return None
-
-
-def equivalent_categories(c, d, budget=None):
-    """Three-valued equivalence test via skeleton isomorphism.
-
-    Two finite categories are equivalent iff their skeletons are isomorphic;
-    the isomorphism search is budgeted, so the verdict may be inconclusive.
-    """
-    budget = budget or Budget()
-    sc, sd = c.skeleton(), d.skeleton()
-    try:
-        iso = _iso_search(sc, sd, budget)
-    except SearchBudgetExceeded as exc:
-        return inconclusive("equivalent_categories",
-                            ["budget exhausted after %d steps" % exc.steps],
-                            {"steps": exc.steps})
-    if iso is None:
-        return failed("equivalent_categories",
-                      ["skeletons are not isomorphic"],
-                      {"skeleton_sizes": [len(sc.objects), len(sd.objects)]})
-    return passed("equivalent_categories",
-                  ["skeleton isomorphism on %d objects" % len(sc.objects)],
-                  {"on_objects": dict(iso.ob)})
 
 
 def all_functors(c, d, budget=None):

@@ -5,7 +5,7 @@ Three profiles:
 * ``locally-discrete-site``: a random finite poset category embedded as a
   locally discrete 2-category, with a saturated covering family and a
   random discrete-valued homomorphism.
-* ``tiny-2site``: a genuinely 2-categorical base drawn from a small family
+* ``tiny-2site``: a genuinely 2-categorical base picked from a small family
   of shapes, with a saturated covering family and a representable value.
 * ``mutant``: a valid document with exactly one labeled table corruption:
   the first candidate corruption whose labeled check is its only failing

@@ -60,14 +60,16 @@ class Recorded:
         budget.tick(hit[1])
         return hit[0]
 
-    def memo(self, fn, compute=True):
-        """fn(self, budget) under an unlimited budget, recorded under fn's
-        name: for figures derived from the tables alone, such as a check's
-        report.  With compute false, None unless recorded before."""
-        if compute:
-            return self.recorded(fn.__name__, Budget(), fn, self)
-        hit = self._recorded.get(fn.__name__)
-        return None if hit is None else hit[0]
+    def memo(self, key, fn=None):
+        """fn(self, budget) under an unlimited budget, recorded under key:
+        for figures derived from the tables alone, such as a check's
+        report, kept under the name of the op that runs it (as
+        ``two_category``), which a wrapper of the check does not change.
+        Without fn, None unless recorded before."""
+        if fn is None:
+            hit = self._recorded.get(key)
+            return None if hit is None else hit[0]
+        return self.recorded(key, Budget(), fn, self)
 
 
 def choices(budget, *groups):

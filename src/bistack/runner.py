@@ -34,14 +34,15 @@ def _covering(doc, name, F, tau):
                          "base 2-category" % name)
     for n, s in sorted(doc.bisieves.items()):
         if any(s is t for ts in tau.covering.values() for t in ts):
-            _checked(check_bisieve, s, "bisieve", "bisieves." + n)
+            _checked("bisieve", check_bisieve, s, "bisieve", "bisieves." + n)
     return tau
 
 
-def _kept(x, key, check, budget):
-    """check(x, budget), or the report x.memo kept under key with its steps
-    spent again; a copy, since the kept report is shared."""
-    r = x.recorded(key, budget, check, x)
+def _kept(x, op, check, budget):
+    """check(x, budget), or the report that x.memo kept under the op's
+    name, with its steps spent again; a copy, since the kept report is
+    shared."""
+    r = x.recorded(op, budget, check, x)
     return CheckReport(r.name, r.verdict, list(r.details),
                        copy.deepcopy(r.witness))
 
@@ -59,12 +60,11 @@ def _dispatch(doc, name, body, budget):
         return check_category(ref("cat"), budget)
     if op == "two_category":
         # the report that the loader kept if it checked this 2-category
-        return _kept(ref("two_cat"), "check_two_category", check_two_category,
-                     budget)
+        return _kept(ref("two_cat"), op, check_two_category, budget)
     if op == "bisieve":
         # the report that _covering or the sigma op kept if they checked
         # this sieve
-        return _kept(ref("bisieve"), "check_bisieve", check_bisieve, budget)
+        return _kept(ref("bisieve"), op, check_bisieve, budget)
     if op == "bitopology":
         return check_bitopology(ref("bitopology"), budget)
     if op in ("T1", "T2", "T3"):
@@ -72,7 +72,7 @@ def _dispatch(doc, name, body, budget):
         return fn(ref("bitopology"), budget)
     if op == "sigma_bicolim":
         # validated once per sieve, as _covering does
-        s = _checked(check_bisieve, ref("bisieve"), "bisieve",
+        s = _checked("bisieve", check_bisieve, ref("bisieve"), "bisieve",
                      "bisieves.%s" % body["bisieve"])
         return is_sigma_bicolim_bisieve(s, budget)
     if op == "subcanonical":

@@ -48,7 +48,7 @@ class Diagram:
 
     @cached_property
     def free(self):
-        """The shape 1-cells that a cocone's structure cells are drawn on
+        """The shape 1-cells that a cocone's structure cells are chosen on
         (``_free_generators``), chosen once per diagram."""
         return _free_generators(self.shape)
 

@@ -5,9 +5,9 @@ Fin2Cat.  Vertical composition lives in the hom-categories; horizontal
 composition is a pair of total tables (on 1-cells and on 2-cells) required
 to be strictly associative, unital and functorial.
 
-Also here: the layered pasting-scheme evaluator, iso-comma objects with
-their bicategorical universal property, and pseudofunctors into Cat with
-their transformations and modifications.
+Also here: iso-comma objects with their bicategorical universal
+property, and pseudofunctors into Cat with their transformations and
+modifications.
 """
 
 from dataclasses import dataclass
@@ -44,8 +44,9 @@ class Fin2Cat(Recorded):
     first computation spent; a repeat spends them again as one
     ``tick(n)``, which stops where n single ticks would.  Kept there:
     ``equivalence_data`` (by the 1-cell), the ``check_two_category``
-    report (by the name ``memo`` gives it), and the sieve constructions of
-    ``sieves``: interned sieves, pullbacks and sieve equivalences.
+    report (by its op's name, ``two_category``), and the sieve
+    constructions of ``sieves``: interned sieves, pullbacks and sieve
+    equivalences.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
@@ -487,40 +488,6 @@ def check_two_category(k, budget=None):
     return passed("check_two_category",
                   ["%d objects, %d 1-cells, %d 2-cells" %
                    (len(k.objects), len(k.onecells), len(k.twocells))])
-
-
-@dataclass(frozen=True)
-class PastingScheme:
-    """A 2-cell pasting in layered normal form.
-
-    Each layer is (post, cell, pre): `pre` and `post` are tgt-to-src ordered
-    whiskering paths; the layer denotes post * cell * pre.  Layers are
-    vertically composed first-to-last.  `identity_on` names a 1-cell when
-    there are no layers.
-    """
-
-    layers: tuple
-    identity_on: str = None
-
-
-def paste(k, scheme):
-    """Evaluate a pasting scheme to a single 2-cell id.
-
-    Raises BoundaryMismatch if consecutive layers do not chain.
-    """
-    if not scheme.layers:
-        if scheme.identity_on is None:
-            raise MalformedTable("empty pasting scheme with no identity_on")
-        return k.id2(scheme.identity_on)
-    out = None
-    for post, cell, pre in scheme.layers:
-        w = cell
-        if pre:
-            w = k.h(w, k.id2(k.c1_path(tuple(pre))))
-        if post:
-            w = k.h(k.id2(k.c1_path(tuple(post))), w)
-        out = w if out is None else k.v(w, out)
-    return out
 
 
 # --- iso-comma objects ------------------------------------------------

@@ -169,11 +169,13 @@ def located(where, what, fn, *args):
                          % (where, what, type(exc).__name__, exc))
 
 
-def _checked(check, x, what, where):
-    """x, refused unless check passes on it, once: x.memo keeps the report.
+def _checked(key, check, x, what, where):
+    """x, refused unless check passes on it, once: x.memo keeps the report
+    under key, the name of the op that runs check (``trihom_data`` for the
+    trihom check, which no op runs).
     A trihom is built by composing in its base and its values, and the
     bicat3 checkers that decide over it assume valid values and data."""
-    r = located(where, what, x.memo, check)
+    r = located(where, what, x.memo, key, check)
     if not r.ok:
         raise ParseError("%s: %s fails: %s"
                          % (where, what, ": ".join(r.details)))
@@ -182,7 +184,7 @@ def _checked(check, x, what, where):
 
 def _decode_trihom(body, two_cats, where):
     kind = _object(body, where).get("kind")
-    k = _checked(check_two_category,
+    k = _checked("two_category", check_two_category,
                  _ref(two_cats, body.get("two_cat"), "two-category", where),
                  "base two-category", where)
     if kind == "representable":
@@ -196,8 +198,8 @@ def _decode_trihom(body, two_cats, where):
         values = {}
         for c, v in _field(body, "values", where).items():
             at = "%s.values[%s]" % (where, c)
-            values[c] = _checked(check_two_category, _decode_two_cat(v, at),
-                                 "value", at)
+            values[c] = _checked("two_category", check_two_category,
+                                 _decode_two_cat(v, at), "value", at)
         for c in k.objects:
             if c not in values:
                 raise DanglingReference("%s: no value at object %r"
@@ -231,7 +233,7 @@ def _decode_trihom(body, two_cats, where):
         t = strict_trihom(k, values, on1, on2)
     except _MALFORMED as exc:
         raise ParseError("%s: %s" % (where, exc))
-    return _checked(check_trihom_data, t, "trihom data", where)
+    return _checked("trihom_data", check_trihom_data, t, "trihom data", where)
 
 
 def load_data(raw):

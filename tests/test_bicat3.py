@@ -20,6 +20,7 @@ from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import load_data
 
 from test_two_cat import split_idempotent_2cat
+import typing_oracles
 
 
 @pytest.fixture
@@ -131,7 +132,9 @@ def e_modification(k, at_a="c[id_A>e]"):
 
 def test_modification_between_parallel_transformations(ksplit):
     assert check_two_modification(e_modification(ksplit)).ok
-    r = check_two_modification(e_modification(ksplit, "c[e>id_A]"))
+    assert typing_oracles.two_modification(e_modification(ksplit)) is None
+    # the checker takes well-typed components; the oracle types them
+    r = typing_oracles.two_modification(e_modification(ksplit, "c[e>id_A]"))
     assert not r.ok and r.witness["object"] == "A"
 
 
@@ -251,11 +254,11 @@ def test_trimodification_unit_axiom_fails_on_a_z2_value():
     th.gamma["0"]["P"] = "t"
     m = identity_trimodification(ph)
     m = Trimodification(th, ph, m.comp, m.cell)
-    for drawn in (False, True):
-        r = check_trimodification(m, Budget(), drawn=drawn)
-        assert not r.ok
-        assert r.details == ["unit axiom fails at ('0', 'P')"]
-        assert r.witness == {"object": "0", "lhs": "t", "rhs": "2id_id_P"}
+    assert typing_oracles.trimodification(m) is None
+    r = check_trimodification(m, Budget())
+    assert not r.ok
+    assert r.details == ["unit axiom fails at ('0', 'P')"]
+    assert r.witness == {"object": "0", "lhs": "t", "rhs": "2id_id_P"}
 
 
 def test_identity_perturbation_passes_and_mutant_fails():
@@ -331,15 +334,10 @@ def _identity_checks(t):
 
 
 def _ksplit_checks(k):
-    """Every bicat3 checker on valid structures over ksplit, and on ones
-    with one mistyped cell.  Built afresh on each call."""
+    """Every bicat3 checker on valid structures over ksplit, and the
+    pseudofunctor and transformation checkers, which type what they check,
+    also on ones with one mistyped cell.  Built afresh on each call."""
     t = trihom_over_arrow(k, collapse_functor(k))
-    bad_beta = identity_tritransformation(t)
-    bad_beta.beta[("a", "id_0")]["A"] = "c[id_A>e]"
-    bad_square = identity_trimodification(identity_tritransformation(t))
-    bad_square.cell["a"]["A"] = "c[id_A>e]"
-    bad_pert = identity_perturbation(t)
-    bad_pert.comp["0"]["A"] = "c[id_A>e]"
     ids = ({x: x for x in k.objects}, {f: f for f in k.onecells},
            {a: a for a in k.twocells})
     chi = {pair: k.id2(c) for pair, c in k.hcomp1.items()}
@@ -356,11 +354,6 @@ def _ksplit_checks(k):
         ("e-nat", check_ps_two_nat, e_transformation(k)),
         ("wrong-cell", check_ps_two_nat, wrong_cell_transformation(k)),
         ("mod", check_two_modification, e_modification(k)),
-        ("bad-mod", check_two_modification,
-         e_modification(k, "c[e>id_A]")),
-        ("bad-beta", check_tritransformation, bad_beta),
-        ("bad-square-cell", check_trimodification, bad_square),
-        ("bad-pert", check_perturbation, bad_pert),
         ("yoneda-tritrans", check_tritransformation,
          yoneda_tritrans(rep, "A", "id_A")),
         ("yoneda-trimod", check_trimodification,
@@ -392,6 +385,36 @@ def test_checkers_do_not_see_the_thin_shortcut(ksplit, monkeypatch):
     assert {verdicts[n] for n in verdicts if n.startswith("bad")
             or n in ("nonfunctorial", "wrong-cell")} == {"fail"}
     assert verdicts["id"] == verdicts["yoneda-trimod"] == "pass"
+
+
+def test_typing_oracles_locate_one_mistyped_cell(ksplit):
+    """The tritransformation, trimodification and perturbation checkers
+    take well-typed candidates; the typing oracles pass the identity cells
+    over ksplit and locate one mistyped cell in each."""
+    t = trihom_over_arrow(ksplit, collapse_functor(ksplit))
+    bad_beta = identity_tritransformation(t)
+    bad_gamma = identity_tritransformation(t)
+    bad_square = identity_trimodification(identity_tritransformation(t))
+    bad_pert = identity_perturbation(t)
+    cases = [(typing_oracles.tritransformation, bad_beta),
+             (typing_oracles.tritransformation, bad_gamma),
+             (typing_oracles.trimodification, bad_square),
+             (typing_oracles.perturbation, bad_pert)]
+    assert [oracle(x) for oracle, x in cases] == [None] * 4
+    bad_beta.beta[("a", "id_0")]["A"] = "c[id_A>e]"
+    bad_gamma.gamma["0"]["A"] = "c[id_A>e]"
+    bad_square.cell["a"]["A"] = "c[id_A>e]"
+    bad_pert.comp["0"]["A"] = "c[id_A>e]"
+    got = [(r.details[-1], r.witness) for r in
+           (oracle(x) for oracle, x in cases)]
+    assert got == [
+        ("bad composition comparison at ('a', 'id_0', 'A')",
+         {"pair": ["a", "id_0"], "object": "A"}),
+        ("bad unit comparison at ('0', 'A')",
+         {"object": "0", "twocell": "c[id_A>e]"}),
+        ("bad square comparison at ('a', 'A')",
+         {"onecell": "a", "object": "A"}),
+        ("bad component at 'A'", {"object": "A"})]
 
 
 def test_z2_value_never_takes_the_shortcut(monkeypatch):

@@ -4,12 +4,13 @@ import copy
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistack import cli
+from bistack import cli, runner
 from bistack.builders import chain_suspension
 from bistack.errors import DanglingReference, ParseError, UnknownCheck
 from bistack.generate import PROFILES, _fails_exactly_its_label, \
@@ -112,6 +113,29 @@ def test_replay_reproduces_every_corpus_report(corpus_doc):
     for report in run_all(corpus_doc):
         same, _ = replay(report, corpus_doc)
         assert same, report["check"]
+
+
+def test_a_kept_sieve_report_is_reused_under_a_wrapped_check(monkeypatch):
+    """The bisieve op reuses the report that the 2-stack check kept for
+    each covering sieve, also when check_bisieve is wrapped in a function
+    of another name, as a tracer wraps it: one run per sieve, with the
+    same reports and steps."""
+    real = runner.check_bisieve
+    for seed in range(3):
+        raw = generate(seed, "locally-discrete-site")
+        want = [strip_timing(r) for r in run_all(load_data(raw))]
+        runs = Counter()
+
+        def timed(s, budget=None):
+            runs[id(s)] += 1
+            return real(s, budget)
+
+        monkeypatch.setattr(runner, "check_bisieve", timed)
+        doc = load_data(raw)
+        assert [strip_timing(r) for r in run_all(doc)] == want
+        monkeypatch.undo()
+        assert len(runs) == len(doc.bisieves)
+        assert set(runs.values()) == {1}
 
 
 def test_every_bundled_corpus_document_loads():

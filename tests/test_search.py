@@ -33,6 +33,7 @@ from test_coverage_indexes import _pool_documents
 from test_descent import collapse_objects_trihom, \
     collapse_twocells_trihom, unreachable_object_trihom
 from test_two_cat import split_idempotent_2cat
+from typing_oracles import WELL_TYPED
 
 
 # --- choices against itertools.product ---------------------------------------
@@ -371,9 +372,9 @@ def _comparison_sequences(monkeypatch):
                          ("check_trimodification", lambda m: m.cell)):
         check = getattr(descent, name)
         monkeypatch.setattr(
-            descent, name, lambda x, budget=None, drawn=False, check=check,
+            descent, name, lambda x, budget=None, check=check,
             tables=tables: seen.append(_canon(tables(x)))
-            or check(x, budget, drawn=drawn))
+            or check(x, budget))
     k = chain_suspension(3)
     F = representable_trihom(k, "Y")
     instances = [(F, literal_maximal_bisieve(k, c))
@@ -514,7 +515,7 @@ def test_checked_bases_skip_revalidation_with_the_same_trihom(monkeypatch):
         except ParseError:
             continue
         try:
-            ok = k.memo(check_two_category).ok
+            ok = k.memo("two_category", check_two_category).ok
         except (ToolkitError, KeyError, TypeError):
             ok = False
         validated.clear()
@@ -747,35 +748,17 @@ def test_budget_sweep_does_not_see_the_thin_shortcut(monkeypatch):
 
 # --- drawn candidates -------------------------------------------------------
 
-# each checker that an enumerator calls on the candidates it draws, with the
-# tables that name a candidate
-_DRAWN = {
-    "check_ps_two_functor": lambda h: h.key(),
-    "check_ps_two_nat": lambda t: t.key(),
-    "check_tritransformation": lambda t: (
-        {c: h.key() for c, h in t.comp.items()},
-        {f: q.key() for f, q in t.square.items()}, t.beta, t.gamma),
-    "check_trimodification": lambda m: (
-        {c: q.key() for c, q in m.comp.items()}, m.cell),
-    "check_perturbation": lambda p: p.comp,
-    "check_matching_family": lambda mf: (mf.a, mf.b, mf.w),
-    "check_descent_datum_mor": lambda dd: (dd.X, dd.Y, dd.w, dd.phi,
-                                           dd.eta),
-    "check_weak_descent_datum": lambda w: (w.W, w.eta, w.phi, w.phi_inv,
-                                           w.rho, w.beta, w.rho2, w.alpha),
-}
-
-
-def _recorded_checks(monkeypatch, mode):
-    """Wrap each checker of _DRAWN where the enumerators call it, so that
-    it records the candidate, how it was called and the verdict.  While
-    mode["drawn"] is false, every candidate is typed in full."""
+def _recorded_checks(monkeypatch):
+    """Wrap each checker that an enumerator calls where it calls it, so
+    that it records, for each candidate, the checker's name, whether the
+    candidate is well typed (its typing oracle finds nothing) and the
+    verdict."""
     seen = []
-    for name, tables in _DRAWN.items():
-        def hook(x, budget=None, drawn=False, name=name,
-                 check=getattr(descent, name), tables=tables):
-            r = check(x, budget, drawn=drawn and mode["drawn"])
-            seen.append((name, drawn, _canon(tables(x)), r.verdict))
+    for name, oracle in WELL_TYPED.items():
+        def hook(x, *args, name=name, check=getattr(descent, name),
+                 oracle=oracle, **kwargs):
+            r = check(x, *args, **kwargs)
+            seen.append((name, oracle(x) is None, r.verdict))
             return r
         monkeypatch.setattr(descent, name, hook)
     return seen
@@ -803,9 +786,9 @@ def _wa_z2_instances():
 def _enumerated(F, s, objects=True):
     """Run each enumerator of the two deciders to its end over the sieve s
     (the perturbations and the modifications out of the drawn
-    transformations as the direct decider draws them); the steps.  Without
-    objects, the weak data and the transformations out of the sieve are
-    left out, and the modifications run between restrictions only."""
+    transformations as the direct decider draws them).  Without objects,
+    the weak data and the transformations out of the sieve are left out,
+    and the modifications run between restrictions only."""
     budget = Budget()
     val = F.ob[s.target]
     for a, b in _parallel_pairs(val):
@@ -825,61 +808,46 @@ def _enumerated(F, s, objects=True):
     for alpha in [*sigma.values(), *drawn]:
         for X in sorted(sigma):
             list(_all_trimods(alpha, sigma[X], budget))
-    return budget.steps
 
 
 @pytest.mark.parametrize("thin", [True, False])
 def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
-    """A drawn candidate skips the typing that its pools guarantee.  With
-    every candidate typed in full, both deciders give the same verdicts,
-    details and witnesses, and every enumerator, run to its end on values
-    with more than one 2-cell in a pool, hands its checker the same
-    candidates in the same order, with the same verdicts; the drawn path
-    spends no more steps on any run, and fewer in all.  Locally thin values are
-    taken as they are and, in a second run, as non-thin.  The constant
-    B(Z/2) on chain_suspension(2), whose weak data and transformations out
-    of the maximal sieve are too many to enumerate here, adds 2-cells
-    between members, so that the modification and perturbation squares can
+    """The enumerators draw every candidate from typed pools, so the
+    checkers they call test only displays (the pseudofunctor and
+    transformation checkers under ``drawn=True``): every candidate that
+    each enumerator hands its checker, run to its end on values with more
+    than one 2-cell in a pool, is well typed by its typing oracle, and some
+    of them fail their displays.  Locally thin values are taken as they
+    are and, in a second run, as non-thin.  The constant B(Z/2) on
+    chain_suspension(2), whose weak data and transformations out of the
+    maximal sieve are too many to enumerate here, adds 2-cells between
+    members, so that the modification and perturbation squares can
     fail."""
     if not thin:
         _no_shortcut(monkeypatch)
     instances = _stack_instances() + _split_instances()
     k2 = chain_suspension(2)
     repro = _constant_z2_trihom(k2)
-    mode = {"drawn": True}
-    seen = _recorded_checks(monkeypatch, mode)
-
-    def run():
-        """Rows whose last field is the steps, and the checked candidates."""
-        seen.clear()
-        budget = Budget()
-        r = is_2stack_direct(repro, Bitopology(k2, {"Y": [
-            literal_maximal_bisieve(k2, "Y")]}), budget)
-        rows = [("repro", r.verdict, r.witness, budget.steps)]
-        rows += _verdicts(instances)
-        rows += [("enumerated", _enumerated(F, s))
-                 for F, s in _wa_z2_instances()]
-        rows.append(("enumerated", _enumerated(
-            repro, literal_maximal_bisieve(k2, "Y"), objects=False)))
-        return rows, list(seen)
-
-    drawn, checked = run()
-    # every enumerator calls its checker on the drawn path, and some drawn
-    # candidates fail it
-    assert {name for name, was_drawn, *_ in checked if was_drawn} \
-        == set(_DRAWN)
-    assert {"pass", "fail"} <= {row[1] for row in drawn}
-    assert {"pass", "fail"} <= {verdict for *_, verdict in checked}
+    seen = _recorded_checks(monkeypatch)
+    budget = Budget()
+    r = is_2stack_direct(repro, Bitopology(k2, {"Y": [
+        literal_maximal_bisieve(k2, "Y")]}), budget)
+    rows = _verdicts(instances)
+    for F, s in _wa_z2_instances():
+        _enumerated(F, s)
+    _enumerated(repro, literal_maximal_bisieve(k2, "Y"), objects=False)
+    # every enumerator calls its checker, only on well-typed candidates,
+    # and some of them fail their displays
+    assert {name for name, *_ in seen} == set(WELL_TYPED)
+    assert all(typed for _, typed, _ in seen)
+    assert {"pass", "fail"} <= {verdict for *_, verdict in seen}
+    assert {"pass", "fail"} <= {row[1] for row in rows}
     # the direct decider still fails the constant B(Z/2) at (M): the
     # modification axioms at base 2-cells are not checked (393 steps before
     # a step became work done)
-    assert drawn[0] == ("repro", "fail", {"object": "Y", "sieve": 0,
-                                          "condition": "M",
-                                          "endpoints": ["P", "P"]}, 240)
-    mode["drawn"] = False
-    typed, typed_checked = run()
-    assert typed_checked == checked
-    _spends_less(drawn, typed)
+    assert (r.verdict, r.witness, budget.steps) == (
+        "fail", {"object": "Y", "sieve": 0, "condition": "M",
+                 "endpoints": ["P", "P"]}, 240)
 
 
 def test_connecting_iso_pools_are_computed_once_per_objects_and_transitions(

@@ -7,11 +7,11 @@ from bistack.fincat import (FinCat, Functor, check_functor, check_nat,
                             compose_functors, discrete, identity_functor,
                             walking_arrow)
 from bistack.report import failed
-from bistack.two_cat import (Fin2Cat, PastingScheme, PsNatTrans,
-                             CatModification, check_bi_iso_comma,
-                             check_modification, check_ps_functor,
-                             check_ps_nat, check_two_category, find_iso_comma,
-                             from_fincat, iso_comma_in_cat, paste)
+from bistack.two_cat import (Fin2Cat, PsNatTrans, CatModification,
+                             check_bi_iso_comma, check_modification,
+                             check_ps_functor, check_ps_nat,
+                             check_two_category, find_iso_comma, from_fincat,
+                             iso_comma_in_cat)
 from bistack.fincat import NatTrans
 
 
@@ -123,28 +123,6 @@ def test_equivalence_data_finds_non_invertible_equivalence():
     assert k.invertible2(unit) and k.invertible2(counit)
     # e is equivalent to id_A but u is not an isomorphism-like 1-cell
     assert k.equivalent_objects("A", "B")
-
-
-def test_paste_layers_against_direct_composition():
-    k = split_idempotent_2cat()
-    a = "c[id_A>e]"     # id_A => e
-    b = "c[e>id_A]"     # e => id_A
-    # layer 1: a whiskered by nothing; layer 2: b; vertical composite = 2id
-    s = PastingScheme(layers=(((), a, ()), ((), b, ())))
-    assert paste(k, s) == k.id2("id_A")
-    # whiskering with u on the outside: u * (b . a) = 2id_u
-    s2 = PastingScheme(layers=((("u",), a, ()), (("u",), b, ())))
-    assert paste(k, s2) == k.id2("u")
-    # empty scheme denotes an identity 2-cell
-    assert paste(k, PastingScheme(layers=(), identity_on="v")) == k.id2("v")
-
-
-def test_paste_rejects_non_chaining_layers():
-    from bistack.errors import BoundaryMismatch, MalformedTable
-    k = split_idempotent_2cat()
-    s = PastingScheme(layers=(((), "c[id_A>e]", ()), ((), "c[id_A>e]", ())))
-    with pytest.raises((BoundaryMismatch, MalformedTable)):
-        paste(k, s)
 
 
 def cospan_with_pullback():
