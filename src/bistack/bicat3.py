@@ -33,8 +33,8 @@ the table's entry at key otherwise; each cell (x, value, src, tgt) is
 recorded at x and typed src() => tgt in value: the source is a thunk, so
 that only the typing and the pools compose it.  Families and cells come in
 the enumerators' order, sorted; the pseudofunctor's come in table order and
-its enumerator sorts them, so that its checker sorts nothing.  The
-pseudofunctor, transformation and homomorphism-data checkers type the
+its enumerator sorts them, so that its typing sorts nothing.  The
+typing of loaded homomorphism data (``check_trihom_data``) checks the
 recorded cells against a declaration (``_first_mistyped``), the
 enumerators of ``descent`` draw each cell from the invertible 2-cells of
 its boundary (``_comparisons``, which fixes each singleton pool and runs
@@ -49,12 +49,11 @@ so that a table that no check reads is never built.
 The enumerators of ``descent`` draw every candidate from typed pools, so
 a candidate can fail only its displays: identity 2-cells preserved,
 naturality of the squares in base 2-cells, the coherence and square
-axioms.  The checkers of modifications, tritransformations,
-trimodifications and perturbations test those alone: each takes a
-well-typed candidate, as the enumerators draw it.  The pseudofunctor and
-transformation checkers also type the tables of loaded homomorphism data
-(``check_trihom_data``), so they keep their typing, which the
-enumerators skip with ``drawn=True``; the typing skipped spends no step.
+axioms.  Every checker of a pseudofunctor, transformation, modification,
+tritransformation, trimodification or perturbation tests those alone:
+each takes a well-typed candidate, as the enumerators draw it.
+``check_trihom_data`` types loaded pseudofunctors and transformations
+first (``_ps_two_functor_typing``, ``_ps_two_nat_typing``, no step).
 """
 
 from functools import cached_property, partial
@@ -217,9 +216,9 @@ def compose_ps_two_functors(k2, h):
                         chi, unit)
 
 
-def _ps_two_functor_images(h):
-    """Typing of every object, 1-cell and 2-cell image; None on success,
-    report on failure."""
+def _ps_two_functor_typing(h):
+    """Typing of every object, 1-cell and 2-cell image, then of every
+    compositor and unitor cell; None on success, report on failure."""
     d, c = h.dom, h.cod
     for x in d.objects:
         if h.ob.get(x) not in c.objects:
@@ -235,43 +234,36 @@ def _ps_two_functor_images(h):
         if b is None or c.twocells.get(b) != (h.on1[f], h.on1[f2]):
             return failed("check_ps_two_functor",
                           ["bad 2-cell image at %r" % a], {"twocell": a})
-    return None
+    bad = _first_mistyped(h, _ps_two_functor_cells(d, c, h.ob, h.on1))
+    if bad is None:
+        return None
+    table, _, x = bad
+    if table == "chi":
+        return failed("check_ps_two_functor",
+                      ["bad compositor at (%r, %r)" % x], {"pair": list(x)})
+    return failed("check_ps_two_functor", ["bad unitor at %r" % x],
+                  {"object": x})
 
 
-def check_ps_two_functor(h, budget=None, drawn=False):
-    """Typing: the images, then (after the first two displays) the
-    compositor and unitor cells.  Displays: identity 2-cells and vertical
-    composition preserved, then the compositor natural, associative and
-    unital.  A drawn candidate is tested on its displays alone."""
+def check_ps_two_functor(h, budget=None):
+    """Identity 2-cells and vertical composition preserved, then the
+    compositor natural, associative and unital, for a well-typed
+    pseudofunctor (``_ps_two_functor_typing``)."""
     budget = budget or Budget()
     d, c = h.dom, h.cod
-    bad = None if drawn else _ps_two_functor_images(h)
-    if bad is not None:
-        return bad
     for f in d.onecells:
         if h.on2[d.id2(f)] != c.id2(h.on1[f]):
             return failed("check_ps_two_functor",
                           ["identity 2-cell not preserved at %r" % f],
                           {"onecell": f})
-    thin = c.locally_thin()
-    for (b, a), v in () if thin else d.vcomp.items():
+    if c.locally_thin():
+        return passed("check_ps_two_functor")
+    for (b, a), v in d.vcomp.items():
         budget.tick()
         if h.on2[v] != c.v(h.on2[b], h.on2[a]):
             return failed("check_ps_two_functor",
                           ["vertical composition not preserved at "
                            "(%r, %r)" % (b, a)], {"pair": [b, a]})
-    bad = None if drawn else \
-        _first_mistyped(h, _ps_two_functor_cells(d, c, h.ob, h.on1))
-    if bad is not None:
-        table, _, x = bad
-        if table == "chi":
-            return failed("check_ps_two_functor",
-                          ["bad compositor at (%r, %r)" % x],
-                          {"pair": list(x)})
-        return failed("check_ps_two_functor", ["bad unitor at %r" % x],
-                      {"object": x})
-    if thin:
-        return passed("check_ps_two_functor")
     # naturality of the compositor in both arguments
     for (b2, b), vb in d.hcomp2.items():
         budget.tick()
@@ -355,16 +347,12 @@ def _ps_two_nat_typing(t):
     return None
 
 
-def check_ps_two_nat(t, budget=None, drawn=False):
-    """Typing: the components and structure cells.  Displays: 2-cell
-    naturality, composition and unit coherence.  A drawn candidate is
-    tested on its displays alone."""
+def check_ps_two_nat(t, budget=None):
+    """2-cell naturality, composition and unit coherence of a well-typed
+    transformation (``_ps_two_nat_typing``)."""
     budget = budget or Budget()
     g, h = t.dom, t.cod
     c = g.cod
-    bad = None if drawn else _ps_two_nat_typing(t)
-    if bad is not None:
-        return bad
     if c.locally_thin():
         return passed("check_ps_two_nat")
     for al, (a, a2) in g.dom.twocells.items():
@@ -650,7 +638,7 @@ def check_trihom_data(t, budget=None):
             return failed("check_trihom_data",
                           ["bad value pseudofunctor at %r" % f],
                           {"onecell": f})
-        r = check_ps_two_functor(h, budget)
+        r = _ps_two_functor_typing(h) or check_ps_two_functor(h, budget)
         if not r.ok:
             r.details.insert(0, "value pseudofunctor at %r" % f)
             return r
@@ -660,7 +648,7 @@ def check_trihom_data(t, budget=None):
             return failed("check_trihom_data",
                           ["bad value transformation at %r" % al],
                           {"twocell": al})
-        r = check_ps_two_nat(tr, budget)
+        r = _ps_two_nat_typing(tr) or check_ps_two_nat(tr, budget)
         if not r.ok:
             r.details.insert(0, "value transformation at %r" % al)
             return r
@@ -684,7 +672,7 @@ def check_trihom_data(t, budget=None):
             return failed("check_trihom_data",
                           ["bad compositor boundary at (%r, %r)" % (f, g)],
                           {"pair": [f, g]})
-        r = check_ps_two_nat(tr, budget)
+        r = _ps_two_nat_typing(tr) or check_ps_two_nat(tr, budget)
         if not r.ok:
             r.details.insert(0, "compositor at (%r, %r)" % (f, g))
             return r
@@ -703,7 +691,7 @@ def check_trihom_data(t, budget=None):
                 or tr.cod != t.on1[k.id1(c)]:
             return failed("check_trihom_data",
                           ["bad unitor boundary at %r" % c], {"object": c})
-        r = check_ps_two_nat(tr, budget)
+        r = _ps_two_nat_typing(tr) or check_ps_two_nat(tr, budget)
         if not r.ok:
             r.details.insert(0, "unitor at %r" % c)
             return r

@@ -71,10 +71,9 @@ alone: each takes a well-typed datum, as the enumerators draw it.  For a
 matching family the displays are the compatibility displays, for a
 morphism datum normality, the identity etas, the cocycle and the phi/eta
 squares, and for a weak datum the coherence displays with their
-connecting isos.  The ``bicat3`` checkers of tritransformations,
-trimodifications and perturbations are display-only too.  The
-pseudofunctor and transformation checkers, which also type the tables
-of loaded trihoms, are called with ``drawn=True`` to skip their typing.
+connecting isos.  The ``bicat3`` checkers of pseudofunctors,
+transformations, tritransformations, trimodifications and perturbations
+are display-only too.
 ``descent_category`` draws its pseudonatural transformations and
 modifications from ``fincat.all_functors`` and ``all_nat_trans``, and
 ``two_cat.check_ps_nat`` and ``check_modification`` test only their
@@ -1256,7 +1255,7 @@ def _all_ps_two_functors(dom, cod, pools, budget):
             for (on2,) in choices(budget, twos):
                 for cells in _comparisons(budget, families):
                     cand = PsTwoFunctor(dom, cod, ob, on1, on2, **cells)
-                    if check_ps_two_functor(cand, budget, drawn=True).ok:
+                    if check_ps_two_functor(cand, budget).ok:
                         yield cand
 
 
@@ -1274,7 +1273,7 @@ def _all_ps_two_nats(g, h, budget, equivalences=False):
     for (comp,) in choices(budget, components()):
         for cells in _comparisons(budget, _ps_two_nat_cells(g, h, comp)):
             cand = PsTwoNatTrans(g, h, comp, **cells)
-            if check_ps_two_nat(cand, budget, drawn=True).ok:
+            if check_ps_two_nat(cand, budget).ok:
                 yield cand
 
 

@@ -71,9 +71,14 @@ def _dispatch(doc, name, body, budget):
         fn = {"T1": check_T1, "T2": check_T2, "T3": check_T3}[op]
         return fn(ref("bitopology"), budget)
     if op == "sigma_bicolim":
-        # validated once per sieve, as _covering does
-        s = _checked("bisieve", check_bisieve, ref("bisieve"), "bisieve",
-                     "bisieves.%s" % body["bisieve"])
+        # the sieve and its 2-category, each validated once: the decision
+        # indexes their tables without typing them
+        s = ref("bisieve")
+        _checked("two_category", check_two_category, s.k, "two-category",
+                 "two_cats.%s" % doc.raw["bisieves"][body["bisieve"]]
+                 ["two_cat"])
+        _checked("bisieve", check_bisieve, s, "bisieve",
+                 "bisieves.%s" % body["bisieve"])
         return is_sigma_bicolim_bisieve(s, budget)
     if op == "subcanonical":
         tau = ref("bitopology")

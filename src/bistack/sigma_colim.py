@@ -19,16 +19,20 @@ tabulated category would give its witness (``_modification_name``, which
 the tabulating test oracle names its arrows with too).  So verdicts, details and
 witnesses are those of ``is_equivalence`` over the tabulated category;
 the steps are those of the modifications built.
+
+The cocones are drawn typed (``enumerate_sigma_cocones``) and tested on
+their displays alone (``_cocone_displays``); ``check_sigma_cocone`` also
+types the universal cocone.  Both assume a valid strict 2-functor into a
+valid 2-category, as ``projection_diagram`` of a valid bisieve is.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import BoundaryMismatch, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .report import (Budget, CheckReport, FAIL, INCONCLUSIVE, PASS, choices,
                      failed, passed)
 from .sieves import groth
-from .two_cat import find_iso_comma
 
 
 class Diagram:
@@ -51,52 +55,6 @@ class Diagram:
         """The shape 1-cells that a cocone's structure cells are chosen on
         (``_free_generators``), chosen once per diagram."""
         return _free_generators(self.shape)
-
-
-def check_diagram(d, budget=None):
-    budget = budget or Budget()
-    sh, k = d.shape, d.k
-    for s in sh.objects:
-        if d.ob.get(s) not in k.objects:
-            return failed("check_diagram", ["bad object image at %r" % s],
-                          {"object": s})
-    for m, (s, t) in sh.onecells.items():
-        g = d.on1.get(m)
-        if g is None or k.onecells.get(g) != (d.ob[s], d.ob[t]):
-            return failed("check_diagram", ["bad 1-cell image at %r" % m],
-                          {"onecell": m})
-    for x, (m, m2) in sh.twocells.items():
-        g = d.on2.get(x)
-        if g is None or k.twocells.get(g) != (d.on1[m], d.on1[m2]):
-            return failed("check_diagram", ["bad 2-cell image at %r" % x],
-                          {"twocell": x})
-    for s in sh.objects:
-        if d.on1[sh.id1(s)] != k.id1(d.ob[s]):
-            return failed("check_diagram", ["identity 1-cell not preserved "
-                                            "at %r" % s], {"object": s})
-    for (b, a), c in sh.hcomp1.items():
-        budget.tick()
-        if d.on1[c] != k.c1(d.on1[b], d.on1[a]):
-            return failed("check_diagram",
-                          ["composition not preserved at (%r, %r)" % (b, a)],
-                          {"pair": [b, a]})
-    for m in sh.onecells:
-        if d.on2[sh.id2(m)] != k.id2(d.on1[m]):
-            return failed("check_diagram", ["identity 2-cell not preserved "
-                                            "at %r" % m], {"onecell": m})
-    for (b, a), c in sh.vcomp.items():
-        budget.tick()
-        if d.on2[c] != k.v(d.on2[b], d.on2[a]):
-            return failed("check_diagram",
-                          ["vertical composition not preserved at (%r, %r)"
-                           % (b, a)], {"pair": [b, a]})
-    for (b, a), c in sh.hcomp2.items():
-        budget.tick()
-        if d.on2[c] != k.h(d.on2[b], d.on2[a]):
-            return failed("check_diagram",
-                          ["horizontal composition not preserved at "
-                           "(%r, %r)" % (b, a)], {"pair": [b, a]})
-    return passed("check_diagram")
 
 
 def projection_diagram(gt):
@@ -132,10 +90,11 @@ class SigmaCocone:
 
 
 def check_sigma_cocone(d, cc, budget=None):
-    """The oplax cocone equations plus the sigma invertibility filter."""
+    """The typing of each leg and structure 2-cell, the identity condition,
+    then the displays (``_cocone_displays``) of a cocone over a valid
+    strict 2-functor into a valid 2-category."""
     budget = budget or Budget()
-    k = d.k
-    sh = d.shape
+    k, sh = d.k, d.shape
     legs, cells = dict(cc.legs), dict(cc.cells)
     for s in sh.objects:
         r = legs.get(s)
@@ -153,6 +112,15 @@ def check_sigma_cocone(d, cc, budget=None):
             return failed("check_sigma_cocone",
                           ["identity condition fails at %r" % s],
                           {"object": s})
+    return _cocone_displays(d, legs, cells, budget)
+
+
+def _cocone_displays(d, legs, cells, budget):
+    """The composition condition at every composable pair and the 2-cell
+    condition, one step each, then invertibility on the marked 1-cells, of
+    typed legs and cells over a valid strict 2-functor into a valid
+    2-category."""
+    k, sh = d.k, d.shape
     for (b, a), c in sh.hcomp1.items():
         budget.tick()
         got = k.v(k.wr(cells[b], d.on1[a]), cells[a])
@@ -204,7 +172,12 @@ def _free_generators(sh):
 
 
 def enumerate_sigma_cocones(d, u, budget=None):
-    """All sigma-bicocones of the diagram on the object u."""
+    """All sigma-bicocones on u of a valid strict 2-functor into a valid
+    2-category.  Each is drawn typed, with identities at the identity
+    1-cells: legs from the 1-cells into u, the cells on ``Diagram.free``
+    from the 2-cells on their boundaries (invertible on marked 1-cells),
+    and the composites derived (``_complete_cells``).  So only its
+    displays are tested."""
     budget = budget or Budget()
     k, sh = d.k, d.shape
     sobs = sorted(sh.objects)
@@ -223,17 +196,18 @@ def enumerate_sigma_cocones(d, u, budget=None):
         for (cells,) in choices(budget, structure_cells(legs)):
             for s in sobs:
                 cells[sh.id1(s)] = k.id2(legs[s])
-            ok = _complete_cells(k, sh, d, legs, cells)
-            if not ok:
-                continue
-            cc = SigmaCocone.make(u, legs, cells)
-            if check_sigma_cocone(d, cc, budget).ok:
-                out.append(cc)
+            _complete_cells(d, cells)
+            if _cocone_displays(d, legs, cells, budget).ok:
+                out.append(SigmaCocone.make(u, legs, cells))
     return sorted(out, key=lambda c: (c.legs, c.cells))
 
 
-def _complete_cells(k, sh, d, legs, cells):
-    """Derive composite structure cells; False on irrecoverable clash."""
+def _complete_cells(d, cells):
+    """Derive the composite structure cells from those of the identities
+    and the free generators.  ``_free_generators`` takes a 1-cell until
+    their closure under composition is every shape 1-cell, so every cell
+    is derived."""
+    k, sh = d.k, d.shape
     changed = True
     while changed:
         changed = False
@@ -241,7 +215,6 @@ def _complete_cells(k, sh, d, legs, cells):
             if b in cells and a in cells and c not in cells:
                 cells[c] = k.v(k.wr(cells[b], d.on1[a]), cells[a])
                 changed = True
-    return all(m in cells for m in sh.onecells)
 
 
 def cocone_morphisms(d, c1, c2, budget=None):
@@ -490,123 +463,4 @@ def universal_cocone(s, gt=None):
 def is_sigma_bicolim_bisieve(s, budget=None):
     d, mu = universal_cocone(s)
     cert = verify_sigma_bicolim(s.target, d, mu, budget)
-    return cert.report()
-
-
-def conicalize(s, gt, w, apex=None):
-    """Turn a transformation from the sieve presheaf into a representable
-    (a weighted cocone) into a sigma-cocone over the element 2-category."""
-    k = s.k
-    d = projection_diagram(gt)
-    legs, cells = {}, {}
-    for name, (dd, f) in gt.ob_of.items():
-        legs[name] = w.comp[dd].o(f)
-    for name, (g, alpha) in gt.one_of.items():
-        src_name, tgt_name = gt.two_cat.onecells[name]
-        e, h = gt.ob_of[src_name]
-        dd, f = gt.ob_of[tgt_name]
-        cells[name] = k.v(w.cells[g].at(f), w.comp[e].m(alpha))
-    if apex is None:
-        apex = k.tgt1(next(iter(legs.values())))
-    return d, SigmaCocone.make(apex, legs, cells)
-
-
-# --- change of base along a morphism into the target ---------------------
-
-def _induced_1cell(k, cone, v, w, filler):
-    """1-cells u into the cone apex with p.u = v, q.u = w and theta.u equal
-    to the given filler (strict iso-comma factorizations)."""
-    out = []
-    for u in k.one_cells_between(k.src1(v), cone.apex):
-        if k.c1(cone.p, u) == v and k.c1(cone.q, u) == w \
-                and k.wr(cone.theta, u) == filler:
-            out.append(u)
-    return out
-
-
-def coconofstar_diagram(s, f, budget=None):
-    """The iso-comma diagram of Prop-style change of base, plus its cocone.
-
-    Returns (diagram, cocone, report); diagram/cocone are None when some
-    iso-comma or induced cell is missing or ambiguous.
-    """
-    budget = budget or Budget()
-    k = s.k
-    x, y = k.onecells[f]
-    if y != s.target:
-        raise BoundaryMismatch("%r does not land in %r" % (f, s.target))
-    gt = groth(s)
-    sh = gt.two_cat
-    cones = {}
-    for name, (dd, h) in gt.ob_of.items():
-        cone, rep = find_iso_comma(k, f, h, budget)
-        if cone is None:
-            return None, None, failed(
-                "verify_coconofstar",
-                ["iso-comma missing for member %r" % h],
-                {"member": h, "reason": "IsoCommaMissing"})
-        cones[name] = cone
-    ob = {name: cones[name].apex for name in sh.objects}
-    on1 = {}
-    for name, (g, alpha) in gt.one_of.items():
-        src_name, tgt_name = sh.onecells[name]
-        e, h = gt.ob_of[src_name]
-        dd, l = gt.ob_of[tgt_name]
-        t = s.tilde[(l, g)]
-        mid_name = "(%s|%s)" % (e, t)
-        ch, ct, cl = cones[src_name], cones[mid_name], cones[tgt_name]
-        # first factor: induced by the 2-cell component alpha
-        filler1 = k.v(k.wr(alpha, ch.q), ch.theta)
-        us1 = _induced_1cell(k, ct, ch.p, ch.q, filler1)
-        # second factor: induced by the restriction witness
-        filler2 = k.v(k.wr(s.sigma[(l, g)], ct.q), ct.theta)
-        us2 = _induced_1cell(k, cl, ct.p, k.c1(g, ct.q), filler2)
-        if len(us1) != 1 or len(us2) != 1:
-            return None, None, failed(
-                "verify_coconofstar",
-                ["induced morphism for %r missing or ambiguous (%d, %d "
-                 "candidates)" % (name, len(us1), len(us2))],
-                {"onecell": name, "candidates": [us1, us2]})
-        on1[name] = k.c1(us2[0], us1[0])
-    on2 = {}
-    for name2, (m1, m2) in sh.twocells.items():
-        delta = gt.two_of[name2]
-        src_name, tgt_name = sh.onecells[m1]
-        cl = cones[tgt_name]
-        ch = cones[src_name]
-        nu = k.wr(delta, ch.q)
-        gammas = [
-            gam for gam in k.two_cells_between(on1[m1], on1[m2])
-            if k.wl(cl.p, gam) == k.id2(k.c1(cl.p, on1[m1]))
-            and k.wl(cl.q, gam) == nu
-        ]
-        budget.tick()
-        if len(gammas) != 1:
-            return None, None, failed(
-                "verify_coconofstar",
-                ["induced 2-cell for %r missing or ambiguous (%d candidates)"
-                 % (name2, len(gammas))],
-                {"twocell": name2, "candidates": gammas})
-        on2[name2] = gammas[0]
-    marked = [name for name, (g, a) in gt.one_of.items() if k.invertible2(a)]
-    d = Diagram(sh, k, ob, on1, on2, marked)
-    legs = {name: cones[name].p for name in sh.objects}
-    cells = {m: k.id2(legs[sh.onecells[m][0]]) for m in sh.onecells}
-    mu = SigmaCocone.make(x, legs, cells)
-    return d, mu, passed("coconofstar_diagram")
-
-
-def verify_coconofstar(s, f, budget=None):
-    """Change of base: the domain of f is the sigma-bicolimit of the
-    iso-comma diagram over the sieve's 2-category of elements."""
-    budget = budget or Budget()
-    d, mu, rep = coconofstar_diagram(s, f, budget)
-    if d is None:
-        return rep
-    rd = check_diagram(d, budget)
-    if not rd.ok:
-        rd.details.insert(0, "induced diagram is not a 2-functor")
-        return rd
-    x = s.k.onecells[f][0]
-    cert = verify_sigma_bicolim(x, d, mu, budget)
     return cert.report()

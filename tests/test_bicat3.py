@@ -10,8 +10,9 @@ from bistack.bicat3 import (Perturbation, PsTwoFunctor, PsTwoNatTrans,
                             identity_ps_two_nat, identity_trimodification,
                             identity_tritransformation, representable_trihom,
                             strict_trihom, yoneda_pert, yoneda_trimod,
-                            yoneda_tritrans, _identities, _trihom_cells,
-                            _trimod_cells, _tritrans_cells)
+                            yoneda_tritrans, _identities,
+                            _ps_two_functor_typing, _ps_two_nat_typing,
+                            _trihom_cells, _trimod_cells, _tritrans_cells)
 from bistack.builders import chain_suspension
 from bistack.fincat import walking_arrow
 from bistack.generate import generate
@@ -99,8 +100,11 @@ def nonfunctorial_functor(k):
 
 
 def test_nonfunctorial_one_cell_table_is_flagged(ksplit):
-    r = check_ps_two_functor(nonfunctorial_functor(ksplit))
+    # the checker takes a well-typed pseudofunctor; loaded tables are
+    # typed first, as check_trihom_data does
+    r = _ps_two_functor_typing(nonfunctorial_functor(ksplit))
     assert not r.ok
+    assert r.witness["twocell"] in ("c[id_A>e]", "c[e>id_A]")
 
 
 # --- transformations and modifications --------------------------------------
@@ -118,7 +122,7 @@ def wrong_cell_transformation(k):
 
 
 def test_transformation_with_wrong_cell_is_flagged(ksplit):
-    r = check_ps_two_nat(wrong_cell_transformation(ksplit))
+    r = _ps_two_nat_typing(wrong_cell_transformation(ksplit))
     assert not r.ok
     assert r.witness["onecell"] == "u"
 
@@ -333,10 +337,17 @@ def _identity_checks(t):
             ("trihom", check_trihom_data, t)]
 
 
+def _typed(typing, check):
+    """check after typing, as check_trihom_data runs the pseudofunctor and
+    transformation checkers on loaded tables."""
+    return lambda x, budget: typing(x) or check(x, budget)
+
+
 def _ksplit_checks(k):
     """Every bicat3 checker on valid structures over ksplit, and the
-    pseudofunctor and transformation checkers, which type what they check,
-    also on ones with one mistyped cell.  Built afresh on each call."""
+    typing of loaded pseudofunctors and transformations on ones with one
+    mistyped cell.  Built afresh on each call."""
+    typed_functor = _typed(_ps_two_functor_typing, check_ps_two_functor)
     t = trihom_over_arrow(k, collapse_functor(k))
     ids = ({x: x for x in k.objects}, {f: f for f in k.onecells},
            {a: a for a in k.twocells})
@@ -346,13 +357,13 @@ def _ksplit_checks(k):
     return _identity_checks(t) + [
         ("id", check_ps_two_functor, identity_ps_two_functor(k)),
         ("collapse", check_ps_two_functor, collapse_functor(k)),
-        ("nonfunctorial", check_ps_two_functor, nonfunctorial_functor(k)),
-        ("bad-compositor", check_ps_two_functor,
-         PsTwoFunctor(k, k, *ids, chi=chi)),
-        ("bad-unitor", check_ps_two_functor, PsTwoFunctor(
+        ("nonfunctorial", typed_functor, nonfunctorial_functor(k)),
+        ("bad-compositor", typed_functor, PsTwoFunctor(k, k, *ids, chi=chi)),
+        ("bad-unitor", typed_functor, PsTwoFunctor(
             k, k, *ids, unit={"A": "c[id_A>e]", "B": "2id_id_B"})),
         ("e-nat", check_ps_two_nat, e_transformation(k)),
-        ("wrong-cell", check_ps_two_nat, wrong_cell_transformation(k)),
+        ("wrong-cell", _typed(_ps_two_nat_typing, check_ps_two_nat),
+         wrong_cell_transformation(k)),
         ("mod", check_two_modification, e_modification(k)),
         ("yoneda-tritrans", check_tritransformation,
          yoneda_tritrans(rep, "A", "id_A")),

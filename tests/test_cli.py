@@ -564,6 +564,23 @@ def test_cli_sigma_bicolim_on_a_malformed_bisieve_is_a_located_input_error(
     assert "Traceback" not in err
 
 
+def test_cli_sigma_bicolim_over_an_invalid_two_category_is_an_input_error(
+        tmp_path, capsys):
+    """The sigma decision indexes its 2-category's tables without typing
+    them, so a 2-category that fails check_two_category is refused with a
+    located message, not decided."""
+    raw = generate(11, "tiny-2site")
+    del raw["trihoms"]
+    raw["two_cats"]["K"]["vcomp"][7][-1] = "2id_u"
+    raw["checks"] = {"sigma:S_A_0": {"op": "sigma_bicolim",
+                                     "bisieve": "S_A_0"}}
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: two_cats.K: two-category fails: hom('A', 'B'): "
+                   "ill-typed composite ('c[u>w]', 'c[w>u]')\n")
+
+
 def _mutant_without_identity2(k):
     del k["identity2"]["id_B"]
 

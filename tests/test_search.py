@@ -813,11 +813,10 @@ def _enumerated(F, s, objects=True):
 @pytest.mark.parametrize("thin", [True, False])
 def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
     """The enumerators draw every candidate from typed pools, so the
-    checkers they call test only displays (the pseudofunctor and
-    transformation checkers under ``drawn=True``): every candidate that
-    each enumerator hands its checker, run to its end on values with more
-    than one 2-cell in a pool, is well typed by its typing oracle, and some
-    of them fail their displays.  Locally thin values are taken as they
+    checkers they call test only displays: every candidate that each
+    enumerator hands its checker, run to its end on values with more than
+    one 2-cell in a pool, is well typed by its typing oracle, and some of
+    them fail their displays.  Locally thin values are taken as they
     are and, in a second run, as non-thin.  The constant B(Z/2) on
     chain_suspension(2), whose weak data and transformations out of the
     maximal sieve are too many to enumerate here, adds 2-cells between

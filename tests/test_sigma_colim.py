@@ -11,17 +11,17 @@ from bistack.generate import generate
 from bistack.report import Budget, guarded
 from bistack.sieves import (build_bisieve, groth, inclusion_transformation,
                             maximal_bisieve)
-from bistack.sigma_colim import (Diagram, SigmaCocone, check_diagram,
-                                 check_sigma_cocone, cocone_morphisms,
-                                 conicalize, enumerate_sigma_cocones,
+from bistack.sigma_colim import (Diagram, SigmaCocone, check_sigma_cocone,
+                                 cocone_morphisms, enumerate_sigma_cocones,
                                  is_sigma_bicolim_bisieve,
                                  projection_diagram, universal_cocone,
-                                 verify_coconofstar, verify_sigma_bicolim,
-                                 whisker_cocone)
+                                 verify_sigma_bicolim, whisker_cocone)
 from bistack.two_cat import Fin2Cat, from_fincat
 from bistack.workspace import load_data
 
-from sigma_oracles import materialised_comparison, sigma_cocone_category
+from sigma_oracles import check_diagram, conicalize, \
+    materialised_comparison, sigma_cocone_category, sigma_cocone_typing, \
+    typed_sigma_cocones, verify_coconofstar
 from test_sieves import _pool_sieves
 from test_tabulate import _sieves as _tabulated_sieves
 from test_two_cat import split_idempotent_2cat
@@ -275,6 +275,52 @@ def test_budget_exhausted_while_checking_the_cocone_is_inconclusive(
     assert rep.verdict == "inconclusive"
     assert rep.details == ["budget exhausted after %d steps" % (limit + 1)]
     assert rep.witness == {"steps": limit + 1, "per_object": {}}
+
+
+# --- drawn cocones -----------------------------------------------------------
+
+def _enumerations(sieves, enumerate_cocones):
+    """The cocones that enumerate_cocones finds on each test object over
+    each sieve's elements, with the steps it spends."""
+    out = []
+    for s in sieves:
+        d, _ = universal_cocone(s)
+        for u in sorted(s.k.objects):
+            budget = Budget()
+            out.append((enumerate_cocones(d, u, budget), budget.steps))
+    return out
+
+
+def test_drawn_cocones_are_tested_on_their_displays_alone(monkeypatch):
+    """enumerate_sigma_cocones draws each cocone typed and hands it to the
+    display half of check_sigma_cocone alone.  On every bisieve of the
+    corpus, of site seeds 0-79 and of test_tabulate, and on every test
+    object: the enumerator that runs the full check finds the same cocones,
+    in the same order, with the same steps; every cocone handed to the
+    displays is well typed with its identity condition; and some fail
+    their displays."""
+    sieves = _pool_sieves() + _tabulated_sieves()
+    drawn = _enumerations(sieves, enumerate_sigma_cocones)
+    assert drawn == _enumerations(sieves, typed_sigma_cocones)
+    handed, seen = [], []
+    displays = sigma_colim._cocone_displays
+
+    def recorded(d, legs, cells, budget):
+        r = displays(d, legs, cells, budget)
+        handed.append((dict(legs), dict(cells), r.verdict))
+        return r
+
+    monkeypatch.setattr(sigma_colim, "_cocone_displays", recorded)
+    for s in sieves:
+        d, _ = universal_cocone(s)
+        for u in sorted(s.k.objects):
+            handed.clear()
+            enumerate_sigma_cocones(d, u)
+            seen += [(sigma_cocone_typing(
+                d, SigmaCocone.make(u, legs, cells)), verdict)
+                for legs, cells, verdict in handed]
+    assert all(bad is None for bad, _ in seen)
+    assert {verdict for _, verdict in seen} == {"pass", "fail"}
 
 
 # --- the direct decision against the tabulated category -----------------------

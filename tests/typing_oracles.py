@@ -2,20 +2,20 @@
 
 The enumerators of ``descent`` draw every candidate from typed pools, so
 the checkers of matching families, descent data on morphisms, weak
-descent data, modifications, tritransformations, trimodifications and
-perturbations take a well-typed candidate and test only its displays.
-Each function here answers the one question those checkers do not ask:
-is this candidate well typed?  It returns None when it is, and otherwise
-a failed report that names the first piece missing, off its boundary or
-not invertible.  ``ps_two_functor`` and ``bicat3._ps_two_nat_typing``
-are the typing that ``bicat3`` keeps for the loader, which the
-enumerators skip with ``drawn=True``.
+descent data, pseudofunctors, transformations, modifications,
+tritransformations, trimodifications and perturbations take a well-typed
+candidate and test only its displays.  Each function here answers the one
+question those checkers do not ask: is this candidate well typed?  It
+returns None when it is, and otherwise a failed report that names the
+first piece missing, off its boundary or not invertible.
+``bicat3._ps_two_functor_typing`` and ``bicat3._ps_two_nat_typing`` are
+the typing that ``bicat3.check_trihom_data`` runs on loaded tables.
 """
 
 from bistack.bicat3 import TwoModification, check_ps_two_functor, \
     check_ps_two_nat, compose_ps_two_functors, _first_mistyped, \
-    _ps_two_functor_cells, _ps_two_functor_images, _ps_two_nat_typing, \
-    _trimod_cells, _tritrans_cells
+    _ps_two_functor_typing, _ps_two_nat_typing, _trimod_cells, \
+    _tritrans_cells
 from bistack.descent import _cells_into, _ddm_cells, _ddm_members, \
     _member_two_cells, _wdd_cells
 from bistack.report import failed
@@ -140,7 +140,7 @@ def tritransformation(t):
         if h is None or h.dom != R.ob[c] or h.cod != F.ob[c]:
             return failed("check_tritransformation",
                           ["bad component at %r" % c], {"object": c})
-        r = check_ps_two_functor(h)
+        r = _ps_two_functor_typing(h) or check_ps_two_functor(h)
         if not r.ok:
             r.details.insert(0, "component at %r" % c)
             return r
@@ -151,7 +151,7 @@ def tritransformation(t):
         if sq is None or sq.dom != want_dom or sq.cod != want_cod:
             return failed("check_tritransformation",
                           ["bad square boundary at %r" % f], {"onecell": f})
-        r = check_ps_two_nat(sq)
+        r = _ps_two_nat_typing(sq) or check_ps_two_nat(sq)
         if not r.ok:
             r.details.insert(0, "square at %r" % f)
             return r
@@ -188,7 +188,7 @@ def trimodification(m):
         if tr is None or tr.dom != th.comp[c] or tr.cod != ph.comp[c]:
             return failed("check_trimodification",
                           ["bad component at %r" % c], {"object": c})
-        r = check_ps_two_nat(tr)
+        r = _ps_two_nat_typing(tr) or check_ps_two_nat(tr)
         if not r.ok:
             r.details.insert(0, "component at %r" % c)
             return r
@@ -221,27 +221,13 @@ def perturbation(p):
     return None
 
 
-def ps_two_functor(h):
-    """The images, and the compositor and unitor cells on their
-    boundaries."""
-    bad = _ps_two_functor_images(h)
-    if bad is not None:
-        return bad
-    bad = _first_mistyped(h, _ps_two_functor_cells(h.dom, h.cod, h.ob, h.on1))
-    if bad is None:
-        return None
-    table, _, x = bad
-    return failed("check_ps_two_functor", ["bad %s at %r" % (table, x)],
-                  {table: x})
-
-
 # each checker that an enumerator of descent calls, by its name there, and
 # the oracle that types its candidates
 WELL_TYPED = {
     "check_matching_family": matching_family,
     "check_descent_datum_mor": descent_datum_mor,
     "check_weak_descent_datum": weak_descent_datum,
-    "check_ps_two_functor": ps_two_functor,
+    "check_ps_two_functor": _ps_two_functor_typing,
     "check_ps_two_nat": _ps_two_nat_typing,
     "check_tritransformation": tritransformation,
     "check_trimodification": trimodification,
