@@ -18,9 +18,11 @@ def thin_two_cat(objects, onecells, identity1, hcomp1, order_pairs):
 
     order_pairs lists the pairs (f, g) of parallel 1-cells carrying the
     unique non-identity 2-cell f => g.  The relation must be transitive and
-    closed under whiskering, or the tables could not be total.
+    closed under whiskering, or the tables could not be total.  The tables
+    list the cells in the caller's order, so what a checker meets first
+    does not depend on the hash seed.
     """
-    order = {tuple(p) for p in order_pairs}
+    order = dict.fromkeys(tuple(p) for p in order_pairs)
     for f, g in order:
         if onecells[f] != onecells[g]:
             raise MalformedTable("2-cell between non-parallel %r, %r" % (f, g))

@@ -10,11 +10,12 @@ Three profiles:
 * ``mutant``: a valid document with exactly one labeled table corruption:
   the first candidate corruption whose labeled check is its only failing
   check, built and checked one candidate at a time.  A candidate runs its
-  cheapest checks first: its ``bisieve`` checks, each on one sieve, then
-  the others in name order, and its labeled check last.  Any check that
-  does not pass rules the candidate out, and under an unlimited budget no
-  verdict depends on the order the checks run in, so the order decides
-  only how soon a candidate is rejected, never which candidate is kept.
+  cheapest checks first: its ``bisieve`` checks, each on one sieve decoded
+  alone, before the whole document is loaded, then the others in name
+  order, and its labeled check last.  Any check that does not pass rules
+  the candidate out, and under an unlimited budget no verdict depends on
+  the order the checks run in, so the order decides only how soon a
+  candidate is rejected, never which candidate is kept.
 
 All profiles self-validate before returning, so a generated document is a
 usable fixture by construction.
@@ -26,12 +27,14 @@ from itertools import product
 from .errors import ToolkitError
 from .fincat import FinCat, discrete
 from .two_cat import Fin2Cat, check_two_category, from_fincat
-from .sieves import _covers, candidate_sieves, check_bitopology, \
-    literal_maximal_bisieve, pullback_sieve, sieve_equivalence
+from .sieves import _covers, candidate_sieves, check_bisieve, \
+    check_bitopology, literal_maximal_bisieve, pullback_sieve, \
+    sieve_equivalence
 from .builders import thin_two_cat
 from .report import Budget
 from .runner import run_check
-from .workspace import SCHEMA, load_data, _encode_two_cat, _encode_bisieve
+from .workspace import SCHEMA, load_data, located, _decode_bisieve, \
+    _decode_two_cat, _encode_bisieve, _encode_two_cat
 
 PROFILES = ("locally-discrete-site", "tiny-2site", "mutant")
 
@@ -346,35 +349,76 @@ def _mutations(raw):
                        mutation={"label": "T1-missing", "check": "T1"})
 
 
+def _sieve_checks_passed(raw, label):
+    """The ``bisieve`` checks of raw other than label that pass, each run
+    in name order on its sieve and that sieve's 2-category decoded alone
+    (each 2-category once), with the decoders and the located check that
+    loading and ``run_check`` use; None at the first that does not pass
+    or raises a ToolkitError.  A check whose sieve or 2-category this
+    cannot find in the raw shape is left out, for the full load to run."""
+    sections = [raw.get(s, {}) for s in ("checks", "bisieves", "two_cats")]
+    if not all(isinstance(x, dict) for x in sections):
+        return set()
+    checks, sieves, two_cats = sections
+    passed, decoded = set(), {}
+    for name in sorted(checks):
+        body = checks[name]
+        if name == label or not isinstance(body, dict) \
+                or body.get("op") != "bisieve":
+            continue
+        sname = body.get("bisieve")
+        sbody = sieves.get(sname) if isinstance(sname, str) else None
+        kname = sbody.get("two_cat") if isinstance(sbody, dict) else None
+        if not isinstance(kname, str) or kname not in two_cats:
+            continue
+        try:
+            if kname not in decoded:
+                decoded[kname] = _decode_two_cat(two_cats[kname],
+                                                 "two_cats." + kname)
+            s = _decode_bisieve(sbody, decoded, "bisieves." + sname)
+            r = located("checks." + name, "an input of op 'bisieve'",
+                        check_bisieve, s, Budget())
+        except ToolkitError:
+            return None
+        if r.verdict != "pass":
+            return None
+        passed.add(name)
+    return passed
+
+
 def _fails_exactly_its_label(mutated):
     """Whether the labeled check is the only check of mutated that does
-    not pass.  The other checks run first, up to the first that does not
-    pass: every ``bisieve`` check, which reads one sieve, then the rest in
-    name order, with T1-T3 over every sieve among them.  The labeled check
-    runs last.  A corruption is mostly ruled out by a sieve it breaks, so
-    most candidates stop at their cheapest checks; under an unlimited
-    budget no verdict depends on the order the checks run in, so the
-    answer does not either."""
+    not pass.  A corruption is mostly ruled out by a sieve it breaks, so
+    the ``bisieve`` checks first run on their sieves alone
+    (``_sieve_checks_passed``), and only a candidate they pass is loaded
+    whole; its other checks then run in name order, with T1-T3 over every
+    sieve among them, and the labeled check last.  Both stages run the
+    loader's decoders over the same JSON bodies, a sieve's verdict reads
+    only that sieve and its 2-category, and under an unlimited budget no
+    verdict depends on the order the checks run in, so the answer is the
+    one a full load that runs every check would give."""
     label = mutated["mutation"]["check"]
+    passed = _sieve_checks_passed(mutated, label)
+    if passed is None:
+        return False
     try:
         doc = load_data(mutated)
-        others = sorted((doc.checks[name]["op"] != "bisieve", name)
-                        for name in doc.checks if name != label)
         return all(run_check(doc, name)["verdict"] == "pass"
-                   for _, name in others) \
+                   for name in sorted(doc.checks)
+                   if name != label and name not in passed) \
             and run_check(doc, label)["verdict"] != "pass"
     except ToolkitError:
         return False
 
 
 def _mutant_base(rng):
-    """The valid site document a mutant corrupts, without trihoms."""
-    base = _generate_tiny_2site(rng) if rng.random() < 0.5 \
-        else _generate_locally_discrete(rng)
-    base.pop("trihoms", None)
-    base["checks"] = {n: b for n, b in base["checks"].items()
-                      if not n.startswith("2stack")}
-    return base
+    """The valid site document a mutant corrupts, without trihoms: a
+    profile's base and covering, drawn as that profile draws them."""
+    if rng.random() < 0.5:
+        k = _TINY_BASES[rng.randrange(len(_TINY_BASES))]()
+    else:
+        k = from_fincat(_random_poset_cat(rng))
+    return _site_document(k, _random_covering(k, rng, Budget()))
 
 
 def _generate_mutant(rng):

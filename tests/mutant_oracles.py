@@ -1,9 +1,11 @@
 """The mutant predicate in name order: the test oracle of
-``generate._fails_exactly_its_label``, which runs a candidate's checks
-cheapest first and must give the same answer.
+``generate._fails_exactly_its_label``, which runs each ``bisieve`` check
+on its sieve decoded alone before it loads a candidate, and the other
+checks after, and must give the same answer.
 
-The labeled check runs first, then the others in name order up to the
-first that does not pass, so T1-T3 run before the ``bisieve`` checks.
+Here every candidate is loaded whole first.  The labeled check runs
+first, then the others in name order up to the first that does not
+pass, so T1-T3 run before the ``bisieve`` checks.
 """
 
 from bistack.errors import ToolkitError

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import bistack
 from bistack.bicat3 import (Perturbation, PsTwoFunctor, PsTwoNatTrans,
                             Trimodification, Tritransformation,
                             TwoModification, check_perturbation,
@@ -104,7 +109,25 @@ def test_nonfunctorial_one_cell_table_is_flagged(ksplit):
     # typed first, as check_trihom_data does
     r = _ps_two_functor_typing(nonfunctorial_functor(ksplit))
     assert not r.ok
-    assert r.witness["twocell"] in ("c[id_A>e]", "c[e>id_A]")
+    assert r.witness == {"twocell": "c[id_A>e]"}
+
+
+def test_nonfunctorial_witness_does_not_depend_on_the_hash_seed():
+    """The thin 2-category lists its cells in the builder's order, so the
+    first bad cell is the same under every hash seed."""
+    src = os.path.dirname(os.path.dirname(bistack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(__file__)]))
+    script = ("from bistack.bicat3 import _ps_two_functor_typing\n"
+              "from test_bicat3 import nonfunctorial_functor\n"
+              "from test_two_cat import split_idempotent_2cat\n"
+              "print(_ps_two_functor_typing(nonfunctorial_functor("
+              "split_idempotent_2cat())).witness)")
+    witnesses = {subprocess.run(
+        [sys.executable, "-c", script], env=dict(env, PYTHONHASHSEED=str(h)),
+        check=True, capture_output=True, text=True).stdout
+        for h in range(6)}
+    assert witnesses == {"{'twocell': 'c[id_A>e]'}\n"}
 
 
 # --- transformations and modifications --------------------------------------

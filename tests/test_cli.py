@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from bistack import cli, runner
 from bistack.builders import chain_suspension
 from bistack.errors import DanglingReference, ParseError, UnknownCheck
+from bistack import generate as generate_module
 from bistack.generate import PROFILES, _fails_exactly_its_label, \
-    _mutant_base, _mutations, generate
+    _mutant_base, _mutations, _sieve_checks_passed, generate
 from bistack.runner import replay, run_all, run_check, strip_timing
 from bistack.sieves import check_bitopology, literal_maximal_bisieve
 from bistack.two_cat import check_two_category
@@ -286,6 +287,84 @@ def test_cheapest_first_checks_answer_as_the_name_order_does():
                 (seed, mutated["mutation"])
             answers.add(answer)
     assert answers == {True, False}
+
+
+def _hostile(raw):
+    """Copies of raw, each with one edit that the sieve-alone stage cannot
+    read as a sieve check, or that breaks a table it decodes."""
+    for sname in sorted(raw["bisieves"]):
+        for edit in ("unknown two-cat", "list"):
+            out = copy.deepcopy(raw)
+            if edit == "list":
+                out["bisieves"][sname] = [out["bisieves"][sname]]
+            else:
+                out["bisieves"][sname]["two_cat"] = "no-such-two-cat"
+            yield out
+    for name in sorted(raw["checks"]):
+        if raw["checks"][name]["op"] == "bisieve":
+            for edit in ("no op", "no sieve", "missing sieve"):
+                out = copy.deepcopy(raw)
+                body = out["checks"][name]
+                if edit == "missing sieve":
+                    body["bisieve"] = "no-such-sieve"
+                else:
+                    del body["op" if edit == "no op" else "bisieve"]
+                yield out
+    out = copy.deepcopy(raw)
+    out["two_cats"]["K"]["vcomp"][0] = "not-a-row"
+    yield out
+    out = copy.deepcopy(raw)
+    out["checks"] = sorted(out["checks"])
+    yield out
+
+
+def test_the_sieve_stage_answers_hostile_mutants_as_the_oracle_does():
+    """A sieve-alone stage that rejects or defers never disagrees with the
+    name-order oracle, and never raises, on candidates whose sections,
+    sieves, check bodies or tables are broken."""
+    rejected = deferred = 0
+    for seed in (0, 3):
+        base = _mutant_base(random.Random(repr(("bistack", "mutant", seed))))
+        firsts = {}
+        for mutated in _mutations(base):
+            firsts.setdefault(mutated["mutation"]["label"], mutated)
+        for mutated in firsts.values():
+            for raw in _hostile(mutated):
+                oracle = fails_exactly_its_label_by_name(raw)
+                passed = _sieve_checks_passed(raw, raw["mutation"]["check"])
+                if passed is None:
+                    rejected += 1
+                    assert not oracle, (seed, raw["mutation"])
+                else:
+                    deferred += 1
+                assert _fails_exactly_its_label(raw) == oracle, \
+                    (seed, raw["mutation"])
+    assert rejected and deferred
+
+
+def test_only_mutants_that_pass_every_sieve_check_are_loaded(
+        monkeypatch):
+    base = _mutant_base(random.Random(repr(("bistack", "mutant", 0))))
+    candidates = list(_mutations(base))
+    expected = []
+    for i, mutated in enumerate(candidates):
+        label = mutated["mutation"]["check"]
+        doc = load_data(mutated)
+        if all(run_check(doc, name)["verdict"] == "pass"
+               for name, body in doc.checks.items()
+               if body["op"] == "bisieve" and name != label):
+            expected.append(i)
+    loaded = []
+
+    def spy(raw):
+        loaded.append(next(i for i, c in enumerate(candidates) if c is raw))
+        return load_data(raw)
+
+    monkeypatch.setattr(generate_module, "load_data", spy)
+    for mutated in candidates:
+        _fails_exactly_its_label(mutated)
+    assert loaded == expected
+    assert 0 < len(loaded) < len(candidates)
 
 
 # --- command line ------------------------------------------------------------------
