@@ -7,9 +7,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistack.bicat3 import _comparisons, _tables, identity_ps_two_functor, \
-    identity_ps_two_nat, induced_trimod, induced_tritrans, \
-    representable_trihom, strict_trihom, yoneda_pert, yoneda_trimod, \
+from bistack.bicat3 import _comparisons, _tables, induced_trimod, \
+    induced_tritrans, representable_trihom, yoneda_pert, yoneda_trimod, \
     yoneda_tritrans
 from bistack import bicat3, descent
 from bistack.builders import chain_suspension
@@ -28,7 +27,7 @@ from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import _decode_two_cat, corpus_names, corpus_path, \
     load, load_data
 
-from test_bicat3 import one_object_z2
+from test_bicat3 import _constant_z2_trihom, one_object_z2
 from test_coverage_indexes import _pool_documents
 from test_descent import collapse_objects_trihom, \
     collapse_twocells_trihom, unreachable_object_trihom
@@ -419,9 +418,7 @@ def test_comparison_cell_candidates_are_pinned(monkeypatch):
 def _trihom_tables(t):
     return {"ob": {c: v.key() for c, v in t.ob.items()},
             **{name: {x: h.key() for x, h in getattr(t, name).items()}
-               for name in ("on1", "on2", "chi", "iota")},
-            "omega": t.omega, "delta_hat": t.delta_hat,
-            "gamma_hat": t.gamma_hat}
+               for name in ("on1", "on2")}}
 
 
 def _tritrans_tables(s):
@@ -465,9 +462,11 @@ def _constructions():
 
 
 # recorded before the representable and Yoneda constructions were built
-# from sieve restriction
-_CONSTRUCTIONS_PINNED = ("e482712bc8cf254fa3e155b2101286c3"
-                         "4489255a83c44bd0d2b6d7a3caea5644")
+# from sieve restriction; re-recorded without each trihom's compositor,
+# unitor and comparison tables, once every one of them had been asserted
+# to be the identity data, before trihoms stopped carrying them
+_CONSTRUCTIONS_PINNED = ("48c3ee2867502287aa19766448827fc2"
+                         "387824bbb14dbe597afba9a13f0c4010")
 
 
 def test_representable_and_yoneda_constructions_are_pinned():
@@ -764,15 +763,6 @@ def _recorded_checks(monkeypatch):
     return seen
 
 
-def _constant_z2_trihom(k):
-    """B(Z/2) at every object of k, acted on by the identity."""
-    z2 = one_object_z2()
-    ident = identity_ps_two_functor(z2)
-    return strict_trihom(k, {c: z2 for c in k.objects},
-                         {f: ident for f in k.onecells},
-                         {a: identity_ps_two_nat(ident) for a in k.twocells})
-
-
 def _wa_z2_instances():
     """The walking arrow with B(Z/2) values under the sieve on 1 that a
     generates: acted on by the identity, and by the collapse that kills the
@@ -847,6 +837,43 @@ def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
     assert (r.verdict, r.witness, budget.steps) == (
         "fail", {"object": "Y", "sieve": 0, "condition": "M",
                  "endpoints": ["P", "P"]}, 240)
+
+
+def _drawn_axiom_reports(monkeypatch):
+    """(checker, verdict, details, witness, steps) for each candidate that
+    the tritransformation and trimodification enumerators hand to their
+    checkers, run to their end over _wa_z2_instances and over the constant
+    B(Z/2) on chain_suspension(2), whose drawn components need not have
+    identity compositor and unitor cells."""
+    seen = []
+    for name in ("check_tritransformation", "check_trimodification"):
+        def hook(x, budget, name=name, check=getattr(descent, name)):
+            start = budget.steps
+            r = check(x, budget)
+            seen.append((name, r.verdict, r.details, r.witness,
+                         budget.steps - start))
+            return r
+        monkeypatch.setattr(descent, name, hook)
+    for F, s in _wa_z2_instances():
+        _enumerated(F, s)
+    k2 = chain_suspension(2)
+    _enumerated(_constant_z2_trihom(k2), literal_maximal_bisieve(k2, "Y"),
+                objects=False)
+    return seen
+
+
+# recorded while every trihom still carried its compositor, unitor and
+# comparison tables as identities, before the axioms were written for the
+# strict case
+_DRAWN_AXIOM_REPORTS_PINNED = ("78f4190e3d2f8dc572f6a4813b120d99"
+                               "bb79ddb5b9bc0d55ec5a54d94fe95fc0")
+
+
+def test_drawn_axiom_reports_are_pinned(monkeypatch):
+    reports = _drawn_axiom_reports(monkeypatch)
+    assert any("lhs" in r[3] for r in reports)
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == _DRAWN_AXIOM_REPORTS_PINNED
 
 
 def test_connecting_iso_pools_are_computed_once_per_objects_and_transitions(
