@@ -2,12 +2,23 @@
 of cells between 2-category-valued homomorphisms of a base 2-category:
 transformations, modifications between those, and perturbations.
 
-Values are represented as strict finite 2-categories; homomorphisms carry
-compositor and unitor transformations (with invertible-component
-witnesses) plus the associativity and unit comparison families needed to
-state the displayed axioms.  Local composition (vertical composition of
-2-cells of the base) is required to be preserved strictly; this is a
-normalization, recorded by the checkers, not an extra axiom.
+Values are represented as strict finite 2-categories.  Homomorphisms are
+strict: they act by strict 2-functors that compose strictly, so their
+compositors and unitors are identities and are not recorded
+(``strict_trihom`` refuses any other action).  The tritransformation and
+trimodification axioms are stated for this case (Gurski, *Coherence in
+Three-Dimensional Category Theory*, 2013, ch. 4): each compositor,
+unitor and comparison cell of a trihom is an identity there, and a
+factor is dropped only where it is then an identity by the unit and
+inverse laws of a value, which ``check_two_category`` checks, or because
+a drawn component preserves identity 2-cells, which
+``check_ps_two_functor`` checks first.
+The terms of drawn structures at identity 1-cells (a component's action,
+compositor and unitor, a square's or a modification component's cell)
+are kept, since they need not be identities.  Local composition
+(vertical composition of 2-cells of the base) is required to be
+preserved strictly; this is a normalization, recorded by the checkers,
+not an extra axiom.
 
 The checkers assume a valid codomain, a strict 2-category that passes
 ``check_two_category``, and valid cells at the boundary of what they check
@@ -26,25 +37,24 @@ A skipped equation spends no step, since a step is work done (see
 
 Each structure declares its comparison 2-cells once, with their
 boundaries: ``_ps_two_functor_cells`` (chi, unit), ``_ps_two_nat_cells``
-(cell), ``_trihom_cells`` (omega, delta_hat, gamma_hat), ``_tritrans_cells``
-(beta, gamma) and ``_trimod_cells`` (cell).  A declaration lists families
-((table, key), cells), recorded as the whole table when key is None and as
-the table's entry at key otherwise; each cell (x, value, src, tgt) is
-recorded at x and typed src() => tgt in value: the source is a thunk, so
-that only the typing and the pools compose it.  Families and cells come in
-the enumerators' order, sorted; the pseudofunctor's come in table order and
-its enumerator sorts them, so that its typing sorts nothing.  The
-typing of loaded homomorphism data (``check_trihom_data``) checks the
-recorded cells against a declaration (``_first_mistyped``), the
-enumerators of ``descent`` draw each cell from the invertible 2-cells of
-its boundary (``_comparisons``, which fixes each singleton pool and runs
-the product over the others alone), and a structure built without its
-comparison cells (the strict, identity and induced constructors) gets
-the identity on each cell's target (``_identities``).  ``PsTwoFunctor``
-and ``PsTwoNatTrans`` fill their defaults at construction, since every
-composite reads them.  ``TrihomData``, ``Tritransformation`` and
-``Trimodification`` fill each table on its first read (``_first_read``),
-so that a table that no check reads is never built.
+(cell), ``_tritrans_cells`` (beta, gamma) and ``_trimod_cells`` (cell).
+A declaration lists families ((table, key), cells), recorded as the
+whole table when key is None and as the table's entry at key otherwise;
+each cell (x, value, src, tgt) is recorded at x and typed src() => tgt
+in value: the source is a thunk, so that only the typing and the pools
+compose it.  Families and cells come in the enumerators' order, sorted;
+the pseudofunctor's come in table order and its enumerator sorts them,
+so that its typing sorts nothing.  The typing of loaded pseudofunctors
+and transformations checks the recorded cells against a declaration
+(``_first_mistyped``), the enumerators of ``descent`` draw each cell
+from the invertible 2-cells of its boundary (``_comparisons``, which
+fixes each singleton pool and runs the product over the others alone),
+and a structure built without its comparison cells (the identity and
+induced constructors) gets the identity on each cell's target
+(``_identities``).  ``PsTwoFunctor`` and ``PsTwoNatTrans`` fill their
+defaults at construction, since every composite reads them.  ``Tritransformation`` and ``Trimodification``
+fill each table on its first read (``_first_read``), so that a table
+that no check reads is never built.
 
 The enumerators of ``descent`` draw every candidate from typed pools, so
 a candidate can fail only its displays: identity 2-cells preserved,
@@ -67,21 +77,17 @@ from .two_cat import from_fincat
 
 # --- declared comparison cells ----------------------------------------------
 
-def _first_mistyped(obj, families, budget=None, ticked=()):
+def _first_mistyped(obj, families):
     """The first declared cell that obj records missing, off its boundary
     or not invertible, as (table, key, x), with x None when the whole
-    family at (table, key) is missing; None when every cell is typed.  A
-    cell of a table named in ticked spends one step before it is typed."""
+    family at (table, key) is missing; None when every cell is typed."""
     for (table, key), cells in families:
         recorded = getattr(obj, table)
         if key is not None:
             recorded = recorded.get(key)
             if recorded is None:
                 return table, key, None
-        tick = table in ticked
         for x, val, src, tgt in cells:
-            if tick:
-                budget.tick()
             if recorded.get(x) not in val.isos_between(src(), tgt):
                 return table, key, x
     return None
@@ -415,118 +421,37 @@ def check_two_modification(m, budget=None):
     return passed("check_two_modification")
 
 
-# --- regrouping helpers for transported pastings ---------------------------
-
-def _merge(h, cells):
-    """2-cell c1(H u_n, ..., H u_1) => H(c1(u_n, ..., u_1)) from the
-    compositor; cells are listed target-to-source.  Empty/singleton lists
-    merge trivially."""
-    c = h.cod
-    d = h.dom
-    us = list(cells)
-    if not us:
-        raise MalformedTable("cannot merge an empty composite")
-    acc_dom = us[-1]
-    acc = c.id2(h.on1[acc_dom])
-    for u in reversed(us[:-1]):
-        step = h.chi[(u, acc_dom)]
-        acc = c.v(step, c.wl(h.on1[u], acc))
-        acc_dom = d.c1(u, acc_dom)
-    return acc, acc_dom
-
-
-def _transport(h, gamma, us, ws):
-    """Image of gamma: c1(us) => c1(ws) under h, regrouped so domain and
-    codomain are literal composites of the individual images."""
-    c = h.cod
-    m_in, dom_in = _merge(h, us)
-    m_out, _ = _merge(h, ws)
-    return c.v(c.inverse2(m_out), c.v(h.on2[gamma], m_in))
-
-
-def _transport_to_id(h, gamma, us, at):
-    """Image of gamma: c1(us) => id1(at), regrouped and de-unitized."""
-    c = h.cod
-    m_in, _ = _merge(h, us)
-    return c.v(c.inverse2(h.unit[at]), c.v(h.on2[gamma], m_in))
-
-
 # --- homomorphisms of the base into 2-categories ---------------------------
 
 class TrihomData(Recorded):
-    """Contravariant 2-category-valued homomorphism data on a base.
+    """Contravariant 2-category-valued homomorphism data on a base, strict
+    as ``strict_trihom`` validates it.
 
-    ob[C]: value 2-category; on1[f]: PsTwoFunctor ob[C] -> ob[D] for
-    f: D -> C; on2[gamma]: PsTwoNatTrans (local composition preserved
-    strictly); chi[(f, g)]: PsTwoNatTrans on1[g] . on1[f] => on1[f.g] with
-    equivalence components; iota[C]: Id => on1[id_C]; omega[(f, g, h)],
-    delta_hat[f], gamma_hat[f]: per-object comparison 2-cells for the
-    associativity and unit displays, the identities on their targets,
-    built on first read (``_trihom_cells``).
+    ob[C]: value 2-category; on1[f]: strict 2-functor ob[C] -> ob[D] for
+    f: D -> C, with on1[g] . on1[f] = on1[f.g] and on1[id_C] the identity;
+    on2[gamma]: PsTwoNatTrans (local composition preserved strictly).
     """
 
-    omega = _first_read("omega", lambda t: _trihom_cells(t))
-    delta_hat = _first_read("delta_hat", lambda t: _trihom_cells(t))
-    gamma_hat = _first_read("gamma_hat", lambda t: _trihom_cells(t))
-
-    def __init__(self, base, ob, on1, on2, chi, iota):
+    def __init__(self, base, ob, on1, on2):
         self.base = base
         self.ob = dict(ob)
         self.on1 = dict(on1)
         self.on2 = dict(on2)
-        self.chi = dict(chi)
-        self.iota = dict(iota)
         self._recorded = {}
 
 
-def _trihom_cells(t):
-    """The comparison families of homomorphism data, each with a cell per
-    object z of the value at f's target: every omega[(f, g, h)][z], then
-    every delta_hat[f][z], then every gamma_hat[f][z]."""
-    k = t.base
-
-    def omega(f, g, h):
-        c, l = k.onecells[f][1], k.onecells[h][0]
-        val_l = t.ob[l]
-        gh, fg = k.c1(g, h), k.c1(f, g)
-        for z in t.ob[c].objects:
-            yield z, val_l, \
-                partial(val_l.c1, t.chi[(f, gh)].comp[z],
-                        t.chi[(g, h)].comp[t.on1[f].ob[z]]), \
-                val_l.c1(t.chi[(fg, h)].comp[z],
-                         t.on1[h].on1[t.chi[(f, g)].comp[z]])
-
-    def delta_hat(f):
-        d, c = k.onecells[f]
-        val_d = t.ob[d]
-        for z in t.ob[c].objects:
-            fz = t.on1[f].ob[z]
-            yield z, val_d, partial(val_d.c1, t.chi[(f, k.id1(d))].comp[z],
-                                    t.iota[d].comp[fz]), val_d.id1(fz)
-
-    def gamma_hat(f):
-        d, c = k.onecells[f]
-        val_d = t.ob[d]
-        for z in t.ob[c].objects:
-            yield z, val_d, \
-                partial(val_d.c1, t.chi[(k.id1(c), f)].comp[z],
-                        t.on1[f].on1[t.iota[c].comp[z]]), \
-                val_d.id1(t.on1[f].ob[z])
-
-    for triple in sorted(k.composable_triples()):
-        yield ("omega", triple), omega(*triple)
-    for f in sorted(k.onecells):
-        yield ("delta_hat", f), delta_hat(f)
-    for f in sorted(k.onecells):
-        yield ("gamma_hat", f), gamma_hat(f)
-
-
 def strict_trihom(k, ob, on1, on2):
-    """Assemble homomorphism data with identity compositors and unitors.
+    """Assemble strict homomorphism data.
 
-    Validates that on1 is strictly functorial, that on2 preserves vertical
-    composition strictly, and that whiskered 2-cells act componentwise;
-    ``_assembled`` is the assembly alone, for a checked precomposition."""
+    Validates that each on1[f] is a strict 2-functor (identity compositor
+    and unitor cells), that on1 is strictly functorial, that on2 preserves
+    vertical composition strictly, and that whiskered 2-cells act
+    componentwise."""
+    for f, h in on1.items():
+        if any(a != h.cod.id2(h.cod.twocells[a][0])
+               for a in (*h.chi.values(), *h.unit.values())):
+            raise MalformedTable(
+                "value at 1-cell %r is not a strict 2-functor" % f)
     for c in k.objects:
         if on1[k.id1(c)] != identity_ps_two_functor(ob[c]):
             raise MalformedTable("value at id_%r is not the identity" % c)
@@ -563,16 +488,7 @@ def strict_trihom(k, ob, on1, on2):
                 if on2[w].comp[z] != on2[al].comp[on1[g].ob[z]]:
                     raise MalformedTable(
                         "whiskering not componentwise at (%r, %r)" % (g, al))
-    return _assembled(k, ob, on1, on2)
-
-
-def _assembled(k, ob, on1, on2):
-    """``strict_trihom`` without its checks, for an on2 defined on every
-    2-cell of k and action data known to be strict."""
-    chi = {pair: identity_ps_two_nat(on1[comp])
-           for pair, comp in k.hcomp1.items()}
-    iota = {c: identity_ps_two_nat(on1[k.id1(c)]) for c in k.objects}
-    return TrihomData(k, ob, on1, on2, chi, iota)
+    return TrihomData(k, ob, on1, on2)
 
 
 def _precomposition_trihom(k, ob):
@@ -599,7 +515,7 @@ def _precomposition_trihom(k, ob):
              for x in ob[d].onecells})
     checked = k.memo("two_category")
     if checked and checked.ok:
-        return _assembled(k, ob, on1, on2)
+        return TrihomData(k, ob, on1, on2)
     return strict_trihom(k, ob, on1, on2)
 
 
@@ -665,62 +581,10 @@ def check_trihom_data(t, budget=None):
                     "check_trihom_data",
                     ["local composition not strict at (%r, %r)" % (b, a)],
                     {"pair": [b, a]})
-    for (f, g), comp in k.hcomp1.items():
-        tr = t.chi.get((f, g))
-        want_dom = compose_ps_two_functors(t.on1[g], t.on1[f])
-        if tr is None or tr.dom != want_dom or tr.cod != t.on1[comp]:
-            return failed("check_trihom_data",
-                          ["bad compositor boundary at (%r, %r)" % (f, g)],
-                          {"pair": [f, g]})
-        r = _ps_two_nat_typing(tr) or check_ps_two_nat(tr, budget)
-        if not r.ok:
-            r.details.insert(0, "compositor at (%r, %r)" % (f, g))
-            return r
-        cod = t.on1[g].cod
-        for z, comp1 in tr.comp.items():
-            budget.tick()
-            if cod.equivalence_data(comp1, budget) is None:
-                return failed(
-                    "check_trihom_data",
-                    ["compositor component at (%r, %r, %r) is not an "
-                     "equivalence" % (f, g, z)],
-                    {"pair": [f, g], "object": z, "component": comp1})
-    for c in k.objects:
-        tr = t.iota.get(c)
-        if tr is None or tr.dom != identity_ps_two_functor(t.ob[c]) \
-                or tr.cod != t.on1[k.id1(c)]:
-            return failed("check_trihom_data",
-                          ["bad unitor boundary at %r" % c], {"object": c})
-        r = _ps_two_nat_typing(tr) or check_ps_two_nat(tr, budget)
-        if not r.ok:
-            r.details.insert(0, "unitor at %r" % c)
-            return r
-        for z, comp1 in tr.comp.items():
-            if t.ob[c].equivalence_data(comp1, budget) is None:
-                return failed("check_trihom_data",
-                              ["unitor component at (%r, %r) is not an "
-                               "equivalence" % (c, z)],
-                              {"object": c, "component": comp1})
-    # comparison families: completeness, boundaries and invertibility
-    bad = _first_mistyped(t, _trihom_cells(t), budget, ("omega",))
-    if bad is not None:
-        table, key, z = bad
-        omega = table == "omega"
-        witness = {"triple": list(key)} if omega else {"onecell": key}
-        if z is None:
-            detail = "missing %s comparison family at %r" % (
-                "associativity" if omega else "unit", key)
-            return failed("check_trihom_data", [detail], witness)
-        what = {"omega": "associativity", "delta_hat": "right unit",
-                "gamma_hat": "left unit"}[table]
-        at = (*key, z) if omega else (key, z)
-        return failed("check_trihom_data",
-                      ["bad %s comparison at %r" % (what, at)],
-                      {**witness, "object": z})
     return passed(
         "check_trihom_data",
-        ["data-level invariants verified; coherence axioms beyond the "
-         "recorded comparison families not checked"])
+        ["value pseudofunctors, value transformations and local "
+         "strictness verified"])
 
 
 # --- transformations between homomorphisms ---------------------------------
@@ -750,27 +614,29 @@ class Tritransformation:
 def _tritrans_cells(R, F, comp, square):
     """The comparison families of a transformation R => F with components
     comp and squares square, each with a cell per object x of R at C:
-    every beta[(f, g)][x] for f: D -> C, g: E -> D, then every
-    gamma[C][x]."""
+    every beta[(f, g)][x]: F(g)(square[f](x)).square[g](R(f)(x)) =>
+    square[f.g](x).comp[E](id) for f: D -> C, g: E -> D, then every
+    gamma[C][x]: square[id_C](x).comp[C](id) => id, where id is the
+    identity 1-cell of R(f.g)(x), of x, or of comp[C](x)."""
     k = R.base
 
     def beta(f, g):
         c, e = k.onecells[f][1], k.onecells[g][0]
+        fg = k.c1(f, g)
         val_e = F.ob[e]
         for x in R.ob[c].objects:
-            yield x, val_e, partial(val_e.c1_path, [
-                F.chi[(f, g)].comp[comp[c].ob[x]],
-                F.on1[g].on1[square[f].comp[x]],
-                square[g].comp[R.on1[f].ob[x]],
-            ]), val_e.c1(square[k.c1(f, g)].comp[x],
-                         comp[e].on1[R.chi[(f, g)].comp[x]])
+            yield x, val_e, \
+                partial(val_e.c1, F.on1[g].on1[square[f].comp[x]],
+                        square[g].comp[R.on1[f].ob[x]]), \
+                val_e.c1(square[fg].comp[x],
+                         comp[e].on1[R.ob[e].id1(R.on1[fg].ob[x])])
 
     def gamma(c):
         val_c = F.ob[c]
         for x in R.ob[c].objects:
             yield x, val_c, partial(val_c.c1, square[k.id1(c)].comp[x],
-                                    comp[c].on1[R.iota[c].comp[x]]), \
-                F.iota[c].comp[comp[c].ob[x]]
+                                    comp[c].on1[R.ob[c].id1(x)]), \
+                val_c.id1(comp[c].ob[x])
 
     for pair in sorted(k.hcomp1):
         yield ("beta", pair), beta(*pair)
@@ -833,63 +699,24 @@ def _tritrans_assoc_axiom(t, budget):
                 val_l = F.ob[l]
                 if val_l.locally_thin():
                     continue
-                thC, thE, thL = t.comp[c], t.comp[e], t.comp[l]
+                thL = t.comp[l]
                 for x in R.ob[c].objects:
                     budget.tick(4)
-                    xc = thC.ob[x]
                     rf_x = R.on1[f].ob[x]
-                    rgrf_x = R.on1[g].ob[rf_x]
                     af_x = t.square[f].comp[x]
-                    ag_rfx = t.square[g].comp[rf_x]
-                    ah_rgrfx = t.square[h].comp[rgrf_x]
-                    a_fg_x = t.square[fg].comp[x]
-                    a_fgh_x = t.square[fgh].comp[x]
-                    chiF_f_gh = F.chi[(f, gh)].comp[xc]
-                    chiF_fg_h = F.chi[(fg, h)].comp[xc]
-                    chiF_f_g = F.chi[(f, g)].comp[xc]
-                    chiR_f_g = R.chi[(f, g)].comp[x]
-                    chiR_g_h_rfx = R.chi[(g, h)].comp[rf_x]
-                    chiR_f_gh = R.chi[(f, gh)].comp[x]
-                    chiR_fg_h = R.chi[(fg, h)].comp[x]
-                    # right-hand route
-                    r1 = val_l.wl(
-                        val_l.c1(chiF_f_gh, F.on1[gh].on1[af_x]),
-                        t.beta[(g, h)][rf_x])
-                    r2 = val_l.wr(t.beta[(f, gh)][x],
-                                  thL.on1[chiR_g_h_rfx])
-                    r3 = val_l.wl(
-                        a_fgh_x,
-                        _transport(thL, R.omega[(f, g, h)][x],
-                                   [chiR_f_gh, chiR_g_h_rfx],
-                                   [chiR_fg_h,
-                                    R.on1[h].on1[chiR_f_g]]))
-                    rhs = val_l.v_path([r3, r2, r1])
-                    # left-hand route
-                    s_a = val_l.wl(
-                        chiF_f_gh,
-                        val_l.wr(F.chi[(g, h)].cell[af_x],
-                                 val_l.c1(F.on1[h].on1[ag_rfx],
-                                          ah_rgrfx)))
-                    tail3 = val_l.c1_path([
-                        F.on1[h].on1[F.on1[g].on1[af_x]],
-                        F.on1[h].on1[ag_rfx],
-                        ah_rgrfx,
-                    ])
-                    s_b = val_l.wr(F.omega[(f, g, h)][xc], tail3)
-                    l2 = val_l.wl(
-                        chiF_fg_h,
-                        val_l.wr(
-                            _transport(F.on1[h], t.beta[(f, g)][x],
-                                       [chiF_f_g, F.on1[g].on1[af_x],
-                                        ag_rfx],
-                                       [a_fg_x, thE.on1[chiR_f_g]]),
-                            ah_rgrfx))
-                    l3 = val_l.wl(
-                        val_l.c1(chiF_fg_h, F.on1[h].on1[a_fg_x]),
-                        t.square[h].cell[chiR_f_g])
-                    l4 = val_l.wr(t.beta[(fg, h)][x],
-                                  thL.on1[R.on1[h].on1[chiR_f_g]])
-                    lhs = val_l.v_path([l4, l3, l2, s_b, s_a])
+                    # the identity 1-cells that R's compositors have for
+                    # components, at R(f.g)(x) and under thL at R(f.g.h)(x)
+                    id_e = R.ob[e].id1(R.on1[fg].ob[x])
+                    th_id = thL.on1[R.ob[l].id1(R.on1[fgh].ob[x])]
+                    rhs = val_l.v(
+                        val_l.wr(t.beta[(f, gh)][x], th_id),
+                        val_l.wl(F.on1[gh].on1[af_x], t.beta[(g, h)][rf_x]))
+                    lhs = val_l.v_path([
+                        val_l.wr(t.beta[(fg, h)][x], th_id),
+                        val_l.wl(F.on1[h].on1[t.square[fg].comp[x]],
+                                 t.square[h].cell[id_e]),
+                        val_l.wr(F.on1[h].on2[t.beta[(f, g)][x]],
+                                 t.square[h].comp[R.on1[g].ob[rf_x]])])
                     if lhs != rhs:
                         return failed(
                             "check_tritransformation",
@@ -908,27 +735,21 @@ def _tritrans_unit_axioms(t, budget):
         val_d = F.ob[d]
         if val_d.locally_thin():
             continue
-        thC, thD = t.comp[c], t.comp[d]
+        thD = t.comp[d]
         for x in R.ob[c].objects:
             budget.tick(2)
-            xc = thC.ob[x]
             rf_x = R.on1[f].ob[x]
             af_x = t.square[f].comp[x]
+            # thD at the identity of R(f)(x), taken back to the identity
+            # by thD's own compositor and unitor, which need not be
+            # identities
+            id_rf = R.ob[d].id1(rf_x)
+            th_id = thD.on1[id_rf]
+            unitor = val_d.wl(af_x, val_d.v(val_d.inverse2(thD.unit[rf_x]),
+                                            thD.chi[(id_rf, id_rf)]))
             # right unit display
-            chiF_f_id = F.chi[(f, id_d)].comp[xc]
-            r1 = val_d.wr(t.beta[(f, id_d)][x],
-                          thD.on1[R.iota[d].comp[rf_x]])
-            r2 = val_d.wl(
-                af_x,
-                _transport_to_id(thD, R.delta_hat[f][x],
-                                 [R.chi[(f, id_d)].comp[x],
-                                  R.iota[d].comp[rf_x]], rf_x))
-            rhs = val_d.v(r2, r1)
-            l1 = val_d.wl(val_d.c1(chiF_f_id, F.on1[id_d].on1[af_x]),
-                          t.gamma[d][rf_x])
-            l2 = val_d.wl(chiF_f_id, F.iota[d].cell[af_x])
-            l3 = val_d.wr(F.delta_hat[f][xc], af_x)
-            lhs = val_d.v_path([l3, l2, l1])
+            rhs = val_d.v(unitor, val_d.wr(t.beta[(f, id_d)][x], th_id))
+            lhs = val_d.wl(af_x, t.gamma[d][rf_x])
             if lhs != rhs:
                 return failed("check_tritransformation",
                               ["right unit axiom fails at (%r, %r)"
@@ -936,28 +757,12 @@ def _tritrans_unit_axioms(t, budget):
                               {"onecell": f, "object": x,
                                "lhs": lhs, "rhs": rhs})
             # left unit display
-            chiF_id_f = F.chi[(id_c, f)].comp[xc]
-            sq_id_x = t.square[id_c].comp[x]
-            iota_x = R.iota[c].comp[x]
-            r1 = val_d.wr(t.beta[(id_c, f)][x],
-                          thD.on1[R.on1[f].on1[iota_x]])
-            r2 = val_d.wl(
-                af_x,
-                _transport_to_id(thD, R.gamma_hat[f][x],
-                                 [R.chi[(id_c, f)].comp[x],
-                                  R.on1[f].on1[iota_x]], rf_x))
-            rhs = val_d.v(r2, r1)
-            l1 = val_d.wl(
-                val_d.c1(chiF_id_f, F.on1[f].on1[sq_id_x]),
-                val_d.inverse2(t.square[f].cell[iota_x]))
-            l2 = val_d.wr(
-                val_d.wl(chiF_id_f,
-                         _transport(F.on1[f], t.gamma[c][x],
-                                    [sq_id_x, thC.on1[iota_x]],
-                                    [F.iota[c].comp[xc]])),
-                af_x)
-            l3 = val_d.wr(F.gamma_hat[f][xc], af_x)
-            lhs = val_d.v_path([l3, l2, l1])
+            rhs = val_d.v(unitor, val_d.wr(t.beta[(id_c, f)][x], th_id))
+            lhs = val_d.v(
+                val_d.wr(F.on1[f].on2[t.gamma[c][x]], af_x),
+                val_d.wl(F.on1[f].on1[t.square[id_c].comp[x]],
+                         val_d.inverse2(
+                             t.square[f].cell[R.ob[c].id1(x)])))
             if lhs != rhs:
                 return failed("check_tritransformation",
                               ["left unit axiom fails at (%r, %r)"
@@ -1021,7 +826,7 @@ def check_trimodification(m, budget=None):
     k = R.base
     # composition axiom
     for (f, g), fg in k.hcomp1.items():
-        d, c = k.onecells[f]
+        c = k.onecells[f][1]
         e = k.onecells[g][0]
         val_e = F.ob[e]
         if val_e.locally_thin():
@@ -1029,32 +834,20 @@ def check_trimodification(m, budget=None):
         for x in R.ob[c].objects:
             budget.tick(2)
             mc_x = m.comp[c].comp[x]
-            phc_x = ph.comp[c].ob[x]
             rf_x = R.on1[f].ob[x]
-            rgrf_x = R.on1[g].ob[rf_x]
-            chiR = R.chi[(f, g)].comp[x]
-            a1 = val_e.wl(F.on1[fg].on1[mc_x], th.beta[(f, g)][x])
-            a2 = val_e.wr(m.cell[fg][x], th.comp[e].on1[chiR])
-            path_a = val_e.v(a2, a1)
-            b1a = val_e.wr(
-                F.chi[(f, g)].cell[mc_x],
-                val_e.c1(F.on1[g].on1[th.square[f].comp[x]],
-                         th.square[g].comp[rf_x]))
-            b1b = val_e.wl(
-                F.chi[(f, g)].comp[phc_x],
-                val_e.wr(
-                    _transport(F.on1[g], m.cell[f][x],
-                               [F.on1[f].on1[mc_x], th.square[f].comp[x]],
-                               [ph.square[f].comp[x],
-                                m.comp[d].comp[rf_x]]),
-                    th.square[g].comp[rf_x]))
-            b2 = val_e.wl(
-                val_e.c1(F.chi[(f, g)].comp[phc_x],
-                         F.on1[g].on1[ph.square[f].comp[x]]),
-                m.cell[g][rf_x])
-            b3 = val_e.wr(ph.beta[(f, g)][x], m.comp[e].comp[rgrf_x])
-            b4 = val_e.wl(ph.square[fg].comp[x], m.comp[e].cell[chiR])
-            path_b = val_e.v_path([b4, b3, b2, b1b, b1a])
+            # the identity 1-cell that R's compositor has for component
+            id_e = R.ob[e].id1(R.on1[fg].ob[x])
+            path_a = val_e.v(
+                val_e.wr(m.cell[fg][x], th.comp[e].on1[id_e]),
+                val_e.wl(F.on1[fg].on1[mc_x], th.beta[(f, g)][x]))
+            path_b = val_e.v_path([
+                val_e.wl(ph.square[fg].comp[x], m.comp[e].cell[id_e]),
+                val_e.wr(ph.beta[(f, g)][x],
+                         m.comp[e].comp[R.on1[g].ob[rf_x]]),
+                val_e.wl(F.on1[g].on1[ph.square[f].comp[x]],
+                         m.cell[g][rf_x]),
+                val_e.wr(F.on1[g].on2[m.cell[f][x]],
+                         th.square[g].comp[rf_x])])
             if path_a != path_b:
                 return failed("check_trimodification",
                               ["composition axiom fails at (%r, %r, %r)"
@@ -1070,15 +863,13 @@ def check_trimodification(m, budget=None):
         for x in R.ob[c].objects:
             budget.tick()
             mc_x = m.comp[c].comp[x]
-            iota_x = R.iota[c].comp[x]
-            l1 = val_c.wl(F.on1[id_c].on1[mc_x], th.gamma[c][x])
-            l2 = F.iota[c].cell[mc_x]
-            path_l = val_c.v(l2, l1)
-            r1 = val_c.wr(m.cell[id_c][x], th.comp[c].on1[iota_x])
-            r2 = val_c.wl(ph.square[id_c].comp[x],
-                          val_c.inverse2(m.comp[c].cell[iota_x]))
-            r3 = val_c.wr(ph.gamma[c][x], mc_x)
-            path_r = val_c.v_path([r3, r2, r1])
+            id_x = R.ob[c].id1(x)
+            path_l = val_c.wl(mc_x, th.gamma[c][x])
+            path_r = val_c.v_path([
+                val_c.wr(ph.gamma[c][x], mc_x),
+                val_c.wl(ph.square[id_c].comp[x],
+                         val_c.inverse2(m.comp[c].cell[id_x])),
+                val_c.wr(m.cell[id_c][x], th.comp[c].on1[id_x])])
             if path_l != path_r:
                 return failed("check_trimodification",
                               ["unit axiom fails at (%r, %r)" % (c, x)],
@@ -1134,34 +925,10 @@ def check_perturbation(p, budget=None):
 
 # --- cells induced by restriction -------------------------------------------
 
-_LAX = ("restriction and descent are implemented for strictly-"
-        "compositional homomorphism data (identity compositors and unitors)")
-
-
-def ensure_strict(F):
-    """Raise MalformedTable unless F has identity compositors and unitors
-    and acts by strict 2-functors, as restriction and descent assume."""
-    units = [(F.on1[g].cod, t.comp, t.cell) for (f, g), t in F.chi.items()]
-    units += [(F.ob[c], t.comp, {}) for c, t in F.iota.items()]
-    for val, comp, cell in units:
-        for r in comp.values():
-            if r != val.id1(val.src1(r)):
-                raise MalformedTable(_LAX)
-        for a in cell.values():
-            if a != val.id2(val.twocells[a][0]):
-                raise MalformedTable(_LAX)
-    for f, h in F.on1.items():
-        cod = h.cod
-        for cell in (*h.chi.values(), *h.unit.values()):
-            if cell != cod.id2(cod.twocells[cell][0]):
-                raise MalformedTable(
-                    "value at 1-cell %r is not a strict 2-functor" % f)
-
-
 def induced_tritrans(F, R, X):
     """The transformation R => F induced by an object X of F(c), for R the
     trihom of a literal sieve on c: its component at D sends a member
-    f: D -> c to the restriction of X along f.  F passes ensure_strict."""
+    f: D -> c to the restriction of X along f."""
     k = F.base
     comp, square = {}, {}
     for d in k.objects:
@@ -1209,14 +976,12 @@ def yoneda_tritrans(f_hom, c0, x0):
     """The transformation induced by an object of the value at c0: its
     component at D sends a 1-cell f: D -> c0 to the restriction of x0
     along f."""
-    ensure_strict(f_hom)
     return induced_tritrans(f_hom, representable_trihom(f_hom.base, c0), x0)
 
 
 def yoneda_trimod(f_hom, c0, a0, sigma_x=None, sigma_y=None):
     """The modification induced by a 1-cell a0: X -> Y of the value at c0:
     its component at a member f is the restriction of a0 along f."""
-    ensure_strict(f_hom)
     x0, y0 = f_hom.ob[c0].onecells[a0]
     return induced_trimod(f_hom, a0,
                           sigma_x or yoneda_tritrans(f_hom, c0, x0),
@@ -1226,7 +991,6 @@ def yoneda_trimod(f_hom, c0, a0, sigma_x=None, sigma_y=None):
 def yoneda_pert(f_hom, c0, al0, m_a=None, m_b=None):
     """The perturbation induced by a 2-cell al0: a => b of the value at
     c0: its component at f is the restriction of al0 along f."""
-    ensure_strict(f_hom)
     a0, b0 = f_hom.ob[c0].twocells[al0]
     ma = m_a or yoneda_trimod(f_hom, c0, a0)
     mb = m_b or yoneda_trimod(f_hom, c0, b0,

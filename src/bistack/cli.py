@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 every verdict passed, 1 some verdict failed, 2 some verdict
-inconclusive (and none failed), 3 input error (unreadable file, malformed
-document, dangling reference, unknown check).
+inconclusive (and none failed), 3 input error (malformed command line,
+unreadable file, malformed document, dangling reference, unknown check).
+``groth`` validates the sieve and its 2-category as the ``sigma_bicolim``
+op does before it builds the 2-category of elements.
 """
 
 import argparse
@@ -12,7 +14,8 @@ import sys
 from .errors import ToolkitError
 from .fincat import check_category
 from .generate import PROFILES, generate
-from .runner import report_text, replay, run_all, run_check
+from .runner import checked_bisieve, report_text, replay, run_all, \
+    run_check
 from .sieves import check_bisieve, check_bitopology, groth
 from .two_cat import check_two_category
 from .workspace import SCHEMA, load, located
@@ -97,7 +100,7 @@ def _cmd_groth(args):
     doc = load(args.file)
     if args.sieve not in doc.bisieves:
         raise ToolkitError("no bisieve named %r" % args.sieve)
-    g = groth(doc.bisieves[args.sieve])
+    g = groth(checked_bisieve(doc, args.sieve))
     raw = {"schema": SCHEMA,
            "two_cats": {"groth_of_%s" % args.sieve:
                         _workspace._encode_two_cat(g.two_cat)}}
@@ -106,6 +109,18 @@ def _cmd_groth(args):
     print("wrote %s (%d objects, %d one-cells)"
           % (args.output, len(g.two_cat.objects), len(g.two_cat.onecells)))
     return 0
+
+
+def _budget(text):
+    """A --budget value: a non-negative integer."""
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = -1
+    if steps < 0:
+        raise argparse.ArgumentTypeError(
+            "%r is not a non-negative integer" % text)
+    return steps
 
 
 def main(argv=None):
@@ -124,7 +139,7 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--check", default=None,
                    help="run only this named check (default: all)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_budget, default=None,
                    help="search-step budget (exceeding it yields an "
                         "inconclusive verdict)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -148,7 +163,12 @@ def main(argv=None):
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_groth)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a malformed command line, which is an input
+        # error here, since 2 means inconclusive; --help exits 0
+        raise SystemExit(3 if exc.code else 0)
     try:
         return args.fn(args)
     except (ToolkitError, OSError, json.JSONDecodeError) as exc:

@@ -7,13 +7,10 @@ morphisms, and weak descent data on objects.  Each comes with an exhaustive
 checker for its displayed compatibility conditions and a budgeted search
 that either produces a gluing witness or a replayable refutation.
 
-All checkers in this module require the homomorphism data to pass
-``bicat3.ensure_strict``: identity compositors and unitors, and an action
-by strict 2-functors, as ``representable_trihom``, ``sieve_trihom`` and
-the workspace loader produce it.  The datum checkers and the gluing
-searches assume it without checking: ``is_2stack``, ``is_2stack_direct``
-and the three ``*_from_*`` constructors check it once, on entry.  Under
-that normalization the canonical comparison 1-cells between iterated
+The homomorphism data is strict, as every ``bicat3.TrihomData`` is: it
+acts by strict 2-functors that compose strictly, so that its compositors
+and unitors are identities (``bicat3.strict_trihom`` refuses any other
+action).  So the canonical comparison 1-cells between iterated
 restrictions are identities, and the only non-trivial transition
 witnesses left are the sieve's restriction 2-cells, which stay explicit
 throughout.
@@ -93,7 +90,7 @@ from .builders import identity_nat
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
-    compose_ps_two_functors, ensure_strict, induced_pert, induced_trimod, \
+    compose_ps_two_functors, induced_pert, induced_trimod, \
     induced_tritrans, sieve_trihom, _comparisons, _identities, \
     _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, _tritrans_cells
 from .report import Budget, choices, failed, forward_choices, inconclusive, \
@@ -156,7 +153,6 @@ class MatchingFamily2Cells:
 
 def matching_family_from_cell(F, S, w0):
     """The family obtained by restricting a single global 2-cell."""
-    ensure_strict(F)
     val = F.ob[S.target]
     a, b = val.twocells[w0]
     w = {f: F.on1[f].on2[w0] for _, f in S.all_members()}
@@ -247,7 +243,6 @@ class DescentDatumMorphisms:
 def descent_datum_from_morphism(F, S, w0):
     """The datum obtained by restricting a global morphism, with the
     canonical comparison cells given by the structure of the values."""
-    ensure_strict(F)
     val = F.ob[S.target]
     X, Y = val.onecells[w0]
     w = {f: F.on1[f].on1[w0] for _, f in S.all_members()}
@@ -543,7 +538,6 @@ class WeakDescentDatum:
 def weak_datum_from_object(F, S, W0):
     """The weak datum obtained by restricting a global object; every
     comparison cell is the identity under the strict normalization."""
-    ensure_strict(F)
     k = S.k
     W = {f: F.on1[f].ob[W0] for _, f in S.all_members()}
     eta = {}
@@ -1189,7 +1183,6 @@ def is_2stack(F, tau, budget=None):
     """Decide the three descent conditions over every covering sieve by
     exhaustive package enumeration (the characterization-side checker)."""
     budget = budget or Budget()
-    ensure_strict(F)
     k = F.base
     reports = []
     for c in sorted(k.objects):
@@ -1367,7 +1360,6 @@ def is_2stack_direct(F, tau, budget=None):
     decided through a modification with equivalence components.
     """
     budget = budget or Budget()
-    ensure_strict(F)
     k = F.base
     reports = []
     for c in sorted(k.objects):

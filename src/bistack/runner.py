@@ -38,6 +38,18 @@ def _covering(doc, name, F, tau):
     return tau
 
 
+def checked_bisieve(doc, name):
+    """The bisieve called name, once its 2-category and then the sieve
+    pass their checks, each once (a ParseError names the first that does
+    not): the sigma decision and the 2-category of elements index their
+    tables without typing them."""
+    s = doc.bisieves[name]
+    _checked("two_category", check_two_category, s.k, "two-category",
+             "two_cats.%s" % doc.raw["bisieves"][name]["two_cat"])
+    return _checked("bisieve", check_bisieve, s, "bisieve",
+                    "bisieves.%s" % name)
+
+
 def _kept(x, op, check, budget):
     """check(x, budget), or the report that x.memo kept under the op's
     name, with its steps spent again; a copy, since the kept report is
@@ -62,8 +74,8 @@ def _dispatch(doc, name, body, budget):
         # the report that the loader kept if it checked this 2-category
         return _kept(ref("two_cat"), op, check_two_category, budget)
     if op == "bisieve":
-        # the report that _covering or the sigma op kept if they checked
-        # this sieve
+        # the report that _covering or checked_bisieve kept if they
+        # checked this sieve
         return _kept(ref("bisieve"), op, check_bisieve, budget)
     if op == "bitopology":
         return check_bitopology(ref("bitopology"), budget)
@@ -71,15 +83,9 @@ def _dispatch(doc, name, body, budget):
         fn = {"T1": check_T1, "T2": check_T2, "T3": check_T3}[op]
         return fn(ref("bitopology"), budget)
     if op == "sigma_bicolim":
-        # the sieve and its 2-category, each validated once: the decision
-        # indexes their tables without typing them
-        s = ref("bisieve")
-        _checked("two_category", check_two_category, s.k, "two-category",
-                 "two_cats.%s" % doc.raw["bisieves"][body["bisieve"]]
-                 ["two_cat"])
-        _checked("bisieve", check_bisieve, s, "bisieve",
-                 "bisieves.%s" % body["bisieve"])
-        return is_sigma_bicolim_bisieve(s, budget)
+        ref("bisieve")  # refuses a check without the field
+        return is_sigma_bicolim_bisieve(checked_bisieve(doc, body["bisieve"]),
+                                        budget)
     if op == "subcanonical":
         tau = ref("bitopology")
         return is_subcanonical(tau.k, tau, budget)

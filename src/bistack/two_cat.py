@@ -138,16 +138,6 @@ class Fin2Cat(Recorded):
         except KeyError:
             raise MalformedTable("missing 1-composite (%r, %r)" % (g, f))
 
-    def c1_path(self, path, at=None):
-        """Compose a tgt-to-src ordered tuple of 1-cells; () is id1(at)."""
-        path = list(path)
-        if not path:
-            return self.id1(at)
-        f = path.pop()
-        while path:
-            f = self.c1(path.pop(), f)
-        return f
-
     def v(self, b, a):
         """Vertical composite, b after a."""
         try:

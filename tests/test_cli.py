@@ -406,6 +406,27 @@ def test_cli_exit_codes_fail_inconclusive_input_error(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "absent.site")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["nope"], ["run"], ["run", "SITE", "--budget", "abc"],
+    ["run", "SITE", "--budget", "-1"], ["run", "SITE", "--format", "xml"],
+    ["generate", "--seed", "0", "--profile", "nope", "-o", "SITE"]])
+def test_cli_malformed_command_lines_are_input_errors(tmp_path, capsys,
+                                                      argv):
+    """A malformed command line exits 3, input error, with argparse's
+    message, since 2 means inconclusive; --help still exits 0."""
+    site = _site(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([site if a == "SITE" else a for a in argv])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dkit") and "error: " in err
+    command = [] if argv[0] == "nope" else argv[:1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--help"])
+    assert exc.value.code == 0
+
+
 def test_cli_check_without_reference_field_is_an_input_error(tmp_path,
                                                             capsys):
     path = tmp_path / "nocat.site"
@@ -781,6 +802,41 @@ def test_cli_replay_of_a_malformed_report_is_a_located_input_error(
     assert cli.main(["replay", str(rep), path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: %s: " % rep) and message in err
+
+
+def _groth_empty_tilde():
+    raw = generate(0, "locally-discrete-site")
+    raw["bisieves"]["S_O0_0"]["tilde"] = []
+    return raw, "S_O0_0", ("bisieves.S_O0_0: bisieve fails: no member "
+                           "restriction for ('id_O0', 'id_O0')")
+
+
+def _groth_invalid_two_category():
+    raw = generate(11, "tiny-2site")
+    del raw["trihoms"]
+    raw["two_cats"]["K"]["vcomp"][7][-1] = "2id_u"
+    return raw, "S_A_0", ("two_cats.K: two-category fails: hom('A', 'B'): "
+                          "ill-typed composite ('c[u>w]', 'c[w>u]')")
+
+
+@pytest.mark.parametrize("corrupt", [_groth_empty_tilde,
+                                     _groth_invalid_two_category])
+def test_cli_groth_refuses_an_invalid_sieve_or_two_category(
+        tmp_path, capsys, corrupt):
+    """groth indexes the sieve's and its 2-category's tables without
+    typing them, so it refuses either when invalid, with the located
+    message of the sigma_bicolim op, and writes nothing."""
+    raw, sieve, message = corrupt()
+    raw["checks"] = {"sigma": {"op": "sigma_bicolim", "bisieve": sieve}}
+    path, out = tmp_path / "doc.site", tmp_path / "g.site"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["groth", str(path), "--sieve", sieve,
+                     "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+    assert cli.main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_cli_groth_exports_a_valid_two_category(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import pytest
 
-from bistack.bicat3 import (PsTwoFunctor, identity_ps_two_functor,
-                            representable_trihom, strict_trihom)
+from bistack.bicat3 import (PsTwoFunctor, check_ps_two_functor,
+                            identity_ps_two_functor, representable_trihom,
+                            strict_trihom, _ps_two_functor_typing)
 from bistack.descent import (EffectivenessWitness, Refutation,
                              check_descent_datum_mor, check_matching_family,
                              check_weak_descent_datum, descent_category,
@@ -18,7 +19,7 @@ from bistack.sieves import Bitopology, build_bisieve, maximal_bisieve, \
     representable
 from bistack.two_cat import Fin2Cat, from_fincat
 
-from test_bicat3 import one_object_z2
+from test_bicat3 import one_object_z2, trihom_over_arrow
 from test_two_cat import split_idempotent_2cat
 import typing_oracles
 
@@ -124,12 +125,17 @@ def test_restriction_witnesses_are_nontrivial(ksplit, ksieve):
                for p, c in ksieve.sigma.items())
 
 
-def test_checkers_reject_nonstrict_values(ksplit, ksieve):
-    F = representable_trihom(ksplit, "A")
-    chosen = next(iter(F.chi[("id_A", "e")].comp))
-    F.chi[("id_A", "e")].comp[chosen] = "c[id_A>e]"  # non-identity component
-    with pytest.raises(MalformedTable):
-        matching_family_from_cell(F, ksieve, "2id_2id_id_A")
+def test_checkers_reject_nonstrict_values():
+    """A pseudofunctor of B(Z/2) whose compositor and unitor are the
+    order-two 2-cell is well typed and valid but not strict, so
+    strict_trihom refuses it as an action, and no decider meets it."""
+    z2 = one_object_z2()
+    h = PsTwoFunctor(z2, z2, {"P": "P"}, {"id_P": "id_P"},
+                     {a: a for a in z2.twocells},
+                     chi={("id_P", "id_P"): "t"}, unit={"P": "t"})
+    assert _ps_two_functor_typing(h) is None and check_ps_two_functor(h).ok
+    with pytest.raises(MalformedTable, match="not a strict 2-functor"):
+        trihom_over_arrow(z2, h)
 
 
 # --- mistyped data, located by the typing oracles ------------------------------

@@ -563,17 +563,6 @@ def test_decider_steps_are_pinned(op, n):
     assert _decide(op, n) == ("pass", {}, _STEPS[op, n])
 
 
-def test_each_decider_checks_strictness_once(monkeypatch):
-    calls = []
-    ensure_strict = descent.ensure_strict
-    monkeypatch.setattr(descent, "ensure_strict",
-                        lambda F: calls.append(F) or ensure_strict(F))
-    for op in sorted(_DECIDERS):
-        calls.clear()
-        assert _decide(op, 3)[0] == "pass"
-        assert len(calls) == 1, op
-
-
 def _budget_sweep(totals=_STEPS):
     """Both deciders on rung 4 under 20 limits from 0 to their steps in
     totals, by default their full steps."""
