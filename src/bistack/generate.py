@@ -27,9 +27,9 @@ from itertools import product
 from .errors import ToolkitError
 from .fincat import FinCat, discrete
 from .two_cat import Fin2Cat, check_two_category, from_fincat
-from .sieves import _covers, candidate_sieves, check_bisieve, \
-    check_bitopology, literal_maximal_bisieve, pullback_sieve, \
-    sieve_equivalence
+from .sieves import _bisieve, _coverage, _covered, _pullback_family, \
+    candidate_sieves, check_bisieve, check_bitopology, \
+    literal_maximal_bisieve
 from .builders import thin_two_cat
 from .report import Budget
 from .runner import run_check
@@ -97,39 +97,43 @@ def _literal_candidates(k, c, budget):
 
 def _saturate_topology(k, chosen, budget):
     """Close a covering family under pullback (T2) and local character
-    (T3), starting from the maximal sieves."""
+    (T3), starting from the maximal sieves.  Decided on the member masks
+    of k's coverage index; a pullback becomes a sieve only where it is
+    added."""
+    ix = _coverage(k)
     cands = {c: _literal_candidates(k, c, budget) for c in k.objects}
 
-    def canonical(c, s):
+    def covered(sieves, s):
+        return _covered(k, ix, sieves, s, budget)
+
+    def canonical(c, p):
         for t in cands[c]:
-            if sieve_equivalence(s, t, budget).ok:
+            if covered((t,), p):
                 return t
-        return s
+        return _bisieve(k, p)
 
     cov = {c: [literal_maximal_bisieve(k, c)] for c in k.objects}
     for c, extra in chosen.items():
         for s in extra:
-            if not _covers(cov[c], s, budget):
+            if not covered(cov[c], s):
                 cov[c].append(s)
     changed = True
     while changed:
         changed = False
         for c in k.objects:
             for s in list(cov[c]):
-                for f, (d, c2) in sorted(k.onecells.items()):
-                    if c2 != c:
-                        continue
-                    p = pullback_sieve(s, f, budget)
-                    if not _covers(cov[d], p, budget):
+                for f, d in k.one_cells_into(c):
+                    p = _pullback_family(k, ix, s, f, budget)
+                    if not covered(cov[d], p):
                         cov[d].append(canonical(d, p))
                         changed = True
         for c in k.objects:
             for s in cands[c]:
-                if _covers(cov[c], s, budget):
+                if covered(cov[c], s):
                     continue
                 for r in cov[c]:
-                    if all(_covers(cov[k.onecells[f][0]],
-                                   pullback_sieve(s, f, budget), budget)
+                    if all(covered(cov[k.src1(f)],
+                                   _pullback_family(k, ix, s, f, budget))
                            for _, f in r.all_members()):
                         cov[c].append(s)
                         changed = True

@@ -8,25 +8,27 @@ sigma[(f, g)] the selected invertible 2-cell tilde(f, g) => f.g.  The
 selection is deterministic (first in sorted order), and normalized so that
 restriction along an identity is strict.
 
-The constructions and the coverage axioms walk the 1-cells into an object
-from ``Fin2Cat.one_cells_into``, and find the members isomorphic to a
-1-cell by intersecting a member set with the iso-neighbour sets
-``Fin2Cat.isos_from`` and ``isos_into``.  Each loop visits its cells in the
-order of a scan over every 1-cell (id order, or table order where that
-scan read the table), because the order decides which failure is
-reported, which error is raised and where a budget runs out.
+The constructions and the coverage axioms decide on member masks: each
+2-category has one coverage index (``_Coverage``, kept in its memo) with
+a bit per 1-cell, in id order, and per 1-cell the masks of its
+iso-neighbours, and a sieve is a mask per object.  A pullback f*S is one
+pass over the 1-cells into the source of f, with an AND per 1-cell;
+mutual domination is an AND per member; the candidate sieves of T3 are
+unions of iso-class masks.  Each loop visits its cells in the order of a
+scan over every 1-cell (id order, or table order where that scan read
+the table), because the order decides which failure is reported, which
+error is raised and where a budget runs out; and it spends one step
+where that scan spent one, in a single tick that stops where single
+ticks would.
 
-Each distinct figure is decided once per 2-category, in the keyed memo
-``Fin2Cat.recorded``, which keeps the steps it spent and spends them again
-on a repeat as one ``tick(n)``, stopping where n single ticks would; a run
-that exhausts its budget records nothing.  ``build_bisieve`` interns its
-sieve by the target and the member sets, in the caller's order of objects
-(the order of the witness tables); ``pullback_sieve`` keeps f*S by
-(``s.key()``, f); and ``sieve_equivalence`` keeps its verdict by
-(``s1.key()``, ``s2.key()``).  The memo keeps its sieves on no 2-category
-and hands out each bound to k (``Bisieve.on``): a sieve refers to its
-2-category, and a memo that held such a sieve would make a cycle that only
-the garbage collector frees.
+Closure is checked where a sieve is built, once per member set in the
+order of its objects (``_closed``), and ``build_bisieve`` interns its
+sieve in ``k.recorded`` by the target and the member sets, in the
+caller's order of objects (the order of the witness tables).  The memo
+keeps its sieves on no 2-category and hands out each bound to k
+(``Bisieve.on``), and the index refers to no 2-category: a sieve refers
+to its 2-category, and a memo that held such a sieve would make a cycle
+that only the garbage collector frees.
 """
 
 from types import MappingProxyType
@@ -92,6 +94,11 @@ class Bisieve(Recorded):
             hit = self._recorded[fn] = fn(self), 0
         return hit[0]
 
+    @property
+    def masks(self):
+        """The member sets as masks of k's coverage index, by object."""
+        return self.derived(_member_masks)
+
     def __eq__(self, other):
         return self is other or (isinstance(other, Bisieve)
                                  and self.key() == other.key()
@@ -129,34 +136,13 @@ def _closed_bisieve(k, target, members, budget):
             if k.onecells.get(f) != (d, target):
                 raise MalformedTable("member %r is not a 1-cell %r -> %r"
                                      % (f, d, target))
+    ix = _coverage(k)
+    s = _Family(ix, target, {d: ix.mask(ms) for d, ms in members.items()})
     tilde, sigma = {}, {}
-    for d, ms in members.items():
-        for f in sorted(ms):
-            for g, e in k.one_cells_into(d):
-                if g == k.id1(d):
-                    tilde[(f, g)] = f
-                    sigma[(f, g)] = k.id2(f)
-                    continue
-                fg = k.c1(f, g)
-                m = _first_iso(k, members.get(e), fg)
-                if m is None:
-                    raise MalformedTable(
-                        "not closed: no member isomorphic to %r . %r" % (f, g))
-                tilde[(f, g)] = m
-                sigma[(f, g)] = k.invertible_2cell(m, fg)
+    for f, g, m, cell in _restrictions(k, ix, s):
+        tilde[(f, g)] = m
+        sigma[(f, g)] = cell
     return Bisieve(None, target, members, tilde, sigma)
-
-
-def _first_iso(k, ms, g):
-    """The least m of the set ms with an invertible 2-cell m => g, or
-    None.  Read from ``k.isos_into(g)``; where that is None, decided pair
-    by pair in sorted order."""
-    if not ms:
-        return None
-    isos = k.isos_into(g)
-    if isos is None:
-        return next((m for m in sorted(ms) if k.iso_1cells(m, g)), None)
-    return min(isos.intersection(ms), default=None)
 
 
 def _maximal_members(k, target):
@@ -216,13 +202,11 @@ def check_bisieve(s, budget=None):
 
 
 def sieve_equivalence(s1, s2, budget=None):
-    """Mutual domination up to invertible 2-cells.  Recorded in
-    ``s1.k.recorded`` by the two sieves' keys."""
+    """Mutual domination up to invertible 2-cells."""
     budget = budget or Budget()
     if s1.k != s2.k or s1.target != s2.target:
         return failed("sieve_equivalence", ["different ambient data"], {})
-    missing = s1.k.recorded(("equivalence", s1.key(), s2.key()), budget,
-                            _unmatched, s1, s2)
+    missing = _unmatched_member(s1.k, _coverage(s1.k), s1, s2, budget)
     if missing is None:
         return passed("sieve_equivalence")
     f, tag = missing
@@ -231,41 +215,16 @@ def sieve_equivalence(s1, s2, budget=None):
                   {"member": f, "side": tag})
 
 
-def _unmatched(s1, s2, budget):
-    """The first (member, side) of either sieve with no isomorph in the
-    other, or None."""
-    k = s1.k
-    for a, b, tag in ((s1, s2, "first"), (s2, s1, "second")):
-        for d, f in a.all_members():
-            budget.tick()
-            isos = k.isos_from(f)
-            if isos is None:
-                found = any(k.iso_1cells(f, m) for m in b.member_list(d))
-            else:
-                found = not isos.isdisjoint(b.members.get(d, ()))
-            if not found:
-                return f, tag
-    return None
-
-
 def pullback_sieve(s, f, budget=None):
-    """The sieve f*S: 1-cells g with f.g isomorphic to a member.
-    Recorded in ``s.k.recorded`` by the sieve's key and f."""
-    return s.k.recorded(("pullback", s.key(), f), budget or Budget(),
-                        _pullback, s, f).on(s.k)
+    """The sieve f*S: 1-cells g with f.g isomorphic to a member."""
+    return _bisieve(s.k, _pullback_family(s.k, _coverage(s.k), s, f,
+                                          budget or Budget()))
 
 
-def _pullback(s, f, budget):
-    k = s.k
-    d, c = k.onecells[f]
-    if c != s.target:
-        raise BoundaryMismatch("%r does not land in %r" % (f, s.target))
-    members = {}
-    for g, e in k.one_cells_into(d):
-        budget.tick()
-        if _first_iso(k, s.members.get(e), k.c1(f, g)) is not None:
-            members.setdefault(e, set()).add(g)
-    return _interned(k, d, members)
+def candidate_sieves(k, c, budget=None):
+    """All sieves on c that are unions of closed sets of iso-classes."""
+    return [_bisieve(k, s)
+            for s in _candidates(k, _coverage(k), c, budget or Budget())]
 
 
 # --- the 2-category of elements -----------------------------------------
@@ -497,17 +456,14 @@ class Bitopology:
         return self.covering.get(c, ())
 
 
-def _covers(sieves, s, budget):
-    """Is s equivalent to one of the sieves?"""
-    return any(sieve_equivalence(s, t, budget).ok for t in sieves)
-
-
 def check_T1(tau, budget=None):
     """The maximal sieve covers every object (up to sieve equivalence)."""
     budget = budget or Budget()
-    for c in tau.k.objects:
+    k = tau.k
+    ix = _coverage(k)
+    for c in k.objects:
         budget.tick()
-        if not _covers(tau.sieves_on(c), maximal_bisieve(tau.k, c), budget):
+        if not _covered(k, ix, tau.sieves_on(c), _maximal(k, ix, c), budget):
             return failed("check_T1", ["maximal sieve on %r not covering" % c],
                           {"object": c})
     return passed("check_T1")
@@ -518,10 +474,11 @@ def check_T2(tau, budget=None):
     budget = budget or Budget()
     for c in tau.k.objects:
         for i, s in enumerate(tau.sieves_on(c)):
+            ix = _coverage(s.k)
             for f, d in tau.k.one_cells_into(c, table_order=True):
                 budget.tick()
-                if not _covers(tau.sieves_on(d),
-                               pullback_sieve(s, f, budget), budget):
+                p = _pullback_family(s.k, ix, s, f, budget)
+                if not _covered(s.k, ix, tau.sieves_on(d), p, budget):
                     return failed(
                         "check_T2",
                         ["T2 via f*S: pullback of sieve #%d on %r along %r "
@@ -530,59 +487,26 @@ def check_T2(tau, budget=None):
     return passed("check_T2", ["T2 via f*S"])
 
 
-def candidate_sieves(k, c, budget=None):
-    """All sieves on c that are unions of closed sets of iso-classes."""
-    budget = budget or Budget()
-    classes = []
-    rest = [f for f, _ in k.one_cells_into(c)]
-    while rest:
-        f = rest.pop(0)
-        isos = k.isos_from(f)
-        cls = [f] + [g for g in rest
-                     if k.onecells[f] == k.onecells[g]
-                     and (k.iso_1cells(f, g) if isos is None else g in isos)]
-        rest = [g for g in rest if g not in cls]
-        classes.append(tuple(cls))
-    idx = {f: i for i, cls in enumerate(classes) for f in cls}
-    succ = {}
-    for i, cls in enumerate(classes):
-        f = cls[0]
-        succ[i] = {idx[k.c1(f, g)] for g, _ in
-                   k.one_cells_into(k.src1(f), table_order=True)}
-    out = []
-    n = len(classes)
-    for mask in range(0, 1 << n):
-        budget.tick()
-        chosen = {i for i in range(n) if mask & (1 << i)}
-        if all(succ[i] <= chosen for i in chosen):
-            members = {}
-            for i in chosen:
-                for f in classes[i]:
-                    members.setdefault(k.onecells[f][0], set()).add(f)
-            out.append(build_bisieve(k, c, members))
-    return out
-
-
 def check_T3(tau, budget=None):
     """Local character: a sieve covered along a covering sieve must cover."""
     budget = budget or Budget()
     k = tau.k
+    ix = _coverage(k)
     for c in k.objects:
-        for s in candidate_sieves(k, c, budget):
-            locally_covering = False
-            for t in tau.sieves_on(c):
-                if all(_covers(tau.sieves_on(d),
-                               pullback_sieve(s, f, budget), budget)
-                       for d, f in t.all_members()):
-                    locally_covering = True
-                    break
-            if locally_covering and not _covers(tau.sieves_on(c), s, budget):
+        for s in _candidates(k, ix, c, budget):
+            locally_covering = any(
+                all(_covered(k, ix, tau.sieves_on(d),
+                             _pullback_family(k, ix, s, f, budget), budget)
+                    for d, f in t.all_members())
+                for t in tau.sieves_on(c))
+            if locally_covering \
+                    and not _covered(k, ix, tau.sieves_on(c), s, budget):
                 return failed(
                     "check_T3",
                     ["sieve on %r is locally covering but not covering" % c],
                     {"object": c,
                      "members": {d: list(s.member_list(d))
-                                 for d in s.members}})
+                                 for d in s.masks}})
     return passed("check_T3")
 
 
@@ -593,7 +517,8 @@ def check_bitopology(tau, budget=None):
     is not literally closed under sieve equivalence.
     """
     budget = budget or Budget()
-    for c in tau.k.objects:
+    k = tau.k
+    for c in k.objects:
         for i, s in enumerate(tau.sieves_on(c)):
             r = check_bisieve(s, budget)
             if not r.ok:
@@ -602,12 +527,249 @@ def check_bitopology(tau, budget=None):
     out = merge("check_bitopology",
                 [check_T1(tau, budget), check_T2(tau, budget),
                  check_T3(tau, budget)])
-    for c in tau.k.objects:
-        for s in candidate_sieves(tau.k, c, budget):
-            if _covers(tau.sieves_on(c), s, budget) \
-                    and not any(s == t for t in tau.sieves_on(c)):
+    ix = _coverage(k)
+    for c in k.objects:
+        for s in _candidates(k, ix, c, budget):
+            if _covered(k, ix, tau.sieves_on(c), s, budget) \
+                    and not any(s.key() == t.key() and k == t.k
+                                for t in tau.sieves_on(c)):
                 out.details.append(
                     "note: covering-equivalent sieve on %r not literally "
                     "listed (family not closed under equivalence)" % c)
                 break
     return out
+
+
+# --- the coverage index and the mask routine ---------------------------------
+
+def _coverage(k):
+    """k's coverage index, built on first use and kept in k's memo."""
+    return k.memo("coverage") or k.memo("coverage", _Coverage)
+
+
+class _Coverage(Recorded):
+    """The coverage index of a 2-category: a bit per 1-cell, in id order,
+    so that a set of 1-cells is a mask and its least member its lowest
+    bit; and the masks of the iso-neighbours of each 1-cell,
+    ``iso_from[f]`` (the g with an invertible 2-cell f => g) and
+    ``iso_into[g]``, decided once per 2-cell boundary.  Both are None
+    where deciding a boundary raises, or where an invertible 2-cell joins
+    cells that are not 1-cells: the routine then decides each pair with
+    ``iso_1cells`` in id order, and so raises where the scans it replaces
+    did.  Also kept: the families whose closure passed (``_closed``) and
+    the candidate families of each object with their steps."""
+
+    def __init__(self, k, budget):
+        self.ids = sorted(k.onecells)
+        self.bit = bit = {f: 1 << i for i, f in enumerate(self.ids)}
+        iso_from, iso_into = {}, {}
+        try:
+            for f, g in k.twocells.values():
+                if k.isos_between(f, g):
+                    iso_from[f] = iso_from.get(f, 0) | bit[g]
+                    iso_into[g] = iso_into.get(g, 0) | bit[f]
+        except (KeyError, MalformedTable):
+            iso_from = iso_into = None
+        self.iso_from, self.iso_into = iso_from, iso_into
+        self.families = {}
+        self._recorded = {}
+
+    def mask(self, cells):
+        """The mask of the 1-cells among cells."""
+        m = 0
+        for f in cells:
+            m |= self.bit.get(f, 0)
+        return m
+
+    def members(self, mask):
+        """The 1-cells of a mask, in id order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.ids[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+
+class _Family:
+    """The members of a sieve on target as a mask per object, in the order
+    of objects it was built in, which is the order its closure is checked
+    in.  The routine reads it as it reads a Bisieve."""
+
+    __slots__ = ("ix", "target", "masks", "_pairs")
+
+    def __init__(self, ix, target, masks):
+        self.ix = ix
+        self.target = target
+        self.masks = masks
+        self._pairs = None
+
+    def member_list(self, d):
+        return self.ix.members(self.masks.get(d, 0))
+
+    def all_members(self):
+        if self._pairs is None:
+            self._pairs = tuple((d, f) for d in sorted(self.masks)
+                                for f in self.member_list(d))
+        return self._pairs
+
+    def key(self):
+        """As Bisieve.key."""
+        return self.target, tuple((d, self.member_list(d))
+                                  for d in sorted(self.masks))
+
+
+def _member_masks(s):
+    ix = _coverage(s.k)
+    return {d: ix.mask(ms) for d, ms in s.members.items()}
+
+
+def _bisieve(k, s):
+    """The sieve of a closed family, interned as build_bisieve interns it."""
+    return _interned(k, s.target,
+                     {d: s.member_list(d) for d in s.masks}).on(k)
+
+
+def _first_iso(k, ix, s, e, g):
+    """The least member of s on e with an invertible 2-cell to g, or None:
+    one AND of two masks, or pair by pair where ix has no iso masks."""
+    if ix.iso_into is None:
+        return next((m for m in s.member_list(e) if k.iso_1cells(m, g)), None)
+    low = s.masks.get(e, 0) & ix.iso_into.get(g, 0)
+    return ix.ids[(low & -low).bit_length() - 1] if low else None
+
+
+def _restrictions(k, ix, s):
+    """(f, g, m, cell) for each member f of s, by its order of objects and
+    then by id, and each 1-cell g into the object of f, by id: m is the
+    least member isomorphic to the composite fg and cell the first
+    invertible 2-cell m => fg, or f and its identity 2-cell where g is an
+    identity.  Raises MalformedTable at the first (f, g) with no such
+    member: s is not closed."""
+    for d, mask in s.masks.items():
+        for f in ix.members(mask):
+            for g, e in k.one_cells_into(d):
+                if g == k.id1(d):
+                    yield f, g, f, k.id2(f)
+                    continue
+                fg = k.c1(f, g)
+                m = _first_iso(k, ix, s, e, fg)
+                if m is None:
+                    raise MalformedTable(
+                        "not closed: no member isomorphic to %r . %r" % (f, g))
+                yield f, g, m, k.invertible_2cell(m, fg)
+
+
+def _closed(k, ix, target, masks):
+    """The family of masks on target, once its closure passes; checked
+    once per member set, in the order of masks."""
+    key = target, tuple(masks.items())
+    s = ix.families.get(key)
+    if s is None:
+        s = _Family(ix, target, masks)
+        for _ in _restrictions(k, ix, s):
+            pass
+        ix.families[key] = s
+    return s
+
+
+def _maximal(k, ix, target):
+    return _closed(k, ix, target, {
+        d: ix.mask(ms) for d, ms in _maximal_members(k, target).items()})
+
+
+def _pullback_family(k, ix, s, f, budget):
+    """f*S as a closed family: one pass over the 1-cells g into the source
+    of f, by id, with one step and one AND each.  The steps are spent in
+    one tick, also when the pass raises: single ticks would have stopped
+    at the same step."""
+    d, c = k.onecells[f]
+    if c != s.target:
+        raise BoundaryMismatch("%r does not land in %r" % (f, s.target))
+    masks = {}
+    steps = 0
+    try:
+        for g, e in k.one_cells_into(d):
+            steps += 1
+            if _first_iso(k, ix, s, e, k.c1(f, g)) is not None:
+                masks[e] = masks.get(e, 0) | ix.bit[g]
+        return _closed(k, ix, d, masks)
+    finally:
+        budget.tick(steps)
+
+
+def _unmatched_member(k, ix, x, y, budget):
+    """The first member of x with no isomorph among the members of y on
+    its object, as (member, "first"), else the first such of y in x, as
+    (member, "second"); or None.  One step and one AND per member
+    scanned, spent as in _pullback_family."""
+    steps = 0
+    try:
+        for a, b, side in ((x, y, "first"), (y, x, "second")):
+            if ix.iso_from is None:
+                for d, f in a.all_members():
+                    steps += 1
+                    if not any(k.iso_1cells(f, m) for m in b.member_list(d)):
+                        return f, side
+            else:
+                masks = b.masks
+                for d, f in a.all_members():
+                    steps += 1
+                    if not ix.iso_from.get(f, 0) & masks.get(d, 0):
+                        return f, side
+        return None
+    finally:
+        budget.tick(steps)
+
+
+def _covered(k, ix, sieves, x, budget):
+    """Is x equivalent to one of the sieves (mutual domination up to
+    invertible 2-cells)?  A sieve on another 2-category or target is
+    not."""
+    return any((t.k is k or k == t.k) and x.target == t.target
+               and _unmatched_member(k, ix, x, t, budget) is None
+               for t in sieves)
+
+
+def _candidates(k, ix, c, budget):
+    """The closed families on c that are unions of iso-classes of the
+    1-cells into c, one step per subset of classes; kept with its steps
+    per object."""
+    return ix.recorded(("candidates", c), budget, _candidate_families,
+                       k, ix, c)
+
+
+def _candidate_families(k, ix, c, budget):
+    classes = []
+    rest = [f for f, _ in k.one_cells_into(c)]
+    while rest:
+        f = rest.pop(0)
+        cls = [f] + [g for g in rest
+                     if k.onecells[f] == k.onecells[g]
+                     and (k.iso_1cells(f, g) if ix.iso_from is None
+                          else ix.iso_from.get(f, 0) & ix.bit[g])]
+        rest = [g for g in rest if g not in cls]
+        classes.append(cls)
+    idx = {f: i for i, cls in enumerate(classes) for f in cls}
+    # the classes that precomposing each class reaches, as a mask of
+    # class indices
+    succ = []
+    for cls in classes:
+        reached = 0
+        for g, _ in k.one_cells_into(k.src1(cls[0]), table_order=True):
+            reached |= 1 << idx[k.c1(cls[0], g)]
+        succ.append(reached)
+    n = len(classes)
+    out = []
+    for chosen in range(1 << n):
+        budget.tick()
+        picked = {i for i in range(n) if chosen >> i & 1}
+        if any(succ[i] & ~chosen for i in picked):
+            continue
+        masks = {}
+        # objects in the order that the set of picked classes iterates in
+        for i in picked:
+            d = k.src1(classes[i][0])
+            masks[d] = masks.get(d, 0) | ix.mask(classes[i])
+        out.append(_closed(k, ix, c, masks))
+    return tuple(out)

@@ -34,19 +34,15 @@ class Fin2Cat(Recorded):
     change a table, build a new Fin2Cat.  Memoised on first use: the
     1-cells into each object in table order, ``composable_triples``,
     ``locally_thin``, ``inverse2``, ``isos_between`` (which
-    ``invertible_2cell`` reads), the iso-neighbour sets ``isos_from`` and
-    ``isos_into`` (decided for every pair of 1-cells in the 2-cell
-    boundary index, so exact also on tables that fail
-    check_two_category), ``equivalent_objects`` and ``hom_cat``.
+    ``invertible_2cell`` reads), ``equivalent_objects`` and ``hom_cat``.
 
     ``recorded`` keeps the figures that spend steps, each under a key that
     names it and whatever it reads besides the tables, with the steps its
     first computation spent; a repeat spends them again as one
     ``tick(n)``, which stops where n single ticks would.  Kept there:
     ``equivalence_data`` (by the 1-cell), the ``check_two_category``
-    report (by its op's name, ``two_category``), and the sieve
-    constructions of ``sieves``: interned sieves, pullbacks and sieve
-    equivalences.
+    report (by its op's name, ``two_category``), and what ``sieves``
+    keeps: interned sieves and the coverage index.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,
@@ -69,7 +65,6 @@ class Fin2Cat(Recorded):
         self._thin = None
         self._inverse2 = {}
         self._isos = {}
-        self._neighbours = None
         self._equivalent = {}
         self._homs = {}
         self._recorded = {}
@@ -207,40 +202,6 @@ class Fin2Cat(Recorded):
     def iso_1cells(self, f, g):
         """Is there an invertible 2-cell f => g?"""
         return self.invertible_2cell(f, g) is not None
-
-    def isos_from(self, f):
-        """The 1-cells g with an invertible 2-cell f => g, as a frozenset,
-        or None; see ``_iso_neighbours``."""
-        out = self._iso_neighbours()[0]
-        return None if out is None else out.get(f, frozenset())
-
-    def isos_into(self, g):
-        """The 1-cells f with an invertible 2-cell f => g, as a frozenset,
-        or None; see ``_iso_neighbours``."""
-        into = self._iso_neighbours()[1]
-        return None if into is None else into.get(g, frozenset())
-
-    def _iso_neighbours(self):
-        """({f: the g}, {g: the f}) over the 1-cells with an invertible
-        2-cell f => g, decided once for each pair in the 2-cell boundary
-        index.  (None, None) if deciding a pair raises, as it does on a
-        table that lacks a vertical composite or an identity 2-cell: a
-        caller then decides its own pairs in the order of its scan, and
-        so raises where that scan does.  Memoised."""
-        if self._neighbours is None:
-            out, into = {}, {}
-            try:
-                for f, g in self._twos:
-                    if self.isos_between(f, g):
-                        out.setdefault(f, set()).add(g)
-                        into.setdefault(g, set()).add(f)
-            except (KeyError, MalformedTable):
-                self._neighbours = None, None
-            else:
-                self._neighbours = tuple(
-                    {x: frozenset(ys) for x, ys in side.items()}
-                    for side in (out, into))
-        return self._neighbours
 
     def isos_between(self, f, g):
         """The invertible 2-cells f => g, in id order.  Memoised."""

@@ -1,6 +1,6 @@
 """Test-only oracles: the nested-loop scans that ``check_two_category``,
-the sieve constructions and the coverage axioms T1-T3 replace with
-indexes.
+the sieve constructions, the coverage axioms T1-T3 and
+``check_bitopology`` replace with indexes and member masks.
 
 Each oracle tests every pair (or triple, or quadruple) of cells for
 composability, and every candidate member for an invertible 2-cell one
@@ -12,7 +12,7 @@ never its per-1-cell or per-object indexes.
 
 from bistack.errors import BoundaryMismatch, MalformedTable
 from bistack.fincat import FinCat, _is_cell, check_category
-from bistack.report import Budget, failed, passed
+from bistack.report import Budget, failed, merge, passed
 from bistack.sieves import Bisieve
 
 
@@ -344,3 +344,25 @@ def check_T3(tau, budget=None):
                      "members": {d: list(s.member_list(d))
                                  for d in s.members}})
     return passed("check_T3")
+
+
+def check_bitopology(tau, budget=None):
+    budget = budget or Budget()
+    for c in tau.k.objects:
+        for i, s in enumerate(tau.sieves_on(c)):
+            r = check_bisieve(s, budget)
+            if not r.ok:
+                r.details.insert(0, "sieve #%d on %r" % (i, c))
+                return r
+    out = merge("check_bitopology",
+                [check_T1(tau, budget), check_T2(tau, budget),
+                 check_T3(tau, budget)])
+    for c in tau.k.objects:
+        for s in candidate_sieves(tau.k, c, budget):
+            if _covers(tau.sieves_on(c), s, budget) \
+                    and not any(s == t for t in tau.sieves_on(c)):
+                out.details.append(
+                    "note: covering-equivalent sieve on %r not literally "
+                    "listed (family not closed under equivalence)" % c)
+                break
+    return out

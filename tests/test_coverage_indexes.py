@@ -181,7 +181,7 @@ def _cases(objects, onecells, sieves):
                 yield "pullback_sieve", lambda k, b, tau, n=n, f=f: (b[n], f)
     for c in objects:
         yield "candidate_sieves", lambda k, b, tau, c=c: (k, c)
-    for check in ("check_T1", "check_T2", "check_T3"):
+    for check in ("check_T1", "check_T2", "check_T3", "check_bitopology"):
         yield check, lambda k, b, tau: (tau,)
 
 
