@@ -27,9 +27,8 @@ from itertools import product
 from .errors import ToolkitError
 from .fincat import FinCat, discrete
 from .two_cat import Fin2Cat, check_two_category, from_fincat
-from .sieves import _bisieve, _coverage, _covered, _pullback_family, \
-    candidate_sieves, check_bisieve, check_bitopology, \
-    literal_maximal_bisieve
+from .sieves import _coverage, _covered, _pullback, candidate_sieves, \
+    check_bisieve, check_bitopology, literal_maximal_bisieve
 from .builders import thin_two_cat
 from .report import Budget
 from .runner import run_check
@@ -83,23 +82,15 @@ def _literal_candidates(k, c, budget):
     """Candidate sieves whose closure witnesses are literal composites
     (tilde agrees with base composition), one per member set.  These are
     the sieves the direct descent checker can restrict along."""
-    seen = set()
-    out = []
-    for s in candidate_sieves(k, c, budget):
-        if any(k.c1(f, g) != t for (f, g), t in s.tilde.items()):
-            continue
-        if s.key() in seen:
-            continue
-        seen.add(s.key())
-        out.append(s)
-    return out
+    return [s for s in candidate_sieves(k, c, budget)
+            if all(k.c1(f, g) == t for (f, g), t in s.tilde.items())]
 
 
 def _saturate_topology(k, chosen, budget):
     """Close a covering family under pullback (T2) and local character
     (T3), starting from the maximal sieves.  Decided on the member masks
-    of k's coverage index; a pullback becomes a sieve only where it is
-    added."""
+    of k's coverage index; a pullback, interned there, is bound to k only
+    where it is added."""
     ix = _coverage(k)
     cands = {c: _literal_candidates(k, c, budget) for c in k.objects}
 
@@ -110,7 +101,7 @@ def _saturate_topology(k, chosen, budget):
         for t in cands[c]:
             if covered((t,), p):
                 return t
-        return _bisieve(k, p)
+        return p.on(k)
 
     cov = {c: [literal_maximal_bisieve(k, c)] for c in k.objects}
     for c, extra in chosen.items():
@@ -123,7 +114,7 @@ def _saturate_topology(k, chosen, budget):
         for c in k.objects:
             for s in list(cov[c]):
                 for f, d in k.one_cells_into(c):
-                    p = _pullback_family(k, ix, s, f, budget)
+                    p = _pullback(k, ix, s, f, budget)
                     if not covered(cov[d], p):
                         cov[d].append(canonical(d, p))
                         changed = True
@@ -133,7 +124,7 @@ def _saturate_topology(k, chosen, budget):
                     continue
                 for r in cov[c]:
                     if all(covered(cov[k.src1(f)],
-                                   _pullback_family(k, ix, s, f, budget))
+                                   _pullback(k, ix, s, f, budget))
                            for _, f in r.all_members()):
                         cov[c].append(s)
                         changed = True

@@ -21,14 +21,16 @@ error is raised and where a budget runs out; and it spends one step
 where that scan spent one, in a single tick that stops where single
 ticks would.
 
-Closure is checked where a sieve is built, once per member set in the
-order of its objects (``_closed``), and ``build_bisieve`` interns its
-sieve in ``k.recorded`` by the target and the member sets, in the
-caller's order of objects (the order of the witness tables).  The memo
-keeps its sieves on no 2-category and hands out each bound to k
-(``Bisieve.on``), and the index refers to no 2-category: a sieve refers
-to its 2-category, and a memo that held such a sieve would make a cycle
-that only the garbage collector frees.
+Every sieve built here is built once per member set (``_closed``):
+its closure is checked and its restriction witnesses are chosen in one
+pass, and the sieve is interned in the coverage index by its target and
+its masks, in the caller's order of objects (the order of the witness
+tables).  ``build_bisieve``, ``pullback_sieve``, ``candidate_sieves``
+and the coverage axioms all build through it, so they share one sieve
+per member set.  The index keeps its sieves on no 2-category and hands
+out each bound to k (``Bisieve.on``), and refers to no 2-category
+itself: a sieve refers to its 2-category, and a memo that held such a
+sieve would make a cycle that only the garbage collector frees.
 """
 
 from types import MappingProxyType
@@ -48,7 +50,8 @@ class Bisieve(Recorded):
     built once here, and one table keeps what is decided or built from
     them: ``memo`` the ``check_bisieve`` report with the steps it spent,
     ``derived`` the figures that spend none; to change a table, build a
-    new Bisieve.
+    new Bisieve.  ``masks`` is set where the sieve is interned, else on
+    first read.
     """
 
     def __init__(self, k, target, members, tilde, sigma):
@@ -63,6 +66,7 @@ class Bisieve(Recorded):
         self._all_members = tuple((d, f) for d in sorted(self.members)
                                   for f in self._member_lists[d])
         self._key = (target, tuple(sorted(self._member_lists.items())))
+        self._masks = None
         self._recorded = {}
 
     def member_list(self, d):
@@ -97,7 +101,10 @@ class Bisieve(Recorded):
     @property
     def masks(self):
         """The member sets as masks of k's coverage index, by object."""
-        return self.derived(_member_masks)
+        if self._masks is None:
+            ix = _coverage(self.k)
+            self._masks = {d: ix.mask(ms) for d, ms in self.members.items()}
+        return self._masks
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Bisieve)
@@ -115,34 +122,21 @@ class Bisieve(Recorded):
 def build_bisieve(k, target, members):
     """Assemble a sieve with canonical restriction witnesses.
 
-    Interned in ``k.recorded`` by the target and the member sets in the
-    order of members, which the witness tables follow.  Raises
-    MalformedTable when the member family is not closed under
-    precomposition up to invertible 2-cells.
+    Interned (``_closed``) by the target and the member sets in the order
+    of members, which the witness tables follow.  Raises MalformedTable
+    when a member is not a 1-cell into target from its object, or when
+    the member family is not closed under precomposition up to
+    invertible 2-cells.
     """
-    return _interned(k, target, members).on(k)
-
-
-def _interned(k, target, members):
-    """build_bisieve's sieve as k's memo keeps it, on no 2-category."""
     members = {d: frozenset(ms) for d, ms in members.items() if ms}
-    return k.recorded(("bisieve", target, tuple(members.items())), Budget(),
-                      _closed_bisieve, k, target, members)
-
-
-def _closed_bisieve(k, target, members, budget):
     for d, ms in members.items():
         for f in ms:
             if k.onecells.get(f) != (d, target):
                 raise MalformedTable("member %r is not a 1-cell %r -> %r"
                                      % (f, d, target))
     ix = _coverage(k)
-    s = _Family(ix, target, {d: ix.mask(ms) for d, ms in members.items()})
-    tilde, sigma = {}, {}
-    for f, g, m, cell in _restrictions(k, ix, s):
-        tilde[(f, g)] = m
-        sigma[(f, g)] = cell
-    return Bisieve(None, target, members, tilde, sigma)
+    return _closed(k, ix, target, {d: ix.mask(ms)
+                                   for d, ms in members.items()}).on(k)
 
 
 def _maximal_members(k, target):
@@ -217,14 +211,13 @@ def sieve_equivalence(s1, s2, budget=None):
 
 def pullback_sieve(s, f, budget=None):
     """The sieve f*S: 1-cells g with f.g isomorphic to a member."""
-    return _bisieve(s.k, _pullback_family(s.k, _coverage(s.k), s, f,
-                                          budget or Budget()))
+    return _pullback(s.k, _coverage(s.k), s, f, budget or Budget()).on(s.k)
 
 
 def candidate_sieves(k, c, budget=None):
     """All sieves on c that are unions of closed sets of iso-classes."""
-    return [_bisieve(k, s)
-            for s in _candidates(k, _coverage(k), c, budget or Budget())]
+    return [s.on(k) for s in _candidates(k, _coverage(k), c,
+                                         budget or Budget())]
 
 
 # --- the 2-category of elements -----------------------------------------
@@ -477,7 +470,7 @@ def check_T2(tau, budget=None):
             ix = _coverage(s.k)
             for f, d in tau.k.one_cells_into(c, table_order=True):
                 budget.tick()
-                p = _pullback_family(s.k, ix, s, f, budget)
+                p = _pullback(s.k, ix, s, f, budget)
                 if not _covered(s.k, ix, tau.sieves_on(d), p, budget):
                     return failed(
                         "check_T2",
@@ -496,7 +489,7 @@ def check_T3(tau, budget=None):
         for s in _candidates(k, ix, c, budget):
             locally_covering = any(
                 all(_covered(k, ix, tau.sieves_on(d),
-                             _pullback_family(k, ix, s, f, budget), budget)
+                             _pullback(k, ix, s, f, budget), budget)
                     for d, f in t.all_members())
                 for t in tau.sieves_on(c))
             if locally_covering \
@@ -556,8 +549,9 @@ class _Coverage(Recorded):
     where deciding a boundary raises, or where an invertible 2-cell joins
     cells that are not 1-cells: the routine then decides each pair with
     ``iso_1cells`` in id order, and so raises where the scans it replaces
-    did.  Also kept: the families whose closure passed (``_closed``) and
-    the candidate families of each object with their steps."""
+    did.  Also kept: the sieves whose closure passed (``_closed``), on no
+    2-category, and the candidate sieves of each object with their
+    steps."""
 
     def __init__(self, k, budget):
         self.ids = sorted(k.onecells)
@@ -571,7 +565,7 @@ class _Coverage(Recorded):
         except (KeyError, MalformedTable):
             iso_from = iso_into = None
         self.iso_from, self.iso_into = iso_from, iso_into
-        self.families = {}
+        self.sieves = {}
         self._recorded = {}
 
     def mask(self, cells):
@@ -591,69 +585,32 @@ class _Coverage(Recorded):
         return tuple(out)
 
 
-class _Family:
-    """The members of a sieve on target as a mask per object, in the order
-    of objects it was built in, which is the order its closure is checked
-    in.  The routine reads it as it reads a Bisieve."""
-
-    __slots__ = ("ix", "target", "masks", "_pairs")
-
-    def __init__(self, ix, target, masks):
-        self.ix = ix
-        self.target = target
-        self.masks = masks
-        self._pairs = None
-
-    def member_list(self, d):
-        return self.ix.members(self.masks.get(d, 0))
-
-    def all_members(self):
-        if self._pairs is None:
-            self._pairs = tuple((d, f) for d in sorted(self.masks)
-                                for f in self.member_list(d))
-        return self._pairs
-
-    def key(self):
-        """As Bisieve.key."""
-        return self.target, tuple((d, self.member_list(d))
-                                  for d in sorted(self.masks))
-
-
-def _member_masks(s):
-    ix = _coverage(s.k)
-    return {d: ix.mask(ms) for d, ms in s.members.items()}
-
-
-def _bisieve(k, s):
-    """The sieve of a closed family, interned as build_bisieve interns it."""
-    return _interned(k, s.target,
-                     {d: s.member_list(d) for d in s.masks}).on(k)
-
-
-def _first_iso(k, ix, s, e, g):
-    """The least member of s on e with an invertible 2-cell to g, or None:
-    one AND of two masks, or pair by pair where ix has no iso masks."""
+def _first_iso(k, ix, masks, e, g):
+    """The least member of masks on e with an invertible 2-cell to g, or
+    None: one AND of two masks, or pair by pair where ix has no iso
+    masks."""
     if ix.iso_into is None:
-        return next((m for m in s.member_list(e) if k.iso_1cells(m, g)), None)
-    low = s.masks.get(e, 0) & ix.iso_into.get(g, 0)
+        return next((m for m in ix.members(masks.get(e, 0))
+                     if k.iso_1cells(m, g)), None)
+    low = masks.get(e, 0) & ix.iso_into.get(g, 0)
     return ix.ids[(low & -low).bit_length() - 1] if low else None
 
 
-def _restrictions(k, ix, s):
-    """(f, g, m, cell) for each member f of s, by its order of objects and
-    then by id, and each 1-cell g into the object of f, by id: m is the
-    least member isomorphic to the composite fg and cell the first
-    invertible 2-cell m => fg, or f and its identity 2-cell where g is an
-    identity.  Raises MalformedTable at the first (f, g) with no such
-    member: s is not closed."""
-    for d, mask in s.masks.items():
+def _restrictions(k, ix, masks):
+    """(f, g, m, cell) for each member f of masks, by their order of
+    objects and then by id, and each 1-cell g into the object of f, by id:
+    m is the least member isomorphic to the composite fg and cell the
+    first invertible 2-cell m => fg, or f and its identity 2-cell where g
+    is an identity.  Raises MalformedTable at the first (f, g) with no
+    such member: the family is not closed."""
+    for d, mask in masks.items():
         for f in ix.members(mask):
             for g, e in k.one_cells_into(d):
                 if g == k.id1(d):
                     yield f, g, f, k.id2(f)
                     continue
                 fg = k.c1(f, g)
-                m = _first_iso(k, ix, s, e, fg)
+                m = _first_iso(k, ix, masks, e, fg)
                 if m is None:
                     raise MalformedTable(
                         "not closed: no member isomorphic to %r . %r" % (f, g))
@@ -661,15 +618,22 @@ def _restrictions(k, ix, s):
 
 
 def _closed(k, ix, target, masks):
-    """The family of masks on target, once its closure passes; checked
-    once per member set, in the order of masks."""
+    """The sieve on target with the members of masks, on no 2-category,
+    with the witnesses that _restrictions chooses in the order of masks:
+    built once per member set and interned in ix, or raising where its
+    closure fails."""
     key = target, tuple(masks.items())
-    s = ix.families.get(key)
+    s = ix.sieves.get(key)
     if s is None:
-        s = _Family(ix, target, masks)
-        for _ in _restrictions(k, ix, s):
-            pass
-        ix.families[key] = s
+        tilde, sigma = {}, {}
+        for f, g, m, cell in _restrictions(k, ix, masks):
+            tilde[f, g] = m
+            sigma[f, g] = cell
+        s = Bisieve(None, target, {d: ix.members(mask)
+                                   for d, mask in masks.items()},
+                    tilde, sigma)
+        s._masks = masks
+        ix.sieves[key] = s
     return s
 
 
@@ -678,20 +642,20 @@ def _maximal(k, ix, target):
         d: ix.mask(ms) for d, ms in _maximal_members(k, target).items()})
 
 
-def _pullback_family(k, ix, s, f, budget):
-    """f*S as a closed family: one pass over the 1-cells g into the source
-    of f, by id, with one step and one AND each.  The steps are spent in
-    one tick, also when the pass raises: single ticks would have stopped
-    at the same step."""
+def _pullback(k, ix, s, f, budget):
+    """f*S, interned: one pass over the 1-cells g into the source of f, by
+    id, with one step and one AND each.  The steps are spent in one tick,
+    also when the pass raises: single ticks would have stopped at the
+    same step."""
     d, c = k.onecells[f]
     if c != s.target:
         raise BoundaryMismatch("%r does not land in %r" % (f, s.target))
-    masks = {}
+    s_masks, masks = s.masks, {}
     steps = 0
     try:
         for g, e in k.one_cells_into(d):
             steps += 1
-            if _first_iso(k, ix, s, e, k.c1(f, g)) is not None:
+            if _first_iso(k, ix, s_masks, e, k.c1(f, g)) is not None:
                 masks[e] = masks.get(e, 0) | ix.bit[g]
         return _closed(k, ix, d, masks)
     finally:
@@ -702,7 +666,7 @@ def _unmatched_member(k, ix, x, y, budget):
     """The first member of x with no isomorph among the members of y on
     its object, as (member, "first"), else the first such of y in x, as
     (member, "second"); or None.  One step and one AND per member
-    scanned, spent as in _pullback_family."""
+    scanned, spent as in _pullback."""
     steps = 0
     try:
         for a, b, side in ((x, y, "first"), (y, x, "second")):
@@ -732,14 +696,13 @@ def _covered(k, ix, sieves, x, budget):
 
 
 def _candidates(k, ix, c, budget):
-    """The closed families on c that are unions of iso-classes of the
+    """The interned sieves on c that are unions of iso-classes of the
     1-cells into c, one step per subset of classes; kept with its steps
     per object."""
-    return ix.recorded(("candidates", c), budget, _candidate_families,
-                       k, ix, c)
+    return ix.recorded(("candidates", c), budget, _closed_unions, k, ix, c)
 
 
-def _candidate_families(k, ix, c, budget):
+def _closed_unions(k, ix, c, budget):
     classes = []
     rest = [f for f, _ in k.one_cells_into(c)]
     while rest:

@@ -42,7 +42,7 @@ class Fin2Cat(Recorded):
     ``tick(n)``, which stops where n single ticks would.  Kept there:
     ``equivalence_data`` (by the 1-cell), the ``check_two_category``
     report (by its op's name, ``two_category``), and what ``sieves``
-    keeps: interned sieves and the coverage index.
+    keeps: the coverage index, which interns the sieves built on k.
     """
 
     def __init__(self, objects, onecells, twocells, identity1, identity2,

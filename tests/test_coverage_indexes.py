@@ -12,8 +12,9 @@ from bistack import sieves as sieves_module, two_cat
 from bistack.errors import ToolkitError
 from bistack.generate import _mutant_base, _mutations, generate
 from bistack.report import Budget
-from bistack.sieves import Bisieve, Bitopology, check_T1, check_T2, \
-    check_T3, check_bisieve, check_bitopology
+from bistack.sieves import Bisieve, Bitopology, _coverage, \
+    build_bisieve, check_T1, check_T2, check_T3, check_bisieve, \
+    check_bitopology
 from bistack.two_cat import Fin2Cat, check_two_category
 from bistack.workspace import load_data
 
@@ -249,3 +250,28 @@ def test_indexed_checks_match_the_nested_loop_oracles(data):
         smaller = int(_run(fn, args(*warmed), None)[-1] * share)
         assert _run(fn, args(*warmed), smaller) \
             == _run(check, args(*oracle), smaller), (name, smaller)
+
+
+def test_interned_sieves_carry_the_witnesses_that_build_bisieve_chooses():
+    """Every sieve that the coverage index interns while T1-T3 run on the
+    site documents passes check_bisieve, and its tilde and sigma, in
+    order, are those that build_bisieve and its nested-loop oracle choose
+    for its member sets on a fresh copy of the 2-category."""
+    count = 0
+    for profile in _PROFILES:
+        for seed in range(80):
+            doc = load_data(generate(seed, profile))
+            tau = doc.bitopologies["tau"]
+            for check in (check_T1, check_T2, check_T3):
+                check(tau, Budget())
+            k = tau.k
+            fresh = Fin2Cat(k.objects, **{n: getattr(k, n) for n in _TABLES})
+            for s in _coverage(k).sieves.values():
+                count += 1
+                assert check_bisieve(s.on(k)).ok
+                want = list(s.tilde.items()), list(s.sigma.items())
+                for build in (build_bisieve, coverage_oracles.build_bisieve):
+                    b = build(fresh, s.target, s.members)
+                    assert (list(b.tilde.items()), list(b.sigma.items())) \
+                        == want, (profile, seed, s)
+    assert count > 900

@@ -68,9 +68,10 @@ def test_one_object_diagram_cocones_match_hom(ksplit):
     assert len(cat.morphisms) == len(hom.morphisms)
 
 
-def test_marked_morphisms_filter_noninvertible_structure_cells():
-    # two parallel 1-cells with a single one-way 2-cell f => g
-    k = thin_two_cat(
+def one_way_2cell():
+    """Two parallel 1-cells f, g: A -> B with a single one-way 2-cell
+    f => g."""
+    return thin_two_cat(
         ["A", "B"],
         {"id_A": ("A", "A"), "id_B": ("B", "B"),
          "f": ("A", "B"), "g": ("A", "B")},
@@ -79,6 +80,10 @@ def test_marked_morphisms_filter_noninvertible_structure_cells():
          ("f", "id_A"): "f", ("id_B", "f"): "f",
          ("g", "id_A"): "g", ("id_B", "g"): "g"},
         [("f", "g")])
+
+
+def test_marked_morphisms_filter_noninvertible_structure_cells():
+    k = one_way_2cell()
     shape = from_fincat(walking_arrow())
     base = {"ob": {"0": "A", "1": "A"},
             "on1": {"id_0": "id_A", "id_1": "id_A", "a": "id_A"},
@@ -90,6 +95,30 @@ def test_marked_morphisms_filter_noninvertible_structure_cells():
     assert len(enumerate_sigma_cocones(plain, "B")) == 3
     # marked: the structure cell on `a` must be invertible, killing f => g
     assert len(enumerate_sigma_cocones(marked, "B")) == 2
+
+
+def test_least_failing_marked_cell_is_reported():
+    """Of two marked 1-cells whose structure cells are not invertible,
+    check_sigma_cocone names the least, whatever the hash seed."""
+    k = one_way_2cell()
+    # the walking parallel pair a, b: 0 -> 1
+    shape = from_fincat(FinCat(
+        ["0", "1"], {"id_0": "0", "id_1": "1", "a": "0", "b": "0"},
+        {"id_0": "0", "id_1": "1", "a": "1", "b": "1"},
+        {"0": "id_0", "1": "id_1"},
+        {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
+         ("a", "id_0"): "a", ("id_1", "a"): "a",
+         ("b", "id_0"): "b", ("id_1", "b"): "b"}))
+    d = Diagram(shape, k, {"0": "A", "1": "A"},
+                {m: "id_A" for m in shape.onecells},
+                {x: k.id2("id_A") for x in shape.twocells},
+                marked=["b", "a"])
+    f_to_g = k.two_cells_between("f", "g")[0]
+    cc = SigmaCocone.make("B", {"0": "f", "1": "g"},
+                          {"id_0": k.id2("f"), "id_1": k.id2("g"),
+                           "a": f_to_g, "b": f_to_g})
+    r = check_sigma_cocone(d, cc)
+    assert (r.verdict, r.witness) == ("fail", {"onecell": "a"})
 
 
 def test_universal_cocone_legs_and_witness_cells(ksplit):
