@@ -47,11 +47,10 @@ the pseudofunctor's come in table order and its enumerator sorts them,
 so that its typing sorts nothing.  The typing of loaded pseudofunctors
 and transformations checks the recorded cells against a declaration
 (``_first_mistyped``), the enumerators of ``descent`` draw each cell
-from the invertible 2-cells of its boundary (``_comparisons``, which
-fixes each singleton pool and runs the product over the others alone),
-and a structure built without its comparison cells (the identity and
-induced constructors) gets the identity on each cell's target
-(``_identities``).  ``PsTwoFunctor`` and ``PsTwoNatTrans`` fill their
+from the invertible 2-cells of its boundary (``_comparisons``, one
+``report.choices`` group per family), and a structure built without its
+comparison cells (the identity and induced constructors) gets the
+identity on each cell's target (``_identities``).  ``PsTwoFunctor`` and ``PsTwoNatTrans`` fill their
 defaults at construction, since every composite reads them.  ``Tritransformation`` and ``Trimodification``
 fill each table on its first read (``_first_read``), so that a table
 that no check reads is never built.
@@ -67,11 +66,10 @@ first (``_ps_two_functor_typing``, ``_ps_two_nat_typing``, no step).
 """
 
 from functools import cached_property, partial
-from itertools import product
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .report import Budget, Recorded, failed, passed
+from .report import Budget, Recorded, choices, failed, passed
 from .two_cat import from_fincat
 
 
@@ -107,26 +105,18 @@ def _tables(families):
 
 def _comparisons(budget, families):
     """Every choice of an invertible 2-cell for each declared cell, in
-    ``choices`` order, as the keyword tables of the structure.  Reads the
-    families, then each cell's pool in order, and ends at the first empty
-    pool with no tick.  A singleton pool is fixed, so the product, one
-    tick per candidate, runs over the larger pools alone."""
-    slots, groups = zip(*families)
-    tables, free = [], []
-    for cells in groups:
-        tables.append({})
-        for x, val, src, tgt in cells:
-            pool = val.isos_between(src(), tgt)
-            if not pool:
-                return
-            tables[-1][x] = pool[0]
-            if len(pool) > 1:
-                free.append((tables[-1], x, pool))
-    for combo in product(*(pool for _, _, pool in free)):
-        budget.tick()
-        for (table, x, _), pick in zip(free, combo):
-            table[x] = pick
-        yield _tables(zip(slots, map(dict, tables) if free else tables))
+    ``choices`` order, as the keyword tables of the structure: one
+    ``choices`` group per family, which reads each cell's pool, its
+    ``isos_between``, in turn."""
+    slots, cells = zip(*families)
+    picks = choices(budget, *[map(_isos, group) for group in cells])
+    return (_tables(zip(slots, tables)) for tables in picks)
+
+
+def _isos(cell):
+    """A declared cell's pool: (x, the invertible 2-cells src() => tgt)."""
+    x, val, src, tgt = cell
+    return x, val.isos_between(src(), tgt)
 
 
 def _identities(families):

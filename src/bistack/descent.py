@@ -59,8 +59,9 @@ needs a 1-cell under the component, and each square f: d -> c an
 equivalence at x.  Narrowing removes only values that are in no
 solution, since each test is one that every yielded candidate passes, so
 the candidates, witnesses and verdicts are those of the unnarrowed search,
-in the same order.  Narrowing itself spends no step, and forward checking
-ticks once for each pick of an object that it rejects.
+in the same order.  Narrowing itself spends no step.  The same tests
+are the edges of ``report.choices`` over the narrowed pools, which ticks
+once for each pick of an object that an edge rejects.
 
 The enumerators draw each piece of a candidate from a typed pool, so a
 candidate can fail only its displays, and the datum checkers test those
@@ -93,8 +94,8 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     compose_ps_two_functors, induced_pert, induced_trimod, \
     induced_tritrans, sieve_trihom, _comparisons, _identities, \
     _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, _tritrans_cells
-from .report import Budget, choices, failed, forward_choices, inconclusive, \
-    merge, narrow, passed
+from .report import Budget, choices, failed, inconclusive, merge, narrow, \
+    passed
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -1159,7 +1160,7 @@ def _all_weak_data(F, s, budget):
     # and one with no equivalence W[tilde] -> g*W[f] has no phi
     edges += [(s.tilde[(f, g)], f, _equivalent_image(F.ob[e], F.on1[g]))
               for d, f, e, g in _cells_into(s)]
-    for W in forward_choices(budget, narrow(objects, edges), edges):
+    for (W,) in choices(budget, narrow(objects, edges), edges=edges):
         isos = {}
         for eta, pairs in choices(budget, transitions(W), equivalences(W)):
             phi = {key: p for key, (p, _) in pairs.items()}
@@ -1237,7 +1238,7 @@ def _all_ps_two_functors(dom, cod, pools, budget):
     # an object map with no 1-cell under some 1-cell of dom has no on1
     linked = [(x, y, cod.one_cells_between)
               for x, y in dict.fromkeys(dom.onecells.values())]
-    for ob in forward_choices(budget, [(x, pools[x]) for x in obs], linked):
+    for (ob,) in choices(budget, [(x, pools[x]) for x in obs], edges=linked):
         ones = ((f, cod.one_cells_between(ob[x], ob[y]))
                 for f, (x, y) in sorted(dom.onecells.items()))
         for (on1,) in choices(budget, ones):

@@ -7,7 +7,7 @@ exhaustion is an honest third verdict instead of a silent pass.
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from .errors import SearchBudgetExceeded
 
@@ -19,8 +19,8 @@ INCONCLUSIVE = "inconclusive"
 class Budget:
     """A ticking step counter for exhaustive searches.
 
-    A step is work done: one tick per candidate yielded, per constraint
-    test that rejects a partial pick, and per display (a displayed
+    A step is work done: one tick per choice that ``choices`` yields, per
+    pick that one of its edges rejects, and per display (a displayed
     equation or axiom instance) evaluated.  Work that a search skips
     spends nothing.  tick() raises SearchBudgetExceeded once `limit` steps
     have been spent.  A limit of None never exhausts.
@@ -72,15 +72,25 @@ class Recorded:
         return self.recorded(key, Budget(), fn, self)
 
 
-def choices(budget, *groups):
-    """Every way to pick one candidate for each cell, one budget tick each.
+def choices(budget, *groups, edges=()):
+    """Every way to pick one candidate for each cell that passes the edges.
 
-    Each group is an iterable of (cell, pool) pairs, read lazily and in
-    order.  At the first empty pool nothing is yielded, and no later pair
-    or group is read.  Otherwise the choices come in ``itertools.product``
-    order over all the pools, the first pool varying slowest.  Each choice
-    is a tuple with one dict per group, mapping the group's cells to their
-    chosen candidates; the budget ticks once before each choice.
+    Each group is an iterable of (cell, pool) pairs, each pool a sequence,
+    read lazily and in order.  At the first empty pool nothing is yielded,
+    no later pair or group is read and no step is spent.  Otherwise the
+    choices come in ``itertools.product`` order over all the pools, the
+    first pool varying slowest.  Each choice is a tuple with one dict per
+    group, mapping the group's cells to their chosen candidates.
+
+    edges is a collection of (x, y, ok) constraints between two cells,
+    named as in the groups, which must then name each cell once.  A choice
+    is yielded only if ok(pick at x, pick at y) holds on every edge.  Each
+    edge is tested as soon as both its cells are assigned (forward
+    checking; Haralick & Elliott, 1980), so a pick that it rejects cuts
+    off every choice that extends it.  The budget ticks once for each pick
+    that an edge rejects and once before each choice yielded: without
+    edges, once per choice, and never more than the choices without edges
+    followed by a filter.  The ok tests must not read the budget.
     """
     cells, pools = [], []
     for group in groups:
@@ -91,77 +101,65 @@ def choices(budget, *groups):
             keys.append(cell)
             pools.append(pool)
         cells.append(keys)
-    for combo in product(*pools):
+    for combo in _forward(budget, pools, cells, edges) if edges \
+            else product(*pools):
         budget.tick()
         # zip stops at the end of keys, so each group takes its own picks
-        picks = iter(combo)
-        yield tuple([dict(zip(keys, picks)) for keys in cells])
+        picks, choice = iter(combo), []
+        for keys in cells:
+            choice.append(dict(zip(keys, picks)))
+        yield tuple(choice)
 
 
-def forward_choices(budget, cells, edges):
-    """``choices(budget, cells)`` with its dead assignments pruned early.
-
-    cells is a sequence of (cell, pool) pairs, each pool a sequence, and
-    edges an iterable of (x, y, ok) constraints between two cells.  Yields,
-    as one dict, each assignment for which every ok(pick at x, pick at y)
-    is true, in ``itertools.product`` order.  Each constraint is tested as
-    soon as both its cells are assigned (forward checking).  The budget
-    ticks once for each pick that some constraint rejects, and once before
-    each assignment yielded, so this never spends more than ``choices``
-    followed by a filter.  The ok tests must not read the budget.
-    """
-    keys = [cell for cell, _ in cells]
-    pools = [pool for _, pool in cells]
-    if not all(pools):
-        return
-    if not pools:
-        budget.tick()
-        yield {}
-        return
-    level = {cell: i for i, cell in enumerate(keys)}
+def _forward(budget, pools, cells, edges):
+    """The combinations of ``product(*pools)`` that pass the edges, in
+    order, each edge tested once the later of its cells is assigned; one
+    tick for each pick that an edge rejects.  The levels past the last
+    one that an edge reaches run as one product."""
+    level = {cell: i for i, cell in enumerate(chain(*cells))}
     checks = [[] for _ in pools]
     for x, y, ok in edges:
         i, j = level[x], level[y]
         checks[max(i, j)].append((i, j, ok))
-    last = len(pools) - 1
-    picks = [None] * len(pools)
-    at = [0] * len(pools)
-    i = 0
-    while True:
-        if at[i] == len(pools[i]):
-            if i == 0:
-                return
-            at[i] = 0
-            i -= 1
-            at[i] += 1
-            continue
-        picks[i] = pools[i][at[i]]
-        if not all(ok(picks[a], picks[b]) for a, b, ok in checks[i]):
+    depth = max((i + 1 for i, tests in enumerate(checks) if tests), default=0)
+    if not depth:
+        yield from product(*pools)
+        return
+    picks = [None] * depth
+    its = [iter(pools[0])]
+    while its:
+        i = len(its) - 1
+        for a in its[i]:
+            picks[i] = a
+            if all(ok(picks[x], picks[y]) for x, y, ok in checks[i]):
+                break
             budget.tick()
-            at[i] += 1
-        elif i < last:
-            i += 1
         else:
-            budget.tick()
-            yield dict(zip(keys, picks))
-            at[i] += 1
+            its.pop()
+            continue
+        if i + 1 < depth:
+            its.append(iter(pools[i + 1]))
+        else:
+            head = tuple(picks)
+            for tail in product(*pools[depth:]):
+                yield head + tail
 
 
 def narrow(cells, edges):
-    """The pools of ``forward_choices(budget, cells, edges)`` made arc
+    """The pools of ``choices(budget, cells, edges=edges)`` made arc
     consistent (AC-3; Mackworth, "Consistency in networks of relations",
-    1977).
+    1977): a pre-pass, run before the search.
 
     Takes the same (cell, pool) pairs and (x, y, ok) edges, and returns the
     pairs with each pool, in its original order, reduced to the values that
     have a support on every edge: for a at x, some b left at y with
     ok(a, b), and likewise from y's side.  An edge from a cell to itself is
-    the unary test ok(a, a).  A value without support is in no assignment
-    that passes every edge, so ``forward_choices`` over the narrowed pools
-    yields the same assignments in the same order; only the ticks of its
-    pruned branches shrink.  Once some pool is empty no assignment passes,
-    and every pool comes back empty.  Like the ok tests of
-    ``forward_choices``, narrowing reads no budget.
+    the unary test ok(a, a).  A value without support is in no choice that
+    passes every edge, so ``choices`` over the narrowed pools yields the
+    same choices in the same order; only the ticks of its pruned branches
+    shrink.  Once some pool is empty no choice passes, and every pool
+    comes back empty.  Like the ok tests of ``choices``, narrowing reads
+    no budget.
     """
     pools = {cell: list(pool) for cell, pool in cells}
     # arcs[i] = (x, y, test): revise x against y, test(pick at x, at y)

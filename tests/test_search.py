@@ -20,8 +20,7 @@ from bistack.errors import MalformedTable, ParseError, \
     SearchBudgetExceeded, ToolkitError
 from bistack.fincat import walking_arrow
 from bistack.generate import generate
-from bistack.report import Budget, choices, forward_choices, guarded, \
-    narrow
+from bistack.report import Budget, choices, guarded, narrow
 from bistack.sieves import Bitopology, build_bisieve, literal_maximal_bisieve
 from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import _decode_two_cat, corpus_names, corpus_path, \
@@ -86,14 +85,25 @@ def test_choices_ticks_before_each_choice():
 # --- _comparisons against the draw over every pool -------------------------
 
 def _comparisons_oracle(budget, families):
-    """The draw before singleton pools were fixed: every declared cell's
-    pool is a ``choices`` group, so the product runs over all of them."""
-    pools = ((slot, ((x, val.isos_between(src(), tgt))
-                     for x, val, src, tgt in cells))
-             for slot, cells in families)
-    slots, groups = zip(*pools)
-    for picks in choices(budget, *groups):
-        yield _tables(zip(slots, picks))
+    """The draw over every declared cell's pool of invertible 2-cells, by
+    ``itertools.product``: the families are read at once, each family's
+    cells one by one up to the first empty pool, and each table set comes
+    after one tick."""
+    slots, cells = zip(*families)
+    keys, pools = [], []
+    for group in cells:
+        keys.append([])
+        for x, val, src, tgt in group:
+            pool = val.isos_between(src(), tgt)
+            if not pool:
+                return
+            keys[-1].append(x)
+            pools.append(pool)
+    for combo in product(*pools):
+        budget.tick()
+        picks = iter(combo)
+        yield _tables(zip(slots, [{x: next(picks) for x in group}
+                                  for group in keys]))
 
 
 _THIN, _Z2 = chain_suspension(3), one_object_z2()
@@ -135,7 +145,7 @@ def _drained(draw, spec, limit):
 @given(st.lists(st.tuples(st.booleans(), st.lists(
     st.integers(0, len(_BOUNDARIES) - 1), max_size=4)), max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_comparisons_fix_singletons_without_changing_the_draw(spec):
+def test_comparisons_draw_every_pool_as_a_product(spec):
     want = _drained(_comparisons_oracle, spec, None)
     assert _drained(_comparisons, spec, None) == want
     for limit in range(want[2] + 1):
@@ -143,23 +153,33 @@ def test_comparisons_fix_singletons_without_changing_the_draw(spec):
             == _drained(_comparisons_oracle, spec, limit)
 
 
-# --- forward_choices against a recursive search and a filter -----------------
+# --- choices with edges against a recursive search and a filter --------------
 
-def _filtered(budget, cells, edges):
-    """Every choice over the cells, then the constraints."""
-    for (pick,) in choices(budget, cells):
+def _merged(picks):
+    """One choice's picks of every group, as one dict."""
+    return {cell: a for group in picks for cell, a in group.items()}
+
+
+def _filtered(budget, *groups, edges=()):
+    """Every choice over the groups, then the edges, each tested on whole
+    choices alone."""
+    for picks in choices(budget, *groups):
+        pick = _merged(picks)
         if all(ok(pick[x], pick[y]) for x, y, ok in edges):
-            yield pick
+            yield picks
 
 
-def _recursive_search(budget, cells, edges):
-    """The step oracle: assign the cells in order, test each constraint
-    once both its cells are assigned, and tick once for each pick that a
-    constraint rejects and once before each assignment yielded."""
+def _recursive_search(budget, *groups, edges=()):
+    """The step oracle: assign the cells in order, test each edge once
+    both its cells are assigned, and tick once for each pick that an edge
+    rejects and once before each choice yielded."""
+    cells = [cell for group in groups for cell in group]
+
     def extend(pick):
         if len(pick) == len(cells):
             budget.tick()
-            yield dict(pick)
+            yield tuple({cell: pick[cell] for cell, _ in group}
+                        for group in groups)
             return
         cell, pool = cells[len(pick)]
         for a in pool:
@@ -175,13 +195,13 @@ def _recursive_search(budget, cells, edges):
         yield from extend({})
 
 
-def _drain(search, limit, cells, edges):
+def _drain(search, limit, groups, edges):
     """What a search yields under a limit, its steps, and where it ran out."""
     budget = Budget(limit)
     got = []
     try:
-        for pick in search(budget, cells, edges):
-            got.append((budget.steps, pick))
+        for picks in search(budget, *groups, edges=edges):
+            got.append((budget.steps, picks))
     except SearchBudgetExceeded as exc:
         return got, budget.steps, exc.steps
     return got, budget.steps, None
@@ -189,9 +209,17 @@ def _drain(search, limit, cells, edges):
 
 @st.composite
 def _problems(draw):
-    n = draw(st.integers(0, 5))
+    """One to three groups of up to five cells in all, named apart, and
+    edges between any two cells, within a group or across groups."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 5))
+    n = sum(sizes)
     cells = [("c%d" % i, draw(st.lists(st.integers(0, 3), max_size=3)))
              for i in range(n)]
+    groups, start = [], 0
+    for size in sizes:
+        groups.append(cells[start:start + size])
+        start += size
     edges = []
     for _ in range(draw(st.integers(0, 6)) if n else 0):
         x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -199,22 +227,23 @@ def _problems(draw):
                                                st.integers(0, 3))))
         edges.append(("c%d" % x, "c%d" % y,
                       lambda a, b, allowed=allowed: (a, b) in allowed))
-    return cells, edges
+    return groups, edges
 
 
 @given(_problems())
 @settings(max_examples=150, deadline=None)
-def test_forward_choices_is_choices_then_filter(problem):
-    cells, edges = problem
-    want = _drain(_recursive_search, None, cells, edges)
-    assert _drain(forward_choices, None, cells, edges) == want
+def test_choices_with_edges_is_choices_then_filter(problem):
+    groups, edges = problem
+    want = _drain(_recursive_search, None, groups, edges)
+    assert _drain(choices, None, groups, edges) == want
     for limit in range(want[1] + 1):
-        assert _drain(forward_choices, limit, cells, edges) \
-            == _drain(_recursive_search, limit, cells, edges)
-    # the assignments of choices and a filter, for no more steps at each
+        assert _drain(choices, limit, groups, edges) \
+            == _drain(_recursive_search, limit, groups, edges)
+    # the choices of choices and a filter, for no more steps at each
     # yield and in all, and for as many when nothing is pruned
-    filtered = _drain(_filtered, None, cells, edges)
-    assert [pick for _, pick in want[0]] == [pick for _, pick in filtered[0]]
+    filtered = _drain(_filtered, None, groups, edges)
+    assert [picks for _, picks in want[0]] \
+        == [picks for _, picks in filtered[0]]
     assert all(a <= b for (a, _), (b, _) in zip(want[0], filtered[0]))
     assert want[1] <= filtered[1]
     if not edges:
@@ -223,8 +252,10 @@ def test_forward_choices_is_choices_then_filter(problem):
 
 @st.composite
 def _self_edged(draw):
-    """A problem with a unary test ok(a, a) on some of its cells."""
-    cells, edges = draw(_problems())
+    """A problem's cells in one group, with a unary test ok(a, a) on some
+    of them."""
+    groups, edges = draw(_problems())
+    cells = [cell for group in groups for cell in group]
     for cell, _ in cells:
         if draw(st.booleans()):
             allowed = draw(st.frozensets(st.integers(0, 3)))
@@ -242,8 +273,8 @@ def test_narrowing_keeps_every_assignment_in_order(problem):
     for (_, pool), (_, kept) in zip(cells, narrowed):
         it = iter(pool)
         assert all(a in it for a in kept)  # a subsequence of the pool
-    want = list(forward_choices(Budget(), cells, edges))
-    assert list(forward_choices(Budget(), narrowed, edges)) == want
+    want = list(choices(Budget(), cells, edges=edges))
+    assert list(choices(Budget(), narrowed, edges=edges)) == want
     # arc consistent: every value left has a support on every edge
     pools = dict(narrowed)
     for x, y, ok in edges:
@@ -700,16 +731,15 @@ def _split_instances():
 
 def test_deciders_do_not_see_the_narrowing(monkeypatch):
     """Narrowing and forward checking remove only values in no solution:
-    with both off, so that no edge is tested, both deciders give the same
-    verdicts, details and witnesses, draw the same candidates in the same
-    order, and spend at least as many steps.  The split site adds phis and
-    squares that are equivalences between distinct objects."""
+    with both off, so that each edge is tested on whole choices alone, both
+    deciders give the same verdicts, details and witnesses, draw the same
+    candidates in the same order, and spend at least as many steps.  The
+    split site adds phis and squares that are equivalences between
+    distinct objects."""
     instances = _stack_instances() + _split_instances()
     narrowed = _verdicts(instances), _searched(instances)
     monkeypatch.setattr(descent, "narrow", lambda cells, edges: cells)
-    monkeypatch.setattr(descent, "forward_choices",
-                        lambda budget, cells, edges:
-                        (pick for (pick,) in choices(budget, cells)))
+    monkeypatch.setattr(descent, "choices", _filtered)
     full = _verdicts(instances), _searched(instances)
     for got, want in zip(full, narrowed):
         _spends_less(want, got)
