@@ -669,17 +669,13 @@ def _tritrans_assoc_axiom(t, budget):
     R, F = t.dom, t.cod
     k = R.base
     for f, (d, c) in k.onecells.items():
-        for g, (e, d2) in k.onecells.items():
-            if d2 != d:
-                continue
-            for h, (l, e2) in k.onecells.items():
-                if e2 != e:
-                    continue
-                gh, fg = k.c1(g, h), k.c1(f, g)
-                fgh = k.c1(f, gh)
+        for g, e in k.one_cells_into(d, table_order=True):
+            for h, l in k.one_cells_into(e, table_order=True):
                 val_l = F.ob[l]
                 if val_l.locally_thin():
                     continue
+                gh, fg = k.c1(g, h), k.c1(f, g)
+                fgh = k.c1(f, gh)
                 thL = t.comp[l]
                 for x in R.ob[c].objects:
                     budget.tick(4)
