@@ -42,9 +42,9 @@ display between well-typed cells holds (Johnson & Yau, *2-Dimensional
 Categories*, 2021).  The checkers then still test normality and the
 identity etas, but skip the compatibility loops of
 ``check_matching_family``, the cocycle and phi/eta loops of
-``check_descent_datum_mor``, ``_wdd_displays``,
-``_weak_gluing_displays`` and ``_gluing_mor_conditions``.  A skipped
-loop spends no step, since a step is work done (see ``report.Budget``).
+``check_descent_datum_mor``, ``_wdd_displays`` and
+``_weak_gluing_displays``, and ``_gluing_mor_edges`` gives no edges.  A
+skipped loop spends no step, since a step is work done (see ``report.Budget``).
 This rests on valid values: a ``tables`` trihom's values and action data
 are checked when a workspace is loaded.
 
@@ -69,9 +69,12 @@ alone: each takes a well-typed datum, as the enumerators draw it.  For a
 matching family the displays are the compatibility displays, for a
 morphism datum normality, the identity etas, the cocycle and the phi/eta
 squares, and for a weak datum the coherence displays with their
-connecting isos.  The ``bicat3`` checkers of pseudofunctors,
-transformations, tritransformations, trimodifications and perturbations
-are display-only too.
+connecting isos.  ``find_effective_gluing_mor`` draws the comparison
+2-cells psi of a gluing morphism from their invertible 2-cells through
+``report.choices``, whose edges are its two effectiveness displays, each
+relating two members' psi (``_gluing_mor_edges``).  The ``bicat3``
+checkers of pseudofunctors, transformations, tritransformations,
+trimodifications and perturbations are display-only too.
 ``descent_category`` draws its pseudonatural transformations and
 modifications from ``fincat.all_functors`` and ``all_nat_trans``, and
 ``two_cat.check_ps_nat`` and ``check_modification`` test only their
@@ -426,80 +429,59 @@ class Refutation:
         return "Refutation(%s, %r)" % (self.name, self.space)
 
 
-def _gluing_mor_conditions(dd, w, psi, members):
-    """Check the two effectiveness displays on an assigned prefix.
-
-    psi maps a member f to an invertible 2-cell f*w => w_f.  Only the
-    condition instances all of whose participants are assigned are
-    checked, so this can prune a backtracking search.
-    """
+def _gluing_mor_edges(dd, w):
+    """The two effectiveness displays of a global morphism w, as edges of
+    ``choices`` between the members whose comparison 2-cells
+    psi[f]: f*w => w_f they relate: each base 2-cell gamma: f => f2
+    between members relates psi[f] and psi[f2], and each restriction leg
+    (f, g) relates psi[tilde(f, g)] and psi[f].  No edges when every
+    value is locally thin."""
     F, s = dd.F, dd.S
     if _thin(F):
-        return True
-    assigned = set(psi)
-    for d, f, f2, gamma in _member_two_cells(s):
-        if f not in assigned or f2 not in assigned:
-            continue
-        val_d = F.ob[d]
-        g_x = F.on2[gamma].comp[dd.X]
-        g_y = F.on2[gamma].comp[dd.Y]
-        lhs = val_d.v(val_d.wl(g_y, psi[f]), F.on2[gamma].cell[w])
-        rhs = val_d.v(dd.eta[gamma], val_d.wr(psi[f2], g_x))
-        if lhs != rhs:
-            return False
-    for d, f, e, g in _cells_into(s):
-        t = s.tilde[(f, g)]
-        if f not in assigned or t not in assigned:
-            continue
-        sig = s.sigma[(f, g)]
-        val_e = F.ob[e]
-        s_x = F.on2[sig].comp[dd.X]
-        s_y = F.on2[sig].comp[dd.Y]
-        lhs = val_e.v(val_e.wl(s_y, psi[t]), F.on2[sig].cell[w])
-        rhs = val_e.v(dd.phi[(f, g)], val_e.wr(F.on1[g].on2[psi[f]], s_x))
-        if lhs != rhs:
-            return False
-    return True
+        return []
+    X, Y = dd.X, dd.Y
+
+    def square(val, cell, right, along=None):
+        """ok(a, b): is wl(cell at Y, a) . (cell at w) equal to
+        right . wr(along[b], cell at X) in val?  No along is the
+        identity."""
+        at_x, at_y, at_w = cell.comp[X], cell.comp[Y], cell.cell[w]
+
+        def ok(a, b):
+            if along is not None:
+                b = along[b]
+            return val.v(val.wl(at_y, a), at_w) \
+                == val.v(right, val.wr(b, at_x))
+        return ok
+
+    edges = [(f, f2, square(F.ob[d], F.on2[gamma], dd.eta[gamma]))
+             for d, f, f2, gamma in _member_two_cells(s)]
+    edges += [(s.tilde[(f, g)], f,
+               square(F.ob[e], F.on2[s.sigma[(f, g)]], dd.phi[(f, g)],
+                      F.on1[g].on2))
+              for d, f, e, g in _cells_into(s)]
+    return edges
 
 
 def find_effective_gluing_mor(dd, budget=None):
-    """Search for a global morphism with invertible comparison 2-cells
-    reproducing the datum; Refutation when the space is exhausted."""
+    """Search for a global morphism w with invertible comparison 2-cells
+    psi[f]: f*w => w_f, one per member, that reproduce the datum: the
+    first in ``choices`` order, w slowest; Refutation when the space is
+    exhausted."""
     budget = budget or Budget()
     F, s = dd.F, dd.S
-    val_c = F.ob[s.target]
-    members = [f for _, f in s.all_members()]
-    tried = 0
-    for w in val_c.one_cells_between(dd.X, dd.Y):
-        tried += 1
-
-        def extend(i, psi):
-            if i == len(members):
-                return dict(psi)
-            f = members[i]
-            d = s.k.onecells[f][0]
-            val_d = F.ob[d]
-            src = F.on1[f].on1[w]
-            for cand in val_d.two_cells_between(src, dd.w[f]):
-                budget.tick()
-                if not val_d.invertible2(cand):
-                    continue
-                psi[f] = cand
-                if _gluing_mor_conditions(dd, w, psi, members):
-                    out = extend(i + 1, psi)
-                    if out is not None:
-                        return out
-                del psi[f]
-            return None
-
-        psi = extend(0, {})
-        if psi is not None:
+    members = [(f, F.ob[d]) for d, f in s.all_members()]
+    ws = F.ob[s.target].one_cells_between(dd.X, dd.Y)
+    for w in ws:
+        pools = ((f, val.isos_between(F.on1[f].on1[w], dd.w[f]))
+                 for f, val in members)
+        for (psi,) in choices(budget, pools, edges=_gluing_mor_edges(dd, w)):
             return EffectivenessWitness(
                 "gluing-morphism", {"w": w, "psi": psi})
     return Refutation(
         "find_effective_gluing_mor",
         ["no gluing morphism for (%r, %r)" % (dd.X, dd.Y)],
-        {"candidates": tried, "members": len(members)})
+        {"candidates": len(ws), "members": len(members)})
 
 
 # --- weak descent data on objects -------------------------------------------

@@ -75,15 +75,15 @@ class Recorded:
 def choices(budget, *groups, edges=()):
     """Every way to pick one candidate for each cell that passes the edges.
 
-    Each group is an iterable of (cell, pool) pairs, each pool a sequence,
-    read lazily and in order.  At the first empty pool nothing is yielded,
+    Each group is an iterable of (cell, pool) pairs, naming each cell
+    once, each pool a sequence, read lazily and in order.  At the first empty pool nothing is yielded,
     no later pair or group is read and no step is spent.  Otherwise the
     choices come in ``itertools.product`` order over all the pools, the
     first pool varying slowest.  Each choice is a tuple with one dict per
     group, mapping the group's cells to their chosen candidates.
 
     edges is a collection of (x, y, ok) constraints between two cells,
-    named as in the groups, which must then name each cell once.  A choice
+    named as in the groups, which must then name each cell once in all.  A choice
     is yielded only if ok(pick at x, pick at y) holds on every edge.  Each
     edge is tested as soon as both its cells are assigned (forward
     checking; Haralick & Elliott, 1980), so a pick that it rejects cuts
@@ -92,31 +92,40 @@ def choices(budget, *groups, edges=()):
     edges, once per choice, and never more than the choices without edges
     followed by a filter.  The ok tests must not read the budget.
     """
-    cells, pools = [], []
+    # each group's cells with their first candidates, in order
+    firsts, pools = [], []
     for group in groups:
-        keys = []
+        first = {}
         for cell, pool in group:
             if not pool:
                 return
-            keys.append(cell)
+            first[cell] = pool[0]
             pools.append(pool)
-        cells.append(keys)
-    for combo in _forward(budget, pools, cells, edges) if edges \
-            else product(*pools):
+        firsts.append(first)
+    if edges:
+        combos = _forward(budget, pools, firsts, edges)
+    elif len(pools) == sum(map(len, pools)):
+        # every pool is a singleton: the one choice is the first picks
         budget.tick()
-        # zip stops at the end of keys, so each group takes its own picks
+        yield tuple(firsts)
+        return
+    else:
+        combos = product(*pools)
+    for combo in combos:
+        budget.tick()
+        # zip stops at a group's last cell, so each takes its own picks
         picks, choice = iter(combo), []
-        for keys in cells:
-            choice.append(dict(zip(keys, picks)))
+        for first in firsts:
+            choice.append(dict(zip(first, picks)))
         yield tuple(choice)
 
 
-def _forward(budget, pools, cells, edges):
+def _forward(budget, pools, groups, edges):
     """The combinations of ``product(*pools)`` that pass the edges, in
     order, each edge tested once the later of its cells is assigned; one
     tick for each pick that an edge rejects.  The levels past the last
     one that an edge reaches run as one product."""
-    level = {cell: i for i, cell in enumerate(chain(*cells))}
+    level = {cell: i for i, cell in enumerate(chain(*groups))}
     checks = [[] for _ in pools]
     for x, y, ok in edges:
         i, j = level[x], level[y]

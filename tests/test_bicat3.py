@@ -113,13 +113,17 @@ def trihom_over_arrow(values, action=None):
     return strict_trihom(k, ob, on1, {})
 
 
-def _constant_z2_trihom(k):
-    """B(Z/2) at every object of k, acted on by the identity."""
-    z2 = one_object_z2()
-    ident = identity_ps_two_functor(z2)
-    return strict_trihom(k, {c: z2 for c in k.objects},
+def constant_trihom(k, values):
+    """values at every object of k, acted on by the identity."""
+    ident = identity_ps_two_functor(values)
+    return strict_trihom(k, {c: values for c in k.objects},
                          {f: ident for f in k.onecells},
                          {a: identity_ps_two_nat(ident) for a in k.twocells})
+
+
+def _constant_z2_trihom(k):
+    """B(Z/2) at every object of k, acted on by the identity."""
+    return constant_trihom(k, one_object_z2())
 
 
 # --- pseudofunctors ---------------------------------------------------------

@@ -12,9 +12,10 @@ from bistack.bicat3 import _comparisons, _tables, induced_trimod, \
     yoneda_tritrans
 from bistack import bicat3, descent
 from bistack.builders import chain_suspension
-from bistack.descent import _all_descent_data_mor, \
+from bistack.descent import Refutation, _all_descent_data_mor, \
     _all_matching_families, _all_perturbations, _all_ps_two_functors, \
-    _all_trimods, _all_tritransformations, _all_weak_data, _parallel_pairs, \
+    _all_trimods, _all_tritransformations, _all_weak_data, _cells_into, \
+    _member_two_cells, _parallel_pairs, find_effective_gluing_mor, \
     is_2stack, is_2stack_direct, sieve_trihom
 from bistack.errors import MalformedTable, ParseError, \
     SearchBudgetExceeded, ToolkitError
@@ -26,7 +27,8 @@ from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import _decode_two_cat, corpus_names, corpus_path, \
     load, load_data
 
-from test_bicat3 import _constant_z2_trihom, one_object_z2
+from test_bicat3 import _constant_z2_trihom, constant_trihom, \
+    one_object_z2, one_object_z3, trihom_over_arrow
 from test_coverage_indexes import _pool_documents
 from test_descent import collapse_objects_trihom, \
     collapse_twocells_trihom, unreachable_object_trihom
@@ -582,9 +584,11 @@ def _decide(op, n, limit=None):
 
 # steps recorded before forward checking was added, re-recorded when the
 # object pools were narrowed by arc consistency (2stack 431, 965, 4608 and
-# 2stack_direct 1219, 4277, 22757 before), and again when a step became
-# work done (2stack 372, 549, 765 and 2stack_direct 788, 1186, 1694 before)
-_STEPS = {("2stack", 3): 79, ("2stack", 4): 111, ("2stack", 5): 148,
+# 2stack_direct 1219, 4277, 22757 before), when a step became work done
+# (2stack 372, 549, 765 and 2stack_direct 788, 1186, 1694 before), and
+# when the gluing-morphism search drew each psi from its invertible
+# 2-cells through choices (2stack 79, 111, 148 before)
+_STEPS = {("2stack", 3): 76, ("2stack", 4): 107, ("2stack", 5): 143,
           ("2stack_direct", 3): 193, ("2stack_direct", 4): 273,
           ("2stack_direct", 5): 367}
 
@@ -608,10 +612,11 @@ def _budget_sweep(totals=_STEPS):
 
 # recorded before forward checking was added; re-recorded when a bulk
 # tick stopped overshooting, which changed only the row at limit 4051, and
-# when the object pools were narrowed or a step became work done, each of
-# which changed the steps and so the limits of every row
-_SWEEP_PINNED = ("14a6ff52b5d7a3054469b34797ae028c"
-                 "44a729d037553102ebb547a537bb8e55")
+# when the object pools were narrowed, a step became work done or the
+# gluing-morphism search went through choices, each of which changed a
+# decider's steps and so the limits of its rows
+_SWEEP_PINNED = ("6f5b9d1095bf0ea4a0e1f08e69fb2d2c"
+                 "c43181f9501e209335787755f49197e3")
 
 # the rows without their limits and steps, recorded before a step became
 # work done
@@ -743,6 +748,108 @@ def test_deciders_do_not_see_the_narrowing(monkeypatch):
     full = _verdicts(instances), _searched(instances)
     for got, want in zip(full, narrowed):
         _spends_less(want, got)
+
+
+# --- the gluing-morphism search against the recursive search it replaced ----
+
+def _gluing_mor_oracle(dd):
+    """The first gluing morphism of a descent datum as the search found it
+    before it went through choices, as (w, psi), or None.  For each w in
+    order, psi is assigned member by member from the 2-cells f*w => w_f,
+    the invertible ones in order, and after each assignment every display
+    whose comparison cells are all assigned is checked; the first psi
+    that assigns every member wins.  No display is skipped on a thin
+    value."""
+    F, s = dd.F, dd.S
+    members = [f for _, f in s.all_members()]
+
+    def holds(w, psi):
+        for d, f, f2, gamma in _member_two_cells(s):
+            if f in psi and f2 in psi:
+                val, cell = F.ob[d], F.on2[gamma]
+                lhs = val.v(val.wl(cell.comp[dd.Y], psi[f]), cell.cell[w])
+                rhs = val.v(dd.eta[gamma], val.wr(psi[f2], cell.comp[dd.X]))
+                if lhs != rhs:
+                    return False
+        for d, f, e, g in _cells_into(s):
+            t = s.tilde[(f, g)]
+            if f in psi and t in psi:
+                val, cell = F.ob[e], F.on2[s.sigma[(f, g)]]
+                lhs = val.v(val.wl(cell.comp[dd.Y], psi[t]), cell.cell[w])
+                rhs = val.v(dd.phi[(f, g)],
+                            val.wr(F.on1[g].on2[psi[f]], cell.comp[dd.X]))
+                if lhs != rhs:
+                    return False
+        return True
+
+    def extend(w, psi):
+        if len(psi) == len(members):
+            return dict(psi)
+        f = members[len(psi)]
+        val = F.ob[s.k.onecells[f][0]]
+        for cand in val.two_cells_between(F.on1[f].on1[w], dd.w[f]):
+            if val.invertible2(cand):
+                psi[f] = cand
+                if holds(w, psi):
+                    out = extend(w, psi)
+                    if out is not None:
+                        return out
+                del psi[f]
+        return None
+
+    for w in F.ob[s.target].one_cells_between(dd.X, dd.Y):
+        psi = extend(w, {})
+        if psi is not None:
+            return w, psi
+    return None
+
+
+def _gluing_instances():
+    """(trihom, sieve): each covering sieve of the stack and split
+    instances; B(Z/2) and B(Z/3) on the walking arrow, acted on by the
+    identity, under its maximal sieves and the sieve on 1 that a
+    generates, with the B(Z/2) instances of the drawn candidates and the
+    collapse under the maximal sieve on 1; and
+    constant B(Z/2) and B(Z/3) on chain_suspension(2) under its maximal
+    sieves, whose members have 2-cells between them."""
+    out = [(F, s) for F, tau in _stack_instances() + _split_instances()
+           for c in sorted(tau.k.objects) for s in tau.sieves_on(c)]
+    for values in (one_object_z2(), one_object_z3()):
+        F = trihom_over_arrow(values)
+        wa = F.base
+        out += [(F, literal_maximal_bisieve(wa, c)) for c in ("0", "1")]
+        out.append((F, build_bisieve(wa, "1", {"0": {"a"}})))
+    k = chain_suspension(2)
+    for values in (one_object_z2(), one_object_z3()):
+        F = constant_trihom(k, values)
+        out += [(F, literal_maximal_bisieve(k, c)) for c in sorted(k.objects)]
+    wa, kill = collapse_twocells_trihom()
+    out.append((kill, literal_maximal_bisieve(wa, "1")))
+    return out + _wa_z2_instances()
+
+
+def test_gluing_morphism_search_matches_the_recursive_search():
+    """find_effective_gluing_mor gives the recursive search's w and psi on
+    every descent datum on morphisms of the instances, or a refutation
+    where it finds none; on some data a member has more than one
+    invertible 2-cell to choose from."""
+    outcomes, wide = Counter(), 0
+    for F, s in _gluing_instances():
+        for dd in _all_descent_data_mor(F, s, Budget()):
+            got, want = find_effective_gluing_mor(dd), _gluing_mor_oracle(dd)
+            outcomes[want is None] += 1
+            if want is None:
+                assert isinstance(got, Refutation)
+                assert got.space == {
+                    "candidates": len(F.ob[s.target].one_cells_between(
+                        dd.X, dd.Y)),
+                    "members": len(s.all_members())}
+                continue
+            assert (got.data["w"], got.data["psi"]) == want
+            w = want[0]
+            wide += any(len(F.ob[d].isos_between(F.on1[f].on1[w], dd.w[f]))
+                        > 1 for d, f in s.all_members())
+    assert outcomes[True] and outcomes[False] and wide
 
 
 def test_budget_sweep_does_not_see_the_thin_shortcut(monkeypatch):
