@@ -16,7 +16,7 @@ from bistack.sigma_colim import (Diagram, SigmaCocone, check_sigma_cocone,
                                  is_sigma_bicolim_bisieve,
                                  projection_diagram, universal_cocone,
                                  verify_sigma_bicolim, whisker_cocone)
-from bistack.two_cat import Fin2Cat, from_fincat
+from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import load_data
 
 from sigma_oracles import check_diagram, conicalize, \
@@ -178,6 +178,25 @@ def test_cocone_whiskering_and_modifications(ksplit):
     wanted = tuple(sorted((x, ksplit.wr("c[id_A>e]", mu.leg(x)))
                           for x, _ in mu.legs))
     assert wanted in mods
+
+
+def test_whiskering_is_strictly_pseudonatural_in_the_test_object():
+    """verify_sigma_bicolim checks no pseudonaturality in the test object,
+    which a valid 2-category forces: whiskering each pool and tabulated
+    sieve's universal cocone by e.r equals whiskering it by r, then by
+    e."""
+    checked = 0
+    for s in _pool_sieves() + _tabulated_sieves():
+        k = s.k
+        if not check_two_category(k).ok:
+            continue
+        d, mu = universal_cocone(s)
+        for e, (u1, _) in k.onecells.items():
+            for r in k.one_cells_between(mu.apex, u1):
+                assert whisker_cocone(d, mu, k.c1(e, r)) \
+                    == whisker_cocone(d, whisker_cocone(d, mu, r), e)
+                checked += 1
+    assert checked
 
 
 def test_conicalize_inclusion_recovers_universal_cocone(wa2, ksplit):

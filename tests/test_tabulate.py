@@ -185,9 +185,11 @@ _CATVALUED_STEPS_PINNED = ("e4eebd2270af8b2521b3568634dc3dad"
                            "3ffaacb1dd9ef98c277a076979e69be4")
 
 # the steps of each sigma report, re-recorded when the sigma check stopped
-# building the cocone morphisms that its equivalence test never reads
-_SIGMA_STEPS_PINNED = ("f879c3ff7f5cca422abc0270eab58b32"
-                       "7375516e2ff9178fe2cf98295b77e10d")
+# building the cocone morphisms that its equivalence test never reads, and
+# again when it stopped checking pseudonaturality in the test object, which
+# a valid 2-category forces (from f879c3ff...)
+_SIGMA_STEPS_PINNED = ("5f43df4e8727902783c04f0a68472f8f"
+                       "3d01d089d7c12a7d1dae83ff15bb208c")
 
 
 def test_subcanonical_stack_and_sigma_reports_are_pinned():
