@@ -50,8 +50,9 @@ and transformations checks the recorded cells against a declaration
 from the invertible 2-cells of its boundary (``_comparisons``, one
 ``report.choices`` group per family), and a structure built without its
 comparison cells (the identity and induced constructors) gets the
-identity on each cell's target (``_identities``).  ``PsTwoFunctor`` and ``PsTwoNatTrans`` fill their
-defaults at construction, since every composite reads them.  ``Tritransformation`` and ``Trimodification``
+identity on each cell's target (``_identities``).  ``PsTwoFunctor`` and
+``PsTwoNatTrans`` fill their defaults at construction, since every
+composite reads them.  ``Tritransformation`` and ``Trimodification``
 fill each table on its first read (``_first_read``), so that a table
 that no check reads is never built.
 

@@ -43,8 +43,9 @@ Categories*, 2021).  The checkers then still test normality and the
 identity etas, but skip the compatibility loops of
 ``check_matching_family``, the cocycle and phi/eta loops of
 ``check_descent_datum_mor``, ``_wdd_displays`` and
-``_weak_gluing_displays``, and ``_gluing_mor_edges`` gives no edges.  A
-skipped loop spends no step, since a step is work done (see ``report.Budget``).
+``_weak_gluing_displays``, and ``_gluing_mor_edges`` gives no edges.
+A skipped loop spends no step, since a step is work done (see
+``report.Budget``).
 This rests on valid values: a ``tables`` trihom's values and action data
 are checked when a workspace is loaded.
 
@@ -69,12 +70,12 @@ alone: each takes a well-typed datum, as the enumerators draw it.  For a
 matching family the displays are the compatibility displays, for a
 morphism datum normality, the identity etas, the cocycle and the phi/eta
 squares, and for a weak datum the coherence displays with their
-connecting isos.  ``find_effective_gluing_mor`` draws the comparison
-2-cells psi of a gluing morphism from their invertible 2-cells through
-``report.choices``, whose edges are its two effectiveness displays, each
-relating two members' psi (``_gluing_mor_edges``).  The ``bicat3``
-checkers of pseudofunctors, transformations, tritransformations,
-trimodifications and perturbations are display-only too.
+connecting isos.  ``find_effective_gluing_mor`` draws a gluing
+morphism's comparison 2-cells psi from their invertible 2-cells, and its
+two displays are ``report.choices`` edges (``_gluing_mor_edges``).  The
+``bicat3`` checkers of pseudofunctors, transformations,
+tritransformations, trimodifications and perturbations are display-only
+too.
 ``descent_category`` draws its pseudonatural transformations and
 modifications from ``fincat.all_functors`` and ``all_nat_trans``, and
 ``two_cat.check_ps_nat`` and ``check_modification`` test only their
@@ -430,35 +431,27 @@ class Refutation:
 
 
 def _gluing_mor_edges(dd, w):
-    """The two effectiveness displays of a global morphism w, as edges of
-    ``choices`` between the members whose comparison 2-cells
-    psi[f]: f*w => w_f they relate: each base 2-cell gamma: f => f2
-    between members relates psi[f] and psi[f2], and each restriction leg
-    (f, g) relates psi[tilde(f, g)] and psi[f].  No edges when every
-    value is locally thin."""
+    """The two effectiveness displays of a global morphism w, as edges
+    between members of ``choices`` of psi[f]: f*w => w_f: a base 2-cell
+    gamma: f => f2 between members relates psi[f] and psi[f2], and a
+    restriction leg (f, g) relates psi[tilde(f, g)] and psi[f].  No edges
+    when every value is locally thin."""
     F, s = dd.F, dd.S
     if _thin(F):
         return []
-    X, Y = dd.X, dd.Y
 
-    def square(val, cell, right, along=None):
+    def square(val, cell, right, along=lambda b: b):
         """ok(a, b): is wl(cell at Y, a) . (cell at w) equal to
-        right . wr(along[b], cell at X) in val?  No along is the
-        identity."""
-        at_x, at_y, at_w = cell.comp[X], cell.comp[Y], cell.cell[w]
-
-        def ok(a, b):
-            if along is not None:
-                b = along[b]
-            return val.v(val.wl(at_y, a), at_w) \
-                == val.v(right, val.wr(b, at_x))
-        return ok
+        right . wr(along(b), cell at X) in val?"""
+        at_x, at_y, at_w = cell.comp[dd.X], cell.comp[dd.Y], cell.cell[w]
+        return lambda a, b: val.v(val.wl(at_y, a), at_w) \
+            == val.v(right, val.wr(along(b), at_x))
 
     edges = [(f, f2, square(F.ob[d], F.on2[gamma], dd.eta[gamma]))
              for d, f, f2, gamma in _member_two_cells(s)]
     edges += [(s.tilde[(f, g)], f,
                square(F.ob[e], F.on2[s.sigma[(f, g)]], dd.phi[(f, g)],
-                      F.on1[g].on2))
+                      F.on1[g].on2.__getitem__))
               for d, f, e, g in _cells_into(s)]
     return edges
 

@@ -76,23 +76,23 @@ def choices(budget, *groups, edges=()):
     """Every way to pick one candidate for each cell that passes the edges.
 
     Each group is an iterable of (cell, pool) pairs, naming each cell
-    once, each pool a sequence, read lazily and in order.  At the first empty pool nothing is yielded,
-    no later pair or group is read and no step is spent.  Otherwise the
-    choices come in ``itertools.product`` order over all the pools, the
-    first pool varying slowest.  Each choice is a tuple with one dict per
-    group, mapping the group's cells to their chosen candidates.
+    once, each pool a sequence, read lazily and in order.  At the first
+    empty pool nothing is yielded, no later pair or group is read and no
+    step is spent.  Otherwise the choices come in ``itertools.product``
+    order over all the pools, the first pool varying slowest.  Each choice
+    is a tuple with one dict per group, mapping its cells to their picks.
 
     edges is a collection of (x, y, ok) constraints between two cells,
-    named as in the groups, which must then name each cell once in all.  A choice
-    is yielded only if ok(pick at x, pick at y) holds on every edge.  Each
-    edge is tested as soon as both its cells are assigned (forward
-    checking; Haralick & Elliott, 1980), so a pick that it rejects cuts
-    off every choice that extends it.  The budget ticks once for each pick
-    that an edge rejects and once before each choice yielded: without
-    edges, once per choice, and never more than the choices without edges
-    followed by a filter.  The ok tests must not read the budget.
+    named as in the groups, which must then name each cell once in all.
+    A choice is yielded only if ok(pick at x, pick at y) holds on every
+    edge.  Each edge is tested as soon as both its cells are assigned
+    (forward checking; Haralick & Elliott, 1980), so a pick that it
+    rejects cuts off every choice that extends it.  The budget ticks once
+    for each pick that an edge rejects and once before each choice
+    yielded, so never more than for the choices without edges followed
+    by a filter.  The ok tests must not read the budget.
     """
-    # each group's cells with their first candidates, in order
+    # each group's cells with their first picks, in order
     firsts, pools = [], []
     for group in groups:
         first = {}
@@ -102,16 +102,13 @@ def choices(budget, *groups, edges=()):
             first[cell] = pool[0]
             pools.append(pool)
         firsts.append(first)
-    if edges:
-        combos = _forward(budget, pools, firsts, edges)
-    elif len(pools) == sum(map(len, pools)):
+    if not edges and len(pools) == sum(map(len, pools)):
         # every pool is a singleton: the one choice is the first picks
         budget.tick()
         yield tuple(firsts)
         return
-    else:
-        combos = product(*pools)
-    for combo in combos:
+    for combo in (_forward(budget, pools, firsts, edges) if edges
+                  else product(*pools)):
         budget.tick()
         # zip stops at a group's last cell, so each takes its own picks
         picks, choice = iter(combo), []
@@ -121,19 +118,15 @@ def choices(budget, *groups, edges=()):
 
 
 def _forward(budget, pools, groups, edges):
-    """The combinations of ``product(*pools)`` that pass the edges, in
-    order, each edge tested once the later of its cells is assigned; one
-    tick for each pick that an edge rejects.  The levels past the last
-    one that an edge reaches run as one product."""
+    """The combinations of ``product(*pools)`` that pass the edges, each
+    edge tested once its later cell is assigned, one tick per pick that
+    one rejects; the levels past the last one with an edge as a product."""
     level = {cell: i for i, cell in enumerate(chain(*groups))}
     checks = [[] for _ in pools]
     for x, y, ok in edges:
         i, j = level[x], level[y]
         checks[max(i, j)].append((i, j, ok))
-    depth = max((i + 1 for i, tests in enumerate(checks) if tests), default=0)
-    if not depth:
-        yield from product(*pools)
-        return
+    depth = max(i for i, tests in enumerate(checks) if tests) + 1
     picks = [None] * depth
     its = [iter(pools[0])]
     while its:

@@ -378,13 +378,11 @@ def verify_sigma_bicolim(c, d, mu, budget=None):
     is a sigma-cocone, and at each test object u whiskering mu is an
     equivalence from Hom(apex, u) onto the sigma-cocones on u.
 
-    Pseudonaturality of these comparisons in u needs no check once the
-    2-category passes ``check_two_category``: for e: u1 -> u2 and
-    r: apex -> u1, whiskering mu by e.r equals whiskering by r, then by
-    e.  Leg by leg (e.r).l = e.(r.l), by associativity of 1-cell
-    composition, and cell by cell wl(e.r, x) = h(h(id e, id r), x) =
-    wl(e, wl(r, x)), since h(id e, id r) = id (e.r) and horizontal
-    composition is associative."""
+    Pseudonaturality in u needs no check on a 2-category that passes
+    ``check_two_category``: for e: u1 -> u2 and r: apex -> u1, whiskering
+    mu by e.r is whiskering by r, then by e, since (e.r).l = e.(r.l) on
+    each leg l and wl(e.r, x) = h(h(id e, id r), x) = wl(e, wl(r, x)) on
+    each cell x, by associativity and h(id e, id r) = id (e.r)."""
     budget = budget or Budget()
     k = d.k
     per_object = {}
