@@ -111,10 +111,8 @@ def choices(budget, *groups, edges=()):
                   else product(*pools)):
         budget.tick()
         # zip stops at a group's last cell, so each takes its own picks
-        picks, choice = iter(combo), []
-        for first in firsts:
-            choice.append(dict(zip(first, picks)))
-        yield tuple(choice)
+        picks = iter(combo)
+        yield tuple([dict(zip(first, picks)) for first in firsts])
 
 
 def _forward(budget, pools, groups, edges):
