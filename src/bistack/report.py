@@ -115,11 +115,12 @@ def choices(budget, *groups, edges=()):
         yield tuple([dict(zip(first, picks)) for first in firsts])
 
 
-def _forward(budget, pools, groups, edges):
+def _forward(budget, pools, firsts, edges):
     """The combinations of ``product(*pools)`` that pass the edges, each
     edge tested once its later cell is assigned, one tick per pick that
-    one rejects; the levels past the last one with an edge as a product."""
-    level = {cell: i for i, cell in enumerate(chain(*groups))}
+    one rejects; the levels past the last one with an edge as a product.
+    The cells of the pools, in order, are the keys of the firsts."""
+    level = {cell: i for i, cell in enumerate(chain(*firsts))}
     checks = [[] for _ in pools]
     for x, y, ok in edges:
         i, j = level[x], level[y]

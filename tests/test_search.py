@@ -157,16 +157,11 @@ def test_comparisons_draw_every_pool_as_a_product(spec):
 
 # --- choices with edges against a recursive search and a filter --------------
 
-def _merged(picks):
-    """One choice's picks of every group, as one dict."""
-    return {cell: a for group in picks for cell, a in group.items()}
-
-
 def _filtered(budget, *groups, edges=()):
     """Every choice over the groups, then the edges, each tested on whole
     choices alone."""
     for picks in choices(budget, *groups):
-        pick = _merged(picks)
+        pick = {cell: a for group in picks for cell, a in group.items()}
         if all(ok(pick[x], pick[y]) for x, y, ok in edges):
             yield picks
 
@@ -213,15 +208,11 @@ def _drain(search, limit, groups, edges):
 def _problems(draw):
     """One to three groups of up to five cells in all, named apart, and
     edges between any two cells, within a group or across groups."""
-    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)
-                 .filter(lambda sizes: sum(sizes) <= 5))
-    n = sum(sizes)
+    n = draw(st.integers(0, 5))
     cells = [("c%d" % i, draw(st.lists(st.integers(0, 3), max_size=3)))
              for i in range(n)]
-    groups, start = [], 0
-    for size in sizes:
-        groups.append(cells[start:start + size])
-        start += size
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    groups = [cells[a:b] for a, b in zip([0] + cuts, cuts + [n])]
     edges = []
     for _ in range(draw(st.integers(0, 6)) if n else 0):
         x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
