@@ -118,15 +118,15 @@ def choices(budget, *groups, edges=()):
 def _forward(budget, pools, firsts, edges):
     """The combinations of ``product(*pools)`` that pass the edges, each
     edge tested once its later cell is assigned, one tick per pick that
-    one rejects; the levels past the last one with an edge as a product.
-    The cells of the pools, in order, are the keys of the firsts."""
+    one rejects.  The cells of the pools, in order, are the keys of the
+    firsts."""
     level = {cell: i for i, cell in enumerate(chain(*firsts))}
     checks = [[] for _ in pools]
     for x, y, ok in edges:
         i, j = level[x], level[y]
         checks[max(i, j)].append((i, j, ok))
-    depth = max(i for i, tests in enumerate(checks) if tests) + 1
-    picks = [None] * depth
+    last = len(pools) - 1
+    picks = [None] * len(pools)
     its = [iter(pools[0])]
     while its:
         i = len(its) - 1
@@ -138,12 +138,10 @@ def _forward(budget, pools, firsts, edges):
         else:
             its.pop()
             continue
-        if i + 1 < depth:
+        if i < last:
             its.append(iter(pools[i + 1]))
         else:
-            head = tuple(picks)
-            for tail in product(*pools[depth:]):
-                yield head + tail
+            yield tuple(picks)
 
 
 def narrow(cells, edges):
