@@ -485,8 +485,7 @@ class WeakDescentDatum:
 
     W[f]: object of the value at the member's source.
     eta[gamma]:  1-cell W_f -> W_f' for gamma: f => f' between members.
-    phi[(f, g)]: equivalence 1-cell W_tilde -> g*W_f, with a recorded
-                 pseudo-inverse phi_inv[(f, g)].
+    phi[(f, g)]: equivalence 1-cell W_tilde -> g*W_f.
     rho[f]:      invertible  phi[(f, id)] => id1(W_f).
     beta[(f, g, h)]: invertible  h*(phi[(f,g)]) . phi[(tilde,h)]
                                  =>  phi[(f, g.h)] . eta[theta].
@@ -496,13 +495,12 @@ class WeakDescentDatum:
                                    =>  phi[(f,g')] . eta[delta_f].
     """
 
-    def __init__(self, F, S, W, eta, phi, phi_inv, rho, beta, rho2, alpha):
+    def __init__(self, F, S, W, eta, phi, rho, beta, rho2, alpha):
         self.F = F
         self.S = S
         self.W = dict(W)
         self.eta = dict(eta)
         self.phi = dict(phi)
-        self.phi_inv = dict(phi_inv)
         self.rho = dict(rho)
         self.beta = dict(beta)
         self.rho2 = dict(rho2)
@@ -514,17 +512,14 @@ class WeakDescentDatum:
 def weak_datum_from_object(F, S, W0):
     """The weak datum obtained by restricting a global object; every
     comparison cell is the identity under the strict normalization."""
-    k = S.k
     W = {f: F.on1[f].ob[W0] for _, f in S.all_members()}
     eta = {}
     for d, f, f2, gamma in _member_two_cells(S):
         eta[gamma] = F.on2[gamma].comp[W0]
-    phi, phi_inv = {}, {}
+    phi = {}
     for d, f, e, g in _cells_into(S):
-        sig = S.sigma[(f, g)]
-        phi[(f, g)] = F.on2[sig].comp[W0]
-        phi_inv[(f, g)] = F.on2[k.inverse2(sig)].comp[W0]
-    return WeakDescentDatum(F, S, W, eta, phi, phi_inv,
+        phi[(f, g)] = F.on2[S.sigma[(f, g)]].comp[W0]
+    return WeakDescentDatum(F, S, W, eta, phi,
                             **_identities(_wdd_cells(F, S, W, eta, phi)))
 
 
@@ -578,8 +573,8 @@ def _wdd_cells(F, s, W, eta, phi):
 def check_weak_descent_datum(wdd, budget=None):
     """The coherence displays of a well-typed datum, quantified over the
     connecting isos, as ``_all_weak_data`` draws it: objects, transitions,
-    each phi an equivalence via its recorded pseudo-inverse, and each
-    comparison cell of ``_wdd_cells`` on its boundary."""
+    each phi an equivalence, and each comparison cell of ``_wdd_cells`` on
+    its boundary."""
     budget = budget or Budget()
     found, last = _wdd_coherences(wdd, budget)
     if not found:
@@ -804,15 +799,6 @@ def _wdd_displays(wdd, u, cc, budget):
 def _wdd_coherences(wdd, budget):
     """Quantify the displays over the connecting iso families."""
     ucand, ccand = _connecting_isos(wdd)
-    for f, cands in ucand.items():
-        if not cands:
-            return False, ("no iso from eta at the identity of %r to the "
-                           "identity" % f, {"member": f})
-    for key, cands in ccand.items():
-        if not cands:
-            return False, ("no iso relating eta at the composite %r to the "
-                           "composite of transitions" % (key,),
-                           {"pair": list(key)})
     last = ("no connecting family admissible", {})
     for u, cc in choices(budget, sorted(ucand.items()),
                          sorted(ccand.items())):
@@ -825,18 +811,14 @@ def _wdd_coherences(wdd, budget):
 
 def find_weak_effective_gluing(wdd, budget=None):
     """Search for a global object with equivalences psi[f]: W_f -> f*W and
-    the comparison isos of the weak-effectiveness displays."""
+    the comparison isos of the weak-effectiveness displays, for a datum
+    that ``check_weak_descent_datum`` accepts."""
     budget = budget or Budget()
     F, s = wdd.F, wdd.S
     k = s.k
     val_c = F.ob[s.target]
     members = [f for _, f in s.all_members()]
     ucand, ccand = _connecting_isos(wdd)
-    if any(not v for v in ucand.values()) or \
-            any(not v for v in ccand.values()):
-        return Refutation("find_weak_effective_gluing",
-                          ["no connecting isos for the transitions"],
-                          {"objects": len(val_c.objects)})
 
     def equivalences(W):
         for f in members:
@@ -1116,16 +1098,11 @@ def _all_weak_data(F, s, budget):
             yield gamma, F.ob[d].one_cells_between(W[f], W[f2])
 
     def equivalences(W):
-        """Each phi candidate with its recorded pseudo-inverse."""
         for d, f, e, g in _cells_into(s):
             val_e = F.ob[e]
-            pool = []
-            for p in val_e.one_cells_between(W[s.tilde[(f, g)]],
-                                             F.on1[g].ob[W[f]]):
-                data = val_e.equivalence_data(p, budget)
-                if data is not None:
-                    pool.append((p, data[0]))
-            yield (f, g), pool
+            yield (f, g), [p for p in val_e.one_cells_between(
+                W[s.tilde[(f, g)]], F.on1[g].ob[W[f]])
+                if val_e.is_equivalence_1cell(p, budget)]
 
     objects = [(f, sorted(F.ob[k.onecells[f][0]].objects))
                for _, f in s.all_members()]
@@ -1137,11 +1114,9 @@ def _all_weak_data(F, s, budget):
               for d, f, e, g in _cells_into(s)]
     for (W,) in choices(budget, narrow(objects, edges), edges=edges):
         isos = {}
-        for eta, pairs in choices(budget, transitions(W), equivalences(W)):
-            phi = {key: p for key, (p, _) in pairs.items()}
-            phi_inv = {key: q for key, (_, q) in pairs.items()}
+        for eta, phi in choices(budget, transitions(W), equivalences(W)):
             for cells in _comparisons(budget, _wdd_cells(F, s, W, eta, phi)):
-                wdd = WeakDescentDatum(F, s, W, eta, phi, phi_inv, **cells)
+                wdd = WeakDescentDatum(F, s, W, eta, phi, **cells)
                 wdd._isos = isos
                 if check_weak_descent_datum(wdd, budget).ok:
                     yield wdd

@@ -393,23 +393,3 @@ def tabulate(objects, arrows, identity, compose):
     return FinCat(objects, {m: s for m, (s, _, _) in arrows.items()},
                   {m: t for m, (_, t, _) in arrows.items()}, ids, comp), index
 
-
-def functor_category(c, d, budget=None):
-    """The category of all functors c -> d and natural transformations."""
-    budget = budget or Budget()
-    functors = {"F%d" % i: F for i, F in enumerate(all_functors(c, d, budget))}
-    arrows = {}
-    for a, F in functors.items():
-        for b, G in functors.items():
-            for t in all_nat_trans(F, G, budget):
-                arrows["t%d" % len(arrows)] = (a, b, t.key())
-
-    def identity(F):
-        return NatTrans(F, F, {x: d.id(F.o(x)) for x in c.objects}).key()
-
-    def compose(later, earlier):
-        budget.tick()
-        return vcomp_key(d, later, earlier)
-
-    cat, _ = tabulate(functors, arrows, identity, compose)
-    return cat

@@ -234,7 +234,7 @@ def guarded(name, budget, fn, *args, **kwargs):
 
 
 def merge(name, reports):
-    """Combine subreports: fail dominates, then inconclusive, else pass."""
+    """Combine pass and fail subreports: fail dominates, else pass."""
     verdict = PASS
     details = []
     witness = {}
@@ -242,8 +242,5 @@ def merge(name, reports):
         details.extend("%s: %s" % (r.name, d) for d in r.details)
         if r.verdict == FAIL and verdict != FAIL:
             verdict = FAIL
-            witness = r.witness
-        elif r.verdict == INCONCLUSIVE and verdict == PASS:
-            verdict = INCONCLUSIVE
             witness = r.witness
     return CheckReport(name, verdict, details, witness)

@@ -216,6 +216,75 @@ def test_modification_between_parallel_transformations(ksplit):
     assert not r.ok and r.witness["object"] == "A"
 
 
+# --- display failures over B(Z/3) --------------------------------------------
+#
+# Well-typed pseudofunctors and transformations into B(Z/3), each of which
+# fails one display first; B(Z/3) is not locally thin, so no display is
+# skipped, and a cell of order three is not its own inverse.
+
+def _to_z3(k, chi=None):
+    """k -> B(Z/3), everything onto P, id_P and the identity 2-cell, with
+    compositor chi (by default the identities)."""
+    return PsTwoFunctor(k, one_object_z3(), {x: "P" for x in k.objects},
+                        {f: "id_P" for f in k.onecells},
+                        {a: "2id_id_P" for a in k.twocells}, chi=chi)
+
+
+def _with_compositor(k, pair):
+    """_to_z3(k) with the compositor w at pair."""
+    return _to_z3(k, {**{p: "2id_id_P" for p in k.hcomp1}, pair: "w"})
+
+
+def _w_to_w():
+    """B(Z/3) -> B(Z/3) sending both w and w2 to w."""
+    z3 = one_object_z3()
+    return PsTwoFunctor(z3, z3, {"P": "P"}, {"id_P": "id_P"},
+                        {"2id_id_P": "2id_id_P", "w": "w", "w2": "w"})
+
+
+_PS_FUNCTOR_DISPLAY_MUTANTS = [
+    (_w_to_w, "vertical composition not preserved at ('w', 'w')",
+     {"pair": ["w", "w"]}),
+    (lambda: _with_compositor(split_idempotent_2cat(), ("u", "e")),
+     "compositor not natural at ('2id_u', 'c[id_A>e]')",
+     {"pair": ["2id_u", "c[id_A>e]"]}),
+    (lambda: _with_compositor(from_fincat(walking_arrow()), ("a", "id_0")),
+     "compositor not associative at ('a', 'id_0', 'id_0')",
+     {"triple": ["a", "id_0", "id_0"]}),
+]
+
+
+@pytest.mark.parametrize("build, message, witness",
+                         _PS_FUNCTOR_DISPLAY_MUTANTS,
+                         ids=["vertical", "naturality", "associativity"])
+def test_ps_two_functor_display_mutants_fail(build, message, witness):
+    h = build()
+    assert _ps_two_functor_typing(h) is None
+    r = check_ps_two_functor(h)
+    assert (r.verdict, r.details, r.witness) == ("fail", [message], witness)
+
+
+def test_ps_two_nat_display_mutants_fail(ksplit):
+    g = _to_z3(ksplit)
+    cell = {f: "2id_id_P" for f in ksplit.onecells}
+    t = PsTwoNatTrans(g, g, {"A": "id_P", "B": "id_P"}, dict(cell, e="w"))
+    # the unit of the target is w, and no cell makes up for it
+    z3 = one_object_z3()
+    twisted = PsTwoFunctor(z3, z3, {"P": "P"}, {"id_P": "id_P"},
+                           {a: a for a in z3.twocells}, unit={"P": "w"})
+    u = PsTwoNatTrans(identity_ps_two_functor(z3), twisted, {"P": "id_P"},
+                      {"id_P": "2id_id_P"})
+    reports = []
+    for x in (t, u):
+        assert _ps_two_nat_typing(x) is None
+        r = check_ps_two_nat(x)
+        reports.append((r.verdict, r.details, r.witness))
+    assert reports == [
+        ("fail", ["2-cell naturality fails at 'c[id_A>e]'"],
+         {"twocell": "c[id_A>e]"}),
+        ("fail", ["unit coherence fails at 'P'"], {"object": "P"})]
+
+
 # --- homomorphism data -------------------------------------------------------
 
 def test_strict_trihom_data_passes(ksplit):

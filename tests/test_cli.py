@@ -11,17 +11,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bistack import cli, runner
+from bistack.bicat3 import identity_ps_two_functor
 from bistack.builders import chain_suspension
 from bistack.errors import DanglingReference, ParseError, UnknownCheck
 from bistack import generate as generate_module
+from bistack.fincat import walking_arrow
 from bistack.generate import PROFILES, _fails_exactly_its_label, \
-    _mutant_base, _mutations, _sieve_checks_passed, generate
+    _mutant_base, _mutations, _parallel_iso_base, _sieve_checks_passed, \
+    generate
 from bistack.runner import replay, run_all, run_check, strip_timing
 from bistack.sieves import check_bitopology, literal_maximal_bisieve
-from bistack.two_cat import check_two_category
+from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import SCHEMA, _encode_bisieve, _encode_two_cat, \
     corpus_names, corpus_path, load, load_data, normalize, save
 from mutant_oracles import fails_exactly_its_label_by_name
+from test_bicat3 import _w_to_w, collapse_functor, e_transformation, \
+    one_object_z3
+from test_two_cat import split_idempotent_2cat
 
 
 @pytest.fixture(scope="module")
@@ -515,7 +521,39 @@ def _mistyped_structure_cell(F):
         "cell": {"id_O2_e0": "2id_id_O2_e1", "id_O2_e1": "2id_id_O2_e1"}}
 
 
+def _no_value(F):
+    del F["values"]["O0"]
+
+
+def _unknown_action(F):
+    F["on1"]["nope"] = F["on1"]["id_O0"]
+
+
+def _no_action(F):
+    del F["on1"]["m_1_2"]
+
+
+def _unknown_two_cell_action(F):
+    F["on2"]["nope"] = {"comp": {}}
+
+
+def _swapped_identity_action(F):
+    """id_O2 swaps the two objects of its value: a strict 2-functor, but
+    not the identity."""
+    swap = {"O2_e0": "O2_e1", "O2_e1": "O2_e0"}
+    F["on1"]["id_O2"] = {
+        "ob": swap,
+        "on1": {"id_" + x: "id_" + y for x, y in swap.items()},
+        "on2": {"2id_id_" + x: "2id_id_" + y for x, y in swap.items()}}
+
+
 @pytest.mark.parametrize("corrupt, message", [
+    (_no_value, "trihoms.F1: no value at object 'O0'"),
+    (_unknown_action, "trihoms.F1: unknown 1-cell 'nope'"),
+    (_no_action, "trihoms.F1: no action at 1-cell 'm_1_2'"),
+    (_unknown_two_cell_action, "trihoms.F1: unknown 2-cell 'nope'"),
+    (_swapped_identity_action,
+     "trihoms.F1: value at id_'O2' is not the identity"),
     (_drop_first_row("hcomp1"),
      "trihoms.F1.values[O2]: value fails: bad 1-composite "
      "('id_O2_e0', 'id_O2_e0')"),
@@ -525,7 +563,9 @@ def _mistyped_structure_cell(F):
     (_mistyped_structure_cell,
      "trihoms.F1: trihom data fails: value transformation at '2id_id_O2': "
      "bad structure cell at 'id_O2_e0'"),
-], ids=["value-no-hcomp1-row", "value-no-hcomp2-row", "mistyped-action"])
+], ids=["no-value", "unknown-action", "no-action", "unknown-2-cell-action",
+        "identity-action-swaps", "value-no-hcomp1-row",
+        "value-no-hcomp2-row", "mistyped-action"])
 def test_cli_malformed_trihom_tables_are_located_input_errors(
         tmp_path, capsys, corrupt, message):
     raw = _site_doc()
@@ -751,6 +791,235 @@ def test_cli_two_category_without_identities_fails(tmp_path, capsys,
     assert cli.main(["run", str(path), "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "fail" and report["witness"] == witness
+
+
+def _tables_doc(k, values, on1, on2=None):
+    """A document with the trihom F over k as tables: values by object,
+    on1 the PsTwoFunctors by 1-cell and on2 the PsTwoNatTrans by 2-cell."""
+    return {"schema": SCHEMA, "two_cats": {"K": _encode_two_cat(k)},
+            "trihoms": {"F": {
+                "kind": "tables", "two_cat": "K",
+                "values": {c: _encode_two_cat(v) for c, v in values.items()},
+                "on1": {f: {"ob": dict(h.ob), "on1": dict(h.on1),
+                            "on2": dict(h.on2)} for f, h in on1.items()},
+                "on2": {x: {"comp": t.comp, "cell": t.cell}
+                        for x, t in (on2 or {}).items()}}}}
+
+
+def _over_ksplit(k, on1=None, on2=None):
+    """ksplit at every object of k, acted on by the identity, except where
+    on1 and on2 say otherwise."""
+    ks = split_idempotent_2cat()
+    ident = {f: identity_ps_two_functor(ks) for f in k.onecells}
+    return _tables_doc(k, {c: ks for c in k.objects},
+                       dict(ident, **(on1 or {})), on2)
+
+
+def _empty_values_missing_two_cell_action():
+    """Empty values, so that strict_trihom reads no action on a 2-cell."""
+    k, empty = _parallel_iso_base(), Fin2Cat([], {}, {}, {}, {}, {}, {}, {})
+    return _tables_doc(k, {c: empty for c in k.objects},
+                       {f: identity_ps_two_functor(empty)
+                        for f in k.onecells})
+
+
+def _arrow2():
+    return from_fincat(walking_arrow())
+
+
+def _over_z3(action):
+    """B(Z/3) at both objects of the walking arrow, acted on at a by
+    action."""
+    z3 = one_object_z3()
+    ident = identity_ps_two_functor(z3)
+    return _tables_doc(_arrow2(), {"0": z3, "1": z3},
+                       {"id_0": ident, "id_1": ident, "a": action})
+
+
+def _chain3():
+    """The poset f0 < f1 < f2, locally discrete."""
+    return from_fincat(chain_suspension(3).hom_cat("X", "Y"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _over_ksplit(_chain3(), on1={
+        "r0_2": collapse_functor(split_idempotent_2cat())}),
+     "trihoms.F: values not strictly functorial at ('r1_2', 'r0_1')"),
+    (lambda: _over_ksplit(_arrow2(), on2={
+        "2id_id_1": e_transformation(split_idempotent_2cat())}),
+     "trihoms.F: whiskering not componentwise at ('2id_id_1', 'a')"),
+    (lambda: _over_ksplit(_arrow2(), on2={
+        "2id_a": e_transformation(split_idempotent_2cat())}),
+     "trihoms.F: whiskering not componentwise at ('a', '2id_id_0')"),
+    (_empty_values_missing_two_cell_action,
+     "trihoms.F: trihom data fails: bad value transformation at 'c[u>w]'"),
+    (lambda: _over_z3(_w_to_w()),
+     "trihoms.F: trihom data fails: value pseudofunctor at 'a': vertical "
+     "composition not preserved at ('w', 'w')"),
+], ids=["not-functorial", "whiskering-left",
+        "whiskering-right", "no-two-cell-action", "value-not-a-2-functor"])
+def test_cli_ill_formed_trihom_tables_are_input_errors(
+        tmp_path, capsys, build, message):
+    capsys.readouterr()
+    assert _run_raw(tmp_path, build()) == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def _z3_with_hcomp2(h):
+    """B(Z/3) (cells 0, w, w2 by exponent) with the 2-composite h(b, a)."""
+    k = _encode_two_cat(one_object_z3())
+    cells = ["2id_id_P", "w", "w2"]
+    k["hcomp2"] = [[b, a, cells[h(i, j) % 3]] for i, b in enumerate(cells)
+                   for j, a in enumerate(cells)]
+    return k
+
+
+def _composite(k, g, f, gf):
+    row = next(r for r in k["hcomp1"] if r[:2] == [g, f])
+    row[2] = gf
+    return k
+
+
+def _twocell(k, x, boundary):
+    k["twocells"][x] = boundary
+    return k
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _twocell(_encode_two_cat(_arrow2()), "x", ["id_0", "a"]),
+     "2-cell 'x' is not between parallel 1-cells"),
+    (lambda: _composite(_encode_two_cat(chain_suspension(2)),
+                        "f1", "id_X", "f0"),
+     "1-cell unit law fails at 'f1'"),
+    (lambda: _composite(_encode_two_cat(split_idempotent_2cat()),
+                        "e", "e", "id_A"),
+     "1-cell associativity fails at ('e','v','u')"),
+    (lambda: dict(_encode_two_cat(_arrow2()), hcomp2=_encode_two_cat(
+        _arrow2())["hcomp2"] + [["2id_id_0", "2id_id_1", "2id_id_0"]]),
+     "2-composite of non-composable ('2id_id_0', '2id_id_1')"),
+    (lambda: _z3_with_hcomp2(lambda b, a: 1 if b == a == 0 else b + a),
+     "horizontal identity fails at ('id_P', 'id_P')"),
+    (lambda: _z3_with_hcomp2(lambda b, a: b + 2 * a),
+     "2-cell associativity fails at ('2id_id_P','2id_id_P','w')"),
+    (lambda: _z3_with_hcomp2(lambda b, a: b),
+     "2-cell unit law fails at 'w'"),
+], ids=["2-cell-not-parallel", "1-cell-unit", "1-cell-associativity",
+        "2-cell-stray",
+        "horizontal-identity", "2-cell-associativity", "2-cell-unit"])
+def test_cli_two_category_check_on_a_failing_table_exits_one(
+        tmp_path, capsys, build, message):
+    """Well-formed tables that break one law of a 2-category: the
+    two_category check fails, and validate fails with it."""
+    raw = {"schema": SCHEMA, "two_cats": {"K": build()},
+           "checks": {"two_cat:K": {"op": "two_category", "two_cat": "K"}}}
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 1
+    assert message in capsys.readouterr().out
+    assert cli.main(["validate", str(tmp_path / "doc.site")]) == 1
+
+
+_ARROW_CAT = {"objects": ["0", "1"],
+              "morphisms": {"id_0": ["0", "0"], "id_1": ["1", "1"],
+                            "a": ["0", "1"]},
+              "identity": {"0": "id_0", "1": "id_1"},
+              "comp": [["id_0", "id_0", "id_0"], ["id_1", "id_1", "id_1"],
+                       ["a", "id_0", "a"], ["id_1", "a", "a"]]}
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    ({}, 0, "C: pass"),
+    ({"morphisms": dict(_ARROW_CAT["morphisms"], b=["0", "2"])}, 1,
+     "morphism 'b' has a dangling endpoint"),
+    ({"identity": {"0": "a", "1": "id_1"}}, 1,
+     "bad identity for object '0'"),
+    ({"comp": _ARROW_CAT["comp"] + [["a", "a", "a"]]}, 1,
+     "composite of non-composable pair ('a', 'a')"),
+    ({"morphisms": {"a": ["0"]}}, 3, ""),
+], ids=["valid", "dangling-endpoint", "bad-identity", "stray-composite",
+        "malformed"])
+def test_cli_category_check_on_a_cats_section(tmp_path, capsys, edit, code,
+                                              message):
+    raw = {"schema": SCHEMA, "cats": {"C": dict(_ARROW_CAT, **edit)},
+           "checks": {"C": {"op": "category", "cat": "C"}}}
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == code
+    out, err = capsys.readouterr()
+    assert message in out
+    if code == 3:
+        assert err.startswith("error: cats.C: ") and "Traceback" not in err
+
+
+def test_cli_bitopology_op_checks_the_corpus_topology(tmp_path, capsys):
+    raw = _corpus_raw()
+    raw["checks"] = {"tau": {"op": "bitopology", "bitopology": "tau"}}
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 0
+    assert capsys.readouterr().out.startswith("tau: pass")
+
+
+def test_cli_validate_on_a_document_with_no_structures(tmp_path, capsys):
+    path = tmp_path / "empty.site"
+    path.write_text(json.dumps({"schema": SCHEMA}))
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == \
+        "no declared structures; document is well-formed\n"
+
+
+def test_cli_groth_of_an_unknown_sieve_is_an_input_error(tmp_path, capsys):
+    path = _site(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["groth", path, "--sieve", "nope",
+                     "-o", str(tmp_path / "g.site")]) == 3
+    assert capsys.readouterr().err == "error: no bisieve named 'nope'\n"
+
+
+def _corpus_raw():
+    with open(corpus_path("walking_arrow.site"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _presheaf(body):
+    def corrupt(raw):
+        raw["presheaves"]["P1"] = dict(raw["presheaves"]["P1"], **body)
+    return corrupt
+
+
+def _covering_not_a_list(raw):
+    raw["bitopologies"]["tau"]["covering"]["0"] = "S_max_0"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: [raw], "workspace root must be an object"),
+    (lambda raw: dict(raw, extra={}), "unknown section 'extra'"),
+    (_presheaf({"kind": "tables"}),
+     "presheaves.P1: unknown presheaf kind 'tables'"),
+    (_presheaf({"at": "2"}), "presheaves.P1: unknown object '2'"),
+    (_covering_not_a_list,
+     "bitopologies.tau.covering[0]: expected a list, got str"),
+], ids=["root-list", "unknown-section", "presheaf-kind", "presheaf-object",
+        "covering-not-a-list"])
+def test_cli_malformed_document_sections_are_input_errors(tmp_path, capsys,
+                                                          corrupt, message):
+    raw = _corpus_raw()
+    capsys.readouterr()
+    assert _run_raw(tmp_path, corrupt(raw) or raw) == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_cli_2stack_ops_pass_a_topology_with_no_covering_sieves(tmp_path,
+                                                                capsys):
+    raw = _rung_doc()
+    raw["bitopologies"]["tau"]["covering"] = {}
+    raw["checks"]["2stack_direct:F"] = dict(raw["checks"]["2stack:F"],
+                                            op="2stack_direct")
+    path = tmp_path / "doc.site"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [(r["verdict"], r["details"]) for r in reports] == [
+        ("pass", ["no covering sieves declared"])] * 2
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):

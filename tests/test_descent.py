@@ -3,6 +3,7 @@ import pytest
 from bistack.bicat3 import (PsTwoFunctor, check_ps_two_functor,
                             identity_ps_two_functor, representable_trihom,
                             strict_trihom, _ps_two_functor_typing)
+from bistack.builders import chain_suspension
 from bistack.descent import (EffectivenessWitness, Refutation,
                              check_descent_datum_mor, check_matching_family,
                              check_weak_descent_datum, descent_category,
@@ -11,15 +12,18 @@ from bistack.descent import (EffectivenessWitness, Refutation,
                              find_weak_effective_gluing, is_2stack,
                              is_2stack_direct, is_stack_catvalued,
                              is_subcanonical, matching_family_from_cell,
-                             weak_datum_from_object)
+                             weak_datum_from_object, _connecting_isos,
+                             _wdd_displays)
 from bistack.errors import MalformedTable, SearchBudgetExceeded
 from bistack.fincat import discrete, walking_arrow
+from bistack.generate import _z2_base
 from bistack.report import Budget, guarded
 from bistack.sieves import Bitopology, build_bisieve, maximal_bisieve, \
     representable
 from bistack.two_cat import Fin2Cat, from_fincat
 
-from test_bicat3 import one_object_z2, trihom_over_arrow
+from test_bicat3 import constant_trihom, one_object_z2, one_object_z3, \
+    trihom_over_arrow
 from test_two_cat import split_idempotent_2cat
 import typing_oracles
 
@@ -237,16 +241,116 @@ def test_comparison_cell_mutants_are_located(ksplit, ksieve, table, key, cell,
 
 
 def test_swapped_weak_transition_breaks_coherence(ksplit, ksieve):
-    """Swapping a phi with its pseudo-inverse turns it the wrong way
+    """Swapping a phi for its pseudo-inverse turns it the wrong way
     round: the typing oracle locates it."""
     F = representable_trihom(ksplit, "A")
     wdd = weak_datum_from_object(F, ksieve, "id_A")
-    # redirect one phi to the other member over the same leg
-    wdd.phi[("id_A", "e")], wdd.phi_inv[("id_A", "e")] = \
-        wdd.phi_inv[("id_A", "e")], wdd.phi[("id_A", "e")]
+    key = ("id_A", "e")
+    val = F.ob[ksplit.onecells["e"][0]]
+    wdd.phi[key] = val.equivalence_data(wdd.phi[key])[0]
     r = typing_oracles.weak_descent_datum(wdd)
     assert (r.verdict, r.witness) == ("fail",
                                       {"member": "id_A", "onecell": "e"})
+
+
+# --- display failures over B(Z/3) --------------------------------------------
+#
+# The constant B(Z/3) trihom on a base, and a sieve; each row sets a few
+# cells of the restriction of a global 2-cell, 1-cell or object to 2-cells
+# of order three, which keeps the datum well typed, and names the first
+# display that fails.  B(Z/3) is not locally thin, so no display is
+# skipped, and a cell of order three is not its own inverse.
+
+def _z3_over(k, target, members):
+    return constant_trihom(k, one_object_z3()), \
+        build_bisieve(k, target, members)
+
+
+def _arrow():
+    return from_fincat(walking_arrow())
+
+
+# (base, target, members, cells set, message, witness)
+_MOR_DISPLAY_MUTANTS = [
+    (split_idempotent_2cat, "B", {"B": {"id_B"}, "A": {"u"}},
+     {("phi", ("id_B", "u")): "w2"}, "cocycle fails at ('u', 'v', 'u')",
+     {"member": "u", "pair": ["v", "u"], "lhs": "w2", "rhs": "2id_id_P"}),
+    (_z2_base, "P", {"P": {"id_P"}}, {("eta", "t"): "w2"},
+     "eta not compatible with composition at ('t', 't')",
+     {"pair": ["t", "t"], "lhs": "2id_id_P", "rhs": "w"}),
+    (split_idempotent_2cat, "A", {"A": {"e", "id_A"}, "B": {"v"}},
+     {("eta", "c[e>id_A]"): "w", ("eta", "c[id_A>e]"): "w2"},
+     "phi/eta square fails at ('c[e>id_A]', 'e')",
+     {"twocell": "c[e>id_A]", "onecell": "e", "lhs": "2id_id_P",
+      "rhs": "w"}),
+]
+
+
+@pytest.mark.parametrize(
+    "base, target, members, cells, message, witness", _MOR_DISPLAY_MUTANTS,
+    ids=["cocycle", "eta-composition", "phi-eta-square"])
+def test_morphism_datum_display_mutants_fail(base, target, members, cells,
+                                             message, witness):
+    F, s = _z3_over(base(), target, members)
+    dd = descent_datum_from_morphism(F, s, "id_P")
+    assert check_descent_datum_mor(dd).ok
+    for (table, key), cell in cells.items():
+        getattr(dd, table)[key] = cell
+    assert typing_oracles.descent_datum_mor(dd) is None
+    r = check_descent_datum_mor(dd)
+    assert (r.verdict, r.details, r.witness) == ("fail", [message], witness)
+
+
+def test_matching_family_two_cell_mutant_fails():
+    F, s = _z3_over(chain_suspension(2), "Y", {"X": {"f0", "f1"}})
+    mf = matching_family_from_cell(F, s, "2id_id_P")
+    mf.w["f1"] = "w"
+    assert typing_oracles.matching_family(mf) is None
+    r = check_matching_family(mf)
+    assert (r.verdict, r.details, r.witness) == (
+        "fail", ["2-cell compatibility fails at 'r0_1'"],
+        {"twocell": "r0_1", "lhs": "2id_id_P", "rhs": "w"})
+
+
+# (base, target, members, cells set, message, witness) of _wdd_displays
+# under the first family of connecting isos, the identities
+_WEAK_DISPLAY_MUTANTS = [
+    (_z2_base, "P", {"P": {"id_P"}}, {("rho2", ("t", "id_P")): "w"},
+     "rho display fails at 't'", {"twocell": "t"}),
+    (split_idempotent_2cat, "A", {"A": {"e", "id_A"}, "B": {"v"}},
+     {("rho2", ("c[e>id_A]", "e")): "w"},
+     "composition display for rho2 fails at "
+     "('c[id_A>e]', 'c[e>id_A]', 'e')",
+     {"pair": ["c[id_A>e]", "c[e>id_A]"], "onecell": "e"}),
+    (lambda: chain_suspension(2), "Y", {"X": {"f0", "f1"}},
+     {("beta", ("f0", "id_X", "id_X")): "w"},
+     "beta naturality fails at ('r0_1', 'id_X', 'id_X')",
+     {"twocell": "r0_1", "pair": ["id_X", "id_X"]}),
+    (_arrow, "1", {"0": {"a"}, "1": {"id_1"}},
+     {("beta", ("a", "id_0", "id_0")): "w"},
+     "four-fold cocycle fails at ('id_1', 'a', 'id_0', 'id_0')",
+     {"member": "id_1", "triple": ["a", "id_0", "id_0"]}),
+    (_arrow, "1", {"0": {"a"}, "1": {"id_1"}}, {("rho", "id_1"): "w"},
+     "cocycle identity display (outer) fails at ('id_1', 'a')",
+     {"member": "id_1", "onecell": "a"}),
+]
+
+
+@pytest.mark.parametrize(
+    "base, target, members, cells, message, witness", _WEAK_DISPLAY_MUTANTS,
+    ids=["rho", "rho2-composition", "beta-naturality", "four-fold-cocycle",
+         "outer-identity-leg"])
+def test_weak_datum_display_mutants_fail(base, target, members, cells,
+                                         message, witness):
+    F, s = _z3_over(base(), target, members)
+    wdd = weak_datum_from_object(F, s, "P")
+    u, cc = ({key: pool[0] for key, pool in isos.items()}
+             for isos in _connecting_isos(wdd))
+    assert _wdd_displays(wdd, u, cc, Budget()) is None
+    for (table, key), cell in cells.items():
+        getattr(wdd, table)[key] = cell
+    assert typing_oracles.weak_descent_datum(wdd) is None
+    assert _wdd_displays(wdd, u, cc, Budget()) == (message, witness)
 
 
 # --- effectiveness refutations ------------------------------------------------
@@ -273,7 +377,6 @@ def test_unreachable_local_object_is_not_weakly_effective():
     wdd.W = {"a": "Z2"}
     wdd.eta = {wa.id2("a"): "id_Z2"}
     wdd.phi = {("a", "id_0"): "id_Z2"}
-    wdd.phi_inv = {("a", "id_0"): "id_Z2"}
     wdd.rho = {"a": "2id_id_Z2"}
     wdd.beta = {("a", "id_0", "id_0"): "2id_id_Z2"}
     wdd.rho2 = {(wa.id2("a"), "id_0"): "2id_id_Z2"}

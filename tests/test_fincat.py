@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bistack.builders import chain_suspension
 from bistack.fincat import (
     FinCat, Functor, NatTrans, all_functors, all_nat_trans, check_category,
-    check_functor, check_nat, discrete, functor_category, identity_functor, is_equivalence, walking_arrow,
+    check_functor, check_nat, discrete, identity_functor, is_equivalence, walking_arrow,
 )
 
 
@@ -102,22 +103,6 @@ def test_functor_count_walking_arrow_frozen():
     assert len(fs) == 3
 
 
-# Oracle: the functor category [walking_arrow, walking_arrow] is the poset
-# of the 3 monotone maps ordered pointwise: 00 <= 01 <= 11, a chain of
-# length 3, hence 3 + 2 + 1 = 6 morphisms.  Frozen expected values below.
-def test_functor_category_walking_arrow_frozen():
-    fc = functor_category(walking_arrow(), walking_arrow())
-    assert len(fc.objects) == 3
-    assert len(fc.morphisms) == 6
-    assert check_category(fc).ok
-
-
-def test_functor_category_into_point_is_point():
-    fc = functor_category(walking_arrow(), discrete(["p"]))
-    assert len(fc.objects) == 1
-    assert len(fc.morphisms) == 1
-
-
 def test_nat_trans_enumeration_matches_naturality_filter():
     c, d = walking_arrow(), walking_arrow()
     fs = all_functors(c, d)
@@ -129,6 +114,36 @@ def test_nat_trans_enumeration_matches_naturality_filter():
                 assert check_nat(t).ok
                 total += 1
     assert total == 6
+
+
+def _z2_monoid():
+    """One object, with an arrow t of order two."""
+    return FinCat(["*"], {"id": "*", "t": "*"}, {"id": "*", "t": "*"},
+                  {"*": "id"}, {("id", "id"): "id", ("id", "t"): "t",
+                                ("t", "id"): "t", ("t", "t"): "id"})
+
+
+def test_functor_and_naturality_failures_into_z2():
+    """Well-typed candidates into Z/2 that break composition and
+    naturality: the checkers name where, and the enumerators leave them
+    out."""
+    chain, z2 = chain_suspension(3).hom_cat("X", "Y"), _z2_monoid()
+    F = Functor(chain, z2, {x: "*" for x in chain.objects},
+                {m: "id" if chain.is_identity(m) else "t"
+                 for m in chain.morphisms})
+    r = check_functor(F)
+    assert (r.verdict, r.details, r.witness) == (
+        "fail", ["composition not preserved at ('r1_2', 'r0_1')"],
+        {"pair": ["r1_2", "r0_1"]})
+    assert F not in all_functors(chain, z2)
+    wa = walking_arrow()
+    G, H = (Functor(wa, z2, {"0": "*", "1": "*"},
+                    {"id_0": "id", "id_1": "id", "a": x}) for x in ("t", "id"))
+    t = NatTrans(G, H, {"0": "id", "1": "id"})
+    r = check_nat(t)
+    assert (r.verdict, r.details, r.witness) == (
+        "fail", ["naturality fails at 'a'"], {"morphism": "a"})
+    assert t.key() not in {u.key() for u in all_nat_trans(G, H)}
 
 
 @st.composite

@@ -323,8 +323,8 @@ def _sequences():
         for s in sieves:
             out.append([_canon((dd.X, dd.Y, dd.w, dd.phi, dd.eta))
                         for dd in _all_descent_data_mor(F, s, Budget())])
-            out.append([_canon((w.W, w.eta, w.phi, w.phi_inv, w.rho,
-                                w.beta, w.rho2, w.alpha))
+            out.append([_canon((w.W, w.eta, w.phi, w.rho, w.beta, w.rho2,
+                                w.alpha))
                         for w in _all_weak_data(F, s, Budget())])
             out.append([_canon(({c: p.key() for c, p in t.comp.items()},
                                 {f: q.key() for f, q in t.square.items()},
@@ -334,9 +334,10 @@ def _sequences():
     return out
 
 
-# recorded from the product-then-check enumerators that choices replaced
-_PINNED = ("ff9ac9b79512010190d1cdc264372bdf"
-           "f8f4bea96aaf0ebe6471a150032d32c2")
+# recorded from the product-then-check enumerators that choices replaced,
+# and re-recorded when weak data stopped recording phi's pseudo-inverse
+_PINNED = ("40442b36e705980bec36410b5546cc23"
+           "e90d6945b7b53c8f081c029478f79e68")
 
 
 def test_enumerator_candidate_order_is_pinned():

@@ -73,7 +73,7 @@ def descent_datum_mor(dd):
 
 def weak_descent_datum(wdd):
     """Each W[f] is an object, each transition W_f -> W_f', each phi an
-    equivalence via its recorded pseudo-inverse, and each comparison cell
+    equivalence, and each comparison cell
     of ``_wdd_cells`` an invertible 2-cell on its boundary."""
     F, s = wdd.F, wdd.S
     for d, f in s.all_members():
@@ -92,21 +92,15 @@ def weak_descent_datum(wdd):
         t = s.tilde[(f, g)]
         val_e = F.ob[e]
         p = wdd.phi.get((f, g))
-        q = wdd.phi_inv.get((f, g))
-        gw = F.on1[g].ob[wdd.W[f]]
-        if p is None or val_e.onecells.get(p) != (wdd.W[t], gw):
+        if p is None or val_e.onecells.get(p) != (wdd.W[t],
+                                                  F.on1[g].ob[wdd.W[f]]):
             return failed("check_weak_descent_datum",
                           ["phi at (%r, %r) missing or mistyped" % (f, g)],
                           {"member": f, "onecell": g})
-        if q is None or val_e.onecells.get(q) != (gw, wdd.W[t]) \
-                or val_e.invertible_2cell(val_e.c1(q, p),
-                                          val_e.id1(wdd.W[t])) is None \
-                or val_e.invertible_2cell(val_e.c1(p, q),
-                                          val_e.id1(gw)) is None:
+        if val_e.equivalence_data(p) is None:
             return failed("check_weak_descent_datum",
-                          ["phi at (%r, %r) is not an equivalence via the "
-                           "recorded pseudo-inverse" % (f, g)],
-                          {"member": f, "onecell": g})
+                          ["phi at (%r, %r) is not an equivalence"
+                           % (f, g)], {"member": f, "onecell": g})
     bad = _first_mistyped(wdd, _wdd_cells(F, s, wdd.W, wdd.eta, wdd.phi))
     if bad is not None:
         table, _, key = bad
