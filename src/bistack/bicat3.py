@@ -62,8 +62,9 @@ naturality of the squares in base 2-cells, the coherence and square
 axioms.  Every checker of a pseudofunctor, transformation, modification,
 tritransformation, trimodification or perturbation tests those alone:
 each takes a well-typed candidate, as the enumerators draw it.
-``check_trihom_data`` types loaded pseudofunctors and transformations
-first (``_ps_two_functor_typing``, ``_ps_two_nat_typing``, no step).
+The ``tables`` decoder of ``workspace`` types loaded pseudofunctors and
+transformations first (``_ps_two_functor_typing``, ``_ps_two_nat_typing``,
+no step).
 """
 
 from functools import cached_property, partial
@@ -536,17 +537,19 @@ def sieve_trihom(s):
 
 
 def check_trihom_data(t, budget=None):
-    """The value pseudofunctors and transformations, typed and checked.
-    Local strictness holds by construction: ``strict_trihom`` checks it,
-    and precomposition over a base that passed ``check_two_category`` has
-    it by the interchange law.  The ``tables`` decoder builds each on1[f]
-    and on2[x] on its boundary, but an on2[x] can be missing where a value
-    is empty, as ``strict_trihom`` reads on2 at the value's objects."""
+    """The value pseudofunctors and transformations checked, each typed
+    already: the ``tables`` decoder types each loaded one before
+    ``strict_trihom`` composes it (``_ps_two_functor_typing``,
+    ``_ps_two_nat_typing``), and the other trihoms are typed by
+    construction.  Local strictness holds by construction too:
+    ``strict_trihom`` checks it, and precomposition over a base that
+    passed ``check_two_category`` has it by the interchange law.  An
+    on2[x] can be missing where a value is empty, as ``strict_trihom``
+    reads on2 at the value's objects."""
     budget = budget or Budget()
     k = t.base
     for f in k.onecells:
-        r = _ps_two_functor_typing(t.on1[f]) or \
-            check_ps_two_functor(t.on1[f], budget)
+        r = check_ps_two_functor(t.on1[f], budget)
         if not r.ok:
             r.details.insert(0, "value pseudofunctor at %r" % f)
             return r
@@ -556,7 +559,7 @@ def check_trihom_data(t, budget=None):
             return failed("check_trihom_data",
                           ["bad value transformation at %r" % al],
                           {"twocell": al})
-        r = _ps_two_nat_typing(tr) or check_ps_two_nat(tr, budget)
+        r = check_ps_two_nat(tr, budget)
         if not r.ok:
             r.details.insert(0, "value transformation at %r" % al)
             return r

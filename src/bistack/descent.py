@@ -79,14 +79,17 @@ too.
 ``descent_category`` draws its pseudonatural transformations and
 modifications from ``fincat.all_functors`` and ``all_nat_trans``, and
 ``two_cat.check_ps_nat`` and ``check_modification`` test only their
-displays.
+displays.  It draws the modifications between two transformations only
+when ``fincat.is_equivalence``, the one equivalence decision, reads them
+(``fincat.Enumerated``); the Cat-valued stack condition and the
+sigma-bicolimit comparison of ``sigma_colim`` both go through it.
 """
 
 from functools import partial
 
 from .errors import MalformedTable
-from .fincat import Functor, NatTrans, all_functors, all_nat_trans, \
-    compose_functors, is_equivalence, tabulate, vcomp_key
+from .fincat import Enumerated, Functor, NatTrans, all_functors, \
+    all_nat_trans, compose_functors, is_equivalence, vcomp_key
 from .two_cat import PsNatTrans, CatModification, check_ps_nat, \
     check_modification
 from .sieves import sieve_presheaf, representable, _compositor_cell, \
@@ -956,9 +959,10 @@ def _sieve_restriction_nat(R, F, s, X):
 
 
 def descent_category(F, s, budget=None):
-    """The category of pseudonatural transformations out of the sieve and
-    modifications between them, materialized as explicit tables; with the
-    name of each object by its key, and the arrow index."""
+    """The category of pseudonatural transformations out of the sieve,
+    named ``a%d`` in drawn order, and the modifications between them,
+    named ``m%d`` and built for a pair on first read
+    (``fincat.Enumerated``)."""
     budget = budget or Budget()
     R = s.derived(sieve_presheaf)
     k = s.k
@@ -978,65 +982,62 @@ def descent_category(F, s, budget=None):
             cand = PsNatTrans(R, F, comp, cells)
             if check_ps_nat(cand, budget).ok:
                 nats.append(cand)
-    objects = {"a%d" % i: t for i, t in enumerate(nats)}
-    arrows = {}
-    for a, t in objects.items():
-        for b, t2 in objects.items():
-            comps = ((d, all_nat_trans(t.comp[d], t2.comp[d], budget))
-                     for d in obs)
-            for (comp,) in choices(budget, comps):
-                m = CatModification(t, t2, comp)
-                if check_modification(m, budget).ok:
-                    arrows["m%d" % len(arrows)] = (a, b, m.key())
+
+    def between(t, t2):
+        comps = ((d, all_nat_trans(t.comp[d], t2.comp[d], budget))
+                 for d in obs)
+        mods = (CatModification(t, t2, comp)
+                for (comp,) in choices(budget, comps))
+        return [m.key() for m in mods if check_modification(m, budget).ok]
 
     def identity(t):
         return CatModification(t, t, {d: identity_nat(t.comp[d])
                                       for d in obs}).key()
 
     def compose(later, earlier):
-        budget.tick()
         return tuple((d, vcomp_key(F.ob[d], x, y))
                      for (d, x), (_, y) in zip(later, earlier))
 
-    cat, index = tabulate(objects, arrows, identity, compose)
-    return cat, {t.key(): a for a, t in objects.items()}, index
+    return Enumerated(nats, between, identity, compose, ("a", "m"))
 
 
 def is_stack_catvalued(F, tau, budget=None):
     """For every covering sieve: restriction from the value at the target
-    into the descent category must be an equivalence of categories."""
+    into the descent category must be an equivalence of categories.
+
+    The restriction of each object and morphism of the value lies in the
+    descent category when F is a pseudofunctor on the bitopology's base,
+    that base passes ``check_two_category`` and each covering sieve
+    passes ``check_bisieve``, as the ``stack`` and ``subcanonical`` ops
+    refuse other input: its components are the functors
+    f |-> F(f)(X), which ``all_functors`` draws, its cells are the
+    invertible natural transformations chi^-1 . F(sigma(f, g)), which
+    ``all_nat_trans`` draws, and it passes ``check_ps_nat`` by the
+    coherence of F and the typing of sigma; a morphism of the value
+    restricts to a modification by the naturality of chi and F(sigma)."""
     budget = budget or Budget()
     k = F.base
     obs = sorted(k.objects)
     for c in obs:
         for i, s in enumerate(tau.sieves_on(c)):
-            desc, names, index = descent_category(F, s, budget)
+            desc = descent_category(F, s, budget)
+            names = {t.key(): a for a, t in desc.value.items()}
             R = s.derived(sieve_presheaf)
             val_c = F.ob[c]
             restricted, ob_map, mor_map = {}, {}, {}
-            try:
-                for X in val_c.objects:
-                    budget.tick()
-                    t = restricted[X] = _sieve_restriction_nat(R, F, s, X)
-                    ob_map[X] = names[t.key()]
-                for m0 in val_c.morphisms:
-                    budget.tick()
-                    X, Y = val_c.src[m0], val_c.tgt[m0]
-                    tX, tY = restricted[X], restricted[Y]
-                    mod = CatModification(tX, tY, {
-                        d: NatTrans(tX.comp[d], tY.comp[d],
-                                    {f: F.on1[f].m(m0)
-                                     for f in R.ob[d].objects})
-                        for d in obs})
-                    mor_map[m0] = index[(ob_map[X], ob_map[Y], mod.key())]
-            except KeyError as exc:
-                return failed("is_stack_catvalued",
-                              ["restriction of %r is not a valid descent "
-                               "datum over sieve #%d on %r" % (
-                                   exc.args[0], i, c)],
-                              {"object": c, "sieve": i})
-            fun = Functor(val_c, desc, ob_map, mor_map)
-            r = is_equivalence(fun, budget)
+            for X in val_c.objects:
+                budget.tick()
+                t = restricted[X] = _sieve_restriction_nat(R, F, s, X)
+                ob_map[X] = names[t.key()]
+            for m0 in val_c.morphisms:
+                budget.tick()
+                tX = restricted[val_c.src[m0]]
+                tY = restricted[val_c.tgt[m0]]
+                mor_map[m0] = CatModification(tX, tY, {
+                    d: NatTrans(tX.comp[d], tY.comp[d],
+                                {f: F.on1[f].m(m0) for f in R.ob[d].objects})
+                    for d in obs}).key()
+            r = is_equivalence(Functor(val_c, desc, ob_map, mor_map), budget)
             if not r.ok:
                 r.name = "is_stack_catvalued"
                 r.details.insert(0, "sieve #%d on %r" % (i, c))
@@ -1353,7 +1354,7 @@ def is_2stack_direct(F, tau, budget=None):
                                          "preimages": hits})
             reports.append(passed("is_2stack_direct",
                                   ["%s: (2C) holds" % tag]))
-            # essential surjectivity on morphisms
+            # (M): each trimodification is a restriction up to an iso
             for X in sorted(val_c.objects):
                 for Y in sorted(val_c.objects):
                     for m in _all_trimods(sigma[X], sigma[Y], budget):

@@ -67,6 +67,10 @@ class FinCat:
     def isomorphic_objects(self, a, b):
         return any(self.is_iso(m) for m in self.hom(a, b))
 
+    def arrow_name(self, a, b, g):
+        """The name of the arrow g: a -> b, which is g."""
+        return g
+
     def full_subcategory(self, objs):
         objs = [o for o in self.objects if o in set(objs)]
         keep = {
@@ -305,36 +309,89 @@ def check_nat(t):
 
 
 def is_equivalence(F, budget=None):
-    """Decide fully-faithful + essentially-surjective, with witnesses."""
+    """Decide fully-faithful + essentially-surjective, with witnesses.
+
+    F.cod is a FinCat or an ``Enumerated`` category, whose hom-sets are
+    built as this reads them: an object of the image is reached by its
+    identity, so only an object outside it is tested against the images,
+    and a fullness failure names its least missing arrow
+    (``arrow_name``).  One step per object of F.cod and per pair of
+    objects of F.dom."""
     budget = budget or Budget()
     c, d = F.dom, F.cod
+    images = dict.fromkeys(F.o(x) for x in c.objects)
     for y in d.objects:
         budget.tick()
-        if not any(d.isomorphic_objects(F.o(x), y) for x in c.objects):
+        if y not in images and not any(d.isomorphic_objects(x, y)
+                                       for x in images):
             return failed("is_equivalence",
                           ["object %r not in the essential image" % y],
                           {"object": y, "reason": "essential surjectivity"})
     for a in c.objects:
         for b in c.objects:
             budget.tick()
-            image = [F.m(f) for f in c.hom(a, b)]
-            target = d.hom(F.o(a), F.o(b))
-            for g in target:
-                if g not in image:
+            fs = c.hom(a, b)
+            image = [F.m(f) for f in fs]
+            x, y = F.o(a), F.o(b)
+            missing = [g for g in d.hom(x, y) if g not in image]
+            if missing:
+                g = min(d.arrow_name(x, y, g) for g in missing)
+                return failed("is_equivalence",
+                              ["%r has no preimage in hom(%r, %r)" % (g, a, b)],
+                              {"pair": [a, b], "morphism": g,
+                               "reason": "fullness"})
+            seen = {}
+            for f, g in zip(fs, image):
+                if g in seen:
                     return failed("is_equivalence",
-                                  ["%r has no preimage in hom(%r, %r)" % (g, a, b)],
-                                  {"pair": [a, b], "morphism": g,
-                                   "reason": "fullness"})
-            if len(set(image)) != len(image):
-                seen = {}
-                for f in c.hom(a, b):
-                    if F.m(f) in seen:
-                        return failed(
-                            "is_equivalence",
-                            ["%r and %r collapse" % (seen[F.m(f)], f)],
-                            {"pair": [seen[F.m(f)], f], "reason": "faithfulness"})
-                    seen[F.m(f)] = f
+                                  ["%r and %r collapse" % (seen[g], f)],
+                                  {"pair": [seen[g], f],
+                                   "reason": "faithfulness"})
+                seen[g] = f
     return passed("is_equivalence")
+
+
+class Enumerated:
+    """A category given by its objects in drawn order and its hom-sets
+    built on first read, for ``is_equivalence`` to decide over.
+
+    The objects are named ``<prefix>%d`` in the order given, and
+    value[name] is the object behind a name.  Arrows are values:
+    between(x, y) lists those from x to y, unit(x) is the identity on x
+    and composite(later, earlier) composes two; a composite made in an
+    isomorphism test spends no step.  ``arrow_name`` names an arrow as
+    ``tabulate`` names it in the category with every hom-set built, in
+    the order of the objects, the later object varying fastest.
+    """
+
+    def __init__(self, objects, between, unit, composite, prefixes):
+        prefix, self.arrow_prefix = prefixes
+        self.objects = tuple("%s%d" % (prefix, i)
+                             for i in range(len(objects)))
+        self.value = dict(zip(self.objects, objects))
+        self._between, self.unit, self.composite = between, unit, composite
+        self._hom = {}
+
+    def hom(self, a, b):
+        if (a, b) not in self._hom:
+            self._hom[a, b] = tuple(self._between(self.value[a],
+                                                  self.value[b]))
+        return self._hom[a, b]
+
+    def isomorphic_objects(self, a, b):
+        ids = self.unit(self.value[a]), self.unit(self.value[b])
+        return any(self.composite(g, f) == ids[0]
+                   and self.composite(f, g) == ids[1]
+                   for f in self.hom(a, b) for g in self.hom(b, a))
+
+    def arrow_name(self, a, b, g):
+        """``<arrow prefix>%d``, numbered across the hom-sets before
+        hom(a, b), each of which this builds."""
+        index = {x: i for i, x in enumerate(self.objects)}
+        pair = index[a], index[b]
+        first = sum(len(self.hom(x, y)) for x in self.objects
+                    for y in self.objects if (index[x], index[y]) < pair)
+        return "%s%d" % (self.arrow_prefix, first + self.hom(a, b).index(g))
 
 
 def all_functors(c, d, budget=None):

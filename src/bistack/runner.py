@@ -20,18 +20,23 @@ from .sigma_colim import is_sigma_bicolim_bisieve
 from .two_cat import check_two_category
 from .workspace import CHECK_REFS, _checked, located
 
-REPORT_SCHEMA = "bistack-report/3"
+REPORT_SCHEMA = "bistack-report/4"
 
 _TIMING_FIELDS = ("elapsed_s",)
 
 
-def _covering(doc, name, F, tau):
-    """tau, once it lies on F's base and each covering sieve passes
-    check_bisieve (a ParseError names the first that does not): the 2-stack
-    deciders index the base's and a sieve's tables without typing them."""
-    if tau.k != F.base:
-        raise ParseError("checks.%s: the bitopology is not on the trihom's "
-                         "base 2-category" % name)
+def _covering(doc, name, tau, F=None, what=None):
+    """tau, once it lies on the base of F (the check's what, when given),
+    its 2-category passes check_two_category and each covering sieve
+    passes check_bisieve (a ParseError names the first that does not):
+    the deciders index the base's and a sieve's tables without typing
+    them."""
+    if F is not None and tau.k != F.base:
+        raise ParseError("checks.%s: the bitopology is not on the %s's "
+                         "base 2-category" % (name, what))
+    _checked("two_category", check_two_category, tau.k, "two-category",
+             "two_cats.%s" % next(n for n, k in sorted(doc.two_cats.items())
+                                  if k is tau.k))
     for n, s in sorted(doc.bisieves.items()):
         if any(s is t for ts in tau.covering.values() for t in ts):
             _checked("bisieve", check_bisieve, s, "bisieve", "bisieves." + n)
@@ -87,14 +92,17 @@ def _dispatch(doc, name, body, budget):
         return is_sigma_bicolim_bisieve(checked_bisieve(doc, body["bisieve"]),
                                         budget)
     if op == "subcanonical":
-        tau = ref("bitopology")
+        tau = _covering(doc, name, ref("bitopology"))
         return is_subcanonical(tau.k, tau, budget)
     if op == "stack":
-        return is_stack_catvalued(ref("presheaf"), ref("bitopology"), budget)
+        F = ref("presheaf")
+        return is_stack_catvalued(
+            F, _covering(doc, name, ref("bitopology"), F, "presheaf"), budget)
     if op in ("2stack", "2stack_direct"):
         decide = is_2stack if op == "2stack" else is_2stack_direct
         F = ref("trihom")
-        return decide(F, _covering(doc, name, F, ref("bitopology")), budget)
+        return decide(F, _covering(doc, name, ref("bitopology"), F, "trihom"),
+                      budget)
     raise UnknownCheck("unknown check op %r" % op)
 
 

@@ -6,19 +6,11 @@ An object is the sigma-bicolimit of a diagram when, for every test object,
 whiskering the universal cocone is an equivalence between the hom-category
 out of the apex and the category of cocones.
 
-That equivalence is decided without tabulating the category of cocones.
-The cocones on a test object are enumerated and named ``cc%d`` in sorted
-order (``_cocone_name``), and the modifications between two of them (``cocone_morphisms``)
-are built on first read, only for the pairs that the tests of
-``fincat.is_equivalence`` read in its order: a cocone outside the image
-against the images, for essential surjectivity (a cocone in the image is
-reached by an identity), and the images of every two 1-cells, for
-fullness and faithfulness.  The modifications of the other pairs are
-counted only when a fullness failure needs the name ``md%d`` that the
-tabulated category would give its witness (``_modification_name``, which
-the tabulating test oracle names its arrows with too).  So verdicts, details and
-witnesses are those of ``is_equivalence`` over the tabulated category;
-the steps are those of the modifications built.
+That equivalence is decided by ``fincat.is_equivalence``, the one
+decision of the toolkit, over the cocones on a test object enumerated in
+sorted order, with the modifications between two of them
+(``cocone_morphisms``) built only for the pairs that it reads
+(``fincat.Enumerated``).
 
 The cocones are drawn typed (``enumerate_sigma_cocones``) and tested on
 their displays alone (``_cocone_displays``); ``check_sigma_cocone`` also
@@ -26,12 +18,12 @@ types the universal cocone.  Both assume a valid strict 2-functor into a
 valid 2-category, as ``projection_diagram`` of a valid bisieve is.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SearchBudgetExceeded
-from .report import (Budget, CheckReport, FAIL, INCONCLUSIVE, PASS, choices,
-                     failed, passed)
+from .fincat import Enumerated, Functor, is_equivalence
+from .report import Budget, choices, failed, inconclusive, passed
 from .sieves import groth
 
 
@@ -245,138 +237,52 @@ def whisker_cocone(d, cc, r):
     return SigmaCocone.make(k.tgt1(r), legs, cells)
 
 
-def _whiskering(d, mu, hom, cocones):
-    """Whiskering mu as a functor from hom = Hom(apex, u) into the cocones
-    on u: (ob, mor), with ob mapping each 1-cell to the index of its
-    cocone and mor each 2-cell to its modification's components.
-
-    Nothing here can fail once ``check_sigma_cocone`` has passed mu over
-    a 2-category that passes ``check_two_category``: by the unit and
-    interchange laws, whiskering by a 1-cell keeps every condition of a
-    cocone, so it yields one that ``enumerate_sigma_cocones`` draws;
-    whiskering by a 2-cell yields a modification; and whiskering
-    preserves identities and composites.  The oracle
-    ``tests/sigma_oracles.comparison_functor`` tests all three."""
+def cocone_category(d, u, budget=None):
+    """The sigma-cocones on u, named ``cc%d`` in sorted order, and the
+    modifications between them, named ``md%d`` and built for a pair on
+    first read (``fincat.Enumerated``)."""
+    budget = budget or Budget()
     k = d.k
-    index = {cc: i for i, cc in enumerate(cocones)}
-    ob = {r: index[whisker_cocone(d, mu, r)] for r in hom.objects}
-    mor = {gam: tuple((s, k.wr(gam, leg)) for s, leg in mu.legs)
-           for gam in hom.morphisms}
-    return ob, mor
+    return Enumerated(
+        enumerate_sigma_cocones(d, u, budget),
+        lambda c1, c2: cocone_morphisms(d, c1, c2, budget),
+        lambda cc: tuple((s, k.id2(r)) for s, r in cc.legs),
+        lambda later, earlier: tuple((s, k.v(x, y)) for (s, x), (_, y)
+                                     in zip(later, earlier)),
+        ("cc", "md"))
 
 
 def _comparison(d, mu, u, budget):
     """Decide whether whiskering mu is an equivalence from Hom(apex, u)
-    onto the category of sigma-cocones on u, with the report of
-    ``fincat.is_equivalence`` over the tabulated category.  Returns
-    (report, number of cocones)."""
+    onto the category of sigma-cocones on u (``fincat.is_equivalence``).
+    Returns (report, number of cocones).
+
+    Whiskering is a functor into that category once ``check_sigma_cocone``
+    has passed mu over a 2-category that passes ``check_two_category``:
+    by the unit and interchange laws, whiskering by a 1-cell keeps every
+    condition of a cocone, so it yields one that
+    ``enumerate_sigma_cocones`` draws; whiskering by a 2-cell yields a
+    modification; and whiskering preserves identities and composites.
+    The oracle ``tests/sigma_oracles.tabulated_is_equivalence`` tests all
+    three."""
     k = d.k
-    cocones = enumerate_sigma_cocones(d, u, budget)
+    cocones = cocone_category(d, u, budget)
+    names = {cc: a for a, cc in cocones.value.items()}
     hom = k.hom_cat(mu.apex, u)
-    ob, mor = _whiskering(d, mu, hom, cocones)
-    n = len(cocones)
-    morphisms = {}
-
-    def between(i, j):
-        if (i, j) not in morphisms:
-            morphisms[i, j] = cocone_morphisms(d, cocones[i], cocones[j],
-                                               budget)
-        return morphisms[i, j]
-
-    def isomorphic(i, j):
-        ids = _identity(k, cocones[i]), _identity(k, cocones[j])
-        return any(_vcompose(k, b, a) == ids[0]
-                   and _vcompose(k, a, b) == ids[1]
-                   for a in between(i, j) for b in between(j, i))
-
-    # an image is reached by its identity, an iso
-    images = dict.fromkeys(ob.values())
-    for j in range(n):
-        budget.tick()
-        if j not in images and not any(isomorphic(i, j) for i in images):
-            return failed("is_equivalence",
-                          ["object %r not in the essential image"
-                           % _cocone_name(j)],
-                          {"object": _cocone_name(j),
-                           "reason": "essential surjectivity"}), n
-    for a in hom.objects:
-        for b in hom.objects:
-            budget.tick()
-            fs = hom.hom(a, b)
-            image = [mor[f] for f in fs]
-            pair = ob[a], ob[b]
-            missing = [i for i, m in enumerate(between(*pair))
-                       if m not in image]
-            if missing:
-                # FinCat.hom lists a hom-set in name order
-                first = sum(len(between(i, j)) for i in range(n)
-                            for j in range(n) if (i, j) < pair)
-                g = min(_modification_name(first, i) for i in missing)
-                return failed("is_equivalence",
-                              ["%r has no preimage in hom(%r, %r)"
-                               % (g, a, b)],
-                              {"pair": [a, b], "morphism": g,
-                               "reason": "fullness"}), n
-            seen = {}
-            for f, m in zip(fs, image):
-                if m in seen:
-                    return failed("is_equivalence",
-                                  ["%r and %r collapse" % (seen[m], f)],
-                                  {"pair": [seen[m], f],
-                                   "reason": "faithfulness"}), n
-                seen[m] = f
-    return passed("is_equivalence"), n
+    whiskering = Functor(
+        hom, cocones,
+        {r: names[whisker_cocone(d, mu, r)] for r in hom.objects},
+        {gam: tuple((s, k.wr(gam, leg)) for s, leg in mu.legs)
+         for gam in hom.morphisms})
+    return is_equivalence(whiskering, budget), len(cocones.objects)
 
 
-def _cocone_name(i):
-    """The name of the i-th cocone on a test object, in sorted order."""
-    return "cc%d" % i
-
-
-def _modification_name(first, i):
-    """The name of the i-th modification between a pair of cocones, when
-    the pairs before it, in the order of their names, have first
-    modifications in all: the category of cocones numbers them pair by
-    pair."""
-    return "md%d" % (first + i)
-
-
-def _identity(k, cc):
-    """The identity modification on a cocone, as sorted components."""
-    return tuple(sorted((s, k.id2(r)) for s, r in cc.legs))
-
-
-def _vcompose(k, later, earlier):
-    """The vertical composite of two modifications given as sorted
-    components."""
-    return tuple((s, k.v(x, y)) for (s, x), (_, y) in zip(later, earlier))
-
-
-@dataclass
-class SigmaColimCertificate:
-    apex: str
-    verdict: str
-    per_object: dict
-    details: list = field(default_factory=list)
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return self.verdict == PASS
-
-    def report(self):
-        return CheckReport("verify_sigma_bicolim", self.verdict,
-                           list(self.details),
-                           dict(self.witness,
-                                per_object={k: v.verdict
-                                            for k, v in
-                                            self.per_object.items()}))
-
-
-def verify_sigma_bicolim(c, d, mu, budget=None):
-    """Decide whether c (with cocone mu) is the sigma-bicolimit of d: mu
-    is a sigma-cocone, and at each test object u whiskering mu is an
-    equivalence from Hom(apex, u) onto the sigma-cocones on u.
+def verify_sigma_bicolim(d, mu, budget=None):
+    """Decide whether the apex of mu is the sigma-bicolimit of d: mu is a
+    sigma-cocone, and at each test object u whiskering mu is an
+    equivalence from Hom(apex, u) onto the sigma-cocones on u.  The
+    witness maps each test object decided to its comparison's verdict
+    (``per_object``).
 
     Pseudonaturality in u needs no check on a 2-category that passes
     ``check_two_category``: for e: u1 -> u2 and r: apex -> u1, whiskering
@@ -384,32 +290,29 @@ def verify_sigma_bicolim(c, d, mu, budget=None):
     each leg l and wl(e.r, x) = h(h(id e, id r), x) = wl(e, wl(r, x)) on
     each cell x, by associativity and h(id e, id r) = id (e.r)."""
     budget = budget or Budget()
-    k = d.k
     per_object = {}
     details = []
-    witness = {}
-    verdict = PASS
     try:
         r0 = check_sigma_cocone(d, mu, budget)
         if not r0.ok:
-            return SigmaColimCertificate(c, FAIL, {}, ["cocone invalid: %s"
-                                                       % r0.details],
-                                         r0.witness)
-        for u in sorted(k.objects):
+            return failed("verify_sigma_bicolim",
+                          ["cocone invalid: %s" % r0.details],
+                          dict(r0.witness, per_object={}))
+        for u in sorted(d.k.objects):
             rep, count = _comparison(d, mu, u, budget)
-            per_object[u] = rep
+            per_object[u] = rep.verdict
             if not rep.ok:
-                verdict = FAIL
-                witness = dict(rep.witness, test_object=u)
                 details.append("comparison at %r: %s" % (u, rep.details))
-                break
+                return failed("verify_sigma_bicolim", details,
+                              dict(rep.witness, test_object=u,
+                                   per_object=per_object))
             details.append("comparison at %r: equivalence onto %d cocones"
                            % (u, count))
     except SearchBudgetExceeded as exc:
-        return SigmaColimCertificate(c, INCONCLUSIVE, per_object,
-                                     ["budget exhausted after %d steps"
-                                      % exc.steps], {"steps": exc.steps})
-    return SigmaColimCertificate(c, verdict, per_object, details, witness)
+        return inconclusive("verify_sigma_bicolim",
+                            ["budget exhausted after %d steps" % exc.steps],
+                            {"steps": exc.steps, "per_object": per_object})
+    return passed("verify_sigma_bicolim", details, {"per_object": per_object})
 
 
 def universal_cocone(s, gt=None):
@@ -428,5 +331,4 @@ def universal_cocone(s, gt=None):
 
 def is_sigma_bicolim_bisieve(s, budget=None):
     d, mu = universal_cocone(s)
-    cert = verify_sigma_bicolim(s.target, d, mu, budget)
-    return cert.report()
+    return verify_sigma_bicolim(d, mu, budget)

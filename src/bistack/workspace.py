@@ -20,7 +20,8 @@ from .fincat import FinCat, _is_cell
 from .two_cat import Fin2Cat, check_two_category
 from .sieves import Bisieve, Bitopology, representable
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, check_trihom_data, \
-    representable_trihom, strict_trihom
+    representable_trihom, strict_trihom, _ps_two_functor_typing, \
+    _ps_two_nat_typing
 
 SCHEMA = "bistack-workspace/1"
 
@@ -182,6 +183,13 @@ def _checked(key, check, x, what, where):
     return x
 
 
+def _typed(r, what, where):
+    """Refuse a loaded action or transformation whose typing r failed."""
+    if r is not None:
+        raise ParseError("%s: trihom data fails: %s: %s"
+                         % (where, what, ": ".join(r.details)))
+
+
 def _decode_trihom(body, two_cats, where):
     kind = _object(body, where).get("kind")
     k = _checked("two_category", check_two_category,
@@ -230,6 +238,14 @@ def _decode_trihom(body, two_cats, where):
                 _object(cell, at + ".cell")
             on2[x] = PsTwoNatTrans(on1[g], on1[g2], _field(tab, "comp", at),
                                    cell)
+        # typed before strict_trihom composes them
+        for f in k.onecells:
+            _typed(_ps_two_functor_typing(on1[f]),
+                   "value pseudofunctor at %r" % f, where)
+        for x in k.twocells:
+            if x in on2:
+                _typed(_ps_two_nat_typing(on2[x]),
+                       "value transformation at %r" % x, where)
         t = strict_trihom(k, values, on1, on2)
     except _MALFORMED as exc:
         raise ParseError("%s: %s" % (where, exc))

@@ -90,22 +90,6 @@ ALLOWED = {
         ("builders.py", "strict_ps_functor",
          'raise MalformedTable("value at id_%r is not the identity" % c)'),
     ],
-    ("typing of a loaded action or transformation: strict_trihom runs "
-     "first, composing each action with the identity action (which reads "
-     "every object image and each pair of composable 1-cell images) and "
-     "each transformation's components, and it raised (a ParseError) on "
-     "every mistyped table tried"): [
-        ("bicat3.py", "_ps_two_functor_typing",
-         'return failed("check_ps_two_functor", ["object %r unmapped" % x],'),
-        ("bicat3.py", "_ps_two_functor_typing", '{"object": x})'),
-        ("bicat3.py", "_ps_two_functor_typing",
-         'return failed("check_ps_two_functor",'),
-        ("bicat3.py", "_ps_two_functor_typing",
-         '["bad 1-cell image at %r" % f], {"onecell": f})'),
-        ("bicat3.py", "_ps_two_nat_typing",
-         'return failed("check_ps_two_nat", ["bad component at %r" % x],'),
-        ("bicat3.py", "_ps_two_nat_typing", '{"object": x})'),
-    ],
     ("a keyed family missing whole; only the typing oracles of the tests "
      "declare keyed families, and no test deletes one"): [
         ("bicat3.py", "_first_mistyped", "return table, key, None"),
@@ -189,19 +173,6 @@ ALLOWED = {
      "subprocess that the tracer does not trace"): [
         ("cli.py", "<module>", "sys.exit(main())"),
     ],
-    ("the restriction of an object that is not a valid descent datum: "
-     "reached only on a covering sieve that fails check_bisieve, which the "
-     "stack and subcanonical ops do not check"): [
-        ("descent.py", "is_stack_catvalued", "except KeyError as exc:"),
-        ("descent.py", "is_stack_catvalued",
-         'return failed("is_stack_catvalued",'),
-        ("descent.py", "is_stack_catvalued",
-         '["restriction of %r is not a valid descent "'),
-        ("descent.py", "is_stack_catvalued",
-         '"datum over sieve #%d on %r" % ('),
-        ("descent.py", "is_stack_catvalued", "exc.args[0], i, c)],"),
-        ("descent.py", "is_stack_catvalued", '{"object": c, "sieve": i})'),
-    ],
     ("a trimodification to a restriction with a component that is no "
      "equivalence; no tier-1 instance of is_2stack_direct has one"): [
         ("descent.py", "_pointwise_equivalent", "return False"),
@@ -240,9 +211,11 @@ ALLOWED = {
          '["composition condition fails at (%r, %r)" % (b, a)],'),
         ("sigma_colim.py", "_cocone_displays", '{"pair": [b, a]})'),
         ("sigma_colim.py", "verify_sigma_bicolim",
-         'return SigmaColimCertificate(c, FAIL, {}, ["cocone invalid: %s"'),
-        ("sigma_colim.py", "verify_sigma_bicolim", "% r0.details],"),
-        ("sigma_colim.py", "verify_sigma_bicolim", "r0.witness)"),
+         'return failed("verify_sigma_bicolim",'),
+        ("sigma_colim.py", "verify_sigma_bicolim",
+         '["cocone invalid: %s" % r0.details],'),
+        ("sigma_colim.py", "verify_sigma_bicolim",
+         "dict(r0.witness, per_object={}))"),
     ],
     ("_cones builds only invertible fillers, and no tier-1 cospan has a cone "
      "that passes the 1-dimensional property but fails the 2-dimensional "

@@ -1,13 +1,15 @@
 """Test oracles of ``sigma_colim``, and the change of base that only the
 tests reach.
 
-The sigma-bicolimit comparison through the tabulated category of cocones
-is the oracle of ``sigma_colim._comparison``, which decides the same
-equivalence without building that category.  ``sigma_cocone_category``
-builds every cocone and every modification between two of them and
-tabulates them; ``comparison_functor`` names the whiskered cocones and
-2-cells through its arrow index, and ``fincat.is_equivalence`` decides the
-functor over it.
+An equivalence decided over the tabulated category is the oracle of
+``fincat.is_equivalence`` over an ``Enumerated`` one, which builds only
+the hom-sets that it reads: ``tabulated`` builds every hom-set and names
+each arrow as ``Enumerated.arrow_name`` does, and
+``tabulated_is_equivalence`` decides the same functor over it.  In place
+of ``is_equivalence``, it is the oracle of both the sigma-bicolimit
+comparison (``sigma_colim``) and the Cat-valued stack condition
+(``descent.is_stack_catvalued``).  ``sigma_cocone_category`` is the
+tabulated category of cocones on a test object.
 
 ``enumerate_sigma_cocones`` draws each cocone typed and tests its
 displays alone.  ``sigma_cocone_typing`` asks what it does not: is a
@@ -25,75 +27,43 @@ from bistack.errors import BoundaryMismatch
 from bistack.fincat import Functor, check_functor, is_equivalence, tabulate
 from bistack.report import Budget, choices, failed, passed
 from bistack.sieves import groth
-from bistack.sigma_colim import Diagram, SigmaCocone, _cocone_name, \
-    _complete_cells, _modification_name, check_sigma_cocone, \
-    cocone_morphisms, enumerate_sigma_cocones, projection_diagram, \
-    verify_sigma_bicolim, whisker_cocone
+from bistack.sigma_colim import Diagram, SigmaCocone, _complete_cells, \
+    check_sigma_cocone, cocone_category, enumerate_sigma_cocones, \
+    projection_diagram, verify_sigma_bicolim
 from bistack.two_cat import find_iso_comma
 
 
-def sigma_cocone_category(d, u, budget=None):
-    """The category of sigma-bicocones on u and their modifications, the
-    name of each cocone, and the arrow index."""
-    budget = budget or Budget()
-    k = d.k
-    cocones = {_cocone_name(i): cc
-               for i, cc in enumerate(enumerate_sigma_cocones(d, u, budget))}
+def tabulated(cat):
+    """The ``Enumerated`` category cat tabulated: every hom-set built, in
+    the order of the objects, the later varying fastest, and each arrow
+    named by its number across them.  The FinCat and its arrow index
+    {(src, tgt, value): name}."""
     arrows = {}
-    for a, ca in cocones.items():
-        for b, cb in cocones.items():
-            first = len(arrows)
-            for i, mu in enumerate(cocone_morphisms(d, ca, cb, budget)):
-                arrows[_modification_name(first, i)] = (a, b, mu)
-
-    def identity(cc):
-        return tuple(sorted((s, k.id2(r)) for s, r in cc.legs))
-
-    def compose(later, earlier):
-        return tuple((s, k.v(x, y)) for (s, x), (_, y) in zip(later, earlier))
-
-    cat, index = tabulate(cocones, arrows, identity, compose)
-    return cat, {cc: a for a, cc in cocones.items()}, index
+    for a in cat.objects:
+        for b in cat.objects:
+            for g in cat.hom(a, b):
+                arrows["%s%d" % (cat.arrow_prefix, len(arrows))] = (a, b, g)
+    return tabulate(cat.value, arrows, cat.unit, cat.composite)
 
 
-def comparison_functor(d, mu, u, budget=None):
-    """Whiskering Hom(apex, u) into the cocone category on u."""
-    budget = budget or Budget()
-    k = d.k
-    cc_cat, names, index = sigma_cocone_category(d, u, budget)
-    hom = k.hom_cat(mu.apex, u)
-    ob, mor = {}, {}
-    for r in hom.objects:
-        img = whisker_cocone(d, mu, r)
-        if img not in names:
-            return None, cc_cat, failed(
-                "comparison_functor",
-                ["whiskering %r does not yield a valid cocone" % r],
-                {"onecell": r})
-        ob[r] = names[img]
-    for gam in hom.morphisms:
-        r1, r2 = hom.src[gam], hom.tgt[gam]
-        comps = tuple(sorted((s, k.wr(gam, leg)) for s, leg in mu.legs))
-        key = (ob[r1], ob[r2], comps)
-        if key not in index:
-            return None, cc_cat, failed(
-                "comparison_functor",
-                ["whiskered 2-cell %r is not a modification" % gam],
-                {"twocell": gam})
-        mor[gam] = index[key]
-    fun = Functor(hom, cc_cat, ob, mor)
-    r = check_functor(fun)
-    if not r.ok:
-        return None, cc_cat, r
-    return fun, cc_cat, passed("comparison_functor")
+def tabulated_is_equivalence(F, budget=None):
+    """``fincat.is_equivalence`` over F's codomain tabulated, once F maps
+    into it a functor (``check_functor``): every arrow that F names is
+    one of the codomain's."""
+    cat, index = tabulated(F.cod)
+    c = F.dom
+    fun = Functor(c, cat, F.ob, {f: index[(F.o(c.src[f]), F.o(c.tgt[f]), g)]
+                                 for f, g in F.mor.items()})
+    assert check_functor(fun).ok
+    return is_equivalence(fun, budget)
 
 
-def materialised_comparison(d, mu, u, budget):
-    """``sigma_colim._comparison`` through the tabulated category."""
-    fun, cc_cat, rep = comparison_functor(d, mu, u, budget)
-    if fun is None:
-        return rep, None
-    return is_equivalence(fun, budget), len(cc_cat.objects)
+def sigma_cocone_category(d, u, budget=None):
+    """The category of sigma-bicocones on u and their modifications,
+    tabulated, the name of each cocone, and the arrow index."""
+    cat = cocone_category(d, u, budget)
+    tab, index = tabulated(cat)
+    return tab, {cc: a for a, cc in cat.value.items()}, index
 
 
 # --- drawn cocones -----------------------------------------------------------
@@ -306,6 +276,4 @@ def verify_coconofstar(s, f, budget=None):
     if not rd.ok:
         rd.details.insert(0, "induced diagram is not a 2-functor")
         return rd
-    x = s.k.onecells[f][0]
-    cert = verify_sigma_bicolim(x, d, mu, budget)
-    return cert.report()
+    return verify_sigma_bicolim(d, mu, budget)

@@ -6,6 +6,7 @@ import json
 import random
 from collections import Counter
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -721,6 +722,61 @@ def test_cli_sigma_bicolim_over_an_invalid_two_category_is_an_input_error(
                    "ill-typed composite ('c[u>w]', 'c[w>u]')\n")
 
 
+def _stack_doc(seed, op, presheaf_base="K"):
+    """Generated tiny-2site seed with one Cat-valued check of op over tau
+    and nothing else to run: a stack check reads the representable at the
+    first object of presheaf_base (the walking arrow L beside K)."""
+    raw = generate(seed, "tiny-2site")
+    del raw["trihoms"]
+    raw["two_cats"]["L"] = _encode_two_cat(_arrow2())
+    at = "0" if presheaf_base == "L" else raw["two_cats"]["K"]["objects"][0]
+    raw["presheaves"] = {"Y": {"kind": "representable",
+                               "two_cat": presheaf_base, "at": at}}
+    raw["checks"] = {op: {"op": op, "bitopology": "tau"}}
+    if op == "stack":
+        raw["checks"][op]["presheaf"] = "Y"
+    return raw
+
+
+def _with_sigma(raw, sieve, pair, cell):
+    """raw, with the named sieve's restriction witness at pair set to cell."""
+    row = next(r for r in raw["bisieves"][sieve]["sigma"] if r[:2] == pair)
+    row[2] = cell
+    return raw
+
+
+def _with_vcomp(raw, row, cell):
+    raw["two_cats"]["K"]["vcomp"][row][-1] = cell
+    return raw
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _with_sigma(_stack_doc(6, "stack"), "S_P_0",
+                         ["id_P", "id_P"], "t"),
+     "bisieves.S_P_0: bisieve fails: "),
+    (lambda: _with_sigma(_stack_doc(6, "subcanonical"), "S_P_0",
+                         ["id_P", "id_P"], "t"),
+     "bisieves.S_P_0: bisieve fails: "),
+    (lambda: _with_vcomp(_stack_doc(11, "subcanonical"), 7, "2id_u"),
+     "two_cats.K: two-category fails: hom('A', 'B'): ill-typed composite "
+     "('c[u>w]', 'c[w>u]')"),
+    (lambda: _stack_doc(6, "stack", presheaf_base="L"),
+     "checks.stack: the bitopology is not on the presheaf's base "
+     "2-category"),
+], ids=["stack-sigma-corrupt", "subcanonical-sigma-corrupt",
+        "subcanonical-vcomp-corrupt", "stack-off-base"])
+def test_cli_catvalued_checks_refuse_invalid_input(tmp_path, capsys, build,
+                                                   message):
+    """The stack and subcanonical checks decide over covering sieves whose
+    tables they index without typing them, as the 2-stack checks do: an
+    invalid 2-category or sieve, or a bitopology off the presheaf's base,
+    is an input error located where it lies, not a verdict."""
+    capsys.readouterr()
+    assert _run_raw(tmp_path, build()) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and "Traceback" not in err
+
+
 def _mutant_without_identity2(k):
     del k["identity2"]["id_B"]
 
@@ -836,6 +892,37 @@ def _over_z3(action):
                        {"id_0": ident, "id_1": ident, "a": action})
 
 
+def _ksplit_action(ob=None, on1=None):
+    """The identity action on ksplit, with the object and 1-cell images
+    that ob and on1 name in its place, as untyped tables."""
+    ks = split_idempotent_2cat()
+    return SimpleNamespace(ob=dict({x: x for x in ks.objects}, **(ob or {})),
+                           on1=dict({f: f for f in ks.onecells},
+                                    **(on1 or {})),
+                           on2={x: x for x in ks.twocells})
+
+
+def _ksplit_transformation(comp):
+    """The identity on the identity action on ksplit, with the components
+    that comp names in its place, as untyped tables."""
+    ks = split_idempotent_2cat()
+    return SimpleNamespace(comp=dict({x: ks.id1(x) for x in ks.objects},
+                                     **comp),
+                           cell={f: ks.id2(f) for f in ks.onecells})
+
+
+def _z3_transformation_with_a_twisted_cell():
+    """B(Z/3) at both objects of the walking arrow, acted on by the
+    identity, with the identity 2-cell on a acting by a transformation
+    whose structure cell at id_P is w, typed but not the identity."""
+    z3 = one_object_z3()
+    ident = identity_ps_two_functor(z3)
+    return _tables_doc(_arrow2(), {"0": z3, "1": z3},
+                       {"id_0": ident, "id_1": ident, "a": ident},
+                       {"2id_a": SimpleNamespace(comp={"P": "id_P"},
+                                                 cell={"id_P": "w"})})
+
+
 def _chain3():
     """The poset f0 < f1 < f2, locally discrete."""
     return from_fincat(chain_suspension(3).hom_cat("X", "Y"))
@@ -856,8 +943,30 @@ def _chain3():
     (lambda: _over_z3(_w_to_w()),
      "trihoms.F: trihom data fails: value pseudofunctor at 'a': vertical "
      "composition not preserved at ('w', 'w')"),
+    # each action is typed before strict_trihom composes it
+    (lambda: _over_ksplit(_arrow2(), on1={"a": _ksplit_action(
+        on1={"u": "v"})}),
+     "trihoms.F: trihom data fails: value pseudofunctor at 'a': bad "
+     "1-cell image at 'u'"),
+    (lambda: _over_ksplit(_arrow2(), on1={"a": _ksplit_action(
+        ob={"A": "B", "B": "A"})}),
+     "trihoms.F: trihom data fails: value pseudofunctor at 'a': bad "
+     "1-cell image at 'e'"),
+    (lambda: _over_ksplit(_arrow2(), on1={"a": _ksplit_action(
+        ob={"A": "Z"})}),
+     "trihoms.F: trihom data fails: value pseudofunctor at 'a': object "
+     "'A' unmapped"),
+    (lambda: _over_ksplit(_arrow2(), on2={"2id_a": _ksplit_transformation(
+        {"A": "u"})}),
+     "trihoms.F: trihom data fails: value transformation at '2id_a': bad "
+     "component at 'A'"),
+    (_z3_transformation_with_a_twisted_cell,
+     "trihoms.F: trihom data fails: value transformation at '2id_a': "
+     "composition coherence fails at ('id_P', 'id_P')"),
 ], ids=["not-functorial", "whiskering-left",
-        "whiskering-right", "no-two-cell-action", "value-not-a-2-functor"])
+        "whiskering-right", "no-two-cell-action", "value-not-a-2-functor",
+        "mistyped-one-cell-image", "swapped-objects", "unmapped-object",
+        "mistyped-component", "value-transformation-not-coherent"])
 def test_cli_ill_formed_trihom_tables_are_input_errors(
         tmp_path, capsys, build, message):
     capsys.readouterr()
@@ -1045,21 +1154,28 @@ def _schema_2(report):
     return {**report, "schema": "bistack-report/2"}
 
 
+def _schema_3(report):
+    """A report recorded before the descent category was built on first
+    read, when each composite that it tabulated spent a step."""
+    return {**report, "schema": "bistack-report/3"}
+
+
 def _no_limit(report):
     return {**report, "budget_limit": "many"}
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda r: {}, "bistack-report/3"),
+    (lambda r: {}, "bistack-report/4"),
     (lambda r: [1], "must be an object"),
     (lambda r: [r], "must be an object"),
     (lambda r: {k: v for k, v in r.items() if k != "check"},
      "no check name"),
-    (_schema_1, "'bistack-report/1' is not 'bistack-report/3'"),
-    (_schema_2, "'bistack-report/2' is not 'bistack-report/3'"),
+    (_schema_1, "'bistack-report/1' is not 'bistack-report/4'"),
+    (_schema_2, "'bistack-report/2' is not 'bistack-report/4'"),
+    (_schema_3, "'bistack-report/3' is not 'bistack-report/4'"),
     (_no_limit, "budget_limit 'many'"),
 ], ids=["empty", "list", "report-list", "no-check", "schema-1", "schema-2",
-        "text-limit"])
+        "schema-3", "text-limit"])
 def test_cli_replay_of_a_malformed_report_is_a_located_input_error(
         tmp_path, capsys, corrupt, message):
     path = _site(tmp_path)

@@ -25,6 +25,7 @@ from bistack.two_cat import Fin2Cat, from_fincat
 from test_bicat3 import constant_trihom, one_object_z2, one_object_z3, \
     trihom_over_arrow
 from test_two_cat import split_idempotent_2cat
+from sigma_oracles import tabulated
 import typing_oracles
 
 
@@ -404,7 +405,7 @@ def test_non_subcanonical_topology_is_refuted(wa2, wa_sieve):
 
 def test_descent_category_over_singleton_cover(wa2, wa_sieve):
     F = representable(wa2, "1")
-    desc, _, _ = descent_category(F, wa_sieve)
+    desc, _ = tabulated(descent_category(F, wa_sieve))
     # a single member with only identity legs: descent data are just
     # objects of the value at the member's source
     assert len(desc.objects) == len(F.ob["0"].objects)

@@ -3,14 +3,15 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bistack import sigma_colim
+from bistack import descent, sigma_colim
 from bistack.builders import suspension_two_cat, thin_two_cat
-from bistack.descent import is_subcanonical
+from bistack.descent import is_stack_catvalued, is_subcanonical
 from bistack.fincat import FinCat, discrete, walking_arrow
 from bistack.generate import generate
 from bistack.report import Budget, guarded
-from bistack.sieves import (build_bisieve, groth, inclusion_transformation,
-                            maximal_bisieve)
+from bistack.sieves import (Bitopology, build_bisieve, check_bisieve, groth,
+                            inclusion_transformation, maximal_bisieve,
+                            representable)
 from bistack.sigma_colim import (Diagram, SigmaCocone, check_sigma_cocone,
                                  cocone_morphisms, enumerate_sigma_cocones,
                                  is_sigma_bicolim_bisieve,
@@ -20,10 +21,11 @@ from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import load_data
 
 from sigma_oracles import check_diagram, conicalize, \
-    materialised_comparison, sigma_cocone_category, sigma_cocone_typing, \
+    sigma_cocone_category, sigma_cocone_typing, tabulated_is_equivalence, \
     typed_sigma_cocones, verify_coconofstar
 from test_sieves import _pool_sieves
-from test_tabulate import _sieves as _tabulated_sieves
+from test_tabulate import _reports as _tabulated_reports, \
+    _sieves as _tabulated_sieves
 from test_two_cat import split_idempotent_2cat
 
 
@@ -265,8 +267,8 @@ def test_agrees_with_ordinary_colimits_on_locally_discrete_base():
         mu = SigmaCocone.make(
             apex, legs,
             {m: k.id2(legs[shape.src[m]]) for m in shape.morphisms})
-        cert = verify_sigma_bicolim(apex, d, mu)
-        assert cert.ok is expect, (apex, cert.details, cert.witness)
+        rep = verify_sigma_bicolim(d, mu)
+        assert rep.ok is expect, (apex, rep.details, rep.witness)
 
 
 def test_change_of_base_along_identity_matches_direct_check(wa2):
@@ -305,8 +307,7 @@ def test_change_of_base_reports_missing_iso_comma():
 def test_certificate_report_shape(wa2):
     s = maximal_bisieve(wa2, "1")
     d, mu = universal_cocone(s)
-    cert = verify_sigma_bicolim("1", d, mu)
-    rep = cert.report()
+    rep = verify_sigma_bicolim(d, mu)
     assert rep.name == "verify_sigma_bicolim"
     assert rep.verdict == "pass"
     assert set(rep.witness["per_object"]) == {"0", "1"}
@@ -318,7 +319,7 @@ def test_certificate_report_shape(wa2):
 def test_budget_exhausted_while_checking_the_cocone_is_inconclusive(
         wa2, limit):
     """A budget that runs out in the cocone check, before any comparison,
-    gives an inconclusive certificate, as one that runs out later does."""
+    gives an inconclusive report, as one that runs out later does."""
     rep = is_sigma_bicolim_bisieve(maximal_bisieve(wa2, "1"), Budget(limit))
     assert rep.verdict == "inconclusive"
     assert rep.details == ["budget exhausted after %d steps" % (limit + 1)]
@@ -467,7 +468,8 @@ def test_sigma_decision_matches_the_tabulated_category(monkeypatch):
     sieves = _pool_sieves() + _tabulated_sieves()
     cases = list(_cocone_cases())
     direct = _sieve_reports(sieves), _comparisons(cases)
-    monkeypatch.setattr(sigma_colim, "_comparison", materialised_comparison)
+    monkeypatch.setattr(sigma_colim, "is_equivalence",
+                        tabulated_is_equivalence)
     oracle = _sieve_reports(sieves), _comparisons(cases)
     for got, want in zip(direct, oracle):
         assert [r for r, _ in got] == [r for r, _ in want]
@@ -478,6 +480,46 @@ def test_sigma_decision_matches_the_tabulated_category(monkeypatch):
     # a fullness witness named past the first pair of cocones
     assert any(w.get("reason") == "fullness" and len(w["morphism"]) > 3
                for w in witnesses)
+
+
+def _catvalued_reports(sieves):
+    """The Cat-valued stack report and steps of the representable at each
+    object, over the topology of each sieve alone."""
+    out = []
+    for s in sieves:
+        tau = Bitopology(s.k, {s.target: [s]})
+        for x in sorted(s.k.objects):
+            budget = Budget()
+            r = is_stack_catvalued(representable(s.k, x), tau, budget)
+            out.append(((r.verdict, r.details, r.witness), budget.steps))
+    return out
+
+
+def test_catvalued_decision_matches_the_tabulated_category(monkeypatch):
+    """The Cat-valued stack condition goes through the same decision as
+    the sigma comparison, over a descent category whose hom-sets are built
+    as it reads them.  Over the descent category tabulated whole, it gives
+    the same verdicts, details and witnesses in at least as many steps:
+    on the subcanonical and stack reports of test_tabulate, and on the
+    representables over each valid bisieve of the corpus and of site
+    seeds 0-79."""
+    sieves = [s for s in _pool_sieves()
+              if check_two_category(s.k).ok and check_bisieve(s).ok]
+
+    def run():
+        return _catvalued_reports(sieves) + [
+            (row[1:4], row[4]) for row in _tabulated_reports()
+            if row[0] != "sigma"]
+
+    direct = run()
+    monkeypatch.setattr(descent, "is_equivalence", tabulated_is_equivalence)
+    oracle = run()
+    assert [r for r, _ in direct] == [r for r, _ in oracle]
+    assert all(a <= b for (_, a), (_, b) in zip(direct, oracle))
+    assert sum(a for _, a in direct) < sum(b for _, b in oracle)
+    assert {"pass", "fail"} == {r[0] for r, _ in direct}
+    assert {"essential surjectivity", "faithfulness"} \
+        <= {r[2].get("reason") for r, _ in direct}
 
 
 def test_sigma_budget_limits_are_deterministic_and_inconclusive(monkeypatch):
@@ -501,7 +543,8 @@ def test_sigma_budget_limits_are_deterministic_and_inconclusive(monkeypatch):
             assert verdict == "inconclusive" and spent == limit + 1
             assert witness["steps"] == limit + 1
     assert len(rows) > 100
-    monkeypatch.setattr(sigma_colim, "_comparison", materialised_comparison)
+    monkeypatch.setattr(sigma_colim, "is_equivalence",
+                        tabulated_is_equivalence)
     for s, limit in rows:
         if limit < _sieve_reports([s])[0][1]:
             assert _sieve_reports([s], limit)[0][0][0] == "inconclusive"

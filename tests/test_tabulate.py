@@ -23,7 +23,7 @@ from bistack.two_cat import check_modification, check_ps_nat, \
     from_fincat, iso_comma_in_cat
 from bistack.workspace import corpus_names, corpus_path, load, load_data
 
-from sigma_oracles import sigma_cocone_category
+from sigma_oracles import sigma_cocone_category, tabulated
 from test_two_cat import split_idempotent_2cat, typed_check_modification, \
     typed_check_ps_nat
 
@@ -95,7 +95,8 @@ def _built():
     for s in _sieves():
         for x in sorted(s.k.objects):
             budget = Budget()
-            cat, _, _ = descent_category(representable(s.k, x), s, budget)
+            cat, _ = tabulated(descent_category(representable(s.k, x), s,
+                                                budget))
             yield "descent", cat, budget.steps
         d, _ = universal_cocone(s)
         for u in sorted(s.k.objects):
@@ -106,10 +107,12 @@ def _built():
         yield "iso_comma", iso_comma_in_cat(F, G), 0
 
 
-# recorded before the builders were rebuilt on tabulate, and re-recorded
-# without the rows of the deleted functor-category builder
-_BUILT_PINNED = ("ff3226977cb96172c81f409c0392fb91"
-                 "0df9904c72c07396ca161ecdfb8e471b")
+# recorded before the builders were rebuilt on tabulate, re-recorded
+# without the rows of the deleted functor-category builder, and again when
+# composites stopped spending a step, which moved only the descent rows'
+# steps (from ff322697...)
+_BUILT_PINNED = ("b87431428d520adea24bb0ca07ae1e45"
+                 "c3d2317a8ac67af32c2d88613876ffbf")
 
 
 def test_builder_tables_and_steps_are_pinned():
@@ -174,9 +177,11 @@ _REPORTS_PINNED = ("8f04d9343f4ac83dfae0dfe9e7842d66"
                    "8d36f05c29e2bcd97a1187c4d3bfbb12")
 
 # the steps of each subcanonical and stack report, recorded at the same
-# time
-_CATVALUED_STEPS_PINNED = ("e4eebd2270af8b2521b3568634dc3dad"
-                           "3ffaacb1dd9ef98c277a076979e69be4")
+# time, and re-recorded when the descent category came to build only the
+# hom-sets that is_equivalence reads and composites stopped spending a
+# step: every report fell, 11,483 steps in all to 8,967 (from e4eebd22...)
+_CATVALUED_STEPS_PINNED = ("0409595a55c866aabedfa2495958976a"
+                           "8be521cf84f7ea907c48a9376ff95cb3")
 
 # the steps of each sigma report, re-recorded when the sigma check stopped
 # building the cocone morphisms that its equivalence test never reads, and
