@@ -670,8 +670,8 @@ def _tritrans_assoc_axiom(t, budget):
     R, F = t.dom, t.cod
     k = R.base
     for f, (d, c) in k.onecells.items():
-        for g, e in k.one_cells_into(d, table_order=True):
-            for h, l in k.one_cells_into(e, table_order=True):
+        for g, e in k.one_cells_into(d):
+            for h, l in k.one_cells_into(e):
                 val_l = F.ob[l]
                 if val_l.locally_thin():
                     continue
@@ -679,7 +679,7 @@ def _tritrans_assoc_axiom(t, budget):
                 fgh = k.c1(f, gh)
                 thL = t.comp[l]
                 for x in R.ob[c].objects:
-                    budget.tick(4)
+                    budget.tick()
                     rf_x = R.on1[f].ob[x]
                     af_x = t.square[f].comp[x]
                     # the identity 1-cells that R's compositors have for
@@ -715,7 +715,6 @@ def _tritrans_unit_axioms(t, budget):
             continue
         thD = t.comp[d]
         for x in R.ob[c].objects:
-            budget.tick(2)
             rf_x = R.on1[f].ob[x]
             af_x = t.square[f].comp[x]
             # thD at the identity of R(f)(x), taken back to the identity
@@ -726,6 +725,7 @@ def _tritrans_unit_axioms(t, budget):
             unitor = val_d.wl(af_x, val_d.v(val_d.inverse2(thD.unit[rf_x]),
                                             thD.chi[(id_rf, id_rf)]))
             # right unit display
+            budget.tick()
             rhs = val_d.v(unitor, val_d.wr(t.beta[(f, id_d)][x], th_id))
             lhs = val_d.wl(af_x, t.gamma[d][rf_x])
             if lhs != rhs:
@@ -735,6 +735,7 @@ def _tritrans_unit_axioms(t, budget):
                               {"onecell": f, "object": x,
                                "lhs": lhs, "rhs": rhs})
             # left unit display
+            budget.tick()
             rhs = val_d.v(unitor, val_d.wr(t.beta[(id_c, f)][x], th_id))
             lhs = val_d.v(
                 val_d.wr(F.on1[f].on2[t.gamma[c][x]], af_x),
@@ -810,7 +811,7 @@ def check_trimodification(m, budget=None):
         if val_e.locally_thin():
             continue
         for x in R.ob[c].objects:
-            budget.tick(2)
+            budget.tick()
             mc_x = m.comp[c].comp[x]
             rf_x = R.on1[f].ob[x]
             # the identity 1-cell that R's compositor has for component

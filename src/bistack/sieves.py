@@ -14,12 +14,13 @@ a bit per 1-cell, in id order, and per 1-cell the masks of its
 iso-neighbours, and a sieve is a mask per object.  A pullback f*S is one
 pass over the 1-cells into the source of f, with an AND per 1-cell;
 mutual domination is an AND per member; the candidate sieves of T3 are
-unions of iso-class masks.  Each loop visits its cells in the order of a
-scan over every 1-cell (id order, or table order where that scan read
-the table), because the order decides which failure is reported, which
-error is raised and where a budget runs out; and it spends one step
-where that scan spent one, in a single tick that stops where single
-ticks would.
+unions of iso-class masks.  Every loop visits ids in sorted order, so no
+failure, error or budget stop depends on the order of a table or on the
+hash seed, and a step is one item examined: a 1-cell of a pullback pass,
+a member compared, a union of classes tried.  Building the index decides
+every 2-cell in id order, and raises the first error that deciding one
+raises: no coverage check runs on a 2-category whose invertible 2-cells
+cannot be decided.
 
 Every sieve built here is built once per member set (``_closed``):
 its closure is checked and its restriction witnesses are chosen in one
@@ -129,8 +130,8 @@ def build_bisieve(k, target, members):
     invertible 2-cells.
     """
     members = {d: frozenset(ms) for d, ms in members.items() if ms}
-    for d, ms in members.items():
-        for f in ms:
+    for d in sorted(members):
+        for f in sorted(members[d]):
             if k.onecells.get(f) != (d, target):
                 raise MalformedTable("member %r is not a 1-cell %r -> %r"
                                      % (f, d, target))
@@ -141,7 +142,7 @@ def build_bisieve(k, target, members):
 
 def _maximal_members(k, target):
     members = {}
-    for f, d in k.one_cells_into(target, table_order=True):
+    for f, d in k.one_cells_into(target):
         members.setdefault(d, set()).add(f)
     return members
 
@@ -166,14 +167,13 @@ def check_bisieve(s, budget=None):
     k = s.k
     if s.target not in k.objects:
         return failed("check_bisieve", ["unknown target %r" % s.target], {})
-    for d, ms in s.members.items():
-        for f in ms:
-            if k.onecells.get(f) != (d, s.target):
-                return failed("check_bisieve",
-                              ["member %r is not %r -> %r"
-                               % (f, d, s.target)], {"member": f})
     for d, f in s.all_members():
-        for g, e in k.one_cells_into(d, table_order=True):
+        if k.onecells.get(f) != (d, s.target):
+            return failed("check_bisieve",
+                          ["member %r is not %r -> %r" % (f, d, s.target)],
+                          {"member": f})
+    for d, f in s.all_members():
+        for g, e in k.one_cells_into(d):
             budget.tick()
             t = s.tilde.get((f, g))
             cell = s.sigma.get((f, g))
@@ -200,7 +200,7 @@ def sieve_equivalence(s1, s2, budget=None):
     budget = budget or Budget()
     if s1.k != s2.k or s1.target != s2.target:
         return failed("sieve_equivalence", ["different ambient data"], {})
-    missing = _unmatched_member(s1.k, _coverage(s1.k), s1, s2, budget)
+    missing = _unmatched_member(_coverage(s1.k), s1, s2, budget)
     if missing is None:
         return passed("sieve_equivalence")
     f, tag = missing
@@ -411,7 +411,7 @@ def sieve_presheaf(s):
                               {f: _restrict_cell(s, f, g, delta, g2)
                                for f in ob[d].objects})
     for f1, (d1, c1) in k.onecells.items():
-        for g1, _ in k.one_cells_into(d1, table_order=True):
+        for g1, _ in k.one_cells_into(d1):
             dom = compose_functors(on1[g1], on1[f1])
             compositor[(f1, g1)] = NatTrans(
                 dom, on1[k.c1(f1, g1)],
@@ -468,7 +468,7 @@ def check_T2(tau, budget=None):
     for c in tau.k.objects:
         for i, s in enumerate(tau.sieves_on(c)):
             ix = _coverage(s.k)
-            for f, d in tau.k.one_cells_into(c, table_order=True):
+            for f, d in tau.k.one_cells_into(c):
                 budget.tick()
                 p = _pullback(s.k, ix, s, f, budget)
                 if not _covered(s.k, ix, tau.sieves_on(d), p, budget):
@@ -545,26 +545,22 @@ class _Coverage(Recorded):
     so that a set of 1-cells is a mask and its least member its lowest
     bit; and the masks of the iso-neighbours of each 1-cell,
     ``iso_from[f]`` (the g with an invertible 2-cell f => g) and
-    ``iso_into[g]``, decided once per 2-cell boundary.  Both are None
-    where deciding a boundary raises, or where an invertible 2-cell joins
-    cells that are not 1-cells: the routine then decides each pair with
-    ``iso_1cells`` in id order, and so raises where the scans it replaces
-    did.  Also kept: the sieves whose closure passed (``_closed``), on no
-    2-category, and the candidate sieves of each object with their
-    steps."""
+    ``iso_into[g]``, decided once per 2-cell in id order.  Building it
+    raises the first error that deciding a 2-cell raises (a corrupted
+    table), so that no coverage check runs on a 2-category whose
+    invertible 2-cells cannot be decided.  Also kept: the sieves whose
+    closure passed (``_closed``), on no 2-category, and the candidate
+    sieves of each object with their steps."""
 
     def __init__(self, k, budget):
         self.ids = sorted(k.onecells)
         self.bit = bit = {f: 1 << i for i, f in enumerate(self.ids)}
-        iso_from, iso_into = {}, {}
-        try:
-            for f, g in k.twocells.values():
-                if k.isos_between(f, g):
-                    iso_from[f] = iso_from.get(f, 0) | bit[g]
-                    iso_into[g] = iso_into.get(g, 0) | bit[f]
-        except (KeyError, MalformedTable):
-            iso_from = iso_into = None
-        self.iso_from, self.iso_into = iso_from, iso_into
+        self.iso_from, self.iso_into = {}, {}
+        for a in sorted(k.twocells):
+            f, g = k.twocells[a]
+            if k.invertible2(a):
+                self.iso_from[f] = self.iso_from.get(f, 0) | bit[g]
+                self.iso_into[g] = self.iso_into.get(g, 0) | bit[f]
         self.sieves = {}
         self._recorded = {}
 
@@ -585,13 +581,9 @@ class _Coverage(Recorded):
         return tuple(out)
 
 
-def _first_iso(k, ix, masks, e, g):
+def _first_iso(ix, masks, e, g):
     """The least member of masks on e with an invertible 2-cell to g, or
-    None: one AND of two masks, or pair by pair where ix has no iso
-    masks."""
-    if ix.iso_into is None:
-        return next((m for m in ix.members(masks.get(e, 0))
-                     if k.iso_1cells(m, g)), None)
+    None: one AND of two masks."""
     low = masks.get(e, 0) & ix.iso_into.get(g, 0)
     return ix.ids[(low & -low).bit_length() - 1] if low else None
 
@@ -610,7 +602,7 @@ def _restrictions(k, ix, masks):
                     yield f, g, f, k.id2(f)
                     continue
                 fg = k.c1(f, g)
-                m = _first_iso(k, ix, masks, e, fg)
+                m = _first_iso(ix, masks, e, fg)
                 if m is None:
                     raise MalformedTable(
                         "not closed: no member isomorphic to %r . %r" % (f, g))
@@ -644,46 +636,29 @@ def _maximal(k, ix, target):
 
 def _pullback(k, ix, s, f, budget):
     """f*S, interned: one pass over the 1-cells g into the source of f, by
-    id, with one step and one AND each.  The steps are spent in one tick,
-    also when the pass raises: single ticks would have stopped at the
-    same step."""
+    id, with one step and one AND each."""
     d, c = k.onecells[f]
     if c != s.target:
         raise BoundaryMismatch("%r does not land in %r" % (f, s.target))
     s_masks, masks = s.masks, {}
-    steps = 0
-    try:
-        for g, e in k.one_cells_into(d):
-            steps += 1
-            if _first_iso(k, ix, s_masks, e, k.c1(f, g)) is not None:
-                masks[e] = masks.get(e, 0) | ix.bit[g]
-        return _closed(k, ix, d, masks)
-    finally:
-        budget.tick(steps)
+    for g, e in k.one_cells_into(d):
+        budget.tick()
+        if _first_iso(ix, s_masks, e, k.c1(f, g)) is not None:
+            masks[e] = masks.get(e, 0) | ix.bit[g]
+    return _closed(k, ix, d, masks)
 
 
-def _unmatched_member(k, ix, x, y, budget):
+def _unmatched_member(ix, x, y, budget):
     """The first member of x with no isomorph among the members of y on
     its object, as (member, "first"), else the first such of y in x, as
-    (member, "second"); or None.  One step and one AND per member
-    scanned, spent as in _pullback."""
-    steps = 0
-    try:
-        for a, b, side in ((x, y, "first"), (y, x, "second")):
-            if ix.iso_from is None:
-                for d, f in a.all_members():
-                    steps += 1
-                    if not any(k.iso_1cells(f, m) for m in b.member_list(d)):
-                        return f, side
-            else:
-                masks = b.masks
-                for d, f in a.all_members():
-                    steps += 1
-                    if not ix.iso_from.get(f, 0) & masks.get(d, 0):
-                        return f, side
-        return None
-    finally:
-        budget.tick(steps)
+    (member, "second"); or None.  One step and one AND per member."""
+    for a, b, side in ((x, y, "first"), (y, x, "second")):
+        masks = b.masks
+        for d, f in a.all_members():
+            budget.tick()
+            if not ix.iso_from.get(f, 0) & masks.get(d, 0):
+                return f, side
+    return None
 
 
 def _covered(k, ix, sieves, x, budget):
@@ -691,7 +666,7 @@ def _covered(k, ix, sieves, x, budget):
     invertible 2-cells)?  A sieve on another 2-category or target is
     not."""
     return any((t.k is k or k == t.k) and x.target == t.target
-               and _unmatched_member(k, ix, x, t, budget) is None
+               and _unmatched_member(ix, x, t, budget) is None
                for t in sieves)
 
 
@@ -709,8 +684,7 @@ def _closed_unions(k, ix, c, budget):
         f = rest.pop(0)
         cls = [f] + [g for g in rest
                      if k.onecells[f] == k.onecells[g]
-                     and (k.iso_1cells(f, g) if ix.iso_from is None
-                          else ix.iso_from.get(f, 0) & ix.bit[g])]
+                     and ix.iso_from.get(f, 0) & ix.bit[g]]
         rest = [g for g in rest if g not in cls]
         classes.append(cls)
     idx = {f: i for i, cls in enumerate(classes) for f in cls}
@@ -719,7 +693,7 @@ def _closed_unions(k, ix, c, budget):
     succ = []
     for cls in classes:
         reached = 0
-        for g, _ in k.one_cells_into(k.src1(cls[0]), table_order=True):
+        for g, _ in k.one_cells_into(k.src1(cls[0])):
             reached |= 1 << idx[k.c1(cls[0], g)]
         succ.append(reached)
     n = len(classes)

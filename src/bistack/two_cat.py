@@ -29,10 +29,10 @@ class Fin2Cat(Recorded):
 
     Immutable after construction: every table is a read-only mapping, so
     a write raises TypeError.  The cells between each pair of boundaries,
-    the 1-cells into each object in id order, and the composites of the
-    composable pairs that ``c1`` and ``v`` read are indexed once here; to
-    change a table, build a new Fin2Cat.  Memoised on first use: the
-    1-cells into each object in table order, ``composable_triples``,
+    the 1-cells into each object, both in id order, and the composites of
+    the composable pairs that ``c1`` and ``v`` read are indexed once here,
+    so no result depends on the order of a table; to change a table,
+    build a new Fin2Cat.  Memoised on first use: ``composable_triples``,
     ``locally_thin``, ``inverse2``, ``isos_between`` (which
     ``invertible_2cell`` reads), ``equivalent_objects`` and ``hom_cat``.
 
@@ -57,8 +57,10 @@ class Fin2Cat(Recorded):
         self.hcomp2 = MappingProxyType(dict(hcomp2))
         self._ones = by_boundary(self.onecells)
         self._twos = by_boundary(self.twocells)
-        self._into = _by_target(sorted(self.onecells.items()))
-        self._into_table = None
+        into = {}
+        for f, (a, b) in sorted(self.onecells.items()):
+            into.setdefault(b, []).append((f, a))
+        self._into = {b: tuple(fs) for b, fs in into.items()}
         self._c1 = _composable(self.hcomp1, self.onecells)
         self._v = _composable(self.vcomp, self.twocells)
         self._triples = None
@@ -89,14 +91,9 @@ class Fin2Cat(Recorded):
     def two_cells_between(self, f, g):
         return self._twos.get((f, g), ())
 
-    def one_cells_into(self, d, table_order=False):
-        """The 1-cells into d with their sources, as (g, e): in id order,
-        or in the order of the onecells table."""
-        if not table_order:
-            return self._into.get(d, ())
-        if self._into_table is None:
-            self._into_table = _by_target(self.onecells.items())
-        return self._into_table.get(d, ())
+    def one_cells_into(self, d):
+        """The 1-cells into d with their sources, as (g, e), in id order."""
+        return self._into.get(d, ())
 
     def composable_triples(self):
         """Every (e, b, a) with (b, a) in hcomp1 and e a 1-cell out of the
@@ -282,15 +279,6 @@ def _boundaries(table, kind):
     return MappingProxyType(out)
 
 
-def _by_target(cells):
-    """{target: ((id, source), ...)} over (id, (source, target)) items,
-    in their order."""
-    out = {}
-    for x, (s, t) in cells:
-        out.setdefault(t, []).append((x, s))
-    return {t: tuple(xs) for t, xs in out.items()}
-
-
 def _composable(table, cells):
     """The entries (later, earlier) -> composite of a composition table
     whose cells compose: what ``c1`` and ``v`` return without a check."""
@@ -315,14 +303,19 @@ def from_fincat(c):
 
 
 def check_two_category(k, budget=None):
-    """Decide whether the tables form a strict 2-category."""
+    """Decide whether the tables form a strict 2-category.  Every loop
+    visits the cells in id order, and a step is one composable pair,
+    triple or quadruple examined."""
     budget = budget or Budget()
-    for f, (s, t) in k.onecells.items():
+    ones, twos = sorted(k.onecells), sorted(k.twocells)
+    for f in ones:
+        s, t = k.onecells[f]
         if s not in k.objects or t not in k.objects:
             return failed("check_two_category",
                           ["1-cell %r has a dangling endpoint" % f],
                           {"onecell": f})
-    for x, (f, g) in k.twocells.items():
+    for x in twos:
+        f, g = k.twocells[x]
         if f not in k.onecells or g not in k.onecells \
                 or k.onecells[f] != k.onecells[g]:
             return failed("check_two_category",
@@ -334,7 +327,7 @@ def check_two_category(k, budget=None):
             return failed("check_two_category",
                           ["no identity 1-cell %r -> %r" % (x, x)],
                           {"object": x})
-    for f in k.onecells:
+    for f in ones:
         if not _is_cell(k.twocells, k.identity2.get(f), (f, f)):
             return failed("check_two_category",
                           ["no identity 2-cell %r => %r" % (f, f)],
@@ -346,26 +339,19 @@ def check_two_category(k, budget=None):
                 return failed("check_two_category",
                               ["hom(%r, %r): %s" % (a, b, r.details[0])],
                               r.witness)
-    # 1-cell composition: total, typed, unital, associative.  The scan
-    # of every pair (g, f) ticks once per pair: each row ticks in bulk up
-    # to each composable f, and for the rest at its end
-    place = {f: i for i, f in enumerate(k.onecells)}
-    for g in k.onecells:
-        ticked = 0
-        for f, _ in k.one_cells_into(k.src1(g), table_order=True):
-            budget.tick(place[f] + 1 - ticked)
-            ticked = place[f] + 1
+    # 1-cell composition: total, typed, unital, associative
+    for g in ones:
+        for f, _ in k.one_cells_into(k.src1(g)):
+            budget.tick()
             if not _is_cell(k.onecells, k.hcomp1.get((g, f)),
                             (k.src1(f), k.tgt1(g))):
                 return failed("check_two_category",
                               ["bad 1-composite (%r, %r)" % (g, f)],
                               {"pair": [g, f]})
-        budget.tick(len(place) - ticked)
-    for f in k.onecells:
+    for f in ones:
         if k.c1(f, k.id1(k.src1(f))) != f or k.c1(k.id1(k.tgt1(f)), f) != f:
             return failed("check_two_category",
                           ["1-cell unit law fails at %r" % f], {"onecell": f})
-    ones = sorted(k.onecells)
     for h in ones:
         for g, _ in k.one_cells_into(k.src1(h)):
             for f, _ in k.one_cells_into(k.src1(g)):
@@ -378,32 +364,28 @@ def check_two_category(k, budget=None):
     # unital.  into[f]: the 2-cells into the 1-cell f; ending[x]: the
     # 2-cells between 1-cells into the object x, those that compose
     # before a 2-cell out of x.  Both in id order.
-    twos = sorted(k.twocells)
     into, ending = {}, {}
     for a in twos:
         into.setdefault(k.tgt2(a), []).append(a)
         ending.setdefault(k.tgt1(k.src2(a)), []).append(a)
-    # the first 2-composite of a non-composable pair of 2-cells, in the
-    # order of a scan of every pair
-    stray = min((key for key in k.hcomp2
+    # a composite that the table gives a pair that does not compose
+    loose = min((key for key in k.hcomp2
                  if isinstance(key, tuple) and len(key) == 2
                  and key[0] in k.twocells and key[1] in k.twocells
                  and k.tgt1(k.src2(key[1])) != k.src1(k.src2(key[0]))),
                 default=None)
-    for b, a in ((b, a) for b in twos
-                 for a in ending.get(k.src1(k.src2(b)), ())):
-        if stray is not None and stray < (b, a):
-            break
-        budget.tick()
-        want = (k.c1(k.src2(b), k.src2(a)), k.c1(k.tgt2(b), k.tgt2(a)))
-        if not _is_cell(k.twocells, k.hcomp2.get((b, a)), want):
-            return failed("check_two_category",
-                          ["bad 2-composite (%r, %r)" % (b, a)],
-                          {"pair": [b, a]})
-    if stray is not None:
+    if loose is not None:
         return failed("check_two_category",
-                      ["2-composite of non-composable (%r, %r)" % stray],
-                      {"pair": list(stray)})
+                      ["2-composite of non-composable (%r, %r)" % loose],
+                      {"pair": list(loose)})
+    for b in twos:
+        for a in ending.get(k.src1(k.src2(b)), ()):
+            budget.tick()
+            want = (k.c1(k.src2(b), k.src2(a)), k.c1(k.tgt2(b), k.tgt2(a)))
+            if not _is_cell(k.twocells, k.hcomp2.get((b, a)), want):
+                return failed("check_two_category",
+                              ["bad 2-composite (%r, %r)" % (b, a)],
+                              {"pair": [b, a]})
     for g in ones:
         for f, _ in k.one_cells_into(k.src1(g)):
             if k.h(k.id2(g), k.id2(f)) != k.id2(k.c1(g, f)):

@@ -52,6 +52,14 @@ def _object(x, where):
     return x
 
 
+def _list(x, where):
+    """x, refused unless it is a JSON array."""
+    if not isinstance(x, list):
+        raise ParseError("%s: expected a list, got %s"
+                         % (where, type(x).__name__))
+    return x
+
+
 def _field(body, name, where):
     """The object body[name]; a missing field is a KeyError."""
     return _object(body[name], "%s.%s" % (where, name))
@@ -79,7 +87,7 @@ def _decode_cat(body, where):
     _object(body, where)
     try:
         morphisms = _field(body, "morphisms", where)
-        return FinCat(body["objects"],
+        return FinCat(_list(body["objects"], where + ".objects"),
                       {m: st[0] for m, st in morphisms.items()},
                       {m: st[1] for m, st in morphisms.items()},
                       _field(body, "identity", where),
@@ -93,7 +101,7 @@ def _decode_two_cat(body, where):
     try:
         ones = _field(body, "onecells", where)
         twos = _field(body, "twocells", where)
-        return Fin2Cat(body["objects"],
+        return Fin2Cat(_list(body["objects"], where + ".objects"),
                        {f: tuple(st) for f, st in ones.items()},
                        {a: tuple(st) for a, st in twos.items()},
                        _field(body, "identity1", where),
@@ -130,7 +138,7 @@ def _decode_bisieve(body, two_cats, where):
         raise DanglingReference("%s: unknown target object %r"
                                 % (where, target))
     try:
-        members = {d: set(fs)
+        members = {d: set(_list(fs, "%s.members[%s]" % (where, d)))
                    for d, fs in _field(body, "members", where).items()}
         for d, fs in members.items():
             for f in sorted(fs):
@@ -279,11 +287,9 @@ def load_data(raw):
         covering = {}
         for c, names in _object(b.get("covering", {}),
                                 where + ".covering").items():
-            if not isinstance(names, list):
-                raise ParseError("%s.covering[%s]: expected a list, got %s"
-                                 % (where, c, type(names).__name__))
             covering[c] = [_ref(bisieves, sn, "bisieve", where)
-                           for sn in names]
+                           for sn in _list(names, "%s.covering[%s]"
+                                           % (where, c))]
             for sn, s in zip(names, covering[c]):
                 if s.k != k or s.target != c:
                     raise ParseError("%s.covering[%s]: bisieve %r is not a "

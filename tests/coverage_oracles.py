@@ -1,13 +1,17 @@
-"""Test-only oracles: the nested-loop scans that ``check_two_category``,
+"""Test-only oracles: nested-loop scans of what ``check_two_category``,
 the sieve constructions, the coverage axioms T1-T3 and
-``check_bitopology`` replace with indexes and member masks.
+``check_bitopology`` decide with indexes and member masks.
 
 Each oracle tests every pair (or triple, or quadruple) of cells for
 composability, and every candidate member for an invertible 2-cell one
-at a time, visiting them in the order that the indexed versions must
-keep.  They read only the raw tables of a Fin2Cat and its per-pair
-lookups (``c1``, ``v``, ``h``, ``iso_1cells``, ``invertible_2cell``),
-never its per-1-cell or per-object indexes.
+at a time, visiting ids in sorted order, as the indexed versions do.  A
+step is one composable pair, triple or quadruple examined, one 1-cell of
+a pullback, one member compared or one union of classes tried.  Where
+an indexed version builds its coverage index, the oracle first decides
+every 2-cell in id order (``_decided``), so that it raises the same first
+error.  They read only the raw tables of a Fin2Cat and its per-cell and
+per-pair lookups (``c1``, ``v``, ``h``, ``invertible2``, ``iso_1cells``,
+``invertible_2cell``), never its per-1-cell or per-object indexes.
 """
 
 from bistack.errors import BoundaryMismatch, MalformedTable
@@ -31,14 +35,24 @@ def hom_cat(k, a, b):
     )
 
 
+def _decided(k):
+    """Decide whether each 2-cell is invertible, in id order: what
+    building the coverage index raises on a corrupted table."""
+    for a in sorted(k.twocells):
+        k.invertible2(a)
+
+
 def check_two_category(k, budget=None):
     budget = budget or Budget()
-    for f, (s, t) in k.onecells.items():
+    ones, twos = sorted(k.onecells), sorted(k.twocells)
+    for f in ones:
+        s, t = k.onecells[f]
         if s not in k.objects or t not in k.objects:
             return failed("check_two_category",
                           ["1-cell %r has a dangling endpoint" % f],
                           {"onecell": f})
-    for x, (f, g) in k.twocells.items():
+    for x in twos:
+        f, g = k.twocells[x]
         if f not in k.onecells or g not in k.onecells \
                 or k.onecells[f] != k.onecells[g]:
             return failed("check_two_category",
@@ -49,7 +63,7 @@ def check_two_category(k, budget=None):
             return failed("check_two_category",
                           ["no identity 1-cell %r -> %r" % (x, x)],
                           {"object": x})
-    for f in k.onecells:
+    for f in ones:
         if not _is_cell(k.twocells, k.identity2.get(f), (f, f)):
             return failed("check_two_category",
                           ["no identity 2-cell %r => %r" % (f, f)],
@@ -61,20 +75,19 @@ def check_two_category(k, budget=None):
                 return failed("check_two_category",
                               ["hom(%r, %r): %s" % (a, b, r.details[0])],
                               r.witness)
-    for g in k.onecells:
-        for f in k.onecells:
-            budget.tick()
+    for g in ones:
+        for f in ones:
             if k.tgt1(f) == k.src1(g):
+                budget.tick()
                 if not _is_cell(k.onecells, k.hcomp1.get((g, f)),
                                 (k.src1(f), k.tgt1(g))):
                     return failed("check_two_category",
                                   ["bad 1-composite (%r, %r)" % (g, f)],
                                   {"pair": [g, f]})
-    for f in k.onecells:
+    for f in ones:
         if k.c1(f, k.id1(k.src1(f))) != f or k.c1(k.id1(k.tgt1(f)), f) != f:
             return failed("check_two_category",
                           ["1-cell unit law fails at %r" % f], {"onecell": f})
-    ones = sorted(k.onecells)
     for h in ones:
         for g in ones:
             if k.tgt1(g) != k.src1(h):
@@ -87,14 +100,15 @@ def check_two_category(k, budget=None):
                     return failed("check_two_category",
                                   ["1-cell associativity fails at (%r,%r,%r)"
                                    % (h, g, f)], {"triple": [h, g, f]})
-    twos = sorted(k.twocells)
+    for b in twos:
+        for a in twos:
+            if k.tgt1(k.src2(a)) != k.src1(k.src2(b)) and (b, a) in k.hcomp2:
+                return failed("check_two_category",
+                              ["2-composite of non-composable (%r, %r)"
+                               % (b, a)], {"pair": [b, a]})
     for b in twos:
         for a in twos:
             if k.tgt1(k.src2(a)) != k.src1(k.src2(b)):
-                if (b, a) in k.hcomp2:
-                    return failed("check_two_category",
-                                  ["2-composite of non-composable (%r, %r)"
-                                   % (b, a)], {"pair": [b, a]})
                 continue
             budget.tick()
             want = (k.c1(k.src2(b), k.src2(a)), k.c1(k.tgt2(b), k.tgt2(a)))
@@ -151,11 +165,12 @@ def check_two_category(k, budget=None):
 
 def build_bisieve(k, target, members):
     members = {d: frozenset(ms) for d, ms in members.items() if ms}
-    for d, ms in members.items():
-        for f in ms:
+    for d in sorted(members):
+        for f in sorted(members[d]):
             if k.onecells.get(f) != (d, target):
                 raise MalformedTable("member %r is not a 1-cell %r -> %r"
                                      % (f, d, target))
+    _decided(k)
     tilde, sigma = {}, {}
     for d, ms in members.items():
         for f in sorted(ms):
@@ -182,7 +197,7 @@ def build_bisieve(k, target, members):
 
 def maximal_bisieve(k, target):
     members = {}
-    for f, (d, c) in k.onecells.items():
+    for f, (d, c) in sorted(k.onecells.items()):
         if c == target:
             members.setdefault(d, set()).add(f)
     return build_bisieve(k, target, members)
@@ -193,14 +208,14 @@ def check_bisieve(s, budget=None):
     k = s.k
     if s.target not in k.objects:
         return failed("check_bisieve", ["unknown target %r" % s.target], {})
-    for d, ms in s.members.items():
-        for f in ms:
+    for d in sorted(s.members):
+        for f in sorted(s.members[d]):
             if k.onecells.get(f) != (d, s.target):
                 return failed("check_bisieve",
                               ["member %r is not %r -> %r"
                                % (f, d, s.target)], {"member": f})
     for d, f in s.all_members():
-        for g, (e, d2) in k.onecells.items():
+        for g, (e, d2) in sorted(k.onecells.items()):
             if d2 != d:
                 continue
             budget.tick()
@@ -229,6 +244,7 @@ def sieve_equivalence(s1, s2, budget=None):
     if s1.k != s2.k or s1.target != s2.target:
         return failed("sieve_equivalence", ["different ambient data"], {})
     k = s1.k
+    _decided(k)
     for a, b, tag in ((s1, s2, "first"), (s2, s1, "second")):
         for d, f in a.all_members():
             budget.tick()
@@ -243,6 +259,7 @@ def sieve_equivalence(s1, s2, budget=None):
 def pullback_sieve(s, f, budget=None):
     budget = budget or Budget()
     k = s.k
+    _decided(k)
     d, c = k.onecells[f]
     if c != s.target:
         raise BoundaryMismatch("%r does not land in %r" % (f, s.target))
@@ -260,6 +277,7 @@ def pullback_sieve(s, f, budget=None):
 
 def candidate_sieves(k, c, budget=None):
     budget = budget or Budget()
+    _decided(k)
     into = sorted(f for f, (d, t) in k.onecells.items() if t == c)
     classes = []
     rest = list(into)
@@ -274,7 +292,7 @@ def candidate_sieves(k, c, budget=None):
     for i, cls in enumerate(classes):
         f = cls[0]
         need = set()
-        for g, (e, d) in k.onecells.items():
+        for g, (e, d) in sorted(k.onecells.items()):
             if d == k.onecells[f][0]:
                 need.add(idx[k.c1(f, g)])
         succ[i] = need
@@ -298,6 +316,7 @@ def _covers(sieves, s, budget):
 
 def check_T1(tau, budget=None):
     budget = budget or Budget()
+    _decided(tau.k)
     for c in tau.k.objects:
         budget.tick()
         if not _covers(tau.sieves_on(c), maximal_bisieve(tau.k, c), budget):
@@ -310,7 +329,8 @@ def check_T2(tau, budget=None):
     budget = budget or Budget()
     for c in tau.k.objects:
         for i, s in enumerate(tau.sieves_on(c)):
-            for f, (d, c2) in tau.k.onecells.items():
+            _decided(s.k)
+            for f, (d, c2) in sorted(tau.k.onecells.items()):
                 if c2 != c:
                     continue
                 budget.tick()
@@ -327,6 +347,7 @@ def check_T2(tau, budget=None):
 def check_T3(tau, budget=None):
     budget = budget or Budget()
     k = tau.k
+    _decided(k)
     for c in k.objects:
         for s in candidate_sieves(k, c, budget):
             locally_covering = False

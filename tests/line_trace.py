@@ -217,25 +217,6 @@ ALLOWED = {
         ("sigma_colim.py", "verify_sigma_bicolim",
          "dict(r0.witness, per_object={}))"),
     ],
-    ("_cones builds only invertible fillers, and no tier-1 cospan has a cone "
-     "that passes the 1-dimensional property but fails the 2-dimensional "
-     "one, or two apexes that pass both"): [
-        ("two_cat.py", "check_bi_iso_comma",
-         'return failed("check_bi_iso_comma", ["theta is not an invertible "'),
-        ("two_cat.py", "check_bi_iso_comma",
-         '"filler"], {"theta": cone.theta})'),
-        ("two_cat.py", "check_bi_iso_comma", "continue"),
-        ("two_cat.py", "check_bi_iso_comma", "return failed("),
-        ("two_cat.py", "check_bi_iso_comma", '"check_bi_iso_comma",'),
-        ("two_cat.py", "check_bi_iso_comma",
-         '["compatible pair (%r, %r) has %d fillers"'),
-        ("two_cat.py", "check_bi_iso_comma", "% (mu, nu, len(lam))],"),
-        ("two_cat.py", "check_bi_iso_comma",
-         '{"pair": [mu, nu], "fillers": lam})'),
-        ("two_cat.py", "find_iso_comma",
-         'details.append("equivalent alternatives exist: %s" % '
-         "(apexes[1:],))"),
-    ],
 }
 
 

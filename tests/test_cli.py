@@ -777,6 +777,27 @@ def test_cli_catvalued_checks_refuse_invalid_input(tmp_path, capsys, build,
     assert err.startswith("error: " + message) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("op", ["T1", "T2", "T3", "bitopology"])
+def test_cli_coverage_checks_refuse_an_undecidable_two_category(
+        tmp_path, capsys, op):
+    """The corpus without the vertical composite of id_0's identity 2-cell
+    with itself, and with no covering sieve on 0: no coverage question
+    reads that 2-cell, but whether it is invertible cannot be decided, so
+    the coverage index refuses the 2-category before any check runs."""
+    raw = _corpus_raw()
+    for section in ("trihoms", "presheaves"):
+        del raw[section]
+    k = raw["two_cats"]["K"]
+    k["vcomp"] = [row for row in k["vcomp"] if row[0] != "2id_id_0"]
+    del raw["bitopologies"]["tau"]["covering"]["0"]
+    raw["checks"] = {op: {"op": op, "bitopology": "tau"}}
+    capsys.readouterr()
+    assert _run_raw(tmp_path, raw) == 3
+    assert capsys.readouterr().err == (
+        "error: checks.%s: an input of op %r is malformed (MalformedTable: "
+        "missing vertical composite ('2id_id_0', '2id_id_0'))\n" % (op, op))
+
+
 def _mutant_without_identity2(k):
     del k["identity2"]["id_B"]
 
@@ -1098,6 +1119,30 @@ def _covering_not_a_list(raw):
     raw["bitopologies"]["tau"]["covering"]["0"] = "S_max_0"
 
 
+def _members_at_0(value):
+    def corrupt(raw):
+        raw["bisieves"]["S_max_1"]["members"]["0"] = value
+    return corrupt
+
+
+def _objects_not_a_list(raw):
+    raw["two_cats"]["K"]["objects"] = "01"
+
+
+def _value_objects_not_a_list(raw):
+    """A tables trihom whose value at 0 declares its objects as a
+    string."""
+    k = raw["two_cats"]["K"]
+    raw["trihoms"]["F1"] = {
+        "kind": "tables", "two_cat": "K", "on1": {}, "on2": {},
+        "values": {"0": dict(k, objects="01"), "1": k}}
+
+
+def _cat_objects_not_a_list(raw):
+    raw["cats"] = {"C": {"objects": "xy", "morphisms": {}, "identity": {},
+                         "comp": []}}
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda raw: [raw], "workspace root must be an object"),
     (lambda raw: dict(raw, extra={}), "unknown section 'extra'"),
@@ -1106,8 +1151,18 @@ def _covering_not_a_list(raw):
     (_presheaf({"at": "2"}), "presheaves.P1: unknown object '2'"),
     (_covering_not_a_list,
      "bitopologies.tau.covering[0]: expected a list, got str"),
+    (_members_at_0("a"),
+     "bisieves.S_max_1.members[0]: expected a list, got str"),
+    (_members_at_0({"a": 1}),
+     "bisieves.S_max_1.members[0]: expected a list, got dict"),
+    (_objects_not_a_list, "two_cats.K.objects: expected a list, got str"),
+    (_value_objects_not_a_list,
+     "trihoms.F1.values[0].objects: expected a list, got str"),
+    (_cat_objects_not_a_list, "cats.C.objects: expected a list, got str"),
 ], ids=["root-list", "unknown-section", "presheaf-kind", "presheaf-object",
-        "covering-not-a-list"])
+        "covering-not-a-list", "members-a-string", "members-an-object",
+        "objects-a-string", "value-objects-a-string",
+        "cat-objects-a-string"])
 def test_cli_malformed_document_sections_are_input_errors(tmp_path, capsys,
                                                           corrupt, message):
     raw = _corpus_raw()

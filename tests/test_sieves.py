@@ -2,13 +2,15 @@ import hashlib
 
 import pytest
 
+from bistack.builders import chain_suspension
 from bistack.errors import MalformedTable
 from bistack.fincat import walking_arrow
 from bistack.generate import generate
 from bistack.report import Budget
-from bistack.sieves import (Bitopology, build_bisieve, candidate_sieves,
-                            check_bisieve, check_bitopology, check_T1,
-                            check_T2, check_T3, factor_groth_morphism, groth,
+from bistack.sieves import (Bisieve, Bitopology, build_bisieve,
+                            candidate_sieves, check_bisieve, check_bitopology,
+                            check_T1, check_T2, check_T3,
+                            factor_groth_morphism, groth,
                             inclusion_transformation, maximal_bisieve,
                             pullback_sieve, representable, sieve_equivalence,
                             sieve_presheaf)
@@ -28,6 +30,20 @@ def wa2():
 @pytest.fixture
 def ksplit():
     return split_idempotent_2cat()
+
+
+def test_the_first_mistyped_member_is_the_least_id():
+    """Of several mistyped members on one object, check_bisieve and
+    build_bisieve name the least id, whatever order the member set
+    iterates in under the hash seed."""
+    k = chain_suspension(3)
+    members = {"X": {"f2", "f0", "f1"}}
+    r = check_bisieve(Bisieve(k, "X", members, {}, {}))
+    assert (r.verdict, r.details, r.witness) == (
+        "fail", ["member 'f0' is not 'X' -> 'X'"], {"member": "f0"})
+    with pytest.raises(MalformedTable) as exc:
+        build_bisieve(k, "X", members)
+    assert str(exc.value) == "member 'f0' is not a 1-cell 'X' -> 'X'"
 
 
 def test_build_and_check_bisieve(wa2):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bistack import descent, sigma_colim
-from bistack.builders import suspension_two_cat, thin_two_cat
+from bistack.builders import chain_suspension, suspension_two_cat, \
+    thin_two_cat
 from bistack.descent import is_stack_catvalued, is_subcanonical
 from bistack.fincat import FinCat, discrete, walking_arrow
 from bistack.generate import generate
@@ -502,9 +503,13 @@ def test_catvalued_decision_matches_the_tabulated_category(monkeypatch):
     the same verdicts, details and witnesses in at least as many steps:
     on the subcanonical and stack reports of test_tabulate, and on the
     representables over each valid bisieve of the corpus and of site
-    seeds 0-79."""
+    seeds 0-79 and over the empty sieve on X of chain_suspension(2), where
+    the representable at Y fails at fullness: its descent category has a
+    morphism, named as Enumerated names it, with no preimage."""
+    k2 = chain_suspension(2)
     sieves = [s for s in _pool_sieves()
-              if check_two_category(s.k).ok and check_bisieve(s).ok]
+              if check_two_category(s.k).ok and check_bisieve(s).ok] \
+        + [build_bisieve(k2, "X", {})]
 
     def run():
         return _catvalued_reports(sieves) + [
@@ -518,7 +523,7 @@ def test_catvalued_decision_matches_the_tabulated_category(monkeypatch):
     assert all(a <= b for (_, a), (_, b) in zip(direct, oracle))
     assert sum(a for _, a in direct) < sum(b for _, b in oracle)
     assert {"pass", "fail"} == {r[0] for r, _ in direct}
-    assert {"essential surjectivity", "faithfulness"} \
+    assert {"essential surjectivity", "fullness", "faithfulness"} \
         <= {r[2].get("reason") for r, _ in direct}
 
 

@@ -7,8 +7,8 @@ from bistack.fincat import (FinCat, Functor, check_functor, check_nat,
                             compose_functors, discrete, identity_functor,
                             walking_arrow)
 from bistack.report import failed
-from bistack.two_cat import (Fin2Cat, PsNatTrans, CatModification,
-                             check_bi_iso_comma, check_modification,
+from bistack.two_cat import (Fin2Cat, IsoCommaCone, PsNatTrans,
+                             CatModification, check_bi_iso_comma, check_modification,
                              check_ps_functor, check_ps_nat,
                              check_two_category, find_iso_comma, from_fincat,
                              iso_comma_in_cat)
@@ -175,6 +175,92 @@ def test_find_iso_comma_reports_absence():
     k = from_fincat(FinCat(objs, src, tgt, identity, comp))
     cone, report = find_iso_comma(k, "f", "g")
     assert cone is None and report.verdict == "fail"
+
+
+def _thin_over_cospan(objects, cells, composites, order):
+    """builders.thin_two_cat over the cospan f: A -> C <- B: g with f.p =
+    g.q = r at P, plus the given 1-cells and composites, and an identity
+    1-cell id_x at each object, a unit on both sides."""
+    onecells = {"f": ("A", "C"), "g": ("B", "C"), "p": ("P", "A"),
+                "q": ("P", "B"), "r": ("P", "C")}
+    onecells.update(cells)
+    onecells.update({"id_" + x: (x, x) for x in objects})
+    hcomp1 = {("f", "p"): "r", ("g", "q"): "r"}
+    hcomp1.update(composites)
+    for f, (a, b) in onecells.items():
+        hcomp1[(f, "id_" + a)] = hcomp1[("id_" + b, f)] = f
+    return thin_two_cat(objects, onecells, {x: "id_" + x for x in objects},
+                        hcomp1, order)
+
+
+def _unfilled_cospan():
+    """Two 1-cells u, u2: W -> P whose legs are related, p.u <= p.u2 and
+    q.u <= q.u2, while u and u2 are not: every cone over (f, g) factors
+    uniquely through P, but the compatible pair at (u, u2) has no
+    filler."""
+    cells, composites = {}, {}
+    for u in ("u", "u2"):
+        cells[u] = ("W", "P")
+        for leg, (f, end) in (("p", ("f", "A")), ("q", ("g", "B")),
+                              ("r", (None, "C"))):
+            cells[leg + u] = ("W", end)
+            composites[(leg, u)] = leg + u
+            if f is not None:
+                composites[(f, leg + u)] = "r" + u
+    return _thin_over_cospan(["A", "B", "C", "P", "W"], cells, composites,
+                             [("pu", "pu2"), ("qu", "qu2"), ("ru", "ru2")])
+
+
+def test_iso_comma_fails_the_two_dimensional_property():
+    k = _unfilled_cospan()
+    assert check_two_category(k).ok
+    cone = IsoCommaCone("P", "p", "q", "2id_r")
+    r = check_bi_iso_comma(k, "f", "g", cone)
+    assert (r.verdict, r.details, r.witness) == (
+        "fail", ["compatible pair ('c[pu>pu2]', 'c[qu>qu2]') has 0 fillers"],
+        {"pair": ["c[pu>pu2]", "c[qu>qu2]"], "fillers": []})
+    cone, report = find_iso_comma(k, "f", "g")
+    assert cone is None and report.verdict == "fail"
+    # a cone whose theta is not an invertible filler is refused first
+    r = check_bi_iso_comma(k, "f", "g", IsoCommaCone("W", "pu", "qu2",
+                                                     "c[ru>ru2]"))
+    assert (r.verdict, r.witness) == ("fail", {"theta": "c[ru>ru2]"})
+
+
+def test_find_iso_comma_notes_an_equivalent_apex():
+    """Q, an isomorphic copy of P (e: Q -> P, e2: P -> Q), is a second
+    apex: the first in object order is chosen and the other noted."""
+    cells = {"e": ("Q", "P"), "e2": ("P", "Q"), "pe": ("Q", "A"),
+             "qe": ("Q", "B"), "re": ("Q", "C")}
+    composites = {("e", "e2"): "id_P", ("e2", "e"): "id_Q",
+                  ("f", "pe"): "re", ("g", "qe"): "re"}
+    for leg in ("p", "q", "r"):
+        composites[(leg, "e")] = leg + "e"
+        composites[(leg + "e", "e2")] = leg
+    k = _thin_over_cospan(["A", "B", "C", "P", "Q"], cells, composites, [])
+    assert check_two_category(k).ok
+    cone, report = find_iso_comma(k, "f", "g")
+    assert (cone.apex, cone.p, cone.q) == ("P", "p", "q")
+    assert report.details == ["selected apex 'P'",
+                              "equivalent alternatives exist: ['Q']"]
+    assert report.witness == {"alternatives": ["Q"]}
+
+
+def test_iso_comma_skips_pairs_not_compatible_with_theta():
+    """Over the identity cospan of Y in a suspension whose hom(X, Y) is a
+    parallel pair al, be: x -> y, the pair (al, be) at (x, y) is not
+    compatible and is skipped; (al, al) and (be, be) have one filler
+    each."""
+    pair = FinCat(["x", "y"], {"ix": "x", "iy": "y", "al": "x", "be": "x"},
+                  {"ix": "x", "iy": "y", "al": "y", "be": "y"},
+                  {"x": "ix", "y": "iy"},
+                  {("ix", "ix"): "ix", ("iy", "iy"): "iy",
+                   ("al", "ix"): "al", ("iy", "al"): "al",
+                   ("be", "ix"): "be", ("iy", "be"): "be"})
+    k = suspension_two_cat(pair)
+    assert check_two_category(k).ok
+    cone = IsoCommaCone("Y", "id_Y", "id_Y", "2id_id_Y")
+    assert check_bi_iso_comma(k, "id_Y", "id_Y", cone).ok
 
 
 def test_iso_comma_in_cat_point_against_triple_count():
