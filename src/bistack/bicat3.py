@@ -50,11 +50,10 @@ and transformations checks the recorded cells against a declaration
 from the invertible 2-cells of its boundary (``_comparisons``, one
 ``report.choices`` group per family), and a structure built without its
 comparison cells (the identity and induced constructors) gets the
-identity on each cell's target (``_identities``).  ``PsTwoFunctor`` and
-``PsTwoNatTrans`` fill their defaults at construction, since every
-composite reads them.  ``Tritransformation`` and ``Trimodification``
-fill each table on its first read (``_first_read``), so that a table
-that no check reads is never built.
+identity on each cell's target (``_identities``), a composite
+pseudofunctor the composites of its factors' cells.  Every comparison
+table is built on its first read (``_FirstRead``), so that a table that
+no check reads is never built.
 
 The enumerators of ``descent`` draw every candidate from typed pools, so
 a candidate can fail only its displays: identity 2-cells preserved,
@@ -67,7 +66,7 @@ transformations first (``_ps_two_functor_typing``, ``_ps_two_nat_typing``,
 no step).
 """
 
-from functools import cached_property, partial
+from functools import partial
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
@@ -128,15 +127,20 @@ def _identities(families):
                    for slot, cells in families)
 
 
-def _first_read(name, declare):
-    """A comparison table that the constructor was not given, as a
-    ``cached_property``: its first read fills it with ``_identities`` of
-    the families that declare(structure) lists for it and keeps it as the
-    structure's own attribute, which a constructor may also set."""
-    def table(obj):
-        return _identities(family for family in declare(obj)
-                           if family[0][0] == name).get(name, {})
-    return cached_property(table)
+class _FirstRead:
+    """A comparison table not given to the constructor: its first read
+    fills all such tables of the structure from ``_comparison_tables()``
+    (empty where no cell is declared) and keeps them.  It takes no lock,
+    as ``functools.cached_property`` does before Python 3.12."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        have = obj.__dict__
+        for name, table in obj._comparison_tables().items():
+            have.setdefault(name, table)
+        return have.setdefault(self.name, {})
 
 
 # --- pseudofunctors between strict 2-categories ---------------------------
@@ -148,19 +152,24 @@ class PsTwoFunctor:
     Immutable after construction: every table is a read-only mapping, and
     key() is memoised."""
 
+    chi, unit = _FirstRead(), _FirstRead()
+
     def __init__(self, dom, cod, ob, on1, on2, chi=None, unit=None):
         self.dom = dom
         self.cod = cod
         self.ob = MappingProxyType(dict(ob))
         self.on1 = MappingProxyType(dict(on1))
         self.on2 = MappingProxyType(dict(on2))
-        if chi is None or unit is None:
-            ids = _identities(_ps_two_functor_cells(dom, cod, ob, on1))
-            chi = ids["chi"] if chi is None else chi
-            unit = ids["unit"] if unit is None else unit
-        self.chi = MappingProxyType(dict(chi))
-        self.unit = MappingProxyType(dict(unit))
+        if chi is not None:
+            self.chi = MappingProxyType(dict(chi))
+        if unit is not None:
+            self.unit = MappingProxyType(dict(unit))
         self._key = None
+
+    def _comparison_tables(self):
+        tables = _identities(_ps_two_functor_cells(self.dom, self.cod,
+                                                   self.ob, self.on1))
+        return {name: MappingProxyType(t) for name, t in tables.items()}
 
     def key(self):
         if self._key is None:
@@ -199,19 +208,27 @@ def compose_ps_two_functors(k2, h):
     """k2 after h."""
     if h.cod is not k2.dom and h.cod != k2.dom:
         raise BoundaryMismatch("pseudofunctors not composable")
-    cod = k2.cod
-    chi = {}
-    for (b, a), c in h.dom.hcomp1.items():
-        chi[(b, a)] = cod.v(k2.on2[h.chi[(b, a)]],
-                            k2.chi[(h.on1[b], h.on1[a])])
-    unit = {}
-    for x in h.dom.objects:
-        unit[x] = cod.v(k2.on2[h.unit[x]], k2.unit[h.ob[x]])
-    return PsTwoFunctor(h.dom, cod,
-                        {x: k2.ob[h.ob[x]] for x in h.dom.objects},
-                        {f: k2.on1[h.on1[f]] for f in h.dom.onecells},
-                        {a: k2.on2[h.on2[a]] for a in h.dom.twocells},
-                        chi, unit)
+    return _Composite(k2, h)
+
+
+class _Composite(PsTwoFunctor):
+    """k2 after h: each compositor and unitor composes the factors'."""
+
+    def __init__(self, k2, h):
+        super().__init__(h.dom, k2.cod,
+                         {x: k2.ob[h.ob[x]] for x in h.dom.objects},
+                         {f: k2.on1[h.on1[f]] for f in h.dom.onecells},
+                         {a: k2.on2[h.on2[a]] for a in h.dom.twocells})
+        self._factors = k2, h
+
+    def _comparison_tables(self):
+        k2, h = self._factors
+        v = self.cod.v
+        chi = {(b, a): v(k2.on2[h.chi[(b, a)]], k2.chi[(h.on1[b], h.on1[a])])
+               for b, a in h.dom.hcomp1}
+        unit = {x: v(k2.on2[h.unit[x]], k2.unit[h.ob[x]])
+                for x in h.dom.objects}
+        return {"chi": MappingProxyType(chi), "unit": MappingProxyType(unit)}
 
 
 def _ps_two_functor_typing(h):
@@ -299,13 +316,17 @@ class PsTwoNatTrans:
     H(a) . comp[x] => comp[y] . G(a), by default the identity on its
     target, which is typed only where both sides coincide."""
 
+    cell = _FirstRead()
+
     def __init__(self, dom, cod, comp, cell=None):
         self.dom = dom
         self.cod = cod
         self.comp = dict(comp)
-        if cell is None:
-            cell = _identities(_ps_two_nat_cells(dom, cod, self.comp))["cell"]
-        self.cell = dict(cell)
+        if cell is not None:
+            self.cell = dict(cell)
+
+    def _comparison_tables(self):
+        return _identities(_ps_two_nat_cells(self.dom, self.cod, self.comp))
 
     def key(self):
         return (tuple(sorted(self.comp.items())),
@@ -322,9 +343,7 @@ def _ps_two_nat_cells(g, h, comp):
 
 
 def identity_ps_two_nat(h):
-    c = h.cod
-    return PsTwoNatTrans(h, h, {x: c.id1(h.ob[x]) for x in h.dom.objects},
-                         {a: c.id2(h.on1[a]) for a in h.dom.onecells})
+    return PsTwoNatTrans(h, h, {x: h.cod.id1(h.ob[x]) for x in h.dom.objects})
 
 
 def _ps_two_nat_typing(t):
@@ -499,12 +518,8 @@ def _precomposition_trihom(k, ob):
              for a in src_v.twocells})
     on2 = {}
     for delta, (g, g2) in k.twocells.items():
-        e, d = k.onecells[g]
-        on2[delta] = PsTwoNatTrans(
-            on1[g], on1[g2],
-            {f: k.wl(f, delta) for f in ob[d].objects},
-            {x: ob[e].id2(k.v(k.wl(k.tgt2(x), delta), k.wr(x, g)))
-             for x in ob[d].onecells})
+        on2[delta] = PsTwoNatTrans(on1[g], on1[g2], {
+            f: k.wl(f, delta) for f in ob[k.tgt1(g)].objects})
     checked = k.memo("two_category")
     if checked and checked.ok:
         return TrihomData(k, ob, on1, on2)
@@ -577,10 +592,7 @@ class Tritransformation:
     and gamma[C]: per-object comparison 2-cells, by default the identities
     on their targets, built on first read (``_tritrans_cells``)."""
 
-    beta = _first_read("beta", lambda t: _tritrans_cells(t.dom, t.cod,
-                                                         t.comp, t.square))
-    gamma = _first_read("gamma", lambda t: _tritrans_cells(t.dom, t.cod,
-                                                           t.comp, t.square))
+    beta, gamma = _FirstRead(), _FirstRead()
 
     def __init__(self, dom, cod, comp, square, beta=None, gamma=None):
         self.dom = dom
@@ -591,6 +603,10 @@ class Tritransformation:
             self.beta = dict(beta)
         if gamma is not None:
             self.gamma = dict(gamma)
+
+    def _comparison_tables(self):
+        return _identities(_tritrans_cells(self.dom, self.cod, self.comp,
+                                           self.square))
 
 
 def _tritrans_cells(R, F, comp, square):
@@ -758,7 +774,7 @@ class Trimodification:
     comparison 2-cells for the square displays, by default the identities
     on their targets, built on first read (``_trimod_cells``)."""
 
-    cell = _first_read("cell", lambda m: _trimod_cells(m.dom, m.cod, m.comp))
+    cell = _FirstRead()
 
     def __init__(self, dom, cod, comp, cell=None):
         self.dom = dom
@@ -766,6 +782,9 @@ class Trimodification:
         self.comp = dict(comp)
         if cell is not None:
             self.cell = dict(cell)
+
+    def _comparison_tables(self):
+        return _identities(_trimod_cells(self.dom, self.cod, self.comp))
 
 
 def _trimod_cells(th, ph, comp):

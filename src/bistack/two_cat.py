@@ -339,6 +339,18 @@ def check_two_category(k, budget=None):
                 return failed("check_two_category",
                               ["hom(%r, %r): %s" % (a, b, r.details[0])],
                               r.witness)
+    # a composite that a table gives a pair that does not compose, least
+    # pair first; one(x) is the 1-cell boundary that x composes along
+    for n, table, cells, one in ((1, k.hcomp1, k.onecells, lambda f: f),
+                                 (2, k.hcomp2, k.twocells, k.src2)):
+        loose = min((key for key in table if isinstance(key, tuple)
+                     and len(key) == 2 and key[0] in cells and key[1] in cells
+                     and k.tgt1(one(key[1])) != k.src1(one(key[0]))),
+                    default=None)
+        if loose is not None:
+            return failed("check_two_category",
+                          ["%d-composite of non-composable (%r, %r)"
+                           % (n, *loose)], {"pair": list(loose)})
     # 1-cell composition: total, typed, unital, associative
     for g in ones:
         for f, _ in k.one_cells_into(k.src1(g)):
@@ -368,16 +380,6 @@ def check_two_category(k, budget=None):
     for a in twos:
         into.setdefault(k.tgt2(a), []).append(a)
         ending.setdefault(k.tgt1(k.src2(a)), []).append(a)
-    # a composite that the table gives a pair that does not compose
-    loose = min((key for key in k.hcomp2
-                 if isinstance(key, tuple) and len(key) == 2
-                 and key[0] in k.twocells and key[1] in k.twocells
-                 and k.tgt1(k.src2(key[1])) != k.src1(k.src2(key[0]))),
-                default=None)
-    if loose is not None:
-        return failed("check_two_category",
-                      ["2-composite of non-composable (%r, %r)" % loose],
-                      {"pair": list(loose)})
     for b in twos:
         for a in ending.get(k.src1(k.src2(b)), ()):
             budget.tick()

@@ -77,6 +77,18 @@ def check_two_category(k, budget=None):
                               r.witness)
     for g in ones:
         for f in ones:
+            if k.tgt1(f) != k.src1(g) and (g, f) in k.hcomp1:
+                return failed("check_two_category",
+                              ["1-composite of non-composable (%r, %r)"
+                               % (g, f)], {"pair": [g, f]})
+    for b in twos:
+        for a in twos:
+            if k.tgt1(k.src2(a)) != k.src1(k.src2(b)) and (b, a) in k.hcomp2:
+                return failed("check_two_category",
+                              ["2-composite of non-composable (%r, %r)"
+                               % (b, a)], {"pair": [b, a]})
+    for g in ones:
+        for f in ones:
             if k.tgt1(f) == k.src1(g):
                 budget.tick()
                 if not _is_cell(k.onecells, k.hcomp1.get((g, f)),
@@ -100,12 +112,6 @@ def check_two_category(k, budget=None):
                     return failed("check_two_category",
                                   ["1-cell associativity fails at (%r,%r,%r)"
                                    % (h, g, f)], {"triple": [h, g, f]})
-    for b in twos:
-        for a in twos:
-            if k.tgt1(k.src2(a)) != k.src1(k.src2(b)) and (b, a) in k.hcomp2:
-                return failed("check_two_category",
-                              ["2-composite of non-composable (%r, %r)"
-                               % (b, a)], {"pair": [b, a]})
     for b in twos:
         for a in twos:
             if k.tgt1(k.src2(a)) != k.src1(k.src2(b)):

@@ -173,10 +173,6 @@ ALLOWED = {
      "subprocess that the tracer does not trace"): [
         ("cli.py", "<module>", "sys.exit(main())"),
     ],
-    ("a trimodification to a restriction with a component that is no "
-     "equivalence; no tier-1 instance of is_2stack_direct has one"): [
-        ("descent.py", "_pointwise_equivalent", "return False"),
-    ],
     ("a random draw that no generated profile and seed of the tests takes"): [
         ("generate.py", "_random_poset_cat", "continue"),
         ("generate.py", "_saturate_topology.canonical", "return p.on(k)"),

@@ -18,7 +18,8 @@ from bistack.bicat3 import (Perturbation, PsTwoFunctor, PsTwoNatTrans,
                             identity_tritransformation, representable_trihom,
                             strict_trihom, yoneda_pert, yoneda_trimod,
                             yoneda_tritrans, _identities,
-                            _ps_two_functor_typing, _ps_two_nat_typing,
+                            _ps_two_functor_cells, _ps_two_functor_typing,
+                            _ps_two_nat_cells, _ps_two_nat_typing,
                             _trimod_cells, _tritrans_cells)
 from bistack.builders import chain_suspension
 from bistack.fincat import walking_arrow
@@ -73,9 +74,7 @@ def _unit_twisted_trimodification(t):
     unit axiom of check_trimodification reads an inverse that is not
     the cell itself."""
     z3 = t.ob[t.base.objects[0]]
-    twisted = PsTwoFunctor(z3, z3, {"P": "P"}, {"id_P": "id_P"},
-                           {x: x for x in z3.twocells},
-                           chi={("id_P", "id_P"): "w2"}, unit={"P": "w"})
+    twisted = twisted_identity(z3, "w2", "w")
     comp = {c: twisted for c in t.base.objects}
     square = {f: identity_ps_two_nat(compose_ps_two_functors(
         twisted, t.on1[f])) for f in t.base.onecells}
@@ -676,21 +675,71 @@ def _built_on_first_read(x, families, names):
         assert name in vars(x)
 
 
+def _functor_on_first_read(h):
+    _built_on_first_read(h, _ps_two_functor_cells(h.dom, h.cod, h.ob, h.on1),
+                         ("chi", "unit"))
+
+
+def _nat_on_first_read(t):
+    _built_on_first_read(t, _ps_two_nat_cells(t.dom, t.cod, t.comp),
+                         ("cell",))
+
+
+def _composite_on_first_read(k2, h):
+    """k2 after h, whose compositor and unitor are absent until read, and
+    then the composites of the factors' tables, by the formula that
+    compose_ps_two_functors applied at construction before."""
+    cod = k2.cod
+    chi = {(b, a): cod.v(k2.on2[h.chi[(b, a)]],
+                         k2.chi[(h.on1[b], h.on1[a])])
+           for b, a in h.dom.hcomp1}
+    unit = {x: cod.v(k2.on2[h.unit[x]], k2.unit[h.ob[x]])
+            for x in h.dom.objects}
+    x = compose_ps_two_functors(k2, h)
+    assert not {"chi", "unit"} & set(vars(x))
+    assert (x.chi, x.unit) == (chi, unit)
+    return x
+
+
+def twisted_identity(val, chi, unit):
+    """The identity of a one-object value with compositor chi and unitor
+    unit, a pseudofunctor where the two cells are mutually inverse."""
+    return PsTwoFunctor(val, val, {"P": "P"}, {"id_P": "id_P"},
+                        {a: a for a in val.twocells},
+                        chi={("id_P", "id_P"): chi}, unit={"P": unit})
+
+
+TWISTED = [(one_object_z2, "t", "t"), (one_object_z3, "w2", "w")]
+
+
 def test_comparison_tables_built_on_first_read_are_the_eager_identities():
     """The identity comparison tables of the identity and Yoneda
-    transformations and modifications over a trihom are built on first
-    read; each equals the table that ``_identities`` builds eagerly from
-    the structure's declaration."""
+    transformations and modifications over a trihom, of their component
+    pseudofunctors and of their squares, are built on first read; each
+    equals the table that ``_identities`` builds eagerly from the
+    structure's declaration.  The compositor and unitor of a composite
+    pseudofunctor are built on first read too, and equal the eager
+    composite of its factors' tables, also where these are no identities:
+    twisted identities of B(Z/2) and B(Z/3) and their composites."""
     count = 0
     for t in _first_read_trihoms():
+        k = t.base
         tr = identity_tritransformation(t)
         trimods = [identity_trimodification(tr)]
-        c = sorted(t.base.objects)[-1]
+        c = sorted(k.objects)[-1]
         val = t.ob[c]
         sigma = {x: yoneda_tritrans(t, c, x) for x in sorted(val.objects)}
         trimods += [yoneda_trimod(t, c, a, sigma[x], sigma[y])
                     for a, (x, y) in sorted(val.onecells.items())]
+        for comp in trimods[0].comp.values():
+            _nat_on_first_read(comp)
         for tr in [tr, *sigma.values()]:
+            for h in tr.comp.values():
+                _functor_on_first_read(h)
+            for g, (e, d) in sorted(k.onecells.items()):
+                _nat_on_first_read(tr.square[g])
+                _composite_on_first_read(tr.comp[e], tr.dom.on1[g])
+                _composite_on_first_read(tr.cod.on1[g], tr.comp[d])
             _built_on_first_read(tr, _tritrans_cells(tr.dom, tr.cod, tr.comp,
                                                      tr.square),
                                  ("beta", "gamma"))
@@ -699,3 +748,13 @@ def test_comparison_tables_built_on_first_read_are_the_eager_identities():
                                  ("cell",))
         count += len(sigma) + len(trimods)
     assert count > 500
+    compositors = []
+    for val, chi, unit in TWISTED:
+        pool = [identity_ps_two_functor(val()), twisted_identity(val(), chi,
+                                                                 unit)]
+        _functor_on_first_read(pool[0])
+        pool += [_composite_on_first_read(k2, h) for k2 in pool for h in pool]
+        pool += [_composite_on_first_read(k2, h) for k2 in pool for h in pool]
+        compositors += [h.chi[("id_P", "id_P")] for h in pool]
+        _nat_on_first_read(PsTwoNatTrans(pool[1], pool[-1], {"P": "id_P"}))
+    assert {"t", "w", "w2"} <= set(compositors)

@@ -1010,6 +1010,11 @@ def _composite(k, g, f, gf):
     return k
 
 
+def _stray(k, table, row):
+    k[table].append(row)
+    return k
+
+
 def _twocell(k, x, boundary):
     k["twocells"][x] = boundary
     return k
@@ -1024,8 +1029,11 @@ def _twocell(k, x, boundary):
     (lambda: _composite(_encode_two_cat(split_idempotent_2cat()),
                         "e", "e", "id_A"),
      "1-cell associativity fails at ('e','v','u')"),
-    (lambda: dict(_encode_two_cat(_arrow2()), hcomp2=_encode_two_cat(
-        _arrow2())["hcomp2"] + [["2id_id_0", "2id_id_1", "2id_id_0"]]),
+    (lambda: _stray(_encode_two_cat(chain_suspension(2)), "hcomp1",
+                    ["f0", "f1", "f0"]),
+     "1-composite of non-composable ('f0', 'f1')"),
+    (lambda: _stray(_encode_two_cat(_arrow2()), "hcomp2",
+                    ["2id_id_0", "2id_id_1", "2id_id_0"]),
      "2-composite of non-composable ('2id_id_0', '2id_id_1')"),
     (lambda: _z3_with_hcomp2(lambda b, a: 1 if b == a == 0 else b + a),
      "horizontal identity fails at ('id_P', 'id_P')"),
@@ -1034,7 +1042,7 @@ def _twocell(k, x, boundary):
     (lambda: _z3_with_hcomp2(lambda b, a: b),
      "2-cell unit law fails at 'w'"),
 ], ids=["2-cell-not-parallel", "1-cell-unit", "1-cell-associativity",
-        "2-cell-stray",
+        "1-cell-stray", "2-cell-stray",
         "horizontal-identity", "2-cell-associativity", "2-cell-unit"])
 def test_cli_two_category_check_on_a_failing_table_exits_one(
         tmp_path, capsys, build, message):

@@ -146,10 +146,11 @@ def _corrupted(data, objects, tables):
             del table[key]
         else:
             table[key] = value
-    if name == "hcomp2" and data.draw(st.booleans()):
+    if name in ("hcomp1", "hcomp2") and data.draw(st.booleans()):
         # a composite of a pair that may not compose
-        table[(data.draw(st.sampled_from(twos)),
-               data.draw(st.sampled_from(twos)))] = twos[0]
+        cells = ones if name == "hcomp1" else twos
+        table[(data.draw(st.sampled_from(cells)),
+               data.draw(st.sampled_from(cells)))] = cells[0]
     return tables
 
 

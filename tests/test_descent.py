@@ -1,5 +1,6 @@
 import pytest
 
+from bistack import descent
 from bistack.bicat3 import (PsTwoFunctor, check_ps_two_functor,
                             identity_ps_two_functor, representable_trihom,
                             strict_trihom, _ps_two_functor_typing)
@@ -15,11 +16,11 @@ from bistack.descent import (EffectivenessWitness, Refutation,
                              weak_datum_from_object, _connecting_isos,
                              _wdd_displays)
 from bistack.errors import MalformedTable, SearchBudgetExceeded
-from bistack.fincat import discrete, walking_arrow
+from bistack.fincat import FinCat, discrete, walking_arrow
 from bistack.generate import _z2_base
 from bistack.report import Budget, guarded
-from bistack.sieves import Bitopology, build_bisieve, maximal_bisieve, \
-    representable
+from bistack.sieves import Bitopology, build_bisieve, \
+    literal_maximal_bisieve, maximal_bisieve, representable
 from bistack.two_cat import Fin2Cat, from_fincat
 
 from test_bicat3 import constant_trihom, one_object_z2, one_object_z3, \
@@ -457,6 +458,34 @@ def test_unreachable_object_fails_object_gluing(wa2, wa_sieve):
     a, b = stack_pair(F, tau)
     assert not a.ok and a.witness["condition"] == "O"
     assert not b.ok and b.witness["condition"] == "O"
+
+
+def test_a_non_equivalence_component_is_skipped_at_object_gluing(
+        monkeypatch):
+    """A value with a non-invertible 1-cell b: B -> A, constant over one
+    object under its maximal sieve, is a 2-stack.  At (O) the direct
+    decider compares the restriction of B with the restriction of A first,
+    through the trimodification with component b, which is no
+    equivalence; it goes on to the restriction of B itself."""
+    c = discrete(["A", "B"])
+    val = from_fincat(FinCat(c.objects, dict(c.src, b="B"),
+                             dict(c.tgt, b="A"), c.identity,
+                             {**c.comp, ("b", "id_B"): "b",
+                              ("id_A", "b"): "b"}))
+    k = from_fincat(discrete(["0"]))
+    tau = Bitopology(k, {"0": [literal_maximal_bisieve(k, "0")]})
+    seen = []
+
+    def spy(m, budget):
+        seen.append((m.cod.comp["0"].ob, real(m, budget)))
+        return seen[-1][1]
+
+    real = descent._pointwise_equivalent
+    monkeypatch.setattr(descent, "_pointwise_equivalent", spy)
+    a, b = stack_pair(constant_trihom(k, val), tau)
+    assert (a.verdict, b.verdict) == ("pass", "pass")
+    assert seen == [({"id_0": "A"}, True), ({"id_0": "A"}, False),
+                    ({"id_0": "B"}, True)]
 
 
 def test_direct_checker_is_inconclusive_on_nonliteral_sieves(ksplit, ksieve):

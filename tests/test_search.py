@@ -591,6 +591,28 @@ def test_decider_steps_are_pinned(op, n):
     assert _decide(op, n) == ("pass", {}, _STEPS[op, n])
 
 
+def test_deciders_build_no_composite_table_on_a_thin_rung(monkeypatch):
+    """Every value of ladder rung 4 is locally thin, so no check of either
+    decider reads the compositor or unitor of a composite pseudofunctor,
+    and none is built.  The rung's base is checked first, as the loader
+    does, so that sieve_trihom composes nothing."""
+    F, tau = _rung(4)
+    F.base.memo("two_category", check_two_category)
+    made = []
+
+    def spy(k2, h):
+        made.append(compose(k2, h))
+        return made[-1]
+
+    compose = bicat3.compose_ps_two_functors
+    monkeypatch.setattr(bicat3, "compose_ps_two_functors", spy)
+    monkeypatch.setattr(descent, "compose_ps_two_functors", spy)
+    for op, decide in sorted(_DECIDERS.items()):
+        assert decide(F, tau, Budget()).verdict == "pass"
+    assert len(made) > 100
+    assert not [x for x in made if {"chi", "unit"} & set(vars(x))]
+
+
 def _budget_sweep(totals=_STEPS):
     """Both deciders on rung 4 under 20 limits from 0 to their steps in
     totals, by default their full steps."""

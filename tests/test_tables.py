@@ -9,7 +9,7 @@ import json
 import pytest
 
 from bistack import cli
-from bistack.bicat3 import representable_trihom
+from bistack.bicat3 import compose_ps_two_functors, representable_trihom
 from bistack.builders import chain_suspension, thin_two_cat
 from bistack.errors import BoundaryMismatch, MalformedTable, \
     SearchBudgetExceeded
@@ -22,7 +22,7 @@ from bistack.two_cat import Fin2Cat
 from bistack.workspace import SCHEMA, _encode_two_cat, corpus_names, \
     corpus_path, load, load_data
 
-from test_bicat3 import one_object_z2
+from test_bicat3 import TWISTED, one_object_z2, twisted_identity
 from test_two_cat import split_idempotent_2cat
 
 
@@ -288,10 +288,18 @@ def _functor_like():
     trihoms = [F for doc in _docs() for F in doc.trihoms.values()]
     trihoms += [representable_trihom(chain_suspension(n), "Y")
                 for n in (3, 4)]
-    for F in trihoms:
-        for h in F.on1.values():
-            tables = (h.ob, h.on1, h.on2, h.chi, h.unit)
-            yield h, tables, tuple(tuple(sorted(t.items())) for t in tables)
+    functors = [h for F in trihoms for h in F.on1.values()]
+    # composites, whose compositor and unitor are built on first read
+    functors += [compose_ps_two_functors(F.on1[g], F.on1[f])
+                 for F in trihoms for f, g in F.base.hcomp1]
+    for val, chi, unit in TWISTED:
+        pool = [twisted_identity(val(), chi, unit)]
+        pool += [compose_ps_two_functors(pool[0], pool[0])]
+        functors += [compose_ps_two_functors(k2, h)
+                     for k2 in pool for h in pool]
+    for h in functors:
+        tables = (h.ob, h.on1, h.on2, h.chi, h.unit)
+        yield h, tables, tuple(tuple(sorted(t.items())) for t in tables)
 
 
 def test_functor_tables_are_read_only_and_keys_memoised():
