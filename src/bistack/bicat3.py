@@ -451,6 +451,16 @@ class TrihomData(Recorded):
         self._recorded = {}
 
 
+def _same_action(h1, h2):
+    """Do two pseudofunctors act alike on objects, 1-cells and 2-cells?
+    Their compositors and unitors are not read, so none is built.  In
+    ``strict_trihom`` those of each action are identities, and so are those
+    of a composite of two actions that preserve identity 2-cells, which
+    ``check_trihom_data`` checks next; so comparing the actions alone
+    decides strict functoriality there."""
+    return h1.ob == h2.ob and h1.on1 == h2.on1 and h1.on2 == h2.on2
+
+
 def strict_trihom(k, ob, on1, on2):
     """Assemble strict homomorphism data.
 
@@ -464,11 +474,12 @@ def strict_trihom(k, ob, on1, on2):
             raise MalformedTable(
                 "value at 1-cell %r is not a strict 2-functor" % f)
     for c in k.objects:
-        if on1[k.id1(c)] != identity_ps_two_functor(ob[c]):
+        if not _same_action(on1[k.id1(c)], identity_ps_two_functor(ob[c])):
             raise MalformedTable("value at id_%r is not the identity" % c)
     for (f, g), comp in k.hcomp1.items():
         # f: D -> C after g: E -> D contravariantly: on1[g] after on1[f]
-        if compose_ps_two_functors(on1[g], on1[f]) != on1[comp]:
+        if not _same_action(compose_ps_two_functors(on1[g], on1[f]),
+                            on1[comp]):
             raise MalformedTable(
                 "values not strictly functorial at (%r, %r)" % (f, g))
     # identity 2-cells act by identities unless on2 says otherwise

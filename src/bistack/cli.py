@@ -2,7 +2,9 @@
 
 Exit codes: 0 every verdict passed, 1 some verdict failed, 2 some verdict
 inconclusive (and none failed), 3 input error (malformed command line,
-unreadable file, malformed document, dangling reference, unknown check).
+unreadable file, malformed document, dangling reference, unknown check),
+4 internal error (any other exception, with its traceback on stderr), so
+that a crash never reads as a verdict.
 ``groth`` validates the sieve and its 2-category as the ``sigma_bicolim``
 op does before it builds the 2-category of elements.
 """
@@ -10,6 +12,7 @@ op does before it builds the 2-category of elements.
 import argparse
 import json
 import sys
+import traceback
 
 from .errors import ToolkitError
 from .fincat import check_category
@@ -174,6 +177,9 @@ def main(argv=None):
     except (ToolkitError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -92,8 +92,8 @@ from .fincat import Enumerated, Functor, NatTrans, all_functors, \
     all_nat_trans, compose_functors, is_equivalence, vcomp_key
 from .two_cat import PsNatTrans, CatModification, check_ps_nat, \
     check_modification
-from .sieves import sieve_presheaf, representable, _compositor_cell, \
-    _restrict_cell, _restrict_member_cell
+from .sieves import contains_identity, sieve_presheaf, representable, \
+    _compositor_cell, _restrict_cell, _restrict_member_cell
 from .builders import identity_nat
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
@@ -1003,47 +1003,66 @@ def descent_category(F, s, budget=None):
 
 def is_stack_catvalued(F, tau, budget=None):
     """For every covering sieve: restriction from the value at the target
-    into the descent category must be an equivalence of categories.
+    into the descent category must be an equivalence of categories
+    (``is_stack_on_sieve``).
 
-    The restriction of each object and morphism of the value lies in the
-    descent category when F is a pseudofunctor on the bitopology's base,
-    that base passes ``check_two_category`` and each covering sieve
-    passes ``check_bisieve``, as the ``stack`` and ``subcanonical`` ops
-    refuse other input: its components are the functors
-    f |-> F(f)(X), which ``all_functors`` draws, its cells are the
-    invertible natural transformations chi^-1 . F(sigma(f, g)), which
-    ``all_nat_trans`` draws, and it passes ``check_ps_nat`` by the
-    coherence of F and the typing of sigma; a morphism of the value
-    restricts to a modification by the naturality of chi and F(sigma)."""
+    A sieve on c that contains id_c is skipped: restriction along it is an
+    equivalence for every F, by the Yoneda lemma.  Such a sieve holds every
+    1-cell into c up to an invertible 2-cell, so it is equivalent to the
+    representable at c, the descent category to the pseudonatural maps
+    out of that representable, and those, by evaluation at id_c, to F(c);
+    restriction followed by evaluation at id_c is isomorphic to the
+    identity of F(c) through F's unitor.  ``is_stack_on_sieve`` decides
+    such a sieve in full."""
     budget = budget or Budget()
-    k = F.base
-    obs = sorted(k.objects)
-    for c in obs:
+    for c in sorted(F.base.objects):
         for i, s in enumerate(tau.sieves_on(c)):
-            desc = descent_category(F, s, budget)
-            names = {t.key(): a for a, t in desc.value.items()}
-            R = s.derived(sieve_presheaf)
-            val_c = F.ob[c]
-            restricted, ob_map, mor_map = {}, {}, {}
-            for X in val_c.objects:
-                budget.tick()
-                t = restricted[X] = _sieve_restriction_nat(R, F, s, X)
-                ob_map[X] = names[t.key()]
-            for m0 in val_c.morphisms:
-                budget.tick()
-                tX = restricted[val_c.src[m0]]
-                tY = restricted[val_c.tgt[m0]]
-                mor_map[m0] = CatModification(tX, tY, {
-                    d: NatTrans(tX.comp[d], tY.comp[d],
-                                {f: F.on1[f].m(m0) for f in R.ob[d].objects})
-                    for d in obs}).key()
-            r = is_equivalence(Functor(val_c, desc, ob_map, mor_map), budget)
+            if contains_identity(s):
+                continue
+            r = is_stack_on_sieve(F, s, budget)
             if not r.ok:
                 r.name = "is_stack_catvalued"
                 r.details.insert(0, "sieve #%d on %r" % (i, c))
                 r.witness.update({"object": c, "sieve": i})
                 return r
     return passed("is_stack_catvalued")
+
+
+def is_stack_on_sieve(F, s, budget=None):
+    """Decide, by search, whether restriction from the value at the target
+    of s into the descent category is an equivalence of categories
+    (``fincat.is_equivalence``).
+
+    The restriction of each object and morphism of the value lies in the
+    descent category when F is a pseudofunctor on the sieve's base, that
+    base passes ``check_two_category`` and the sieve passes
+    ``check_bisieve``, as the ``stack`` and ``subcanonical`` ops refuse
+    other input: its components are the functors f |-> F(f)(X), which
+    ``all_functors`` draws, its cells are the invertible natural
+    transformations chi^-1 . F(sigma(f, g)), which ``all_nat_trans`` draws,
+    and it passes ``check_ps_nat`` by the coherence of F and the typing of
+    sigma; a morphism of the value restricts to a modification by the
+    naturality of chi and F(sigma)."""
+    budget = budget or Budget()
+    obs = sorted(F.base.objects)
+    desc = descent_category(F, s, budget)
+    names = {t.key(): a for a, t in desc.value.items()}
+    R = s.derived(sieve_presheaf)
+    val_c = F.ob[s.target]
+    restricted, ob_map, mor_map = {}, {}, {}
+    for X in val_c.objects:
+        budget.tick()
+        t = restricted[X] = _sieve_restriction_nat(R, F, s, X)
+        ob_map[X] = names[t.key()]
+    for m0 in val_c.morphisms:
+        budget.tick()
+        tX = restricted[val_c.src[m0]]
+        tY = restricted[val_c.tgt[m0]]
+        mor_map[m0] = CatModification(tX, tY, {
+            d: NatTrans(tX.comp[d], tY.comp[d],
+                        {f: F.on1[f].m(m0) for f in R.ob[d].objects})
+            for d in obs}).key()
+    return is_equivalence(Functor(val_c, desc, ob_map, mor_map), budget)
 
 
 def is_subcanonical(k, tau, budget=None):

@@ -151,6 +151,16 @@ def maximal_bisieve(k, target):
     return build_bisieve(k, target, _maximal_members(k, target))
 
 
+def contains_identity(s):
+    """Is id_{s.target} a member of s?  A sieve is closed under
+    precomposition up to invertible 2-cells, so one that contains the
+    identity holds every 1-cell into its target up to one, and covers as
+    the maximal sieve does (the Yoneda lemma:
+    ``sigma_colim.is_sigma_bicolim_bisieve`` and
+    ``descent.is_stack_catvalued`` decide it without search)."""
+    return s.k.id1(s.target) in s.members.get(s.target, ())
+
+
 def literal_maximal_bisieve(k, target):
     """The maximal sieve with literal closure witnesses: tilde is base
     composition and every sigma an identity."""

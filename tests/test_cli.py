@@ -413,6 +413,23 @@ def test_cli_exit_codes_fail_inconclusive_input_error(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "absent.site")]) == 3
 
 
+def test_cli_internal_error_exits_four_with_its_traceback(
+        tmp_path, capsys, monkeypatch):
+    """An exception that is not an input error leaves the command as exit
+    4, not 1, which means fail, with its traceback on stderr."""
+    path = _site(tmp_path)
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("decider defect")
+
+    monkeypatch.setattr(runner, "is_2stack", broken)
+    assert cli.main(["run", path, "--check", "2stack:F1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") \
+        and "RuntimeError: decider defect" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["nope"], ["run"], ["run", "SITE", "--budget", "abc"],
     ["run", "SITE", "--budget", "-1"], ["run", "SITE", "--format", "xml"],
@@ -984,10 +1001,19 @@ def _chain3():
     (_z3_transformation_with_a_twisted_cell,
      "trihoms.F: trihom data fails: value transformation at '2id_a': "
      "composition coherence fails at ('id_P', 'id_P')"),
+    # strict_trihom compares the actions' tables alone, so the composite
+    # with a non-identity compositor passes there and the check after it
+    # names the cause
+    (lambda: _over_z3(SimpleNamespace(
+        ob={"P": "P"}, on1={"id_P": "id_P"},
+        on2={"2id_id_P": "w", "w": "w", "w2": "w2"})),
+     "trihoms.F: trihom data fails: value pseudofunctor at 'a': identity "
+     "2-cell not preserved at 'id_P'"),
 ], ids=["not-functorial", "whiskering-left",
         "whiskering-right", "no-two-cell-action", "value-not-a-2-functor",
         "mistyped-one-cell-image", "swapped-objects", "unmapped-object",
-        "mistyped-component", "value-transformation-not-coherent"])
+        "mistyped-component", "value-transformation-not-coherent",
+        "identity-two-cell-not-preserved"])
 def test_cli_ill_formed_trihom_tables_are_input_errors(
         tmp_path, capsys, build, message):
     capsys.readouterr()
@@ -1223,22 +1249,30 @@ def _schema_3(report):
     return {**report, "schema": "bistack-report/3"}
 
 
+def _schema_4(report):
+    """A report recorded before a sieve that contains its target's
+    identity passed the sigma, stack and subcanonical checks with no
+    step."""
+    return {**report, "schema": "bistack-report/4"}
+
+
 def _no_limit(report):
     return {**report, "budget_limit": "many"}
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda r: {}, "bistack-report/4"),
+    (lambda r: {}, "bistack-report/5"),
     (lambda r: [1], "must be an object"),
     (lambda r: [r], "must be an object"),
     (lambda r: {k: v for k, v in r.items() if k != "check"},
      "no check name"),
-    (_schema_1, "'bistack-report/1' is not 'bistack-report/4'"),
-    (_schema_2, "'bistack-report/2' is not 'bistack-report/4'"),
-    (_schema_3, "'bistack-report/3' is not 'bistack-report/4'"),
+    (_schema_1, "'bistack-report/1' is not 'bistack-report/5'"),
+    (_schema_2, "'bistack-report/2' is not 'bistack-report/5'"),
+    (_schema_3, "'bistack-report/3' is not 'bistack-report/5'"),
+    (_schema_4, "'bistack-report/4' is not 'bistack-report/5'"),
     (_no_limit, "budget_limit 'many'"),
 ], ids=["empty", "list", "report-list", "no-check", "schema-1", "schema-2",
-        "schema-3", "text-limit"])
+        "schema-3", "schema-4", "text-limit"])
 def test_cli_replay_of_a_malformed_report_is_a_located_input_error(
         tmp_path, capsys, corrupt, message):
     path = _site(tmp_path)

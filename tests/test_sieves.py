@@ -195,14 +195,18 @@ _GROTH_TABLES = ("onecells", "twocells", "identity1", "identity2", "vcomp",
                  "hcomp1", "hcomp2")
 
 
-def _pool_sieves():
-    """Every bisieve of the bundled corpus and of site seeds 0-79 of both
-    generator profiles, in name order."""
+def _pool_docs():
+    """The bundled corpus and site seeds 0-79 of both generator profiles."""
     docs = [load(corpus_path(name)) for name in corpus_names()]
-    docs += [load_data(generate(seed, profile))
-             for profile in ("locally-discrete-site", "tiny-2site")
-             for seed in range(80)]
-    return [doc.bisieves[n] for doc in docs for n in sorted(doc.bisieves)]
+    return docs + [load_data(generate(seed, profile))
+                   for profile in ("locally-discrete-site", "tiny-2site")
+                   for seed in range(80)]
+
+
+def _pool_sieves():
+    """Every bisieve of the pool documents, in name order."""
+    return [doc.bisieves[n] for doc in _pool_docs()
+            for n in sorted(doc.bisieves)]
 
 
 def _groth_rows():

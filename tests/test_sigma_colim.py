@@ -6,11 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 from bistack import descent, sigma_colim
 from bistack.builders import chain_suspension, suspension_two_cat, \
     thin_two_cat
-from bistack.descent import is_stack_catvalued, is_subcanonical
+from bistack.descent import is_stack_catvalued, is_stack_on_sieve, \
+    is_subcanonical
 from bistack.fincat import FinCat, discrete, walking_arrow
 from bistack.generate import generate
 from bistack.report import Budget, guarded
-from bistack.sieves import (Bitopology, build_bisieve, check_bisieve, groth,
+from bistack.sieves import (Bitopology, build_bisieve, check_bisieve,
+                            contains_identity, groth,
                             inclusion_transformation, maximal_bisieve,
                             representable)
 from bistack.sigma_colim import (Diagram, SigmaCocone, check_sigma_cocone,
@@ -24,7 +26,8 @@ from bistack.workspace import load_data
 from sigma_oracles import check_diagram, conicalize, \
     sigma_cocone_category, sigma_cocone_typing, tabulated_is_equivalence, \
     typed_sigma_cocones, verify_coconofstar
-from test_sieves import _pool_sieves
+from test_acceptance import _discrete_cat_presheaf
+from test_sieves import _pool_docs, _pool_sieves
 from test_tabulate import _reports as _tabulated_reports, \
     _sieves as _tabulated_sieves
 from test_two_cat import split_idempotent_2cat
@@ -320,8 +323,10 @@ def test_certificate_report_shape(wa2):
 def test_budget_exhausted_while_checking_the_cocone_is_inconclusive(
         wa2, limit):
     """A budget that runs out in the cocone check, before any comparison,
-    gives an inconclusive report, as one that runs out later does."""
-    rep = is_sigma_bicolim_bisieve(maximal_bisieve(wa2, "1"), Budget(limit))
+    gives an inconclusive report, as one that runs out later does: in the
+    full search, which the public op skips on this sieve."""
+    rep = verify_sigma_bicolim(*universal_cocone(maximal_bisieve(wa2, "1")),
+                               Budget(limit))
     assert rep.verdict == "inconclusive"
     assert rep.details == ["budget exhausted after %d steps" % (limit + 1)]
     assert rep.witness == {"steps": limit + 1, "per_object": {}}
@@ -449,11 +454,14 @@ def _comparisons(cases):
 
 
 def _sieve_reports(sieves, limit=None):
-    """Each sieve's sigma report and steps, as the runner takes them."""
+    """Each sieve's sigma report and steps, decided in full, also on a
+    sieve that contains the identity, which the public op passes without
+    search."""
     out = []
     for s in sieves:
         budget = Budget(limit)
-        r = guarded("sigma", budget, is_sigma_bicolim_bisieve, s, budget)
+        r = guarded("sigma", budget, verify_sigma_bicolim,
+                    *universal_cocone(s), budget)
         out.append(((r.verdict, r.details, r.witness), budget.steps))
     return out
 
@@ -485,13 +493,13 @@ def test_sigma_decision_matches_the_tabulated_category(monkeypatch):
 
 def _catvalued_reports(sieves):
     """The Cat-valued stack report and steps of the representable at each
-    object, over the topology of each sieve alone."""
+    object over each sieve, decided in full, also on a sieve that contains
+    the identity, which the public op skips."""
     out = []
     for s in sieves:
-        tau = Bitopology(s.k, {s.target: [s]})
         for x in sorted(s.k.objects):
             budget = Budget()
-            r = is_stack_catvalued(representable(s.k, x), tau, budget)
+            r = is_stack_on_sieve(representable(s.k, x), s, budget)
             out.append(((r.verdict, r.details, r.witness), budget.steps))
     return out
 
@@ -555,6 +563,71 @@ def test_sigma_budget_limits_are_deterministic_and_inconclusive(monkeypatch):
             assert _sieve_reports([s], limit)[0][0][0] == "inconclusive"
 
 
+def test_a_sieve_that_contains_the_identity_passes_without_search(wa2):
+    """The public ops decide the maximal sieve by the Yoneda lemma, so
+    they pass it under a budget of no steps."""
+    s = maximal_bisieve(wa2, "1")
+    budget = Budget(0)
+    rep = is_sigma_bicolim_bisieve(s, budget)
+    assert rep.verdict == "pass" and budget.steps == 0
+    assert rep.witness == {"per_object": {"0": "pass", "1": "pass"}}
+    assert "Yoneda lemma" in rep.details[0]
+    tau = Bitopology(wa2, {"1": [s]})
+    for x in sorted(wa2.objects):
+        budget = Budget(0)
+        assert is_stack_catvalued(representable(wa2, x), tau, budget).ok
+        assert budget.steps == 0
+
+
+def _identity_sieve_cases():
+    """Each valid sieve that contains its target's identity, among the
+    bisieves of the pool documents and the fixed sieves of test_tabulate,
+    with the Cat-valued presheaves over its base: the representables and
+    the presheaf under each locally discrete trihom on a locally discrete
+    base (criterion 1's)."""
+    cases = [(s, []) for s in _tabulated_sieves()]
+    for doc in _pool_docs():
+        discrete = [_discrete_cat_presheaf(F)
+                    for _, F in sorted(doc.trihoms.items())
+                    if len(F.base.twocells) == len(F.base.onecells)
+                    and all(len(v.onecells) == len(v.objects)
+                            for v in F.ob.values())]
+        cases += [(s, [F for F in discrete if F.base is s.k])
+                  for _, s in sorted(doc.bisieves.items())]
+    for s, presheaves in cases:
+        if contains_identity(s) and check_two_category(s.k).ok \
+                and check_bisieve(s).ok:
+            yield s, [representable(s.k, x)
+                      for x in sorted(s.k.objects)] + presheaves
+
+
+def test_identity_sieves_pass_the_full_searches():
+    """The Yoneda lemma, tested: every valid sieve that contains its
+    target's identity, among the bisieves of the corpus, of site seeds
+    0-79 of both profiles and the fixed sieves of test_tabulate, passes the
+    full sigma search, and the full Cat-valued search of each presheaf
+    over its base, and the public ops, which skip the search there, give
+    the same verdicts and witnesses."""
+    sieves = rows = discrete = 0
+    for s, presheaves in _identity_sieve_cases():
+        full = verify_sigma_bicolim(*universal_cocone(s), Budget())
+        public = is_sigma_bicolim_bisieve(s, Budget())
+        assert full.verdict == "pass", (s, full.details, full.witness)
+        assert (public.verdict, public.witness) \
+            == (full.verdict, full.witness)
+        tau = Bitopology(s.k, {s.target: [s]})
+        for F in presheaves:
+            full = is_stack_on_sieve(F, s, Budget())
+            public = is_stack_catvalued(F, tau, Budget())
+            assert full.verdict == "pass", (s, F, full.details, full.witness)
+            assert (public.verdict, public.witness) \
+                == (full.verdict, full.witness)
+        sieves += 1
+        rows += len(presheaves)
+        discrete += len(presheaves) - len(s.k.objects)
+    assert sieves > 300 and rows > sieves and discrete > 100
+
+
 @given(st.sampled_from(("locally-discrete-site", "tiny-2site")),
        st.integers(min_value=0, max_value=999))
 @settings(max_examples=150, deadline=None)
@@ -562,10 +635,11 @@ def test_covering_sieves_of_subcanonical_sites_are_sigma_bicolimits(
         profile, seed):
     """The paper's main theorem on generated sites: every covering sieve
     of a subcanonical bitopology presents its target as the
-    sigma-bicolimit of its elements."""
+    sigma-bicolimit of its elements, decided in full, also on a sieve that
+    contains the identity."""
     tau = load_data(generate(seed, profile)).bitopologies["tau"]
     assume(is_subcanonical(tau.k, tau, Budget()).ok)
     for c in sorted(tau.k.objects):
         for s in tau.sieves_on(c):
-            r = is_sigma_bicolim_bisieve(s, Budget())
+            r = verify_sigma_bicolim(*universal_cocone(s), Budget())
             assert r.ok, (c, r.details, r.witness)

@@ -11,13 +11,13 @@ import random
 
 from bistack import descent
 from bistack.descent import descent_category, is_stack_catvalued, \
-    is_subcanonical
+    is_stack_on_sieve, is_subcanonical
 from bistack.fincat import FinCat, Functor, all_functors, discrete, \
     tabulate, walking_arrow
 from bistack.generate import _random_poset_cat, generate
 from bistack.report import Budget
-from bistack.sieves import Bisieve, build_bisieve, maximal_bisieve, \
-    pullback_sieve, representable
+from bistack.sieves import Bisieve, build_bisieve, contains_identity, \
+    maximal_bisieve, pullback_sieve, representable
 from bistack.sigma_colim import is_sigma_bicolim_bisieve, universal_cocone
 from bistack.two_cat import check_modification, check_ps_nat, \
     from_fincat, iso_comma_in_cat
@@ -172,29 +172,43 @@ def _reports():
 
 
 # (verdict, details, witness) of each report, recorded while the sigma
-# check still tabulated the whole cocone category
-_REPORTS_PINNED = ("8f04d9343f4ac83dfae0dfe9e7842d66"
-                   "8d36f05c29e2bcd97a1187c4d3bfbb12")
+# check still tabulated the whole cocone category, and re-recorded when a
+# sieve that contains its target's identity came to pass by the Yoneda
+# lemma: only the details of those 49 sigma reports moved, and the
+# (verdict, witness) of every report stayed the same (from 8f04d934...)
+_REPORTS_PINNED = ("1bedf204a83ea9dc035e5a4365be3b19"
+                   "b050248a94c7679ad92ba43e83c6106f")
+
+# (kind, verdict, witness) of each report, recorded with the details pin
+# above; it held unchanged across that re-recording
+_VERDICTS_AND_WITNESSES_PINNED = ("01b7ae82f2ca411edc1133aa9ad4be82"
+                                  "e82803d38d43d300e2418a6a1b4d1dfb")
 
 # the steps of each subcanonical and stack report, recorded at the same
 # time, and re-recorded when the descent category came to build only the
 # hom-sets that is_equivalence reads and composites stopped spending a
-# step: every report fell, 11,483 steps in all to 8,967 (from e4eebd22...)
-_CATVALUED_STEPS_PINNED = ("0409595a55c866aabedfa2495958976a"
-                           "8be521cf84f7ea907c48a9376ff95cb3")
+# step: every report fell, 11,483 steps in all to 8,967 (from e4eebd22...);
+# and again when the checks came to skip a sieve that contains its
+# target's identity: 8,967 to 1,778 (from 0409595a...)
+_CATVALUED_STEPS_PINNED = ("b481cea939e5711ed87049eb292bf560"
+                           "277e56b02fa92c62cabca2b22b58def4")
 
 # the steps of each sigma report, re-recorded when the sigma check stopped
 # building the cocone morphisms that its equivalence test never reads, and
 # again when it stopped checking pseudonaturality in the test object, which
-# a valid 2-category forces (from f879c3ff...)
-_SIGMA_STEPS_PINNED = ("5f43df4e8727902783c04f0a68472f8f"
-                       "3d01d089d7c12a7d1dae83ff15bb208c")
+# a valid 2-category forces (from f879c3ff...), and again when a sieve that
+# contains its target's identity came to pass with no step: 4,369 to 293
+# (from 5f43df4e...)
+_SIGMA_STEPS_PINNED = ("618209e66678bae812f35d7f57ea9d38"
+                       "caf31076adc09eca5c2309788f02f13f")
 
 
 def test_subcanonical_stack_and_sigma_reports_are_pinned():
     rows = _reports()
     assert {row[1] for row in rows} == {"pass", "fail"}
     assert _digest([row[1:4] for row in rows]) == _REPORTS_PINNED
+    assert _digest([(row[0], row[1], row[3]) for row in rows]) \
+        == _VERDICTS_AND_WITNESSES_PINNED
 
 
 def test_subcanonical_and_stack_steps_are_pinned():
@@ -207,13 +221,25 @@ def test_sigma_steps_are_pinned():
                     if row[0] == "sigma"]) == _SIGMA_STEPS_PINNED
 
 
+def _identity_sieve_reports():
+    """The full Cat-valued search of the representable at each object
+    over each covering sieve of _docs that contains its target's
+    identity, which the subcanonical and stack checks skip."""
+    return [_reported("stack_on_sieve", is_stack_on_sieve,
+                      representable(tau.k, x), s)
+            for doc in _docs() for _, tau in sorted(doc.bitopologies.items())
+            for c in sorted(tau.k.objects) for s in tau.sieves_on(c)
+            if contains_identity(s) for x in sorted(tau.k.objects)]
+
+
 def test_catvalued_checks_do_not_see_the_drawn_path(monkeypatch):
     """descent_category draws its pseudonatural transformations and their
     modifications from typed pools (all_functors, all_nat_trans), and
     check_ps_nat and check_modification test only their displays.  With
     every candidate typed first (the typed oracles), the reports and steps
-    of the Cat-valued checks and the descent categories stay the same, and
-    each check sees the same candidates with the same verdicts."""
+    of the Cat-valued checks, of the full search over the covering sieves
+    that those checks skip, and of the descent categories stay the same,
+    and each check sees the same candidates with the same verdicts."""
     checks = {"check_ps_nat": [check_ps_nat, typed_check_ps_nat],
               "check_modification": [check_modification,
                                      typed_check_modification]}
@@ -228,8 +254,9 @@ def test_catvalued_checks_do_not_see_the_drawn_path(monkeypatch):
 
     def run():
         seen.clear()
-        return (_reports(), [(cat.key(), steps) for name, cat, steps
-                             in _built() if name == "descent"], list(seen))
+        return (_reports(), _identity_sieve_reports(),
+                [(cat.key(), steps) for name, cat, steps in _built()
+                 if name == "descent"], list(seen))
 
     drawn = run()
     assert {name for name, _, _ in drawn[-1]} == set(checks)
