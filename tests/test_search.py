@@ -1029,6 +1029,59 @@ def test_drawn_axiom_reports_are_pinned(monkeypatch):
         == _DRAWN_AXIOM_REPORTS_PINNED
 
 
+_GLUING_SEARCHES = ("find_amalgamations", "find_effective_gluing_mor",
+                    "find_weak_effective_gluing")
+
+
+def _found(out):
+    """A gluing search's result as plain data."""
+    if isinstance(out, Refutation):
+        return "refutation", out.name, out.details, out.space
+    if isinstance(out, list):
+        return "amalgamations", out
+    return out.variant, out.data
+
+
+def _display_reports(monkeypatch, thin):
+    """(name, verdict, details, witness, steps) for each candidate handed
+    to a display checker, and (name, result, steps) for each gluing
+    search, over the run of test_deciders_do_not_see_the_drawn_path, with
+    the locally thin values as they are or taken as non-thin."""
+    seen = []
+    for name in [*WELL_TYPED, *_GLUING_SEARCHES]:
+        def hook(x, budget, name=name, run=getattr(descent, name)):
+            start = budget.steps
+            out = run(x, budget)
+            steps = budget.steps - start
+            seen.append((name, out.verdict, out.details, out.witness, steps)
+                        if name in WELL_TYPED else (name, _found(out), steps))
+            return out
+        monkeypatch.setattr(descent, name, hook)
+    test_deciders_do_not_see_the_drawn_path(monkeypatch, thin)
+    monkeypatch.undo()
+    return seen
+
+
+# recorded before the display checkers came to declare their displays
+# and share one evaluator; the second digest of each pair is of the
+# reports without steps
+_DISPLAY_REPORTS_PINNED = {
+    True: ("5167e33f042ca4aea5d2d414744365a4e01e96179120265e822b56bf565ff795",
+           "4c09a16196073da20540c58d0578eb6d0a72ef5551e5034a777daea17684d0e2"),
+    False: ("77060c94760c455b8f7cb89ef892974ad28457d06d0470775f4914662af659c5",
+            "4c09a16196073da20540c58d0578eb6d0a72ef5551e5034a777daea17684d0e2"),
+}
+
+
+@pytest.mark.parametrize("thin", [True, False])
+def test_display_checker_reports_are_pinned(monkeypatch, thin):
+    reports = _display_reports(monkeypatch, thin)
+    assert {r[0] for r in reports} == {*WELL_TYPED, *_GLUING_SEARCHES}
+    assert tuple(hashlib.sha256(repr(x).encode()).hexdigest()
+                 for x in (reports, [r[:-1] for r in reports])) \
+        == _DISPLAY_REPORTS_PINNED[thin]
+
+
 def test_connecting_iso_pools_are_computed_once_per_objects_and_transitions(
         monkeypatch):
     """The unit and composition iso pools of a weak datum read only its
