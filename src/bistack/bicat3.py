@@ -22,18 +22,18 @@ not an extra axiom.
 
 The checkers assume a valid codomain, a strict 2-category that passes
 ``check_two_category``, and valid cells at the boundary of what they check
-(the pseudofunctors a transformation runs between, and so on).  When the
-value that a displayed equation lives in is locally thin, with at most one
-2-cell between two 1-cells, any two parallel 2-cells there are equal, so
-every equation between well-typed pastings holds.  The checkers then skip
-the equations that typing forces: the vertical-composition, naturality,
-associativity and unit equations of ``check_ps_two_functor``, the 2-cell
-naturality, composition and unit equations of ``check_ps_two_nat``, the
-square of ``check_two_modification``, the associativity and unit displays
-of ``check_tritransformation``, the composition and unit axioms of
-``check_trimodification`` and the square axiom of ``check_perturbation``.
-A skipped equation spends no step, since a step is work done (see
-``report.Budget``).
+(the pseudofunctors a transformation runs between, and so on).  Each
+checker declares its displays once, as the ``report.Display`` records of
+a ``_*_displays`` function, and ``report.first_failure`` evaluates them,
+one step per index.  When the value that a display lives in is locally
+thin, with at most one 2-cell between two 1-cells, any two parallel
+2-cells there are equal, so every equation between well-typed pastings
+holds, and the evaluator skips it with no step (see ``report.Budget``):
+every display of ``check_ps_two_functor``, ``check_ps_two_nat`` and
+``check_two_modification`` when the codomain is thin, and, value by
+value, the axioms of ``check_tritransformation``,
+``check_trimodification`` and ``check_perturbation``.  The squares'
+naturality of ``check_tritransformation`` is never skipped.
 
 Each structure declares its comparison 2-cells once, with their
 boundaries: ``_ps_two_functor_cells`` (chi, unit), ``_ps_two_nat_cells``
@@ -67,10 +67,12 @@ no step).
 """
 
 from functools import partial
+from itertools import product
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .report import Budget, Recorded, choices, failed, passed
+from .report import Budget, Display, Recorded, choices, failed, \
+    first_failure, passed, reported
 from .two_cat import from_fincat
 
 
@@ -264,49 +266,48 @@ def check_ps_two_functor(h, budget=None):
     """Identity 2-cells and vertical composition preserved, then the
     compositor natural, associative and unital, for a well-typed
     pseudofunctor (``_ps_two_functor_typing``)."""
-    budget = budget or Budget()
     d, c = h.dom, h.cod
     for f in d.onecells:
         if h.on2[d.id2(f)] != c.id2(h.on1[f]):
             return failed("check_ps_two_functor",
                           ["identity 2-cell not preserved at %r" % f],
                           {"onecell": f})
-    if c.locally_thin():
-        return passed("check_ps_two_functor")
-    for (b, a), v in d.vcomp.items():
-        budget.tick()
-        if h.on2[v] != c.v(h.on2[b], h.on2[a]):
-            return failed("check_ps_two_functor",
-                          ["vertical composition not preserved at "
-                           "(%r, %r)" % (b, a)], {"pair": [b, a]})
-    # naturality of the compositor in both arguments
-    for (b2, b), vb in d.hcomp2.items():
-        budget.tick()
-        sb2, tb2 = d.twocells[b2]
-        sb, tb = d.twocells[b]
-        lhs = c.v(h.on2[vb], h.chi[(sb2, sb)])
-        rhs = c.v(h.chi[(tb2, tb)], c.h(h.on2[b2], h.on2[b]))
-        if lhs != rhs:
-            return failed("check_ps_two_functor",
-                          ["compositor not natural at (%r, %r)" % (b2, b)],
-                          {"pair": [b2, b]})
-    # associativity and unit coherence of the compositor
-    for e, b, a in d.composable_triples():
-        budget.tick()
-        lhs = c.v(h.chi[(d.c1(e, b), a)], c.wr(h.chi[(e, b)], h.on1[a]))
-        rhs = c.v(h.chi[(e, d.c1(b, a))], c.wl(h.on1[e], h.chi[(b, a)]))
-        if lhs != rhs:
-            return failed("check_ps_two_functor",
-                          ["compositor not associative at (%r, %r, %r)"
-                           % (e, b, a)], {"triple": [e, b, a]})
-    for f, (s, t) in d.onecells.items():
-        budget.tick()
-        left = c.v(h.chi[(d.id1(t), f)], c.wr(h.unit[t], h.on1[f]))
-        right = c.v(h.chi[(f, d.id1(s))], c.wl(h.on1[f], h.unit[s]))
-        if left != c.id2(h.on1[f]) or right != c.id2(h.on1[f]):
-            return failed("check_ps_two_functor",
-                          ["unit coherence fails at %r" % f], {"onecell": f})
-    return passed("check_ps_two_functor")
+    return reported("check_ps_two_functor", first_failure(
+        budget or Budget(), _ps_two_functor_displays, h, values=(c,)))
+
+
+def _ps_two_functor_displays(h):
+    d, c = h.dom, h.cod
+
+    def natural(b2, b):  # in both arguments
+        (sb2, tb2), (sb, tb) = d.twocells[b2], d.twocells[b]
+        return (c.v(h.on2[d.hcomp2[(b2, b)]], h.chi[(sb2, sb)]),
+                c.v(h.chi[(tb2, tb)], c.h(h.on2[b2], h.on2[b])))
+
+    def unital(f):  # on both sides, in one display
+        s, t = d.onecells[f]
+        return ((c.v(h.chi[(d.id1(t), f)], c.wr(h.unit[t], h.on1[f])),
+                 c.v(h.chi[(f, d.id1(s))], c.wl(h.on1[f], h.unit[s]))),
+                (c.id2(h.on1[f]),) * 2)
+
+    return (
+        Display("pseudofunctor vertical composition", d.vcomp,
+                lambda b, a: (h.on2[d.vcomp[(b, a)]],
+                              c.v(h.on2[b], h.on2[a])),
+                "vertical composition not preserved at (%r, %r)",
+                "pair pair"),
+        Display("compositor naturality", d.hcomp2, natural,
+                "compositor not natural at (%r, %r)", "pair pair"),
+        Display("compositor associativity", d.composable_triples(),
+                lambda e, b, a: (
+                    c.v(h.chi[(d.c1(e, b), a)], c.wr(h.chi[(e, b)],
+                                                     h.on1[a])),
+                    c.v(h.chi[(e, d.c1(b, a))], c.wl(h.on1[e],
+                                                     h.chi[(b, a)]))),
+                "compositor not associative at (%r, %r, %r)",
+                "triple triple triple"),
+        Display("pseudofunctor unit coherence", zip(d.onecells), unital,
+                "unit coherence fails at %r", "onecell"))
 
 
 # --- transformations and modifications between pseudofunctors -------------
@@ -367,40 +368,39 @@ def _ps_two_nat_typing(t):
 def check_ps_two_nat(t, budget=None):
     """2-cell naturality, composition and unit coherence of a well-typed
     transformation (``_ps_two_nat_typing``)."""
-    budget = budget or Budget()
+    return reported("check_ps_two_nat", first_failure(
+        budget or Budget(), _ps_two_nat_displays, t, values=(t.dom.cod,)))
+
+
+def _ps_two_nat_displays(t):
     g, h = t.dom, t.cod
     c = g.cod
-    if c.locally_thin():
-        return passed("check_ps_two_nat")
-    for al, (a, a2) in g.dom.twocells.items():
+
+    def natural(al):
+        a, a2 = g.dom.twocells[al]
         x, y = g.dom.onecells[a]
-        budget.tick()
-        lhs = c.v(t.cell[a2], c.wr(h.on2[al], t.comp[x]))
-        rhs = c.v(c.wl(t.comp[y], g.on2[al]), t.cell[a])
-        if lhs != rhs:
-            return failed("check_ps_two_nat",
-                          ["2-cell naturality fails at %r" % al],
-                          {"twocell": al})
-    for (b, a), comp in g.dom.hcomp1.items():
-        budget.tick()
-        x, y = g.dom.onecells[a]
-        z = g.dom.onecells[b][1]
-        lhs = c.v(t.cell[comp], c.wr(h.chi[(b, a)], t.comp[x]))
-        rhs = c.v(c.wl(t.comp[z], g.chi[(b, a)]),
-                  c.v(c.wr(t.cell[b], g.on1[a]),
-                      c.wl(h.on1[b], t.cell[a])))
-        if lhs != rhs:
-            return failed("check_ps_two_nat",
-                          ["composition coherence fails at (%r, %r)"
-                           % (b, a)], {"pair": [b, a]})
-    for x in g.dom.objects:
-        budget.tick()
-        lhs = c.v(t.cell[g.dom.id1(x)], c.wr(h.unit[x], t.comp[x]))
-        rhs = c.wl(t.comp[x], g.unit[x])
-        if lhs != rhs:
-            return failed("check_ps_two_nat",
-                          ["unit coherence fails at %r" % x], {"object": x})
-    return passed("check_ps_two_nat")
+        return (c.v(t.cell[a2], c.wr(h.on2[al], t.comp[x])),
+                c.v(c.wl(t.comp[y], g.on2[al]), t.cell[a]))
+
+    def composition(b, a):
+        x, z = g.dom.onecells[a][0], g.dom.onecells[b][1]
+        return (c.v(t.cell[g.dom.hcomp1[(b, a)]],
+                    c.wr(h.chi[(b, a)], t.comp[x])),
+                c.v(c.wl(t.comp[z], g.chi[(b, a)]),
+                    c.v(c.wr(t.cell[b], g.on1[a]),
+                        c.wl(h.on1[b], t.cell[a]))))
+
+    return (
+        Display("transformation 2-cell naturality", zip(g.dom.twocells),
+                natural, "2-cell naturality fails at %r", "twocell"),
+        Display("transformation composition coherence", g.dom.hcomp1,
+                composition, "composition coherence fails at (%r, %r)",
+                "pair pair"),
+        Display("transformation unit coherence", zip(g.dom.objects),
+                lambda x: (c.v(t.cell[g.dom.id1(x)],
+                               c.wr(h.unit[x], t.comp[x])),
+                           c.wl(t.comp[x], g.unit[x])),
+                "unit coherence fails at %r", "object"))
 
 
 class TwoModification:
@@ -415,21 +415,22 @@ class TwoModification:
 def check_two_modification(m, budget=None):
     """The square at each 1-cell of a modification whose components are
     2-cells s(x) => t(x)."""
-    budget = budget or Budget()
+    return reported("check_two_modification", first_failure(
+        budget or Budget(), _two_modification_displays, m,
+        values=(m.dom.dom.cod,)))
+
+
+def _two_modification_displays(m):
     s, t = m.dom, m.cod
-    g, h = s.dom, s.cod
-    c = g.cod
-    if c.locally_thin():
-        return passed("check_two_modification")
-    for a, (x, y) in g.dom.onecells.items():
-        budget.tick()
-        lhs = c.v(t.cell[a], c.wl(h.on1[a], m.comp[x]))
-        rhs = c.v(c.wr(m.comp[y], g.on1[a]), s.cell[a])
-        if lhs != rhs:
-            return failed("check_two_modification",
-                          ["modification square fails at %r" % a],
-                          {"onecell": a})
-    return passed("check_two_modification")
+    g, h, c = s.dom, s.cod, s.dom.cod
+
+    def square(a):
+        x, y = g.dom.onecells[a]
+        return (c.v(t.cell[a], c.wl(h.on1[a], m.comp[x])),
+                c.v(c.wr(m.comp[y], g.on1[a]), s.cell[a]))
+
+    return (Display("modification square", zip(g.dom.onecells), square,
+                    "modification square fails at %r", "onecell"),)
 
 
 # --- homomorphisms of the base into 2-categories ---------------------------
@@ -665,117 +666,82 @@ def check_tritransformation(t, budget=None):
     unit axioms, of a well-typed transformation, as the enumerator draws
     it: pseudofunctor components, squares with equivalence components, and
     each comparison cell of ``_tritrans_cells`` on its boundary."""
-    budget = budget or Budget()
+    return reported("check_tritransformation", first_failure(
+        budget or Budget(), _tritrans_displays, t))
+
+
+def _tritrans_displays(t):
+    """The squares natural in each delta: f => g at each x of R at f's
+    target; the associativity axiom at each path f.g.h and x, in the
+    value at h's source; the right, then the left, unit axiom at each f
+    and x, in the value at f's source."""
     R, F = t.dom, t.cod
     k = R.base
-    # squares are natural in base 2-cells: the two whiskered composites
-    # around each delta: f => g agree componentwise (strict setting)
-    for delta, (f, g) in k.twocells.items():
+
+    def natural(delta, x):  # componentwise, in the strict setting
+        f, g = k.twocells[delta]
         d, c = k.onecells[f]
         val_d = F.ob[d]
-        for x in R.ob[c].objects:
-            budget.tick()
-            left = val_d.c1(t.square[g].comp[x],
-                            t.comp[d].on1[R.on2[delta].comp[x]])
-            right = val_d.c1(F.on2[delta].comp[t.comp[c].ob[x]],
-                             t.square[f].comp[x])
-            if left != right:
-                return failed("check_tritransformation",
-                              ["square not natural in 2-cell %r at %r"
-                               % (delta, x)],
-                              {"twocell": delta, "object": x})
-    r = _tritrans_assoc_axiom(t, budget)
-    if not r.ok:
-        return r
-    r = _tritrans_unit_axioms(t, budget)
-    if not r.ok:
-        return r
-    return passed("check_tritransformation")
+        return (val_d.c1(t.square[g].comp[x],
+                         t.comp[d].on1[R.on2[delta].comp[x]]),
+                val_d.c1(F.on2[delta].comp[t.comp[c].ob[x]],
+                         t.square[f].comp[x]))
 
+    def associative(f, g, h, x):
+        (l, e), gh, fg = k.onecells[h], k.c1(g, h), k.c1(f, g)
+        val_l = F.ob[l]
+        rf_x = R.on1[f].ob[x]
+        # the identity 1-cells that R's compositors have for components,
+        # at R(f.g)(x) and under the component at l at R(f.g.h)(x)
+        id_e = R.ob[e].id1(R.on1[fg].ob[x])
+        th_id = t.comp[l].on1[R.ob[l].id1(R.on1[k.c1(f, gh)].ob[x])]
+        return (val_l.v_path([
+                    val_l.wr(t.beta[(fg, h)][x], th_id),
+                    val_l.wl(F.on1[h].on1[t.square[fg].comp[x]],
+                             t.square[h].cell[id_e]),
+                    val_l.wr(F.on1[h].on2[t.beta[(f, g)][x]],
+                             t.square[h].comp[R.on1[g].ob[rf_x]])]),
+                val_l.v(val_l.wr(t.beta[(f, gh)][x], th_id),
+                        val_l.wl(F.on1[gh].on1[t.square[f].comp[x]],
+                                 t.beta[(g, h)][rf_x])))
 
-def _tritrans_assoc_axiom(t, budget):
-    R, F = t.dom, t.cod
-    k = R.base
-    for f, (d, c) in k.onecells.items():
-        for g, e in k.one_cells_into(d):
-            for h, l in k.one_cells_into(e):
-                val_l = F.ob[l]
-                if val_l.locally_thin():
-                    continue
-                gh, fg = k.c1(g, h), k.c1(f, g)
-                fgh = k.c1(f, gh)
-                thL = t.comp[l]
-                for x in R.ob[c].objects:
-                    budget.tick()
-                    rf_x = R.on1[f].ob[x]
-                    af_x = t.square[f].comp[x]
-                    # the identity 1-cells that R's compositors have for
-                    # components, at R(f.g)(x) and under thL at R(f.g.h)(x)
-                    id_e = R.ob[e].id1(R.on1[fg].ob[x])
-                    th_id = thL.on1[R.ob[l].id1(R.on1[fgh].ob[x])]
-                    rhs = val_l.v(
-                        val_l.wr(t.beta[(f, gh)][x], th_id),
-                        val_l.wl(F.on1[gh].on1[af_x], t.beta[(g, h)][rf_x]))
-                    lhs = val_l.v_path([
-                        val_l.wr(t.beta[(fg, h)][x], th_id),
-                        val_l.wl(F.on1[h].on1[t.square[fg].comp[x]],
-                                 t.square[h].cell[id_e]),
-                        val_l.wr(F.on1[h].on2[t.beta[(f, g)][x]],
-                                 t.square[h].comp[R.on1[g].ob[rf_x]])])
-                    if lhs != rhs:
-                        return failed(
-                            "check_tritransformation",
-                            ["associativity axiom fails at "
-                             "(%r, %r, %r, %r)" % (f, g, h, x)],
-                            {"triple": [f, g, h], "object": x,
-                             "lhs": lhs, "rhs": rhs})
-    return passed("_assoc")
+    def unital(f, x, side):
+        d, c = k.onecells[f]
+        val_d, thD = F.ob[d], t.comp[d]
+        rf_x, af_x = R.on1[f].ob[x], t.square[f].comp[x]
+        # thD at the identity of R(f)(x), taken back to the identity by
+        # thD's own compositor and unitor, which need not be identities
+        id_rf = R.ob[d].id1(rf_x)
+        unitor = val_d.wl(af_x, val_d.v(val_d.inverse2(thD.unit[rf_x]),
+                                        thD.chi[(id_rf, id_rf)]))
+        beta = t.beta[(f, k.id1(d)) if side == "right" else (k.id1(c), f)]
+        rhs = val_d.v(unitor, val_d.wr(beta[x], thD.on1[id_rf]))
+        if side == "right":
+            return val_d.wl(af_x, t.gamma[d][rf_x]), rhs
+        return (val_d.v(val_d.wr(F.on1[f].on2[t.gamma[c][x]], af_x),
+                        val_d.wl(F.on1[f].on1[t.square[k.id1(c)].comp[x]],
+                                 val_d.inverse2(
+                                     t.square[f].cell[R.ob[c].id1(x)]))),
+                rhs)
 
-
-def _tritrans_unit_axioms(t, budget):
-    R, F = t.dom, t.cod
-    k = R.base
-    for f, (d, c) in k.onecells.items():
-        id_d, id_c = k.id1(d), k.id1(c)
-        val_d = F.ob[d]
-        if val_d.locally_thin():
-            continue
-        thD = t.comp[d]
-        for x in R.ob[c].objects:
-            rf_x = R.on1[f].ob[x]
-            af_x = t.square[f].comp[x]
-            # thD at the identity of R(f)(x), taken back to the identity
-            # by thD's own compositor and unitor, which need not be
-            # identities
-            id_rf = R.ob[d].id1(rf_x)
-            th_id = thD.on1[id_rf]
-            unitor = val_d.wl(af_x, val_d.v(val_d.inverse2(thD.unit[rf_x]),
-                                            thD.chi[(id_rf, id_rf)]))
-            # right unit display
-            budget.tick()
-            rhs = val_d.v(unitor, val_d.wr(t.beta[(f, id_d)][x], th_id))
-            lhs = val_d.wl(af_x, t.gamma[d][rf_x])
-            if lhs != rhs:
-                return failed("check_tritransformation",
-                              ["right unit axiom fails at (%r, %r)"
-                               % (f, x)],
-                              {"onecell": f, "object": x,
-                               "lhs": lhs, "rhs": rhs})
-            # left unit display
-            budget.tick()
-            rhs = val_d.v(unitor, val_d.wr(t.beta[(id_c, f)][x], th_id))
-            lhs = val_d.v(
-                val_d.wr(F.on1[f].on2[t.gamma[c][x]], af_x),
-                val_d.wl(F.on1[f].on1[t.square[id_c].comp[x]],
-                         val_d.inverse2(
-                             t.square[f].cell[R.ob[c].id1(x)])))
-            if lhs != rhs:
-                return failed("check_tritransformation",
-                              ["left unit axiom fails at (%r, %r)"
-                               % (f, x)],
-                              {"onecell": f, "object": x,
-                               "lhs": lhs, "rhs": rhs})
-    return passed("_unit")
+    return (
+        Display("tritransformation square naturality",
+                ((delta, x) for delta, (f, _) in k.twocells.items()
+                 for x in R.ob[k.onecells[f][1]].objects), natural,
+                "square not natural in 2-cell %r at %r", "twocell object"),
+        Display("tritransformation associativity",
+                ((F.ob[l], (f, g, h), zip(R.ob[c].objects))
+                 for f, (d, c) in k.onecells.items()
+                 for g, e in k.one_cells_into(d)
+                 for h, l in k.one_cells_into(e)), associative,
+                "associativity axiom fails at (%r, %r, %r, %r)",
+                "triple triple triple object lhs rhs", per_value=True),
+        Display("tritransformation unit",
+                ((F.ob[d], (f,), product(R.ob[c].objects, ("right", "left")))
+                 for f, (d, c) in k.onecells.items()), unital,
+                lambda at, lhs, rhs: "%s unit axiom fails at (%r, %r)"
+                % (at[2], at[0], at[1]), "onecell object _ lhs rhs",
+                per_value=True))
 
 
 # --- modifications between transformations ---------------------------------
@@ -826,64 +792,58 @@ def identity_trimodification(t):
 
 
 def check_trimodification(m, budget=None):
-    """The composition and unit axioms of a well-typed modification, as
-    the enumerator draws it: transformation components, and each square
-    comparison of ``_trimod_cells`` on its boundary."""
-    budget = budget or Budget()
+    """The composition and unit axioms of a well-typed modification, as the enumerator draws it: transformation
+    components, and each square comparison of ``_trimod_cells`` on its
+    boundary."""
+    # each display lives in a value of F: when all are thin, none is read
+    return reported("check_trimodification", first_failure(
+        budget or Budget(), _trimod_displays, m,
+        values=m.dom.cod.ob.values()))
+
+
+def _trimod_displays(m):
+    """The composition axiom at each (f, g) and x of R at f's target, in
+    the value at g's source; the unit axiom at each c and x in R(c)."""
     th, ph = m.dom, m.cod
     R, F = th.dom, th.cod
     k = R.base
-    # composition axiom
-    for (f, g), fg in k.hcomp1.items():
-        c = k.onecells[f][1]
-        e = k.onecells[g][0]
+
+    def composition(f, g, x):
+        e, fg = k.onecells[g][0], k.c1(f, g)
         val_e = F.ob[e]
-        if val_e.locally_thin():
-            continue
-        for x in R.ob[c].objects:
-            budget.tick()
-            mc_x = m.comp[c].comp[x]
-            rf_x = R.on1[f].ob[x]
-            # the identity 1-cell that R's compositor has for component
-            id_e = R.ob[e].id1(R.on1[fg].ob[x])
-            path_a = val_e.v(
-                val_e.wr(m.cell[fg][x], th.comp[e].on1[id_e]),
-                val_e.wl(F.on1[fg].on1[mc_x], th.beta[(f, g)][x]))
-            path_b = val_e.v_path([
-                val_e.wl(ph.square[fg].comp[x], m.comp[e].cell[id_e]),
-                val_e.wr(ph.beta[(f, g)][x],
-                         m.comp[e].comp[R.on1[g].ob[rf_x]]),
-                val_e.wl(F.on1[g].on1[ph.square[f].comp[x]],
-                         m.cell[g][rf_x]),
-                val_e.wr(F.on1[g].on2[m.cell[f][x]],
-                         th.square[g].comp[rf_x])])
-            if path_a != path_b:
-                return failed("check_trimodification",
-                              ["composition axiom fails at (%r, %r, %r)"
-                               % (f, g, x)],
-                              {"pair": [f, g], "object": x,
-                               "lhs": path_a, "rhs": path_b})
-    # unit axiom
-    for c in k.objects:
-        id_c = k.id1(c)
-        val_c = F.ob[c]
-        if val_c.locally_thin():
-            continue
-        for x in R.ob[c].objects:
-            budget.tick()
-            mc_x = m.comp[c].comp[x]
-            id_x = R.ob[c].id1(x)
-            path_l = val_c.wl(mc_x, th.gamma[c][x])
-            path_r = val_c.v_path([
-                val_c.wr(ph.gamma[c][x], mc_x),
-                val_c.wl(ph.square[id_c].comp[x],
-                         val_c.inverse2(m.comp[c].cell[id_x])),
-                val_c.wr(m.cell[id_c][x], th.comp[c].on1[id_x])])
-            if path_l != path_r:
-                return failed("check_trimodification",
-                              ["unit axiom fails at (%r, %r)" % (c, x)],
-                              {"object": c, "lhs": path_l, "rhs": path_r})
-    return passed("check_trimodification")
+        mc_x, rf_x = m.comp[k.onecells[f][1]].comp[x], R.on1[f].ob[x]
+        # the identity 1-cell that R's compositor has for component
+        id_e = R.ob[e].id1(R.on1[fg].ob[x])
+        return (val_e.v(val_e.wr(m.cell[fg][x], th.comp[e].on1[id_e]),
+                        val_e.wl(F.on1[fg].on1[mc_x], th.beta[(f, g)][x])),
+                val_e.v_path([
+                    val_e.wl(ph.square[fg].comp[x], m.comp[e].cell[id_e]),
+                    val_e.wr(ph.beta[(f, g)][x],
+                             m.comp[e].comp[R.on1[g].ob[rf_x]]),
+                    val_e.wl(F.on1[g].on1[ph.square[f].comp[x]],
+                             m.cell[g][rf_x]),
+                    val_e.wr(F.on1[g].on2[m.cell[f][x]],
+                             th.square[g].comp[rf_x])]))
+
+    def unital(c, x):
+        val_c, mc_x, id_x = F.ob[c], m.comp[c].comp[x], R.ob[c].id1(x)
+        return (val_c.wl(mc_x, th.gamma[c][x]),
+                val_c.v_path([
+                    val_c.wr(ph.gamma[c][x], mc_x),
+                    val_c.wl(ph.square[k.id1(c)].comp[x],
+                             val_c.inverse2(m.comp[c].cell[id_x])),
+                    val_c.wr(m.cell[k.id1(c)][x], th.comp[c].on1[id_x])]))
+
+    return (
+        Display("trimodification composition",
+                ((F.ob[k.onecells[g][0]], (f, g),
+                  zip(R.ob[k.onecells[f][1]].objects)) for f, g in k.hcomp1),
+                composition, "composition axiom fails at (%r, %r, %r)",
+                "pair pair object lhs rhs", per_value=True),
+        Display("trimodification unit",
+                ((F.ob[c], (c,), zip(R.ob[c].objects)) for c in k.objects),
+                unital, "unit axiom fails at (%r, %r)", "object _ lhs rhs",
+                per_value=True))
 
 
 # --- perturbations ----------------------------------------------------------
@@ -903,33 +863,37 @@ def check_perturbation(p, budget=None):
     2-cell m_D(x) => n_D(x) at each object D and x."""
     budget = budget or Budget()
     m, n = p.dom, p.cod
-    th, ph = m.dom, m.cod
-    R, F = th.dom, th.cod
-    k = R.base
-    for c in k.objects:
+    R, F = m.dom.dom, m.dom.cod
+    for c in R.base.objects:
         mod = TwoModification(m.comp[c], n.comp[c], p.comp[c])
         r = check_two_modification(mod, budget)
         if not r.ok:
             r.details.insert(0, "component at %r" % c)
             return r
-    for g, (e, d) in k.onecells.items():
+    return reported("check_perturbation", first_failure(
+        budget, _perturbation_displays, p, values=F.ob.values()))
+
+
+def _perturbation_displays(p):
+    """The square axiom at each g: e -> d and x in R(d), in the value at
+    e."""
+    m, n = p.dom, p.cod
+    th, ph = m.dom, m.cod
+    R, F = th.dom, th.cod
+
+    def square(g, x):
+        e, d = R.base.onecells[g]
         val_e = F.ob[e]
-        if val_e.locally_thin():
-            continue
-        for x in R.ob[d].objects:
-            budget.tick()
-            lhs = val_e.v(n.cell[g][x],
-                          val_e.wr(F.on1[g].on2[p.comp[d][x]],
-                                   th.square[g].comp[x]))
-            rhs = val_e.v(val_e.wl(ph.square[g].comp[x],
-                                   p.comp[e][R.on1[g].ob[x]]),
-                          m.cell[g][x])
-            if lhs != rhs:
-                return failed("check_perturbation",
-                              ["square axiom fails at (%r, %r)" % (g, x)],
-                              {"onecell": g, "object": x,
-                               "lhs": lhs, "rhs": rhs})
-    return passed("check_perturbation")
+        return (val_e.v(n.cell[g][x], val_e.wr(F.on1[g].on2[p.comp[d][x]],
+                                               th.square[g].comp[x])),
+                val_e.v(val_e.wl(ph.square[g].comp[x],
+                                 p.comp[e][R.on1[g].ob[x]]), m.cell[g][x]))
+
+    return (Display("perturbation square",
+                    ((F.ob[e], (g,), zip(R.ob[d].objects))
+                     for g, (e, d) in R.base.onecells.items()), square,
+                    "square axiom fails at (%r, %r)", "onecell object lhs rhs",
+                    per_value=True),)
 
 
 # --- cells induced by restriction -------------------------------------------

@@ -36,16 +36,16 @@ draw each cell from the invertible 2-cells of its boundary, and
 ``weak_datum_from_object`` sets each comparison cell to the identity on
 its target.
 
-When every value of the homomorphism data is locally thin (at most one
-2-cell between two 1-cells), any two parallel 2-cells are equal, so every
-display between well-typed cells holds (Johnson & Yau, *2-Dimensional
-Categories*, 2021).  The checkers then still test normality and the
-identity etas, but skip the compatibility loops of
-``check_matching_family``, the cocycle and phi/eta loops of
-``check_descent_datum_mor``, ``_wdd_displays`` and
-``_weak_gluing_displays``, and ``_gluing_mor_edges`` gives no edges.
-A skipped loop spends no step, since a step is work done (see
-``report.Budget``).
+Each datum declares its displays once, as ``report.Display`` records
+(``_matching_displays``, ``_ddm_displays``, ``_weak_datum_displays``
+under a family of connecting isos, and ``_weak_gluing_displays`` of a
+gluing object), and ``report.first_failure`` evaluates them, one step
+per index.  When every value of the homomorphism data is locally thin
+(at most one 2-cell between two 1-cells), any two parallel 2-cells are
+equal, so every display between well-typed cells holds (Johnson & Yau,
+*2-Dimensional Categories*, 2021), and the evaluator skips them all with
+no step (see ``report.Budget``).  The checkers still test normality and
+the identity etas, and ``_gluing_mor_edges`` gives no edges.
 This rests on valid values: a ``tables`` trihom's values and action data
 are checked when a workspace is loaded.
 
@@ -101,8 +101,8 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     compose_ps_two_functors, induced_pert, induced_trimod, \
     induced_tritrans, sieve_trihom, _comparisons, _identities, \
     _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, _tritrans_cells
-from .report import Budget, choices, failed, inconclusive, merge, narrow, \
-    passed
+from .report import Budget, Display, choices, failed, first_failure, \
+    inconclusive, merge, narrow, passed, reported
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -138,10 +138,13 @@ def _legs(s):
             yield d, f, e, g, delta, g2
 
 
-def _thin(F):
-    """Is every value of F locally thin?  Then any two parallel 2-cells
-    are equal, and every display between well-typed cells holds."""
-    return all(val.locally_thin() for val in F.ob.values())
+def _member_cell_pairs(s):
+    """Composable base 2-cells gamma: f => f2, delta: f2 => f3 between
+    members at D, as (D, delta, gamma)."""
+    for d, f, f2, gamma in _member_two_cells(s):
+        for f3 in s.member_list(d):
+            for delta in s.k.two_cells_between(f2, f3):
+                yield d, delta, gamma
 
 
 # --- matching families of 2-cells ------------------------------------------
@@ -171,50 +174,37 @@ def check_matching_family(mf, budget=None):
     """The restriction and conjugation compatibility displays of a
     well-typed family, as ``_all_matching_families`` draws it: parallel
     endpoints, and each member 2-cell f*a => f*b."""
-    budget = budget or Budget()
-    if not _thin(mf.F):
-        bad = _matching_displays(mf, budget)
-        if bad is not None:
-            return bad
-    return passed("check_matching_family",
-                  ["%d members checked" % len(mf.w)])
+    return reported("check_matching_family", first_failure(
+        budget or Budget(), _matching_displays, mf, values=mf.F.ob.values()),
+        ["%d members checked" % len(mf.w)])
 
 
-def _matching_displays(mf, budget):
-    """The compatibility displays of a typed family; None when all hold,
-    else the failure report."""
+def _matching_displays(mf):
     F, s = mf.F, mf.S
     x0, y0 = F.ob[s.target].onecells[mf.a]
-    # restriction compatibility along every base 1-cell
-    for d, f, e, g in _cells_into(s):
-        budget.tick()
-        t = s.tilde[(f, g)]
-        sig = s.sigma[(f, g)]
-        val_e = F.ob[e]
-        s_y = F.on2[sig].comp[y0]
-        s_x = F.on2[sig].comp[x0]
-        lhs = val_e.v(val_e.wl(s_y, mf.w[t]), F.on2[sig].cell[mf.a])
-        rhs = val_e.v(F.on2[sig].cell[mf.b],
-                      val_e.wr(F.on1[g].on2[mf.w[f]], s_x))
-        if lhs != rhs:
-            return failed("check_matching_family",
-                          ["restriction compatibility fails at (%r, %r)"
-                           % (f, g)],
-                          {"member": f, "onecell": g,
-                           "lhs": lhs, "rhs": rhs})
-    # conjugation compatibility along 2-cells between members
-    for d, f, f2, gamma in _member_two_cells(s):
-        budget.tick()
-        val_d = F.ob[d]
-        g_x = F.on2[gamma].comp[x0]
-        g_y = F.on2[gamma].comp[y0]
-        lhs = val_d.v(val_d.wl(g_y, mf.w[f]), F.on2[gamma].cell[mf.a])
-        rhs = val_d.v(F.on2[gamma].cell[mf.b], val_d.wr(mf.w[f2], g_x))
-        if lhs != rhs:
-            return failed("check_matching_family",
-                          ["2-cell compatibility fails at %r" % gamma],
-                          {"twocell": gamma, "lhs": lhs, "rhs": rhs})
-    return None
+
+    def restriction(f, g):  # along every base 1-cell into a member
+        val_e, sig = F.ob[s.k.src1(g)], F.on2[s.sigma[(f, g)]]
+        return (val_e.v(val_e.wl(sig.comp[y0], mf.w[s.tilde[(f, g)]]),
+                        sig.cell[mf.a]),
+                val_e.v(sig.cell[mf.b],
+                        val_e.wr(F.on1[g].on2[mf.w[f]], sig.comp[x0])))
+
+    def conjugation(gamma):  # along 2-cells between members
+        f, f2 = s.k.twocells[gamma]
+        val_d, cell = F.ob[s.k.src1(f)], F.on2[gamma]
+        return (val_d.v(val_d.wl(cell.comp[y0], mf.w[f]), cell.cell[mf.a]),
+                val_d.v(cell.cell[mf.b], val_d.wr(mf.w[f2], cell.comp[x0])))
+
+    return (
+        Display("matching restriction compatibility",
+                ((f, g) for d, f, e, g in _cells_into(s)), restriction,
+                "restriction compatibility fails at (%r, %r)",
+                "member onecell lhs rhs"),
+        Display("matching 2-cell compatibility",
+                ((gamma,) for d, f, f2, gamma in _member_two_cells(s)),
+                conjugation, "2-cell compatibility fails at %r",
+                "twocell lhs rhs"))
 
 
 def find_amalgamations(mf, budget=None):
@@ -298,7 +288,6 @@ def check_descent_datum_mor(dd, budget=None):
     """Normality, the identity etas, the cocycle and the phi/eta squares of
     a well-typed datum, as ``_all_descent_data_mor`` draws it: each member
     1-cell and each comparison cell of ``_ddm_cells`` on its boundary."""
-    budget = budget or Budget()
     F, s = dd.F, dd.S
     k = s.k
     # normality: phi over an identity leg is the identity comparison
@@ -311,99 +300,73 @@ def check_descent_datum_mor(dd, budget=None):
             return failed("check_descent_datum_mor",
                           ["eta at the identity 2-cell of %r is not the "
                            "identity" % f], {"member": f})
-    if not _thin(F):
-        bad = _ddm_displays(dd, budget)
-        if bad is not None:
-            return bad
-    return passed("check_descent_datum_mor",
-                  ["%d member morphisms checked" % len(dd.w)])
+    return reported("check_descent_datum_mor", first_failure(
+        budget or Budget(), _ddm_displays, dd, values=F.ob.values()),
+        ["%d member morphisms checked" % len(dd.w)])
 
 
-def _ddm_displays(dd, budget):
-    """The cocycle and phi/eta displays of a typed, normal datum; None
-    when all hold, else the failure report."""
-    F, s = dd.F, dd.S
+def _ddm_displays(dd):
+    F, s, X, Y = dd.F, dd.S, dd.X, dd.Y
     k = s.k
-    # cocycle over composable triples
-    for d, f, e, g in _cells_into(s):
-        t1 = s.tilde[(f, g)]
-        for h, l in k.one_cells_into(e):
-            budget.tick()
-            gh = k.c1(g, h)
-            theta = _compositor_cell(s, f, g, h)
-            val_l = F.ob[l]
-            hh = F.on1[h]
-            s2_x = F.on2[s.sigma[(t1, h)]].comp[dd.X]
-            s3_y = F.on2[s.sigma[(f, gh)]].comp[dd.Y]
-            th_x = F.on2[theta].comp[dd.X]
-            lhs = val_l.v(
-                val_l.wl(hh.on1[F.on2[s.sigma[(f, g)]].comp[dd.Y]],
-                         dd.phi[(t1, h)]),
-                val_l.wr(hh.on2[dd.phi[(f, g)]], s2_x))
-            rhs = val_l.v(val_l.wl(s3_y, dd.eta[theta]),
-                          val_l.wr(dd.phi[(f, gh)], th_x))
-            if lhs != rhs:
-                return failed("check_descent_datum_mor",
-                              ["cocycle fails at (%r, %r, %r)" % (f, g, h)],
-                              {"member": f, "pair": [g, h],
-                               "lhs": lhs, "rhs": rhs})
-    # eta respects vertical composition
-    for d, f, f2, gamma in _member_two_cells(s):
-        val_d = F.ob[d]
-        for f3 in s.member_list(d):
-            for delta in k.two_cells_between(f2, f3):
-                budget.tick()
-                g_x = F.on2[gamma].comp[dd.X]
-                d_y = F.on2[delta].comp[dd.Y]
-                lhs = dd.eta[k.v(delta, gamma)]
-                rhs = val_d.v(val_d.wl(d_y, dd.eta[gamma]),
-                              val_d.wr(dd.eta[delta], g_x))
-                if lhs != rhs:
-                    return failed("check_descent_datum_mor",
-                                  ["eta not compatible with composition at "
-                                   "(%r, %r)" % (delta, gamma)],
-                                  {"pair": [delta, gamma],
-                                   "lhs": lhs, "rhs": rhs})
-    # phi/eta compatibility along 2-cells of the member leg
-    for d, f, f2, gamma in _member_two_cells(s):
-        for g, e in k.one_cells_into(d):
-            budget.tick()
-            val_e = F.ob[e]
-            hg = F.on1[g]
-            gg = _restrict_member_cell(s, f, f2, gamma, g)
-            s_x = F.on2[s.sigma[(f, g)]].comp[dd.X]
-            s2_y = F.on2[s.sigma[(f2, g)]].comp[dd.Y]
-            gg_x = F.on2[gg].comp[dd.X]
-            g_y = F.on2[gamma].comp[dd.Y]
-            lhs = val_e.v(val_e.wl(s2_y, dd.eta[gg]),
-                          val_e.wr(dd.phi[(f2, g)], gg_x))
-            rhs = val_e.v(val_e.wl(hg.on1[g_y], dd.phi[(f, g)]),
-                          val_e.wr(hg.on2[dd.eta[gamma]], s_x))
-            if lhs != rhs:
-                return failed("check_descent_datum_mor",
-                              ["phi/eta square fails at (%r, %r)"
-                               % (gamma, g)],
-                              {"twocell": gamma, "onecell": g,
-                               "lhs": lhs, "rhs": rhs})
-    # phi/eta compatibility along 2-cells of the restriction leg
-    for d, f, e, g, delta, g2 in _legs(s):
-        budget.tick()
-        val_e = F.ob[e]
+
+    def cocycle(f, g, h):
+        t1, gh = s.tilde[(f, g)], k.c1(g, h)
+        theta = _compositor_cell(s, f, g, h)
+        val_l, hh = F.ob[k.src1(h)], F.on1[h]
+        return (val_l.v(val_l.wl(hh.on1[F.on2[s.sigma[(f, g)]].comp[Y]],
+                                 dd.phi[(t1, h)]),
+                        val_l.wr(hh.on2[dd.phi[(f, g)]],
+                                 F.on2[s.sigma[(t1, h)]].comp[X])),
+                val_l.v(val_l.wl(F.on2[s.sigma[(f, gh)]].comp[Y],
+                                 dd.eta[theta]),
+                        val_l.wr(dd.phi[(f, gh)], F.on2[theta].comp[X])))
+
+    def composition(delta, gamma):  # eta respects vertical composition
+        val_d = F.ob[k.src1(k.src2(gamma))]
+        return (dd.eta[k.v(delta, gamma)],
+                val_d.v(val_d.wl(F.on2[delta].comp[Y], dd.eta[gamma]),
+                        val_d.wr(dd.eta[delta], F.on2[gamma].comp[X])))
+
+    def member_square(gamma, g):  # along a 2-cell of the member leg
+        (f, f2), val_e, hg = k.twocells[gamma], F.ob[k.src1(g)], F.on1[g]
+        gg = _restrict_member_cell(s, f, f2, gamma, g)
+        return (val_e.v(val_e.wl(F.on2[s.sigma[(f2, g)]].comp[Y],
+                                 dd.eta[gg]),
+                        val_e.wr(dd.phi[(f2, g)], F.on2[gg].comp[X])),
+                val_e.v(val_e.wl(hg.on1[F.on2[gamma].comp[Y]],
+                                 dd.phi[(f, g)]),
+                        val_e.wr(hg.on2[dd.eta[gamma]],
+                                 F.on2[s.sigma[(f, g)]].comp[X])))
+
+    def leg_square(delta, f):  # along a 2-cell of the restriction leg
+        (g, g2), cell = k.twocells[delta], F.on2[delta]
+        val_e = F.ob[k.src1(g)]
         df = _restrict_cell(s, f, g, delta, g2)
-        s_x = F.on2[s.sigma[(f, g)]].comp[dd.X]
-        s2_y = F.on2[s.sigma[(f, g2)]].comp[dd.Y]
-        df_x = F.on2[df].comp[dd.X]
-        f_y = F.on1[f].ob[dd.Y]
-        lhs = val_e.v(val_e.wl(s2_y, dd.eta[df]),
-                      val_e.wr(dd.phi[(f, g2)], df_x))
-        rhs = val_e.v(val_e.wl(F.on2[delta].comp[f_y], dd.phi[(f, g)]),
-                      val_e.wr(F.on2[delta].cell[dd.w[f]], s_x))
-        if lhs != rhs:
-            return failed("check_descent_datum_mor",
-                          ["phi square over %r fails at %r" % (delta, f)],
-                          {"twocell": delta, "member": f,
-                           "lhs": lhs, "rhs": rhs})
-    return None
+        return (val_e.v(val_e.wl(F.on2[s.sigma[(f, g2)]].comp[Y],
+                                 dd.eta[df]),
+                        val_e.wr(dd.phi[(f, g2)], F.on2[df].comp[X])),
+                val_e.v(val_e.wl(cell.comp[F.on1[f].ob[Y]], dd.phi[(f, g)]),
+                        val_e.wr(cell.cell[dd.w[f]],
+                                 F.on2[s.sigma[(f, g)]].comp[X])))
+
+    return (
+        Display("morphism datum cocycle",
+                ((f, g, h) for d, f, e, g in _cells_into(s)
+                 for h, _ in k.one_cells_into(e)), cocycle,
+                "cocycle fails at (%r, %r, %r)", "member pair pair lhs rhs"),
+        Display("morphism datum eta composition",
+                ((delta, gamma) for d, delta, gamma in _member_cell_pairs(s)),
+                composition, "eta not compatible with composition at "
+                "(%r, %r)", "pair pair lhs rhs"),
+        Display("morphism datum member-leg square",
+                ((gamma, g) for d, f, f2, gamma in _member_two_cells(s)
+                 for g, _ in k.one_cells_into(d)), member_square,
+                "phi/eta square fails at (%r, %r)",
+                "twocell onecell lhs rhs"),
+        Display("morphism datum restriction-leg square",
+                ((delta, f) for d, f, e, g, delta, g2 in _legs(s)),
+                leg_square, "phi square over %r fails at %r",
+                "twocell member lhs rhs"))
 
 
 class EffectivenessWitness:
@@ -440,7 +403,7 @@ def _gluing_mor_edges(dd, w):
     restriction leg (f, g) relates psi[tilde(f, g)] and psi[f].  No edges
     when every value is locally thin."""
     F, s = dd.F, dd.S
-    if _thin(F):
+    if all(val.locally_thin() for val in F.ob.values()):
         return []
 
     def square(val, cell, right, along=lambda b: b):
@@ -579,12 +542,16 @@ def check_weak_descent_datum(wdd, budget=None):
     each phi an equivalence, and each comparison cell of ``_wdd_cells`` on
     its boundary."""
     budget = budget or Budget()
-    found, last = _wdd_coherences(wdd, budget)
-    if not found:
-        return failed("check_weak_descent_datum",
-                      ["coherence displays fail: %s" % last[0]], last[1])
-    return passed("check_weak_descent_datum",
-                  ["%d member objects checked" % len(wdd.W)])
+    ucand, ccand = _connecting_isos(wdd)
+    last = ("no connecting family admissible", {})
+    for u, cc in choices(budget, sorted(ucand.items()),
+                         sorted(ccand.items())):
+        last = _wdd_displays(wdd, u, cc, budget)
+        if last is None:
+            return passed("check_weak_descent_datum",
+                          ["%d member objects checked" % len(wdd.W)])
+    return failed("check_weak_descent_datum",
+                  ["coherence displays fail: %s" % last[0]], last[1])
 
 
 def _unit_candidates(wdd):
@@ -605,13 +572,10 @@ def _comp_candidates(wdd):
     F, s = wdd.F, wdd.S
     k = s.k
     out = {}
-    for d, f, f2, gamma in _member_two_cells(s):
-        val_d = F.ob[d]
-        for f3 in s.member_list(d):
-            for delta in k.two_cells_between(f2, f3):
-                out[(delta, gamma)] = val_d.isos_between(
-                    wdd.eta[k.v(delta, gamma)],
-                    val_d.c1(wdd.eta[delta], wdd.eta[gamma]))
+    for d, delta, gamma in _member_cell_pairs(s):
+        out[(delta, gamma)] = F.ob[d].isos_between(
+            wdd.eta[k.v(delta, gamma)],
+            F.ob[d].c1(wdd.eta[delta], wdd.eta[gamma]))
     return out
 
 
@@ -626,190 +590,160 @@ def _connecting_isos(wdd):
 
 
 def _wdd_displays(wdd, u, cc, budget):
-    """All coherence displays under a chosen family of connecting isos.
+    """The first failure, as (message, witness), of the coherence
+    displays (``_weak_datum_displays``) under a chosen family of
+    connecting isos; None when all hold."""
+    return first_failure(budget, _weak_datum_displays, wdd, u, cc,
+                         values=wdd.F.ob.values())
 
-    Returns None on success or (message, witness) on the first failure.
-    """
+
+def _weak_datum_displays(wdd, u, cc):
+    """The coherence displays of a weak datum under the connecting isos
+    u and cc, as named; the identity legs of the cocycle, inner and
+    outer, are one display."""
     F, s = wdd.F, wdd.S
-    if _thin(F):
-        return None
     k = s.k
-    # identity transition against rho2
-    for d, f, e, g in _cells_into(s):
-        budget.tick()
-        t = s.tilde[(f, g)]
-        val_e = F.ob[e]
-        p = wdd.phi[(f, g)]
-        want = val_e.v(val_e.wl(p, val_e.inverse2(u[t])),
-                       val_e.wr(F.on1[g].on2[u[f]], p))
-        if wdd.rho2[(k.id2(f), g)] != want:
-            return ("identity display for rho2 fails at (%r, %r)" % (f, g),
-                    {"member": f, "onecell": g})
-    # rho against rho2 over the identity restriction leg
-    for d, f, f2, gamma in _member_two_cells(s):
-        budget.tick()
+    phi, eta, rho, rho2, beta = wdd.phi, wdd.eta, wdd.rho, wdd.rho2, wdd.beta
+
+    def rho2_identity(f, g):
+        val_e, p = F.ob[k.src1(g)], phi[(f, g)]
+        return (rho2[(k.id2(f), g)],
+                val_e.v(val_e.wl(p, val_e.inverse2(u[s.tilde[(f, g)]])),
+                        val_e.wr(F.on1[g].on2[u[f]], p)))
+
+    def rho_display(gamma):
+        (f, f2), d = k.twocells[gamma], k.src1(k.src2(gamma))
         val_d = F.ob[d]
-        lhs = val_d.v(val_d.wr(wdd.rho[f2], wdd.eta[gamma]),
-                      wdd.rho2[(gamma, k.id1(d))])
-        rhs = val_d.wl(wdd.eta[gamma], wdd.rho[f])
-        if lhs != rhs:
-            return ("rho display fails at %r" % gamma, {"twocell": gamma})
-    # alpha over the identity 2-cell of the restriction leg
-    for d, f, e, g in _cells_into(s):
-        budget.tick()
-        t = s.tilde[(f, g)]
+        return (val_d.v(val_d.wr(rho[f2], eta[gamma]),
+                        rho2[(gamma, k.id1(d))]),
+                val_d.wl(eta[gamma], rho[f]))
+
+    def alpha_identity(f, g):
+        val_e = F.ob[k.src1(g)]
+        return (wdd.alpha[(f, k.id2(g))],
+                val_e.wl(phi[(f, g)], val_e.inverse2(u[s.tilde[(f, g)]])))
+
+    def rho2_composition(delta, gamma, g):
+        (f, f2), f3 = k.twocells[gamma], k.tgt2(delta)
+        val_e, hg = F.ob[k.src1(g)], F.on1[g]
+        gg = _restrict_member_cell(s, f, f2, gamma, g)
+        dg = _restrict_member_cell(s, f2, f3, delta, g)
+        return (val_e.v_path([
+                    val_e.wl(phi[(f3, g)], cc[(dg, gg)]),
+                    rho2[(k.v(delta, gamma), g)],
+                    val_e.wr(val_e.inverse2(hg.on2[cc[(delta, gamma)]]),
+                             phi[(f, g)])]),
+                val_e.v(val_e.wr(rho2[(delta, g)], eta[gg]),
+                        val_e.wl(hg.on1[eta[delta]], rho2[(gamma, g)])))
+
+    def alpha_composition(eps, delta, f):
+        (g, g2), g3 = k.twocells[delta], k.tgt2(eps)
+        val_e = F.ob[k.src1(g)]
+        df = _restrict_cell(s, f, g, delta, g2)
+        ef = _restrict_cell(s, f, g2, eps, g3)
+        return (val_e.v(val_e.wl(phi[(f, g3)], cc[(ef, df)]),
+                        wdd.alpha[(f, k.v(eps, delta))]),
+                val_e.v(val_e.wr(wdd.alpha[(f, eps)], eta[df]),
+                        val_e.wl(F.on2[eps].comp[wdd.W[f]],
+                                 wdd.alpha[(f, delta)])))
+
+    def beta_naturality(gamma, g, h):
+        f, f2 = k.twocells[gamma]
+        t1, t1b, gh = s.tilde[(f, g)], s.tilde[(f2, g)], k.c1(g, h)
+        val_l, hh = F.ob[k.src1(h)], F.on1[h]
+        gg = _restrict_member_cell(s, f, f2, gamma, g)
+        theta = _compositor_cell(s, f, g, h)
+        ggh = _restrict_member_cell(s, t1, t1b, gg, h)
+        e_cell = val_l.v(
+            cc[(_compositor_cell(s, f2, g, h), ggh)],
+            val_l.inverse2(cc[(_restrict_member_cell(s, f, f2, gamma, gh),
+                               theta)]))
+        return (val_l.v_path([
+                    val_l.wl(phi[(f2, gh)], e_cell),
+                    val_l.wr(rho2[(gamma, gh)], eta[theta]),
+                    val_l.wl(F.on1[gh].on1[eta[gamma]], beta[(f, g, h)])]),
+                val_l.v_path([
+                    val_l.wr(beta[(f2, g, h)], eta[ggh]),
+                    val_l.wl(hh.on1[phi[(f2, g)]], rho2[(gg, h)]),
+                    val_l.wr(hh.on2[rho2[(gamma, g)]], phi[(t1, h)])]))
+
+    def four_fold(f, g, h, tt):
+        t1, ht, gh = s.tilde[(f, g)], k.c1(h, tt), k.c1(g, h)
+        t2, val_m = s.tilde[(t1, h)], F.ob[k.src1(tt)]
+        theta_a = _compositor_cell(s, t1, h, tt)
+        theta_c = _compositor_cell(s, f, g, h)
+        theta_e = _restrict_member_cell(s, t2, s.tilde[(f, gh)], theta_c, tt)
+        e_cell = val_m.v(
+            cc[(_compositor_cell(s, f, gh, tt), theta_e)],
+            val_m.inverse2(cc[(_compositor_cell(s, f, g, ht), theta_a)]))
+        side1 = val_m.v(val_m.wr(beta[(f, g, ht)], eta[theta_a]),
+                        val_m.wl(F.on1[ht].on1[phi[(f, g)]],
+                                 beta[(t1, h, tt)]))
+        return (val_m.v(val_m.wl(phi[(f, k.c1(g, ht))], e_cell), side1),
+                val_m.v_path([
+                    val_m.wr(beta[(f, gh, tt)], eta[theta_e]),
+                    val_m.wl(F.on1[tt].on1[phi[(f, gh)]],
+                             rho2[(theta_c, tt)]),
+                    val_m.wr(F.on1[tt].on2[beta[(f, g, h)]],
+                             phi[(t2, tt)])]))
+
+    def identity_legs(f, g):
+        (e, d), t1, p = k.onecells[g], s.tilde[(f, g)], phi[(f, g)]
         val_e = F.ob[e]
-        p = wdd.phi[(f, g)]
-        if wdd.alpha[(f, k.id2(g))] != val_e.wl(p, val_e.inverse2(u[t])):
-            return ("identity display for alpha fails at (%r, %r)" % (f, g),
-                    {"member": f, "onecell": g})
-    # rho2 against vertical composition of member 2-cells
-    for d, f, f2, gamma in _member_two_cells(s):
-        for f3 in s.member_list(d):
-            for delta in k.two_cells_between(f2, f3):
-                for g, e in k.one_cells_into(d):
-                    budget.tick()
-                    val_e = F.ob[e]
-                    hg = F.on1[g]
-                    gg = _restrict_member_cell(s, f, f2, gamma, g)
-                    dg = _restrict_member_cell(s, f2, f3, delta, g)
-                    p = wdd.phi[(f, g)]
-                    p3 = wdd.phi[(f3, g)]
-                    lhs = val_e.v_path([
-                        val_e.wl(p3, cc[(dg, gg)]),
-                        wdd.rho2[(k.v(delta, gamma), g)],
-                        val_e.wr(val_e.inverse2(hg.on2[cc[(delta, gamma)]]),
-                                 p),
-                    ])
-                    rhs = val_e.v(
-                        val_e.wr(wdd.rho2[(delta, g)], wdd.eta[gg]),
-                        val_e.wl(hg.on1[wdd.eta[delta]],
-                                 wdd.rho2[(gamma, g)]))
-                    if lhs != rhs:
-                        return ("composition display for rho2 fails at "
-                                "(%r, %r, %r)" % (delta, gamma, g),
-                                {"pair": [delta, gamma], "onecell": g})
-    # alpha against vertical composition of restriction 2-cells
+        unit = val_e.wl(p, val_e.inverse2(u[t1]))
+        return ((beta[(f, g, k.id1(e))], beta[(f, k.id1(d), g)]),
+                (val_e.v(unit, val_e.wl(p, rho[t1])),
+                 val_e.v(unit, val_e.wr(F.on1[g].on2[rho[f]], p))))
+
+    legs = [(f, g) for d, f, e, g in _cells_into(s)]
+    return (
+        Display("weak datum rho2 identity", legs, rho2_identity,
+                "identity display for rho2 fails at (%r, %r)",
+                "member onecell"),
+        Display("weak datum rho", ((gamma,) for d, f, f2, gamma
+                                   in _member_two_cells(s)), rho_display,
+                "rho display fails at %r", "twocell"),
+        Display("weak datum alpha identity", legs, alpha_identity,
+                "identity display for alpha fails at (%r, %r)",
+                "member onecell"),
+        Display("weak datum rho2 composition",
+                ((delta, gamma, g) for d, delta, gamma
+                 in _member_cell_pairs(s) for g, _ in k.one_cells_into(d)),
+                rho2_composition,
+                "composition display for rho2 fails at (%r, %r, %r)",
+                "pair pair onecell"),
+        Display("weak datum alpha composition", _leg_pairs(s),
+                alpha_composition,
+                "composition display for alpha fails at (%r, %r, %r)",
+                "pair pair member"),
+        Display("weak datum beta naturality",
+                ((gamma, g, h) for d, f, f2, gamma in _member_two_cells(s)
+                 for g, e in k.one_cells_into(d)
+                 for h, _ in k.one_cells_into(e)), beta_naturality,
+                "beta naturality fails at (%r, %r, %r)",
+                "twocell pair pair"),
+        Display("weak datum four-fold cocycle",
+                ((f, g, h, tt) for d, f, e, g in _cells_into(s)
+                 for h, l in k.one_cells_into(e)
+                 for tt, _ in k.one_cells_into(l)), four_fold,
+                "four-fold cocycle fails at (%r, %r, %r, %r)",
+                "member triple triple triple"),
+        Display("weak datum cocycle identity legs", legs, identity_legs,
+                lambda at, lhs, rhs: "cocycle identity display (%s) fails "
+                "at (%r, %r)" % (("inner" if lhs[0] != rhs[0] else "outer",)
+                                 + at), "member onecell"))
+
+
+def _leg_pairs(s):
+    """(eps, delta, f) for each member f: D -> C and composable base
+    2-cells delta: g => g2, eps: g2 => g3 between 1-cells into D: members
+    in order, then delta, then eps, in id order."""
     out_of = {}
-    for eps, (g2, g3) in sorted(k.twocells.items()):
-        out_of.setdefault(g2, []).append((eps, g3))
+    for eps, (g2, g3) in sorted(s.k.twocells.items()):
+        out_of.setdefault(g2, []).append(eps)
     for d, f, e, g, delta, g2 in _legs(s):
-        for eps, g3 in out_of.get(g2, ()):
-            budget.tick()
-            val_e = F.ob[e]
-            df = _restrict_cell(s, f, g, delta, g2)
-            ef = _restrict_cell(s, f, g2, eps, g3)
-            lhs = val_e.v(
-                val_e.wl(wdd.phi[(f, g3)], cc[(ef, df)]),
-                wdd.alpha[(f, k.v(eps, delta))])
-            rhs = val_e.v(
-                val_e.wr(wdd.alpha[(f, eps)], wdd.eta[df]),
-                val_e.wl(F.on2[eps].comp[wdd.W[f]], wdd.alpha[(f, delta)]))
-            if lhs != rhs:
-                return ("composition display for alpha fails at "
-                        "(%r, %r, %r)" % (eps, delta, f),
-                        {"pair": [eps, delta], "member": f})
-    # naturality of beta against rho2
-    for d, f, f2, gamma in _member_two_cells(s):
-        for g, e in k.one_cells_into(d):
-            t1 = s.tilde[(f, g)]
-            t1b = s.tilde[(f2, g)]
-            gg = _restrict_member_cell(s, f, f2, gamma, g)
-            for h, l in k.one_cells_into(e):
-                budget.tick()
-                val_l = F.ob[l]
-                gh = k.c1(g, h)
-                hh = F.on1[h]
-                theta = _compositor_cell(s, f, g, h)
-                theta2 = _compositor_cell(s, f2, g, h)
-                ggh = _restrict_member_cell(s, t1, t1b, gg, h)
-                g_gh = _restrict_member_cell(s, f, f2, gamma, gh)
-                e_cell = val_l.v(
-                    cc[(theta2, ggh)],
-                    val_l.inverse2(cc[(g_gh, theta)]))
-                side1 = val_l.v_path([
-                    val_l.wl(wdd.phi[(f2, gh)], e_cell),
-                    val_l.wr(wdd.rho2[(gamma, gh)], wdd.eta[theta]),
-                    val_l.wl(F.on1[gh].on1[wdd.eta[gamma]],
-                             wdd.beta[(f, g, h)]),
-                ])
-                side2 = val_l.v_path([
-                    val_l.wr(wdd.beta[(f2, g, h)], wdd.eta[ggh]),
-                    val_l.wl(hh.on1[wdd.phi[(f2, g)]],
-                             wdd.rho2[(gg, h)]),
-                    val_l.wr(hh.on2[wdd.rho2[(gamma, g)]],
-                             wdd.phi[(t1, h)]),
-                ])
-                if side1 != side2:
-                    return ("beta naturality fails at (%r, %r, %r)"
-                            % (gamma, g, h),
-                            {"twocell": gamma, "pair": [g, h]})
-    # four-fold cocycle coherence
-    for d, f, e, g in _cells_into(s):
-        t1 = s.tilde[(f, g)]
-        for h, l in k.one_cells_into(e):
-            t2 = s.tilde[(t1, h)]
-            for tt, m0 in k.one_cells_into(l):
-                budget.tick()
-                val_m = F.ob[m0]
-                ht = k.c1(h, tt)
-                gh = k.c1(g, h)
-                ght = k.c1(g, ht)
-                theta_a = _compositor_cell(s, t1, h, tt)
-                theta_b = _compositor_cell(s, f, g, ht)
-                theta_c = _compositor_cell(s, f, g, h)
-                theta_d = _compositor_cell(s, f, gh, tt)
-                theta_e = _restrict_member_cell(
-                    s, t2, s.tilde[(f, gh)], theta_c, tt)
-                side1 = val_m.v(
-                    val_m.wr(wdd.beta[(f, g, ht)], wdd.eta[theta_a]),
-                    val_m.wl(F.on1[ht].on1[wdd.phi[(f, g)]],
-                             wdd.beta[(t1, h, tt)]))
-                side2 = val_m.v_path([
-                    val_m.wr(wdd.beta[(f, gh, tt)], wdd.eta[theta_e]),
-                    val_m.wl(F.on1[tt].on1[wdd.phi[(f, gh)]],
-                             wdd.rho2[(theta_c, tt)]),
-                    val_m.wr(F.on1[tt].on2[wdd.beta[(f, g, h)]],
-                             wdd.phi[(t2, tt)]),
-                ])
-                e_cell = val_m.v(
-                    cc[(theta_d, theta_e)],
-                    val_m.inverse2(cc[(theta_b, theta_a)]))
-                if val_m.v(val_m.wl(wdd.phi[(f, ght)], e_cell),
-                           side1) != side2:
-                    return ("four-fold cocycle fails at (%r, %r, %r, %r)"
-                            % (f, g, h, tt),
-                            {"member": f, "triple": [g, h, tt]})
-    # identity legs in the cocycle
-    for d, f, e, g in _cells_into(s):
-        budget.tick()
-        t1 = s.tilde[(f, g)]
-        val_e = F.ob[e]
-        p = wdd.phi[(f, g)]
-        want = val_e.v(val_e.wl(p, val_e.inverse2(u[t1])),
-                       val_e.wl(p, wdd.rho[t1]))
-        if wdd.beta[(f, g, k.id1(e))] != want:
-            return ("cocycle identity display (inner) fails at (%r, %r)"
-                    % (f, g), {"member": f, "onecell": g})
-        want = val_e.v(val_e.wl(p, val_e.inverse2(u[t1])),
-                       val_e.wr(F.on1[g].on2[wdd.rho[f]], p))
-        if wdd.beta[(f, k.id1(d), g)] != want:
-            return ("cocycle identity display (outer) fails at (%r, %r)"
-                    % (f, g), {"member": f, "onecell": g})
-    return None
-
-
-def _wdd_coherences(wdd, budget):
-    """Quantify the displays over the connecting iso families."""
-    ucand, ccand = _connecting_isos(wdd)
-    last = ("no connecting family admissible", {})
-    for u, cc in choices(budget, sorted(ucand.items()),
-                         sorted(ccand.items())):
-        bad = _wdd_displays(wdd, u, cc, budget)
-        if bad is None:
-            return True, None
-        last = bad
-    return False, last
+        for eps in out_of.get(g2, ()):
+            yield eps, delta, f
 
 
 def find_weak_effective_gluing(wdd, budget=None):
@@ -867,72 +801,71 @@ def _weak_gluing_cells(wdd, W, psi, u, cc, budget):
                 val_d.c1(psi[f2], wdd.eta[gamma]))
 
     for eps, pc in choices(budget, epsilons(), psi_cells()):
-        if _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
+        if first_failure(budget, _weak_gluing_displays, wdd, W, psi, eps, pc,
+                         u, cc, values=F.ob.values()) is None:
             return {"epsilon": eps, "psi_cells": pc}
     return None
 
 
-def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc, budget):
+def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc):
+    """The weak-effectiveness displays of a gluing object W, as named."""
     F, s = wdd.F, wdd.S
-    if _thin(F):
-        return True
     k = s.k
-    # identity transitions
-    for d, f in s.all_members():
-        budget.tick()
-        val_d = F.ob[d]
-        if pc[k.id2(f)] != val_d.wl(psi[f], val_d.inverse2(u[f])):
-            return False
-    # vertical composition of transitions
-    for d, f, f2, gamma in _member_two_cells(s):
-        val_d = F.ob[d]
-        for f3 in s.member_list(d):
-            for delta in k.two_cells_between(f2, f3):
-                budget.tick()
-                lhs = val_d.v(val_d.wl(psi[f3], cc[(delta, gamma)]),
-                              pc[k.v(delta, gamma)])
-                rhs = val_d.v(val_d.wr(pc[delta], wdd.eta[gamma]),
-                              val_d.wl(F.on2[delta].comp[W], pc[gamma]))
-                if lhs != rhs:
-                    return False
-    # compatibility over 2-cells of the restriction leg
-    for d, f, e, g, delta, g2 in _legs(s):
-        budget.tick()
-        val_e = F.ob[e]
+
+    def identity(f):
+        val_d = F.ob[k.src1(f)]
+        return pc[k.id2(f)], val_d.wl(psi[f], val_d.inverse2(u[f]))
+
+    def composition(delta, gamma):
+        val_d = F.ob[k.src1(k.src2(gamma))]
+        return (val_d.v(val_d.wl(psi[k.tgt2(delta)], cc[(delta, gamma)]),
+                        pc[k.v(delta, gamma)]),
+                val_d.v(val_d.wr(pc[delta], wdd.eta[gamma]),
+                        val_d.wl(F.on2[delta].comp[W], pc[gamma])))
+
+    def leg_cell(delta, f):
+        g, g2 = k.twocells[delta]
+        val_e = F.ob[k.src1(g)]
         df = _restrict_cell(s, f, g, delta, g2)
-        s2_w = F.on2[s.sigma[(f, g2)]].comp[W]
-        f_w = F.on1[f].ob[W]
         side1 = val_e.v(
-            val_e.wl(s2_w, pc[df]),
-            val_e.wl(F.on2[delta].comp[f_w], eps[(f, g)]))
-        lhs = val_e.v(side1,
-                      val_e.wr(F.on2[delta].cell[psi[f]], wdd.phi[(f, g)]))
-        rhs = val_e.v(val_e.wr(eps[(f, g2)], wdd.eta[df]),
-                      val_e.wl(F.on1[g2].on1[psi[f]], wdd.alpha[(f, delta)]))
-        if lhs != rhs:
-            return False
-    # compatibility over composable restriction legs
-    for d, f, e, g in _cells_into(s):
-        t1 = s.tilde[(f, g)]
-        s1_w = F.on2[s.sigma[(f, g)]].comp[W]
-        for h, l in k.one_cells_into(e):
-            budget.tick()
-            val_l = F.ob[l]
-            hh = F.on1[h]
-            gh = k.c1(g, h)
-            theta = _compositor_cell(s, f, g, h)
-            s3_w = F.on2[s.sigma[(f, gh)]].comp[W]
-            side1 = val_l.v(
-                val_l.wl(hh.on1[s1_w], eps[(t1, h)]),
-                val_l.wr(hh.on2[eps[(f, g)]], wdd.phi[(t1, h)]))
-            side2 = val_l.v_path([
-                val_l.wl(s3_w, val_l.inverse2(pc[theta])),
-                val_l.wr(eps[(f, gh)], wdd.eta[theta]),
-                val_l.wl(F.on1[gh].on1[psi[f]], wdd.beta[(f, g, h)]),
-            ])
-            if side1 != side2:
-                return False
-    return True
+            val_e.wl(F.on2[s.sigma[(f, g2)]].comp[W], pc[df]),
+            val_e.wl(F.on2[delta].comp[F.on1[f].ob[W]], eps[(f, g)]))
+        return (val_e.v(side1, val_e.wr(F.on2[delta].cell[psi[f]],
+                                        wdd.phi[(f, g)])),
+                val_e.v(val_e.wr(eps[(f, g2)], wdd.eta[df]),
+                        val_e.wl(F.on1[g2].on1[psi[f]],
+                                 wdd.alpha[(f, delta)])))
+
+    def legs(f, g, h):
+        t1, gh, theta = s.tilde[(f, g)], k.c1(g, h), \
+            _compositor_cell(s, f, g, h)
+        val_l, hh = F.ob[k.src1(h)], F.on1[h]
+        return (val_l.v(val_l.wl(hh.on1[F.on2[s.sigma[(f, g)]].comp[W]],
+                                 eps[(t1, h)]),
+                        val_l.wr(hh.on2[eps[(f, g)]], wdd.phi[(t1, h)])),
+                val_l.v_path([
+                    val_l.wl(F.on2[s.sigma[(f, gh)]].comp[W],
+                             val_l.inverse2(pc[theta])),
+                    val_l.wr(eps[(f, gh)], wdd.eta[theta]),
+                    val_l.wl(F.on1[gh].on1[psi[f]], wdd.beta[(f, g, h)])]))
+
+    return (
+        Display("gluing object identity transition",
+                ((f,) for d, f in s.all_members()), identity,
+                "identity transition fails at %r", "member"),
+        Display("gluing object transition composition",
+                ((delta, gamma) for d, delta, gamma in _member_cell_pairs(s)),
+                composition, "transition composition fails at (%r, %r)",
+                "pair pair"),
+        Display("gluing object restriction 2-cell",
+                ((delta, f) for d, f, e, g, delta, g2 in _legs(s)), leg_cell,
+                "restriction 2-cell display fails at (%r, %r)",
+                "twocell member"),
+        Display("gluing object restriction legs",
+                ((f, g, h) for d, f, e, g in _cells_into(s)
+                 for h, _ in k.one_cells_into(e)), legs,
+                "restriction leg display fails at (%r, %r, %r)",
+                "member pair pair"))
 
 
 # --- category-valued stack condition ----------------------------------------

@@ -8,6 +8,7 @@ exhaustion is an honest third verdict instead of a silent pass.
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, product
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import SearchBudgetExceeded
 
@@ -189,6 +190,88 @@ def narrow(cells, edges):
     if not all(pools.values()):
         return [(cell, []) for cell in pools]
     return list(pools.items())
+
+
+class Display(NamedTuple):
+    """A coherence display, declared once: an equation between two pasting
+    composites of 2-cells at each of its indices.  A pasting in a strict
+    2-category has one composite (Power, "A 2-categorical pasting
+    theorem", J. Algebra 129, 1990), so its two sides give it.
+
+    indices are the index tuples in checking order; sides(*at) is the
+    pair (lhs, rhs) at the index at.  Where they differ, the message is
+    ``message % at``, or message(at, lhs, rhs) if callable, and the
+    witness maps the key that ``witness`` names for each entry of
+    at + (lhs, rhs) to that entry: "_" names none, and a key named more
+    than once maps to the list of its entries.  With per_value set,
+    indices are one (value, outer, inner) triple per group of indices
+    that live in one value: outer + i for each i of inner.
+    """
+
+    name: str
+    indices: Iterable
+    sides: Callable
+    message: object
+    witness: str
+    per_value: bool = False
+
+    def failure(self, at, lhs, rhs):
+        """The (message, witness) of the index at, where the sides are
+        lhs and rhs."""
+        keys = self.witness.split()
+        witness = {}
+        for key, x in zip(keys, at + (lhs, rhs)):
+            if key != "_" and keys.count(key) > 1:
+                witness.setdefault(key, []).append(x)
+            elif key != "_":
+                witness[key] = x
+        if callable(self.message):
+            return self.message(at, lhs, rhs), witness
+        return self.message % at, witness
+
+
+def first_failure(budget, displays, *args, values=None):
+    """The failure (``Display.failure``) of the first of displays(*args)
+    at its first index where the sides differ; None when all hold.  The
+    budget ticks once per index evaluated.
+
+    In a locally thin value, with at most one 2-cell between two 1-cells,
+    any two parallel 2-cells are equal, so every display between
+    well-typed cells holds (Johnson & Yau, *2-Dimensional Categories*,
+    2021) and is not evaluated, with no step: none at all, nor
+    displays(*args), when each of values is thin (values=None skips
+    nothing as a whole), and no group of a per-value display whose value
+    is thin.
+    """
+    if values is not None:
+        for value in values:
+            if not value.locally_thin():
+                break
+        else:
+            return None
+    for display in displays(*args):
+        groups = display.indices if display.per_value \
+            else ((None, (), display.indices),)
+        for value, outer, inner in groups:
+            if value is not None and value.locally_thin():
+                continue
+            for i in inner:
+                budget.tick()
+                at = outer + i
+                lhs, rhs = display.sides(*at)
+                if lhs != rhs:
+                    return display.failure(at, lhs, rhs)
+    return None
+
+
+def reported(name, failure, details=()):
+    """The report of a check whose displays gave failure (a
+    ``first_failure``): passed with details when it is None, else failed
+    with its message and witness."""
+    if failure is None:
+        return passed(name, details)
+    message, witness = failure
+    return failed(name, [message], witness)
 
 
 @dataclass

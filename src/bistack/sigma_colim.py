@@ -13,8 +13,10 @@ sorted order, with the modifications between two of them
 (``fincat.Enumerated``).
 
 The cocones are drawn typed (``enumerate_sigma_cocones``) and tested on
-their displays alone (``_cocone_displays``); ``check_sigma_cocone`` also
-types the universal cocone.  Both assume a valid strict 2-functor into a
+their displays alone (``_cocone_displays``: the conditions that
+``_cocone_conditions`` declares, which ``report.first_failure`` evaluates
+with no thin skip, then invertibility on the marked 1-cells);
+``check_sigma_cocone`` also types the universal cocone.  Both assume a valid strict 2-functor into a
 valid 2-category, as ``projection_diagram`` of a valid bisieve is.
 """
 
@@ -23,7 +25,8 @@ from functools import cached_property
 
 from .errors import SearchBudgetExceeded
 from .fincat import Enumerated, Functor, is_equivalence
-from .report import Budget, choices, failed, inconclusive, passed
+from .report import Budget, Display, choices, failed, first_failure, \
+    inconclusive, passed, reported
 from .sieves import contains_identity, groth
 
 
@@ -109,30 +112,34 @@ def check_sigma_cocone(d, cc, budget=None):
 
 def _cocone_displays(d, legs, cells, budget):
     """The composition condition at every composable pair and the 2-cell
-    condition, one step each, then invertibility on the marked 1-cells, of
-    typed legs and cells over a valid strict 2-functor into a valid
-    2-category."""
-    k, sh = d.k, d.shape
-    for (b, a), c in sh.hcomp1.items():
-        budget.tick()
-        got = k.v(k.wr(cells[b], d.on1[a]), cells[a])
-        if cells[c] != got:
-            return failed("check_sigma_cocone",
-                          ["composition condition fails at (%r, %r)" % (b, a)],
-                          {"pair": [b, a]})
-    for x, (m, m2) in sh.twocells.items():
-        budget.tick()
-        t = sh.onecells[m][1]
-        if k.v(k.wl(legs[t], d.on2[x]), cells[m]) != cells[m2]:
-            return failed("check_sigma_cocone",
-                          ["2-cell condition fails at %r" % x],
-                          {"twocell": x})
+    condition (``_cocone_conditions``), then invertibility on the marked
+    1-cells, of typed legs and cells over a valid strict 2-functor into a
+    valid 2-category."""
+    bad = first_failure(budget, _cocone_conditions, d, legs, cells)
+    if bad is not None:
+        return reported("check_sigma_cocone", bad)
     for m in sorted(d.marked):
-        if not k.invertible2(cells[m]):
+        if not d.k.invertible2(cells[m]):
             return failed("check_sigma_cocone",
                           ["structure 2-cell not invertible on marked %r" % m],
                           {"onecell": m})
     return passed("check_sigma_cocone")
+
+
+def _cocone_conditions(d, legs, cells):
+    k, sh = d.k, d.shape
+
+    def two_cell(x):
+        m, m2 = sh.twocells[x]
+        return k.v(k.wl(legs[sh.tgt1(m)], d.on2[x]), cells[m]), cells[m2]
+
+    return (
+        Display("cocone composition condition", sh.hcomp1,
+                lambda b, a: (cells[sh.hcomp1[(b, a)]],
+                              k.v(k.wr(cells[b], d.on1[a]), cells[a])),
+                "composition condition fails at (%r, %r)", "pair pair"),
+        Display("cocone 2-cell condition", zip(sh.twocells), two_cell,
+                "2-cell condition fails at %r", "twocell"))
 
 
 def _free_generators(sh):

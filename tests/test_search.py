@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 from collections import Counter
 from collections.abc import Mapping
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from bistack.bicat3 import _comparisons, _tables, induced_trimod, \
     induced_tritrans, representable_trihom, yoneda_pert, yoneda_trimod, \
     yoneda_tritrans
-from bistack import bicat3, descent
+from bistack import bicat3, descent, report
 from bistack.builders import chain_suspension
 from bistack.descent import Refutation, _all_descent_data_mor, \
     _all_matching_families, _all_perturbations, _all_ps_two_functors, \
@@ -20,8 +22,9 @@ from bistack.descent import Refutation, _all_descent_data_mor, \
 from bistack.errors import MalformedTable, ParseError, \
     SearchBudgetExceeded, ToolkitError
 from bistack.fincat import walking_arrow
-from bistack.generate import generate
+from bistack.generate import _z2_base, generate
 from bistack.report import Budget, choices, guarded, narrow
+from bistack.sigma_colim import enumerate_sigma_cocones, universal_cocone
 from bistack.sieves import Bitopology, build_bisieve, literal_maximal_bisieve
 from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import _decode_two_cat, corpus_names, corpus_path, \
@@ -34,6 +37,8 @@ from test_descent import collapse_objects_trihom, \
     collapse_twocells_trihom, unreachable_object_trihom
 from test_two_cat import split_idempotent_2cat
 from typing_oracles import WELL_TYPED
+import test_bicat3
+import test_descent
 
 
 # --- choices against itertools.product ---------------------------------------
@@ -1080,6 +1085,66 @@ def test_display_checker_reports_are_pinned(monkeypatch, thin):
     assert tuple(hashlib.sha256(repr(x).encode()).hexdigest()
                  for x in (reports, [r[:-1] for r in reports])) \
         == _DISPLAY_REPORTS_PINNED[thin]
+
+
+# declared displays that no input below makes fail, each with the reason
+_NEVER_FAILING = {
+    "cocone composition condition":
+        "drawn cocones derive every composite cell by composition "
+        "(sigma_colim._complete_cells), and no shape here has a composite "
+        "whose two factorizations derive different cells",
+}
+
+
+def _declared_displays():
+    """The name of every display declared under src/bistack: the first
+    argument of each Display(...) call."""
+    names = []
+    for path in sorted(Path(report.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "Display":
+                names.append(node.args[0].value)
+    return names
+
+
+def test_every_declared_display_fails_on_some_input(monkeypatch):
+    """Every failure goes through Display.failure, so a line trace no
+    longer shows which displays the tests see fail.  Over the inputs of
+    the display-report pin, of the display-mutant tests and of the
+    axiom-report pin, is_2stack over the walking-arrow B(Z/2) instances
+    (the gluing-object displays) and the cocones on B(Z/2)'s maximal
+    sieve (sigma's 2-cell condition), every declared display fails
+    somewhere, but those of _NEVER_FAILING."""
+    failing, failure = set(), report.Display.failure
+
+    def recorded(display, *args):
+        failing.add(display.name)
+        return failure(display, *args)
+
+    monkeypatch.setattr(report.Display, "failure", recorded)
+    for thin in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            _display_reports(mp, thin)
+    for row in test_descent._MOR_DISPLAY_MUTANTS:
+        test_descent.test_morphism_datum_display_mutants_fail(*row)
+    for row in test_descent._WEAK_DISPLAY_MUTANTS:
+        test_descent.test_weak_datum_display_mutants_fail(*row)
+    test_descent.test_matching_family_two_cell_mutant_fails()
+    for row in test_bicat3._PS_FUNCTOR_DISPLAY_MUTANTS:
+        test_bicat3.test_ps_two_functor_display_mutants_fail(*row)
+    test_bicat3.test_ps_two_nat_display_mutants_fail(split_idempotent_2cat())
+    test_bicat3.test_trimodification_unit_axiom_fails_on_a_z2_value()
+    test_bicat3.test_identity_perturbation_passes_and_mutant_fails()
+    test_bicat3._axiom_reports()
+    for F, s in _wa_z2_instances():
+        is_2stack(F, Bitopology(s.k, {s.target: [s]}))
+    d, _ = universal_cocone(build_bisieve(_z2_base(), "P", {"P": {"id_P"}}))
+    enumerate_sigma_cocones(d, "P")
+    declared = _declared_displays()
+    assert len(declared) == len(set(declared))
+    assert set(_NEVER_FAILING) <= set(declared)
+    assert failing == set(declared) - set(_NEVER_FAILING)
 
 
 def test_connecting_iso_pools_are_computed_once_per_objects_and_transitions(
