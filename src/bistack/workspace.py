@@ -147,9 +147,15 @@ def _decode_bisieve(body, two_cats, where):
                                      "%r -> %r" % (where, d, f, d, target))
         tilde, sigma = (_pairs_to_dict(body[t], 2, "%s.%s" % (where, t))
                         for t in ("tilde", "sigma"))
-        for x in (*tilde.values(), *sigma.values()):
-            if isinstance(x, (list, dict)):
-                raise ParseError("%s: witness %r is not an id" % (where, x))
+        for t, table, cells, kind in (("tilde", tilde, k.onecells, "1-cell"),
+                                      ("sigma", sigma, k.twocells, "2-cell")):
+            for x in table.values():
+                if isinstance(x, (list, dict)):
+                    raise ParseError("%s: witness %r is not an id"
+                                     % (where, x))
+                if x not in cells:
+                    raise DanglingReference("%s.%s: unknown %s %r"
+                                            % (where, t, kind, x))
         return Bisieve(k, target, members, tilde, sigma)
     except (KeyError, TypeError) as exc:
         raise ParseError("%s: %s" % (where, exc))

@@ -689,6 +689,27 @@ def test_cli_ill_fitting_references_are_located_input_errors(
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--check", "bisieve:S_O1_0"], ["run", "--check", "T1"],
+    ["validate"]], ids=["bisieve", "T1", "validate"])
+@pytest.mark.parametrize("field, message", [
+    ("tilde", "bisieves.S_O1_0.tilde: unknown 1-cell 'zzz'"),
+    ("sigma", "bisieves.S_O1_0.sigma: unknown 2-cell 'zzz'"),
+], ids=["tilde", "sigma"])
+def test_cli_a_dangling_bisieve_witness_is_an_input_error(
+        tmp_path, capsys, command, field, message):
+    """A tilde entry that names no 1-cell, or a sigma entry that names no
+    2-cell, of the bisieve's 2-category is refused when the document is
+    loaded, so no check gives a verdict over it."""
+    raw = generate(5, "locally-discrete-site")
+    raw["bisieves"]["S_O1_0"][field][0][-1] = "zzz"
+    path = tmp_path / "doc.site"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main([command[0], str(path), *command[1:]]) == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("check", ["2stack:F1", "2stack_direct:F1"])
 def test_cli_2stack_ops_refuse_a_bitopology_off_the_trihom_base(
         tmp_path, capsys, check):
