@@ -792,9 +792,9 @@ def identity_trimodification(t):
 
 
 def check_trimodification(m, budget=None):
-    """The composition and unit axioms of a well-typed modification, as the enumerator draws it: transformation
-    components, and each square comparison of ``_trimod_cells`` on its
-    boundary."""
+    """The composition and unit axioms of a well-typed modification, as
+    the enumerator draws it: transformation components, and each square
+    comparison of ``_trimod_cells`` on its boundary."""
     # each display lives in a value of F: when all are thin, none is read
     return reported("check_trimodification", first_failure(
         budget or Budget(), _trimod_displays, m,

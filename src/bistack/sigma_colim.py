@@ -16,8 +16,9 @@ The cocones are drawn typed (``enumerate_sigma_cocones``) and tested on
 their displays alone (``_cocone_displays``: the conditions that
 ``_cocone_conditions`` declares, which ``report.first_failure`` evaluates
 with no thin skip, then invertibility on the marked 1-cells);
-``check_sigma_cocone`` also types the universal cocone.  Both assume a valid strict 2-functor into a
-valid 2-category, as ``projection_diagram`` of a valid bisieve is.
+``check_sigma_cocone`` also types the universal cocone.  Both assume a
+valid strict 2-functor into a valid 2-category, as
+``projection_diagram`` of a valid bisieve is.
 """
 
 from dataclasses import dataclass
