@@ -696,6 +696,9 @@ def _weak_datum_displays(wdd, u, cc):
                  val_e.v(unit, val_e.wr(F.on1[g].on2[rho[f]], p))))
 
     legs = [(f, g) for d, f, e, g in _cells_into(s)]
+    out_of = {}
+    for eps, (g2, g3) in sorted(k.twocells.items()):
+        out_of.setdefault(g2, []).append(eps)
     return (
         Display("weak datum rho2 identity", legs, rho2_identity,
                 "identity display for rho2 fails at (%r, %r)",
@@ -712,8 +715,9 @@ def _weak_datum_displays(wdd, u, cc):
                 rho2_composition,
                 "composition display for rho2 fails at (%r, %r, %r)",
                 "pair pair onecell"),
-        Display("weak datum alpha composition", _leg_pairs(s),
-                alpha_composition,
+        Display("weak datum alpha composition",
+                ((eps, delta, f) for d, f, e, g, delta, g2 in _legs(s)
+                 for eps in out_of.get(g2, ())), alpha_composition,
                 "composition display for alpha fails at (%r, %r, %r)",
                 "pair pair member"),
         Display("weak datum beta naturality",
@@ -732,18 +736,6 @@ def _weak_datum_displays(wdd, u, cc):
                 lambda at, lhs, rhs: "cocycle identity display (%s) fails "
                 "at (%r, %r)" % (("inner" if lhs[0] != rhs[0] else "outer",)
                                  + at), "member onecell"))
-
-
-def _leg_pairs(s):
-    """(eps, delta, f) for each member f: D -> C and composable base
-    2-cells delta: g => g2, eps: g2 => g3 between 1-cells into D: members
-    in order, then delta, then eps, in id order."""
-    out_of = {}
-    for eps, (g2, g3) in sorted(s.k.twocells.items()):
-        out_of.setdefault(g2, []).append(eps)
-    for d, f, e, g, delta, g2 in _legs(s):
-        for eps in out_of.get(g2, ()):
-            yield eps, delta, f
 
 
 def find_weak_effective_gluing(wdd, budget=None):
@@ -812,10 +804,6 @@ def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc):
     F, s = wdd.F, wdd.S
     k = s.k
 
-    def identity(f):
-        val_d = F.ob[k.src1(f)]
-        return pc[k.id2(f)], val_d.wl(psi[f], val_d.inverse2(u[f]))
-
     def composition(delta, gamma):
         val_d = F.ob[k.src1(k.src2(gamma))]
         return (val_d.v(val_d.wl(psi[k.tgt2(delta)], cc[(delta, gamma)]),
@@ -850,9 +838,10 @@ def _weak_gluing_displays(wdd, W, psi, eps, pc, u, cc):
                     val_l.wl(F.on1[gh].on1[psi[f]], wdd.beta[(f, g, h)])]))
 
     return (
-        Display("gluing object identity transition",
-                ((f,) for d, f in s.all_members()), identity,
-                "identity transition fails at %r", "member"),
+        Display("gluing object identity transition", s.all_members(),
+                lambda d, f: (pc[k.id2(f)],
+                              F.ob[d].wl(psi[f], F.ob[d].inverse2(u[f]))),
+                "identity transition fails at (%r, %r)", "object member"),
         Display("gluing object transition composition",
                 ((delta, gamma) for d, delta, gamma in _member_cell_pairs(s)),
                 composition, "transition composition fails at (%r, %r)",

@@ -216,8 +216,7 @@ class Display(NamedTuple):
     per_value: bool = False
 
     def failure(self, at, lhs, rhs):
-        """The (message, witness) of the index at, where the sides are
-        lhs and rhs."""
+        """The (message, witness) at the index at, with sides lhs, rhs."""
         keys = self.witness.split()
         witness = {}
         for key, x in zip(keys, at + (lhs, rhs)):
@@ -265,9 +264,8 @@ def first_failure(budget, displays, *args, values=None):
 
 
 def reported(name, failure, details=()):
-    """The report of a check whose displays gave failure (a
-    ``first_failure``): passed with details when it is None, else failed
-    with its message and witness."""
+    """The report of a check whose displays gave failure: passed with
+    details when it is None, else failed with its message and witness."""
     if failure is None:
         return passed(name, details)
     message, witness = failure
