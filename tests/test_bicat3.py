@@ -22,7 +22,7 @@ from bistack.bicat3 import (Perturbation, PsTwoFunctor, PsTwoNatTrans,
                             _ps_two_nat_cells, _ps_two_nat_typing,
                             _trimod_cells, _tritrans_cells)
 from bistack.builders import chain_suspension
-from bistack.fincat import walking_arrow
+from bistack.fincat import discrete, walking_arrow
 from bistack.generate import generate
 from bistack.report import Budget
 from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
@@ -597,6 +597,32 @@ def test_checkers_do_not_see_the_thin_shortcut(ksplit, monkeypatch):
     assert {verdicts[n] for n in verdicts if n.startswith("bad")
             or n in ("nonfunctorial", "wrong-cell")} == {"fail"}
     assert verdicts["id"] == verdicts["yoneda-trimod"] == "pass"
+
+
+def _half_thin_trihom():
+    """B(Z/2) at 0 and a point, which is locally thin, at 1 of the walking
+    arrow, with a acting by the inclusion of the point."""
+    z2, point = one_object_z2(), from_fincat(discrete(["P"]))
+    into = PsTwoFunctor(point, z2, {"P": "P"}, {"id_P": "id_P"},
+                        {"2id_id_P": "2id_id_P"})
+    return strict_trihom(from_fincat(walking_arrow()), {"0": z2, "1": point},
+                         {"id_0": identity_ps_two_functor(z2),
+                          "id_1": identity_ps_two_functor(point),
+                          "a": into}, {})
+
+
+def test_axioms_are_skipped_value_by_value(monkeypatch):
+    """With one value thin and one not, the tritransformation,
+    trimodification and perturbation axioms are skipped in the thin value
+    alone: the reports are those of the general path, for fewer steps,
+    and some steps are spent in the other value."""
+    fast = _outcomes(_identity_checks(_half_thin_trihom()))
+    monkeypatch.setattr(Fin2Cat, "locally_thin", lambda self: False)
+    general = _outcomes(_identity_checks(_half_thin_trihom()))
+    assert {name: o[:-1] for name, o in fast.items()} \
+        == {name: o[:-1] for name, o in general.items()}
+    for name in ("tritrans", "trimod", "pert"):
+        assert 0 < fast[name][-1] < general[name][-1]
 
 
 def test_typing_oracles_locate_one_mistyped_cell(ksplit):
