@@ -12,13 +12,14 @@ sorted order, with the modifications between two of them
 (``cocone_morphisms``) built only for the pairs that it reads
 (``fincat.Enumerated``).
 
-The cocones are drawn typed (``enumerate_sigma_cocones``) and tested on
-their displays alone (``_cocone_displays``: the conditions that
-``_cocone_conditions`` declares, which ``report.first_failure`` evaluates
-with no thin skip, then invertibility on the marked 1-cells);
-``check_sigma_cocone`` also types the universal cocone.  Both assume a
-valid strict 2-functor into a valid 2-category, as
-``projection_diagram`` of a valid bisieve is.
+Every cocone is tested on its displays alone (``_cocone_displays``: the
+conditions that ``_cocone_conditions`` declares, which
+``report.first_failure`` evaluates with no thin skip, then invertibility
+on the marked 1-cells).  The drawn cocones are typed by construction
+(``enumerate_sigma_cocones``), and so is the universal cocone of a sieve
+that passes ``check_bisieve`` (``universal_cocone``), which
+``check_sigma_cocone`` tests.  Both assume a valid strict 2-functor into a
+valid 2-category, as ``projection_diagram`` of a valid bisieve is.
 """
 
 from dataclasses import dataclass
@@ -86,29 +87,12 @@ class SigmaCocone:
 
 
 def check_sigma_cocone(d, cc, budget=None):
-    """The typing of each leg and structure 2-cell, the identity condition,
-    then the displays (``_cocone_displays``) of a cocone over a valid
-    strict 2-functor into a valid 2-category."""
-    budget = budget or Budget()
-    k, sh = d.k, d.shape
-    legs, cells = dict(cc.legs), dict(cc.cells)
-    for s in sh.objects:
-        r = legs.get(s)
-        if r is None or k.onecells.get(r) != (d.ob[s], cc.apex):
-            return failed("check_sigma_cocone", ["bad leg at %r" % s],
-                          {"object": s})
-    for m, (s, t) in sh.onecells.items():
-        c = cells.get(m)
-        want = (legs[s], k.c1(legs[t], d.on1[m]))
-        if c is None or k.twocells.get(c) != want:
-            return failed("check_sigma_cocone",
-                          ["bad structure 2-cell at %r" % m], {"onecell": m})
-    for s in sh.objects:
-        if cells[sh.id1(s)] != k.id2(legs[s]):
-            return failed("check_sigma_cocone",
-                          ["identity condition fails at %r" % s],
-                          {"object": s})
-    return _cocone_displays(d, legs, cells, budget)
+    """The displays (``_cocone_displays``) of a typed cocone, with identity
+    cells at the identity 1-cells, over a valid strict 2-functor into a
+    valid 2-category: the universal cocone (``universal_cocone`` says why it
+    is typed) or a cocone that a test draws typed."""
+    return _cocone_displays(d, dict(cc.legs), dict(cc.cells),
+                            budget or Budget())
 
 
 def _cocone_displays(d, legs, cells, budget):
@@ -324,7 +308,11 @@ def verify_sigma_bicolim(d, mu, budget=None):
 
 
 def universal_cocone(s, gt=None):
-    """The canonical cocone presenting the target over a sieve's elements."""
+    """The canonical cocone presenting the target over a sieve's elements,
+    typed if s passes ``check_bisieve``: each leg is a member f: d -> c,
+    which that types; each cell v(sigma(f, g), alpha) runs h => f.g, by the
+    construction of ``groth``; and the cell at the identity of (d, f) is
+    v(sigma(f, id_d), id2 f) = id2 f, by the normality it checks."""
     gt = gt or groth(s)
     k = s.k
     d = projection_diagram(gt)

@@ -7,7 +7,9 @@ to be strictly associative, unital and functorial.
 
 Also here: iso-comma objects with their bicategorical universal
 property, and pseudofunctors into Cat with their transformations and
-modifications.
+modifications.  No checker tests such a pseudofunctor: each is built by
+construction (``sieves.sieve_presheaf``, ``builders.strict_ps_functor``),
+and ``check_ps_nat`` and ``check_modification`` take typed input.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
 from .fincat import FinCat, _is_cell, by_boundary, check_category, \
-    check_functor, check_nat, compose_functors, identity_functor, tabulate
+    tabulate
 from .report import Budget, Recorded, failed, passed
 
 
@@ -573,140 +575,6 @@ class PsFunctorToCat:
 
     def chi(self, f, g):
         return self.compositor[(f, g)]
-
-
-def check_ps_functor(F, budget=None):
-    """Typing, strict vertical functoriality, naturality and coherence."""
-    budget = budget or Budget()
-    k = F.base
-    for c in k.objects:
-        if c not in F.ob:
-            return failed("check_ps_functor", ["no value at object %r" % c],
-                          {"object": c})
-    for f, (d, c) in k.onecells.items():
-        fun = F.on1.get(f)
-        if fun is None or fun.dom != F.ob[c] or fun.cod != F.ob[d] \
-                or not check_functor(fun).ok:
-            return failed("check_ps_functor", ["bad value at 1-cell %r" % f],
-                          {"onecell": f})
-    for x, (f, g) in k.twocells.items():
-        t = F.on2.get(x)
-        if t is None or t.dom != F.on1[f] or t.cod != F.on1[g] \
-                or not check_nat(t).ok:
-            return failed("check_ps_functor", ["bad value at 2-cell %r" % x],
-                          {"twocell": x})
-    # strict functoriality on hom-categories
-    for f in k.onecells:
-        if F.on2[k.id2(f)].comp != {x: F.ob[k.onecells[f][0]].id(F.on1[f].o(x))
-                                    for x in F.on1[f].dom.objects}:
-            return failed("check_ps_functor",
-                          ["identity 2-cell at %r not sent to identity" % f],
-                          {"onecell": f})
-    for (b, a), c in k.vcomp.items():
-        budget.tick()
-        d = F.on1[k.src2(a)].cod
-        got = {x: d.compose(F.on2[b].at(x), F.on2[a].at(x))
-               for x in F.on2[a].dom.dom.objects}
-        if F.on2[c].comp != got:
-            return failed("check_ps_functor",
-                          ["vertical composition not preserved at (%r, %r)"
-                           % (b, a)], {"pair": [b, a]})
-    # compositor: typed, invertible, natural in both arguments
-    for f, (d, c) in k.onecells.items():
-        for g in k.onecells:
-            if k.tgt1(g) != d:
-                continue
-            e = k.src1(g)
-            budget.tick()
-            chi = F.compositor.get((f, g))
-            if chi is None \
-                    or chi.dom != compose_functors(F.on1[g], F.on1[f]) \
-                    or chi.cod != F.on1[k.c1(f, g)] \
-                    or not check_nat(chi).ok \
-                    or not all(F.ob[e].is_iso(m) for m in chi.comp.values()):
-                return failed("check_ps_functor",
-                              ["bad compositor at (%r, %r)" % (f, g)],
-                              {"pair": [f, g]})
-    for x, (f, f2) in k.twocells.items():
-        for g in k.onecells:
-            if k.tgt1(g) != k.src1(f):
-                continue
-            e = k.src1(g)
-            for X in F.ob[k.tgt1(f)].objects:
-                budget.tick()
-                lhs = F.ob[e].compose(F.chi(f2, g).at(X),
-                                      F.on1[g].m(F.on2[x].at(X)))
-                rhs = F.ob[e].compose(F.on2[k.wr(x, g)].at(X),
-                                      F.chi(f, g).at(X))
-                if lhs != rhs:
-                    return failed("check_ps_functor",
-                                  ["compositor unnatural in first arg at "
-                                   "(%r, %r, %r)" % (x, g, X)],
-                                  {"witness": [x, g, X]})
-    for y, (g, g2) in k.twocells.items():
-        for f in k.onecells:
-            if k.src1(f) != k.tgt1(g):
-                continue
-            c = k.tgt1(f)
-            e = k.src1(g)
-            for X in F.ob[c].objects:
-                budget.tick()
-                lhs = F.ob[e].compose(F.chi(f, g2).at(X),
-                                      F.on2[y].at(F.on1[f].o(X)))
-                rhs = F.ob[e].compose(F.on2[k.wl(f, y)].at(X),
-                                      F.chi(f, g).at(X))
-                if lhs != rhs:
-                    return failed("check_ps_functor",
-                                  ["compositor unnatural in second arg at "
-                                   "(%r, %r, %r)" % (y, f, X)],
-                                  {"witness": [y, f, X]})
-    # unitor: typed, invertible; triangle coherences
-    for c in k.objects:
-        u = F.unitor.get(c)
-        if u is None or u.dom != identity_functor(F.ob[c]) \
-                or u.cod != F.on1[k.id1(c)] or not check_nat(u).ok \
-                or not all(F.ob[c].is_iso(m) for m in u.comp.values()):
-            return failed("check_ps_functor", ["bad unitor at %r" % c],
-                          {"object": c})
-    for f, (d, c) in k.onecells.items():
-        for X in F.ob[c].objects:
-            budget.tick()
-            lhs = F.ob[d].compose(F.chi(f, k.id1(d)).at(X),
-                                  F.unitor[d].at(F.on1[f].o(X)))
-            if lhs != F.ob[d].id(F.on1[f].o(X)):
-                return failed("check_ps_functor",
-                              ["right unit triangle fails at (%r, %r)"
-                               % (f, X)], {"witness": [f, X]})
-            rhs = F.ob[d].compose(F.chi(k.id1(c), f).at(X),
-                                  F.on1[f].m(F.unitor[c].at(X)))
-            if rhs != F.ob[d].id(F.on1[f].o(X)):
-                return failed("check_ps_functor",
-                              ["left unit triangle fails at (%r, %r)"
-                               % (f, X)], {"witness": [f, X]})
-    # associativity hexagon
-    for f, (d, c) in k.onecells.items():
-        for g in k.onecells:
-            if k.tgt1(g) != d:
-                continue
-            e = k.src1(g)
-            for h in k.onecells:
-                if k.tgt1(h) != e:
-                    continue
-                l = k.src1(h)
-                for X in F.ob[c].objects:
-                    budget.tick()
-                    lhs = F.ob[l].compose(
-                        F.chi(k.c1(f, g), h).at(X),
-                        F.on1[h].m(F.chi(f, g).at(X)))
-                    rhs = F.ob[l].compose(
-                        F.chi(f, k.c1(g, h)).at(X),
-                        F.chi(g, h).at(F.on1[f].o(X)))
-                    if lhs != rhs:
-                        return failed("check_ps_functor",
-                                      ["coherence hexagon fails at "
-                                       "(%r, %r, %r, %r)" % (f, g, h, X)],
-                                      {"witness": [f, g, h, X]})
-    return passed("check_ps_functor")
 
 
 class PsNatTrans:

@@ -11,11 +11,11 @@ comparison (``sigma_colim``) and the Cat-valued stack condition
 (``descent.is_stack_catvalued``).  ``sigma_cocone_category`` is the
 tabulated category of cocones on a test object.
 
-``enumerate_sigma_cocones`` draws each cocone typed and tests its
-displays alone.  ``sigma_cocone_typing`` asks what it does not: is a
-cocone well typed, with identities at the identity 1-cells?
-``typed_sigma_cocones`` is the enumeration that runs the full
-``check_sigma_cocone`` on every drawn cocone.
+``enumerate_sigma_cocones`` draws each cocone typed, and it and
+``check_sigma_cocone`` test its displays alone.  ``sigma_cocone_typing``
+asks what they do not: is a cocone well typed, with identities at the
+identity 1-cells?  ``typed_sigma_cocones`` is the enumeration that types
+every drawn cocone before ``check_sigma_cocone`` tests it.
 
 Change of base (``verify_coconofstar``): the domain of a morphism into the
 target of a sieve is the sigma-bicolimit of the iso-comma diagram over the
@@ -31,6 +31,8 @@ from bistack.sigma_colim import Diagram, SigmaCocone, _complete_cells, \
     check_sigma_cocone, cocone_category, enumerate_sigma_cocones, \
     projection_diagram, verify_sigma_bicolim
 from bistack.two_cat import find_iso_comma
+
+import typing_oracles
 
 
 def tabulated(cat):
@@ -48,13 +50,13 @@ def tabulated(cat):
 
 def tabulated_is_equivalence(F, budget=None):
     """``fincat.is_equivalence`` over F's codomain tabulated, once F maps
-    into it a functor (``check_functor``): every arrow that F names is
-    one of the codomain's."""
+    into it a functor (``typing_oracles.functor`` and ``check_functor``):
+    every arrow that F names is one of the codomain's."""
     cat, index = tabulated(F.cod)
     c = F.dom
     fun = Functor(c, cat, F.ob, {f: index[(F.o(c.src[f]), F.o(c.tgt[f]), g)]
                                  for f, g in F.mor.items()})
-    assert check_functor(fun).ok
+    assert typing_oracles.functor(fun) is None and check_functor(fun).ok
     return is_equivalence(fun, budget)
 
 
@@ -90,7 +92,8 @@ def sigma_cocone_typing(d, cc):
 
 def typed_sigma_cocones(d, u, budget=None):
     """The cocones of ``enumerate_sigma_cocones``, drawn in its order, each
-    run through the full ``check_sigma_cocone``."""
+    typed (``sigma_cocone_typing``) and then run through
+    ``check_sigma_cocone``."""
     budget = budget or Budget()
     k, sh = d.k, d.shape
     sobs = sorted(sh.objects)
@@ -111,7 +114,8 @@ def typed_sigma_cocones(d, u, budget=None):
                 cells[sh.id1(s)] = k.id2(legs[s])
             _complete_cells(d, cells)
             cc = SigmaCocone.make(u, legs, cells)
-            if check_sigma_cocone(d, cc, budget).ok:
+            if sigma_cocone_typing(d, cc) is None \
+                    and check_sigma_cocone(d, cc, budget).ok:
                 out.append(cc)
     return sorted(out, key=lambda c: (c.legs, c.cells))
 

@@ -7,6 +7,10 @@ from bistack.fincat import (
     check_functor, check_nat, discrete, identity_functor, is_equivalence, walking_arrow,
 )
 
+import typing_oracles
+from test_sieves import _pool_docs
+from test_two_cat import split_idempotent_2cat
+
 
 def walking_iso():
     """Two objects, one isomorphism in each direction."""
@@ -114,6 +118,60 @@ def test_nat_trans_enumeration_matches_naturality_filter():
                 assert check_nat(t).ok
                 total += 1
     assert total == 6
+
+
+def test_enumerated_functors_and_transformations_are_typed():
+    """check_functor and check_nat take their candidates as typed:
+    between any two hom categories of the split idempotent, of
+    chain_suspension(2..4) and of the pool bases, every functor that
+    all_functors yields, and every transformation between two of them that
+    all_nat_trans yields, passes its typing oracle."""
+    bases = [split_idempotent_2cat()] + [chain_suspension(n)
+                                         for n in (2, 3, 4)]
+    bases += [k for doc in _pool_docs() for k in doc.two_cats.values()]
+    pairs = {}
+    for k in bases:
+        homs = [k.hom_cat(a, b) for a in k.objects for b in k.objects]
+        pairs.update(((c.key(), d.key()), (c, d)) for c in homs for d in homs)
+    functors = transformations = 0
+    for c, d in pairs.values():
+        fs = all_functors(c, d)
+        assert all(typing_oracles.functor(F) is None for F in fs)
+        for F in fs:
+            for G in fs:
+                ts = all_nat_trans(F, G)
+                assert all(typing_oracles.nat_trans(t) is None for t in ts)
+                transformations += len(ts)
+        functors += len(fs)
+    assert (len(pairs), functors, transformations) == (196, 244, 798)
+
+
+def test_typing_oracles_name_the_first_ill_typed_piece():
+    """The functor and transformation oracles type what check_functor and
+    check_nat take as typed: each names the first object, morphism,
+    identity or component off its boundary."""
+    wa, z2 = walking_arrow(), _z2_monoid()
+    ident = identity_functor(wa)
+    cases = [
+        (typing_oracles.functor, Functor(wa, wa, {"0": "0"}, ident.mor),
+         "object '1' unmapped", {"object": "1"}),
+        (typing_oracles.functor,
+         Functor(wa, wa, {"0": "1", "1": "0"}, ident.mor),
+         "morphism 'a' ill-mapped", {"morphism": "a"}),
+        (typing_oracles.functor,
+         Functor(wa, z2, {"0": "*", "1": "*"},
+                 {"id_0": "t", "id_1": "id", "a": "id"}),
+         "identity at '0' not preserved", {"object": "0"}),
+        (typing_oracles.nat_trans,
+         NatTrans(ident, ident, {"0": "a", "1": "id_1"}),
+         "bad component at '0'", {"object": "0"}),
+    ]
+    for oracle, x, message, witness in cases:
+        r = oracle(x)
+        assert (r.details, r.witness) == ([message], witness)
+    assert typing_oracles.functor(ident) is None
+    assert typing_oracles.nat_trans(NatTrans(ident, ident,
+                                             wa.identity)) is None
 
 
 def _z2_monoid():

@@ -2,6 +2,8 @@ import hashlib
 
 import pytest
 
+from bistack.bicat3 import check_trihom_data, representable_trihom, \
+    sieve_trihom, strict_trihom
 from bistack.builders import chain_suspension
 from bistack.errors import MalformedTable
 from bistack.fincat import walking_arrow
@@ -14,8 +16,7 @@ from bistack.sieves import (Bisieve, Bitopology, build_bisieve,
                             inclusion_transformation, maximal_bisieve,
                             pullback_sieve, representable, sieve_equivalence,
                             sieve_presheaf)
-from bistack.two_cat import check_ps_functor, check_two_category, \
-    from_fincat
+from bistack.two_cat import check_two_category, from_fincat
 from bistack.workspace import corpus_names, corpus_path, load, load_data
 
 from test_two_cat import cospan_with_pullback, split_idempotent_2cat, \
@@ -130,10 +131,51 @@ def test_pullback_sieve_matches_exhaustive_scan(ksplit):
         assert (g in p.members.get(e, ())) == expected
 
 
-def test_representable_and_sieve_presheaf_are_pseudofunctors(ksplit):
-    assert check_ps_functor(representable(ksplit, "A")).ok
-    s = build_bisieve(ksplit, "A", {"A": {"id_A"}, "B": {"v"}})
-    assert check_ps_functor(sieve_presheaf(s)).ok
+def _assert_same_tables(P, T):
+    """The pseudofunctor into Cat P has the tables of the trihom T: the
+    objects and morphisms of each value, each restriction map and each
+    2-cell component; and every compositor and unitor of P is an
+    identity.  Then T is strict homomorphism data."""
+    k = P.base
+    for d in k.objects:
+        val = P.ob[d]
+        assert val.objects == T.ob[d].objects
+        assert {m: (val.src[m], val.tgt[m]) for m in val.morphisms} \
+            == dict(T.ob[d].onecells)
+    for g in k.onecells:
+        assert P.on1[g].ob == T.on1[g].ob and P.on1[g].mor == T.on1[g].on1
+    for delta in k.twocells:
+        assert P.on2[delta].comp == T.on2[delta].comp
+    for (_, g), chi in P.compositor.items():
+        assert all(map(P.ob[k.src1(g)].is_identity, chi.comp.values()))
+    for c, u in P.unitor.items():
+        assert all(map(P.ob[c].is_identity, u.comp.values()))
+    assert check_trihom_data(strict_trihom(k, T.ob, T.on1, T.on2)).ok
+
+
+def test_representable_and_sieve_presheaf_are_the_trihoms(ksplit):
+    """No checker tests a pseudofunctor into Cat: each one that an op
+    builds is a representable or a sieve presheaf, whose tables are those
+    of the representable and sieve trihoms, which the trihom checks
+    accept.  Over the split idempotent, chain_suspension(3) and the bases
+    of site seeds 0-5, and on every sieve of site seeds 0-9, each literal
+    (``sieve_trihom`` refuses any other)."""
+    docs = {(profile, seed): load_data(generate(seed, profile))
+            for profile in ("locally-discrete-site", "tiny-2site")
+            for seed in range(10)}
+    bases = [ksplit, chain_suspension(3)] + [
+        k for (_, seed), doc in docs.items() if seed < 6
+        for k in doc.two_cats.values()]
+    reps = 0
+    for k in bases:
+        for c in k.objects:
+            _assert_same_tables(representable(k, c),
+                                representable_trihom(k, c))
+            reps += 1
+    sieves = [s for doc in docs.values() for s in doc.bisieves.values()]
+    for s in sieves:
+        _assert_same_tables(sieve_presheaf(s), sieve_trihom(s))
+    assert (reps, len(sieves)) == (32, 80)
 
 
 def test_inclusion_transformation_is_pseudonatural(ksplit):

@@ -346,6 +346,23 @@ def _enumerations(sieves, enumerate_cocones):
     return out
 
 
+def test_universal_cocones_are_typed():
+    """check_sigma_cocone takes the universal cocone as typed: on every
+    covering sieve of the corpus and of site seeds 0-79, and on every
+    sieve of test_tabulate, each of which passes check_bisieve, the
+    universal cocone passes the typing and the identity condition
+    (``sigma_cocone_typing``) and its displays."""
+    sieves = [s for doc in _pool_docs() for tau in doc.bitopologies.values()
+              for cover in tau.covering.values() for s in cover]
+    sieves += _tabulated_sieves()
+    assert len(sieves) == 753
+    for s in sieves:
+        assert check_bisieve(s).ok
+        d, mu = universal_cocone(s)
+        assert sigma_cocone_typing(d, mu) is None
+        assert check_sigma_cocone(d, mu).ok
+
+
 def test_drawn_cocones_are_tested_on_their_displays_alone(monkeypatch):
     """enumerate_sigma_cocones draws each cocone typed and hands it to the
     display half of check_sigma_cocone alone.  On every bisieve of the

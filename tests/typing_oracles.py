@@ -4,10 +4,12 @@ The enumerators of ``descent`` draw every candidate from typed pools, so
 the checkers of matching families, descent data on morphisms, weak
 descent data, pseudofunctors, transformations, modifications,
 tritransformations, trimodifications and perturbations take a well-typed
-candidate and test only its displays.  Each function here answers the one
-question those checkers do not ask: is this candidate well typed?  It
-returns None when it is, and otherwise a failed report that names the
-first piece missing, off its boundary or not invertible.
+candidate and test only its displays.  So do ``fincat.check_functor`` and
+``check_nat``, as ``all_functors`` and ``all_nat_trans`` draw their
+candidates typed.  Each function here answers the one question those
+checkers do not ask: is this candidate well typed?  It returns None when
+it is, and otherwise a failed report that names the first piece missing,
+off its boundary or not invertible.
 ``bicat3._ps_two_functor_typing`` and ``bicat3._ps_two_nat_typing`` are
 the typing that ``bicat3.check_trihom_data`` runs on loaded tables.
 """
@@ -30,6 +32,40 @@ _WITNESS = {
     "rho2": lambda key: {"twocell": key[0], "onecell": key[1]},
     "alpha": lambda key: {"member": key[0], "twocell": key[1]},
 }
+
+
+def functor(F):
+    """Each object goes to an object of F.cod, each morphism to one between
+    the images of its ends, and each identity to the identity on the image
+    of its object."""
+    for x in F.dom.objects:
+        if F.ob.get(x) not in F.cod.objects:
+            return failed("check_functor", ["object %r unmapped" % x],
+                          {"object": x})
+    for f in F.dom.morphisms:
+        g = F.mor.get(f)
+        if g is None or F.cod.src.get(g) != F.o(F.dom.src[f]) \
+                or F.cod.tgt.get(g) != F.o(F.dom.tgt[f]):
+            return failed("check_functor", ["morphism %r ill-mapped" % f],
+                          {"morphism": f})
+    for x in F.dom.objects:
+        if F.m(F.dom.id(x)) != F.cod.id(F.o(x)):
+            return failed("check_functor",
+                          ["identity at %r not preserved" % x],
+                          {"object": x})
+    return None
+
+
+def nat_trans(t):
+    """Each component at x is a morphism F(x) -> G(x) of the codomain."""
+    F, G = t.dom, t.cod
+    d = F.cod
+    for x in F.dom.objects:
+        m = t.comp.get(x)
+        if m is None or d.src.get(m) != F.o(x) or d.tgt.get(m) != G.o(x):
+            return failed("check_nat", ["bad component at %r" % x],
+                          {"object": x})
+    return None
 
 
 def matching_family(mf):
