@@ -219,6 +219,9 @@ def _decode_trihom(body, two_cats, where):
     try:
         values = {}
         for c, v in _field(body, "values", where).items():
+            if c not in k.objects:
+                raise DanglingReference("%s.values: unknown object %r"
+                                        % (where, c))
             at = "%s.values[%s]" % (where, c)
             values[c] = _checked("two_category", check_two_category,
                                  _decode_two_cat(v, at), "value", at)
@@ -293,6 +296,9 @@ def load_data(raw):
         covering = {}
         for c, names in _object(b.get("covering", {}),
                                 where + ".covering").items():
+            if c not in k.objects:
+                raise DanglingReference("%s.covering: unknown object %r"
+                                        % (where, c))
             covering[c] = [_ref(bisieves, sn, "bisieve", where)
                            for sn in _list(names, "%s.covering[%s]"
                                            % (where, c))]

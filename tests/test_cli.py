@@ -710,6 +710,38 @@ def test_cli_a_dangling_bisieve_witness_is_an_input_error(
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+def _stray_covering_key(raw):
+    raw["bitopologies"]["tau"]["covering"]["zzz"] = []
+
+
+def _stray_value_key(raw):
+    values = raw["trihoms"]["F1"]["values"]
+    values["zzz"] = copy.deepcopy(values[sorted(values)[0]])
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["run", "--check", "T1"], ["run", "--check", "2stack:F1"]],
+    ids=["validate", "T1", "2stack"])
+@pytest.mark.parametrize("make, corrupt, message", [
+    (lambda: load(corpus_path("walking_arrow.site")).raw, _stray_covering_key,
+     "bitopologies.tau.covering: unknown object 'zzz'"),
+    (lambda: generate(0, "locally-discrete-site"), _stray_value_key,
+     "trihoms.F1.values: unknown object 'zzz'"),
+], ids=["covering", "values"])
+def test_cli_a_key_that_names_no_object_is_a_dangling_reference(
+        tmp_path, capsys, command, make, corrupt, message):
+    """A covering or values key that names no object of the base is
+    refused when the document is loaded, so no check gives a verdict over
+    a document that names what it never declared."""
+    raw = copy.deepcopy(make())
+    corrupt(raw)
+    path = tmp_path / "doc.site"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main([command[0], str(path), *command[1:]]) == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("check", ["2stack:F1", "2stack_direct:F1"])
 def test_cli_2stack_ops_refuse_a_bitopology_off_the_trihom_base(
         tmp_path, capsys, check):
