@@ -364,10 +364,10 @@ def test_universal_cocones_are_typed():
 
 
 def test_drawn_cocones_are_tested_on_their_displays_alone(monkeypatch):
-    """enumerate_sigma_cocones draws each cocone typed and hands it to the
-    display half of check_sigma_cocone alone.  On every bisieve of the
-    corpus, of site seeds 0-79 and of test_tabulate, and on every test
-    object: the enumerator that runs the full check finds the same cocones,
+    """enumerate_sigma_cocones draws each cocone typed and hands it to
+    its displays alone.  On every bisieve of the corpus, of site seeds
+    0-79 and of test_tabulate, and on every test object: the enumerator
+    that types each cocone before checking it finds the same cocones,
     in the same order, with the same steps; every cocone handed to the
     displays is well typed with its identity condition; and some fail
     their displays."""
