@@ -7,63 +7,52 @@ strict: they act by strict 2-functors that compose strictly, so their
 compositors and unitors are identities and are not recorded
 (``strict_trihom`` refuses any other action).  The tritransformation and
 trimodification axioms are stated for this case (Gurski, *Coherence in
-Three-Dimensional Category Theory*, 2013, ch. 4): each compositor,
-unitor and comparison cell of a trihom is an identity there, and a
-factor is dropped only where it is then an identity by the unit and
-inverse laws of a value, which ``check_two_category`` checks, or because
-a drawn component preserves identity 2-cells, which
-``check_ps_two_functor`` checks first.
-The terms of drawn structures at identity 1-cells (a component's action,
-compositor and unitor, a square's or a modification component's cell)
-are kept, since they need not be identities.  Local composition
-(vertical composition of 2-cells of the base) is required to be
-preserved strictly; this is a normalization, recorded by the checkers,
-not an extra axiom.
+Three-Dimensional Category Theory*, 2013, ch. 4): a factor is dropped
+only where it is an identity by the unit and inverse laws of a value
+(``check_two_category``) or because a drawn component preserves identity
+2-cells (``check_ps_two_functor``, checked first).  The terms of drawn
+structures at identity 1-cells (a component's action, compositor and
+unitor, a square's or a modification component's cell) are kept, as they
+need not be identities.  Local composition (vertical composition of
+2-cells of the base) is preserved strictly: a normalization, not an
+extra axiom.
 
-The checkers assume a valid codomain, a strict 2-category that passes
-``check_two_category``, and valid cells at the boundary of what they check
-(the pseudofunctors a transformation runs between, and so on).  Each
-checker declares its displays once, as the ``report.Display`` records of
-a ``_*_displays`` function, and ``report.first_failure`` evaluates them,
-one step per index.  When the value that a display lives in is locally
-thin, with at most one 2-cell between two 1-cells, any two parallel
-2-cells there are equal, so every equation between well-typed pastings
-holds, and the evaluator skips it with no step (see ``report.Budget``):
-every display of ``check_ps_two_functor``, ``check_ps_two_nat`` and
-``check_two_modification`` when the codomain is thin, and, value by
-value, the axioms of ``check_tritransformation``,
-``check_trimodification`` and ``check_perturbation``.  The squares'
-naturality of ``check_tritransformation`` is never skipped.
+The checkers assume a valid codomain (it passes ``check_two_category``)
+and valid cells at the boundary of what they check.  Each declares its
+displays once, as the ``report.Display`` records of a ``_*_displays``
+function, which ``report.first_failure`` evaluates, one step per index.
+In a locally thin value, with at most one 2-cell between two 1-cells,
+every equation between well-typed pastings holds, so the evaluator skips
+a display there with no step (see ``report.Budget``): those of the
+pseudofunctor, transformation and modification checkers on a thin
+codomain, and the axioms of the three checkers above them value by
+value, but not the squares' naturality of ``check_tritransformation``.
 
 Each structure declares its comparison 2-cells once, with their
 boundaries: ``_ps_two_functor_cells`` (chi, unit), ``_ps_two_nat_cells``
 (cell), ``_tritrans_cells`` (beta, gamma) and ``_trimod_cells`` (cell).
 A declaration lists families ((table, key), cells), recorded as the
-whole table when key is None and as the table's entry at key otherwise;
-each cell (x, value, src, tgt) is recorded at x and typed src() => tgt
-in value: the source is a thunk, so that only the typing and the pools
-compose it.  Families and cells come in the enumerators' order, sorted;
-the pseudofunctor's come in table order and its enumerator sorts them,
-so that its typing sorts nothing.  The typing of loaded pseudofunctors
-and transformations checks the recorded cells against a declaration
-(``_first_mistyped``), the enumerators of ``descent`` draw each cell
-from the invertible 2-cells of its boundary (``_comparisons``, one
-``report.choices`` group per family), and a structure built without its
-comparison cells (the identity and induced constructors) gets the
-identity on each cell's target (``_identities``), a composite
-pseudofunctor the composites of its factors' cells.  Every comparison
-table is built on its first read (``_FirstRead``), so that a table that
-no check reads is never built.
+whole table when key is None and as its entry at key otherwise; each
+cell (x, value, src, tgt) is recorded at x and typed src() => tgt in
+value, the source a thunk that only the typing and the pools compose.
+Families and cells come sorted, in the enumerators' order, but the
+pseudofunctor's in table order, which its enumerator sorts and its
+typing need not.  The typing of loaded structures checks the recorded
+cells against a declaration (``_first_mistyped``), the enumerators of
+``descent`` draw each cell from the invertible 2-cells of its boundary
+(``_comparisons``, one ``report.choices`` group per family), and a
+structure built without its comparison cells (the identity and induced
+constructors) gets the identity on each cell's target (``_identities``),
+a composite pseudofunctor the composites of its factors' cells.  Each
+comparison table is built on its first read (``_FirstRead``).
 
 The enumerators of ``descent`` draw every candidate from typed pools, so
-a candidate can fail only its displays: identity 2-cells preserved,
-naturality of the squares in base 2-cells, the coherence and square
-axioms.  Every checker of a pseudofunctor, transformation, modification,
-tritransformation, trimodification or perturbation tests those alone:
-each takes a well-typed candidate, as the enumerators draw it.
-The ``tables`` decoder of ``workspace`` types loaded pseudofunctors and
+each checker takes a well-typed candidate and tests its displays alone;
+the ``tables`` decoder of ``workspace`` types loaded pseudofunctors and
 transformations first (``_ps_two_functor_typing``, ``_ps_two_nat_typing``,
-no step).
+no step).  No unit display is declared where composition at a pair of
+identities implies it on valid boundaries: ``check_ps_two_nat`` and
+``check_trimodification`` give the proofs.
 """
 
 from functools import partial
@@ -366,8 +355,21 @@ def _ps_two_nat_typing(t):
 
 
 def check_ps_two_nat(t, budget=None):
-    """2-cell naturality, composition and unit coherence of a well-typed
-    transformation (``_ps_two_nat_typing``)."""
+    """2-cell naturality and composition coherence of a well-typed
+    transformation t: G => H (``_ps_two_nat_typing``).
+
+    Unit coherence at x, n = id for n = w^-1 . cell[i] . u with i = id_x,
+    u = H.unit[x] * t_x and w = t_x * G.unit[x], is implied.  As G and H
+    are unital, H.chi[i, i] = (H(i) * H.unit[x])^-1 and G.chi[i, i] =
+    (G.unit[x] * G(i))^-1; with n * G(i) = w.n.w^-1, H(i) * n = u.n.u^-1
+    and (u^-1 * G(i)).(H(i) * w) = w.u^-1 by interchange, composition
+    coherence at (i, i) reads w.n.u^-1 = w.n.n.u^-1, and the invertible n
+    is an identity.  The boundaries are unital: ``check_trihom_data``
+    checks every action before any on2, ``descent`` draws components that
+    pass ``check_ps_two_functor`` or induced ones with identity cells, and
+    a ``_Composite`` k2 . h of unital factors is unital (by k2's compositor
+    naturality, its unit display at f is k2's at h(f) after k2 of h's).
+    """
     return reported("check_ps_two_nat", first_failure(
         budget or Budget(), _ps_two_nat_displays, t, values=(t.dom.cod,)))
 
@@ -395,12 +397,7 @@ def _ps_two_nat_displays(t):
                 natural, "2-cell naturality fails at %r", "twocell"),
         Display("transformation composition coherence", g.dom.hcomp1,
                 composition, "composition coherence fails at (%r, %r)",
-                "pair pair"),
-        Display("transformation unit coherence", zip(g.dom.objects),
-                lambda x: (c.v(t.cell[g.dom.id1(x)],
-                               c.wr(h.unit[x], t.comp[x])),
-                           c.wl(t.comp[x], g.unit[x])),
-                "unit coherence fails at %r", "object"))
+                "pair pair"))
 
 
 class TwoModification:
@@ -454,11 +451,9 @@ class TrihomData(Recorded):
 
 def _same_action(h1, h2):
     """Do two pseudofunctors act alike on objects, 1-cells and 2-cells?
-    Their compositors and unitors are not read, so none is built.  In
-    ``strict_trihom`` those of each action are identities, and so are those
-    of a composite of two actions that preserve identity 2-cells, which
-    ``check_trihom_data`` checks next; so comparing the actions alone
-    decides strict functoriality there."""
+    Their compositors and unitors, not read, are identities in
+    ``strict_trihom``, as are those of a composite of actions that preserve
+    identity 2-cells (``check_trihom_data`` checks this next)."""
     return h1.ob == h2.ob and h1.on1 == h2.on1 and h1.on2 == h2.on2
 
 
@@ -564,13 +559,11 @@ def sieve_trihom(s):
 
 
 def check_trihom_data(t, budget=None):
-    """The value pseudofunctors and transformations checked, each typed
-    already: the ``tables`` decoder types each loaded one before
-    ``strict_trihom`` composes it (``_ps_two_functor_typing``,
-    ``_ps_two_nat_typing``), and the other trihoms are typed by
-    construction.  Local strictness holds by construction too:
-    ``strict_trihom`` checks it, and precomposition over a base that
-    passed ``check_two_category`` has it by the interchange law.  An
+    """The value pseudofunctors, then the value transformations, checked,
+    each typed already: by the ``tables`` decoder before ``strict_trihom``
+    composes it, or by construction.  Local strictness holds by
+    construction too: ``strict_trihom`` checks it, and precomposition over
+    a base that passed ``check_two_category`` has it by interchange.  An
     on2[x] can be missing where a value is empty, as ``strict_trihom``
     reads on2 at the value's objects."""
     budget = budget or Budget()
@@ -804,9 +797,24 @@ def identity_trimodification(t):
 
 
 def check_trimodification(m, budget=None):
-    """The composition and unit axioms of a well-typed modification, as
-    the enumerator draws it: transformation components, and each square
-    comparison of ``_trimod_cells`` on its boundary."""
+    """The composition axiom of a well-typed modification m: theta => phi,
+    as the enumerator draws it: transformation components, and each square
+    comparison of ``_trimod_cells`` on its boundary.
+
+    The unit axiom at (c, x) is implied.  Write M = m_c(x), A and B for
+    the squares of theta and phi at (id_c, x), s = cell[id_c][x]:
+    M.A => B.M, u for theta_c's unitor at x, and g = gamma[c][x] . (A * u):
+    A => 1, and g' likewise in phi.  With m_c's unit coherence (implied,
+    see ``check_ps_two_nat``) the unit axiom says M * g = (g' * M) . s.
+    theta's right unit axiom at (id_c, x) and theta_c's unit coherence give
+    beta[(id_c, id_c)][x] = A * (u . g), and likewise in phi; so by
+    interchange the composition axiom at (id_c, id_c, x) reads B * (M * g)
+    = B * ((g' * M) . s) once s * A and B.M * u are cancelled, and B * -
+    is injective as g' is invertible.  The boundaries satisfy their unit
+    axioms: ``descent`` draws theta and phi that pass
+    ``check_tritransformation``, or induced ones whose cells are all
+    identities, and each m_c from those that pass ``check_ps_two_nat``.
+    """
     # each display lives in a value of F: when all are thin, none is read
     return reported("check_trimodification", first_failure(
         budget or Budget(), _trimod_displays, m,
@@ -815,7 +823,7 @@ def check_trimodification(m, budget=None):
 
 def _trimod_displays(m):
     """The composition axiom at each (f, g) and x of R at f's target, in
-    the value at g's source; the unit axiom at each c and x in R(c)."""
+    the value at g's source."""
     th, ph = m.dom, m.cod
     R, F = th.dom, th.cod
     k = R.base
@@ -837,25 +845,12 @@ def _trimod_displays(m):
                     val_e.wr(F.on1[g].on2[m.cell[f][x]],
                              th.square[g].comp[rf_x])]))
 
-    def unital(c, x):
-        val_c, mc_x, id_x = F.ob[c], m.comp[c].comp[x], R.ob[c].id1(x)
-        return (val_c.wl(mc_x, th.gamma[c][x]),
-                val_c.v_path([
-                    val_c.wr(ph.gamma[c][x], mc_x),
-                    val_c.wl(ph.square[k.id1(c)].comp[x],
-                             val_c.inverse2(m.comp[c].cell[id_x])),
-                    val_c.wr(m.cell[k.id1(c)][x], th.comp[c].on1[id_x])]))
-
     return (
         Display("trimodification composition",
                 ((F.ob[k.onecells[g][0]], (f, g),
                   zip(R.ob[k.onecells[f][1]].objects)) for f, g in k.hcomp1),
                 composition, "composition axiom fails at (%r, %r, %r)",
-                "pair pair object lhs rhs", per_value=True),
-        Display("trimodification unit",
-                ((F.ob[c], (c,), zip(R.ob[c].objects)) for c in k.objects),
-                unital, "unit axiom fails at (%r, %r)", "object _ lhs rhs",
-                per_value=True))
+                "pair pair object lhs rhs", per_value=True),)
 
 
 # --- perturbations ----------------------------------------------------------

@@ -65,22 +65,20 @@ are the edges of ``report.choices`` over the narrowed pools, which ticks
 once for each pick of an object that an edge rejects.
 
 The enumerators draw each piece of a candidate from a typed pool, so a
-candidate can fail only its displays, and the datum checkers test those
-alone: each takes a well-typed datum, as the enumerators draw it.  For a
-matching family the displays are the compatibility displays, for a
-morphism datum normality, the identity etas, the cocycle and the phi/eta
-squares, and for a weak datum the coherence displays with their
-connecting isos.  ``find_effective_gluing_mor`` draws a gluing
-morphism's comparison 2-cells psi from their invertible 2-cells, and its
-two displays are ``report.choices`` edges (``_gluing_mor_edges``).  The
-``bicat3`` checkers of pseudofunctors, transformations,
-tritransformations, trimodifications and perturbations are display-only
-too.
-``descent_category`` draws its pseudonatural transformations and
-modifications from ``fincat.all_functors`` and ``all_nat_trans``, and
-``two_cat.check_ps_nat`` and ``check_modification`` test only their
-displays.  It draws the modifications between two transformations only
-when ``fincat.is_equivalence``, the one equivalence decision, reads them
+candidate can fail only its displays, and every checker here and in
+``bicat3`` tests those alone on a well-typed candidate: for a matching
+family the compatibility displays, for a morphism datum normality, the
+identity etas, the cocycle and the phi/eta squares, and for a weak datum
+the coherence displays with their connecting isos.
+``find_effective_gluing_mor`` draws a gluing morphism's comparison
+2-cells psi from their invertible 2-cells, and its two displays are
+``report.choices`` edges (``_gluing_mor_edges``).  ``descent_category``
+draws its pseudonatural transformations and modifications from
+``fincat.all_functors`` and ``all_nat_trans``, and
+``two_cat.check_ps_nat`` and ``check_modification`` evaluate their
+declared displays with ``report.first_failure`` too.  It draws the
+modifications between two transformations only when
+``fincat.is_equivalence``, the one equivalence decision, reads them
 (``fincat.Enumerated``); the Cat-valued stack condition and the
 sigma-bicolimit comparison of ``sigma_colim`` both go through it.
 """

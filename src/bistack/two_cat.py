@@ -8,8 +8,9 @@ to be strictly associative, unital and functorial.
 Also here: iso-comma objects with their bicategorical universal
 property, and pseudofunctors into Cat with their transformations and
 modifications.  No checker tests such a pseudofunctor: each is built by
-construction (``sieves.sieve_presheaf``, ``builders.strict_ps_functor``),
-and ``check_ps_nat`` and ``check_modification`` take typed input.
+construction (``sieves.sieve_presheaf``, ``builders.strict_ps_functor``).
+``check_ps_nat`` and ``check_modification`` take typed input, and
+``report.first_failure`` evaluates their declared displays.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ from types import MappingProxyType
 from .errors import BoundaryMismatch, MalformedTable
 from .fincat import FinCat, _is_cell, by_boundary, check_category, \
     tabulate
-from .report import Budget, Recorded, failed, passed
+from .report import Budget, Display, Recorded, failed, first_failure, \
+    passed, reported
 
 
 class Fin2Cat(Recorded):
@@ -38,10 +40,7 @@ class Fin2Cat(Recorded):
     ``locally_thin``, ``inverse2``, ``isos_between`` (which
     ``invertible_2cell`` reads), ``equivalent_objects`` and ``hom_cat``.
 
-    ``recorded`` keeps the figures that spend steps, each under a key that
-    names it and whatever it reads besides the tables, with the steps its
-    first computation spent; a repeat spends them again as one
-    ``tick(n)``, which stops where n single ticks would.  Kept there:
+    ``recorded`` (``report.Recorded``) keeps, with the steps they spent,
     ``equivalence_data`` (by the 1-cell), the ``check_two_category``
     report (by its op's name, ``two_category``), and what ``sieves``
     keeps: the coverage index, which interns the sieves built on k.
@@ -596,55 +595,55 @@ class PsNatTrans:
 
 
 def check_ps_nat(t, budget=None):
-    """The displays of a pseudonatural transformation: 2-cell naturality,
-    composition and unit coherence.  The transformation is taken as
-    typed, its components functors F(C) -> G(C) and its structure cells
-    invertible natural transformations of the right boundaries, as
-    ``descent.descent_category`` draws them from ``fincat.all_functors``
-    and ``all_nat_trans``; the typing is not checked."""
-    budget = budget or Budget()
+    """The displays of a pseudonatural transformation: 2-cell naturality
+    and composition coherence.  Its typing is not checked: components
+    functors F(C) -> G(C) and structure cells invertible natural
+    transformations of the right boundaries, as ``descent.descent_category``
+    draws them from ``fincat.all_functors`` and ``all_nat_trans``.
+
+    Unit coherence, cells[id_c](X) = id where the unitors are identities,
+    is implied: the pseudofunctors built here (``sieves.sieve_presheaf``,
+    ``representable``, ``builders.strict_ps_functor``) have identity
+    compositors, unitors and functors at identity 1-cells, so composition
+    coherence at (id_c, id_c) makes the invertible cells[id_c](X)
+    idempotent.
+    """
+    return reported("check_ps_nat", first_failure(
+        budget or Budget(), _ps_nat_displays, t))
+
+
+def _ps_nat_displays(t):
     F, G = t.dom, t.cod
     k = F.base
-    for x, (f, f2) in k.twocells.items():
+
+    def natural(x, X):
+        f, f2 = k.twocells[x]
         d, c = k.onecells[f]
-        for X in F.ob[c].objects:
-            budget.tick()
-            lhs = G.ob[d].compose(G.on2[x].at(t.comp[c].o(X)),
-                                  t.cells[f].at(X))
-            rhs = G.ob[d].compose(t.cells[f2].at(X),
-                                  t.comp[d].m(F.on2[x].at(X)))
-            if lhs != rhs:
-                return failed("check_ps_nat",
-                              ["2-cell naturality fails at (%r, %r)" % (x, X)],
-                              {"witness": [x, X]})
-    for f, (d, c) in k.onecells.items():
-        for g in k.onecells:
-            if k.tgt1(g) != d:
-                continue
-            e = k.src1(g)
-            for X in F.ob[c].objects:
-                budget.tick()
-                lhs = G.ob[e].compose(t.cells[k.c1(f, g)].at(X),
-                                      t.comp[e].m(F.chi(f, g).at(X)))
-                rhs = G.ob[e].compose(
+        return (G.ob[d].compose(G.on2[x].at(t.comp[c].o(X)),
+                                t.cells[f].at(X)),
+                G.ob[d].compose(t.cells[f2].at(X),
+                                t.comp[d].m(F.on2[x].at(X))))
+
+    def composition(f, g, X):
+        c, e = k.tgt1(f), k.src1(g)
+        return (G.ob[e].compose(t.cells[k.c1(f, g)].at(X),
+                                t.comp[e].m(F.chi(f, g).at(X))),
+                G.ob[e].compose(
                     G.chi(f, g).at(t.comp[c].o(X)),
                     G.ob[e].compose(G.on1[g].m(t.cells[f].at(X)),
-                                    t.cells[g].at(F.on1[f].o(X))))
-                if lhs != rhs:
-                    return failed("check_ps_nat",
-                                  ["composition coherence fails at "
-                                   "(%r, %r, %r)" % (f, g, X)],
-                                  {"witness": [f, g, X]})
-    for c in k.objects:
-        for X in F.ob[c].objects:
-            budget.tick()
-            lhs = G.ob[c].compose(t.cells[k.id1(c)].at(X),
-                                  t.comp[c].m(F.unitor[c].at(X)))
-            if lhs != G.unitor[c].at(t.comp[c].o(X)):
-                return failed("check_ps_nat",
-                              ["unit coherence fails at (%r, %r)" % (c, X)],
-                              {"witness": [c, X]})
-    return passed("check_ps_nat")
+                                    t.cells[g].at(F.on1[f].o(X)))))
+
+    return (
+        Display("Cat-valued transformation 2-cell naturality",
+                ((x, X) for x, (f, _) in k.twocells.items()
+                 for X in F.ob[k.tgt1(f)].objects), natural,
+                "2-cell naturality fails at (%r, %r)", "witness witness"),
+        Display("Cat-valued transformation composition coherence",
+                ((f, g, X) for f, (d, c) in k.onecells.items()
+                 for g in k.onecells if k.tgt1(g) == d
+                 for X in F.ob[c].objects), composition,
+                "composition coherence fails at (%r, %r, %r)",
+                "witness witness witness"))
 
 
 class CatModification:
@@ -661,23 +660,27 @@ class CatModification:
 
 def check_modification(m, budget=None):
     """The display of a modification: the square at each 1-cell and
-    object.  The modification is taken as typed, its components natural
-    transformations of the right boundaries, as
-    ``descent.descent_category`` draws them from ``fincat.all_nat_trans``;
-    the typing is not checked."""
-    budget = budget or Budget()
+    object.  Its typing is not checked: components natural transformations
+    of the right boundaries, as ``descent.descent_category`` draws them
+    from ``fincat.all_nat_trans``."""
+    return reported("check_modification", first_failure(
+        budget or Budget(), _modification_displays, m))
+
+
+def _modification_displays(m):
     t, s = m.dom, m.cod
     F, G = t.dom, t.cod
     k = F.base
-    for f, (d, c) in k.onecells.items():
-        for X in F.ob[c].objects:
-            budget.tick()
-            lhs = G.ob[d].compose(s.cells[f].at(X),
-                                  m.comp[d].at(F.on1[f].o(X)))
-            rhs = G.ob[d].compose(G.on1[f].m(m.comp[c].at(X)),
-                                  t.cells[f].at(X))
-            if lhs != rhs:
-                return failed("check_modification",
-                              ["modification square fails at (%r, %r)"
-                               % (f, X)], {"witness": [f, X]})
-    return passed("check_modification")
+
+    def square(f, X):
+        d, c = k.onecells[f]
+        return (G.ob[d].compose(s.cells[f].at(X),
+                                m.comp[d].at(F.on1[f].o(X))),
+                G.ob[d].compose(G.on1[f].m(m.comp[c].at(X)),
+                                t.cells[f].at(X)))
+
+    return (Display("Cat-valued modification square",
+                    ((f, X) for f, (d, c) in k.onecells.items()
+                     for X in F.ob[c].objects), square,
+                    "modification square fails at (%r, %r)",
+                    "witness witness"),)

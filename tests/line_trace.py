@@ -102,22 +102,6 @@ ALLOWED = {
      "declare keyed families, and no test deletes one"): [
         ("bicat3.py", "_first_mistyped", "return table, key, None"),
     ],
-    ("the last display of each Cat-level transformation checker: the "
-     "presheaves that an op reaches are sieve presheaves and representables, "
-     "and no transformation or modification drawn between them fails it "
-     "without failing an earlier one (ROADMAP item 6 replaces these "
-     "checkers)"): [
-        ("two_cat.py", "check_ps_nat", 'return failed("check_ps_nat",'),
-        ("two_cat.py", "check_ps_nat",
-         '["unit coherence fails at (%r, %r)" % (c, X)],'),
-        ("two_cat.py", "check_ps_nat", '{"witness": [c, X]})'),
-        ("two_cat.py", "check_modification",
-         'return failed("check_modification",'),
-        ("two_cat.py", "check_modification",
-         '["modification square fails at (%r, %r)"'),
-        ("two_cat.py", "check_modification",
-         '% (f, X)], {"witness": [f, X]})'),
-    ],
     ("the entry point, which CI runs as `python -m bistack.cli`, in a "
      "subprocess that the tracer does not trace"): [
         ("cli.py", "<module>", "sys.exit(main())"),

@@ -9,23 +9,24 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bistack.bicat3 import _comparisons, _tables, induced_trimod, \
-    induced_tritrans, representable_trihom, yoneda_pert, yoneda_trimod, \
-    yoneda_tritrans
+from bistack.bicat3 import _comparisons, _tables, \
+    check_tritransformation, induced_trimod, induced_tritrans, \
+    representable_trihom, yoneda_pert, yoneda_trimod, yoneda_tritrans
 from bistack import bicat3, descent, report
 from bistack.builders import chain_suspension
 from bistack.descent import Refutation, _all_descent_data_mor, \
     _all_matching_families, _all_perturbations, _all_ps_two_functors, \
     _all_trimods, _all_tritransformations, _all_weak_data, _cells_into, \
     _member_two_cells, _parallel_pairs, find_effective_gluing_mor, \
-    is_2stack, is_2stack_direct, sieve_trihom
+    is_2stack, is_2stack_direct, is_stack_on_sieve, sieve_trihom
 from bistack.errors import MalformedTable, ParseError, \
     SearchBudgetExceeded, ToolkitError
 from bistack.fincat import walking_arrow
 from bistack.generate import _z2_base, generate
 from bistack.report import Budget, choices, guarded, narrow
 from bistack.sigma_colim import enumerate_sigma_cocones, universal_cocone
-from bistack.sieves import Bitopology, build_bisieve, literal_maximal_bisieve
+from bistack.sieves import Bitopology, build_bisieve, \
+    literal_maximal_bisieve, representable
 from bistack.two_cat import Fin2Cat, check_two_category, from_fincat
 from bistack.workspace import _decode_two_cat, corpus_names, corpus_path, \
     load, load_data
@@ -39,6 +40,9 @@ from test_two_cat import split_idempotent_2cat
 from typing_oracles import WELL_TYPED
 import test_bicat3
 import test_descent
+import test_tabulate
+import test_two_cat
+import unit_oracles
 
 
 # --- choices against itertools.product ---------------------------------------
@@ -439,9 +443,10 @@ _COMPARISONS_PINNED = ("46ca3a631089c232334da213b25ed846"
 
 # recorded with the candidates, re-recorded when the object pools were
 # narrowed (the maximal sieve on Y of rung 3 fell from 784), again
-# when a step became work done (from 226, 353 and 232), and when each
-# axiom display came to spend one step (from 144)
-_COMPARISON_STEPS = [97, 44, 114]
+# when a step became work done (from 226, 353 and 232), when each
+# axiom display came to spend one step (from 144), and when the implied
+# unit displays were dropped (from 114)
+_COMPARISON_STEPS = [97, 44, 110]
 
 
 def test_comparison_cell_candidates_are_pinned(monkeypatch):
@@ -987,10 +992,11 @@ def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
     assert {"pass", "fail"} <= {row[1] for row in rows}
     # the direct decider still fails the constant B(Z/2) at (M): the
     # modification axioms at base 2-cells are not checked (393 steps before
-    # a step became work done, 240 before each axiom display spent one)
+    # a step became work done, 240 before each axiom display spent one,
+    # 215 before the implied unit displays were dropped)
     assert (r.verdict, r.witness, budget.steps) == (
         "fail", {"object": "Y", "sieve": 0, "condition": "M",
-                 "endpoints": ["P", "P"]}, 215)
+                 "endpoints": ["P", "P"]}, 204)
 
 
 def _drawn_axiom_reports(monkeypatch):
@@ -1019,10 +1025,11 @@ def _drawn_axiom_reports(monkeypatch):
 # recorded while every trihom still carried its compositor, unitor and
 # comparison tables as identities, before the axioms were written for the
 # strict case; re-recorded when each axiom display came to spend one
-# step.  The second digest is of the reports without steps, recorded
-# before that change.
+# step, and when the implied unit displays were dropped (254 steps to
+# 220; from 08d97df3...).  The second digest is of the reports without
+# steps, recorded before each axiom display spent a step.
 _DRAWN_AXIOM_REPORTS_PINNED = (
-    "08d97df3b6a058bab32d8cbe751ab4541b90bd6f5e1d79fbca3dc05ea9b16243",
+    "c6709c406af1e6a4d019e0ba86fd620f4bb0fcbe05a934266d602417bae1a3be",
     "3b06cbce3cf8e7ffded0bc0bcc1b4d33c4cc3cd55d9026f82bf07ac1bf6ec281")
 
 
@@ -1068,12 +1075,14 @@ def _display_reports(monkeypatch, thin):
 
 
 # recorded before the display checkers came to declare their displays
-# and share one evaluator; the second digest of each pair is of the
-# reports without steps
+# and share one evaluator, and re-recorded when the implied unit displays
+# were dropped (2,691 steps to 2,627 thin, 24,148 to 22,953 non-thin;
+# from 5167e33f... and 77060c94...); the second digest of each pair is of
+# the reports without steps, which held
 _DISPLAY_REPORTS_PINNED = {
-    True: ("5167e33f042ca4aea5d2d414744365a4e01e96179120265e822b56bf565ff795",
+    True: ("e99825a718ed5f6e21ddf6c2a2e849ee2390364c8abd61d8b70714d0926845c5",
            "4c09a16196073da20540c58d0578eb6d0a72ef5551e5034a777daea17684d0e2"),
-    False: ("77060c94760c455b8f7cb89ef892974ad28457d06d0470775f4914662af659c5",
+    False: ("41e756dec25df4f09f8f7e9ba8661ab7e1248c427b869ef0f341f4386a84c03c",
             "4c09a16196073da20540c58d0578eb6d0a72ef5551e5034a777daea17684d0e2"),
 }
 
@@ -1113,9 +1122,11 @@ def test_every_declared_display_fails_on_some_input(monkeypatch):
     longer shows which displays the tests see fail.  Over the inputs of
     the display-report pin, of the display-mutant tests and of the
     axiom-report pin, is_2stack over the walking-arrow B(Z/2) instances
-    (the gluing-object displays) and the cocones on B(Z/2)'s maximal
-    sieve (sigma's 2-cell condition), every declared display fails
-    somewhere, but those of _NEVER_FAILING."""
+    (the gluing-object displays), the cocones on B(Z/2)'s maximal
+    sieve (sigma's 2-cell condition), and the Cat-valued search over the
+    sieves that contain their target's identity and a hand-built
+    Cat-valued modification (the Cat-valued displays), every declared
+    display fails somewhere, but those of _NEVER_FAILING."""
     failing, failure = set(), report.Display.failure
 
     def recorded(display, *args):
@@ -1134,17 +1145,108 @@ def test_every_declared_display_fails_on_some_input(monkeypatch):
     for row in test_bicat3._PS_FUNCTOR_DISPLAY_MUTANTS:
         test_bicat3.test_ps_two_functor_display_mutants_fail(*row)
     test_bicat3.test_ps_two_nat_display_mutants_fail(split_idempotent_2cat())
-    test_bicat3.test_trimodification_unit_axiom_fails_on_a_z2_value()
+    test_bicat3.test_z2_gamma_mutant_breaks_the_tritransformation_unit_axiom()
     test_bicat3.test_identity_perturbation_passes_and_mutant_fails()
     test_bicat3._axiom_reports()
     for F, s in _wa_z2_instances():
         is_2stack(F, Bitopology(s.k, {s.target: [s]}))
     d, _ = universal_cocone(build_bisieve(_z2_base(), "P", {"P": {"id_P"}}))
     enumerate_sigma_cocones(d, "P")
+    test_tabulate._identity_sieve_reports()
+    test_two_cat.test_cat_level_modification_square_fails()
     declared = _declared_displays()
     assert len(declared) == len(set(declared))
     assert set(_NEVER_FAILING) <= set(declared)
     assert failing == set(declared) - set(_NEVER_FAILING)
+
+
+def _implied_unit_inputs():
+    """Run both deciders, and the Cat-valued stack search, over the inputs
+    of the implication test below: the run of
+    test_deciders_do_not_see_the_drawn_path and the axiom-report pin;
+    constant B(Z/2) and B(Z/3) over the walking arrow and over
+    chain_suspension(2), one sieve at a time, each decider under a budget
+    of 20,000 steps; and the corpus and site seeds 0-79 of both
+    profiles, with the Cat-valued search on every sieve, for each
+    representable."""
+    for thin in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            test_deciders_do_not_see_the_drawn_path(mp, thin)
+    test_bicat3._axiom_reports()
+    wa, k2 = from_fincat(walking_arrow()), chain_suspension(2)
+    for k, sieves in ((wa, [build_bisieve(wa, "1", {"0": {"a"}}),
+                            literal_maximal_bisieve(wa, "1"),
+                            literal_maximal_bisieve(wa, "0")]),
+                      (k2, [literal_maximal_bisieve(k2, "Y"),
+                            literal_maximal_bisieve(k2, "X")])):
+        for value in (one_object_z2, one_object_z3):
+            F = constant_trihom(k, value())
+            for s in sieves:
+                tau = Bitopology(k, {s.target: [s]})
+                for op in sorted(_DECIDERS):
+                    budget = Budget(20000)
+                    guarded(op, budget, _DECIDERS[op], F, tau, budget)
+    docs = [load(corpus_path(n)) for n in corpus_names()]
+    docs += [load_data(generate(seed, profile))
+             for profile in ("locally-discrete-site", "tiny-2site")
+             for seed in range(80)]
+    for doc in docs:
+        for body in doc.checks.values():
+            if body["op"] in _DECIDERS:
+                _DECIDERS[body["op"]](doc.trihoms[body["trihom"]],
+                                      doc.bitopologies[body["bitopology"]])
+        for _, tau in sorted(doc.bitopologies.items()):
+            for c in sorted(tau.k.objects):
+                for s in tau.sieves_on(c):
+                    for x in sorted(tau.k.objects):
+                        is_stack_on_sieve(representable(tau.k, x), s)
+
+
+def test_dropped_unit_displays_fail_only_where_composition_fails(
+        monkeypatch):
+    """check_ps_two_nat, check_trimodification and check_ps_nat dropped
+    their unit display, which composition at a pair of identities implies
+    on valid boundaries (the proofs are in their docstrings).  Over every
+    candidate that the deciders and descent_category hand to these
+    checkers, and those of the axiom-report pin, the dropped display
+    (unit_oracles) fails only where the kept composition display fails
+    too, and the checker then fails.  The trimodification proof needs
+    its boundaries' unit axioms: every boundary of a checked
+    trimodification, and every induced_tritrans built, passes
+    check_tritransformation, though the deciders never check the induced
+    ones."""
+    checked, dropped_failing, boundaries = Counter(), Counter(), {}
+    for name, modules in (("check_ps_two_nat", (descent, bicat3)),
+                          ("check_trimodification", (descent, test_bicat3)),
+                          ("check_ps_nat", (descent,))):
+        for module in modules:
+            def hook(x, budget=None, name=name,
+                     check=getattr(module, name)):
+                dropped, kept = unit_oracles.implied(name, x)
+                r = check(x, budget)
+                checked[name] += 1
+                if dropped is not None:
+                    dropped_failing[name] += 1
+                    assert kept is not None and not r.ok, (name, dropped)
+                if name == "check_trimodification":
+                    boundaries.update({id(t): t for t in (x.dom, x.cod)})
+                return r
+            monkeypatch.setattr(module, name, hook)
+    induced = []
+
+    def recorded(*args, build=induced_tritrans):
+        induced.append(build(*args))
+        return induced[-1]
+
+    monkeypatch.setattr(descent, "induced_tritrans", recorded)
+    monkeypatch.setitem(globals(), "induced_tritrans", recorded)
+    _implied_unit_inputs()
+    assert set(checked) == set(unit_oracles.ORACLES)
+    # each dropped display fails somewhere, always after composition
+    assert set(dropped_failing) == set(unit_oracles.ORACLES)
+    assert induced
+    for t in [*boundaries.values(), *induced]:
+        assert check_tritransformation(t).ok
 
 
 def test_connecting_iso_pools_are_computed_once_per_objects_and_transitions(

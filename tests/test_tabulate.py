@@ -110,9 +110,11 @@ def _built():
 # recorded before the builders were rebuilt on tabulate, re-recorded
 # without the rows of the deleted functor-category builder, and again when
 # composites stopped spending a step, which moved only the descent rows'
-# steps (from ff322697...)
-_BUILT_PINNED = ("b87431428d520adea24bb0ca07ae1e45"
-                 "c3d2317a8ac67af32c2d88613876ffbf")
+# steps (from ff322697...), and when check_ps_nat dropped its implied unit
+# display, which moved only those steps again: 536 to 518 (from
+# b8743142...)
+_BUILT_PINNED = ("c5849e345b99de320d71db966d65f462"
+                 "09db27986e01a24f00b026ad8020be55")
 
 
 def test_builder_tables_and_steps_are_pinned():
@@ -189,9 +191,11 @@ _VERDICTS_AND_WITNESSES_PINNED = ("01b7ae82f2ca411edc1133aa9ad4be82"
 # hom-sets that is_equivalence reads and composites stopped spending a
 # step: every report fell, 11,483 steps in all to 8,967 (from e4eebd22...);
 # and again when the checks came to skip a sieve that contains its
-# target's identity: 8,967 to 1,778 (from 0409595a...)
-_CATVALUED_STEPS_PINNED = ("b481cea939e5711ed87049eb292bf560"
-                           "277e56b02fa92c62cabca2b22b58def4")
+# target's identity: 8,967 to 1,778 (from 0409595a...); and again when
+# check_ps_nat dropped its implied unit display: 1,778 to 1,751 (from
+# b481cea9...)
+_CATVALUED_STEPS_PINNED = ("b66f89475501c901227adde77306b719"
+                           "16f3c196b1c08728be62bc445c39ac09")
 
 # the steps of each sigma report, re-recorded when the sigma check stopped
 # building the cocone morphisms that its equivalence test never reads, and

@@ -317,3 +317,31 @@ def test_ps_nat_and_modification_roundtrip():
                                  {"0": "id_0", "1": "a"})
     t2 = PsNatTrans(F, F, comp, bad_cells)
     assert not typed_check_ps_nat(t2).ok
+
+
+def test_cat_level_modification_square_fails():
+    """F(0) = B(Z/2), F(1) = point, and a includes the point.  The
+    modification of the identity transformation with the order-two
+    element g at 0 is natural componentwise, as Z/2 is commutative, but
+    its square at a reads g on one side and the identity on the other."""
+    k = from_fincat(walking_arrow())
+    bz2 = FinCat(["*"], {"e": "*", "g": "*"}, {"e": "*", "g": "*"},
+                 {"*": "e"}, {("e", "e"): "e", ("e", "g"): "g",
+                              ("g", "e"): "g", ("g", "g"): "e"})
+    pt = discrete(["p"])
+    ident = {"0": identity_functor(bz2), "1": identity_functor(pt)}
+    on1 = {"id_0": ident["0"], "id_1": ident["1"],
+           "a": Functor(pt, bz2, {"p": "*"}, {"id_p": "e"})}
+    F = strict_ps_functor(k, {"0": bz2, "1": pt}, on1)
+    t = PsNatTrans(F, F, ident, {f: NatTrans(on1[f], on1[f], {
+        X: F.ob[k.src1(f)].id(on1[f].o(X)) for X in F.ob[k.tgt1(f)].objects})
+        for f in k.onecells})
+    assert typed_check_ps_nat(t).ok
+    m = CatModification(t, t, {"0": NatTrans(ident["0"], ident["0"],
+                                             {"*": "g"}),
+                               "1": NatTrans(ident["1"], ident["1"],
+                                             {"p": "id_p"})})
+    r = typed_check_modification(m)
+    assert (r.verdict, r.details, r.witness) == (
+        "fail", ["modification square fails at ('a', 'p')"],
+        {"witness": ["a", "p"]})
