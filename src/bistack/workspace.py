@@ -141,6 +141,9 @@ def _decode_bisieve(body, two_cats, where):
         members = {d: set(_list(fs, "%s.members[%s]" % (where, d)))
                    for d, fs in _field(body, "members", where).items()}
         for d, fs in members.items():
+            if d not in k.objects:
+                raise DanglingReference("%s.members: unknown object %r"
+                                        % (where, d))
             for f in sorted(fs):
                 if not _is_cell(k.onecells, f, (d, target)):
                     raise ParseError("%s.members[%s]: %r is not a 1-cell "

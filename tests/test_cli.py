@@ -719,25 +719,48 @@ def _stray_value_key(raw):
     values["zzz"] = copy.deepcopy(values[sorted(values)[0]])
 
 
-@pytest.mark.parametrize("command", [
-    ["validate"], ["run", "--check", "T1"], ["run", "--check", "2stack:F1"]],
-    ids=["validate", "T1", "2stack"])
-@pytest.mark.parametrize("make, corrupt, message", [
-    (lambda: load(corpus_path("walking_arrow.site")).raw, _stray_covering_key,
-     "bitopologies.tau.covering: unknown object 'zzz'"),
-    (lambda: generate(0, "locally-discrete-site"), _stray_value_key,
-     "trihoms.F1.values: unknown object 'zzz'"),
-], ids=["covering", "values"])
+def _stray_member_key(raw):
+    raw["bisieves"]["S_max_0"]["members"]["zzz"] = []
+
+
+def _walking_arrow():
+    return load(corpus_path("walking_arrow.site")).raw
+
+
+# the key: (document, corruption, error, the commands run on it)
+_STRAY_KEYS = {
+    "covering": (_walking_arrow, _stray_covering_key,
+                 "bitopologies.tau.covering: unknown object 'zzz'",
+                 ("validate", "T1", "2stack")),
+    "values": (lambda: generate(0, "locally-discrete-site"),
+               _stray_value_key, "trihoms.F1.values: unknown object 'zzz'",
+               ("validate", "T1", "2stack")),
+    "members": (_walking_arrow, _stray_member_key,
+                "bisieves.S_max_0.members: unknown object 'zzz'",
+                ("validate", "T1", "bisieve")),
+}
+
+_COMMANDS = {"validate": ["validate"], "T1": ["run", "--check", "T1"],
+             "2stack": ["run", "--check", "2stack:F1"],
+             "bisieve": ["run", "--check", "bisieve:S_max_0"]}
+
+
+@pytest.mark.parametrize("key, command", [
+    pytest.param(key, command, id="%s-%s" % (key, command))
+    for key, (*_, commands) in _STRAY_KEYS.items() for command in commands])
 def test_cli_a_key_that_names_no_object_is_a_dangling_reference(
-        tmp_path, capsys, command, make, corrupt, message):
-    """A covering or values key that names no object of the base is
+        tmp_path, capsys, key, command):
+    """A covering or values key that names no object of the base, or a
+    members key that names no object of the sieve's 2-category, is
     refused when the document is loaded, so no check gives a verdict over
     a document that names what it never declared."""
+    make, corrupt, message, _ = _STRAY_KEYS[key]
     raw = copy.deepcopy(make())
     corrupt(raw)
     path = tmp_path / "doc.site"
     path.write_text(json.dumps(raw))
     capsys.readouterr()
+    command = _COMMANDS[command]
     assert cli.main([command[0], str(path), *command[1:]]) == 3
     assert capsys.readouterr().err == "error: %s\n" % message
 
