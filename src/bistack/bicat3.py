@@ -363,12 +363,13 @@ def check_ps_two_nat(t, budget=None):
     are unital, H.chi[i, i] = (H(i) * H.unit[x])^-1 and G.chi[i, i] =
     (G.unit[x] * G(i))^-1; with n * G(i) = w.n.w^-1, H(i) * n = u.n.u^-1
     and (u^-1 * G(i)).(H(i) * w) = w.u^-1 by interchange, composition
-    coherence at (i, i) reads w.n.u^-1 = w.n.n.u^-1, and the invertible n
-    is an identity.  The boundaries are unital: ``check_trihom_data``
-    checks every action before any on2, ``descent`` draws components that
-    pass ``check_ps_two_functor`` or induced ones with identity cells, and
-    a ``_Composite`` k2 . h of unital factors is unital (by k2's compositor
-    naturality, its unit display at f is k2's at h(f) after k2 of h's).
+    coherence at (i, i), less H(i) * u^-1, reads w.n.u^-1 = w.n.n.u^-1,
+    so the invertible n is an identity.  The boundaries are unital:
+    ``check_trihom_data`` checks every action before any on2, ``descent``
+    draws components that pass ``check_ps_two_functor`` or induced ones
+    with identity cells, and a ``_Composite`` k2 . h of unital factors is
+    unital (by k2's compositor naturality, its unit display at f is k2's
+    at h(f) after k2 of h's).
     """
     return reported("check_ps_two_nat", first_failure(
         budget or Budget(), _ps_two_nat_displays, t, values=(t.dom.cod,)))

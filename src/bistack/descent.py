@@ -74,10 +74,9 @@ the coherence displays with their connecting isos.
 2-cells psi from their invertible 2-cells, and its two displays are
 ``report.choices`` edges (``_gluing_mor_edges``).  ``descent_category``
 draws its pseudonatural transformations and modifications from
-``fincat.all_functors`` and ``all_nat_trans``, and
-``two_cat.check_ps_nat`` and ``check_modification`` evaluate their
-declared displays with ``report.first_failure`` too.  It draws the
-modifications between two transformations only when
+``fincat.all_functors`` and ``all_nat_trans``, and their checkers
+(``two_cat.check_ps_nat``, ``check_modification``) declare displays too.
+It draws the modifications between two transformations only when
 ``fincat.is_equivalence``, the one equivalence decision, reads them
 (``fincat.Enumerated``); the Cat-valued stack condition and the
 sigma-bicolimit comparison of ``sigma_colim`` both go through it.
