@@ -2,7 +2,8 @@
 
 Exit codes: 0 every verdict passed, 1 some verdict failed, 2 some verdict
 inconclusive (and none failed), 3 input error (malformed command line,
-unreadable file, malformed document, dangling reference, unknown check),
+unreadable file, a file that is not UTF-8 JSON or nests too deeply to
+decode, malformed document, dangling reference, unknown check),
 4 internal error (any other exception, with its traceback on stderr), so
 that a crash never reads as a verdict.
 ``groth`` validates the sieve and its 2-category as the ``sigma_bicolim``
@@ -83,8 +84,7 @@ def _cmd_generate(args):
 
 
 def _cmd_replay(args):
-    with open(args.report, "r", encoding="utf-8") as fh:
-        recorded = json.load(fh)
+    recorded = _workspace.read_json(args.report)
     doc = load(args.file)
     same, fresh = replay(recorded, doc, args.report)
     if same:
@@ -174,7 +174,7 @@ def main(argv=None):
         raise SystemExit(3 if exc.code else 0)
     try:
         return args.fn(args)
-    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
+    except (ToolkitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except Exception:

@@ -5,7 +5,9 @@ Three levels of descent data are represented, mirroring the three layers of
 a 2-category-valued presheaf: matching families of 2-cells, descent data on
 morphisms, and weak descent data on objects.  Each comes with an exhaustive
 checker for its displayed compatibility conditions and a budgeted search
-that either produces a gluing witness or a replayable refutation.
+for its gluings: ``find_amalgamations`` lists every amalgamation, and the
+two gluing searches return the first gluing they find, as a dict of its
+cells, or None.
 
 The homomorphism data is strict, as every ``bicat3.TrihomData`` is: it
 acts by strict 2-functors that compose strictly, so that its compositors
@@ -366,33 +368,6 @@ def _ddm_displays(dd):
                 "twocell member lhs rhs"))
 
 
-class EffectivenessWitness:
-    """A global datum whose restriction reproduces a descent package."""
-
-    def __init__(self, variant, data):
-        self.variant = variant  # amalgamation | gluing-morphism | gluing-object
-        self.data = dict(data)
-
-    def __repr__(self):
-        return "EffectivenessWitness(%s, %r)" % (self.variant, self.data)
-
-
-class Refutation:
-    """A certificate that an exhaustive search found no witness.
-
-    Replaying the search (the deciders are deterministic) reproduces the
-    refutation; ``space`` records the exhausted candidate space.
-    """
-
-    def __init__(self, name, details, space):
-        self.name = name
-        self.details = list(details)
-        self.space = dict(space)
-
-    def __repr__(self):
-        return "Refutation(%s, %r)" % (self.name, self.space)
-
-
 def _gluing_mor_edges(dd, w):
     """The two effectiveness displays of a global morphism w, as edges
     between members of ``choices`` of psi[f]: f*w => w_f: a base 2-cell
@@ -422,8 +397,8 @@ def _gluing_mor_edges(dd, w):
 def find_effective_gluing_mor(dd, budget=None):
     """Search for a global morphism w with invertible comparison 2-cells
     psi[f]: f*w => w_f, one per member, that reproduce the datum: the
-    first in ``choices`` order, w slowest; Refutation when the space is
-    exhausted."""
+    first in ``choices`` order, w slowest, as {"w": w, "psi": psi}; None
+    when the space is exhausted."""
     budget = budget or Budget()
     F, s = dd.F, dd.S
     members = [(f, F.ob[d]) for d, f in s.all_members()]
@@ -432,12 +407,8 @@ def find_effective_gluing_mor(dd, budget=None):
         pools = ((f, val.isos_between(F.on1[f].on1[w], dd.w[f]))
                  for f, val in members)
         for (psi,) in choices(budget, pools, edges=_gluing_mor_edges(dd, w)):
-            return EffectivenessWitness(
-                "gluing-morphism", {"w": w, "psi": psi})
-    return Refutation(
-        "find_effective_gluing_mor",
-        ["no gluing morphism for (%r, %r)" % (dd.X, dd.Y)],
-        {"candidates": len(ws), "members": len(members)})
+            return {"w": w, "psi": psi}
+    return None
 
 
 # --- weak descent data on objects -------------------------------------------
@@ -753,20 +724,14 @@ def find_weak_effective_gluing(wdd, budget=None):
                 wdd.W[f], F.on1[f].ob[W])
                 if val_d.is_equivalence_1cell(p, budget)]
 
-    tried = 0
     for W in sorted(val_c.objects):
-        tried += 1
         for psi, u, cc in choices(budget, equivalences(W),
                                   sorted(ucand.items()),
                                   sorted(ccand.items())):
             cells = _weak_gluing_cells(wdd, W, psi, u, cc, budget)
             if cells is not None:
-                data = {"W": W, "psi": psi}
-                data.update(cells)
-                return EffectivenessWitness("gluing-object", data)
-    return Refutation("find_weak_effective_gluing",
-                      ["no gluing object"],
-                      {"objects": tried, "members": len(members)})
+                return {"W": W, "psi": psi, **cells}
+    return None
 
 
 def _weak_gluing_cells(wdd, W, psi, u, cc, budget):
@@ -1094,8 +1059,7 @@ def is_2stack(F, tau, budget=None):
             reports.append(passed("is_2stack", ["%s: (2C) holds" % tag]))
             # (M): effectiveness of every descent datum on morphisms
             for dd in _all_descent_data_mor(F, s, budget):
-                out = find_effective_gluing_mor(dd, budget)
-                if isinstance(out, Refutation):
+                if find_effective_gluing_mor(dd, budget) is None:
                     return failed(
                         "is_2stack",
                         ["%s: descent datum on (%r, %r) is not effective"
@@ -1105,8 +1069,7 @@ def is_2stack(F, tau, budget=None):
             reports.append(passed("is_2stack", ["%s: (M) holds" % tag]))
             # (O): weak effectiveness of every weak descent datum
             for wdd in _all_weak_data(F, s, budget):
-                out = find_weak_effective_gluing(wdd, budget)
-                if isinstance(out, Refutation):
+                if find_weak_effective_gluing(wdd, budget) is None:
                     return failed(
                         "is_2stack",
                         ["%s: weak descent datum is not weakly effective"

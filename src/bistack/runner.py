@@ -142,8 +142,8 @@ def strip_timing(report):
 
 def _recorded(report, where):
     """report, refused with a ParseError located at where unless it is one
-    report of this schema, with a check name and an integer or null
-    budget limit."""
+    report of this schema, with a check name and a non-negative integer or
+    null budget limit."""
     if not isinstance(report, dict):
         raise ParseError("%s: a report must be an object (one check's "
                          "report), not %s" % (where, type(report).__name__))
@@ -154,9 +154,9 @@ def _recorded(report, where):
     if not isinstance(report.get("check"), str):
         raise ParseError("%s: report has no check name" % where)
     limit = report.get("budget_limit")
-    if limit is not None and type(limit) is not int:
-        raise ParseError("%s: budget_limit %r is not an integer or null"
-                         % (where, limit))
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ParseError("%s: budget_limit %r is not a non-negative integer "
+                         "or null" % (where, limit))
     return report
 
 

@@ -349,14 +349,25 @@ def _validate_check_refs(doc):
                      "checks.%s" % name)
 
 
-def load(path):
+def read_json(path):
+    """The JSON value in the file at path.  A file that is not UTF-8 text,
+    is not JSON or nests too deeply to decode is a ParseError naming
+    path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError("%s: line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
-    return load_data(raw)
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: not UTF-8 text: %s at byte %d"
+                         % (path, exc.reason, exc.start))
+    except RecursionError:
+        raise ParseError("%s: nested too deeply to decode" % path)
+
+
+def load(path):
+    return load_data(read_json(path))
 
 
 def save(doc, path):

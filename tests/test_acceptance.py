@@ -14,7 +14,7 @@ from bistack.bicat3 import (check_perturbation, check_tritransformation,
                             check_trimodification, representable_trihom,
                             yoneda_pert, yoneda_trimod, yoneda_tritrans)
 from bistack.builders import strict_ps_functor
-from bistack.descent import (EffectivenessWitness, check_descent_datum_mor,
+from bistack.descent import (check_descent_datum_mor,
                              check_matching_family, check_weak_descent_datum,
                              descent_datum_from_morphism, find_amalgamations,
                              find_effective_gluing_mor,
@@ -298,13 +298,11 @@ def test_criterion_7_restriction_soundness():
         for a0 in sorted(target.onecells):
             dd = descent_datum_from_morphism(F, s, a0)
             assert check_descent_datum_mor(dd).ok
-            assert isinstance(find_effective_gluing_mor(dd),
-                              EffectivenessWitness)
+            assert find_effective_gluing_mor(dd) is not None
         for x0 in sorted(target.objects):
             wdd = weak_datum_from_object(F, s, x0)
             assert check_weak_descent_datum(wdd).ok
-            assert isinstance(find_weak_effective_gluing(wdd),
-                              EffectivenessWitness)
+            assert find_weak_effective_gluing(wdd) is not None
     print("\nCRITERION 7 (restriction soundness, %d sites): PASS"
           % len(_corpus_trihom_sites()))
 

@@ -430,6 +430,29 @@ def test_cli_internal_error_exits_four_with_its_traceback(
         and "RuntimeError: decider defect" in err
 
 
+# files that the JSON decoder cannot read, with the message that names them
+_UNDECODABLE = {"not-utf8": (b"\xff\xfe{}", "not UTF-8 text"),
+                "deep": (b"[" * 100000, "nested too deeply to decode")}
+
+
+@pytest.mark.parametrize("content", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("command", ["validate", "run", "groth", "replay"])
+def test_cli_an_undecodable_file_is_a_located_input_error(
+        tmp_path, capsys, command, content):
+    """A document, or a report given to replay, that is not UTF-8 text or
+    nests deeper than the JSON decoder recurses exits 3 with a message
+    that names the file, not 4 with a traceback."""
+    data, message = _UNDECODABLE[content]
+    bad = tmp_path / "bad.site"
+    bad.write_bytes(data)
+    argv = {"groth": ["--sieve", "S", "-o", str(tmp_path / "g.site")],
+            "replay": [_site(tmp_path)]}.get(command, [])
+    capsys.readouterr()
+    assert cli.main([command, str(bad)] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: %s" % (bad, message))
+
+
 @pytest.mark.parametrize("argv", [
     ["nope"], ["run"], ["run", "SITE", "--budget", "abc"],
     ["run", "SITE", "--budget", "-1"], ["run", "SITE", "--format", "xml"],
@@ -1336,6 +1359,12 @@ def _no_limit(report):
     return {**report, "budget_limit": "many"}
 
 
+def _negative_limit(report):
+    """A limit that run --budget refuses, and that would exhaust the
+    budget before the check's first step."""
+    return {**report, "budget_limit": -5}
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda r: {}, "bistack-report/5"),
     (lambda r: [1], "must be an object"),
@@ -1347,8 +1376,9 @@ def _no_limit(report):
     (_schema_3, "'bistack-report/3' is not 'bistack-report/5'"),
     (_schema_4, "'bistack-report/4' is not 'bistack-report/5'"),
     (_no_limit, "budget_limit 'many'"),
+    (_negative_limit, "budget_limit -5 is not a non-negative integer"),
 ], ids=["empty", "list", "report-list", "no-check", "schema-1", "schema-2",
-        "schema-3", "schema-4", "text-limit"])
+        "schema-3", "schema-4", "text-limit", "negative-limit"])
 def test_cli_replay_of_a_malformed_report_is_a_located_input_error(
         tmp_path, capsys, corrupt, message):
     path = _site(tmp_path)

@@ -322,14 +322,16 @@ def test_certificate_report_shape(wa2):
 @pytest.mark.parametrize("limit", [0, 1, 3])
 def test_budget_exhausted_while_checking_the_cocone_is_inconclusive(
         wa2, limit):
-    """A budget that runs out in the cocone check, before any comparison,
-    gives an inconclusive report, as one that runs out later does: in the
-    full search, which the public op skips on this sieve."""
+    """verify_sigma_bicolim checks no display of the cocone, so a budget
+    that runs out at once runs out in the comparison at 1, after the
+    comparison at 0 passes onto no cocones with no step.  The report is
+    inconclusive and keeps the verdict at 0: in the full search, which
+    the public op skips on this sieve."""
     rep = verify_sigma_bicolim(*universal_cocone(maximal_bisieve(wa2, "1")),
                                Budget(limit))
     assert rep.verdict == "inconclusive"
     assert rep.details == ["budget exhausted after %d steps" % (limit + 1)]
-    assert rep.witness == {"steps": limit + 1, "per_object": {}}
+    assert rep.witness == {"steps": limit + 1, "per_object": {"0": "pass"}}
 
 
 # --- drawn cocones -----------------------------------------------------------

@@ -202,9 +202,11 @@ _CATVALUED_STEPS_PINNED = ("b66f89475501c901227adde77306b719"
 # again when it stopped checking pseudonaturality in the test object, which
 # a valid 2-category forces (from f879c3ff...), and again when a sieve that
 # contains its target's identity came to pass with no step: 4,369 to 293
-# (from 5f43df4e...)
-_SIGMA_STEPS_PINNED = ("618209e66678bae812f35d7f57ea9d38"
-                       "caf31076adc09eca5c2309788f02f13f")
+# (from 5f43df4e...), and again when it stopped re-checking the displays of
+# the universal cocone, which a valid sieve's passes: 293 to 256 (from
+# 618209e6...)
+_SIGMA_STEPS_PINNED = ("53a9b4d9a574c1c2d78e0ab96b16b641"
+                       "557ad78c6fbe0c6433a208def233b371")
 
 
 def test_subcanonical_stack_and_sigma_reports_are_pinned():
