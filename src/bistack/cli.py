@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Exit codes: 0 every verdict passed, 1 some verdict failed, 2 some verdict
-inconclusive (and none failed), 3 input error (malformed command line,
-unreadable file, a file that is not UTF-8 JSON or nests too deeply to
-decode, malformed document, dangling reference, unknown check),
-4 internal error (any other exception, with its traceback on stderr), so
-that a crash never reads as a verdict.
+Exit codes: 0 every verdict passed, 1 some failed, 2 some inconclusive
+(and none failed), 3 input error (malformed command line, unreadable
+file, a file that is not UTF-8 JSON or nests too deeply to decode,
+malformed document, an unknown field, a name that names nothing, unknown
+check), 4 internal error (any other exception, with its traceback on
+stderr), so that a crash never reads as a verdict.
 ``groth`` validates the sieve and its 2-category as the ``sigma_bicolim``
 op does before it builds the 2-category of elements.
 """

@@ -159,11 +159,12 @@ def check_category(c, budget=None):
         if i is None or c.src.get(i) != o or c.tgt.get(i) != o:
             return failed("check_category",
                           ["bad identity for object %r" % o], {"object": o})
-    mors = c.morphisms
+    mors, composed = c.morphisms, 0
     for g in mors:
         for f in mors:
             budget.tick()
             if c.tgt[f] == c.src[g]:
+                composed += 1
                 h = c.comp.get((g, f))
                 if h is None:
                     return failed("check_category",
@@ -178,6 +179,15 @@ def check_category(c, budget=None):
                 return failed("check_category",
                               ["composite of non-composable pair (%r, %r)" % (g, f)],
                               {"pair": [g, f]})
+    # any other key of identity or comp names nothing; no law reads it
+    if len(c.identity) > len(set(c.objects)):
+        o = min(c.identity.keys() - set(c.objects), key=repr)
+        return failed("check_category",
+                      ["bad identity for object %r" % o], {"object": o})
+    if len(c.comp) > composed:
+        gf = min((gf for gf in c.comp if not {*gf} <= c.src.keys()), key=repr)
+        return failed("check_category", ["composite of non-composable pair "
+                                         "(%r, %r)" % gf], {"pair": list(gf)})
     for f in mors:
         if c.comp.get((f, c.identity[c.src[f]])) != f:
             return failed("check_category", ["right unit fails at %r" % f],

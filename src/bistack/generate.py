@@ -32,8 +32,8 @@ from .sieves import _coverage, _covered, _pullback, candidate_sieves, \
 from .builders import thin_two_cat
 from .report import Budget
 from .runner import run_check
-from .workspace import SCHEMA, load_data, located, _decode_bisieve, \
-    _decode_two_cat, _encode_bisieve, _encode_two_cat
+from .workspace import SCHEMA, load_data, located, _decode, \
+    _encode_bisieve, _encode_two_cat
 
 PROFILES = ("locally-discrete-site", "tiny-2site", "mutant")
 
@@ -351,7 +351,7 @@ def _sieve_checks_passed(raw, label):
     if not all(isinstance(x, dict) for x in sections):
         return set()
     checks, sieves, two_cats = sections
-    passed, decoded = set(), {}
+    passed, decoded = set(), {"two_cats": {}}
     for name in sorted(checks):
         body = checks[name]
         if name == label or not isinstance(body, dict) \
@@ -363,10 +363,10 @@ def _sieve_checks_passed(raw, label):
         if not isinstance(kname, str) or kname not in two_cats:
             continue
         try:
-            if kname not in decoded:
-                decoded[kname] = _decode_two_cat(two_cats[kname],
-                                                 "two_cats." + kname)
-            s = _decode_bisieve(sbody, decoded, "bisieves." + sname)
+            if kname not in decoded["two_cats"]:
+                decoded["two_cats"][kname] = _decode(
+                    "two-category", two_cats[kname], "two_cats." + kname)
+            s = _decode("bisieve", sbody, "bisieves." + sname, decoded)
             r = located("checks." + name, "an input of op 'bisieve'",
                         check_bisieve, s, Budget())
         except ToolkitError:

@@ -18,7 +18,7 @@ from .sieves import check_bisieve, check_bitopology, check_T1, check_T2, \
     check_T3
 from .sigma_colim import is_sigma_bicolim_bisieve
 from .two_cat import check_two_category
-from .workspace import CHECK_REFS, _checked, located
+from .workspace import FIELDS, _checked, located
 
 REPORT_SCHEMA = "bistack-report/5"
 
@@ -71,7 +71,7 @@ def _dispatch(doc, name, body, budget):
         if field not in body:
             raise ParseError("check %r (op %r) has no %r field"
                              % (name, op, field))
-        return getattr(doc, CHECK_REFS[field])[body[field]]
+        return getattr(doc, FIELDS["check"][field])[body[field]]
 
     if op == "category":
         return check_category(ref("cat"), budget)

@@ -322,13 +322,16 @@ def check_two_category(k, budget=None):
             return failed("check_two_category",
                           ["2-cell %r is not between parallel 1-cells" % x],
                           {"twocell": x})
-    # every later law composes with identities, so they must exist first
-    for x in k.objects:
+    # every later law composes with identities, so they must exist first;
+    # keys that are no cells come last, and none has an identity
+    for x in (*k.objects, *sorted(k.identity1.keys() - set(k.objects),
+                                  key=repr)):
         if not _is_cell(k.onecells, k.identity1.get(x), (x, x)):
             return failed("check_two_category",
                           ["no identity 1-cell %r -> %r" % (x, x)],
                           {"object": x})
-    for f in ones:
+    for f in (*ones, *sorted(k.identity2.keys() - k.onecells.keys(),
+                             key=repr)):
         if not _is_cell(k.twocells, k.identity2.get(f), (f, f)):
             return failed("check_two_category",
                           ["no identity 2-cell %r => %r" % (f, f)],
@@ -340,17 +343,20 @@ def check_two_category(k, budget=None):
                 return failed("check_two_category",
                               ["hom(%r, %r): %s" % (a, b, r.details[0])],
                               r.witness)
-    # a composite that a table gives a pair that does not compose, least
-    # pair first; one(x) is the 1-cell boundary that x composes along
-    for n, table, cells, one in ((1, k.hcomp1, k.onecells, lambda f: f),
-                                 (2, k.hcomp2, k.twocells, k.src2)):
-        loose = min((key for key in table if isinstance(key, tuple)
-                     and len(key) == 2 and key[0] in cells and key[1] in cells
-                     and k.tgt1(one(key[1])) != k.src1(one(key[0]))),
-                    default=None)
-        if loose is not None:
+    # the least pair of a table that names no cell or does not compose:
+    # c1 and v index the pairs of hcomp1 and vcomp that compose
+    for n, loose in (
+            ("1-", len(k._c1) < len(k.hcomp1)
+             and k.hcomp1.keys() - k._c1.keys()),
+            ("2-", [(b, a) for b, a in k.hcomp2 if b not in k.twocells
+                    or a not in k.twocells
+                    or k.tgt1(k.src2(a)) != k.src1(k.src2(b))]),
+            ("vertical ", len(k._v) < len(k.vcomp)
+             and k.vcomp.keys() - k._v.keys())):
+        if loose:
+            loose = min(loose, key=repr)
             return failed("check_two_category",
-                          ["%d-composite of non-composable (%r, %r)"
+                          ["%scomposite of non-composable (%r, %r)"
                            % (n, *loose)], {"pair": list(loose)})
     # 1-cell composition: total, typed, unital, associative
     for g in ones:

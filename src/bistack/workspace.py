@@ -1,22 +1,21 @@
 """Versioned JSON workspace documents.
 
-A workspace declares finite categories, strict 2-categories, bisieves,
-bitopologies, category-valued presheaves, 2-category-valued homomorphism
-data, and named check requests.  Composition tables are explicit arrays of
-``[argument ids..., result id]``; 2-cells carry explicit boundary fields.
-Loading validates cross-references (DanglingReference), JSON shape, the
-typing of each bisieve's target, members and witnesses and of each
-covering sieve, and each trihom's base 2-category, and for a ``tables``
-trihom its values and its action data (ParseError); other structural
-validity is checked by the named validators when a check runs.
+A workspace declares categories, 2-categories, bisieves, bitopologies,
+presheaves, trihoms and checks; ``FIELDS`` declares each kind of body's
+fields and what each key and value names.  Loading refuses a name that
+names nothing (DanglingReference), and an undeclared field or section,
+bad JSON shape, mistyped bisieve members or covering sieves, and a
+trihom whose base, values or action data fail their checks (ParseError).
+The checks type the rest, such as the names in a 2-category's tables.
 """
 
 import json
 from importlib import resources
+from types import SimpleNamespace
 
 from .errors import BoundaryMismatch, DanglingReference, MalformedTable, \
     ParseError
-from .fincat import FinCat, _is_cell
+from .fincat import FinCat
 from .two_cat import Fin2Cat, check_two_category
 from .sieves import Bisieve, Bitopology, representable
 from .bicat3 import PsTwoFunctor, PsTwoNatTrans, check_trihom_data, \
@@ -25,92 +24,130 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, check_trihom_data, \
 
 SCHEMA = "bistack-workspace/1"
 
-_SECTIONS = ("cats", "two_cats", "bisieves", "bitopologies",
-             "presheaves", "trihoms", "checks")
+# section -> the kind of its bodies, which is also the word for one of them
+SECTIONS = {"cats": "category", "two_cats": "two-category",
+            "bisieves": "bisieve", "bitopologies": "bitopology",
+            "presheaves": "presheaf", "trihoms": "trihom", "checks": "check"}
+
+# kind of body -> field -> what its value names, or, for an object or a
+# table of rows [id, id, value], what its keys or ids and its values name:
+# a section, an "object", "1-cell" or "2-cell" of the body's 2-category, a
+# kind of body, or None (no name, or one that the checks type).
+FIELDS = {
+    "category": dict.fromkeys(("objects", "morphisms", "identity", "comp")),
+    "two-category": dict.fromkeys(("objects", "onecells", "twocells",
+                                   "identity1", "identity2", "vcomp",
+                                   "hcomp1", "hcomp2")),
+    "bisieve": {"two_cat": "two_cats", "target": "object",
+                "members": ("object", "1-cell"),
+                "tilde": ("1-cell", "1-cell"), "sigma": ("1-cell", "2-cell")},
+    "bitopology": {"two_cat": "two_cats", "covering": ("object", "bisieves")},
+    "presheaf": {"kind": None, "two_cat": "two_cats", "at": "object"},
+    "trihom": {"kind": None, "two_cat": "two_cats", "at": "object",
+               "values": ("object", "two-category"),
+               "on1": ("1-cell", "action"),
+               "on2": ("2-cell", "transformation")},
+    "action": dict.fromkeys(("ob", "on1", "on2")),
+    "transformation": dict.fromkeys(("comp", "cell")),
+    "check": {"op": None, "cat": "cats", "two_cat": "two_cats",
+              "bisieve": "bisieves", "bitopology": "bitopologies",
+              "presheaf": "presheaves", "trihom": "trihoms"},
+}
 
 
-class WorkspaceDoc:
-    """Parsed workspace: named structures plus the raw normalized document."""
-
-    def __init__(self, raw, cats, two_cats, bisieves, bitopologies,
-                 presheaves, trihoms, checks):
-        self.raw = raw
-        self.cats = cats
-        self.two_cats = two_cats
-        self.bisieves = bisieves
-        self.bitopologies = bitopologies
-        self.presheaves = presheaves
-        self.trihoms = trihoms
-        self.checks = checks
+class WorkspaceDoc(SimpleNamespace):
+    """Parsed workspace: ``raw`` and, as attributes, the decoded sections."""
 
 
-def _object(x, where):
-    """x, refused unless it is a JSON object."""
-    if not isinstance(x, dict):
-        raise ParseError("%s: expected an object, got %s"
-                         % (where, type(x).__name__))
-    return x
-
-
-def _list(x, where):
-    """x, refused unless it is a JSON array."""
-    if not isinstance(x, list):
-        raise ParseError("%s: expected a list, got %s"
-                         % (where, type(x).__name__))
+def _shaped(shape, x, where, kind=None):
+    """x, refused unless it is a JSON object (shape dict) or array (list)
+    with, for a body of kind, only the fields that FIELDS declares."""
+    if not isinstance(x, shape):
+        raise ParseError("%s: expected %s, got %s" % (
+            where, "an object" if shape is dict else "a list",
+            type(x).__name__))
+    if kind and not x.keys() <= FIELDS[kind].keys():
+        raise ParseError("%s: unknown field %r" % (where, next(
+            name for name in x if name not in FIELDS[kind])))
     return x
 
 
 def _field(body, name, where):
     """The object body[name]; a missing field is a KeyError."""
-    return _object(body[name], "%s.%s" % (where, name))
+    return _shaped(dict, body[name], "%s.%s" % (where, name))
 
 
-def _pairs_to_dict(rows, arity, where):
+def _named(pools, kind, where, body, *fields):
+    """body, of kind at where, once each name in fields (a scalar, even
+    missing; an object's keys, then its lists' items; a table's ids and
+    value) is in pools[what], what FIELDS declares it names; from two_cat
+    on, a cell is one of the 2-category that it names."""
+    declared = FIELDS[kind]
+    for field in fields:
+        what, value, bad = declared[field], body.get(field), None
+        if isinstance(what, str):
+            if not isinstance(value, str) or value not in pools[what]:
+                bad = what, value
+            elif field == "two_cat":
+                k = pools[what][value]
+                pools = {**pools, "object": k.objects, "1-cell": k.onecells,
+                         "2-cell": k.twocells}
+        elif not (what and value):
+            continue
+        elif isinstance(value, dict):
+            keys, names = pools[what[0]], pools.get(what[1])
+            bad = next(((what[0], x) for x in value if x not in keys), None) \
+                or names is not None and next((
+                    (what[1], x) for xs in value.values() for x in xs
+                    if not isinstance(x, str) or x not in names), None)
+        else:
+            ids, names = pools[what[0]], pools[what[1]]
+            for f, g, x in value:
+                if f not in ids or g not in ids or not isinstance(x, str) \
+                        or x not in names:
+                    bad = (what[0], f) if f not in ids else (what[0], g) \
+                        if g not in ids else (what[1], x)
+                    break
+        if bad:
+            raise DanglingReference("%s.%s: unknown %s %r" % (
+                where, field, SECTIONS.get(bad[0], bad[0]), bad[1]))
+    return body
+
+
+def _pairs_to_dict(rows, where):
     out = {}
     for row in rows:
-        if not isinstance(row, list) or len(row) != arity + 1:
-            raise ParseError("%s: expected [%d ids..., result], got %r"
-                             % (where, arity, row))
-        out[tuple(row[:-1]) if arity > 1 else row[0]] = row[-1]
+        if not isinstance(row, list) or len(row) != 3:
+            raise ParseError("%s: expected [2 ids..., result], got %r"
+                             % (where, row))
+        out[row[0], row[1]] = row[2]
     return out
 
 
 def _dict_to_pairs(table):
-    rows = []
-    for key in sorted(table):
-        args = list(key) if isinstance(key, tuple) else [key]
-        rows.append(args + [table[key]])
-    return rows
+    return [[*key, table[key]] for key in sorted(table)]
 
 
-def _decode_cat(body, where):
-    _object(body, where)
-    try:
-        morphisms = _field(body, "morphisms", where)
-        return FinCat(_list(body["objects"], where + ".objects"),
-                      {m: st[0] for m, st in morphisms.items()},
-                      {m: st[1] for m, st in morphisms.items()},
-                      _field(body, "identity", where),
-                      _pairs_to_dict(body["comp"], 2, where + ".comp"))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseError("%s: %s" % (where, exc))
+def _decode_cat(body, where, pools=None):
+    morphisms = _field(_shaped(dict, body, where, "category"), "morphisms",
+                       where)
+    return FinCat(_shaped(list, body["objects"], where + ".objects"),
+                  {m: st[0] for m, st in morphisms.items()},
+                  {m: st[1] for m, st in morphisms.items()},
+                  _field(body, "identity", where),
+                  _pairs_to_dict(body["comp"], where + ".comp"))
 
 
-def _decode_two_cat(body, where):
-    _object(body, where)
-    try:
-        ones = _field(body, "onecells", where)
-        twos = _field(body, "twocells", where)
-        return Fin2Cat(_list(body["objects"], where + ".objects"),
-                       {f: tuple(st) for f, st in ones.items()},
-                       {a: tuple(st) for a, st in twos.items()},
-                       _field(body, "identity1", where),
-                       _field(body, "identity2", where),
-                       _pairs_to_dict(body["vcomp"], 2, where + ".vcomp"),
-                       _pairs_to_dict(body["hcomp1"], 2, where + ".hcomp1"),
-                       _pairs_to_dict(body["hcomp2"], 2, where + ".hcomp2"))
-    except (KeyError, TypeError, IndexError, MalformedTable) as exc:
-        raise ParseError("%s: %s" % (where, exc))
+def _decode_two_cat(body, where, pools=None):
+    _shaped(dict, body, where, "two-category")
+    return Fin2Cat(_shaped(list, body["objects"], where + ".objects"),
+                   _field(body, "onecells", where),
+                   _field(body, "twocells", where),
+                   _field(body, "identity1", where),
+                   _field(body, "identity2", where),
+                   _pairs_to_dict(body["vcomp"], where + ".vcomp"),
+                   _pairs_to_dict(body["hcomp1"], where + ".hcomp1"),
+                   _pairs_to_dict(body["hcomp2"], where + ".hcomp2"))
 
 
 def _encode_two_cat(k):
@@ -124,44 +161,21 @@ def _encode_two_cat(k):
             "hcomp2": _dict_to_pairs(k.hcomp2)}
 
 
-def _ref(pool, name, kind, where):
-    if not isinstance(name, str) or name not in pool:
-        raise DanglingReference("%s: unknown %s %r" % (where, kind, name))
-    return pool[name]
-
-
-def _decode_bisieve(body, two_cats, where):
-    k = _ref(two_cats, _object(body, where).get("two_cat"), "two-category",
-             where)
-    target = body.get("target")
-    if target not in k.objects:
-        raise DanglingReference("%s: unknown target object %r"
-                                % (where, target))
-    try:
-        members = {d: set(_list(fs, "%s.members[%s]" % (where, d)))
-                   for d, fs in _field(body, "members", where).items()}
-        for d, fs in members.items():
-            if d not in k.objects:
-                raise DanglingReference("%s.members: unknown object %r"
-                                        % (where, d))
-            for f in sorted(fs):
-                if not _is_cell(k.onecells, f, (d, target)):
-                    raise ParseError("%s.members[%s]: %r is not a 1-cell "
-                                     "%r -> %r" % (where, d, f, d, target))
-        tilde, sigma = (_pairs_to_dict(body[t], 2, "%s.%s" % (where, t))
-                        for t in ("tilde", "sigma"))
-        for t, table, cells, kind in (("tilde", tilde, k.onecells, "1-cell"),
-                                      ("sigma", sigma, k.twocells, "2-cell")):
-            for x in table.values():
-                if isinstance(x, (list, dict)):
-                    raise ParseError("%s: witness %r is not an id"
-                                     % (where, x))
-                if x not in cells:
-                    raise DanglingReference("%s.%s: unknown %s %r"
-                                            % (where, t, kind, x))
-        return Bisieve(k, target, members, tilde, sigma)
-    except (KeyError, TypeError) as exc:
-        raise ParseError("%s: %s" % (where, exc))
+def _decode_bisieve(body, where, pools):
+    members = {d: _shaped(list, fs, "%s.members[%s]" % (where, d))
+               for d, fs in _field(_shaped(dict, body, where, "bisieve"),
+                                   "members", where).items()}
+    tilde, sigma = (_pairs_to_dict(body[t], "%s.%s" % (where, t))
+                    for t in ("tilde", "sigma"))
+    _named(pools, "bisieve", where, body, "two_cat", "target", "members",
+           "tilde", "sigma")
+    k, target = pools["two_cats"][body["two_cat"]], body["target"]
+    for d, fs in members.items():
+        for f in sorted(fs):
+            if k.onecells[f] != (d, target):
+                raise ParseError("%s.members[%s]: %r is not a 1-cell %r -> "
+                                 "%r" % (where, d, f, d, target))
+    return Bisieve(k, target, members, tilde, sigma)
 
 
 def _encode_bisieve(name_of_two_cat, s):
@@ -170,6 +184,32 @@ def _encode_bisieve(name_of_two_cat, s):
             "members": {d: sorted(ms) for d, ms in sorted(s.members.items())},
             "tilde": _dict_to_pairs(s.tilde),
             "sigma": _dict_to_pairs(s.sigma)}
+
+
+def _decode_bitopology(body, where, pools):
+    covering = _shaped(dict, _shaped(dict, body, where, "bitopology").get(
+        "covering", {}), where + ".covering")
+    for c, names in covering.items():
+        _shaped(list, names, "%s.covering[%s]" % (where, c))
+    k = pools["two_cats"][_named(pools, "bitopology", where, body, "two_cat",
+                                 "covering")["two_cat"]]
+    for c, names in covering.items():
+        for sn in names:
+            if pools["bisieves"][sn].k != k \
+                    or pools["bisieves"][sn].target != c:
+                raise ParseError("%s.covering[%s]: bisieve %r is not a sieve "
+                                 "on %r in %r"
+                                 % (where, c, sn, c, body["two_cat"]))
+    return Bitopology(k, {c: [pools["bisieves"][sn] for sn in names]
+                          for c, names in covering.items()})
+
+
+def _decode_presheaf(body, where, pools):
+    if _shaped(dict, body, where, "presheaf").get("kind") != "representable":
+        raise ParseError("%s: unknown presheaf kind %r"
+                         % (where, body.get("kind")))
+    _named(pools, "presheaf", where, body, "two_cat", "at")
+    return representable(pools["two_cats"][body["two_cat"]], body["at"])
 
 
 # what a check or a constructor raises on a table that it indexes without
@@ -189,10 +229,8 @@ def located(where, what, fn, *args):
 
 def _checked(key, check, x, what, where):
     """x, refused unless check passes on it, once: x.memo keeps the report
-    under key, the name of the op that runs check (``trihom_data`` for the
-    trihom check, which no op runs).
-    A trihom is built by composing in its base and its values, and the
-    bicat3 checkers that decide over it assume valid values and data."""
+    under key, the op that runs check (no op runs ``trihom_data``).  A
+    trihom composes in its base and values, which bicat3 assumes valid."""
     r = located(where, what, x.memo, key, check)
     if not r.ok:
         raise ParseError("%s: %s fails: %s"
@@ -201,152 +239,98 @@ def _checked(key, check, x, what, where):
 
 
 def _typed(r, what, where):
-    """Refuse a loaded action or transformation whose typing r failed."""
+    """Refuse an action or transformation whose typing r failed."""
     if r is not None:
         raise ParseError("%s: trihom data fails: %s: %s"
                          % (where, what, ": ".join(r.details)))
 
 
-def _decode_trihom(body, two_cats, where):
-    kind = _object(body, where).get("kind")
-    k = _checked("two_category", check_two_category,
-                 _ref(two_cats, body.get("two_cat"), "two-category", where),
-                 "base two-category", where)
+def _decode_trihom(body, where, pools):
+    k = _checked("two_category", check_two_category, pools["two_cats"][
+        _named(pools, "trihom", where, _shaped(dict, body, where, "trihom"),
+               "two_cat")["two_cat"]], "base two-category", where)
+    kind = body.get("kind")
     if kind == "representable":
-        if body.get("at") not in k.objects:
-            raise DanglingReference("%s: unknown object %r"
-                                    % (where, body.get("at")))
-        return representable_trihom(k, body["at"])
+        return representable_trihom(k, _named(
+            pools, "trihom", where, body, "two_cat", "at")["at"])
     if kind != "tables":
         raise ParseError("%s: unknown trihom kind %r" % (where, kind))
-    try:
-        values = {}
-        for c, v in _field(body, "values", where).items():
-            if c not in k.objects:
-                raise DanglingReference("%s.values: unknown object %r"
-                                        % (where, c))
-            at = "%s.values[%s]" % (where, c)
-            values[c] = _checked("two_category", check_two_category,
-                                 _decode_two_cat(v, at), "value", at)
-        for c in k.objects:
-            if c not in values:
-                raise DanglingReference("%s: no value at object %r"
-                                        % (where, c))
-        on1 = {}
-        for f, tab in _field(body, "on1", where).items():
-            if f not in k.onecells:
-                raise DanglingReference("%s: unknown 1-cell %r" % (where, f))
-            e, d = k.onecells[f]
-            at = "%s.on1[%s]" % (where, f)
-            _object(tab, at)
-            on1[f] = PsTwoFunctor(values[d], values[e],
-                                  _field(tab, "ob", at),
-                                  _field(tab, "on1", at),
-                                  _field(tab, "on2", at))
-        for f in k.onecells:
-            if f not in on1:
-                raise DanglingReference("%s: no action at 1-cell %r"
-                                        % (where, f))
-        on2 = {}
-        for x, tab in _object(body.get("on2", {}), where + ".on2").items():
-            if x not in k.twocells:
-                raise DanglingReference("%s: unknown 2-cell %r" % (where, x))
-            g, g2 = k.twocells[x]
-            at = "%s.on2[%s]" % (where, x)
-            cell = _object(tab, at).get("cell")
-            if cell is not None:
-                _object(cell, at + ".cell")
-            on2[x] = PsTwoNatTrans(on1[g], on1[g2], _field(tab, "comp", at),
-                                   cell)
-        # typed before strict_trihom composes them
-        for f in k.onecells:
-            _typed(_ps_two_functor_typing(on1[f]),
-                   "value pseudofunctor at %r" % f, where)
-        for x in k.twocells:
-            if x in on2:
-                _typed(_ps_two_nat_typing(on2[x]),
-                       "value transformation at %r" % x, where)
-        t = strict_trihom(k, values, on1, on2)
-    except _MALFORMED as exc:
-        raise ParseError("%s: %s" % (where, exc))
+    tables = [_field(body, t, where) for t in ("values", "on1")] + [
+        _shaped(dict, body.get("on2", {}), where + ".on2")]
+    _named(pools, "trihom", where, body, "two_cat", "values", "on1", "on2")
+    values = {}
+    for c, v in tables[0].items():
+        at = "%s.values[%s]" % (where, c)
+        values[c] = _checked("two_category", check_two_category,
+                             _decode("two-category", v, at), "value", at)
+    for c in k.objects:
+        if c not in values:
+            raise ParseError("%s: no value at object %r" % (where, c))
+    on1 = {}
+    for f, tab in tables[1].items():
+        e, d = k.onecells[f]
+        at = "%s.on1[%s]" % (where, f)
+        on1[f] = PsTwoFunctor(values[d], values[e], *(
+            _field(_shaped(dict, tab, at, "action"), t, at)
+            for t in ("ob", "on1", "on2")))
+        _typed(_ps_two_functor_typing(on1[f]),
+               "value pseudofunctor at %r" % f, where)
+    for f in k.onecells:
+        if f not in on1:
+            raise ParseError("%s: no action at 1-cell %r" % (where, f))
+    on2 = {}
+    for x, tab in tables[2].items():
+        g, g2 = k.twocells[x]
+        at = "%s.on2[%s]" % (where, x)
+        cell = _shaped(dict, tab, at, "transformation").get("cell")
+        on2[x] = PsTwoNatTrans(
+            on1[g], on1[g2], _field(tab, "comp", at),
+            cell if cell is None else _shaped(dict, cell, at + ".cell"))
+        _typed(_ps_two_nat_typing(on2[x]),
+               "value transformation at %r" % x, where)
+    # typed above, before strict_trihom composes them
+    t = strict_trihom(k, values, on1, on2)
     return _checked("trihom_data", check_trihom_data, t, "trihom data", where)
 
 
+def _decode_check(body, where, pools):
+    if "op" not in _shaped(dict, body, where, "check"):
+        raise ParseError("%s: missing op" % where)
+    return dict(_named(pools, "check", where, body, *body))
+
+
+_DECODE = {"category": _decode_cat, "two-category": _decode_two_cat,
+           "bisieve": _decode_bisieve, "bitopology": _decode_bitopology,
+           "presheaf": _decode_presheaf, "trihom": _decode_trihom,
+           "check": _decode_check}
+
+
+def _decode(kind, body, where, pools=None):
+    """The structure that the body of kind at where declares, given pools;
+    what a malformed table makes a decoder raise is a located ParseError."""
+    try:
+        return _DECODE[kind](body, where, pools)
+    except (IndexError,) + _MALFORMED as exc:
+        raise ParseError("%s: %s" % (where, exc))
+
+
 def load_data(raw):
-    """Build a WorkspaceDoc from already-parsed JSON data."""
+    """Build a WorkspaceDoc from already-parsed JSON data.  Each section
+    is decoded in the order of SECTIONS, and names only those before it."""
     if not isinstance(raw, dict):
         raise ParseError("workspace root must be an object")
     if raw.get("schema") != SCHEMA:
         raise ParseError("unsupported schema %r (expected %r)"
                          % (raw.get("schema"), SCHEMA))
     for section in raw:
-        if section not in _SECTIONS and section not in ("schema",
-                                                        "mutation"):
+        if section not in SECTIONS and section not in ("schema", "mutation"):
             raise ParseError("unknown section %r" % section)
-    sections = {name: _object(raw.get(name, {}), name)
-                for name in _SECTIONS}
-    cats = {n: _decode_cat(b, "cats.%s" % n)
-            for n, b in sections["cats"].items()}
-    two_cats = {n: _decode_two_cat(b, "two_cats.%s" % n)
-                for n, b in sections["two_cats"].items()}
-    bisieves = {n: _decode_bisieve(b, two_cats, "bisieves.%s" % n)
-                for n, b in sections["bisieves"].items()}
-    bitopologies = {}
-    for n, b in sections["bitopologies"].items():
-        where = "bitopologies.%s" % n
-        k = _ref(two_cats, _object(b, where).get("two_cat"), "two-category",
-                 where)
-        covering = {}
-        for c, names in _object(b.get("covering", {}),
-                                where + ".covering").items():
-            if c not in k.objects:
-                raise DanglingReference("%s.covering: unknown object %r"
-                                        % (where, c))
-            covering[c] = [_ref(bisieves, sn, "bisieve", where)
-                           for sn in _list(names, "%s.covering[%s]"
-                                           % (where, c))]
-            for sn, s in zip(names, covering[c]):
-                if s.k != k or s.target != c:
-                    raise ParseError("%s.covering[%s]: bisieve %r is not a "
-                                     "sieve on %r in %r"
-                                     % (where, c, sn, c, b["two_cat"]))
-        bitopologies[n] = Bitopology(k, covering)
-    presheaves = {}
-    for n, b in sections["presheaves"].items():
-        where = "presheaves.%s" % n
-        if _object(b, where).get("kind") != "representable":
-            raise ParseError("%s: unknown presheaf kind %r"
-                             % (where, b.get("kind")))
-        k = _ref(two_cats, b.get("two_cat"), "two-category", where)
-        if b.get("at") not in k.objects:
-            raise DanglingReference("%s: unknown object %r"
-                                    % (where, b.get("at")))
-        presheaves[n] = representable(k, b["at"])
-    trihoms = {n: _decode_trihom(b, two_cats, "trihoms.%s" % n)
-               for n, b in sections["trihoms"].items()}
-    checks = {}
-    for n, b in sections["checks"].items():
-        if not isinstance(b, dict) or "op" not in b:
-            raise ParseError("checks.%s: missing op" % n)
-        checks[n] = dict(b)
-    doc = WorkspaceDoc(raw, cats, two_cats, bisieves, bitopologies,
-                       presheaves, trihoms, checks)
-    _validate_check_refs(doc)
-    return doc
-
-
-# reference field of a check body -> the WorkspaceDoc section it names
-CHECK_REFS = {"two_cat": "two_cats", "cat": "cats", "bisieve": "bisieves",
-              "bitopology": "bitopologies", "presheaf": "presheaves",
-              "trihom": "trihoms"}
-
-
-def _validate_check_refs(doc):
-    for name, body in doc.checks.items():
-        for field, section in CHECK_REFS.items():
-            if field in body:
-                _ref(getattr(doc, section), body[field], field,
-                     "checks.%s" % name)
+    pools = {}
+    for section, kind in SECTIONS.items():
+        pools[section] = {
+            n: _decode(kind, b, "%s.%s" % (section, n), pools)
+            for n, b in _shaped(dict, raw.get(section, {}), section).items()}
+    return WorkspaceDoc(raw=raw, **pools)
 
 
 def read_json(path):
@@ -372,8 +356,7 @@ def load(path):
 
 def save(doc, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc.raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(normalize(doc.raw))
 
 
 def normalize(raw):
