@@ -542,18 +542,24 @@ def representable_trihom(k, c0):
         k, {d: from_fincat(k.hom_cat(d, c0)) for d in k.objects})
 
 
+def literally_closed(s):
+    """Is s literally closed under precomposition: tilde(f, g) == f.g,
+    with identity witnesses?"""
+    k = s.k
+    return all(t == k.c1(*key) and s.sigma[key] == k.id2(t)
+               for key, t in s.tilde.items())
+
+
 def sieve_trihom(s):
     """The sieve as 2-category-valued homomorphism data: the full
     sub-homomorphism of the representable on its members.
 
-    Requires the sieve to be literally closed under precomposition
-    (tilde(f, g) == f.g with identity witnesses); otherwise the values
+    Requires the sieve to be ``literally_closed``; otherwise the values
     fail to be strictly compositional and MalformedTable is raised."""
     k = s.k
-    for key, t in s.tilde.items():
-        if t != k.c1(*key) or s.sigma[key] != k.id2(t):
-            raise MalformedTable(
-                "sieve is not literally closed under precomposition")
+    if not literally_closed(s):
+        raise MalformedTable(
+            "sieve is not literally closed under precomposition")
     return _precomposition_trihom(k, {
         d: from_fincat(k.hom_cat(d, s.target).full_subcategory(
             s.member_list(d))) for d in k.objects})

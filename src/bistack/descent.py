@@ -55,11 +55,11 @@ Both 2-stack searches narrow their object pools by arc consistency
 (``report.narrow``) before they enumerate.  ``is_2stack`` narrows the
 objects W[f] of a weak datum: each base 2-cell f => f2 needs a 1-cell
 W[f] -> W[f2] for its transition, and each phi needs an equivalence
-W[tilde(f, g)] -> g*W[f].  ``is_2stack_direct`` narrows, for each object
-c of the base and x of the sieve's value at c, the object that a
-tritransformation's component at c sends x to: each 1-cell of that value
-needs a 1-cell under the component, and each square f: d -> c an
-equivalence at x.  Narrowing removes only values that are in no
+W[tilde(f, g)] -> g*W[f].  ``is_2stack_direct_on_sieve`` narrows, for
+each object c of the base and x of the sieve's value at c, the object
+that a tritransformation's component at c sends x to: each 1-cell of
+that value needs a 1-cell under the component, and each square
+f: d -> c an equivalence at x.  Narrowing removes only values that are in no
 solution, since each test is one that every yielded candidate passes, so
 the candidates, witnesses and verdicts are those of the unnarrowed search,
 in the same order.  Narrowing itself spends no step.  The same tests
@@ -98,8 +98,9 @@ from .bicat3 import PsTwoFunctor, PsTwoNatTrans, Tritransformation, \
     Trimodification, Perturbation, check_ps_two_functor, check_ps_two_nat, \
     check_tritransformation, check_trimodification, check_perturbation, \
     compose_ps_two_functors, induced_pert, induced_trimod, \
-    induced_tritrans, sieve_trihom, _comparisons, _identities, \
-    _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, _tritrans_cells
+    induced_tritrans, literally_closed, sieve_trihom, _comparisons, \
+    _identities, _ps_two_functor_cells, _ps_two_nat_cells, _trimod_cells, \
+    _tritrans_cells
 from .report import Budget, Display, choices, failed, first_failure, \
     inconclusive, merge, narrow, passed, reported
 
@@ -1203,86 +1204,111 @@ def _pointwise_equivalent(m, budget):
 
 
 def is_2stack_direct(F, tau, budget=None):
-    """Cross-check oracle: materializes the transformations out of each
-    covering sieve and decides the three restriction-functor conditions
-    (surjectivity on objects up to componentwise equivalence, essential
-    surjectivity on morphisms, full faithfulness on 2-cells).
+    """Cross-check oracle: restriction from the value at the target of
+    each covering sieve into the transformations out of the sieve must be
+    a biequivalence (``is_2stack_direct_on_sieve``).
+
+    A literally closed sieve on c that contains id_c passes with no step,
+    by the tricategorical Yoneda lemma (Gurski, *Coherence in
+    Three-Dimensional Category Theory*, 2013): it holds every 1-cell into
+    c up to an invertible 2-cell, so it is equivalent to the representable
+    at c, and the transformations out of it are equivalent to F(c) by
+    evaluation at id_c, which after restriction is the identity.  The
+    per-sieve search can disagree there: it omits the trimodification and
+    tritransformation axioms at the base's 2-cells (ROADMAP item 1), and
+    fails constant B(Z/2) over ``chain_suspension(2)`` under the maximal
+    sieve on Y at (M).  ``is_2stack`` searches every sieve.
+    """
+    budget = budget or Budget()
+    reports = []
+    for c in sorted(F.base.objects):
+        for i, s in enumerate(tau.sieves_on(c)):
+            if contains_identity(s) and literally_closed(s):
+                reports.append(passed("is_2stack_direct", [
+                    "sieve #%d on %r: contains %r, so restriction is a "
+                    "biequivalence by the Yoneda lemma"
+                    % (i, c, s.k.id1(c))]))
+                continue
+            r = _on_sieve(is_2stack_direct_on_sieve(F, s, budget), c, i)
+            if not r.ok:
+                return r
+            reports.append(r)
+    return merge("is_2stack_direct", reports) if reports else \
+        passed("is_2stack_direct", ["no covering sieves declared"])
+
+
+def _on_sieve(r, c, i):
+    """r, a per-sieve report on sieve #i on c, placed in its cover: each
+    detail names the sieve and the witness starts with its object and
+    index."""
+    r.details = ["sieve #%d on %r: %s" % (i, c, d) for d in r.details]
+    r.witness = {"object": c, "sieve": i, **r.witness}
+    return r
+
+
+def is_2stack_direct_on_sieve(F, s, budget=None):
+    """Decide, by search, whether restriction from the value at the target
+    of s into the transformations out of the sieve is a biequivalence:
+    materializes those transformations and decides the three
+    restriction-functor conditions (surjectivity on objects up to
+    componentwise equivalence, essential surjectivity on morphisms, full
+    faithfulness on 2-cells).  Inconclusive on a sieve that is not
+    ``literally_closed``, which has no sieve trihom.
 
     Only the displayed axioms of the materialized structures are enforced
     (as in the three-level checkers); equivalence of transformations is
     decided through a modification with equivalence components.
     """
     budget = budget or Budget()
-    k = F.base
-    reports = []
-    for c in sorted(k.objects):
-        val_c = F.ob[c]
-        for i, s in enumerate(tau.sieves_on(c)):
-            tag = "sieve #%d on %r" % (i, c)
-            try:
-                R = sieve_trihom(s)
-            except MalformedTable as exc:
-                return inconclusive(
-                    "is_2stack_direct",
-                    ["%s: %s" % (tag, exc)], {"object": c, "sieve": i})
-            sigma = {X: induced_tritrans(F, R, X)
-                     for X in sorted(val_c.objects)}
-            restricted = {w: induced_trimod(F, w, sigma[X], sigma[Y])
-                          for w, (X, Y) in val_c.onecells.items()}
-            # full faithfulness on 2-cells
-            for X in sorted(val_c.objects):
-                for Y in sorted(val_c.objects):
-                    for w in val_c.one_cells_between(X, Y):
-                        for w2 in val_c.one_cells_between(X, Y):
-                            budget.tick()
-                            ma, mb = restricted[w], restricted[w2]
-                            perts = list(_all_perturbations(ma, mb, budget))
-                            images = {al: induced_pert(F, al, ma, mb).comp
-                                      for al in val_c.two_cells_between(
-                                          w, w2)}
-                            for q in perts:
-                                hits = [al for al, im in images.items()
-                                        if im == q.comp]
-                                if len(hits) != 1:
-                                    return failed(
-                                        "is_2stack_direct",
-                                        ["%s: 2-cell restriction not "
-                                         "bijective on (%r, %r)"
-                                         % (tag, w, w2)],
-                                        {"object": c, "sieve": i,
-                                         "condition": "2C",
-                                         "pair": [w, w2],
-                                         "preimages": hits})
-            reports.append(passed("is_2stack_direct",
-                                  ["%s: (2C) holds" % tag]))
-            # (M): each trimodification is a restriction up to an iso
-            for X in sorted(val_c.objects):
-                for Y in sorted(val_c.objects):
-                    for m in _all_trimods(sigma[X], sigma[Y], budget):
-                        if not any(_pointwise_invertible(q)
-                                   for w in val_c.one_cells_between(X, Y)
-                                   for q in _all_perturbations(
-                                       restricted[w], m, budget)):
+    try:
+        R = sieve_trihom(s)
+    except MalformedTable as exc:
+        return inconclusive("is_2stack_direct", [str(exc)])
+    val_c = F.ob[s.target]
+    sigma = {X: induced_tritrans(F, R, X) for X in sorted(val_c.objects)}
+    restricted = {w: induced_trimod(F, w, sigma[X], sigma[Y])
+                  for w, (X, Y) in val_c.onecells.items()}
+    # full faithfulness on 2-cells
+    for X in sorted(val_c.objects):
+        for Y in sorted(val_c.objects):
+            for w in val_c.one_cells_between(X, Y):
+                for w2 in val_c.one_cells_between(X, Y):
+                    budget.tick()
+                    ma, mb = restricted[w], restricted[w2]
+                    perts = list(_all_perturbations(ma, mb, budget))
+                    images = {al: induced_pert(F, al, ma, mb).comp
+                              for al in val_c.two_cells_between(w, w2)}
+                    for q in perts:
+                        hits = [al for al, im in images.items()
+                                if im == q.comp]
+                        if len(hits) != 1:
                             return failed(
                                 "is_2stack_direct",
-                                ["%s: a modification on (%r, %r) has no "
-                                 "invertible comparison to a restriction"
-                                 % (tag, X, Y)],
-                                {"object": c, "sieve": i,
-                                 "condition": "M", "endpoints": [X, Y]})
-            reports.append(passed("is_2stack_direct",
-                                  ["%s: (M) holds" % tag]))
-            # surjectivity on objects up to componentwise equivalence
-            for alpha in _all_tritransformations(R, F, budget):
-                if not any(_pointwise_equivalent(m, budget)
-                           for X in sorted(val_c.objects)
-                           for m in _all_trimods(alpha, sigma[X], budget)):
+                                ["2-cell restriction not bijective on "
+                                 "(%r, %r)" % (w, w2)],
+                                {"condition": "2C", "pair": [w, w2],
+                                 "preimages": hits})
+    # (M): each trimodification is a restriction up to an iso
+    for X in sorted(val_c.objects):
+        for Y in sorted(val_c.objects):
+            for m in _all_trimods(sigma[X], sigma[Y], budget):
+                if not any(_pointwise_invertible(q)
+                           for w in val_c.one_cells_between(X, Y)
+                           for q in _all_perturbations(
+                               restricted[w], m, budget)):
                     return failed(
                         "is_2stack_direct",
-                        ["%s: a transformation out of the sieve is not "
-                         "equivalent to any restriction" % tag],
-                        {"object": c, "sieve": i, "condition": "O"})
-            reports.append(passed("is_2stack_direct",
-                                  ["%s: (O) holds" % tag]))
-    return merge("is_2stack_direct", reports) if reports else \
-        passed("is_2stack_direct", ["no covering sieves declared"])
+                        ["a modification on (%r, %r) has no invertible "
+                         "comparison to a restriction" % (X, Y)],
+                        {"condition": "M", "endpoints": [X, Y]})
+    # surjectivity on objects up to componentwise equivalence
+    for alpha in _all_tritransformations(R, F, budget):
+        if not any(_pointwise_equivalent(m, budget)
+                   for X in sorted(val_c.objects)
+                   for m in _all_trimods(alpha, sigma[X], budget)):
+            return failed(
+                "is_2stack_direct",
+                ["a transformation out of the sieve is not equivalent to "
+                 "any restriction"], {"condition": "O"})
+    return passed("is_2stack_direct",
+                  ["(2C) holds", "(M) holds", "(O) holds"])

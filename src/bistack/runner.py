@@ -20,7 +20,7 @@ from .sigma_colim import is_sigma_bicolim_bisieve
 from .two_cat import check_two_category
 from .workspace import FIELDS, _checked, located
 
-REPORT_SCHEMA = "bistack-report/5"
+REPORT_SCHEMA = "bistack-report/6"
 
 _TIMING_FIELDS = ("elapsed_s",)
 

@@ -156,8 +156,10 @@ def contains_identity(s):
     precomposition up to invertible 2-cells, so one that contains the
     identity holds every 1-cell into its target up to one, and covers as
     the maximal sieve does (the Yoneda lemma:
-    ``sigma_colim.is_sigma_bicolim_bisieve`` and
-    ``descent.is_stack_catvalued`` decide it without search)."""
+    ``sigma_colim.is_sigma_bicolim_bisieve``,
+    ``descent.is_stack_catvalued`` and the direct 2-stack decider
+    ``descent.is_2stack_direct`` decide it without search; ``is_2stack``
+    searches it)."""
     return s.k.id1(s.target) in s.members.get(s.target, ())
 
 

@@ -32,7 +32,8 @@ SECTIONS = {"cats": "category", "two_cats": "two-category",
 # kind of body -> field -> what its value names, or, for an object or a
 # table of rows [id, id, value], what its keys or ids and its values name:
 # a section, an "object", "1-cell" or "2-cell" of the body's 2-category, a
-# kind of body, or None (no name, or one that the checks type).
+# kind of body, or None (no name, or one that the checks type).  A trihom
+# body is of the kind that its kind field names.
 FIELDS = {
     "category": dict.fromkeys(("objects", "morphisms", "identity", "comp")),
     "two-category": dict.fromkeys(("objects", "onecells", "twocells",
@@ -43,10 +44,12 @@ FIELDS = {
                 "tilde": ("1-cell", "1-cell"), "sigma": ("1-cell", "2-cell")},
     "bitopology": {"two_cat": "two_cats", "covering": ("object", "bisieves")},
     "presheaf": {"kind": None, "two_cat": "two_cats", "at": "object"},
-    "trihom": {"kind": None, "two_cat": "two_cats", "at": "object",
-               "values": ("object", "two-category"),
-               "on1": ("1-cell", "action"),
-               "on2": ("2-cell", "transformation")},
+    "representable trihom": {"kind": None, "two_cat": "two_cats",
+                             "at": "object"},
+    "tables trihom": {"kind": None, "two_cat": "two_cats",
+                      "values": ("object", "two-category"),
+                      "on1": ("1-cell", "action"),
+                      "on2": ("2-cell", "transformation")},
     "action": dict.fromkeys(("ob", "on1", "on2")),
     "transformation": dict.fromkeys(("comp", "cell")),
     "check": {"op": None, "cat": "cats", "two_cat": "two_cats",
@@ -246,18 +249,19 @@ def _typed(r, what, where):
 
 
 def _decode_trihom(body, where, pools):
-    k = _checked("two_category", check_two_category, pools["two_cats"][
-        _named(pools, "trihom", where, _shaped(dict, body, where, "trihom"),
-               "two_cat")["two_cat"]], "base two-category", where)
-    kind = body.get("kind")
-    if kind == "representable":
-        return representable_trihom(k, _named(
-            pools, "trihom", where, body, "two_cat", "at")["at"])
-    if kind != "tables":
+    kind = _shaped(dict, body, where).get("kind")
+    if kind not in ("representable", "tables"):
         raise ParseError("%s: unknown trihom kind %r" % (where, kind))
+    kind += " trihom"
+    k = _checked("two_category", check_two_category, pools["two_cats"][
+        _named(pools, kind, where, _shaped(dict, body, where, kind),
+               "two_cat")["two_cat"]], "base two-category", where)
+    if kind == "representable trihom":
+        return representable_trihom(k, _named(
+            pools, kind, where, body, "two_cat", "at")["at"])
     tables = [_field(body, t, where) for t in ("values", "on1")] + [
         _shaped(dict, body.get("on2", {}), where + ".on2")]
-    _named(pools, "trihom", where, body, "two_cat", "values", "on1", "on2")
+    _named(pools, kind, where, body, "two_cat", "values", "on1", "on2")
     values = {}
     for c, v in tables[0].items():
         at = "%s.values[%s]" % (where, c)

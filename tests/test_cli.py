@@ -797,21 +797,27 @@ def test_cli_a_key_that_names_no_object_is_a_dangling_reference(
 
 # --- the declared fields, mutant by mutant ---------------------------------
 
-def _body_kind(path):
-    """The kind of body at path in a document, or None: an entry of a
-    section, or an entry of a field whose values FIELDS declares bodies."""
+def _body_kind(raw, path):
+    """The kind of body at path in the document raw, or None: an entry of
+    a section (a trihom of the kind that its kind field names), or an
+    entry of a field whose values FIELDS declares bodies."""
     if len(path) == 2 and path[0] in SECTIONS:
-        return SECTIONS[path[0]]
-    what = FIELDS.get(_body_kind(path[:2]), {}).get(path[2]) \
+        kind = SECTIONS[path[0]]
+        if kind == "trihom":
+            body = raw[path[0]][path[1]]
+            kind = "%s trihom" % body.get("kind") \
+                if isinstance(body, dict) else None
+        return kind if kind in FIELDS else None
+    what = FIELDS.get(_body_kind(raw, path[:2]), {}).get(path[2]) \
         if len(path) == 4 else None
     return what[1] if isinstance(what, tuple) and what[1] in FIELDS else None
 
 
-def _named_at(path, key=False):
-    """What FIELDS declares that the key (key) or the value at path in a
-    document names, or None: a scalar field's value, a key of an object
-    field, an id of a table row, or a name in the list at a key."""
-    what = FIELDS.get(_body_kind(path[:2]), {}).get(path[2]) \
+def _named_at(raw, path, key=False):
+    """What FIELDS declares that the key (key) or the value at path in the
+    document raw names, or None: a scalar field's value, a key of an
+    object field, an id of a table row, or a name in the list at a key."""
+    what = FIELDS.get(_body_kind(raw, path[:2]), {}).get(path[2]) \
         if len(path) > 2 else None
     if not isinstance(what, tuple):
         named = what if len(path) == 3 and not key else None
@@ -859,7 +865,7 @@ def _first_body(kind, field=None):
                 for path in paths:
                     found = body if len(path) == 2 \
                         else body[path[2]][path[3]]
-                    if _body_kind(path) == kind and (
+                    if _body_kind(raw, path) == kind and (
                             field is None or found.get(field)):
                         where = "%s.%s" % tuple(path[:2]) + (
                             "" if len(path) == 2 else "." + "%s[%s]"
@@ -947,6 +953,27 @@ def test_cli_each_kind_of_body_refuses_an_undeclared_field(
     raw, where, body = _first_body(kind)
     body["zzz"] = body[next(iter(body))]
     _refused(tmp_path, capsys, raw, "%s: unknown field 'zzz'" % where)
+
+
+# (kind, field, other): each field that a kind of trihom does not declare
+# and another kind, other, does
+_OTHER_TRIHOM_FIELDS = sorted(
+    (kind, field, other) for kind in FIELDS for other in FIELDS
+    if kind.endswith(" trihom") and other.endswith(" trihom")
+    for field in FIELDS[other] if field not in FIELDS[kind])
+
+
+@pytest.mark.parametrize("kind, field, other", _OTHER_TRIHOM_FIELDS,
+                         ids=["%s.%s" % row[:2] for row in
+                              _OTHER_TRIHOM_FIELDS])
+def test_cli_a_trihom_refuses_the_fields_of_another_kind(
+        tmp_path, capsys, kind, field, other):
+    """A trihom body with a field that only another kind of trihom
+    declares, filled as a body of that kind fills it: validate and run
+    refuse the document, naming the field."""
+    raw, where, body = _first_body(kind)
+    body[field] = _first_body(other, field)[2][field]
+    _refused(tmp_path, capsys, raw, "%s: unknown field %r" % (where, field))
 
 
 @pytest.mark.parametrize("check", ["2stack:F1", "2stack_direct:F1"])
@@ -1595,6 +1622,12 @@ def _schema_4(report):
     return {**report, "schema": "bistack-report/4"}
 
 
+def _schema_5(report):
+    """A report recorded before a sieve that contains its target's
+    identity passed the 2stack_direct check with no step."""
+    return {**report, "schema": "bistack-report/5"}
+
+
 def _no_limit(report):
     return {**report, "budget_limit": "many"}
 
@@ -1606,19 +1639,21 @@ def _negative_limit(report):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda r: {}, "bistack-report/5"),
+    (lambda r: {}, "bistack-report/6"),
     (lambda r: [1], "must be an object"),
     (lambda r: [r], "must be an object"),
     (lambda r: {k: v for k, v in r.items() if k != "check"},
      "no check name"),
-    (_schema_1, "'bistack-report/1' is not 'bistack-report/5'"),
-    (_schema_2, "'bistack-report/2' is not 'bistack-report/5'"),
-    (_schema_3, "'bistack-report/3' is not 'bistack-report/5'"),
-    (_schema_4, "'bistack-report/4' is not 'bistack-report/5'"),
+    (_schema_1, "'bistack-report/1' is not 'bistack-report/6'"),
+    (_schema_2, "'bistack-report/2' is not 'bistack-report/6'"),
+    (_schema_3, "'bistack-report/3' is not 'bistack-report/6'"),
+    (_schema_4, "'bistack-report/4' is not 'bistack-report/6'"),
+    (_schema_5, "'bistack-report/5' is not 'bistack-report/6'"),
     (_no_limit, "budget_limit 'many'"),
     (_negative_limit, "budget_limit -5 is not a non-negative integer"),
 ], ids=["empty", "list", "report-list", "no-check", "schema-1", "schema-2",
-        "schema-3", "schema-4", "text-limit", "negative-limit"])
+        "schema-3", "schema-4", "schema-5", "text-limit",
+        "negative-limit"])
 def test_cli_replay_of_a_malformed_report_is_a_located_input_error(
         tmp_path, capsys, corrupt, message):
     path = _site(tmp_path)
@@ -1734,11 +1769,11 @@ def _edited(draw, bases):
     if edit in ("add key", "rename key"):
         node["zzz"] = copy.deepcopy(value) if edit == "add key" \
             else node.pop(key)
-        return doc, not path or _body_kind(path) is not None \
-            or _named_at(path + ["zzz"], key=True) is not None
+        return doc, not path or _body_kind(doc, path) is not None \
+            or _named_at(doc, path + ["zzz"], key=True) is not None
     node[key] = draw(st.sampled_from(_JUNK if edit == "junk"
                                      else sorted(names)))
-    return doc, _named_at(path + [key]) is not None \
+    return doc, _named_at(doc, path + [key]) is not None \
         and not (isinstance(node[key], str) and node[key] in names)
 
 

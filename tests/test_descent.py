@@ -10,14 +10,15 @@ from bistack.descent import (check_descent_datum_mor, check_matching_family,
                              descent_datum_from_morphism,
                              find_amalgamations, find_effective_gluing_mor,
                              find_weak_effective_gluing, is_2stack,
-                             is_2stack_direct, is_stack_catvalued,
-                             is_subcanonical, matching_family_from_cell,
+                             is_2stack_direct, is_2stack_direct_on_sieve,
+                             is_stack_catvalued, is_subcanonical,
+                             matching_family_from_cell,
                              weak_datum_from_object, _connecting_isos,
                              _wdd_displays)
 from bistack.errors import MalformedTable, SearchBudgetExceeded
 from bistack.fincat import FinCat, discrete, walking_arrow
 from bistack.generate import _z2_base
-from bistack.report import Budget, guarded
+from bistack.report import Budget, guarded, merge, passed
 from bistack.sieves import Bitopology, build_bisieve, \
     literal_maximal_bisieve, maximal_bisieve, representable
 from bistack.two_cat import Fin2Cat, from_fincat
@@ -412,10 +413,28 @@ def test_descent_category_over_singleton_cover(wa2, wa_sieve):
 
 # --- the 2-stack verdict and the direct cross-check ---------------------------
 
+def direct_search(F, tau, budget=None):
+    """is_2stack_direct with no sieve passed by the Yoneda lemma: the
+    per-sieve search on every covering sieve, its reports placed in the
+    cover as the public op places them."""
+    budget = budget or Budget()
+    reports = []
+    for c in sorted(F.base.objects):
+        for i, s in enumerate(tau.sieves_on(c)):
+            r = descent._on_sieve(is_2stack_direct_on_sieve(F, s, budget),
+                                  c, i)
+            if not r.ok:
+                return r
+            reports.append(r)
+    return merge("is_2stack_direct", reports) if reports else \
+        passed("is_2stack_direct", ["no covering sieves declared"])
+
+
 def stack_pair(f_data, tau, budget=None):
+    """Both deciders' searches, the direct one on every sieve."""
     budget = budget or Budget(50_000_000)
     a = guarded("is_2stack", budget, is_2stack, f_data, tau, budget)
-    b = guarded("is_2stack_direct", budget, is_2stack_direct,
+    b = guarded("is_2stack_direct", budget, direct_search,
                 f_data, tau, budget)
     return a, b
 

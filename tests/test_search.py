@@ -35,7 +35,7 @@ from test_bicat3 import _constant_z2_trihom, constant_trihom, \
     one_object_z2, one_object_z3, trihom_over_arrow
 from test_coverage_indexes import _pool_documents
 from test_descent import collapse_objects_trihom, \
-    collapse_twocells_trihom, unreachable_object_trihom
+    collapse_twocells_trihom, direct_search, unreachable_object_trihom
 from test_two_cat import split_idempotent_2cat
 from typing_oracles import WELL_TYPED
 import test_bicat3
@@ -583,7 +583,9 @@ def _rung(n):
     return representable_trihom(k, "Y"), tau
 
 
-_DECIDERS = {"2stack": is_2stack, "2stack_direct": is_2stack_direct}
+# the deciders' searches: the direct one passes a sieve that contains its
+# target's identity with no step, so it runs its per-sieve search on each
+_DECIDERS = {"2stack": is_2stack, "2stack_direct": direct_search}
 
 
 def _decide(op, n, limit=None):
@@ -607,6 +609,16 @@ _STEPS = {("2stack", 3): 76, ("2stack", 4): 107, ("2stack", 5): 143,
 @pytest.mark.parametrize("op, n", sorted(_STEPS))
 def test_decider_steps_are_pinned(op, n):
     assert _decide(op, n) == ("pass", {}, _STEPS[op, n])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_direct_decider_passes_the_ladder_by_the_yoneda_lemma(n):
+    """Every covering sieve of a rung is maximal, so the public op passes
+    it with no step."""
+    F, tau = _rung(n)
+    budget = Budget(0)
+    r = is_2stack_direct(F, tau, budget)
+    assert (r.verdict, r.witness, budget.steps) == ("pass", {}, 0)
 
 
 def test_deciders_build_no_composite_table_on_a_thin_rung(monkeypatch):
@@ -974,7 +986,7 @@ def test_deciders_do_not_see_the_drawn_path(monkeypatch, thin):
     repro = _constant_z2_trihom(k2)
     seen = _recorded_checks(monkeypatch)
     budget = Budget()
-    r = is_2stack_direct(repro, Bitopology(k2, {"Y": [
+    r = direct_search(repro, Bitopology(k2, {"Y": [
         literal_maximal_bisieve(k2, "Y")]}), budget)
     rows = _verdicts(instances)
     for F, s in _wa_z2_instances():

@@ -4,16 +4,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bistack import descent, sigma_colim
+from bistack.bicat3 import literally_closed, representable_trihom
 from bistack.builders import chain_suspension, suspension_two_cat, \
     thin_two_cat
-from bistack.descent import is_stack_catvalued, is_stack_on_sieve, \
-    is_subcanonical
+from bistack.descent import is_2stack_direct, is_2stack_direct_on_sieve, \
+    is_stack_catvalued, is_stack_on_sieve, is_subcanonical
 from bistack.fincat import FinCat, discrete, walking_arrow
 from bistack.generate import generate
 from bistack.report import Budget, guarded
 from bistack.sieves import (Bitopology, build_bisieve, check_bisieve,
                             contains_identity, groth,
-                            inclusion_transformation, maximal_bisieve,
+                            inclusion_transformation,
+                            literal_maximal_bisieve, maximal_bisieve,
                             representable)
 from bistack.sigma_colim import (Diagram, SigmaCocone, check_sigma_cocone,
                                  cocone_morphisms, enumerate_sigma_cocones,
@@ -31,6 +33,7 @@ from test_sieves import _pool_docs, _pool_sieves
 from test_tabulate import _reports as _tabulated_reports, \
     _sieves as _tabulated_sieves
 from test_two_cat import split_idempotent_2cat
+import test_metamorphic as metamorphic
 
 
 @pytest.fixture
@@ -603,32 +606,51 @@ def _identity_sieve_cases():
     bisieves of the pool documents and the fixed sieves of test_tabulate,
     with the Cat-valued presheaves over its base: the representables and
     the presheaf under each locally discrete trihom on a locally discrete
-    base (criterion 1's)."""
-    cases = [(s, []) for s in _tabulated_sieves()]
+    base (criterion 1's); and with the trihoms over its base: the
+    representables and the document's trihoms."""
+    cases = [(s, [], []) for s in _tabulated_sieves()]
     for doc in _pool_docs():
-        discrete = [_discrete_cat_presheaf(F)
-                    for _, F in sorted(doc.trihoms.items())
+        trihoms = [F for _, F in sorted(doc.trihoms.items())]
+        discrete = [_discrete_cat_presheaf(F) for F in trihoms
                     if len(F.base.twocells) == len(F.base.onecells)
                     and all(len(v.onecells) == len(v.objects)
                             for v in F.ob.values())]
-        cases += [(s, [F for F in discrete if F.base is s.k])
+        cases += [(s, [F for F in discrete if F.base is s.k],
+                   [F for F in trihoms if F.base is s.k])
                   for _, s in sorted(doc.bisieves.items())]
-    for s, presheaves in cases:
+    for s, presheaves, trihoms in cases:
         if contains_identity(s) and check_two_category(s.k).ok \
                 and check_bisieve(s).ok:
-            yield s, [representable(s.k, x)
-                      for x in sorted(s.k.objects)] + presheaves
+            objects = sorted(s.k.objects)
+            yield (s, [representable(s.k, x) for x in objects] + presheaves,
+                   [representable_trihom(s.k, x) for x in objects] + trihoms)
+
+
+def _same_as_the_search(s, F):
+    """The per-sieve direct search passes F on s, and the public op, which
+    skips s, gives the same verdict and witness; whether s is literally
+    closed, so that the search has a sieve trihom."""
+    if not literally_closed(s):
+        return False
+    full = is_2stack_direct_on_sieve(F, s, Budget())
+    public = is_2stack_direct(F, Bitopology(s.k, {s.target: [s]}), Budget())
+    assert full.verdict == "pass", (s, F, full.details, full.witness)
+    assert (public.verdict, public.witness) == (full.verdict, full.witness)
+    return True
 
 
 def test_identity_sieves_pass_the_full_searches():
     """The Yoneda lemma, tested: every valid sieve that contains its
     target's identity, among the bisieves of the corpus, of site seeds
     0-79 of both profiles and the fixed sieves of test_tabulate, passes the
-    full sigma search, and the full Cat-valued search of each presheaf
-    over its base, and the public ops, which skip the search there, give
-    the same verdicts and witnesses."""
-    sieves = rows = discrete = 0
-    for s, presheaves in _identity_sieve_cases():
+    full sigma search, the full Cat-valued search of each presheaf over
+    its base, and, where it is literally closed, the per-sieve direct
+    search of each trihom over its base; so do the rows of
+    test_metamorphic that item 1 does not break, whose values are not
+    locally thin.  The public ops, which skip the search there, give the
+    same verdicts and witnesses."""
+    sieves = rows = discrete = literal = trihom_rows = 0
+    for s, presheaves, trihoms in _identity_sieve_cases():
         full = verify_sigma_bicolim(*universal_cocone(s), Budget())
         public = is_sigma_bicolim_bisieve(s, Budget())
         assert full.verdict == "pass", (s, full.details, full.witness)
@@ -641,10 +663,21 @@ def test_identity_sieves_pass_the_full_searches():
             assert full.verdict == "pass", (s, F, full.details, full.witness)
             assert (public.verdict, public.witness) \
                 == (full.verdict, full.witness)
+        for F in trihoms:
+            trihom_rows += _same_as_the_search(s, F)
         sieves += 1
         rows += len(presheaves)
         discrete += len(presheaves) - len(s.k.objects)
+        literal += literally_closed(s)
     assert sieves > 300 and rows > sieves and discrete > 100
+    assert literal > 300 and trihom_rows > 2 * literal
+    thick = [row for row in metamorphic._ROWS
+             if row not in metamorphic._ITEM_1]
+    assert len(thick) == 8
+    for base, value, c in thick:
+        F, tau = metamorphic._row(base, value, c, literal_maximal_bisieve)
+        assert not any(v.locally_thin() for v in F.ob.values())
+        assert _same_as_the_search(tau.sieves_on(c)[0], F)
 
 
 @given(st.sampled_from(("locally-discrete-site", "tiny-2site")),
