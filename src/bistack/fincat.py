@@ -147,68 +147,87 @@ def walking_arrow():
 
 
 def check_category(c, budget=None):
-    """Decide whether the tables form a category; witness the first failure."""
+    """Decide whether the tables form a category; witness the first
+    failure.  Steps: one per ordered pair of morphisms, composable or not,
+    and one per composable triple, up to a failure's pair or triple."""
     budget = budget or Budget()
-    for m in c.morphisms:
-        if c.src[m] not in c.objects or c.tgt.get(m) not in c.objects:
-            return failed("check_category",
-                          ["morphism %r has a dangling endpoint" % m],
-                          {"morphism": m})
-    for o in c.objects:
+    objs, mors, src, tgt = c.objects, c.morphisms, c.src, c.tgt
+    for i, o in enumerate(objs):
+        if o in objs[:i]:
+            return failed("check_category", ["object %r is listed twice"
+                                             % (o,)], {"object": o})
+    for m in mors:
+        if src[m] not in objs or tgt.get(m) not in objs:
+            return failed("check_category", [
+                "morphism %r has a dangling endpoint" % m], {"morphism": m})
+    for o in objs:
         i = c.identity.get(o)
-        if i is None or c.src.get(i) != o or c.tgt.get(i) != o:
+        if i is None or src.get(i) != o or tgt.get(i) != o:
             return failed("check_category",
                           ["bad identity for object %r" % o], {"object": o})
-    mors, composed = c.morphisms, 0
-    for g in mors:
-        for f in mors:
-            budget.tick()
-            if c.tgt[f] == c.src[g]:
-                composed += 1
-                h = c.comp.get((g, f))
-                if h is None:
-                    return failed("check_category",
-                                  ["missing composite (%r, %r)" % (g, f)],
-                                  {"pair": [g, f]})
-                if not (_is_cell(c.src, h, c.src[f])
-                        and _is_cell(c.tgt, h, c.tgt[g])):
-                    return failed("check_category",
-                                  ["ill-typed composite (%r, %r)" % (g, f)],
-                                  {"pair": [g, f], "composite": h})
-            elif (g, f) in c.comp:
-                return failed("check_category",
-                              ["composite of non-composable pair (%r, %r)" % (g, f)],
-                              {"pair": [g, f]})
-    # any other key of identity or comp names nothing; no law reads it
-    if len(c.identity) > len(set(c.objects)):
-        o = min(c.identity.keys() - set(c.objects), key=repr)
-        return failed("check_category",
-                      ["bad identity for object %r" % o], {"object": o})
-    if len(c.comp) > composed:
-        gf = min((gf for gf in c.comp if not {*gf} <= c.src.keys()), key=repr)
-        return failed("check_category", ["composite of non-composable pair "
-                                         "(%r, %r)" % gf], {"pair": list(gf)})
-    for f in mors:
-        if c.comp.get((f, c.identity[c.src[f]])) != f:
-            return failed("check_category", ["right unit fails at %r" % f],
-                          {"morphism": f})
-        if c.comp.get((c.identity[c.tgt[f]], f)) != f:
-            return failed("check_category", ["left unit fails at %r" % f],
-                          {"morphism": f})
-    for h in mors:
-        for g in mors:
-            if c.tgt[g] != c.src[h]:
-                continue
-            for f in mors:
-                if c.tgt[f] != c.src[g]:
-                    continue
-                budget.tick()
-                if c.comp[(c.comp[(h, g)], f)] != c.comp[(h, c.comp[(g, f)])]:
-                    return failed("check_category",
-                                  ["associativity fails at (%r, %r, %r)" % (h, g, f)],
-                                  {"triple": [h, g, f]})
+    ends, into = {m: (src[m], tgt[m]) for m in mors}, {}
+    for m in mors:
+        into.setdefault(tgt[m], []).append(m)
+
+    def extra():  # any other key of identity or comp names nothing
+        if len(c.identity) > len(objs):
+            o = min(c.identity.keys() - set(objs), key=repr)
+            return "bad identity for object %r" % o, {"object": o}
+        if len(c.comp) > sum(len(into.get(src[g], ())) for g in mors):
+            gf = min((k for k in c.comp if not {*k} <= ends.keys()), key=repr)
+            return ("composite of non-composable pair (%r, %r)" % gf,
+                    {"pair": list(gf)})
+
+    bad = composition_failure(mors, ends, c.comp, c.identity, into, [
+        k for k in c.comp if isinstance(k, tuple) and len(k) == 2
+        and tgt.get(k[1]) != src.get(k[0])], budget, extra)
+    if bad:
+        return failed("check_category", [bad[0]], bad[1])
     return passed("check_category",
-                  ["%d objects, %d morphisms" % (len(c.objects), len(mors))])
+                  ["%d objects, %d morphisms" % (len(objs), len(mors))])
+
+
+def composition_failure(cells, ends, comp, identity, into, stray, budget,
+                        extra=None):
+    """The first failure of the category laws, as (detail, witness), or
+    None, on morphisms cells in id order with ends[m] = (src, tgt), comp,
+    identity, into[x] (the morphisms into x, in id order) and stray (keys
+    of comp that may not compose), asking extra() after the pairs.  Steps
+    as check_category's; non-composable pairs are counted, not visited."""
+    m, place = len(cells), {x: i for i, x in enumerate(cells)}
+    # the least pair, at its place p in cells x cells, that composes to no
+    # cell of its type or has a composite but does not compose
+    bad = next(((i * m + place[f], g, f) for i, g in enumerate(cells)
+                for f in into.get(ends[g][0], ()) if not _is_cell(
+                    ends, comp.get((g, f)), (ends[f][0], ends[g][1]))),
+               (m * m, None, None))
+    p, g, f = min([bad] + [(place[g] * m + place[f], g, f)
+                           for g, f in stray if g in place and f in place])
+    budget.tick(min(p + 1, m * m))
+    if p < m * m:
+        x, at = comp.get((g, f)), {"pair": [g, f]}
+        if ends[f][1] != ends[g][0]:
+            return "composite of non-composable pair (%r, %r)" % (g, f), at
+        if x is None:
+            return "missing composite (%r, %r)" % (g, f), at
+        return "ill-typed composite (%r, %r)" % (g, f), dict(at, composite=x)
+    bad = extra and extra()
+    if bad:
+        return bad
+    for f in cells:
+        s, t = ends[f]
+        if comp.get((f, identity[s])) != f:
+            return "right unit fails at %r" % f, {"morphism": f}
+        if comp.get((identity[t], f)) != f:
+            return "left unit fails at %r" % f, {"morphism": f}
+    for x in cells:
+        for g in into.get(ends[x][0], ()):
+            for f in into.get(ends[g][0], ()):
+                budget.tick()
+                if comp[(comp[(x, g)], f)] != comp[(x, comp[(g, f)])]:
+                    return ("associativity fails at (%r, %r, %r)"
+                            % (x, g, f), {"triple": [x, g, f]})
+    return None
 
 
 class Functor:

@@ -1,21 +1,24 @@
-"""Test-only oracles: nested-loop scans of what ``check_two_category``,
-the sieve constructions, the coverage axioms T1-T3 and
-``check_bitopology`` decide with indexes and member masks.
+"""Test-only oracles: nested-loop scans of what ``check_category``,
+``check_two_category``, the sieve constructions, the coverage axioms T1-T3
+and ``check_bitopology`` decide with indexes and member masks.
 
 Each oracle tests every pair (or triple, or quadruple) of cells for
 composability, and every candidate member for an invertible 2-cell one
 at a time, visiting ids in sorted order, as the indexed versions do.  A
-step is one composable pair, triple or quadruple examined, one 1-cell of
-a pullback, one member compared or one union of classes tried.  Where
-an indexed version builds its coverage index, the oracle first decides
-every 2-cell in id order (``_decided``), so that it raises the same first
-error.  They read only the raw tables of a Fin2Cat and its per-cell and
-per-pair lookups (``c1``, ``v``, ``h``, ``invertible2``, ``iso_1cells``,
-``invertible_2cell``), never its per-1-cell or per-object indexes.
+step is one ordered pair of morphisms of a category, or of 2-cells of a
+hom-category, composable or not; one composable triple of them; one
+composable pair, triple or quadruple of the 2-category's horizontal
+laws; one 1-cell of a pullback, one member compared or one union of
+classes tried.  Where an indexed version builds its coverage index, the
+oracle first decides every 2-cell in id order (``_decided``), so that it
+raises the same first error.  They read only the raw tables of a Fin2Cat
+and its per-cell and per-pair lookups (``c1``, ``v``, ``h``,
+``invertible2``, ``iso_1cells``, ``invertible_2cell``), never its
+per-1-cell or per-object indexes.
 """
 
 from bistack.errors import BoundaryMismatch, MalformedTable
-from bistack.fincat import FinCat, _is_cell, check_category
+from bistack.fincat import FinCat, _is_cell
 from bistack.report import Budget, failed, merge, passed
 from bistack.sieves import Bisieve
 
@@ -35,6 +38,78 @@ def hom_cat(k, a, b):
     )
 
 
+def check_category(c, budget=None):
+    budget = budget or Budget()
+    for i, o in enumerate(c.objects):
+        for x in c.objects[:i]:
+            if o == x:
+                return failed("check_category",
+                              ["object %r is listed twice" % (o,)],
+                              {"object": o})
+    for m in c.morphisms:
+        if c.src[m] not in c.objects or c.tgt.get(m) not in c.objects:
+            return failed("check_category",
+                          ["morphism %r has a dangling endpoint" % m],
+                          {"morphism": m})
+    for o in c.objects:
+        i = c.identity.get(o)
+        if i is None or c.src.get(i) != o or c.tgt.get(i) != o:
+            return failed("check_category",
+                          ["bad identity for object %r" % o], {"object": o})
+    mors, composed = c.morphisms, 0
+    for g in mors:
+        for f in mors:
+            budget.tick()
+            if c.tgt[f] == c.src[g]:
+                composed += 1
+                h = c.comp.get((g, f))
+                if h is None:
+                    return failed("check_category",
+                                  ["missing composite (%r, %r)" % (g, f)],
+                                  {"pair": [g, f]})
+                if not (_is_cell(c.src, h, c.src[f])
+                        and _is_cell(c.tgt, h, c.tgt[g])):
+                    return failed("check_category",
+                                  ["ill-typed composite (%r, %r)" % (g, f)],
+                                  {"pair": [g, f], "composite": h})
+            elif (g, f) in c.comp:
+                return failed("check_category",
+                              ["composite of non-composable pair (%r, %r)"
+                               % (g, f)], {"pair": [g, f]})
+    # any other key of identity or comp names nothing; no law reads it
+    if len(c.identity) > len(set(c.objects)):
+        o = min(c.identity.keys() - set(c.objects), key=repr)
+        return failed("check_category",
+                      ["bad identity for object %r" % o], {"object": o})
+    if len(c.comp) > composed:
+        gf = min((gf for gf in c.comp if not {*gf} <= c.src.keys()),
+                 key=repr)
+        return failed("check_category", ["composite of non-composable pair "
+                                         "(%r, %r)" % gf], {"pair": list(gf)})
+    for f in mors:
+        if c.comp.get((f, c.identity[c.src[f]])) != f:
+            return failed("check_category", ["right unit fails at %r" % f],
+                          {"morphism": f})
+        if c.comp.get((c.identity[c.tgt[f]], f)) != f:
+            return failed("check_category", ["left unit fails at %r" % f],
+                          {"morphism": f})
+    for h in mors:
+        for g in mors:
+            if c.tgt[g] != c.src[h]:
+                continue
+            for f in mors:
+                if c.tgt[f] != c.src[g]:
+                    continue
+                budget.tick()
+                if c.comp[(c.comp[(h, g)], f)] \
+                        != c.comp[(h, c.comp[(g, f)])]:
+                    return failed("check_category",
+                                  ["associativity fails at (%r, %r, %r)"
+                                   % (h, g, f)], {"triple": [h, g, f]})
+    return passed("check_category",
+                  ["%d objects, %d morphisms" % (len(c.objects), len(mors))])
+
+
 def _decided(k):
     """Decide whether each 2-cell is invertible, in id order: what
     building the coverage index raises on a corrupted table."""
@@ -45,6 +120,12 @@ def _decided(k):
 def check_two_category(k, budget=None):
     budget = budget or Budget()
     ones, twos = sorted(k.onecells), sorted(k.twocells)
+    for i, x in enumerate(k.objects):
+        for y in k.objects[:i]:
+            if x == y:
+                return failed("check_two_category",
+                              ["object %r is listed twice" % (x,)],
+                              {"object": x})
     for f in ones:
         s, t = k.onecells[f]
         if s not in k.objects or t not in k.objects:
@@ -86,6 +167,13 @@ def check_two_category(k, budget=None):
             if k.tgt1(k.src2(a)) != k.src1(k.src2(b)) and (b, a) in k.hcomp2:
                 return failed("check_two_category",
                               ["2-composite of non-composable (%r, %r)"
+                               % (b, a)], {"pair": [b, a]})
+    # the homs refused each pair of one hom that does not compose
+    for b in twos:
+        for a in twos:
+            if k.tgt2(a) != k.src2(b) and (b, a) in k.vcomp:
+                return failed("check_two_category",
+                              ["vertical composite of non-composable (%r, %r)"
                                % (b, a)], {"pair": [b, a]})
     for g in ones:
         for f in ones:

@@ -525,11 +525,17 @@ def _no_identity(k):
     del k["identity1"]["X"]
 
 
+def _repeated_object(k):
+    k["objects"].append(k["objects"][0])
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_stray_onecell, "'stray' has a dangling endpoint"),
     (_corrupt_vcomp, "ill-typed composite"),
     (_no_identity, "fails: no identity 1-cell 'X' -> 'X'"),
-], ids=["unknown-boundary", "vcomp-corrupt", "no-identity"])
+    (_repeated_object, "fails: object 'X' is listed twice"),
+], ids=["unknown-boundary", "vcomp-corrupt", "no-identity",
+        "repeated-object"])
 def test_cli_trihom_over_a_bad_base_is_an_input_error(tmp_path, capsys,
                                                       corrupt, message):
     raw = _rung_doc()
@@ -1354,9 +1360,13 @@ def _twocell(k, x, boundary):
      "2-cell associativity fails at ('2id_id_P','2id_id_P','w')"),
     (lambda: _z3_with_hcomp2(lambda b, a: b),
      "2-cell unit law fails at 'w'"),
+    (lambda: dict(_encode_two_cat(chain_suspension(2)),
+                  objects=["X", "Y", "X"]),
+     "object 'X' is listed twice"),
 ], ids=["2-cell-not-parallel", "1-cell-unit", "1-cell-associativity",
         "1-cell-stray", "2-cell-stray",
-        "horizontal-identity", "2-cell-associativity", "2-cell-unit"])
+        "horizontal-identity", "2-cell-associativity", "2-cell-unit",
+        "repeated-object"])
 def test_cli_two_category_check_on_a_failing_table_exits_one(
         tmp_path, capsys, build, message):
     """Well-formed tables that break one law of a 2-category: the
@@ -1386,8 +1396,9 @@ _ARROW_CAT = {"objects": ["0", "1"],
     ({"comp": _ARROW_CAT["comp"] + [["a", "a", "a"]]}, 1,
      "composite of non-composable pair ('a', 'a')"),
     ({"morphisms": {"a": ["0"]}}, 3, ""),
+    ({"objects": ["0", "1", "0"]}, 1, "object '0' is listed twice"),
 ], ids=["valid", "dangling-endpoint", "bad-identity", "stray-composite",
-        "malformed"])
+        "malformed", "repeated-object"])
 def test_cli_category_check_on_a_cats_section(tmp_path, capsys, edit, code,
                                               message):
     raw = {"schema": SCHEMA, "cats": {"C": dict(_ARROW_CAT, **edit)},
