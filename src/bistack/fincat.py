@@ -151,52 +151,59 @@ def check_category(c, budget=None):
     failure.  Steps: one per ordered pair of morphisms, composable or not,
     and one per composable triple, up to a failure's pair or triple."""
     budget = budget or Budget()
-    objs, mors, src, tgt = c.objects, c.morphisms, c.src, c.tgt
-    for i, o in enumerate(objs):
-        if o in objs[:i]:
-            return failed("check_category", ["object %r is listed twice"
-                                             % (o,)], {"object": o})
-    for m in mors:
-        if src[m] not in objs or tgt.get(m) not in objs:
-            return failed("check_category", [
-                "morphism %r has a dangling endpoint" % m], {"morphism": m})
-    for o in objs:
+    twice = listed_twice("check_category", c.objects)
+    if twice:
+        return twice
+    for m in c.morphisms:
+        if c.src[m] not in c.objects or c.tgt.get(m) not in c.objects:
+            return failed("check_category",
+                          ["morphism %r has a dangling endpoint" % m],
+                          {"morphism": m})
+    for o in c.objects:
         i = c.identity.get(o)
-        if i is None or src.get(i) != o or tgt.get(i) != o:
+        if i is None or c.src.get(i) != o or c.tgt.get(i) != o:
             return failed("check_category",
                           ["bad identity for object %r" % o], {"object": o})
-    ends, into = {m: (src[m], tgt[m]) for m in mors}, {}
+    mors, into = c.morphisms, {}
+    ends = {m: (c.src[m], c.tgt[m]) for m in mors}
     for m in mors:
-        into.setdefault(tgt[m], []).append(m)
-
-    def extra():  # any other key of identity or comp names nothing
-        if len(c.identity) > len(objs):
-            o = min(c.identity.keys() - set(objs), key=repr)
-            return "bad identity for object %r" % o, {"object": o}
-        if len(c.comp) > sum(len(into.get(src[g], ())) for g in mors):
-            gf = min((k for k in c.comp if not {*k} <= ends.keys()), key=repr)
-            return ("composite of non-composable pair (%r, %r)" % gf,
-                    {"pair": list(gf)})
-
-    bad = composition_failure(mors, ends, c.comp, c.identity, into, [
+        into.setdefault(c.tgt[m], []).append(m)
+    bad = pair_failure(mors, ends, c.comp, into, [
         k for k in c.comp if isinstance(k, tuple) and len(k) == 2
-        and tgt.get(k[1]) != src.get(k[0])], budget, extra)
+        and c.tgt.get(k[1]) != c.src.get(k[0])], budget)
+    if bad:
+        return failed("check_category", [bad[0]], bad[1])
+    # any other key of identity or comp names nothing; no law reads it
+    if len(c.identity) > len(set(c.objects)):
+        o = min(c.identity.keys() - set(c.objects), key=repr)
+        return failed("check_category",
+                      ["bad identity for object %r" % o], {"object": o})
+    if len(c.comp) > sum(len(into.get(c.src[g], ())) for g in mors):
+        gf = min((gf for gf in c.comp if not {*gf} <= c.src.keys()), key=repr)
+        return failed("check_category", ["composite of non-composable pair "
+                                         "(%r, %r)" % gf], {"pair": list(gf)})
+    bad = law_failure(mors, ends, c.comp, c.identity, into, budget)
     if bad:
         return failed("check_category", [bad[0]], bad[1])
     return passed("check_category",
-                  ["%d objects, %d morphisms" % (len(objs), len(mors))])
+                  ["%d objects, %d morphisms" % (len(c.objects), len(mors))])
 
 
-def composition_failure(cells, ends, comp, identity, into, stray, budget,
-                        extra=None):
-    """The first failure of the category laws, as (detail, witness), or
-    None, on morphisms cells in id order with ends[m] = (src, tgt), comp,
-    identity, into[x] (the morphisms into x, in id order) and stray (keys
-    of comp that may not compose), asking extra() after the pairs.  Steps
-    as check_category's; non-composable pairs are counted, not visited."""
+def listed_twice(check, objects):
+    """check's failure at the first object listed a second time, or None."""
+    if len(set(objects)) < len(objects):
+        seen = set()
+        o = next(o for o in objects if o in seen or seen.add(o))
+        return failed(check, ["object %r is listed twice" % (o,)],
+                      {"object": o})
+
+
+def pair_failure(cells, ends, comp, into, stray, budget):
+    """The least pair of the morphisms cells (in id order; ends[m] = (src,
+    tgt), into[x] those into x) whose composite is wrong, or that has one
+    in stray, the keys of comp that may not compose, as (detail, witness).
+    A step per ordered pair up to it, counted and spent in one tick."""
     m, place = len(cells), {x: i for i, x in enumerate(cells)}
-    # the least pair, at its place p in cells x cells, that composes to no
-    # cell of its type or has a composite but does not compose
     bad = next(((i * m + place[f], g, f) for i, g in enumerate(cells)
                 for f in into.get(ends[g][0], ()) if not _is_cell(
                     ends, comp.get((g, f)), (ends[f][0], ends[g][1]))),
@@ -204,29 +211,32 @@ def composition_failure(cells, ends, comp, identity, into, stray, budget,
     p, g, f = min([bad] + [(place[g] * m + place[f], g, f)
                            for g, f in stray if g in place and f in place])
     budget.tick(min(p + 1, m * m))
-    if p < m * m:
-        x, at = comp.get((g, f)), {"pair": [g, f]}
-        if ends[f][1] != ends[g][0]:
-            return "composite of non-composable pair (%r, %r)" % (g, f), at
-        if x is None:
-            return "missing composite (%r, %r)" % (g, f), at
-        return "ill-typed composite (%r, %r)" % (g, f), dict(at, composite=x)
-    bad = extra and extra()
-    if bad:
-        return bad
+    if p == m * m:
+        return None
+    x, at = comp.get((g, f)), {"pair": [g, f]}
+    if ends[f][1] != ends[g][0]:
+        return "composite of non-composable pair (%r, %r)" % (g, f), at
+    if x is None:
+        return "missing composite (%r, %r)" % (g, f), at
+    return "ill-typed composite (%r, %r)" % (g, f), dict(at, composite=x)
+
+
+def law_failure(cells, ends, comp, identity, into, budget):
+    """The first failure of the unit and associativity laws, as (detail,
+    witness), read as pair_failure reads; a step per composable triple."""
     for f in cells:
         s, t = ends[f]
         if comp.get((f, identity[s])) != f:
             return "right unit fails at %r" % f, {"morphism": f}
         if comp.get((identity[t], f)) != f:
             return "left unit fails at %r" % f, {"morphism": f}
-    for x in cells:
-        for g in into.get(ends[x][0], ()):
+    for h in cells:
+        for g in into.get(ends[h][0], ()):
             for f in into.get(ends[g][0], ()):
                 budget.tick()
-                if comp[(comp[(x, g)], f)] != comp[(x, comp[(g, f)])]:
+                if comp[(comp[(h, g)], f)] != comp[(h, comp[(g, f)])]:
                     return ("associativity fails at (%r, %r, %r)"
-                            % (x, g, f), {"triple": [x, g, f]})
+                            % (h, g, f), {"triple": [h, g, f]})
     return None
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import BoundaryMismatch, MalformedTable
-from .fincat import FinCat, _is_cell, by_boundary, \
-    composition_failure, tabulate
+from .fincat import FinCat, _is_cell, by_boundary, law_failure, \
+    listed_twice, pair_failure, tabulate
 from .report import Budget, Display, Recorded, failed, first_failure, \
     passed, reported
 
@@ -319,118 +319,135 @@ def check_two_category(k, budget=None):
     triple of 1-cells, horizontally composable pair, interchange quadruple
     and triple of 2-cells; a failure stops at its pair, triple or quad."""
     budget = budget or Budget()
-    objs, cells1, cells2 = k.objects, k.onecells, k.twocells
-    ones, twos = sorted(cells1), sorted(cells2)
-    c1, v, h, id1, id2 = k._c1, k._v, k.hcomp2, k.identity1, k.identity2
-    for i, x in enumerate(objs):
-        if x in objs[:i]:
-            return _failed("object %r is listed twice", "object", x)
+    twice = listed_twice("check_two_category", k.objects)
+    if twice:
+        return twice
+    ones, twos = sorted(k.onecells), sorted(k.twocells)
     for f in ones:
-        if cells1[f][0] not in objs or cells1[f][1] not in objs:
-            return _failed("1-cell %r has a dangling endpoint", "onecell", f)
+        s, t = k.onecells[f]
+        if s not in k.objects or t not in k.objects:
+            return failed("check_two_category",
+                          ["1-cell %r has a dangling endpoint" % f],
+                          {"onecell": f})
     for x in twos:
-        f, g = cells2[x]
-        if f not in cells1 or g not in cells1 or cells1[f] != cells1[g]:
-            return _failed("2-cell %r is not between parallel 1-cells",
-                           "twocell", x)
+        f, g = k.twocells[x]
+        if f not in k.onecells or g not in k.onecells \
+                or k.onecells[f] != k.onecells[g]:
+            return failed("check_two_category",
+                          ["2-cell %r is not between parallel 1-cells" % x],
+                          {"twocell": x})
     # every later law composes with identities, so they must exist first;
     # keys that are no cells come last, and none has an identity
-    for x in (*objs, *sorted(id1.keys() - set(objs), key=repr)):
-        if not _is_cell(cells1, id1.get(x), (x, x)):
-            return failed("check_two_category", [
-                "no identity 1-cell %r -> %r" % (x, x)], {"object": x})
-    for f in (*ones, *sorted(id2.keys() - cells1.keys(), key=repr)):
-        if not _is_cell(cells2, id2.get(f), (f, f)):
-            return failed("check_two_category", [
-                "no identity 2-cell %r => %r" % (f, f)], {"onecell": f})
-    # in id order: over[a] = (x, y) for a between 1-cells x -> y, into[f]
-    # (the 2-cells into f), ending[y] (over (x, y) for any x), homs[(x, y)]
-    over, into, ending, homs = {}, {}, {}, {}
+    for x in (*k.objects, *sorted(k.identity1.keys() - set(k.objects),
+                                  key=repr)):
+        if not _is_cell(k.onecells, k.identity1.get(x), (x, x)):
+            return failed("check_two_category",
+                          ["no identity 1-cell %r -> %r" % (x, x)],
+                          {"object": x})
+    for f in (*ones, *sorted(k.identity2.keys() - k.onecells.keys(),
+                             key=repr)):
+        if not _is_cell(k.twocells, k.identity2.get(f), (f, f)):
+            return failed("check_two_category",
+                          ["no identity 2-cell %r => %r" % (f, f)],
+                          {"onecell": f})
+    # into[f]: the 2-cells into the 1-cell f; ending[x]: the 2-cells
+    # between 1-cells into the object x, those that compose before a
+    # 2-cell out of x; homs[(x, y)]: the 2-cells of K(x, y).  In id order.
+    into, ending, homs = {}, {}, {}
     for a in twos:
-        f, g = cells2[a]
-        over[a] = cells1[f]
-        into.setdefault(g, []).append(a)
-        ending.setdefault(over[a][1], []).append(a)
-        homs.setdefault(over[a], []).append(a)
-    # the pairs of vcomp that do not compose: v indexes those that do
-    stray = len(v) < len(k.vcomp) and k.vcomp.keys() - v.keys()
-    for a in objs:
-        for b in objs:
-            bad = (a, b) in homs and composition_failure(
-                homs[(a, b)], cells2, v, id2, into, stray or (), budget)
+        into.setdefault(k.tgt2(a), []).append(a)
+        ending.setdefault(k.tgt1(k.src2(a)), []).append(a)
+        homs.setdefault(k.onecells[k.src2(a)], []).append(a)
+    # c1 and v index the pairs of hcomp1 and vcomp that compose
+    stray = len(k._v) < len(k.vcomp) and k.vcomp.keys() - k._v.keys()
+    for a in k.objects:
+        for b in k.objects:
+            bad = (a, b) in homs and (
+                pair_failure(homs[(a, b)], k.twocells, k._v, into,
+                             stray or (), budget)
+                or law_failure(homs[(a, b)], k.twocells, k._v, k.identity2,
+                               into, budget))
             if bad:
                 return failed("check_two_category",
                               ["hom(%r, %r): %s" % (a, b, bad[0])], bad[1])
     # the least pair of a table that names no cell or does not compose
     for n, loose in (
-            ("1-", len(c1) < len(k.hcomp1) and k.hcomp1.keys() - c1.keys()),
-            ("2-", [(b, a) for b, a in h if b not in cells2
-                    or a not in cells2 or over[a][1] != over[b][0]]),
+            ("1-", len(k._c1) < len(k.hcomp1)
+             and k.hcomp1.keys() - k._c1.keys()),
+            ("2-", [(b, a) for b, a in k.hcomp2 if b not in k.twocells
+                    or a not in k.twocells
+                    or k.tgt1(k.src2(a)) != k.src1(k.src2(b))]),
             ("vertical ", stray)):
         if loose:
-            return _failed(n + "composite of non-composable (%r, %r)",
-                           "pair", *min(loose, key=repr))
+            loose = min(loose, key=repr)
+            return failed("check_two_category",
+                          ["%scomposite of non-composable (%r, %r)"
+                           % (n, *loose)], {"pair": list(loose)})
     # 1-cell composition: total, typed, unital, associative
     for g in ones:
-        for f, e in k.one_cells_into(cells1[g][0]):
+        for f, _ in k.one_cells_into(k.src1(g)):
             budget.tick()
-            if not _is_cell(cells1, k.hcomp1.get((g, f)), (e, cells1[g][1])):
-                return _failed("bad 1-composite (%r, %r)", "pair", g, f)
+            if not _is_cell(k.onecells, k.hcomp1.get((g, f)),
+                            (k.src1(f), k.tgt1(g))):
+                return failed("check_two_category",
+                              ["bad 1-composite (%r, %r)" % (g, f)],
+                              {"pair": [g, f]})
     for f in ones:
-        s, t = cells1[f]
-        if c1[(f, id1[s])] != f or c1[(id1[t], f)] != f:
-            return _failed("1-cell unit law fails at %r", "onecell", f)
-    for x in ones:
-        for g, _ in k.one_cells_into(cells1[x][0]):
-            for f, _ in k.one_cells_into(cells1[g][0]):
+        if k.c1(f, k.id1(k.src1(f))) != f or k.c1(k.id1(k.tgt1(f)), f) != f:
+            return failed("check_two_category",
+                          ["1-cell unit law fails at %r" % f], {"onecell": f})
+    for h in ones:
+        for g, _ in k.one_cells_into(k.src1(h)):
+            for f, _ in k.one_cells_into(k.src1(g)):
                 budget.tick()
-                if c1[(c1[(x, g)], f)] != c1[(x, c1[(g, f)])]:
-                    return _failed("1-cell associativity fails at (%r,%r,%r)",
-                                   "triple", x, g, f)
+                if k.c1(k.c1(h, g), f) != k.c1(h, k.c1(g, f)):
+                    return failed("check_two_category",
+                                  ["1-cell associativity fails at (%r,%r,%r)"
+                                   % (h, g, f)], {"triple": [h, g, f]})
     # 2-cell horizontal composition: typed, functorial, associative, unital
     for b in twos:
-        sb, tb = cells2[b]
-        for a in ending.get(over[b][0], ()):
+        for a in ending.get(k.src1(k.src2(b)), ()):
             budget.tick()
-            if not _is_cell(cells2, h.get((b, a)), (c1[(sb, cells2[a][0])],
-                                                    c1[(tb, cells2[a][1])])):
-                return _failed("bad 2-composite (%r, %r)", "pair", b, a)
+            want = (k.c1(k.src2(b), k.src2(a)), k.c1(k.tgt2(b), k.tgt2(a)))
+            if not _is_cell(k.twocells, k.hcomp2.get((b, a)), want):
+                return failed("check_two_category",
+                              ["bad 2-composite (%r, %r)" % (b, a)],
+                              {"pair": [b, a]})
     for g in ones:
-        for f, _ in k.one_cells_into(cells1[g][0]):
-            if h[(id2[g], id2[f])] != id2[c1[(g, f)]]:
-                return _failed("horizontal identity fails at (%r, %r)",
-                               "pair", g, f)
+        for f, _ in k.one_cells_into(k.src1(g)):
+            if k.h(k.id2(g), k.id2(f)) != k.id2(k.c1(g, f)):
+                return failed("check_two_category",
+                              ["horizontal identity fails at (%r, %r)"
+                               % (g, f)], {"pair": [g, f]})
     # interchange: h(b'.b, a'.a) = h(b', a') . h(b, a)
     for b2 in twos:
-        for b1 in into[cells2[b2][0]]:
-            vb = v[(b2, b1)]
-            for a2 in ending.get(over[b2][0], ()):
-                hb = h[(b2, a2)]
-                for a1 in into[cells2[a2][0]]:
+        for b1 in into.get(k.src2(b2), ()):
+            for a2 in ending.get(k.src1(k.src2(b2)), ()):
+                for a1 in into.get(k.src2(a2), ()):
                     budget.tick()
-                    if h[(vb, v[(a2, a1)])] != v[(hb, h[(b1, a1)])]:
-                        return _failed("interchange fails at (%r,%r,%r,%r)",
-                                       "quad", b2, b1, a2, a1)
+                    lhs = k.h(k.v(b2, b1), k.v(a2, a1))
+                    rhs = k.v(k.h(b2, a2), k.h(b1, a1))
+                    if lhs != rhs:
+                        return failed("check_two_category",
+                                      ["interchange fails at (%r,%r,%r,%r)"
+                                       % (b2, b1, a2, a1)],
+                                      {"quad": [b2, b1, a2, a1]})
     for c in twos:
-        for b in ending.get(over[c][0], ()):
-            for a in ending.get(over[b][0], ()):
+        for b in ending.get(k.src1(k.src2(c)), ()):
+            for a in ending.get(k.src1(k.src2(b)), ()):
                 budget.tick()
-                if h[(c, h[(b, a)])] != h[(h[(c, b)], a)]:
-                    return _failed("2-cell associativity fails at (%r,%r,%r)",
-                                   "triple", c, b, a)
+                if k.h(c, k.h(b, a)) != k.h(k.h(c, b), a):
+                    return failed("check_two_category",
+                                  ["2-cell associativity fails at (%r,%r,%r)"
+                                   % (c, b, a)], {"triple": [c, b, a]})
     for a in twos:
-        s, t = over[a]
-        if h[(a, id2[id1[s]])] != a or h[(id2[id1[t]], a)] != a:
-            return _failed("2-cell unit law fails at %r", "twocell", a)
+        s, t = k.onecells[k.src2(a)]
+        if k.h(a, k.id2(k.id1(s))) != a or k.h(k.id2(k.id1(t)), a) != a:
+            return failed("check_two_category",
+                          ["2-cell unit law fails at %r" % a], {"twocell": a})
     return passed("check_two_category",
                   ["%d objects, %d 1-cells, %d 2-cells" %
-                   (len(objs), len(cells1), len(cells2))])
-
-
-def _failed(message, key, *at):
-    """check_two_category's failure at the cells at, witnessed by key."""
-    return failed("check_two_category", [message % at],
-                  {key: list(at) if len(at) > 1 else at[0]})
+                   (len(k.objects), len(k.onecells), len(k.twocells))])
 
 
 # --- iso-comma objects ------------------------------------------------
